@@ -7,6 +7,7 @@ sequence of interior bubble corrections.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -79,6 +80,49 @@ def iterative_basis_sequence(ops, vertex, J):
         acc = acc + xi
         out.append(BasisFunction(ops.cell, vertex, _lift(ops, vertex, acc),
                                  tag=f"iterative({j})"))
+    return out
+
+
+# ---- batched over cells: (cells, n_loc, 4) stacks of all four vertices ----
+
+
+def _lift_cells(asm, interior):
+    out = np.repeat(asm.hats[None], len(interior), axis=0)
+    out[:, asm.interior_idx] += interior
+    return out
+
+
+def standard_bases(ops):
+    """standard_basis of every vertex of stacked LocalOperators.
+
+    One Cholesky of M per cell, solved against all four vertex columns.
+    """
+    solve = fem.cell_cholesky(ops.M0 + ops.M1)
+    return _lift_cells(ops.assembler, -solve(ops.v0 + ops.v1))
+
+
+def iterative_bases(ops, J_list, green=None):
+    """iterative_basis_sequence of every vertex of stacked LocalOperators.
+
+    Returns {J: (cells, n_loc, 4)} for J in J_list, from one Cholesky of M0
+    per cell.  Given green, a (cells, nK, nK) stack applied in place of
+    M0^-1 (an interpolated Green's inverse), the same recursion yields the
+    collocated bases.
+    """
+    if min(J_list) < 0:
+        raise ValueError("J must be >= 0")
+    solve = fem.cell_cholesky(ops.M0) if green is None else \
+        partial(np.matmul, green)
+    pi_l = solve(ops.v0)
+    xi = solve(ops.M1 @ pi_l - ops.v1)
+    acc = -pi_l + xi
+    out = {}
+    for j in range(max(J_list) + 1):
+        if j:
+            xi = -solve(ops.M1 @ xi)
+            acc = acc + xi
+        if j in J_list:
+            out[j] = _lift_cells(ops.assembler, acc)
     return out
 
 

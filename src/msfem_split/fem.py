@@ -38,36 +38,38 @@ def solve_spd(matrix, rhs):
     return sla.cho_solve(c, rhs, check_finite=False)
 
 
+# Local blocks up to this order are factored for a whole stack of cells in
+# one batched call and applied as explicit inverses: there the cost is call
+# overhead, not flops.  Larger blocks are factored and solved cell by cell.
+# Standard plus J<=4 bases of 144 cells on a 2-core Xeon: 7 ms against 30 ms
+# at n=9, 47 against 54 ms at n=36, 81 against 71 ms at n=49.
+BATCHED_MAX_N = 36
+
+
+def _compressed_scatter(targets, cols, vals, n_cols):
+    """(nonzero target rows, sparse map onto just those rows)."""
+    rows, pos = np.unique(targets, return_inverse=True)
+    return rows, sp.csr_matrix((vals, (pos, cols)),
+                               shape=(len(rows), n_cols))
+
+
 class LocalAssembler:
     """Per-coarse-cell Q1 assembly helper.
 
-    All coarse cells share the same local geometry, so the sparse map from
-    the r^2 local coefficient values to the dense local stiffness matrix is
-    built once per mesh.
+    All coarse cells share the same local geometry, so the sparse maps from
+    the r^2 local coefficient values to the local matrices are built once
+    per mesh.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
         r = mesh.r
-        self.n_loc = (r + 1) ** 2
+        n_loc = self.n_loc = (r + 1) ** 2
         self.ke = element_stiffness(mesh.hx, mesh.hy)
-
-        # local element connectivity into the (r+1)^2 local node block
-        ix = np.arange(r)
-        xx, yy = np.meshgrid(ix, ix, indexing="xy")
-        n0 = yy.ravel() * (r + 1) + xx.ravel()
-        self.conn = np.column_stack([n0, n0 + 1, n0 + r + 2, n0 + r + 1])
-
-        # sparse operator: local coefficient vector -> flattened full matrix
-        rows = (self.conn[:, :, None] * self.n_loc + self.conn[:, None, :]).ravel()
-        cols = np.repeat(np.arange(r * r), 16)
-        vals = np.tile(self.ke.ravel(), r * r)
-        self._scatter = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.n_loc ** 2, r * r))
-
+        self.conn = mesh.local_element_nodes
         self.interior = mesh.local_interior_mask
         self.interior_idx = np.flatnonzero(self.interior)
-        self.n_interior = mesh.n_interior
+        nk = self.n_interior = mesh.n_interior
 
         # bilinear coarse-vertex hats on the local nodes, vertex order
         # (0,0),(1,0),(1,1),(0,1)
@@ -76,39 +78,62 @@ class LocalAssembler:
         self.hats = np.column_stack(
             [(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t])
 
-    def full_matrix(self, kappa_local):
-        """Dense (n_loc, n_loc) stiffness for the local coefficient values."""
-        return (self._scatter @ np.asarray(kappa_local, float)).reshape(
-            self.n_loc, self.n_loc)
+        # element stencil entries: row node a, column node b, element e
+        a = np.repeat(self.conn, 4, axis=1).ravel()
+        b = np.tile(self.conn, (1, 4)).ravel()
+        e = np.repeat(np.arange(r * r), 16)
+        vals = np.tile(self.ke.ravel(), r * r)
+        # interior rows only, straight from the stencil: -> flattened M, and
+        # -> v = (A @ hats)[interior]; each keeps only its nonzero rows
+        pos = np.full(n_loc, -1)
+        pos[self.interior_idx] = np.arange(nk)
+        row = pos[a] >= 0
+        both = row & (pos[b] >= 0)
+        self._interior_scatter = _compressed_scatter(
+            pos[a[both]] * nk + pos[b[both]], e[both], vals[both], r * r)
+        self._vertex_scatter = _compressed_scatter(
+            ((pos[a[row]] * 4)[:, None] + np.arange(4)).ravel(),
+            np.repeat(e[row], 4),
+            (vals[row, None] * self.hats[b[row]]).ravel(), r * r)
+
+    def interior_matrices(self, kappa):
+        """(..., nK, nK) interior stiffness for (..., r^2) coefficients."""
+        return self._stack(self._interior_scatter, kappa, self.n_interior)
+
+    def vertex_vectors(self, kappa):
+        """(..., nK, 4) interior rows of the stiffness times the hats."""
+        return self._stack(self._vertex_scatter, kappa, 4)
+
+    def _stack(self, scatter, kappa, width):
+        rows, matrix = scatter
+        kappa = np.asarray(kappa, float)
+        # filled row by row in C order: batched matmul and Cholesky run
+        # several times slower on a transposed stack
+        out = np.zeros(kappa.shape[:-1] + (self.n_interior * width,))
+        out[..., rows] = (matrix @ kappa.T).T
+        return out.reshape(kappa.shape[:-1] + (self.n_interior, width))
 
     def quadratic_form(self, kappa_local, values):
         """Exact energy (k grad v, grad v) over the coarse cell."""
         ve = values[self.conn]
         return float(np.einsum("e,ei,ij,ej->", kappa_local, ve, self.ke, ve))
 
-    def load_vector(self, f_local):
-        """Consistent Q1 load for a cellwise-constant source."""
-        contrib = np.asarray(f_local, float) * (self.mesh.hx * self.mesh.hy / 4.0)
-        out = np.zeros(self.n_loc)
-        np.add.at(out, self.conn.ravel(), np.repeat(contrib, 4))
-        return out
-
 
 @dataclass
 class LocalOperators:
-    """Interior-node stiffness matrices and vertex vectors on one coarse cell.
+    """Interior-node stiffness matrices and vertex vectors of coarse cells.
 
-    v0 and v1 are (n_interior, 4) with one column per coarse vertex.
+    For one cell M0 and M1 are (n_interior, n_interior) and v0, v1 are
+    (n_interior, 4) with one column per coarse vertex; for an array of
+    cells each carries a leading cell axis.
     """
 
-    cell: int
+    cell: object
     assembler: LocalAssembler
     M0: np.ndarray
     M1: np.ndarray
     v0: np.ndarray
     v1: np.ndarray
-    A0_full: np.ndarray
-    A1_full: np.ndarray
     _chol_M0: tuple = field(default=None, repr=False)
 
     @property
@@ -128,27 +153,35 @@ class LocalOperators:
 
 
 def assemble_local_operators(mesh, cell, splitting, assembler=None):
-    """Assemble M0, M1 and the per-vertex vectors v0, v1 on a coarse cell."""
-    if assembler is None:
-        assembler = LocalAssembler(mesh)
-    cells = mesh.cell_fine_cells(cell)
-    k0 = splitting.k0[cells]
-    k1 = splitting.k1[cells]
+    """Assemble M0, M1, v0 and v1 on a coarse cell or an array of cells."""
+    asm = LocalAssembler(mesh) if assembler is None else assembler
+    fine = mesh.cell_fine_cells(cell)
+    k0 = splitting.k0[fine]
+    k1 = splitting.k1[fine]
     if np.any(k0 <= 0.0):
         raise ValueError("k0 must be strictly positive on every fine cell")
-    a0 = assembler.full_matrix(k0)
-    a1 = assembler.full_matrix(k1)
-    idx = assembler.interior_idx
-    return LocalOperators(
-        cell=cell,
-        assembler=assembler,
-        M0=a0[np.ix_(idx, idx)],
-        M1=a1[np.ix_(idx, idx)],
-        v0=(a0 @ assembler.hats)[idx],
-        v1=(a1 @ assembler.hats)[idx],
-        A0_full=a0,
-        A1_full=a1,
-    )
+    return LocalOperators(cell=cell, assembler=asm,
+                          M0=asm.interior_matrices(k0),
+                          M1=asm.interior_matrices(k1),
+                          v0=asm.vertex_vectors(k0), v1=asm.vertex_vectors(k1))
+
+
+def cell_cholesky(mats):
+    """One Cholesky per matrix of a (cells, n, n) SPD stack.
+
+    Returns solve(rhs) for right-hand sides of shape (cells, n, k).
+    """
+    try:
+        if mats.shape[-1] <= BATCHED_MAX_N:
+            inv_l = np.linalg.inv(np.linalg.cholesky(mats))
+            inverse = inv_l.transpose(0, 2, 1) @ inv_l
+            return lambda rhs: inverse @ rhs
+        factors = [sla.cho_factor(m, lower=True, check_finite=False)
+                   for m in mats]
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"matrix is not SPD: {exc}") from exc
+    return lambda rhs: np.stack([sla.cho_solve(c, b, check_finite=False)
+                                 for c, b in zip(factors, rhs)])
 
 
 # ---- global fine-grid machinery -------------------------------------------
@@ -210,11 +243,7 @@ def energy_norm(mesh, k, v, region=None):
         if v.size == mesh.n_fine_nodes:
             conn = mesh.fine_element_connectivity()[cells]
         else:
-            r = mesh.r
-            ix = np.arange(r)
-            xx, yy = np.meshgrid(ix, ix, indexing="xy")
-            n0 = yy.ravel() * (r + 1) + xx.ravel()
-            conn = np.column_stack([n0, n0 + 1, n0 + r + 2, n0 + r + 1])
+            conn = mesh.local_element_nodes
     ve = v[conn]
-    val = np.einsum("e,ei,ij,ej->", kcells, ve, ke, ve)
+    val = kcells @ np.einsum("ei,ei->e", ve @ ke, ve)
     return float(np.sqrt(max(val, 0.0)))

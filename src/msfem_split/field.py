@@ -234,11 +234,3 @@ def field_to_rows(mesh, values):
     centers = mesh.fine_cell_centers()
     return [(i, centers[i, 0], centers[i, 1], values[i])
             for i in range(mesh.n_fine_cells)]
-
-
-def save_kle_model(model, path):
-    """Flat binary table of eigenvalues and eigenfunction values."""
-    np.savez(path, eigenvalues=model.eigenvalues,
-             eigenfunctions=model.eigenfunctions,
-             mean_field=model.mean_field,
-             params=np.array([model.sigma2, model.lx, model.ly, model.n]))

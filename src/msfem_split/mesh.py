@@ -34,15 +34,23 @@ class MeshHierarchy:
         self._local_node_offsets = (jj * (self.nxf + 1) + ii).ravel()
         jj, ii = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
         self._local_cell_offsets = (jj * self.nxf + ii).ravel()
+        # (r^2, 4) local node ids per local fine cell, in the node order
+        # (0,0),(1,0),(1,1),(0,1)
+        n0 = (jj * (r + 1) + ii).ravel()
+        self.local_element_nodes = np.column_stack(
+            [n0, n0 + 1, n0 + r + 2, n0 + r + 1])
         interior = np.zeros((r + 1, r + 1), dtype=bool)
         interior[1:r, 1:r] = True
         self.local_interior_mask = interior.ravel()
         self.n_interior = (r - 1) ** 2
 
     # ---- coarse-cell addressing -------------------------------------------
+    # cell may be one index or an array of them; an array gives one row per
+    # cell
 
     def _check_cell(self, cell):
-        if not 0 <= cell < self.n_coarse_cells:
+        cell = np.asarray(cell)
+        if np.any((cell < 0) | (cell >= self.n_coarse_cells)):
             raise ValueError(f"coarse cell index {cell} out of range")
 
     def cell_coords(self, cell):
@@ -53,24 +61,24 @@ class MeshHierarchy:
         """Global fine-node ids of the (r+1)^2 local nodes, row-major."""
         cx, cy = self.cell_coords(cell)
         origin = (cy * self.r) * (self.nxf + 1) + cx * self.r
-        return origin + self._local_node_offsets
+        return np.add.outer(origin, self._local_node_offsets)
 
     def cell_fine_cells(self, cell):
         """Global fine-cell ids of the r^2 local cells, row-major."""
         cx, cy = self.cell_coords(cell)
         origin = (cy * self.r) * self.nxf + cx * self.r
-        return origin + self._local_cell_offsets
+        return np.add.outer(origin, self._local_cell_offsets)
 
     def local_interior_nodes(self, cell):
         """Global fine-node ids of the (r-1)^2 interior local nodes."""
-        return self.cell_fine_nodes(cell)[self.local_interior_mask]
+        return self.cell_fine_nodes(cell)[..., self.local_interior_mask]
 
     def cell_vertices(self, cell):
         """Global coarse-vertex ids in the order (0,0),(1,0),(1,1),(0,1)."""
         cx, cy = self.cell_coords(cell)
         w = self.nx_coarse + 1
-        return np.array([cy * w + cx, cy * w + cx + 1,
-                         (cy + 1) * w + cx + 1, (cy + 1) * w + cx])
+        return np.stack([cy * w + cx, cy * w + cx + 1,
+                         (cy + 1) * w + cx + 1, (cy + 1) * w + cx], axis=-1)
 
     # ---- geometry ----------------------------------------------------------
 
@@ -99,11 +107,8 @@ class MeshHierarchy:
         return (vy * self.r) * (self.nxf + 1) + vx * self.r
 
     def interior_coarse_vertices(self):
-        ids = []
-        for vy in range(1, self.ny_coarse):
-            for vx in range(1, self.nx_coarse):
-                ids.append(vy * (self.nx_coarse + 1) + vx)
-        return np.array(ids, dtype=int)
+        vy, vx = np.mgrid[1:self.ny_coarse, 1:self.nx_coarse]
+        return (vy * (self.nx_coarse + 1) + vx).ravel()
 
     def fine_element_connectivity(self):
         """(n_fine_cells, 4) node ids per fine cell, order (0,0),(1,0),(1,1),(0,1)."""

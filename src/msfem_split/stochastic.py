@@ -197,14 +197,6 @@ class GreenStore:
     matrices: np.ndarray  # (n_nodes, n_cells, n_K, n_K)
 
 
-def _interior_scatter(assembler):
-    """Sparse map from local coefficients to the flattened interior matrix."""
-    idx = assembler.interior_idx
-    n_loc = assembler.n_loc
-    rows = (idx[:, None] * n_loc + idx[None, :]).ravel()
-    return assembler._scatter[rows]
-
-
 def precompute_green_inverses(mesh, model, grid, m, max_bytes=2 * 1024 ** 3):
     """Assemble and invert M0(node) for every cell and sparse-grid node."""
     if grid.m != m:
@@ -219,25 +211,22 @@ def precompute_green_inverses(mesh, model, grid, m, max_bytes=2 * 1024 ** 3):
             f"GreenStore needs {need} bytes > limit {max_bytes}; "
             "reduce r or the interpolation level")
     asm = fem.LocalAssembler(mesh)
-    scat = _interior_scatter(asm)
-    cell_ids = np.array([mesh.cell_fine_cells(c) for c in range(n_cells)])
+    cell_ids = mesh.cell_fine_cells(np.arange(n_cells))
     out = np.empty((grid.n_nodes, n_cells, n_k, n_k))
     for i, node in enumerate(grid.nodes):
         theta = np.zeros(model.n)
         theta[:m] = node
         k0 = np.exp(field_mod.log_field_partial(model, theta, m))
-        mats = (scat @ k0[cell_ids].T).T.reshape(n_cells, n_k, n_k)
-        out[i] = np.linalg.inv(mats)
+        out[i] = np.linalg.inv(asm.interior_matrices(k0[cell_ids]))
     return GreenStore(mesh=mesh, model=model, grid=grid, m=m, matrices=out)
 
 
-def _interpolated_green(store, theta0, weights=None):
-    """I_m M0^-1 for every cell at one parameter point: (n_cells, nK, nK)."""
-    if weights is None:
-        weights = store.grid.interpolation_weights(theta0)
-    flat = store.matrices.reshape(store.grid.n_nodes, -1)
-    shape = store.matrices.shape[1:]
-    return (weights @ flat).reshape(shape)
+def _interpolated_green(store, theta0):
+    """I_m M0^-1 of every cell at points (..., m): (..., n_cells, nK, nK)."""
+    theta0 = np.asarray(theta0, float)
+    weights = store.grid.weights_matrix(theta0.reshape(-1, store.m))
+    flat = weights @ store.matrices.reshape(store.grid.n_nodes, -1)
+    return flat.reshape(theta0.shape[:-1] + store.matrices.shape[1:])
 
 
 def interpolated_basis(store, grid, theta, cell, vertex, J,
@@ -253,9 +242,8 @@ def interpolated_basis(store, grid, theta, cell, vertex, J,
     if green is None:
         green = _interpolated_green(store, theta[:store.m])
     if operators is None:
-        split = _reduced_splitting(model, theta, store.m)
-        asm = fem.LocalAssembler(mesh)
-        operators = fem.assemble_local_operators(mesh, cell, split, asm)
+        split = field_mod.split_kle(model, theta, store.m)
+        operators = fem.assemble_local_operators(mesh, cell, split)
     ops = operators
     G = green[cell]
     pi_l = G @ ops.v0[:, vertex]
@@ -270,27 +258,14 @@ def interpolated_basis(store, grid, theta, cell, vertex, J,
                                    tag=f"collocated({J},{grid.L})")
 
 
-def _reduced_splitting(model, theta, m):
-    return field_mod.split_kle(model, theta, m)
-
-
-def interpolated_registry(store, theta, J, green=None, operators=None):
-    """Collocated bases for every (cell, vertex) at one realization."""
-    mesh = store.mesh
+def interpolated_registry(store, theta, J, green=None):
+    """Collocated bases (n_cells, n_loc, 4) of all cells at one realization."""
+    theta = np.asarray(theta, float)
     if green is None:
         green = _interpolated_green(store, theta[:store.m])
-    if operators is None:
-        split = _reduced_splitting(store.model, theta, store.m)
-        asm = fem.LocalAssembler(mesh)
-        operators = [fem.assemble_local_operators(mesh, c, split, asm)
-                     for c in range(mesh.n_coarse_cells)]
-    registry = {}
-    for cell in range(mesh.n_coarse_cells):
-        for v in range(4):
-            registry[(cell, v)] = interpolated_basis(
-                store, store.grid, theta, cell, v, J,
-                green=green, operators=operators[cell])
-    return registry
+    split = field_mod.split_kle(store.model, theta, store.m)
+    return msfem.build_iterative_registries(store.mesh, split, [J],
+                                            green=green)[J]
 
 
 # ---- sampling drivers ------------------------------------------------------
@@ -344,12 +319,11 @@ def monte_carlo_run(config, N):
     mesh = config.mesh
     model = config.model
     J_list = tuple(config.J_list)
-    J_max = max(J_list)
     f = config.f if config.f is not None else np.ones(mesh.n_fine_cells)
-    asm = fem.LocalAssembler(mesh)
 
-    err_sum = {J: 0.0 for J in J_list}
-    err_sq = {J: 0.0 for J in J_list}
+    err_sum = np.zeros(len(J_list))
+    err_sq = np.zeros(len(J_list))
+    relerr_sum = np.zeros(len(J_list))
     sum_uh = np.zeros(mesh.n_fine_nodes)
     sq_uh = np.zeros(mesh.n_fine_nodes)
     sum_uJ = np.zeros(mesh.n_fine_nodes)
@@ -357,58 +331,43 @@ def monte_carlo_run(config, N):
     eta_max = 0.0
     ct_max = 0.0
     u_energy_sum = 0.0
-    relerr_sum = {J: 0.0 for J in J_list}
 
     for s in range(N):
         try:
             theta = sample_theta(config.seed, s, model.n)
             split = field_mod.split_kle(model, theta, config.m)
-            operators = [fem.assemble_local_operators(mesh, c, split, asm)
-                         for c in range(mesh.n_coarse_cells)]
-            std_reg = msfem.build_basis_registry(mesh, split, "standard",
-                                                 operators=operators)
-            it_regs = msfem.build_iterative_registries(mesh, split, J_list,
-                                                       operators)
-            u_h = msfem.solve_msfem(
-                msfem.assemble_coarse_system(mesh, std_reg, split.k, f))
+            u_h, errs = msfem.solution_errors(mesh, split, J_list, f)
             norm_uh = fem.energy_norm(mesh, split.k, u_h)
             u_ref = fem.fine_reference_solve(mesh, split.k, f)
             u_energy_sum += fem.energy_norm(mesh, split.k, u_ref)
             eta_max = max(eta_max, split.eta_global)
             ct_max = max(ct_max, msfem.c_tilde(split))
-            for J in J_list:
-                u_J = msfem.solve_msfem(msfem.assemble_coarse_system(
-                    mesh, it_regs[J], split.k, f))
-                e = fem.energy_norm(mesh, split.k, u_h - u_J)
-                err_sum[J] += e
-                err_sq[J] += e * e
-                relerr_sum[J] += e / norm_uh if norm_uh else 0.0
-                if J == J_max:
-                    sum_uJ += u_J
-                    sq_uJ += u_J ** 2
+            e = np.array([errs[J][1] for J in J_list])
+            err_sum += e
+            err_sq += e * e
+            relerr_sum += e / norm_uh if norm_uh else 0.0
+            u_J = errs[max(J_list)][0]
+            sum_uJ += u_J
+            sq_uJ += u_J ** 2
             sum_uh += u_h
             sq_uh += u_h ** 2
         except Exception as exc:
             raise RuntimeError(f"sample {s} failed: {exc}") from exc
 
     u_energy_mean = u_energy_sum / N
-    bounds = {}
-    for J in J_list:
-        if eta_max < 1.0:
-            bounds[J] = msfem.solution_error_bound(
-                J, eta_max, ct_max, u_energy_mean)[0]
-        else:
-            bounds[J] = np.inf
+    # no bound without eta_max < 1; callers must not read inf as a pass
+    bounds = {J: msfem.solution_error_bound(J, eta_max, ct_max,
+                                            u_energy_mean)[0]
+              if eta_max < 1.0 else np.inf for J in J_list}
     return SampleStatistics(
         N=N, J_list=J_list,
-        mean_error={J: err_sum[J] / N for J in J_list},
-        var_error={J: _finalize_var(err_sum[J], err_sq[J], N)
-                   for J in J_list},
+        mean_error=dict(zip(J_list, err_sum / N)),
+        var_error=dict(zip(J_list, _finalize_var(err_sum, err_sq, N))),
         mean_uh=sum_uh / N, var_uh=_finalize_var(sum_uh, sq_uh, N),
         mean_uJh=sum_uJ / N, var_uJh=_finalize_var(sum_uJ, sq_uJ, N),
         eta_max=eta_max, c_tilde_max=ct_max,
         u_energy_mean=u_energy_mean, bounds=bounds,
-        extra={"mean_rel_error": {J: relerr_sum[J] / N for J in J_list}})
+        extra={"mean_rel_error": dict(zip(J_list, relerr_sum / N))})
 
 
 def collocation_run(config, N, store, J=None):
@@ -424,13 +383,10 @@ def collocation_run(config, N, store, J=None):
     if J is None:
         J = max(config.J_list)
     f = config.f if config.f is not None else np.ones(mesh.n_fine_cells)
-    asm = fem.LocalAssembler(mesh)
 
     thetas = np.array([sample_theta(config.seed, s, model.n)
                        for s in range(N)])
-    W = store.grid.weights_matrix(thetas[:, :store.m])
-    flat = store.matrices.reshape(store.grid.n_nodes, -1)
-    greens = (W @ flat).reshape((N,) + store.matrices.shape[1:])
+    greens = _interpolated_green(store, thetas[:, :store.m])
 
     e_tot = np.empty(N)
     e_spl = np.empty(N)
@@ -446,21 +402,9 @@ def collocation_run(config, N, store, J=None):
             theta = thetas[s]
             split = field_mod.split_kle(model, theta, config.m)
             eta_max = max(eta_max, split.eta_global)
-            operators = [fem.assemble_local_operators(mesh, c, split, asm)
-                         for c in range(mesh.n_coarse_cells)]
-            std_reg = msfem.build_basis_registry(mesh, split, "standard",
-                                                 operators=operators)
-            it_reg = msfem.build_iterative_registries(mesh, split, [J],
-                                                      operators)[J]
-            col_reg = interpolated_registry(store, theta, J,
-                                            green=greens[s],
-                                            operators=operators)
-            u_h = msfem.solve_msfem(
-                msfem.assemble_coarse_system(mesh, std_reg, split.k, f))
-            u_J = msfem.solve_msfem(
-                msfem.assemble_coarse_system(mesh, it_reg, split.k, f))
-            u_t = msfem.solve_msfem(
-                msfem.assemble_coarse_system(mesh, col_reg, split.k, f))
+            u_h, u_J, u_t = msfem.msfem_solutions(mesh, split, [J], f,
+                                                  green=greens[s])
+            u_J, u_t = u_J[J], u_t[J]
             norm_uh = fem.energy_norm(mesh, split.k, u_h)
             e_tot[s] = fem.energy_norm(mesh, split.k, u_h - u_t) / norm_uh
             e_spl[s] = fem.energy_norm(mesh, split.k, u_h - u_J) / norm_uh

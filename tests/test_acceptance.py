@@ -18,7 +18,7 @@ from msfem_split import basis as basis_mod
 from msfem_split import fem
 from msfem_split import msfem
 from msfem_split import stochastic as st
-from msfem_split.cli import _solution_errors, main
+from msfem_split.cli import main
 from msfem_split.field import make_splitting, split_kle, split_lognormal
 
 DET_SEED = 7
@@ -163,7 +163,7 @@ def test_criterion_06_solution_bound():
     for m in (16, 18):
         split = split_kle(model, theta, m)
         ok &= bool(split.eta_global < 1.0)
-        u_h, errs = _solution_errors(mesh, split, J_list)
+        u_h, errs = msfem.solution_errors(mesh, split, J_list)
         u_ref = fine_reference_solve(mesh, split.k)
         u_energy = fem.energy_norm(mesh, split.k, u_ref)
         norm_uh = fem.energy_norm(mesh, split.k, u_h)
@@ -189,7 +189,7 @@ def test_criterion_07_mesh_insensitivity():
         model = build_kle_model(mesh, 2.25, 0.7, 0.04, 20)
         split = split_kle(model, theta, 16)
         assert split.eta_global < 1.0
-        return _solution_errors(mesh, split, [J])[1][J][1]
+        return msfem.solution_errors(mesh, split, [J])[1][J][1]
 
     ok = True
     refine = [err_for(12, r) for r in (10, 20, 30)]

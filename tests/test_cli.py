@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from msfem_split.cli import ConfigError, main, parse_config
+from msfem_split.cli import ConfigError, main, parse_config, run_experiment
 
 
 def _write(tmp_path, text, name="exp.cfg"):
@@ -123,3 +123,33 @@ def test_csv_17_significant_digits(tmp_path):
     # round-trips exactly through float parsing
     for text in errors:
         assert format(float(text), ".17g") == text
+
+
+def test_mc_stats_without_bound_fails(tmp_path):
+    # m=1 of a high-variance field leaves eta_max >= 1: no finite bound
+    cfg = parse_config(_write(tmp_path, """experiment = mc-stats
+nx = 2
+ny = 2
+r = 2
+sigma2 = 4.0
+lx = 0.3
+ly = 0.3
+n = 4
+m_list = 1
+J_list = 0
+N = 2
+"""))
+    out = tmp_path / "out"
+    assert run_experiment(cfg, str(out)) is False
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    assert "FAIL  m=1 J=0 mean no bound: eta" in summary
+    assert "result: FAIL" in summary
+
+
+def test_basis_bound_without_bound_fails(tmp_path):
+    # sc=0.1 leaves eta = max |exp(0.9 Y) - 1| >= 1
+    cfg = parse_config(_write(tmp_path, BASIS_CFG.replace("0.9", "0.1")))
+    out = tmp_path / "out"
+    assert run_experiment(cfg, str(out)) is False
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    assert "FAIL  sc=0.1 J=0 no bound: eta" in summary

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
-from msfem_split import build_mesh, fine_reference_solve
+from msfem_split import (build_kle_model, build_mesh, build_sparse_grid,
+                         fine_reference_solve, precompute_green_inverses,
+                         sample_theta)
+from msfem_split import basis as basis_mod
 from msfem_split import fem
 from msfem_split import msfem
-from msfem_split.field import make_splitting
+from msfem_split import stochastic as st
+from msfem_split.field import make_splitting, split_kle
 from msfem_split.msfem import (assemble_coarse_system, error_report,
                                solution_error_bound, solve_msfem)
 
@@ -74,9 +80,9 @@ def test_missing_basis_entry_rejected():
     rng = np.random.default_rng(15)
     split = _random_splitting(mesh, rng)
     bases = msfem.build_basis_registry(mesh, split, "standard")
-    del bases[(1, 2)]
-    with pytest.raises(ValueError):
-        assemble_coarse_system(mesh, bases, split.k)
+    for malformed in (bases[1:], bases[:, :, :3], bases[:, 1:]):
+        with pytest.raises(ValueError):
+            assemble_coarse_system(mesh, malformed, split.k)
     with pytest.raises(ValueError):
         msfem.build_basis_registry(mesh, split, "spectral")
 
@@ -109,7 +115,7 @@ def test_galerkin_optimality_spot_check():
         u = np.zeros(mesh.n_fine_nodes)
         for cell in range(mesh.n_coarse_cells):
             verts = mesh.cell_vertices(cell)
-            local = sum(pert[verts[v]] * bases[(cell, v)].values
+            local = sum(pert[verts[v]] * bases[cell, :, v]
                         for v in range(4))
             u[mesh.cell_fine_nodes(cell)] = local
         assert fem.energy_norm(mesh, split.k, u_ref - u) >= best
@@ -148,3 +154,72 @@ def test_error_report():
     assert rep.rel_err_h_Jh >= 0.0
     with pytest.raises(ValueError):
         error_report(mesh, u_ref[:-1], u_h, u_J, split.k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=hst.integers(1, 3), ny=hst.integers(1, 3), r=hst.integers(2, 6),
+       J=hst.integers(0, 4), m=hst.integers(1, 3),
+       sigma2=hst.floats(0.05, 2.0), seed=hst.integers(0, 2 ** 31))
+def test_batched_bases_match_scalar_and_invariants(nx, ny, r, J, m, sigma2,
+                                                   seed):
+    mesh = build_mesh(nx, ny, r)
+    model = build_kle_model(mesh, sigma2, 0.3, 0.2, 4)
+    theta = sample_theta(seed, 0, model.n)
+    split = split_kle(model, theta, m)
+    assume(split.eta_global < 1.0)
+    store = precompute_green_inverses(mesh, model, build_sparse_grid(m, 1), m)
+    std = msfem.build_basis_registry(mesh, split, "standard")
+    its = msfem.build_iterative_registries(mesh, split, range(J + 1))
+    col = st.interpolated_registry(store, theta, J)
+
+    asm = fem.LocalAssembler(mesh)
+    boundary = ~mesh.local_interior_mask
+    for cell in range(mesh.n_coarse_cells):
+        ops = fem.assemble_local_operators(mesh, cell, split, asm)
+        for v in range(4):
+            ref = basis_mod.standard_basis(ops, v).values
+            assert np.abs(std[cell, :, v] - ref).max() <= 1e-12
+            seq = basis_mod.iterative_basis_sequence(ops, v, J)
+            for j in range(J + 1):
+                assert np.abs(its[j][cell, :, v] - seq[j].values).max() \
+                    <= 1e-12
+            ref = st.interpolated_basis(store, store.grid, theta, cell, v, J,
+                                        operators=ops).values
+            assert np.abs(col[cell, :, v] - ref).max() <= 1e-12
+
+    for bases in [std, col] + list(its.values()):
+        assert np.abs(bases.sum(axis=2) - 1.0).max() <= 1e-12
+        assert np.array_equal(bases[:, boundary],
+                              np.broadcast_to(asm.hats[boundary],
+                                              bases[:, boundary].shape))
+        system = assemble_coarse_system(mesh, bases, split.k)
+        free = system.free_vertices
+        A = system.A[np.ix_(free, free)]
+        assert np.abs(A - A.T).max(initial=0.0) <= \
+            1e-12 * np.abs(A).max(initial=0.0)
+        assert np.all(np.linalg.eigvalsh(A) > 0.0)
+
+    green = st._interpolated_green(store, theta[:m])
+    u_h, u_J, u_col = msfem.msfem_solutions(mesh, split, [J], green=green)
+    for u, bases in ((u_h, std), (u_J[J], its[J]), (u_col[J], col)):
+        alone = solve_msfem(assemble_coarse_system(mesh, bases, split.k))
+        assert np.abs(u - alone).max() <= 1e-12
+    e = fem.energy_norm(mesh, split.k, u_h - u_col[J])
+    e_spl = fem.energy_norm(mesh, split.k, u_h - u_J[J])
+    e_col = fem.energy_norm(mesh, split.k, u_J[J] - u_col[J])
+    assert e <= e_spl + e_col + 1e-12
+
+
+def test_chunked_bases_equal_whole_mesh(monkeypatch):
+    mesh = build_mesh(3, 2, 5)
+    rng = np.random.default_rng(21)
+    split = _random_splitting(mesh, rng)
+    green = np.linalg.inv(fem.assemble_local_operators(
+        mesh, np.arange(mesh.n_coarse_cells), split).M0)
+    whole = msfem.msfem_solutions(mesh, split, [0, 2], green=green)
+    monkeypatch.setattr(msfem, "CHUNK_BYTES", 1)  # one cell per chunk
+    chunked = msfem.msfem_solutions(mesh, split, [0, 2], green=green)
+    assert np.abs(whole[0] - chunked[0]).max() <= 1e-14
+    for a, b in zip(whole[1:], chunked[1:]):
+        for J in (0, 2):
+            assert np.abs(a[J] - b[J]).max() <= 1e-14

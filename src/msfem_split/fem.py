@@ -190,7 +190,7 @@ def cell_cholesky(mats):
 def fine_stiffness(mesh, k):
     """Sparse global Q1 stiffness over all fine nodes."""
     k = np.asarray(k, float)
-    conn = mesh.fine_element_connectivity()
+    conn = mesh.fine_element_nodes
     ke = element_stiffness(mesh.hx, mesh.hy)
     vals = (k[:, None, None] * ke).ravel()
     rows = np.repeat(conn, 4, axis=1).ravel()
@@ -202,7 +202,7 @@ def fine_stiffness(mesh, k):
 def fine_load(mesh, f):
     """Global load vector for a cellwise-constant source."""
     f = np.asarray(f, float)
-    conn = mesh.fine_element_connectivity()
+    conn = mesh.fine_element_nodes
     contrib = f * (mesh.hx * mesh.hy / 4.0)
     out = np.zeros(mesh.n_fine_nodes)
     np.add.at(out, conn.ravel(), np.repeat(contrib, 4))
@@ -235,13 +235,13 @@ def energy_norm(mesh, k, v, region=None):
     v = np.asarray(v, float)
     ke = element_stiffness(mesh.hx, mesh.hy)
     if region is None:
-        conn = mesh.fine_element_connectivity()
+        conn = mesh.fine_element_nodes
         kcells = k
     else:
         cells = mesh.cell_fine_cells(region)
         kcells = k[cells] if k.size == mesh.n_fine_cells else k
         if v.size == mesh.n_fine_nodes:
-            conn = mesh.fine_element_connectivity()[cells]
+            conn = mesh.fine_element_nodes[cells]
         else:
             conn = mesh.local_element_nodes
     ve = v[conn]

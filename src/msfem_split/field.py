@@ -2,21 +2,17 @@
 
 Fields are numpy arrays of per-fine-cell constant values (row-major over the
 global fine grid).  Random log-coefficients use a truncated Karhunen-Loeve
-expansion; eigenpairs come from a dense Nystrom discretization of the
-covariance kernel on cell centers.
+expansion; its eigenpairs are products of 1D Nystrom eigenpairs of the
+separable covariance kernel on cell centers.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
-# dense eigendecomposition is used up to this many generation cells;
-# above it only the leading eigenpairs are extracted iteratively
-_DENSE_EIG_LIMIT = 2000
-
-# largest per-axis generation grid for the dense covariance matrix
+# largest per-axis generation grid of the KLE; finer meshes whose cell
+# counts share it see the identical random field
 MAX_GENERATION_CELLS = 64
 
 
@@ -103,61 +99,63 @@ def covariance_kernel(p1, p2, sigma2, lx, ly):
     return sigma2 * np.exp(-dx2 / (2.0 * lx) - dy2 / (2.0 * ly))
 
 
-def _generation_axis(nf, max_cells):
-    """Largest divisor of the fine-cell count not exceeding max_cells."""
-    g = min(nf, max_cells)
+def _generation_axis(nf):
+    """Largest divisor of the fine-cell count up to MAX_GENERATION_CELLS."""
+    g = min(nf, MAX_GENERATION_CELLS)
     while nf % g:
         g -= 1
     return g
 
 
-def build_kle_model(mesh, sigma2, lx, ly, n, mean_field=None,
-                    max_generation=MAX_GENERATION_CELLS):
-    """Nystrom eigenpairs of the covariance operator on fine-cell centers.
+def _axis_eigenpairs(g, length):
+    """Nystrom eigenpairs of exp(-dx^2/2l) on the g cell centers of [0, 1].
 
-    Grids above max_generation cells per axis are handled by solving the
-    eigenproblem on the largest divisor grid and injecting the piecewise
-    constant eigenfunctions onto the fine cells, so refinements of the same
-    generation grid see the identical random field.
+    Eigenvalues descend and are clipped at zero; eigenvectors are scaled to
+    unit norm in the cell-area inner product.  Each eigenvector is symmetric
+    or antisymmetric, so its largest magnitude sits at mirror-image cells
+    and round-off picks which one is larger; the sign therefore makes the
+    first entry of at least half the largest magnitude positive.
+    """
+    x = (np.arange(g) + 0.5) / g
+    K = np.exp(-(x[:, None] - x[None, :]) ** 2 / (2.0 * length)) / g
+    if not np.array_equal(K, K.T):
+        raise RuntimeError("numerical covariance lost symmetry")
+    w, u = sla.eigh(K)
+    w, u = np.clip(w[::-1], 0.0, None), u[:, ::-1]
+    mag = np.abs(u)
+    first = (mag >= 0.5 * mag.max(axis=0)).argmax(axis=0)
+    return w, u * (np.sign(u[first, np.arange(g)]) * np.sqrt(g))
+
+
+def build_kle_model(mesh, sigma2, lx, ly, n, mean_field=None):
+    """Nystrom eigenpairs of the covariance operator on a generation grid.
+
+    The kernel is separable and the grid a tensor grid, so the eigenpairs
+    are products of the 1D pairs of each axis, ordered by descending
+    eigenvalue; exact ties (identical axes) keep row-major (y, x) mode
+    order.  The generation grid has at most MAX_GENERATION_CELLS cells per
+    axis, dividing the fine grid, and the piecewise constant eigenfunctions
+    are injected onto the fine cells, so refinements of the same generation
+    grid see the identical random field.
     """
     if sigma2 <= 0.0 or lx <= 0.0 or ly <= 0.0:
         raise ValueError("sigma2, lx and ly must be positive")
-    gx = _generation_axis(mesh.nxf, max_generation)
-    gy = _generation_axis(mesh.nyf, max_generation)
-    n_gen = gx * gy
-    if not 1 <= n <= n_gen:
-        raise ValueError(f"truncation n={n} outside [1, {n_gen}]")
+    gx = _generation_axis(mesh.nxf)
+    gy = _generation_axis(mesh.nyf)
+    if not 1 <= n <= gx * gy:
+        raise ValueError(f"truncation n={n} outside [1, {gx * gy}]")
 
-    x = (np.arange(gx) + 0.5) / gx
-    y = (np.arange(gy) + 0.5) / gy
-    xx, yy = np.meshgrid(x, y, indexing="xy")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    area = 1.0 / n_gen
-    cov = covariance_kernel(pts, pts, sigma2, lx, ly)
-    if not np.allclose(cov, cov.T, atol=1e-12):
-        raise RuntimeError("numerical covariance lost symmetry")
-    B = area * cov
-
-    if n_gen <= _DENSE_EIG_LIMIT or n > n_gen // 4:
-        w, u = sla.eigh(B)
-        w = w[::-1][:n]
-        u = u[:, ::-1][:, :n]
-    else:
-        w, u = spla.eigsh(B, k=n, which="LA", v0=np.ones(n_gen))
-        order = np.argsort(w)[::-1]
-        w = w[order]
-        u = u[:, order]
-    w = np.clip(w, 0.0, None)
-
-    # orthonormal w.r.t. the area-weighted inner product, fixed sign
-    b = u.T / np.sqrt(area)
-    flip = b[np.arange(n), np.abs(b).argmax(axis=1)] < 0
-    b[flip] *= -1.0
+    wx, ux = _axis_eigenpairs(gx, lx)
+    wy, uy = _axis_eigenpairs(gy, ly)
+    # the outer product before sigma2, so that tied products are bitwise equal
+    products = sigma2 * np.outer(wy, wx).ravel()
+    modes = np.argsort(-products, kind="stable")[:n]
+    j, i = np.divmod(modes, gx)
+    b_gen = uy.T[j, :, None] * ux.T[i, None, :]
 
     # inject generation-cell values onto the fine cells
     px = mesh.nxf // gx
     py = mesh.nyf // gy
-    b_gen = b.reshape(n, gy, gx)
     b_fine = np.repeat(np.repeat(b_gen, py, axis=1), px, axis=2)
     b_fine = b_fine.reshape(n, mesh.n_fine_cells)
 
@@ -168,9 +166,9 @@ def build_kle_model(mesh, sigma2, lx, ly, n, mean_field=None,
         if mean_field.shape != (mesh.n_fine_cells,):
             raise ValueError("mean field length must equal the fine-cell count")
 
-    return KLEModel(mesh=mesh, mean_field=mean_field, eigenvalues=w,
-                    eigenfunctions=b_fine, n=n, sigma2=sigma2, lx=lx, ly=ly,
-                    generation_shape=(gx, gy))
+    return KLEModel(mesh=mesh, mean_field=mean_field,
+                    eigenvalues=products[modes], eigenfunctions=b_fine, n=n,
+                    sigma2=sigma2, lx=lx, ly=ly, generation_shape=(gx, gy))
 
 
 def log_field_partial(model, theta, m):

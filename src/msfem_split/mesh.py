@@ -7,6 +7,16 @@ conforming r x r local fine grid.  All orderings are row-major (x fastest).
 import numpy as np
 
 
+def _q1_connectivity(nx, ny):
+    """(nx*ny, 4) node ids per cell of an nx x ny grid, row-major.
+
+    Node order (0,0),(1,0),(1,1),(0,1).
+    """
+    yy, xx = np.divmod(np.arange(nx * ny), nx)
+    n0 = yy * (nx + 1) + xx
+    return np.column_stack([n0, n0 + 1, n0 + nx + 2, n0 + nx + 1])
+
+
 class MeshHierarchy:
     """Coarse grid of nx_coarse x ny_coarse cells, each refined r x r."""
 
@@ -34,11 +44,10 @@ class MeshHierarchy:
         self._local_node_offsets = (jj * (self.nxf + 1) + ii).ravel()
         jj, ii = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
         self._local_cell_offsets = (jj * self.nxf + ii).ravel()
-        # (r^2, 4) local node ids per local fine cell, in the node order
-        # (0,0),(1,0),(1,1),(0,1)
-        n0 = (jj * (r + 1) + ii).ravel()
-        self.local_element_nodes = np.column_stack(
-            [n0, n0 + 1, n0 + r + 2, n0 + r + 1])
+        # node ids per fine cell, of the global fine grid and of the local
+        # grid of one coarse cell
+        self.fine_element_nodes = _q1_connectivity(self.nxf, self.nyf)
+        self.local_element_nodes = _q1_connectivity(r, r)
         interior = np.zeros((r + 1, r + 1), dtype=bool)
         interior[1:r, 1:r] = True
         self.local_interior_mask = interior.ravel()
@@ -109,14 +118,6 @@ class MeshHierarchy:
     def interior_coarse_vertices(self):
         vy, vx = np.mgrid[1:self.ny_coarse, 1:self.nx_coarse]
         return (vy * (self.nx_coarse + 1) + vx).ravel()
-
-    def fine_element_connectivity(self):
-        """(n_fine_cells, 4) node ids per fine cell, order (0,0),(1,0),(1,1),(0,1)."""
-        ix = np.arange(self.nxf)
-        iy = np.arange(self.nyf)
-        xx, yy = np.meshgrid(ix, iy, indexing="xy")
-        n0 = yy.ravel() * (self.nxf + 1) + xx.ravel()
-        return np.column_stack([n0, n0 + 1, n0 + self.nxf + 2, n0 + self.nxf + 1])
 
 
 def build_mesh(nx_coarse, ny_coarse, r):

@@ -232,14 +232,14 @@ def test_criterion_09_collocation_accuracy():
     # (m=16).  The dominance clauses use one run at m=8 on the same mesh,
     # field, seed and J: at m=16 the splitting error (8e-6) stays below the
     # collocation error until L=5, and the L=4 store alone (7.9 GiB) is
-    # over the GreenStore limit.  At m=8, e_spl is 7.6e-4 and e_col falls
-    # from 2.8e-3 at L=1 to 7.9e-5 at L=3.
+    # over the GreenStore limit.  At m=8, e_spl is 6.8e-4 and e_col falls
+    # from 3.8e-3 at L=1 to 1.35e-4 at L=3.
     mesh = build_mesh(16, 16, 4)
     model = build_kle_model(mesh, 1.0, 0.1, 0.1, 20)
     m_acc, m_dec = 16, 8
-    # lx == ly makes the KLE spectrum come in tied pairs; a cut inside a
-    # pair leaves k0 with whatever rotation of the eigenspace LAPACK chose
-    # (relative gap 8e-15 at m=16, 55% at m=8).
+    # lx == ly makes the KLE spectrum come in exactly tied pairs; a cut
+    # inside a pair keeps the first mode of the pair in the KLE's fixed
+    # (y, x) order (relative gap 0 at m=16, 55% at m=8).
     ev = model.eigenvalues
     gap = (ev[m_dec - 1] - ev[m_dec]) / ev[m_dec - 1]
     assert gap >= 0.1, (f"m={m_dec} is not at a spectral gap of the KLE: "

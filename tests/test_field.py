@@ -120,6 +120,71 @@ def test_kle_generation_grid_injection():
     assert np.allclose(inj.reshape(5, -1), mc.eigenfunctions)
 
 
+def _dense_reference(mesh, sigma2, lx, ly, n):
+    """Leading eigenpairs of the 2D Nystrom matrix area * covariance."""
+    centers = mesh.fine_cell_centers()
+    area = 1.0 / mesh.n_fine_cells
+    w, u = np.linalg.eigh(area * covariance_kernel(centers, centers,
+                                                   sigma2, lx, ly))
+    return w[::-1], u[:, ::-1].T[:n] / np.sqrt(area)
+
+
+def test_kle_matches_dense_reference_distinct_modes():
+    mesh = build_mesh(3, 2, 3)   # 9x6 cells, generation grid = fine grid
+    n = 12
+    model = build_kle_model(mesh, 1.5, 0.3, 0.1, n)
+    w, phi = _dense_reference(mesh, 1.5, 0.3, 0.1, n)
+    # every leading eigenvalue is simple, so each mode is unique up to sign
+    assert np.all(-np.diff(w[:n + 1]) > 1e-2 * w[1:n + 1])
+    assert np.allclose(model.eigenvalues, w[:n], rtol=1e-12, atol=0.0)
+    for k in range(n):
+        sign = np.sign(phi[k] @ model.eigenfunctions[k])
+        assert np.abs(model.eigenfunctions[k] - sign * phi[k]).max() <= 1e-10
+
+
+def test_kle_tied_modes_span_dense_reference_eigenspaces():
+    mesh = build_mesh(2, 2, 4)   # 8x8 cells, lx == ly: tied pairs
+    n = 10
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, n)
+    w, phi = _dense_reference(mesh, 1.0, 0.2, 0.2, n + 1)
+    assert np.allclose(model.eigenvalues, w[:n], rtol=1e-12, atol=0.0)
+    # group the reference spectrum into clusters of equal eigenvalues
+    starts = np.flatnonzero(np.r_[True, -np.diff(w) > 1e-8 * w[0]])
+    assert n in starts, "truncation must not cut a tied eigenspace"
+    assert np.any(np.diff(starts) == 2), "expected at least one tied pair"
+    area = 1.0 / mesh.n_fine_cells
+    for a, b in zip(starts, starts[1:]):
+        if b > n:
+            break
+        ref = area * phi[a:b].T @ phi[a:b]
+        got = area * model.eigenfunctions[a:b].T @ model.eigenfunctions[a:b]
+        assert np.abs(got - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("shape, lx, ly", [((3, 3, 10), 0.2, 0.05),
+                                           ((4, 4, 30), 0.7, 0.04),
+                                           ((16, 16, 4), 0.1, 0.1)])
+def test_kle_sign_rule_is_deterministic(shape, lx, ly):
+    # Each mode is an outer product uy x ux on the generation grid.  Its
+    # sign makes uy_a * ux_b > 0 at the first row a and first column b that
+    # reach half the largest magnitude, a choice that round-off cannot
+    # decide (unlike the largest magnitude, shared by mirror-image cells).
+    mesh = build_mesh(*shape)
+    model = build_kle_model(mesh, 1.0, lx, ly, 20)
+    gx, gy = model.generation_shape
+    px, py = mesh.nxf // gx, mesh.nyf // gy
+    gen = model.eigenfunctions.reshape(20, mesh.nyf, mesh.nxf)[:, ::py, ::px]
+    for phi in gen:
+        mag = np.abs(phi)
+        half = 0.5 * mag.max()
+        a = np.argmax(mag.max(axis=1) >= half)
+        b = np.argmax(mag.max(axis=0) >= half)
+        assert phi[a, b] > 0.0
+    again = build_kle_model(mesh, 1.0, lx, ly, 20)
+    assert again.eigenvalues.tobytes() == model.eigenvalues.tobytes()
+    assert again.eigenfunctions.tobytes() == model.eigenfunctions.tobytes()
+
+
 def test_kle_invalid_arguments():
     mesh = build_mesh(1, 1, 3)
     with pytest.raises(ValueError):

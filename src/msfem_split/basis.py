@@ -97,7 +97,7 @@ def standard_bases(ops):
 
     One Cholesky of M per cell, solved against all four vertex columns.
     """
-    solve = fem.cell_cholesky(ops.M0 + ops.M1)
+    solve = fem.cell_cholesky(ops.M0 + ops.M1, ops.assembler.mesh.r)
     return _lift_cells(ops.assembler, -solve(ops.v0 + ops.v1))
 
 
@@ -111,8 +111,8 @@ def iterative_bases(ops, J_list, green=None):
     """
     if min(J_list) < 0:
         raise ValueError("J must be >= 0")
-    solve = fem.cell_cholesky(ops.M0) if green is None else \
-        partial(np.matmul, green)
+    solve = partial(np.matmul, green) if green is not None else \
+        fem.cell_cholesky(ops.M0, ops.assembler.mesh.r)
     pi_l = solve(ops.v0)
     xi = solve(ops.M1 @ pi_l - ops.v1)
     acc = -pi_l + xi

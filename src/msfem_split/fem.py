@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 def element_stiffness(hx, hy):
@@ -29,21 +28,31 @@ def element_stiffness(hx, hy):
     return (hy / hx) * sx / 6.0 + (hx / hy) * sy / 6.0
 
 
+def _spd(cholesky, *args, **kwargs):
+    """cholesky(*args, **kwargs), its failure reported as a non-SPD matrix."""
+    try:
+        return cholesky(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"matrix is not SPD: {exc}") from exc
+
+
 def solve_spd(matrix, rhs):
     """Solve an SPD system by Cholesky factorization."""
-    try:
-        c = sla.cho_factor(matrix, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"matrix is not SPD: {exc}") from exc
+    c = _spd(sla.cho_factor, matrix, lower=True, check_finite=False)
     return sla.cho_solve(c, rhs, check_finite=False)
 
 
-# Local blocks up to this order are factored for a whole stack of cells in
-# one batched call and applied as explicit inverses: there the cost is call
-# overhead, not flops.  Larger blocks are factored and solved cell by cell.
-# Standard plus J<=4 bases of 144 cells on a 2-core Xeon: 7 ms against 30 ms
-# at n=9, 47 against 54 ms at n=36, 81 against 71 ms at n=49.
-BATCHED_MAX_N = 36
+def band_cholesky(bands):
+    """solve(rhs) for SPD A in lower band storage: bands[d, j] = A[j+d, j]."""
+    c = _spd(sla.cholesky_banded, bands, lower=True, check_finite=False)
+    return lambda rhs: sla.cho_solve_banded((c, True), rhs, check_finite=False)
+
+
+# Local blocks up to this order are factored for a whole stack of cells in one
+# batched call and applied as explicit inverses; larger ones are banded, cell
+# by cell.  Standard + J<=4 bases of 144 cells, 1 BLAS thread, 2-core Xeon:
+# batched 20/40/73 ms against banded 33/38/41 ms at n=25/36/49.
+BATCHED_MAX_N = 25
 
 
 def _compressed_scatter(targets, cols, vals, n_cols):
@@ -166,22 +175,22 @@ def assemble_local_operators(mesh, cell, splitting, assembler=None):
                           v0=asm.vertex_vectors(k0), v1=asm.vertex_vectors(k1))
 
 
-def cell_cholesky(mats):
+def cell_cholesky(mats, bandwidth):
     """One Cholesky per matrix of a (cells, n, n) SPD stack.
 
-    Returns solve(rhs) for right-hand sides of shape (cells, n, k).
+    Returns solve(rhs) for right-hand sides of shape (cells, n, k).  Blocks
+    above BATCHED_MAX_N are banded with the given half-bandwidth, r for a cell.
     """
-    try:
-        if mats.shape[-1] <= BATCHED_MAX_N:
-            inv_l = np.linalg.inv(np.linalg.cholesky(mats))
-            inverse = inv_l.transpose(0, 2, 1) @ inv_l
-            return lambda rhs: inverse @ rhs
-        factors = [sla.cho_factor(m, lower=True, check_finite=False)
-                   for m in mats]
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"matrix is not SPD: {exc}") from exc
-    return lambda rhs: np.stack([sla.cho_solve(c, b, check_finite=False)
-                                 for c, b in zip(factors, rhs)])
+    n = mats.shape[-1]
+    if n > BATCHED_MAX_N:
+        bands = np.zeros((len(mats), bandwidth + 1, n))
+        for d in range(min(bandwidth, n - 1) + 1):
+            bands[:, d, :n - d] = np.diagonal(mats, -d, axis1=1, axis2=2)
+        solves = [band_cholesky(b) for b in bands]
+        return lambda rhs: np.stack([s(b) for s, b in zip(solves, rhs)])
+    inv_l = np.linalg.inv(_spd(np.linalg.cholesky, mats))
+    inverse = inv_l.transpose(0, 2, 1) @ inv_l
+    return lambda rhs: inverse @ rhs
 
 
 # ---- global fine-grid machinery -------------------------------------------
@@ -199,6 +208,22 @@ def fine_stiffness(mesh, k):
                          shape=(mesh.n_fine_nodes, mesh.n_fine_nodes))
 
 
+def fine_stiffness_band(mesh, k):
+    """Stiffness on the free fine nodes in lower band storage.
+
+    x runs fastest, so the half-bandwidth is the row length mesh.nxf.
+    """
+    free = ~mesh.boundary_node_mask()
+    n = int(free.sum())
+    pos = np.where(free, np.cumsum(free) - 1, -1)[mesh.fine_element_nodes]
+    row, col = pos[:, :, None], pos[:, None, :]
+    keep = (col >= 0) & (row >= col)
+    ke = element_stiffness(mesh.hx, mesh.hy)
+    vals = np.asarray(k, float)[:, None, None] * ke
+    return np.bincount(((row - col) * n + col)[keep], vals[keep],
+                       minlength=(mesh.nxf + 1) * n).reshape(-1, n)
+
+
 def fine_load(mesh, f):
     """Global load vector for a cellwise-constant source."""
     f = np.asarray(f, float)
@@ -214,14 +239,11 @@ def fine_reference_solve(mesh, k, f=None):
     k = np.asarray(k, float)
     if np.any(k <= 0.0):
         raise ValueError("coefficient must be strictly positive")
-    if f is None:
-        f = np.ones(mesh.n_fine_cells)
-    A = fine_stiffness(mesh, k)
-    F = fine_load(mesh, f)
+    f = np.ones(mesh.n_fine_cells) if f is None else f
     free = ~mesh.boundary_node_mask()
     u = np.zeros(mesh.n_fine_nodes)
-    Aff = A[free][:, free].tocsc()
-    u[free] = spla.spsolve(Aff, F[free])
+    u[free] = band_cholesky(fine_stiffness_band(mesh, k))(
+        fine_load(mesh, f)[free])
     return u
 
 

@@ -321,13 +321,8 @@ def monte_carlo_run(config, N):
     J_list = tuple(config.J_list)
     f = config.f if config.f is not None else np.ones(mesh.n_fine_cells)
 
-    err_sum = np.zeros(len(J_list))
-    err_sq = np.zeros(len(J_list))
-    relerr_sum = np.zeros(len(J_list))
-    sum_uh = np.zeros(mesh.n_fine_nodes)
-    sq_uh = np.zeros(mesh.n_fine_nodes)
-    sum_uJ = np.zeros(mesh.n_fine_nodes)
-    sq_uJ = np.zeros(mesh.n_fine_nodes)
+    err_sum, err_sq, relerr_sum = np.zeros((3, len(J_list)))
+    sum_uh, sq_uh, sum_uJ, sq_uJ = np.zeros((4, mesh.n_fine_nodes))
     eta_max = 0.0
     ct_max = 0.0
     u_energy_sum = 0.0
@@ -388,13 +383,9 @@ def collocation_run(config, N, store, J=None):
                        for s in range(N)])
     greens = _interpolated_green(store, thetas[:, :store.m])
 
-    e_tot = np.empty(N)
-    e_spl = np.empty(N)
-    e_col = np.empty(N)
-    sum_uh = np.zeros(mesh.n_fine_nodes)
-    sq_uh = np.zeros(mesh.n_fine_nodes)
-    sum_ut = np.zeros(mesh.n_fine_nodes)
-    sq_ut = np.zeros(mesh.n_fine_nodes)
+    e_tot, e_spl, e_col = np.empty((3, N))
+    not_spd = np.zeros(N, dtype=int)
+    sum_uh, sq_uh, sum_ut, sq_ut = np.zeros((4, mesh.n_fine_nodes))
     eta_max = 0.0
 
     for s in range(N):
@@ -402,8 +393,18 @@ def collocation_run(config, N, store, J=None):
             theta = thetas[s]
             split = field_mod.split_kle(model, theta, config.m)
             eta_max = max(eta_max, split.eta_global)
-            u_h, u_J, u_t = msfem.msfem_solutions(mesh, split, [J], f,
-                                                  green=greens[s])
+            # with negative Smolyak weights an interpolant of SPD inverses
+            # can be indefinite; count such cells, fail if none is SPD
+            G = greens[s]
+            if not np.abs(G - G.swapaxes(1, 2)).max() <= 1e-10 * abs(G).max():
+                raise ValueError("interpolated Green's inverse not symmetric")
+            try:
+                np.linalg.cholesky(G)
+            except np.linalg.LinAlgError:
+                not_spd[s] = np.sum(np.linalg.eigvalsh(G)[:, 0] <= 0.0)
+            if not_spd[s] == len(G):
+                raise ValueError("interpolated Green's inverse SPD in no cell")
+            u_h, u_J, u_t = msfem.msfem_solutions(mesh, split, [J], f, green=G)
             u_J, u_t = u_J[J], u_t[J]
             norm_uh = fem.energy_norm(mesh, split.k, u_h)
             e_tot[s] = fem.energy_norm(mesh, split.k, u_h - u_t) / norm_uh
@@ -424,6 +425,7 @@ def collocation_run(config, N, store, J=None):
         mean_uJh=sum_ut / N, var_uJh=_finalize_var(sum_ut, sq_ut, N),
         eta_max=eta_max, c_tilde_max=0.0, u_energy_mean=0.0, bounds={},
         extra={"e": e_tot, "e_spl": e_spl, "e_col": e_col,
+               "green_not_spd": not_spd,
                "mean_e": float(e_tot.mean()),
                "mean_e_spl": float(e_spl.mean()),
                "mean_e_col": float(e_col.mean())})

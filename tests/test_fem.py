@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from msfem_split import build_mesh, fine_reference_solve, solve_spd
 from msfem_split import fem
@@ -164,3 +166,63 @@ def test_energy_norm_region_consistency():
     local = v[mesh.cell_fine_nodes(1)]
     assert np.isclose(fem.energy_norm(mesh, k, local, region=1),
                       fem.energy_norm(mesh, k, v, region=1))
+
+
+@pytest.mark.parametrize("nx,ny,r", [(3, 2, 3), (2, 4, 5), (1, 3, 7),
+                                     (4, 1, 2), (5, 2, 4)])
+def test_reference_solve_matches_sparse_solve(nx, ny, r):
+    mesh = build_mesh(nx, ny, r)
+    rng = np.random.default_rng(nx * 100 + ny * 10 + r)
+    k = np.exp(rng.uniform(-2, 2, mesh.n_fine_cells))
+    f = rng.uniform(-1, 1, mesh.n_fine_cells)
+    free = ~mesh.boundary_node_mask()
+    A = fem.fine_stiffness(mesh, k)[free][:, free].tocsc()
+    ref = np.zeros(mesh.n_fine_nodes)
+    ref[free] = spla.spsolve(A, fem.fine_load(mesh, f)[free])
+    u = fine_reference_solve(mesh, k, f)
+    assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.all(u[~free] == 0.0)
+
+
+@pytest.mark.parametrize("nx,ny,r", [(3, 2, 3), (2, 4, 5), (4, 1, 2)])
+def test_fine_stiffness_band_holds_free_stiffness(nx, ny, r):
+    # x runs fastest, so the band of width mesh.nxf holds every nonzero
+    mesh = build_mesh(nx, ny, r)
+    k = np.exp(np.random.default_rng(r).uniform(-1, 1, mesh.n_fine_cells))
+    free = ~mesh.boundary_node_mask()
+    A = fem.fine_stiffness(mesh, k)[free][:, free].toarray()
+    n = len(A)
+    assert not np.any(np.tril(A, -mesh.nxf - 1))
+    band = fem.fine_stiffness_band(mesh, k)
+    assert band.shape == (mesh.nxf + 1, n)
+    for d in range(min(mesh.nxf, n - 1) + 1):
+        assert np.allclose(band[d, :n - d], np.diagonal(A, -d),
+                           rtol=1e-14, atol=0.0)
+        assert not np.any(band[d, n - d:])
+
+
+@pytest.mark.parametrize("r,n_cells", [(8, 6), (30, 2)])
+def test_cell_cholesky_banded_matches_dense(r, n_cells):
+    mesh = build_mesh(3, 2, r)
+    assert mesh.n_interior > fem.BATCHED_MAX_N  # the banded branch
+    rng = np.random.default_rng(r)
+    ops = fem.assemble_local_operators(mesh, np.arange(n_cells),
+                                       _random_splitting(mesh, rng))
+    rhs = rng.standard_normal((n_cells, mesh.n_interior, 4))
+    for mats in (ops.M0, ops.M0 + ops.M1):
+        x = fem.cell_cholesky(mats, r)(rhs)
+        for c in range(n_cells):
+            ref = sla.cho_solve(sla.cho_factor(mats[c]), rhs[c])
+            assert np.abs(x[c] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("r", [3, 8])
+def test_cell_cholesky_rejects_non_spd(r):
+    # r=3 takes the batched branch, r=8 the banded one
+    mesh = build_mesh(2, 1, r)
+    split = make_splitting(mesh, np.ones(mesh.n_fine_cells),
+                           np.zeros(mesh.n_fine_cells))
+    mats = fem.assemble_local_operators(mesh, np.arange(2), split).M0
+    mats[1] *= -1.0
+    with pytest.raises(np.linalg.LinAlgError, match="matrix is not SPD"):
+        fem.cell_cholesky(mats, r)

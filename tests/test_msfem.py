@@ -223,3 +223,38 @@ def test_chunked_bases_equal_whole_mesh(monkeypatch):
     for a, b in zip(whole[1:], chunked[1:]):
         for J in (0, 2):
             assert np.abs(a[J] - b[J]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_grid_bandwidth_holds_local_stencil(r):
+    # interior nodes run row-major over rows of r - 1, so neighbours lie at
+    # most r apart: the half-bandwidth cell_cholesky is given
+    mesh = build_mesh(2, 2, r)
+    ops = fem.assemble_local_operators(
+        mesh, np.arange(mesh.n_coarse_cells),
+        _random_splitting(mesh, np.random.default_rng(r)))
+    for mats in (ops.M0, ops.M1):
+        assert not np.any(np.tril(mats, -r - 1))
+        assert not np.any(np.triu(mats, r + 1))
+    if r > 2:  # the up-right neighbour sits exactly r away
+        assert np.all(np.diagonal(ops.M0, -r, axis1=1, axis2=2).any(axis=1))
+
+
+@pytest.mark.parametrize("nx,ny,r", [(2, 3, 2), (3, 2, 5), (2, 2, 7)])
+def test_banded_and_batched_cholesky_agree(monkeypatch, nx, ny, r):
+    mesh = build_mesh(nx, ny, r)
+    rng = np.random.default_rng(r)
+    split = _random_splitting(mesh, rng)
+    green = np.linalg.inv(fem.assemble_local_operators(
+        mesh, np.arange(mesh.n_coarse_cells), split).M0)
+    results = []
+    for limit in (10 ** 6, 0):  # all batched, then all banded
+        monkeypatch.setattr(fem, "BATCHED_MAX_N", limit)
+        results.append(msfem.msfem_solutions(mesh, split, [0, 3],
+                                             green=green))
+    batched, banded = results
+    scale = np.abs(batched[0]).max()
+    assert np.abs(batched[0] - banded[0]).max() <= 1e-12 * scale
+    for a, b in zip(batched[1:], banded[1:]):
+        for J in (0, 3):
+            assert np.abs(a[J] - b[J]).max() <= 1e-12 * scale

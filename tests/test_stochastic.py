@@ -186,6 +186,26 @@ def test_collocation_error_decreases_with_level():
     assert means[2] <= means[0]
 
 
+def test_collocation_checks_interpolated_green():
+    mesh, model, grid, store = _small_setup(L=2)
+    config = StochasticConfig(mesh=mesh, model=model, m=3,
+                              J_list=(1,), seed=5)
+    assert not collocation_run(config, 3, store).extra["green_not_spd"].any()
+    exact = store.matrices.copy()
+    # one cell's inverse negated: counted in every sample, run completes
+    store.matrices[:, 3] *= -1.0
+    assert np.array_equal(
+        collocation_run(config, 3, store).extra["green_not_spd"], [1, 1, 1])
+    # no cell SPD: the store is wrong, and the first sample says so
+    store.matrices[:] = -exact
+    with pytest.raises(RuntimeError, match="sample 0 failed: .*SPD in no"):
+        collocation_run(config, 3, store)
+    store.matrices[:] = exact
+    store.matrices[:, 5, 0, 1] += 1e-6 * np.abs(exact).max()
+    with pytest.raises(RuntimeError, match="sample 0 failed: .*symmetric"):
+        collocation_run(config, 3, store)
+
+
 def test_interpolated_registry_with_exact_green_equals_iterative():
     mesh, model, grid, store = _small_setup(L=2)
     for i in range(grid.n_nodes):

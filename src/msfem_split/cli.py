@@ -311,15 +311,16 @@ def _exp_colloc_table(cfg, seed):
         config, store = _colloc_setup(cfg, seed, L)
         stats = st.collocation_run(config, n_samples, store, J=cfg["J"])
         e = stats.extra["e"]
+        not_spd = stats.extra["green_not_spd"]
         for s in range(n_samples):
-            rows.append((s, L, 100.0 * e[s]))
+            rows.append((s, L, 100.0 * e[s], not_spd[s]))
             checks.append((f"sample={s} L={L} rel error <= 1%",
                            e[s] <= 0.01))
         means.append(e.mean())
     for a, b, L in zip(means, means[1:], cfg["L_list"][1:]):
         checks.append((f"mean error nonincreasing at L={L}", b <= a))
-    return [("colloc_table.csv", ["sample", "L", "rel_error_pct"], rows)], \
-        checks
+    header = ["sample", "L", "rel_error_pct", "green_not_spd"]
+    return [("colloc_table.csv", header, rows)], checks
 
 
 def _exp_colloc_decomp(cfg, seed):

@@ -247,25 +247,9 @@ def fine_reference_solve(mesh, k, f=None):
     return u
 
 
-def energy_norm(mesh, k, v, region=None):
-    """Energy norm sqrt((k grad v, grad v)) on the whole domain or one cell.
-
-    For a whole-domain norm, v holds all fine-node values; for a cell
-    region it may alternatively hold the (r+1)^2 local values.
-    """
-    k = np.asarray(k, float)
-    v = np.asarray(v, float)
+def energy_norm(mesh, k, v):
+    """Energy norm sqrt((k grad v, grad v)) over the whole domain."""
+    ve = np.asarray(v, float)[mesh.fine_element_nodes]
     ke = element_stiffness(mesh.hx, mesh.hy)
-    if region is None:
-        conn = mesh.fine_element_nodes
-        kcells = k
-    else:
-        cells = mesh.cell_fine_cells(region)
-        kcells = k[cells] if k.size == mesh.n_fine_cells else k
-        if v.size == mesh.n_fine_nodes:
-            conn = mesh.fine_element_nodes[cells]
-        else:
-            conn = mesh.local_element_nodes
-    ve = v[conn]
-    val = kcells @ np.einsum("ei,ei->e", ve @ ke, ve)
+    val = np.asarray(k, float) @ np.einsum("ei,ei->e", ve @ ke, ve)
     return float(np.sqrt(max(val, 0.0)))

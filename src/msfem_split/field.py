@@ -100,10 +100,19 @@ def covariance_kernel(p1, p2, sigma2, lx, ly):
 
 
 def _generation_axis(nf):
-    """Largest divisor of the fine-cell count up to MAX_GENERATION_CELLS."""
-    g = min(nf, MAX_GENERATION_CELLS)
+    """Largest divisor of the fine-cell count up to MAX_GENERATION_CELLS.
+
+    Raises rather than coarsen the field below half the resolution the
+    cap allows.
+    """
+    cap = min(nf, MAX_GENERATION_CELLS)
+    g = cap
     while nf % g:
         g -= 1
+    if 2 * g < cap:
+        raise ValueError(
+            f"an axis of {nf} fine cells would get a KLE generation grid of "
+            f"only {g} cells")
     return g
 
 

@@ -8,7 +8,7 @@ sample exactly through the k1 operators.
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 
@@ -28,115 +28,102 @@ def sample_theta(master_seed, index, n):
 
 # ---- Clenshaw-Curtis Smolyak sparse grid -----------------------------------
 
+# largest sparse grid a SparseGrid builds
+MAX_GRID_NODES = 10 ** 6
+
 
 def _cc_points(level):
-    """Nested 1D Clenshaw-Curtis nodes on [-1,1], with canonical keys."""
+    """Nested 1D Clenshaw-Curtis nodes on [-1,1]."""
     if level == 0:
-        return np.array([0.0]), [(1, 2)]
+        return np.array([0.0])
     s = 2 ** level
     pts = -np.cos(np.pi * np.arange(s + 1) / s)
     pts[0], pts[-1] = -1.0, 1.0
     pts[s // 2] = 0.0
-    keys = []
-    for j in range(s + 1):
-        g = gcd(j, s) if j else s
-        keys.append((j // g, s // g))
-    return pts, keys
+    return pts
 
 
-def _bary_weights(xs):
-    w = np.ones(len(xs))
-    for j, xj in enumerate(xs):
-        diff = xj - np.delete(xs, j)
-        w[j] = 1.0 / np.prod(diff)
-    return w
+def _lagrange_table(level, x):
+    """1D Lagrange basis values (..., 2^level + 1) of a level at points x.
 
-
-def _lagrange_values(xs, bw, x):
-    """All 1D Lagrange basis values at x (barycentric, exact at nodes)."""
-    d = x - xs
-    hit = np.isclose(d, 0.0, atol=1e-14)
-    if hit.any():
-        out = np.zeros(len(xs))
-        out[np.argmax(hit)] = 1.0
-        return out
-    t = bw / d
-    return t / t.sum()
+    Barycentric form with the closed-form Clenshaw-Curtis weights
+    (-1)^j, halved at the end points; exact at the nodes.
+    """
+    pts = _cc_points(level)
+    bw = (-1.0) ** np.arange(len(pts))
+    bw[[0, -1]] *= 0.5
+    d = x[..., None] - pts
+    hit = np.abs(d) <= 1e-14
+    t = bw / np.where(hit, 1.0, d)
+    return np.where(hit.any(axis=-1, keepdims=True), hit,
+                    t / t.sum(axis=-1, keepdims=True))
 
 
 class SparseGrid:
-    """Smolyak combination grid in m dimensions at level L."""
+    """Smolyak combination grid in m dimensions at level L.
 
-    def __init__(self, m, L, max_nodes=10 ** 6):
+    A node is identified by its integer indices on the finest
+    Clenshaw-Curtis grid of 2^L + 1 points per axis: point p of level
+    l >= 1 has index p * 2^(L - l), level 0 has index 2^L // 2.  Nodes are
+    numbered in order of first appearance over the subgrids.
+    """
+
+    def __init__(self, m, L):
         if m < 1 or L < 0:
             raise ValueError("need m >= 1 and L >= 0")
-        if smolyak_node_count(m, L) > max_nodes:
+        if smolyak_node_count(m, L) > MAX_GRID_NODES:
             raise MemoryError(
-                f"sparse grid would hold more than {max_nodes} nodes")
+                f"sparse grid would hold more than {MAX_GRID_NODES} nodes")
         self.m = m
         self.L = L
-        self._points = {}
-        self._keys = {}
-        self._bary = {}
-        for lev in range(L + 1):
-            pts, keys = _cc_points(lev)
-            self._points[lev] = pts
-            self._keys[lev] = keys
-            self._bary[lev] = _bary_weights(pts)
-
-        node_index = {}
-        nodes = []
-        self._grids = []  # (dims, levels, coeff, flat node indices)
+        subgrids = []  # (dims, levels, coeff)
+        rows = []
         for dims, levels in _active_level_sets(m, L):
             t = sum(levels)
             coeff = (-1) ** (L - t) * comb(m - 1, L - t)
             if coeff == 0:
                 continue
-            axes_keys = [self._keys[lev] for lev in levels]
-            axes_pts = [self._points[lev] for lev in levels]
-            idx = np.empty([len(a) for a in axes_keys] or [1], dtype=int)
-            for pos in itertools.product(*[range(len(a)) for a in axes_keys]):
-                key = [(1, 2)] * m
-                for ai, (d, p) in enumerate(zip(dims, pos)):
-                    key[d] = axes_keys[ai][p]
-                key = tuple(key)
-                gi = node_index.get(key)
-                if gi is None:
-                    gi = len(nodes)
-                    node_index[key] = gi
-                    pt = np.zeros(m)
-                    for ai, (d, p) in enumerate(zip(dims, pos)):
-                        pt[d] = axes_pts[ai][p]
-                    nodes.append(pt)
-                idx[pos if pos else (0,)] = gi
-            self._grids.append((dims, levels, coeff, idx.ravel(),
-                                [idx.shape[i] for i in range(idx.ndim)]))
-        self.nodes = np.array(nodes) if nodes else np.zeros((1, m))
+            shape = [2 ** lev + 1 for lev in levels]
+            idx = np.full((int(np.prod(shape)), m), 2 ** L // 2)
+            if dims:
+                local = np.indices(shape).reshape(len(dims), -1).T
+                idx[:, list(dims)] = local << (L - np.array(levels))
+            subgrids.append((dims, levels, coeff))
+            rows.append(idx)
+        uniq, first, inverse = np.unique(np.concatenate(rows), axis=0,
+                                         return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ids = np.split(rank[inverse.ravel()],
+                       np.cumsum([len(r) for r in rows])[:-1])
+        self._subgrids = [sg + (i,) for sg, i in zip(subgrids, ids)]
+        self.nodes = _cc_points(L)[uniq[order]]
 
     @property
     def n_nodes(self):
         return len(self.nodes)
 
     def interpolation_weights(self, theta):
-        """Per-node combination weights so that I_m f = sum_i w_i f(node_i)."""
-        theta = np.asarray(theta, float)
-        if theta.shape != (self.m,):
-            raise ValueError(f"theta must have length {self.m}")
-        w = np.zeros(self.n_nodes)
-        for dims, levels, coeff, flat_idx, shape in self._grids:
-            vals = None
-            for ai, d in enumerate(dims):
-                lev = levels[ai]
-                lv = _lagrange_values(self._points[lev], self._bary[lev],
-                                      theta[d])
-                vals = lv if vals is None else np.multiply.outer(vals, lv)
-            if vals is None:
-                vals = np.ones(1)
-            np.add.at(w, flat_idx, coeff * vals.ravel())
-        return w
+        """Combination weights (..., n_nodes) at points theta (..., m).
 
-    def weights_matrix(self, thetas):
-        return np.array([self.interpolation_weights(t) for t in thetas])
+        I_m f(theta) = sum_i w_i f(node_i).
+        """
+        theta = np.asarray(theta, float)
+        if theta.ndim == 0 or theta.shape[-1] != self.m:
+            raise ValueError(f"theta must have trailing length {self.m}")
+        x = theta.reshape(-1, self.m)
+        tables = {lev: _lagrange_table(lev, x)
+                  for lev in range(1, self.L + 1)}
+        w = np.zeros((len(x), self.n_nodes))
+        for dims, levels, coeff, ids in self._subgrids:
+            vals = np.ones((len(x), 1))
+            for d, lev in zip(dims, levels):
+                vals = (vals[:, :, None] * tables[lev][:, None, d]).reshape(
+                    len(x), -1)
+            w[:, ids] += coeff * vals
+        return w.reshape(theta.shape[:-1] + (self.n_nodes,))
 
 
 def _active_level_sets(m, L):
@@ -224,7 +211,7 @@ def precompute_green_inverses(mesh, model, grid, m, max_bytes=2 * 1024 ** 3):
 def _interpolated_green(store, theta0):
     """I_m M0^-1 of every cell at points (..., m): (..., n_cells, nK, nK)."""
     theta0 = np.asarray(theta0, float)
-    weights = store.grid.weights_matrix(theta0.reshape(-1, store.m))
+    weights = store.grid.interpolation_weights(theta0)
     flat = weights @ store.matrices.reshape(store.grid.n_nodes, -1)
     return flat.reshape(theta0.shape[:-1] + store.matrices.shape[1:])
 

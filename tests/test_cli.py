@@ -3,7 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from msfem_split import (build_kle_model, build_mesh, build_sparse_grid,
+                         precompute_green_inverses)
 from msfem_split.cli import ConfigError, main, parse_config, run_experiment
+from msfem_split.stochastic import StochasticConfig, collocation_run
 
 
 def _write(tmp_path, text, name="exp.cfg"):
@@ -153,3 +156,36 @@ def test_basis_bound_without_bound_fails(tmp_path):
     assert run_experiment(cfg, str(out)) is False
     summary = (out / "summary.txt").read_text(encoding="utf-8")
     assert "FAIL  sc=0.1 J=0 no bound: eta" in summary
+
+
+def test_colloc_table_reports_indefinite_green_counts(tmp_path):
+    cfg = parse_config(_write(tmp_path, """experiment = colloc-table
+nx = 4
+ny = 4
+r = 3
+sigma2 = 1.0
+lx = 0.1
+ly = 0.1
+n = 10
+m = 6
+J = 1
+L_list = 1,2
+seed = 12345
+"""))
+    out = tmp_path / "out"
+    run_experiment(cfg, str(out))
+    lines = (out / "colloc_table.csv").read_text().splitlines()
+    assert lines[0] == "sample,L,rel_error_pct,green_not_spd"
+    rows = [line.split(",") for line in lines[1:]]
+    mesh = build_mesh(4, 4, 3)
+    model = build_kle_model(mesh, 1.0, 0.1, 0.1, 10)
+    config = StochasticConfig(mesh=mesh, model=model, m=6, J_list=(1,),
+                              seed=12345)
+    for L in (1, 2):
+        store = precompute_green_inverses(mesh, model,
+                                          build_sparse_grid(6, L), 6)
+        counts = collocation_run(config, 5, store).extra["green_not_spd"]
+        assert [int(row[3]) for row in rows if row[1] == str(L)] == \
+            list(counts)
+    # at L=1 one sample's interpolant is indefinite in some cells
+    assert any(int(row[3]) for row in rows)

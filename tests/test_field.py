@@ -120,6 +120,16 @@ def test_kle_generation_grid_injection():
     assert np.allclose(inj.reshape(5, -1), mc.eigenfunctions)
 
 
+def test_kle_generation_grid_refuses_coarsening():
+    # 65 cells divide by 13 at most, 134 cells by 2: far below the cap
+    for mesh, nf, g in ((build_mesh(13, 13, 5), 65, 13),
+                        (build_mesh(67, 1, 2), 134, 2)):
+        with pytest.raises(ValueError, match=f"{nf} fine cells.* {g} cells"):
+            build_kle_model(mesh, 1.0, 0.1, 0.1, 2)
+    assert build_kle_model(build_mesh(4, 4, 30), 1.0, 0.1, 0.1,
+                           2).generation_shape == (60, 60)
+
+
 def _dense_reference(mesh, sigma2, lx, ly, n):
     """Leading eigenpairs of the 2D Nystrom matrix area * covariance."""
     centers = mesh.fine_cell_centers()

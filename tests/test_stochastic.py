@@ -45,7 +45,7 @@ def test_sparse_grid_guards():
     with pytest.raises(ValueError):
         st.SparseGrid(0, 1)
     with pytest.raises(MemoryError):
-        st.SparseGrid(100, 3, max_nodes=1000)
+        st.SparseGrid(100, 3)  # 1 353 801 nodes
 
 
 def test_interpolation_exact_at_nodes():
@@ -54,6 +54,9 @@ def test_interpolation_exact_at_nodes():
     for i in range(0, grid.n_nodes, 5):
         w = grid.interpolation_weights(grid.nodes[i])
         assert abs(w @ data - data[i]) <= 1e-12
+    # one batched call on all nodes gives the identity
+    W = grid.interpolation_weights(grid.nodes)
+    assert np.abs(W - np.eye(grid.n_nodes)).max() <= 1e-12
 
 
 def test_interpolation_reproduces_low_degree_polynomials():
@@ -66,6 +69,21 @@ def test_interpolation_reproduces_low_degree_polynomials():
         w = grid.interpolation_weights(p)
         exact = 1.5 + 2.0 * p[0] - 0.5 * p[1] + p[0] * p[1]
         assert abs(w @ data - exact) <= 1e-10
+    # one batched call equals the row-by-row calls
+    P = rng.uniform(-1, 1, (7, 2))
+    rows = np.array([grid.interpolation_weights(p) for p in P])
+    assert np.abs(grid.interpolation_weights(P) - rows).max() <= 1e-15
+    # at m=3, L=3 these degree-8 monomials are reproduced; x^9 needs more
+    # than the 9 points of level 3
+    grid = build_sparse_grid(3, 3)
+    P = rng.uniform(-1, 1, (20, 3))
+    W = grid.interpolation_weights(P)
+    for f in (lambda x: x[..., 0] ** 8,
+              lambda x: x[..., 0] ** 4 * x[..., 1] ** 2,
+              lambda x: (x[..., 0] * x[..., 1] * x[..., 2]) ** 2):
+        assert np.abs(W @ f(grid.nodes) - f(P)).max() <= 1e-10
+    x9 = grid.nodes[:, 0] ** 9
+    assert np.abs(W @ x9 - P[:, 0] ** 9).max() > 1e-3
 
 
 def test_cost_ratios():

@@ -116,10 +116,11 @@ class LocalAssembler:
     def _stack(self, scatter, kappa, width):
         rows, matrix = scatter
         kappa = np.asarray(kappa, float)
+        flat = kappa.reshape(-1, kappa.shape[-1])
         # filled row by row in C order: batched matmul and Cholesky run
         # several times slower on a transposed stack
-        out = np.zeros(kappa.shape[:-1] + (self.n_interior * width,))
-        out[..., rows] = (matrix @ kappa.T).T
+        out = np.zeros((len(flat), self.n_interior * width))
+        out[:, rows] = (matrix @ flat.T).T
         return out.reshape(kappa.shape[:-1] + (self.n_interior, width))
 
     def quadratic_form(self, kappa_local, values):

@@ -173,47 +173,71 @@ def cost_ratios(n, m, q, L):
 # ---- precomputed Green's inverses ------------------------------------------
 
 
+# largest GreenStore a precompute_green_inverses call builds, in bytes
+MAX_STORE_BYTES = 2 * 1024 ** 3
+
+
 @dataclass
 class GreenStore:
-    """Per (sparse-grid node, coarse cell) interior inverses of M0."""
+    """Per (sparse-grid node, coarse cell) interior inverses of M0.
+
+    M0^-1 is symmetric, so each inverse keeps only its row-major lower
+    triangle: entry (i, j) with j <= i sits at i(i+1)/2 + j.
+    """
 
     mesh: object
     model: object
     grid: SparseGrid
     m: int
-    matrices: np.ndarray  # (n_nodes, n_cells, n_K, n_K)
+    matrices: np.ndarray  # (n_nodes, n_cells, n_K(n_K+1)/2)
 
 
-def precompute_green_inverses(mesh, model, grid, m, max_bytes=2 * 1024 ** 3):
-    """Assemble and invert M0(node) for every cell and sparse-grid node."""
+def precompute_green_inverses(mesh, model, grid, m):
+    """Assemble, invert and pack M0(node) for every cell and grid node."""
     if grid.m != m:
         raise ValueError("grid dimension must equal m")
     if m > model.n:
         raise ValueError("m must not exceed the KLE truncation")
     n_k = mesh.n_interior
     n_cells = mesh.n_coarse_cells
-    need = grid.n_nodes * n_cells * n_k * n_k * 8
-    if need > max_bytes:
+    need = grid.n_nodes * n_cells * (n_k * (n_k + 1) // 2) * 8
+    if need > MAX_STORE_BYTES:
         raise MemoryError(
-            f"GreenStore needs {need} bytes > limit {max_bytes}; "
+            f"GreenStore needs {need} bytes > limit {MAX_STORE_BYTES}; "
             "reduce r or the interpolation level")
     asm = fem.LocalAssembler(mesh)
     cell_ids = mesh.cell_fine_cells(np.arange(n_cells))
-    out = np.empty((grid.n_nodes, n_cells, n_k, n_k))
+    # flat positions of the lower triangle and of its mirror image
+    row, col = np.tril_indices(n_k)
+    lower, upper = row * n_k + col, col * n_k + row
+    out = np.empty((grid.n_nodes, n_cells, len(lower)))
     for i, node in enumerate(grid.nodes):
         theta = np.zeros(model.n)
         theta[:m] = node
         k0 = np.exp(field_mod.log_field_partial(model, theta, m))
-        out[i] = np.linalg.inv(asm.interior_matrices(k0[cell_ids]))
+        G = np.linalg.inv(asm.interior_matrices(k0[cell_ids]))
+        G = G.reshape(n_cells, -1)
+        out[i] = G[:, lower]
+        if not np.abs(out[i] - G[:, upper]).max() <= \
+                1e-10 * np.abs(out[i]).max():
+            raise ValueError(
+                f"Green's inverse at grid node {i} not symmetric")
     return GreenStore(mesh=mesh, model=model, grid=grid, m=m, matrices=out)
 
 
 def _interpolated_green(store, theta0):
-    """I_m M0^-1 of every cell at points (..., m): (..., n_cells, nK, nK)."""
+    """I_m M0^-1 of every cell at points (..., m): (..., n_cells, nK, nK).
+
+    The interpolant is unpacked from the lower triangle, so it is
+    symmetric by construction.
+    """
     theta0 = np.asarray(theta0, float)
     weights = store.grid.interpolation_weights(theta0)
-    flat = weights @ store.matrices.reshape(store.grid.n_nodes, -1)
-    return flat.reshape(theta0.shape[:-1] + store.matrices.shape[1:])
+    packed = weights @ store.matrices.reshape(store.grid.n_nodes, -1)
+    packed = packed.reshape(theta0.shape[:-1] + store.matrices.shape[1:])
+    row, col = np.indices((store.mesh.n_interior,) * 2)
+    hi, lo = np.maximum(row, col), np.minimum(row, col)
+    return packed[..., hi * (hi + 1) // 2 + lo]
 
 
 def interpolated_basis(store, grid, theta, cell, vertex, J,
@@ -383,8 +407,6 @@ def collocation_run(config, N, store, J=None):
             # with negative Smolyak weights an interpolant of SPD inverses
             # can be indefinite; count such cells, fail if none is SPD
             G = greens[s]
-            if not np.abs(G - G.swapaxes(1, 2)).max() <= 1e-10 * abs(G).max():
-                raise ValueError("interpolated Green's inverse not symmetric")
             try:
                 np.linalg.cholesky(G)
             except np.linalg.LinAlgError:

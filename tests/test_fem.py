@@ -44,6 +44,18 @@ def test_assembly_additivity():
         assert np.allclose(ops.v, ops_k.v0, atol=1e-12)
 
 
+def test_local_assembler_stacks_any_leading_axes():
+    mesh = build_mesh(2, 2, 3)
+    asm = fem.LocalAssembler(mesh)
+    cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
+    kappa = np.exp(np.random.default_rng(5).uniform(
+        -1, 1, (2, mesh.n_fine_cells)))[:, cells]
+    for stack in (asm.interior_matrices, asm.vertex_vectors):
+        out = stack(kappa)
+        assert out.shape[:2] == kappa.shape[:2]
+        assert np.array_equal(out, [stack(kappa[0]), stack(kappa[1])])
+
+
 def test_nonpositive_k0_rejected():
     mesh = build_mesh(1, 1, 3)
     split = make_splitting(mesh, np.ones(9), np.zeros(9))

@@ -103,10 +103,22 @@ def _small_setup(L=1, m=3, n=5):
     return mesh, model, grid, store
 
 
+def _unpacked(store):
+    """Full (n_nodes, n_cells, nK, nK) inverses from the packed store."""
+    n_k = store.mesh.n_interior
+    full = np.zeros(store.matrices.shape[:2] + (n_k, n_k))
+    row, col = np.tril_indices(n_k)
+    full[..., row, col] = store.matrices
+    full[..., col, row] = store.matrices
+    return full
+
+
 def test_green_store_shape_and_inverses():
     mesh, model, grid, store = _small_setup()
+    n_k = mesh.n_interior
     assert store.matrices.shape == (grid.n_nodes, mesh.n_coarse_cells,
-                                    mesh.n_interior, mesh.n_interior)
+                                    n_k * (n_k + 1) // 2)
+    full = _unpacked(store)
     asm = fem.LocalAssembler(mesh)
     for i in (0, grid.n_nodes - 1):
         theta = np.zeros(model.n)
@@ -114,7 +126,7 @@ def test_green_store_shape_and_inverses():
         split = split_kle(model, theta, store.m)
         for cell in (0, 7):
             ops = fem.assemble_local_operators(mesh, cell, split, asm)
-            prod = ops.M0 @ store.matrices[i, cell]
+            prod = ops.M0 @ full[i, cell]
             assert np.abs(prod - np.eye(mesh.n_interior)).max() <= 1e-8
 
 
@@ -122,8 +134,43 @@ def test_green_store_guards():
     mesh, model, grid, _ = _small_setup()
     with pytest.raises(ValueError):
         precompute_green_inverses(mesh, model, build_sparse_grid(2, 1), 3)
-    with pytest.raises(MemoryError):
-        precompute_green_inverses(mesh, model, grid, 3, max_bytes=10)
+    # 69 nodes x 16 cells x 353 661 packed entries: about 3.1e9 bytes
+    mesh = build_mesh(4, 4, 30)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
+    with pytest.raises(MemoryError, match="limit"):
+        precompute_green_inverses(mesh, model, build_sparse_grid(3, 3), 3)
+
+
+def test_green_store_matches_independent_inverses(monkeypatch):
+    mesh, model, grid, store = _small_setup(L=2)
+    asm = fem.LocalAssembler(mesh)
+    cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
+    full = []
+    for node in grid.nodes:
+        theta = np.zeros(model.n)
+        theta[:store.m] = node
+        k0 = split_kle(model, theta, store.m).k0
+        full.append(np.linalg.inv(asm.interior_matrices(k0[cells])))
+    full = np.array(full)
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, (4, store.m))
+    G = st._interpolated_green(store, points)
+    ref = np.einsum("pn,n...->p...",
+                    grid.interpolation_weights(points), full)
+    assert G.shape == ref.shape
+    assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(G, G.swapaxes(-1, -2))
+
+    # a node whose inverse is not symmetric is refused at build
+    exact = fem.LocalAssembler.interior_matrices
+
+    def skewed(self, kappa):
+        M = exact(self, kappa)
+        skew = np.triu(np.ones(M.shape[-2:]), 1)
+        return M + 1e-6 * np.abs(M).max() * (skew - skew.T)
+
+    monkeypatch.setattr(fem.LocalAssembler, "interior_matrices", skewed)
+    with pytest.raises(ValueError, match="grid node 0 not symmetric"):
+        precompute_green_inverses(mesh, model, grid, store.m)
 
 
 def test_interpolated_basis_exact_at_grid_node():
@@ -218,18 +265,15 @@ def test_collocation_checks_interpolated_green():
     store.matrices[:] = -exact
     with pytest.raises(RuntimeError, match="sample 0 failed: .*SPD in no"):
         collocation_run(config, 3, store)
-    store.matrices[:] = exact
-    store.matrices[:, 5, 0, 1] += 1e-6 * np.abs(exact).max()
-    with pytest.raises(RuntimeError, match="sample 0 failed: .*symmetric"):
-        collocation_run(config, 3, store)
 
 
 def test_interpolated_registry_with_exact_green_equals_iterative():
     mesh, model, grid, store = _small_setup(L=2)
+    full = _unpacked(store)
     for i in range(grid.n_nodes):
         green = st._interpolated_green(store, grid.nodes[i])
-        assert np.abs(green - store.matrices[i]).max() <= \
-            1e-12 * np.abs(store.matrices[i]).max()
+        assert np.abs(green - full[i]).max() <= \
+            1e-12 * np.abs(full[i]).max()
     theta = sample_theta(31, 0, model.n)
     split = split_kle(model, theta, store.m)
     asm = fem.LocalAssembler(mesh)

@@ -6,14 +6,13 @@ from .field import (KLEModel, Splitting, build_kle_model, energy_ratio, eta,
                     split_kle, split_lognormal)
 from .fem import (LocalAssembler, LocalOperators, assemble_local_operators,
                   energy_norm, fine_reference_solve, solve_spd)
-from .basis import (BasisFunction, basis_error_bound, bubble_sequence,
-                    iterative_basis, projection_pi_l, standard_basis,
-                    xi_direct)
-from .msfem import (CoarseSystem, SolutionReport, assemble_coarse_system,
-                    error_report, solution_error_bound, solve_msfem)
+from .basis import (basis_error_bound, bubble_series, iterative_bases,
+                    standard_bases)
+from .msfem import (CoarseSystem, assemble_coarse_system,
+                    solution_error_bound, solve_msfem)
 from .stochastic import (GreenStore, SampleStatistics, SparseGrid,
                          StochasticConfig, build_sparse_grid,
-                         collocation_run, cost_ratios, interpolated_basis,
+                         collocation_run, cost_ratios,
                          monte_carlo_run, precompute_green_inverses,
                          sample_theta, smolyak_node_count)
 

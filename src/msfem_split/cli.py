@@ -157,14 +157,15 @@ def _exp_basis_bound(cfg, seed):
         sweeps = [("sc", sc, field_mod.split_lognormal(mesh, Y, sc))
                   for sc in cfg.get("sc_list", [cfg.get("sc", 0.9)])]
     for label, value, split in sweeps:
-        ops = fem.assemble_local_operators(mesh, 0, split)
-        ref = basis_mod.standard_basis(ops, 0)
-        seq = basis_mod.iterative_basis_sequence(ops, 0, max(J_list))
+        ops = fem.assemble_local_operators(mesh, [0], split)
+        ref = basis_mod.standard_bases(ops)[0, :, 0]
+        bases = basis_mod.iterative_bases(ops, J_list)
         prev = None
         for J in J_list:
-            err = basis_mod.basis_energy_error(ops, 0, split, seq[J],
-                                               reference=ref)
-            bound = basis_mod.basis_error_bound(ops, 0, J, split)[0]
+            err = basis_mod.basis_energy_error(ops.assembler, split, 0, ref,
+                                               bases[J][0, :, 0])
+            bound = basis_mod.basis_error_bound(ops.assembler, split, 0, 0,
+                                                J)[0]
             rows.append((value, J, split.eta_global, err, bound))
             checks.append(_bound_check(f"{label}={value} J={J}", err, bound,
                                        split.eta_global))
@@ -189,9 +190,11 @@ def _exp_basis_slope(cfg, seed):
             split = field_mod.split_lognormal(mesh, Y, sc)
             if split.eta_global >= 1.0:
                 continue
-            ops = fem.assemble_local_operators(mesh, 0, split)
+            ops = fem.assemble_local_operators(mesh, [0], split)
+            ref = basis_mod.standard_bases(ops)[0, :, 0]
             err = basis_mod.basis_energy_error(
-                ops, 0, split, basis_mod.iterative_basis(ops, 0, J))
+                ops.assembler, split, 0, ref,
+                basis_mod.iterative_bases(ops, [J])[J][0, :, 0])
             rows.append((J, sc, split.eta_global, err))
             etas.append(split.eta_global)
             errs.append(err)

@@ -5,7 +5,7 @@ integral is exact: the element matrix is the coefficient value times the
 reference rectangle stiffness.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -144,26 +144,10 @@ class LocalOperators:
     M1: np.ndarray
     v0: np.ndarray
     v1: np.ndarray
-    _chol_M0: tuple = field(default=None, repr=False)
-
-    @property
-    def M(self):
-        return self.M0 + self.M1
-
-    @property
-    def v(self):
-        return self.v0 + self.v1
-
-    def solve_M0(self, rhs):
-        """Apply the cached discrete Green's operator of the k0 part."""
-        if self._chol_M0 is None:
-            self._chol_M0 = sla.cho_factor(self.M0, lower=True,
-                                           check_finite=False)
-        return sla.cho_solve(self._chol_M0, rhs, check_finite=False)
 
 
 def assemble_local_operators(mesh, cell, splitting, assembler=None):
-    """Assemble M0, M1, v0 and v1 on a coarse cell or an array of cells."""
+    """Assemble M0, M1, v0 and v1 on a coarse cell or a sequence of cells."""
     asm = LocalAssembler(mesh) if assembler is None else assembler
     fine = mesh.cell_fine_cells(cell)
     k0 = splitting.k0[fine]

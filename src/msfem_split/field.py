@@ -231,13 +231,3 @@ def energy_ratio(model, m):
     if total == 0.0:
         return 1.0 if m == model.n else 0.0
     return float(roots[:m].sum() / total)
-
-
-# ---- export ----------------------------------------------------------------
-
-
-def field_to_rows(mesh, values):
-    """(cell, x-center, y-center, value) rows for CSV export."""
-    centers = mesh.fine_cell_centers()
-    return [(i, centers[i, 0], centers[i, 1], values[i])
-            for i in range(mesh.n_fine_cells)]

@@ -64,6 +64,7 @@ class MeshHierarchy:
 
     def cell_coords(self, cell):
         self._check_cell(cell)
+        cell = np.asarray(cell)
         return cell % self.nx_coarse, cell // self.nx_coarse
 
     def cell_fine_nodes(self, cell):

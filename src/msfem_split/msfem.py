@@ -33,20 +33,6 @@ class CoarseSystem:
     bases: np.ndarray
 
 
-@dataclass
-class SolutionReport:
-    """Energy norms and pairwise errors of reference/MsFEM solutions."""
-
-    norm_ref: float
-    norm_h: float
-    norm_Jh: float
-    err_ref_h: float
-    err_ref_Jh: float
-    err_h_Jh: float
-    rel_err_h_Jh: float
-    rel_err_ref_Jh: float
-
-
 def _over_cells(mesh, splitting, build):
     """Concatenate build(stacked LocalOperators) over chunks of cells."""
     asm = fem.LocalAssembler(mesh)
@@ -170,21 +156,3 @@ def solution_error_bound(J, eta, c_tilde_value, u_energy, uh_error=0.0):
     b1 = np.sqrt(c_tilde_value) * np.sqrt(paren) * u_energy
     b2 = np.sqrt(2.0) * c_tilde_value * paren * u_energy + 2.0 * uh_error
     return float(b1), float(b2)
-
-
-def error_report(mesh, u_ref, u_h, u_Jh, k):
-    """All pairwise energy errors between reference and MsFEM solutions."""
-    for v in (u_ref, u_h, u_Jh):
-        if np.asarray(v).shape != (mesh.n_fine_nodes,):
-            raise ValueError("solutions must live on the same fine grid")
-    norm_ref = fem.energy_norm(mesh, k, u_ref)
-    norm_h = fem.energy_norm(mesh, k, u_h)
-    norm_Jh = fem.energy_norm(mesh, k, u_Jh)
-    err_ref_h = fem.energy_norm(mesh, k, u_ref - u_h)
-    err_ref_Jh = fem.energy_norm(mesh, k, u_ref - u_Jh)
-    err_h_Jh = fem.energy_norm(mesh, k, u_h - u_Jh)
-    return SolutionReport(
-        norm_ref=norm_ref, norm_h=norm_h, norm_Jh=norm_Jh,
-        err_ref_h=err_ref_h, err_ref_Jh=err_ref_Jh, err_h_Jh=err_h_Jh,
-        rel_err_h_Jh=err_h_Jh / norm_h if norm_h else 0.0,
-        rel_err_ref_Jh=err_ref_Jh / norm_h if norm_h else 0.0)

@@ -12,7 +12,6 @@ from math import comb
 
 import numpy as np
 
-from . import basis as basis_mod
 from . import fem
 from . import field as field_mod
 from . import msfem
@@ -238,45 +237,6 @@ def _interpolated_green(store, theta0):
     row, col = np.indices((store.mesh.n_interior,) * 2)
     hi, lo = np.maximum(row, col), np.minimum(row, col)
     return packed[..., hi * (hi + 1) // 2 + lo]
-
-
-def interpolated_basis(store, grid, theta, cell, vertex, J,
-                       green=None, operators=None):
-    """Collocated basis phi_J built from the interpolated Green's inverse."""
-    mesh = store.mesh
-    model = store.model
-    theta = np.asarray(theta, float)
-    if theta.shape != (model.n,):
-        raise ValueError(f"theta must have length {model.n}")
-    if grid is not store.grid and grid.n_nodes != store.grid.n_nodes:
-        raise ValueError("grid does not match the GreenStore")
-    if green is None:
-        green = _interpolated_green(store, theta[:store.m])
-    if operators is None:
-        split = field_mod.split_kle(model, theta, store.m)
-        operators = fem.assemble_local_operators(mesh, cell, split)
-    ops = operators
-    G = green[cell]
-    pi_l = G @ ops.v0[:, vertex]
-    xi = G @ (ops.M1 @ pi_l - ops.v1[:, vertex])
-    acc = -pi_l + xi
-    for _ in range(J):
-        xi = -G @ (ops.M1 @ xi)
-        acc = acc + xi
-    values = ops.assembler.hats[:, vertex].copy()
-    values[ops.assembler.interior_idx] += acc
-    return basis_mod.BasisFunction(cell, vertex, values,
-                                   tag=f"collocated({J},{grid.L})")
-
-
-def interpolated_registry(store, theta, J, green=None):
-    """Collocated bases (n_cells, n_loc, 4) of all cells at one realization."""
-    theta = np.asarray(theta, float)
-    if green is None:
-        green = _interpolated_green(store, theta[:store.m])
-    split = field_mod.split_kle(store.model, theta, store.m)
-    return msfem.build_iterative_registries(store.mesh, split, [J],
-                                            green=green)[J]
 
 
 # ---- sampling drivers ------------------------------------------------------

@@ -43,12 +43,13 @@ def test_criterion_01_degenerate_splitting_identity():
         mesh = build_mesh(1, 1, int(rng.integers(3, 12)))
         k = np.exp(rng.uniform(-1.5, 1.5, mesh.n_fine_cells))
         split = make_splitting(mesh, k / 2.0, k / 2.0)
-        ops = fem.assemble_local_operators(mesh, 0, split)
+        ops = fem.assemble_local_operators(mesh, [0], split)
+        phi = basis_mod.standard_bases(ops)[0]
+        bases = basis_mod.iterative_bases(ops, (0, 1, 5))
         for vertex in range(4):
-            phi = basis_mod.standard_basis(ops, vertex)
             for J in (0, 1, 5):
-                phi_J = basis_mod.iterative_basis(ops, vertex, J)
-                ok &= bool(np.abs(phi.values - phi_J.values).max() <= 1e-12)
+                phi_J = bases[J][0, :, vertex]
+                ok &= bool(np.abs(phi[:, vertex] - phi_J).max() <= 1e-12)
     _report(1, "degenerate splitting identity", ok)
 
 
@@ -62,7 +63,7 @@ def test_criterion_02_oracle_equivalence():
     for trial in range(20):
         split = _random_splitting(mesh, rng)
         vertex = trial % 4
-        ops = fem.assemble_local_operators(mesh, 0, split, asm)
+        ops = fem.assemble_local_operators(mesh, [0], split, asm)
         A0 = fem.fine_stiffness(mesh, split.k0)
         A1 = fem.fine_stiffness(mesh, split.k1)
         A0ff = A0[free][:, free].tocsc()
@@ -73,12 +74,12 @@ def test_criterion_02_oracle_equivalence():
             out[free] = spla.spsolve(A0ff, rhs[free])
             return out
 
+        pi_l, xis = basis_mod.bubble_series(ops, 4)
         pi_o = solve0(A0 @ hat)
-        ok &= bool(np.abs(basis_mod.projection_pi_l(ops, vertex)
-                          - pi_o[idx]).max() <= 1e-10)
+        ok &= bool(np.abs(pi_l[0, :, vertex] - pi_o[idx]).max() <= 1e-10)
         xi_o = solve0(A1 @ (pi_o - hat))
-        for xi in basis_mod.bubble_sequence(ops, vertex, 4):
-            ok &= bool(np.abs(xi - xi_o[idx]).max() <= 1e-10)
+        for xi in xis:
+            ok &= bool(np.abs(xi[0, :, vertex] - xi_o[idx]).max() <= 1e-10)
             xi_o = solve0(-(A1 @ xi_o))
     _report(2, "matrix form equals sequential PDE solves", ok)
 
@@ -91,7 +92,7 @@ def test_criterion_03_contraction_chain():
     for trial in range(10):
         split = _random_splitting(mesh, rng, amp=0.95)
         assert split.eta_global < 1.0
-        ops = fem.assemble_local_operators(mesh, 0, split, asm)
+        ops = fem.assemble_local_operators(mesh, [0], split, asm)
         vertex = trial % 4
         k0 = split.k0[mesh.cell_fine_cells(0)]
         hat = asm.hats[:, vertex]
@@ -102,8 +103,8 @@ def test_criterion_03_contraction_chain():
             return np.sqrt(asm.quadratic_form(k0, full))
 
         grad_l = np.sqrt(asm.quadratic_form(k0, hat))
-        norms = [k0_norm(xi)
-                 for xi in basis_mod.bubble_sequence(ops, vertex, 8)]
+        norms = [k0_norm(xi[0, :, vertex])
+                 for xi in basis_mod.bubble_series(ops, 8)[1]]
         eta = split.eta_global
         for j in range(1, 9):
             ok &= bool(norms[j] <= eta * norms[j - 1] + 1e-14)
@@ -120,15 +121,16 @@ def test_criterion_04_basis_bound_dominance():
     for m in (15, 17):
         split = split_kle(model, theta, m)
         ok &= bool(split.eta_global < 1.0)
-        ops = fem.assemble_local_operators(mesh, 0, split)
+        ops = fem.assemble_local_operators(mesh, [0], split)
+        ref = basis_mod.standard_bases(ops)[0]
+        bases = basis_mod.iterative_bases(ops, range(11))
         for vertex in range(4):
-            ref = basis_mod.standard_basis(ops, vertex)
-            errs = [basis_mod.basis_energy_error(ops, vertex, split, fn,
-                                                 reference=ref)
-                    for fn in basis_mod.iterative_basis_sequence(
-                        ops, vertex, 10)]
+            errs = [basis_mod.basis_energy_error(
+                ops.assembler, split, 0, ref[:, vertex],
+                bases[J][0, :, vertex]) for J in range(11)]
             for J, err in enumerate(errs):
-                bound = basis_mod.basis_error_bound(ops, vertex, J, split)[0]
+                bound = basis_mod.basis_error_bound(ops.assembler, split, 0,
+                                                    vertex, J)[0]
                 ok &= bool(err <= bound)
             ok &= all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
     _report(4, "basis error below bound, monotone decay", ok)
@@ -144,9 +146,11 @@ def test_criterion_05_convergence_rate_slopes():
         for sc in (0.80, 0.84, 0.88, 0.92, 0.96):
             split = split_lognormal(mesh, Y, sc)
             assert split.eta_global < 1.0
-            ops = fem.assemble_local_operators(mesh, 0, split)
+            ops = fem.assemble_local_operators(mesh, [0], split)
+            ref = basis_mod.standard_bases(ops)[0, :, 0]
             err = basis_mod.basis_energy_error(
-                ops, 0, split, basis_mod.iterative_basis(ops, 0, J))
+                ops.assembler, split, 0, ref,
+                basis_mod.iterative_bases(ops, [J])[J][0, :, 0])
             etas.append(split.eta_global)
             errs.append(err)
         slope = float(np.polyfit(np.log(etas), np.log(errs), 1)[0])

@@ -3,13 +3,11 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from msfem_split import build_mesh
-from msfem_split import basis as basis_mod
 from msfem_split import fem
 from msfem_split.basis import (basis_energy_error, basis_error_bound,
-                               bubble_sequence, iterative_basis,
-                               iterative_basis_sequence, projection_pi_l,
-                               standard_basis, xi_direct)
+                               bubble_series, iterative_bases, standard_bases)
 from msfem_split.field import make_splitting
+from reference import xi_direct
 
 
 def _random_splitting(mesh, rng, amp=0.8):
@@ -49,11 +47,12 @@ def test_degenerate_splitting_identity():
         mesh = build_mesh(1, 1, rng.integers(3, 9))
         k = np.exp(rng.uniform(-1, 1, mesh.n_fine_cells))
         split = make_splitting(mesh, k / 2.0, k / 2.0)
-        ops = fem.assemble_local_operators(mesh, 0, split)
-        phi = standard_basis(ops, trial % 4)
+        ops = fem.assemble_local_operators(mesh, [0], split)
+        phi = standard_bases(ops)[0, :, trial % 4]
+        bases = iterative_bases(ops, (0, 1, 5))
         for J in (0, 1, 5):
-            phi_J = iterative_basis(ops, trial % 4, J)
-            assert np.abs(phi.values - phi_J.values).max() <= 1e-12
+            phi_J = bases[J][0, :, trial % 4]
+            assert np.abs(phi - phi_J).max() <= 1e-12
 
 
 def test_bubble_oracle_equivalence():
@@ -62,36 +61,37 @@ def test_bubble_oracle_equivalence():
     for trial in range(20):
         split = _random_splitting(mesh, rng)
         vertex = trial % 4
-        ops = fem.assemble_local_operators(mesh, 0, split)
+        ops = fem.assemble_local_operators(mesh, [0], split)
         pi_o, xis_o = _oracle_solves(mesh, split, vertex, 3)
         idx = fem.LocalAssembler(mesh).interior_idx
-        assert np.abs(projection_pi_l(ops, vertex) - pi_o[idx]).max() <= 1e-10
-        for xi, xi_o in zip(bubble_sequence(ops, vertex, 3), xis_o):
-            assert np.abs(xi - xi_o[idx]).max() <= 1e-10
+        pi_l, xis = bubble_series(ops, 3)
+        assert np.abs(pi_l[0, :, vertex] - pi_o[idx]).max() <= 1e-10
+        for xi, xi_o in zip(xis, xis_o):
+            assert np.abs(xi[0, :, vertex] - xi_o[idx]).max() <= 1e-10
 
 
 def test_standard_basis_oracle():
     rng = np.random.default_rng(17)
     mesh = build_mesh(1, 1, 8)
     split = _random_splitting(mesh, rng)
-    ops = fem.assemble_local_operators(mesh, 0, split)
+    ops = fem.assemble_local_operators(mesh, [0], split)
     A = fem.fine_stiffness(mesh, split.k)
     free = ~mesh.boundary_node_mask()
+    phis = standard_bases(ops)[0]
     for vertex in range(4):
         hat = ops.assembler.hats[:, vertex]
         u = hat.copy()
         u[free] += spla.spsolve(A[free][:, free].tocsc(), -(A @ hat)[free])
-        phi = standard_basis(ops, vertex)
-        assert np.abs(phi.values - u).max() <= 1e-10
+        assert np.abs(phis[:, vertex] - u).max() <= 1e-10
 
 
 def test_standard_basis_constant_k():
     mesh = build_mesh(1, 1, 6)
     split = make_splitting(mesh, np.full(36, 3.0), np.zeros(36))
-    ops = fem.assemble_local_operators(mesh, 0, split)
+    ops = fem.assemble_local_operators(mesh, [0], split)
+    phis = standard_bases(ops)[0]
     for vertex in range(4):
-        phi = standard_basis(ops, vertex)
-        assert np.allclose(phi.values, ops.assembler.hats[:, vertex],
+        assert np.allclose(phis[:, vertex], ops.assembler.hats[:, vertex],
                            atol=1e-12)
 
 
@@ -102,13 +102,14 @@ def test_partition_of_unity_and_vertex_values():
     corner = {0: 0, 1: mesh.r, 2: (mesh.r + 1) ** 2 - 1,
               3: (mesh.r + 1) * mesh.r}
     for cell in range(mesh.n_coarse_cells):
-        ops = fem.assemble_local_operators(mesh, cell, split)
+        ops = fem.assemble_local_operators(mesh, [cell], split)
+        phis = standard_bases(ops)[0]
         total = np.zeros((mesh.r + 1) ** 2)
         for vertex in range(4):
-            phi = standard_basis(ops, vertex)
-            total += phi.values
+            phi = phis[:, vertex]
+            total += phi
             for v2, node in corner.items():
-                assert phi.values[node] == (1.0 if v2 == vertex else 0.0)
+                assert phi[node] == (1.0 if v2 == vertex else 0.0)
         assert np.abs(total - 1.0).max() <= 1e-12
 
 
@@ -116,25 +117,27 @@ def test_boundary_values_are_exact_hats():
     rng = np.random.default_rng(31)
     mesh = build_mesh(1, 1, 7)
     split = _random_splitting(mesh, rng)
-    ops = fem.assemble_local_operators(mesh, 0, split)
+    ops = fem.assemble_local_operators(mesh, [0], split)
     boundary = ~mesh.local_interior_mask
+    std = standard_bases(ops)[0]
+    it2 = iterative_bases(ops, [2])[2][0]
     for vertex in range(4):
         hat = ops.assembler.hats[:, vertex]
-        for fn in (standard_basis(ops, vertex),
-                   iterative_basis(ops, vertex, 2)):
-            assert np.array_equal(fn.values[boundary], hat[boundary])
+        for fn in (std[:, vertex], it2[:, vertex]):
+            assert np.array_equal(fn[boundary], hat[boundary])
 
 
 def test_projection_orthogonality():
     rng = np.random.default_rng(13)
     mesh = build_mesh(1, 1, 9)
     split = _random_splitting(mesh, rng)
-    ops = fem.assemble_local_operators(mesh, 0, split)
+    ops = fem.assemble_local_operators(mesh, [0], split)
     # on a 1x1 mesh the global fine stiffness is the local one
     A0 = fem.fine_stiffness(mesh, split.k0)
     idx = ops.assembler.interior_idx
+    pi_l = bubble_series(ops, 0)[0][0]
     for vertex in range(4):
-        pi = projection_pi_l(ops, vertex)
+        pi = pi_l[:, vertex]
         full = np.zeros((mesh.r + 1) ** 2)
         full[idx] = pi
         resid = (A0 @ (full - ops.assembler.hats[:, vertex]))[idx]
@@ -144,13 +147,14 @@ def test_projection_orthogonality():
 def test_bubbles_vanish_without_k1():
     mesh = build_mesh(1, 1, 5)
     split = make_splitting(mesh, np.exp(np.linspace(-1, 1, 25)), np.zeros(25))
-    ops = fem.assemble_local_operators(mesh, 0, split)
-    for xi in bubble_sequence(ops, 2, 4):
-        assert np.allclose(xi, 0.0, atol=1e-14)
-    assert np.allclose(xi_direct(ops, 2), 0.0, atol=1e-14)
-    phi_J = iterative_basis(ops, 2, 3)
-    phi = standard_basis(ops, 2)
-    assert np.abs(phi_J.values - phi.values).max() <= 1e-12
+    ops = fem.assemble_local_operators(mesh, [0], split)
+    for xi in bubble_series(ops, 4)[1]:
+        assert np.allclose(xi[0, :, 2], 0.0, atol=1e-14)
+    scalar_ops = fem.assemble_local_operators(mesh, 0, split)
+    assert np.allclose(xi_direct(scalar_ops, 2), 0.0, atol=1e-14)
+    phi_J = iterative_bases(ops, [3])[3][0, :, 2]
+    phi = standard_bases(ops)[0, :, 2]
+    assert np.abs(phi_J - phi).max() <= 1e-12
 
 
 def test_bubble_sequence_contraction_chain():
@@ -159,7 +163,7 @@ def test_bubble_sequence_contraction_chain():
     for trial in range(5):
         split = _random_splitting(mesh, rng, amp=0.9)
         assert split.eta_global < 1.0
-        ops = fem.assemble_local_operators(mesh, 0, split)
+        ops = fem.assemble_local_operators(mesh, [0], split)
         vertex = trial % 4
         idx = ops.assembler.interior_idx
         hat = ops.assembler.hats[:, vertex]
@@ -172,8 +176,8 @@ def test_bubble_sequence_contraction_chain():
 
         grad_l = np.sqrt(ops.assembler.quadratic_form(
             split.k0[mesh.cell_fine_cells(0)], hat))
-        xis = bubble_sequence(ops, vertex, 8)
-        norms = [k0_energy(xi) for xi in xis]
+        xis = bubble_series(ops, 8)[1]
+        norms = [k0_energy(xi[0, :, vertex]) for xi in xis]
         for j in range(1, len(norms)):
             assert norms[j] <= split.eta_global * norms[j - 1] + 1e-14
         for j, nj in enumerate(norms):
@@ -184,12 +188,14 @@ def test_xi_direct_is_series_limit():
     rng = np.random.default_rng(55)
     mesh = build_mesh(1, 1, 8)
     split = _random_splitting(mesh, rng, amp=0.7)
-    ops = fem.assemble_local_operators(mesh, 0, split)
+    ops = fem.assemble_local_operators(mesh, [0], split)
+    scalar_ops = fem.assemble_local_operators(mesh, 0, split)
+    xis = bubble_series(ops, 80)[1]
     for vertex in range(4):
-        target = xi_direct(ops, vertex)
+        target = xi_direct(scalar_ops, vertex)
         partial = np.zeros_like(target)
-        for xi in bubble_sequence(ops, vertex, 80):
-            partial += xi
+        for xi in xis:
+            partial += xi[0, :, vertex]
             if np.abs(partial - target).max() <= 1e-8:
                 break
         assert np.abs(partial - target).max() <= 1e-8
@@ -221,43 +227,39 @@ def test_iterative_basis_monotone_convergence():
     mesh = build_mesh(1, 1, 10)
     split = _random_splitting(mesh, rng, amp=0.9)
     assert split.eta_global < 1.0
-    ops = fem.assemble_local_operators(mesh, 0, split)
+    ops = fem.assemble_local_operators(mesh, [0], split)
+    ref = standard_bases(ops)[0]
+    bases = iterative_bases(ops, range(11))
     for vertex in range(4):
-        ref = standard_basis(ops, vertex)
-        errs = [basis_energy_error(ops, vertex, split, fn, reference=ref)
-                for fn in iterative_basis_sequence(ops, vertex, 10)]
+        errs = [basis_energy_error(ops.assembler, split, 0, ref[:, vertex],
+                                   bases[J][0, :, vertex])
+                for J in range(11)]
         assert all(b <= a + 1e-14 for a, b in zip(errs, errs[1:]))
         assert errs[-1] <= errs[0] * split.eta_global ** 10 + 1e-14
 
 
 def test_basis_error_bound_trivial_and_dominant():
     mesh = build_mesh(1, 1, 8)
+    asm = fem.LocalAssembler(mesh)
     zero = make_splitting(mesh, np.ones(64), np.zeros(64))
-    ops = fem.assemble_local_operators(mesh, 0, zero)
-    assert basis_error_bound(ops, 0, 3, zero)[0] == 0.0
+    assert basis_error_bound(asm, zero, 0, 0, 3)[0] == 0.0
 
     rng = np.random.default_rng(93)
     split = _random_splitting(mesh, rng, amp=0.9)
-    ops = fem.assemble_local_operators(mesh, 0, split)
+    ops = fem.assemble_local_operators(mesh, [0], split, asm)
+    ref = standard_bases(ops)[0]
+    bases = iterative_bases(ops, range(6))
     for vertex in range(4):
         for J in range(6):
-            err = basis_energy_error(ops, vertex, split,
-                                     iterative_basis(ops, vertex, J))
-            assert err <= basis_error_bound(ops, vertex, J, split)[0]
+            err = basis_energy_error(asm, split, 0, ref[:, vertex],
+                                     bases[J][0, :, vertex])
+            assert err <= basis_error_bound(asm, split, 0, vertex, J)[0]
 
 
 def test_negative_J_rejected():
     mesh = build_mesh(1, 1, 3)
     split = make_splitting(mesh, np.ones(9), np.zeros(9))
-    ops = fem.assemble_local_operators(mesh, 0, split)
+    ops = fem.assemble_local_operators(mesh, [0], split)
     with pytest.raises(ValueError):
-        bubble_sequence(ops, 0, -1)
+        bubble_series(ops, -1)
 
-
-def test_basis_tags():
-    mesh = build_mesh(1, 1, 3)
-    split = make_splitting(mesh, np.ones(9), np.full(9, 0.1))
-    ops = fem.assemble_local_operators(mesh, 0, split)
-    assert standard_basis(ops, 1).tag == "standard"
-    assert iterative_basis(ops, 1, 2).tag == "iterative(2)"
-    assert isinstance(iterative_basis(ops, 1, 0), basis_mod.BasisFunction)

@@ -40,8 +40,6 @@ def test_assembly_additivity():
         ops_k = fem.assemble_local_operators(mesh, cell, full)
         assert np.allclose(ops.M0 + ops.M1, ops_k.M0, atol=1e-12)
         assert np.allclose(ops.v0 + ops.v1, ops_k.v0, atol=1e-12)
-        assert np.allclose(ops.M, ops_k.M0, atol=1e-12)
-        assert np.allclose(ops.v, ops_k.v0, atol=1e-12)
 
 
 def test_local_assembler_stacks_any_leading_axes():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from msfem_split import build_mesh, build_kle_model, energy_ratio, eta
-from msfem_split import field as field_mod
 from msfem_split.field import (covariance_kernel, make_splitting,
                                realize_log_field, shift_splitting, split_kle,
                                split_lognormal)
@@ -274,10 +273,3 @@ def test_energy_ratio():
     model.eigenvalues = np.array([4.0, 1.0])
     model.n = 2
     assert np.isclose(energy_ratio(model, 1), 2.0 / 3.0)
-
-
-def test_field_export_rows():
-    mesh = build_mesh(1, 1, 2)
-    rows = field_mod.field_to_rows(mesh, np.arange(4.0))
-    assert len(rows) == 4
-    assert rows[3] == (3, 0.75, 0.75, 3.0)

@@ -45,6 +45,16 @@ def test_out_of_range_cell():
         mesh.cell_fine_cells(-1)
 
 
+def test_cell_addressing_accepts_sequences():
+    mesh = build_mesh(3, 2, 4)
+    for cells in ([0, 3], (5, 1, 2), [4]):
+        arr = np.asarray(cells)
+        for address in (mesh.cell_coords, mesh.cell_fine_nodes,
+                        mesh.cell_fine_cells, mesh.local_interior_nodes,
+                        mesh.cell_vertices):
+            assert np.array_equal(address(cells), address(arr))
+
+
 def test_cell_fine_cells_partition_domain():
     mesh = build_mesh(3, 4, 5)
     seen = np.concatenate([mesh.cell_fine_cells(c)

@@ -11,8 +11,9 @@ from msfem_split import fem
 from msfem_split import msfem
 from msfem_split import stochastic as st
 from msfem_split.field import make_splitting, split_kle
-from msfem_split.msfem import (assemble_coarse_system, error_report,
-                               solution_error_bound, solve_msfem)
+from msfem_split.msfem import (assemble_coarse_system, solution_error_bound,
+                               solve_msfem)
+from reference import bubble_sequence, iterative_basis_sequence, standard_basis
 
 
 def _random_splitting(mesh, rng, amp=0.8):
@@ -138,24 +139,6 @@ def test_c_tilde():
     assert np.isclose(msfem.c_tilde(split), 1.0)
 
 
-def test_error_report():
-    mesh = build_mesh(3, 3, 3)
-    rng = np.random.default_rng(19)
-    split = _random_splitting(mesh, rng)
-    u_ref = fine_reference_solve(mesh, split.k)
-    std = msfem.build_basis_registry(mesh, split, "standard")
-    it0 = msfem.build_basis_registry(mesh, split, "iterative", J=0)
-    u_h = solve_msfem(assemble_coarse_system(mesh, std, split.k))
-    u_J = solve_msfem(assemble_coarse_system(mesh, it0, split.k))
-    rep = error_report(mesh, u_ref, u_h, u_J, split.k)
-    same = error_report(mesh, u_ref, u_ref, u_ref, split.k)
-    assert same.err_ref_h == same.err_h_Jh == same.err_ref_Jh == 0.0
-    assert rep.err_ref_Jh <= rep.err_ref_h + rep.err_h_Jh + 1e-12
-    assert rep.rel_err_h_Jh >= 0.0
-    with pytest.raises(ValueError):
-        error_report(mesh, u_ref[:-1], u_h, u_J, split.k)
-
-
 @settings(max_examples=40, deadline=None)
 @given(nx=hst.integers(1, 3), ny=hst.integers(1, 3), r=hst.integers(2, 6),
        J=hst.integers(0, 4), m=hst.integers(1, 3),
@@ -168,24 +151,33 @@ def test_batched_bases_match_scalar_and_invariants(nx, ny, r, J, m, sigma2,
     split = split_kle(model, theta, m)
     assume(split.eta_global < 1.0)
     store = precompute_green_inverses(mesh, model, build_sparse_grid(m, 1), m)
+    green = st._interpolated_green(store, theta[:m])
     std = msfem.build_basis_registry(mesh, split, "standard")
     its = msfem.build_iterative_registries(mesh, split, range(J + 1))
-    col = st.interpolated_registry(store, theta, J)
+    col = msfem.build_iterative_registries(mesh, split, [J], green=green)[J]
 
     asm = fem.LocalAssembler(mesh)
     boundary = ~mesh.local_interior_mask
+    stack = fem.assemble_local_operators(
+        mesh, np.arange(mesh.n_coarse_cells), split, asm)
+    series = [(G, basis_mod.bubble_series(stack, J, G))
+              for G in (None, green)]
     for cell in range(mesh.n_coarse_cells):
         ops = fem.assemble_local_operators(mesh, cell, split, asm)
         for v in range(4):
-            ref = basis_mod.standard_basis(ops, v).values
+            ref = standard_basis(ops, v)
             assert np.abs(std[cell, :, v] - ref).max() <= 1e-12
-            seq = basis_mod.iterative_basis_sequence(ops, v, J)
+            seq = iterative_basis_sequence(ops, v, J)
             for j in range(J + 1):
-                assert np.abs(its[j][cell, :, v] - seq[j].values).max() \
-                    <= 1e-12
-            ref = st.interpolated_basis(store, store.grid, theta, cell, v, J,
-                                        operators=ops).values
+                assert np.abs(its[j][cell, :, v] - seq[j]).max() <= 1e-12
+            ref = iterative_basis_sequence(ops, v, J, green[cell])[J]
             assert np.abs(col[cell, :, v] - ref).max() <= 1e-12
+            for G, (pi_l, xis) in series:
+                pi_ref, xis_ref = bubble_sequence(
+                    ops, v, J, None if G is None else G[cell])
+                assert np.abs(pi_l[cell, :, v] - pi_ref).max() <= 1e-12
+                for xi, xi_ref in zip(xis, xis_ref, strict=True):
+                    assert np.abs(xi[cell, :, v] - xi_ref).max() <= 1e-12
 
     for bases in [std, col] + list(its.values()):
         assert np.abs(bases.sum(axis=2) - 1.0).max() <= 1e-12
@@ -199,7 +191,6 @@ def test_batched_bases_match_scalar_and_invariants(nx, ny, r, J, m, sigma2,
             1e-12 * np.abs(A).max(initial=0.0)
         assert np.all(np.linalg.eigvalsh(A) > 0.0)
 
-    green = st._interpolated_green(store, theta[:m])
     u_h, u_J, u_col = msfem.msfem_solutions(mesh, split, [J], green=green)
     for u, bases in ((u_h, std), (u_J[J], its[J]), (u_col[J], col)):
         alone = solve_msfem(assemble_coarse_system(mesh, bases, split.k))
@@ -245,16 +236,23 @@ def test_banded_and_batched_cholesky_agree(monkeypatch, nx, ny, r):
     mesh = build_mesh(nx, ny, r)
     rng = np.random.default_rng(r)
     split = _random_splitting(mesh, rng)
-    green = np.linalg.inv(fem.assemble_local_operators(
-        mesh, np.arange(mesh.n_coarse_cells), split).M0)
-    results = []
+    ops = fem.assemble_local_operators(
+        mesh, np.arange(mesh.n_coarse_cells), split)
+    green = np.linalg.inv(ops.M0)
+    results, series = [], []
     for limit in (10 ** 6, 0):  # all batched, then all banded
         monkeypatch.setattr(fem, "BATCHED_MAX_N", limit)
         results.append(msfem.msfem_solutions(mesh, split, [0, 3],
                                              green=green))
+        series.append([basis_mod.bubble_series(ops, 3, G)
+                       for G in (None, green)])
     batched, banded = results
     scale = np.abs(batched[0]).max()
     assert np.abs(batched[0] - banded[0]).max() <= 1e-12 * scale
     for a, b in zip(batched[1:], banded[1:]):
         for J in (0, 3):
             assert np.abs(a[J] - b[J]).max() <= 1e-12 * scale
+    for (pi_a, xis_a), (pi_b, xis_b) in zip(*series):
+        scale = np.abs(pi_a).max()
+        for a, b in zip([pi_a] + xis_a, [pi_b] + xis_b):
+            assert np.abs(a - b).max() <= 1e-12 * scale

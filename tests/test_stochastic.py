@@ -10,7 +10,7 @@ from msfem_split import msfem
 from msfem_split import stochastic as st
 from msfem_split.field import split_kle
 from msfem_split.stochastic import (StochasticConfig, collocation_run,
-                                    interpolated_basis, monte_carlo_run)
+                                    monte_carlo_run)
 
 
 def test_sample_theta_range_and_reproducibility():
@@ -179,12 +179,12 @@ def test_interpolated_basis_exact_at_grid_node():
     theta[:store.m] = grid.nodes[5]
     theta[store.m:] = sample_theta(11, 0, model.n)[store.m:]
     split = split_kle(model, theta, store.m)
+    green = st._interpolated_green(store, theta[:store.m])
     for cell in (0, 10):
-        ops = fem.assemble_local_operators(mesh, cell, split)
-        for vertex in range(4):
-            exact = basis_mod.iterative_basis(ops, vertex, 2)
-            col = interpolated_basis(store, grid, theta, cell, vertex, 2)
-            assert np.abs(exact.values - col.values).max() <= 1e-10
+        ops = fem.assemble_local_operators(mesh, [cell], split)
+        exact = basis_mod.iterative_bases(ops, [2])[2]
+        col = basis_mod.iterative_bases(ops, [2], green[[cell]])[2]
+        assert np.abs(exact - col).max() <= 1e-10
 
 
 def test_interpolated_basis_m_equals_n():
@@ -195,10 +195,11 @@ def test_interpolated_basis_m_equals_n():
     theta = grid.nodes[2].copy()
     split = split_kle(model, theta, 3)
     assert split.eta_global <= 1e-14
-    ops = fem.assemble_local_operators(mesh, 1, split)
-    col = interpolated_basis(store, grid, theta, 1, 3, 0)
-    std = basis_mod.standard_basis(ops, 3)
-    assert np.abs(col.values - std.values).max() <= 1e-10
+    ops = fem.assemble_local_operators(mesh, [1], split)
+    green = st._interpolated_green(store, theta[:store.m])
+    col = basis_mod.iterative_bases(ops, [0], green[[1]])[0][0, :, 3]
+    std = basis_mod.standard_bases(ops)[0, :, 3]
+    assert np.abs(col - std).max() <= 1e-10
 
 
 def test_monte_carlo_single_sample():
@@ -282,7 +283,9 @@ def test_interpolated_registry_with_exact_green_equals_iterative():
         for c in range(mesh.n_coarse_cells)])
     J_list = (0, 1, 2)
     iterative = msfem.build_iterative_registries(mesh, split, J_list)
+    collocated = msfem.build_iterative_registries(mesh, split, J_list,
+                                                  green=exact_green)
     for J in J_list:
-        col = st.interpolated_registry(store, theta, J, green=exact_green)
+        col = collocated[J]
         assert col.shape == iterative[J].shape
         assert np.abs(col - iterative[J]).max() <= 1e-12

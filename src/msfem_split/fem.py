@@ -48,10 +48,10 @@ def band_cholesky(bands):
     return lambda rhs: sla.cho_solve_banded((c, True), rhs, check_finite=False)
 
 
-# Local blocks up to this order are factored for a whole stack of cells in one
-# batched call and applied as explicit inverses; larger ones are banded, cell
+# Local blocks up to this order are inverted for a whole stack of cells by
+# spd_inverse and applied as explicit inverses; larger ones are banded, cell
 # by cell.  Standard + J<=4 bases of 144 cells, 1 BLAS thread, 2-core Xeon:
-# batched 20/40/73 ms against banded 33/38/41 ms at n=25/36/49.
+# batched 2.3/6.7/20/54 ms against banded 24/29/30/36 ms at n=9/16/25/36.
 BATCHED_MAX_N = 25
 
 
@@ -113,14 +113,30 @@ class LocalAssembler:
         """(..., nK, 4) interior rows of the stiffness times the hats."""
         return self._stack(self._vertex_scatter, kappa, 4)
 
-    def _stack(self, scatter, kappa, width):
+    def interior_matrices_cells_last(self, kappa):
+        """(nK, nK, cells) interior stiffness for (cells, r^2) coefficients.
+
+        interior_matrices with the cell axis last, as the sparse product
+        yields it.
+        """
+        kappa = np.asarray(kappa, float)
+        out = np.zeros((self.n_interior ** 2, len(kappa)))
+        self._fill(self._interior_scatter, kappa, out)
+        return out.reshape(self.n_interior, self.n_interior, -1)
+
+    @staticmethod
+    def _fill(scatter, flat, out):
+        """out[rows] = map @ flat.T, for a zeroed (entries, cells) out."""
         rows, matrix = scatter
+        out[rows] = matrix @ flat.T
+
+    def _stack(self, scatter, kappa, width):
         kappa = np.asarray(kappa, float)
         flat = kappa.reshape(-1, kappa.shape[-1])
-        # filled row by row in C order: batched matmul and Cholesky run
-        # several times slower on a transposed stack
+        # filled row by row in C order: batched matmul runs several times
+        # slower on a transposed stack
         out = np.zeros((len(flat), self.n_interior * width))
-        out[:, rows] = (matrix @ flat.T).T
+        self._fill(scatter, flat, out.T)
         return out.reshape(kappa.shape[:-1] + (self.n_interior, width))
 
     def quadratic_form(self, kappa_local, values):
@@ -161,10 +177,12 @@ def assemble_local_operators(mesh, cell, splitting, assembler=None):
 
 
 def cell_cholesky(mats, bandwidth):
-    """One Cholesky per matrix of a (cells, n, n) SPD stack.
+    """One factorization per matrix of a (cells, n, n) SPD stack.
 
     Returns solve(rhs) for right-hand sides of shape (cells, n, k).  Blocks
-    above BATCHED_MAX_N are banded with the given half-bandwidth, r for a cell.
+    up to BATCHED_MAX_N are inverted for the whole stack by spd_inverse;
+    larger ones get a banded Cholesky with the given half-bandwidth, r for a
+    cell.
     """
     n = mats.shape[-1]
     if n > BATCHED_MAX_N:
@@ -173,9 +191,41 @@ def cell_cholesky(mats, bandwidth):
             bands[:, d, :n - d] = np.diagonal(mats, -d, axis1=1, axis2=2)
         solves = [band_cholesky(b) for b in bands]
         return lambda rhs: np.stack([s(b) for s, b in zip(solves, rhs)])
-    inv_l = np.linalg.inv(_spd(np.linalg.cholesky, mats))
-    inverse = inv_l.transpose(0, 2, 1) @ inv_l
+    inverse = np.ascontiguousarray(
+        np.moveaxis(spd_inverse(np.moveaxis(mats, 0, -1)), -1, 0))
     return lambda rhs: inverse @ rhs
+
+
+def spd_inverse(a):
+    """Inverses of a cells-last (n, n, cells) SPD stack, in the same layout.
+
+    Gauss-Jordan without pivoting, vectorized over the cell axis and updated
+    in place on a private copy.  On a symmetric matrix its pivots are those
+    of the LDL^T factorization, so they are all positive exactly when the
+    matrix is SPD; a pivot <= 0 raises.  Each of the n steps sweeps the
+    whole stack, so large blocks are memory-bound: over 16 cells (1 BLAS
+    thread, 2-core Xeon) it takes 34 s at n=841 where np.linalg.inv takes
+    1.2 s.
+    """
+    a = np.array(a, dtype=float, order="C")  # a copy even when contiguous
+    n = a.shape[0]
+    update = np.empty_like(a)
+    for k in range(n):
+        pivot = a[k, k].copy()
+        cell = np.argmin(pivot)  # a NaN pivot is the minimum as well
+        if not pivot[cell] > 0.0:
+            raise np.linalg.LinAlgError(
+                f"matrix is not SPD: pivot {k} is {pivot[cell]:.3g} "
+                f"in cell {cell}")
+        a[k, k] = 1.0
+        a[k] /= pivot
+        col = a[:, k].copy()
+        col[k] = 0.0
+        a[:k, k] = 0.0
+        a[k + 1:, k] = 0.0
+        np.multiply(col[:, None], a[k], out=update)
+        a -= update
+    return a
 
 
 # ---- global fine-grid machinery -------------------------------------------

@@ -214,13 +214,17 @@ def precompute_green_inverses(mesh, model, grid, m):
         theta = np.zeros(model.n)
         theta[:m] = node
         k0 = np.exp(field_mod.log_field_partial(model, theta, m))
-        G = np.linalg.inv(asm.interior_matrices(k0[cell_ids]))
-        G = G.reshape(n_cells, -1)
-        out[i] = G[:, lower]
-        if not np.abs(out[i] - G[:, upper]).max() <= \
-                1e-10 * np.abs(out[i]).max():
+        try:
+            G = fem.spd_inverse(asm.interior_matrices_cells_last(
+                k0[cell_ids])).reshape(n_k * n_k, n_cells)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"M0 at grid node {i}: {exc}") \
+                from exc
+        lo = G[lower]
+        if not np.abs(lo - G[upper]).max() <= 1e-10 * np.abs(lo).max():
             raise ValueError(
                 f"Green's inverse at grid node {i} not symmetric")
+        out[i] = lo.T
     return GreenStore(mesh=mesh, model=model, grid=grid, m=m, matrices=out)
 
 

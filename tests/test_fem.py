@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from msfem_split import build_mesh, fine_reference_solve, solve_spd
 from msfem_split import fem
@@ -224,9 +226,9 @@ def test_cell_cholesky_banded_matches_dense(r, n_cells):
             assert np.abs(x[c] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("r", [3, 8])
+@pytest.mark.parametrize("r", [3, 6, 8])
 def test_cell_cholesky_rejects_non_spd(r):
-    # r=3 takes the batched branch, r=8 the banded one
+    # r=3 and r=6 (n=25) take the batched branch, r=8 the banded one
     mesh = build_mesh(2, 1, r)
     split = make_splitting(mesh, np.ones(mesh.n_fine_cells),
                            np.zeros(mesh.n_fine_cells))
@@ -234,3 +236,44 @@ def test_cell_cholesky_rejects_non_spd(r):
     mats[1] *= -1.0
     with pytest.raises(np.linalg.LinAlgError, match="matrix is not SPD"):
         fem.cell_cholesky(mats, r)
+
+
+def _spd_stack(rng, n, cells, shift):
+    """Cells-last (n, n, cells) stack of SPD matrices X X^T + shift I."""
+    x = rng.standard_normal((cells, n, n))
+    return np.moveaxis(x @ x.transpose(0, 2, 1) + shift * np.eye(n), 0, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(1, 25), cells=hst.integers(1, 8),
+       shift=hst.floats(0.1, 10.0), seed=hst.integers(0, 2 ** 31))
+def test_spd_inverse_matches_inv(n, cells, shift, seed):
+    a = _spd_stack(np.random.default_rng(seed), n, cells, shift)
+    before = a.copy()
+    inv = fem.spd_inverse(a)
+    assert np.array_equal(a, before)  # the input is never written
+    assert inv.shape == (n, n, cells)
+    ref = np.linalg.inv(np.moveaxis(a, -1, 0))
+    err = np.abs(np.moveaxis(inv, -1, 0) - ref).max()
+    assert err <= 1e-12 * np.abs(ref).max()
+
+
+def test_spd_inverse_leaves_one_cell_stack_alone():
+    # a one-cell cells-last view of a cells-first stack is C-contiguous
+    mats = np.moveaxis(_spd_stack(np.random.default_rng(0), 9, 1, 1.0), -1, 0)
+    view = np.moveaxis(mats, 0, -1)
+    assert view.flags.c_contiguous
+    before = mats.copy()
+    fem.spd_inverse(view)
+    assert np.array_equal(mats, before)
+
+
+def test_spd_inverse_rejects_indefinite():
+    a = _spd_stack(np.random.default_rng(1), 4, 3, 1.0)
+    a[..., 2] = [[2.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0],
+                 [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    before = a.copy()
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="matrix is not SPD: pivot 1 .* in cell 2"):
+        fem.spd_inverse(a)
+    assert np.array_equal(a, before)

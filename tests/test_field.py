@@ -47,6 +47,18 @@ def test_eta_per_cell():
     assert eta(split) == 0.8
 
 
+def test_eta_over_cell_arrays():
+    mesh = build_mesh(2, 1, 2)
+    k1 = np.array([0.1, 0.1, 0.8, 0.8, 0.1, 0.2, 0.3, 0.8])
+    split = make_splitting(mesh, np.ones(mesh.n_fine_cells), k1)
+    assert isinstance(eta(split, np.int64(1)), float)
+    assert np.array_equal(eta(split, [0]), [0.2])
+    assert np.array_equal(eta(split, [0, 1]), [0.2, 0.8])
+    assert np.array_equal(eta(split, np.arange(2)), split.eta_per_cell)
+    with pytest.raises(ValueError):
+        eta(split, [0, 2])
+
+
 def test_shift_splitting_hand_example():
     # constant k0 = 1, k1 = 2: s = 1.01 * (2-1)/2 = 0.505 and
     # eta_shifted = 1.495/1.505

@@ -161,16 +161,58 @@ def test_green_store_matches_independent_inverses(monkeypatch):
     assert np.array_equal(G, G.swapaxes(-1, -2))
 
     # a node whose inverse is not symmetric is refused at build
-    exact = fem.LocalAssembler.interior_matrices
+    exact = fem.LocalAssembler.interior_matrices_cells_last
 
     def skewed(self, kappa):
         M = exact(self, kappa)
-        skew = np.triu(np.ones(M.shape[-2:]), 1)
-        return M + 1e-6 * np.abs(M).max() * (skew - skew.T)
+        skew = np.triu(np.ones(M.shape[:2]), 1)
+        return M + 1e-6 * np.abs(M).max() * (skew - skew.T)[..., None]
 
-    monkeypatch.setattr(fem.LocalAssembler, "interior_matrices", skewed)
+    monkeypatch.setattr(fem.LocalAssembler, "interior_matrices_cells_last",
+                        skewed)
     with pytest.raises(ValueError, match="grid node 0 not symmetric"):
         precompute_green_inverses(mesh, model, grid, store.m)
+
+
+def test_green_store_above_batched_regime():
+    # nK = 36 > BATCHED_MAX_N: Gauss-Jordan beyond the batched regime's sizes
+    mesh = build_mesh(2, 2, 7)
+    assert mesh.n_interior > fem.BATCHED_MAX_N
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
+    grid = build_sparse_grid(2, 1)
+    store = precompute_green_inverses(mesh, model, grid, 2)
+    asm = fem.LocalAssembler(mesh)
+    cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
+    full = _unpacked(store)
+    for i, node in enumerate(grid.nodes):
+        theta = np.zeros(model.n)
+        theta[:2] = node
+        k0 = split_kle(model, theta, 2).k0
+        ref = np.linalg.inv(asm.interior_matrices(k0[cells]))
+        assert np.abs(full[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("r", [3, 7])
+def test_green_store_refuses_indefinite_m0(monkeypatch, r):
+    # nK = 9 and 36, on either side of BATCHED_MAX_N
+    mesh = build_mesh(2, 2, r)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
+    grid = build_sparse_grid(2, 1)
+    exact = fem.LocalAssembler.interior_matrices_cells_last
+    calls = []
+
+    def indefinite_at_node_2(self, kappa):
+        M = exact(self, kappa)
+        if len(calls) == 2:
+            M[..., 1] *= -1.0
+        calls.append(None)
+        return M
+
+    monkeypatch.setattr(fem.LocalAssembler, "interior_matrices_cells_last",
+                        indefinite_at_node_2)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="grid node 2: matrix is not SPD"):
+        precompute_green_inverses(mesh, model, grid, 2)
 
 
 def test_interpolated_basis_exact_at_grid_node():

@@ -26,10 +26,10 @@ def _lift_cells(asm, interior):
 def standard_bases(ops):
     """Discrete k-harmonic extensions phi = l - M^-1 v, (cells, n_loc, 4).
 
-    One factorization or inverse of M = M0 + M1 per cell, applied to all
-    four vertex columns.
+    One factorization or inverse of the band sum M = M0 + M1 per cell,
+    applied to all four vertex columns.
     """
-    solve = fem.cell_cholesky(ops.M0 + ops.M1, ops.assembler.mesh.r)
+    solve = fem.cell_cholesky(ops.M0 + ops.M1)
     return _lift_cells(ops.assembler, -solve(ops.v0 + ops.v1))
 
 
@@ -37,19 +37,21 @@ def bubble_series(ops, J, green=None):
     """Projection Pi l = M0^-1 v0 and bubbles xi_0 .. xi_J of every cell.
 
     xi_0 = M0^-1 (M1 Pi l - v1) and xi_j = -M0^-1 M1 xi_{j-1}, from one
-    factorization or inverse of M0 per cell.  Given green, a (cells, nK, nK)
-    stack applied in place of M0^-1 (an interpolated Green's inverse), the
-    same series yields the collocated bubbles.  Returns (pi_l, [xi_0, .., xi_J]), each
+    factorization or inverse of M0 per cell and one fem.cell_matmul of the
+    M1 bands.  Given green, a (cells, nK, nK) stack applied in place of
+    M0^-1 (an interpolated Green's inverse), the same series yields the
+    collocated bubbles.  Returns (pi_l, [xi_0, .., xi_J]), each
     (cells, nK, 4) on the interior nodes.
     """
     if J < 0:
         raise ValueError("J must be >= 0")
     solve = partial(np.matmul, green) if green is not None else \
-        fem.cell_cholesky(ops.M0, ops.assembler.mesh.r)
+        fem.cell_cholesky(ops.M0)
+    m1 = fem.cell_matmul(ops.M1)
     pi_l = solve(ops.v0)
-    bubbles = [solve(ops.M1 @ pi_l - ops.v1)]
+    bubbles = [solve(m1(pi_l) - ops.v1)]
     for _ in range(J):
-        bubbles.append(-solve(ops.M1 @ bubbles[-1]))
+        bubbles.append(-solve(m1(bubbles[-1])))
     return pi_l, bubbles
 
 

@@ -6,6 +6,7 @@ reference rectangle stiffness.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -36,23 +37,39 @@ def _spd(cholesky, *args, **kwargs):
         raise np.linalg.LinAlgError(f"matrix is not SPD: {exc}") from exc
 
 
-def solve_spd(matrix, rhs):
-    """Solve an SPD system by Cholesky factorization."""
-    c = _spd(sla.cho_factor, matrix, lower=True, check_finite=False)
-    return sla.cho_solve(c, rhs, check_finite=False)
-
-
 def band_cholesky(bands):
     """solve(rhs) for SPD A in lower band storage: bands[d, j] = A[j+d, j]."""
     c = _spd(sla.cholesky_banded, bands, lower=True, check_finite=False)
     return lambda rhs: sla.cho_solve_banded((c, True), rhs, check_finite=False)
 
 
-# Local blocks up to this order are inverted for a whole stack of cells by
-# spd_inverse and applied as explicit inverses; larger ones are banded, cell
-# by cell.  Standard + J<=4 bases of 144 cells, 1 BLAS thread, 2-core Xeon:
-# batched 2.3/6.7/20/54 ms against banded 24/29/30/36 ms at n=9/16/25/36.
+# Local blocks up to this order are expanded to dense for a whole stack of
+# cells: cell_cholesky inverts them by spd_inverse and cell_matmul applies
+# them by batched matmul.  Larger ones stay in band storage, factored cell by
+# cell and applied one nonzero diagonal at a time.  1 BLAS thread, 2-core
+# Xeon: standard + J<=4 bases of 144 cells take 2.3/6.7/20/54 ms batched
+# against 24/29/30/36 ms banded at n=9/16/25/36.  Applying M1 to 4 columns
+# takes 0.019 ms by dense matmul and 0.42 ms by diagonals over 256 cells at
+# n=9, and 16 ms against 1.5 ms over 16 cells at n=841.
 BATCHED_MAX_N = 25
+
+
+@lru_cache(maxsize=4)
+def _band_index(w, n):
+    """(n, n) flat positions in (w, n) lower band storage; w*n is a zero."""
+    row, col = np.indices((n, n))
+    d = np.abs(row - col)
+    index = np.where(d < w, d * n + np.minimum(row, col), w * n)
+    index.flags.writeable = False  # shared by every caller
+    return index
+
+
+def band_to_dense(bands):
+    """(..., n, n) symmetric matrices of lower band storage (..., w, n)."""
+    w, n = bands.shape[-2:]
+    flat = np.zeros(bands.shape[:-2] + (w * n + 1,))
+    flat[..., :-1] = bands.reshape(bands.shape[:-2] + (w * n,))
+    return np.take(flat, _band_index(w, n), axis=-1)
 
 
 def _compressed_scatter(targets, cols, vals, n_cols):
@@ -66,8 +83,11 @@ class LocalAssembler:
     """Per-coarse-cell Q1 assembly helper.
 
     All coarse cells share the same local geometry, so the sparse maps from
-    the r^2 local coefficient values to the local matrices are built once
-    per mesh.
+    the r^2 local coefficient values to the local operators are built once
+    per mesh.  The interior stiffness is a 9-point stencil on the (r-1)^2
+    interior grid, row-major over rows of r - 1 nodes, so it is assembled
+    straight into lower band storage (..., r+1, nK) with
+    bands[d, j] = M[j+d, j].
     """
 
     def __init__(self, mesh):
@@ -92,37 +112,42 @@ class LocalAssembler:
         b = np.tile(self.conn, (1, 4)).ravel()
         e = np.repeat(np.arange(r * r), 16)
         vals = np.tile(self.ke.ravel(), r * r)
-        # interior rows only, straight from the stencil: -> flattened M, and
-        # -> v = (A @ hats)[interior]; each keeps only its nonzero rows
+        # interior rows only, straight from the stencil: -> the lower band
+        # of M, and -> v = (A @ hats)[interior]; each keeps only its nonzero
+        # rows
         pos = np.full(n_loc, -1)
         pos[self.interior_idx] = np.arange(nk)
         row = pos[a] >= 0
-        both = row & (pos[b] >= 0)
-        self._interior_scatter = _compressed_scatter(
-            pos[a[both]] * nk + pos[b[both]], e[both], vals[both], r * r)
+        lower = row & (pos[b] >= 0) & (pos[a] >= pos[b])
+        self._band_scatter = _compressed_scatter(
+            (pos[a[lower]] - pos[b[lower]]) * nk + pos[b[lower]], e[lower],
+            vals[lower], r * r)
         self._vertex_scatter = _compressed_scatter(
             ((pos[a[row]] * 4)[:, None] + np.arange(4)).ravel(),
             np.repeat(e[row], 4),
             (vals[row, None] * self.hats[b[row]]).ravel(), r * r)
 
-    def interior_matrices(self, kappa):
-        """(..., nK, nK) interior stiffness for (..., r^2) coefficients."""
-        return self._stack(self._interior_scatter, kappa, self.n_interior)
+    def interior_bands(self, kappa):
+        """(..., r+1, nK) interior stiffness bands for (..., r^2) values."""
+        return self._stack(self._band_scatter, kappa,
+                           (self.mesh.r + 1, self.n_interior))
 
     def vertex_vectors(self, kappa):
         """(..., nK, 4) interior rows of the stiffness times the hats."""
-        return self._stack(self._vertex_scatter, kappa, 4)
+        return self._stack(self._vertex_scatter, kappa, (self.n_interior, 4))
 
     def interior_matrices_cells_last(self, kappa):
-        """(nK, nK, cells) interior stiffness for (cells, r^2) coefficients.
+        """(nK, nK, cells) dense interior stiffness for (cells, r^2) values.
 
-        interior_matrices with the cell axis last, as the sparse product
-        yields it.
+        The band product with the cell axis last, as the sparse product
+        yields it, expanded by one gather; its last row is the zero that
+        every entry outside the band reads.
         """
         kappa = np.asarray(kappa, float)
-        out = np.zeros((self.n_interior ** 2, len(kappa)))
-        self._fill(self._interior_scatter, kappa, out)
-        return out.reshape(self.n_interior, self.n_interior, -1)
+        w, nk = self.mesh.r + 1, self.n_interior
+        out = np.zeros((w * nk + 1, len(kappa)))
+        self._fill(self._band_scatter, kappa, out)
+        return out[_band_index(w, nk)]
 
     @staticmethod
     def _fill(scatter, flat, out):
@@ -130,14 +155,14 @@ class LocalAssembler:
         rows, matrix = scatter
         out[rows] = matrix @ flat.T
 
-    def _stack(self, scatter, kappa, width):
+    def _stack(self, scatter, kappa, shape):
         kappa = np.asarray(kappa, float)
         flat = kappa.reshape(-1, kappa.shape[-1])
         # filled row by row in C order: batched matmul runs several times
         # slower on a transposed stack
-        out = np.zeros((len(flat), self.n_interior * width))
+        out = np.zeros((len(flat), shape[0] * shape[1]))
         self._fill(scatter, flat, out.T)
-        return out.reshape(kappa.shape[:-1] + (self.n_interior, width))
+        return out.reshape(kappa.shape[:-1] + shape)
 
     def quadratic_form(self, kappa_local, values):
         """Exact energy (k grad v, grad v) over the coarse cell."""
@@ -145,13 +170,20 @@ class LocalAssembler:
         return float(np.einsum("e,ei,ij,ej->", kappa_local, ve, self.ke, ve))
 
 
+@lru_cache(maxsize=4)
+def local_assembler(mesh):
+    """The LocalAssembler of a mesh, built on its first use."""
+    return LocalAssembler(mesh)
+
+
 @dataclass
 class LocalOperators:
-    """Interior-node stiffness matrices and vertex vectors of coarse cells.
+    """Interior-node stiffness bands and vertex vectors of coarse cells.
 
-    For one cell M0 and M1 are (n_interior, n_interior) and v0, v1 are
-    (n_interior, 4) with one column per coarse vertex; for an array of
-    cells each carries a leading cell axis.
+    For one cell M0 and M1 are (r+1, n_interior) lower band storage
+    (band_to_dense gives the matrices) and v0, v1 are (n_interior, 4) with
+    one column per coarse vertex; for an array of cells each carries a
+    leading cell axis.
     """
 
     cell: object
@@ -164,36 +196,53 @@ class LocalOperators:
 
 def assemble_local_operators(mesh, cell, splitting, assembler=None):
     """Assemble M0, M1, v0 and v1 on a coarse cell or a sequence of cells."""
-    asm = LocalAssembler(mesh) if assembler is None else assembler
+    asm = local_assembler(mesh) if assembler is None else assembler
     fine = mesh.cell_fine_cells(cell)
     k0 = splitting.k0[fine]
     k1 = splitting.k1[fine]
     if np.any(k0 <= 0.0):
         raise ValueError("k0 must be strictly positive on every fine cell")
     return LocalOperators(cell=cell, assembler=asm,
-                          M0=asm.interior_matrices(k0),
-                          M1=asm.interior_matrices(k1),
+                          M0=asm.interior_bands(k0),
+                          M1=asm.interior_bands(k1),
                           v0=asm.vertex_vectors(k0), v1=asm.vertex_vectors(k1))
 
 
-def cell_cholesky(mats, bandwidth):
-    """One factorization per matrix of a (cells, n, n) SPD stack.
+def cell_cholesky(bands):
+    """One factorization per matrix of a (cells, w, n) SPD band stack.
 
     Returns solve(rhs) for right-hand sides of shape (cells, n, k).  Blocks
-    up to BATCHED_MAX_N are inverted for the whole stack by spd_inverse;
-    larger ones get a banded Cholesky with the given half-bandwidth, r for a
-    cell.
+    up to BATCHED_MAX_N are expanded and inverted for the whole stack by
+    spd_inverse; larger ones get a banded Cholesky of each cell's band.
     """
-    n = mats.shape[-1]
-    if n > BATCHED_MAX_N:
-        bands = np.zeros((len(mats), bandwidth + 1, n))
-        for d in range(min(bandwidth, n - 1) + 1):
-            bands[:, d, :n - d] = np.diagonal(mats, -d, axis1=1, axis2=2)
+    if bands.shape[-1] > BATCHED_MAX_N:
         solves = [band_cholesky(b) for b in bands]
         return lambda rhs: np.stack([s(b) for s, b in zip(solves, rhs)])
-    inverse = np.ascontiguousarray(
-        np.moveaxis(spd_inverse(np.moveaxis(mats, 0, -1)), -1, 0))
+    inverse = np.ascontiguousarray(np.moveaxis(
+        spd_inverse(np.moveaxis(band_to_dense(bands), 0, -1)), -1, 0))
     return lambda rhs: inverse @ rhs
+
+
+def cell_matmul(bands):
+    """matmul(x) = A @ x for x (cells, n, k), A a (cells, w, n) band stack.
+
+    Blocks up to BATCHED_MAX_N are expanded once and applied by batched
+    matmul; larger ones one nonzero diagonal at a time, which for a local
+    stencil are the offsets 0, 1, r-2, r-1 and r.
+    """
+    w, n = bands.shape[-2:]
+    if n <= BATCHED_MAX_N:
+        return partial(np.matmul, band_to_dense(bands))
+    used = 1 + np.flatnonzero(bands.reshape(-1, w, n)[:, 1:n].any(axis=(0, 2)))
+
+    def matmul(x):
+        y = bands[..., 0, :, None] * x
+        for d in used:
+            off = bands[..., d, :n - d, None]
+            y[..., d:, :] += off * x[..., :n - d, :]
+            y[..., :n - d, :] += off * x[..., d:, :]
+        return y
+    return matmul
 
 
 def spd_inverse(a):
@@ -229,18 +278,6 @@ def spd_inverse(a):
 
 
 # ---- global fine-grid machinery -------------------------------------------
-
-
-def fine_stiffness(mesh, k):
-    """Sparse global Q1 stiffness over all fine nodes."""
-    k = np.asarray(k, float)
-    conn = mesh.fine_element_nodes
-    ke = element_stiffness(mesh.hx, mesh.hy)
-    vals = (k[:, None, None] * ke).ravel()
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    return sp.csr_matrix((vals, (rows, cols)),
-                         shape=(mesh.n_fine_nodes, mesh.n_fine_nodes))
 
 
 def fine_stiffness_band(mesh, k):
@@ -286,5 +323,7 @@ def energy_norm(mesh, k, v):
     """Energy norm sqrt((k grad v, grad v)) over the whole domain."""
     ve = np.asarray(v, float)[mesh.fine_element_nodes]
     ke = element_stiffness(mesh.hx, mesh.hy)
-    val = np.asarray(k, float) @ np.einsum("ei,ei->e", ve @ ke, ve)
+    # summed by einsum, not by a BLAS dot, which OpenBLAS splits over its
+    # threads above 10 000 cells, so that the sum would depend on their count
+    val = np.einsum("e,ei,ei->", np.asarray(k, float), ve @ ke, ve)
     return float(np.sqrt(max(val, 0.0)))

@@ -204,7 +204,7 @@ def precompute_green_inverses(mesh, model, grid, m):
         raise MemoryError(
             f"GreenStore needs {need} bytes > limit {MAX_STORE_BYTES}; "
             "reduce r or the interpolation level")
-    asm = fem.LocalAssembler(mesh)
+    asm = fem.local_assembler(mesh)
     cell_ids = mesh.cell_fine_cells(np.arange(n_cells))
     # flat positions of the lower triangle and of its mirror image
     row, col = np.tril_indices(n_k)

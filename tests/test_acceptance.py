@@ -18,8 +18,8 @@ from msfem_split import basis as basis_mod
 from msfem_split import fem
 from msfem_split import msfem
 from msfem_split import stochastic as st
-from msfem_split.cli import main
 from msfem_split.field import make_splitting, split_kle, split_lognormal
+from reference import fine_stiffness, run_cli, same_outputs
 
 DET_SEED = 7
 STO_SEED = 12345
@@ -64,8 +64,8 @@ def test_criterion_02_oracle_equivalence():
         split = _random_splitting(mesh, rng)
         vertex = trial % 4
         ops = fem.assemble_local_operators(mesh, [0], split, asm)
-        A0 = fem.fine_stiffness(mesh, split.k0)
-        A1 = fem.fine_stiffness(mesh, split.k1)
+        A0 = fine_stiffness(mesh, split.k0)
+        A1 = fine_stiffness(mesh, split.k1)
         A0ff = A0[free][:, free].tocsc()
         hat = asm.hats[:, vertex]
 
@@ -285,13 +285,20 @@ def test_criterion_10_exact_counts():
 
 
 def test_criterion_11_determinism(tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("experiment = basis-bound\nfield = lognormal\nr = 10\n"
-                   "sc_list = 0.85,0.95\nJ_list = 0,1,2\nseed = 12345\n",
-                   encoding="utf-8")
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    ok = main(["run", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
-    ok &= main(["run", str(cfg), "--out", str(out2), "--threads", "8"]) == 0
-    for name in ("basis_bound.csv", "summary.txt", "manifest.txt"):
-        ok &= (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # reruns in child processes with 1 and 2 BLAS threads; the
+    # solution-bound run solves a 225-vertex coarse system
+    configs = (
+        "experiment = basis-bound\nfield = lognormal\nr = 10\n"
+        "sc_list = 0.85,0.95\nJ_list = 0,1,2\nseed = 12345\n",
+        "experiment = solution-bound\nnx = 16\nny = 16\nr = 2\n"
+        "sigma2 = 1.0\nlx = 0.1\nly = 0.1\nn = 8\nm_list = 6\n"
+        "J_list = 0,1\nseed = 3\n")
+    ok = True
+    for i, text in enumerate(configs):
+        cfg = tmp_path / f"exp{i}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out1, out2 = tmp_path / f"{i}-a", tmp_path / f"{i}-b"
+        ok &= run_cli(cfg, out1, 1) == 0
+        ok &= run_cli(cfg, out2, 2) == 0
+        ok &= same_outputs(out1, out2)
     _report(11, "byte-identical rerun", ok)

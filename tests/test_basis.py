@@ -7,7 +7,7 @@ from msfem_split import fem
 from msfem_split.basis import (basis_energy_error, basis_error_bound,
                                bubble_series, iterative_bases, standard_bases)
 from msfem_split.field import make_splitting
-from reference import xi_direct
+from reference import fine_stiffness, xi_direct
 
 
 def _random_splitting(mesh, rng, amp=0.8):
@@ -23,8 +23,8 @@ def _oracle_solves(mesh, split, vertex, J):
     independent of the LocalAssembler route.
     """
     assert mesh.n_coarse_cells == 1
-    A0 = fem.fine_stiffness(mesh, split.k0)
-    A1 = fem.fine_stiffness(mesh, split.k1)
+    A0 = fine_stiffness(mesh, split.k0)
+    A1 = fine_stiffness(mesh, split.k1)
     free = ~mesh.boundary_node_mask()
     hat = fem.LocalAssembler(mesh).hats[:, vertex]
 
@@ -75,7 +75,7 @@ def test_standard_basis_oracle():
     mesh = build_mesh(1, 1, 8)
     split = _random_splitting(mesh, rng)
     ops = fem.assemble_local_operators(mesh, [0], split)
-    A = fem.fine_stiffness(mesh, split.k)
+    A = fine_stiffness(mesh, split.k)
     free = ~mesh.boundary_node_mask()
     phis = standard_bases(ops)[0]
     for vertex in range(4):
@@ -133,7 +133,7 @@ def test_projection_orthogonality():
     split = _random_splitting(mesh, rng)
     ops = fem.assemble_local_operators(mesh, [0], split)
     # on a 1x1 mesh the global fine stiffness is the local one
-    A0 = fem.fine_stiffness(mesh, split.k0)
+    A0 = fine_stiffness(mesh, split.k0)
     idx = ops.assembler.interior_idx
     pi_l = bubble_series(ops, 0)[0][0]
     for vertex in range(4):
@@ -208,8 +208,8 @@ def test_xi_direct_pde_oracle():
     mesh = build_mesh(1, 1, 9)
     split = _random_splitting(mesh, rng)
     ops = fem.assemble_local_operators(mesh, 0, split)
-    A = fem.fine_stiffness(mesh, split.k)
-    A1 = fem.fine_stiffness(mesh, split.k1)
+    A = fine_stiffness(mesh, split.k)
+    A1 = fine_stiffness(mesh, split.k1)
     free = ~mesh.boundary_node_mask()
     idx = fem.LocalAssembler(mesh).interior_idx
     for vertex in range(4):

@@ -7,6 +7,7 @@ from msfem_split import (build_kle_model, build_mesh, build_sparse_grid,
                          precompute_green_inverses)
 from msfem_split.cli import ConfigError, main, parse_config, run_experiment
 from msfem_split.stochastic import StochasticConfig, collocation_run
+from reference import run_cli, same_outputs
 
 
 def _write(tmp_path, text, name="exp.cfg"):
@@ -29,6 +30,21 @@ r = 8
 sc_list = 0.9
 J_list = 0,1,2
 seed = 4
+"""
+
+# 225 free coarse vertices: a dense LAPACK Cholesky of this coarse system
+# changes its last bits with the BLAS thread count
+SOLUTION_CFG = """experiment = solution-bound
+nx = 16
+ny = 16
+r = 2
+sigma2 = 1.0
+lx = 0.1
+ly = 0.1
+n = 8
+m_list = 6
+J_list = 0,1
+seed = 3
 """
 
 
@@ -80,12 +96,13 @@ def test_cost_ratios_run(tmp_path):
 
 
 def test_basis_bound_run_and_determinism(tmp_path):
-    path = _write(tmp_path, BASIS_CFG)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["run", path, "--out", str(out1)]) == 0
-    assert main(["run", path, "--out", str(out2), "--threads", "4"]) == 0
-    for name in ("basis_bound.csv", "manifest.txt", "summary.txt"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # each config run twice, in child processes with 1 and 2 BLAS threads
+    for cfg, name in ((SOLUTION_CFG, "sol.cfg"), (BASIS_CFG, "exp.cfg")):
+        path = _write(tmp_path, cfg, name)
+        out1, out2 = tmp_path / f"{name}-1", tmp_path / f"{name}-2"
+        assert run_cli(path, out1, 1) == 0
+        assert run_cli(path, out2, 2) == 0
+        assert same_outputs(out1, out2)
     rows = (out1 / "basis_bound.csv").read_text().splitlines()
     assert rows[0] == "param,J,eta,error,bound"
     for line in rows[1:]:

@@ -5,9 +5,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from msfem_split import build_mesh, fine_reference_solve, solve_spd
+from msfem_split import build_mesh, fine_reference_solve
 from msfem_split import fem
 from msfem_split.field import make_splitting
+from reference import fine_stiffness
 
 
 def _random_splitting(mesh, rng, amp=0.8):
@@ -27,8 +28,8 @@ def test_m0_single_interior_node():
     mesh = build_mesh(1, 1, 2)
     split = make_splitting(mesh, np.ones(4), np.zeros(4))
     ops = fem.assemble_local_operators(mesh, 0, split)
-    assert np.allclose(ops.M0, [[8.0 / 3.0]])
-    assert np.allclose(ops.M1, 0.0)
+    assert np.allclose(fem.band_to_dense(ops.M0), [[8.0 / 3.0]])
+    assert np.allclose(fem.band_to_dense(ops.M1), 0.0)
     assert np.allclose(ops.v1, 0.0)
 
 
@@ -50,7 +51,7 @@ def test_local_assembler_stacks_any_leading_axes():
     cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
     kappa = np.exp(np.random.default_rng(5).uniform(
         -1, 1, (2, mesh.n_fine_cells)))[:, cells]
-    for stack in (asm.interior_matrices, asm.vertex_vectors):
+    for stack in (asm.interior_bands, asm.vertex_vectors):
         out = stack(kappa)
         assert out.shape[:2] == kappa.shape[:2]
         assert np.array_equal(out, [stack(kappa[0]), stack(kappa[1])])
@@ -70,28 +71,38 @@ def test_m0_is_spd():
     for cell in range(mesh.n_coarse_cells):
         ops = fem.assemble_local_operators(mesh, cell,
                                            _random_splitting(mesh, rng))
-        w = np.linalg.eigvalsh(ops.M0)
+        w = np.linalg.eigvalsh(fem.band_to_dense(ops.M0))
         assert w.min() > 0.0
 
 
-def test_solve_spd_identity_and_zero():
+def _bands_of(mat, width):
+    """Lower band storage (width + 1, n) of a dense matrix."""
+    n = len(mat)
+    bands = np.zeros((width + 1, n))
+    for d in range(min(width, n - 1) + 1):
+        bands[d, :n - d] = np.diagonal(mat, -d)
+    return bands
+
+
+def test_band_cholesky_identity_and_zero():
     rhs = np.arange(5.0)
-    assert np.allclose(solve_spd(np.eye(5), rhs), rhs)
-    assert np.allclose(solve_spd(np.eye(5), np.zeros(5)), 0.0)
+    solve = fem.band_cholesky(np.ones((1, 5)))
+    assert np.allclose(solve(rhs), rhs)
+    assert np.allclose(solve(np.zeros(5)), 0.0)
 
 
-def test_solve_spd_residual():
+def test_band_cholesky_residual():
     rng = np.random.default_rng(7)
-    a = rng.standard_normal((50, 50))
-    mat = a @ a.T + 50 * np.eye(50)
+    a = np.tril(np.triu(rng.standard_normal((50, 50)), -3), 3)
+    mat = a @ a.T + 50 * np.eye(50)  # half-bandwidth 6
     rhs = rng.standard_normal(50)
-    x = solve_spd(mat, rhs)
+    x = fem.band_cholesky(_bands_of(mat, 6))(rhs)
     assert np.linalg.norm(mat @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
-def test_solve_spd_rejects_indefinite():
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_spd(np.diag([1.0, -1.0]), np.ones(2))
+def test_band_cholesky_rejects_indefinite():
+    with pytest.raises(np.linalg.LinAlgError, match="matrix is not SPD"):
+        fem.band_cholesky(np.array([[1.0, -1.0]]))
 
 
 def test_reference_solve_zero_source():
@@ -186,7 +197,7 @@ def test_reference_solve_matches_sparse_solve(nx, ny, r):
     k = np.exp(rng.uniform(-2, 2, mesh.n_fine_cells))
     f = rng.uniform(-1, 1, mesh.n_fine_cells)
     free = ~mesh.boundary_node_mask()
-    A = fem.fine_stiffness(mesh, k)[free][:, free].tocsc()
+    A = fine_stiffness(mesh, k)[free][:, free].tocsc()
     ref = np.zeros(mesh.n_fine_nodes)
     ref[free] = spla.spsolve(A, fem.fine_load(mesh, f)[free])
     u = fine_reference_solve(mesh, k, f)
@@ -200,7 +211,7 @@ def test_fine_stiffness_band_holds_free_stiffness(nx, ny, r):
     mesh = build_mesh(nx, ny, r)
     k = np.exp(np.random.default_rng(r).uniform(-1, 1, mesh.n_fine_cells))
     free = ~mesh.boundary_node_mask()
-    A = fem.fine_stiffness(mesh, k)[free][:, free].toarray()
+    A = fine_stiffness(mesh, k)[free][:, free].toarray()
     n = len(A)
     assert not np.any(np.tril(A, -mesh.nxf - 1))
     band = fem.fine_stiffness_band(mesh, k)
@@ -219,23 +230,96 @@ def test_cell_cholesky_banded_matches_dense(r, n_cells):
     ops = fem.assemble_local_operators(mesh, np.arange(n_cells),
                                        _random_splitting(mesh, rng))
     rhs = rng.standard_normal((n_cells, mesh.n_interior, 4))
-    for mats in (ops.M0, ops.M0 + ops.M1):
-        x = fem.cell_cholesky(mats, r)(rhs)
+    for bands in (ops.M0, ops.M0 + ops.M1):
+        x = fem.cell_cholesky(bands)(rhs)
         for c in range(n_cells):
-            ref = sla.cho_solve(sla.cho_factor(mats[c]), rhs[c])
+            ref = sla.cho_solve(sla.cho_factor(fem.band_to_dense(bands[c])),
+                                rhs[c])
             assert np.abs(x[c] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("r", [3, 6, 8])
+@pytest.mark.parametrize("r", [3, 6, 7, 8])
 def test_cell_cholesky_rejects_non_spd(r):
-    # r=3 and r=6 (n=25) take the batched branch, r=8 the banded one
+    # r=3 and r=6 (n=25) take the batched branch, r=7 and r=8 the banded one
     mesh = build_mesh(2, 1, r)
     split = make_splitting(mesh, np.ones(mesh.n_fine_cells),
                            np.zeros(mesh.n_fine_cells))
-    mats = fem.assemble_local_operators(mesh, np.arange(2), split).M0
-    mats[1] *= -1.0
+    bands = fem.assemble_local_operators(mesh, np.arange(2), split).M0
+    bands[1] *= -1.0
     with pytest.raises(np.linalg.LinAlgError, match="matrix is not SPD"):
-        fem.cell_cholesky(mats, r)
+        fem.cell_cholesky(bands)
+
+
+def _local_bands(r, n_cells, seed):
+    """M0 and M1 bands of n_cells cells of a random splitting."""
+    mesh = build_mesh(n_cells, 1, r)
+    split = _random_splitting(mesh, np.random.default_rng(seed))
+    ops = fem.assemble_local_operators(mesh, np.arange(n_cells), split)
+    return ops.M0, ops.M1
+
+
+def test_band_to_dense_matches_loop():
+    rng = np.random.default_rng(0)
+    for w, n in ((1, 4), (3, 7), (5, 3), (7, 9)):
+        bands = rng.standard_normal((2, w, n))
+        ref = np.zeros((2, n, n))
+        for c in range(2):
+            for d in range(w):
+                for j in range(n - d):
+                    ref[c, j + d, j] = ref[c, j, j + d] = bands[c, d, j]
+        before = bands.copy()
+        assert np.array_equal(fem.band_to_dense(bands), ref)
+        assert np.array_equal(fem.band_to_dense(bands[1]), ref[1])
+        assert np.array_equal(bands, before)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 6, 7, 9])
+def test_cell_matmul_matches_dense(r):
+    # n = 1, 4, 9, 25 batched; 36, 64 banded, where r=3's offsets r-2 and 1
+    # would coincide
+    M0, M1 = _local_bands(r, 3, r)
+    x = np.random.default_rng(r).standard_normal((3, (r - 1) ** 2, 4))
+    for bands in (M0, M1, M0 + M1):
+        before, x_before = bands.copy(), x.copy()
+        y = fem.cell_matmul(bands)(x)
+        ref = fem.band_to_dense(bands) @ x
+        assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(bands, before)
+        assert np.array_equal(x, x_before)
+
+
+@pytest.mark.parametrize("r", [3, 6, 7, 9])
+def test_cell_cholesky_matches_solve(r):
+    # n = 4, 25 batched; 36, 64 banded
+    M0, M1 = _local_bands(r, 3, r)
+    rhs = np.random.default_rng(r).standard_normal((3, (r - 1) ** 2, 4))
+    for bands in (M0, M0 + M1):
+        before, rhs_before = bands.copy(), rhs.copy()
+        x = fem.cell_cholesky(bands)(rhs)
+        ref = np.linalg.solve(fem.band_to_dense(bands), rhs)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(bands, before)
+        assert np.array_equal(rhs, rhs_before)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 8, 30])
+def test_local_bands_match_global_stiffness(r):
+    # each cell's M0 is the interior-node block of the global sparse
+    # stiffness assembled with k zero outside that cell
+    mesh = build_mesh(2, 2, r)
+    split = _random_splitting(mesh, np.random.default_rng(r))
+    ops = fem.assemble_local_operators(
+        mesh, np.arange(mesh.n_coarse_cells), split)
+    assert ops.M0.shape == (mesh.n_coarse_cells, r + 1, mesh.n_interior)
+    for cell in range(mesh.n_coarse_cells):
+        nodes = mesh.cell_fine_nodes(cell)[mesh.local_interior_mask]
+        for k, bands in ((split.k0, ops.M0), (split.k1, ops.M1)):
+            alone = np.zeros_like(k)
+            fine = mesh.cell_fine_cells(cell)
+            alone[fine] = k[fine]
+            ref = fine_stiffness(mesh, alone)[nodes][:, nodes].toarray()
+            err = np.abs(fem.band_to_dense(bands[cell]) - ref).max()
+            assert err <= 1e-14 * np.abs(ref).max()
 
 
 def _spd_stack(rng, n, cells, shift):

@@ -13,7 +13,8 @@ from msfem_split import stochastic as st
 from msfem_split.field import make_splitting, split_kle
 from msfem_split.msfem import (assemble_coarse_system, solution_error_bound,
                                solve_msfem)
-from reference import bubble_sequence, iterative_basis_sequence, standard_basis
+from reference import (bubble_sequence, fine_stiffness,
+                       iterative_basis_sequence, standard_basis)
 
 
 def _random_splitting(mesh, rng, amp=0.8):
@@ -29,7 +30,7 @@ def test_constant_k_reduces_to_coarse_q1():
     bases = msfem.build_basis_registry(mesh, split, "standard")
     system = assemble_coarse_system(mesh, bases, k)
     coarse = build_mesh(2, 2, 2)  # same 4x4 lattice viewed as fine cells
-    A_q1 = fem.fine_stiffness(coarse, np.full(16, 2.0)).toarray()
+    A_q1 = fine_stiffness(coarse, np.full(16, 2.0)).toarray()
     assert np.abs(system.A - A_q1).max() <= 1e-12
 
 
@@ -108,8 +109,8 @@ def test_galerkin_optimality_spot_check():
     best = fem.energy_norm(mesh, split.k, u_ref - u_h)
     free = system.free_vertices
     coeffs = np.zeros(mesh.n_coarse_vertices)
-    coeffs[free] = fem.solve_spd(system.A[np.ix_(free, free)],
-                                 system.F[free])
+    coeffs[free] = np.linalg.solve(system.A[np.ix_(free, free)],
+                                   system.F[free])
     for _ in range(5):
         pert = coeffs.copy()
         pert[free] += 0.05 * rng.standard_normal(free.size)
@@ -201,34 +202,18 @@ def test_batched_bases_match_scalar_and_invariants(nx, ny, r, J, m, sigma2,
     assert e <= e_spl + e_col + 1e-12
 
 
-def test_chunked_bases_equal_whole_mesh(monkeypatch):
-    mesh = build_mesh(3, 2, 5)
-    rng = np.random.default_rng(21)
-    split = _random_splitting(mesh, rng)
-    green = np.linalg.inv(fem.assemble_local_operators(
-        mesh, np.arange(mesh.n_coarse_cells), split).M0)
-    whole = msfem.msfem_solutions(mesh, split, [0, 2], green=green)
-    monkeypatch.setattr(msfem, "CHUNK_BYTES", 1)  # one cell per chunk
-    chunked = msfem.msfem_solutions(mesh, split, [0, 2], green=green)
-    assert np.abs(whole[0] - chunked[0]).max() <= 1e-14
-    for a, b in zip(whole[1:], chunked[1:]):
-        for J in (0, 2):
-            assert np.abs(a[J] - b[J]).max() <= 1e-14
-
-
 @pytest.mark.parametrize("r", range(2, 9))
 def test_grid_bandwidth_holds_local_stencil(r):
     # interior nodes run row-major over rows of r - 1, so neighbours lie at
-    # most r apart: the half-bandwidth cell_cholesky is given
+    # most r apart: the band has r + 1 rows
     mesh = build_mesh(2, 2, r)
     ops = fem.assemble_local_operators(
         mesh, np.arange(mesh.n_coarse_cells),
         _random_splitting(mesh, np.random.default_rng(r)))
-    for mats in (ops.M0, ops.M1):
-        assert not np.any(np.tril(mats, -r - 1))
-        assert not np.any(np.triu(mats, r + 1))
+    assert ops.M0.shape == ops.M1.shape == (mesh.n_coarse_cells, r + 1,
+                                            mesh.n_interior)
     if r > 2:  # the up-right neighbour sits exactly r away
-        assert np.all(np.diagonal(ops.M0, -r, axis1=1, axis2=2).any(axis=1))
+        assert np.all(ops.M0[:, r].any(axis=1))
 
 
 @pytest.mark.parametrize("nx,ny,r", [(2, 3, 2), (3, 2, 5), (2, 2, 7)])
@@ -238,7 +223,7 @@ def test_banded_and_batched_cholesky_agree(monkeypatch, nx, ny, r):
     split = _random_splitting(mesh, rng)
     ops = fem.assemble_local_operators(
         mesh, np.arange(mesh.n_coarse_cells), split)
-    green = np.linalg.inv(ops.M0)
+    green = np.linalg.inv(fem.band_to_dense(ops.M0))
     results, series = [], []
     for limit in (10 ** 6, 0):  # all batched, then all banded
         monkeypatch.setattr(fem, "BATCHED_MAX_N", limit)
@@ -256,3 +241,22 @@ def test_banded_and_batched_cholesky_agree(monkeypatch, nx, ny, r):
         scale = np.abs(pi_a).max()
         for a, b in zip([pi_a] + xis_a, [pi_b] + xis_b):
             assert np.abs(a - b).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("nx,ny", [(16, 16), (5, 3), (3, 6)])
+def test_coarse_band_solve_matches_dense_solve(nx, ny):
+    # free vertices run row-major over rows of nx - 1: half-bandwidth nx
+    mesh = build_mesh(nx, ny, 2)
+    split = _random_splitting(mesh, np.random.default_rng(nx * 10 + ny))
+    system = assemble_coarse_system(
+        mesh, msfem.build_basis_registry(mesh, split, "standard"), split.k)
+    free = system.free_vertices
+    coeffs = np.zeros(mesh.n_coarse_vertices)
+    coeffs[free] = np.linalg.solve(system.A[np.ix_(free, free)],
+                                   system.F[free])
+    cells = np.arange(mesh.n_coarse_cells)
+    ref = np.zeros(mesh.n_fine_nodes)
+    ref[mesh.cell_fine_nodes(cells)] = (
+        system.bases @ coeffs[mesh.cell_vertices(cells)][:, :, None])[..., 0]
+    u = solve_msfem(system)
+    assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()

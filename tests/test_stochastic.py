@@ -126,7 +126,7 @@ def test_green_store_shape_and_inverses():
         split = split_kle(model, theta, store.m)
         for cell in (0, 7):
             ops = fem.assemble_local_operators(mesh, cell, split, asm)
-            prod = ops.M0 @ full[i, cell]
+            prod = fem.band_to_dense(ops.M0) @ full[i, cell]
             assert np.abs(prod - np.eye(mesh.n_interior)).max() <= 1e-8
 
 
@@ -150,7 +150,8 @@ def test_green_store_matches_independent_inverses(monkeypatch):
         theta = np.zeros(model.n)
         theta[:store.m] = node
         k0 = split_kle(model, theta, store.m).k0
-        full.append(np.linalg.inv(asm.interior_matrices(k0[cells])))
+        full.append(np.linalg.inv(
+            fem.band_to_dense(asm.interior_bands(k0[cells]))))
     full = np.array(full)
     points = np.random.default_rng(3).uniform(-1.0, 1.0, (4, store.m))
     G = st._interpolated_green(store, points)
@@ -188,7 +189,7 @@ def test_green_store_above_batched_regime():
         theta = np.zeros(model.n)
         theta[:2] = node
         k0 = split_kle(model, theta, 2).k0
-        ref = np.linalg.inv(asm.interior_matrices(k0[cells]))
+        ref = np.linalg.inv(fem.band_to_dense(asm.interior_bands(k0[cells])))
         assert np.abs(full[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -321,7 +322,8 @@ def test_interpolated_registry_with_exact_green_equals_iterative():
     split = split_kle(model, theta, store.m)
     asm = fem.LocalAssembler(mesh)
     exact_green = np.array([
-        np.linalg.inv(fem.assemble_local_operators(mesh, c, split, asm).M0)
+        np.linalg.inv(fem.band_to_dense(
+            fem.assemble_local_operators(mesh, c, split, asm).M0))
         for c in range(mesh.n_coarse_cells)])
     J_list = (0, 1, 2)
     iterative = msfem.build_iterative_registries(mesh, split, J_list)

@@ -8,7 +8,7 @@ from .fem import (LocalAssembler, LocalOperators, assemble_local_operators,
                   band_to_dense, energy_norm, fine_reference_solve)
 from .basis import (basis_error_bound, bubble_series, iterative_bases,
                     standard_bases)
-from .msfem import (CoarseSystem, assemble_coarse_system,
+from .msfem import (CoarseSystem, assemble_coarse_systems,
                     solution_error_bound, solve_msfem)
 from .stochastic import (GreenStore, SampleStatistics, SparseGrid,
                          StochasticConfig, build_sparse_grid,

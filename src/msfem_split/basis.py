@@ -4,8 +4,11 @@ The standard basis solves a local Dirichlet problem with the full
 coefficient; the iterative basis builds the same object from the k0
 Green's operator, a projection of the boundary hat and a contraction
 series of interior bubble corrections.  The bases are built on (cells, ...)
-stacks of LocalOperators for all four vertices at once; the basis-level
-error and bound take the local values of one cell.
+stacks of LocalOperators for all four vertices at once, and travel as
+interior corrections: phi = l + E c, with l the vertex hats, c a
+(cells, nK, 4) correction and E the injection of the interior nodes.
+lift_cells forms the full local values where they are needed; the
+basis-level error and bound take the local values of one cell.
 """
 
 from functools import partial
@@ -16,21 +19,20 @@ from . import fem
 from . import field as field_mod
 
 
-def _lift_cells(asm, interior):
-    """Hat boundary data plus interior corrections, as full local values."""
+def lift_cells(asm, interior):
+    """(cells, n_loc, 4) local values l + E c of (cells, nK, 4) corrections."""
     out = np.repeat(asm.hats[None], len(interior), axis=0)
     out[:, asm.interior_idx] += interior
     return out
 
 
 def standard_bases(ops):
-    """Discrete k-harmonic extensions phi = l - M^-1 v, (cells, n_loc, 4).
+    """Corrections -M^-1 v of the k-harmonic extensions, (cells, nK, 4).
 
     One factorization or inverse of the band sum M = M0 + M1 per cell,
     applied to all four vertex columns.
     """
-    solve = fem.cell_cholesky(ops.M0 + ops.M1)
-    return _lift_cells(ops.assembler, -solve(ops.v0 + ops.v1))
+    return -fem.cell_cholesky(ops.M0 + ops.M1)(ops.v0 + ops.v1)
 
 
 def bubble_series(ops, J, green=None):
@@ -56,7 +58,7 @@ def bubble_series(ops, J, green=None):
 
 
 def iterative_bases(ops, J_list, green=None):
-    """{J: (cells, n_loc, 4)} partial sums phi_J = l - Pi l + sum_{j<=J} xi_j.
+    """{J: (cells, nK, 4)} corrections -Pi l + sum_{j<=J} xi_j of phi_J.
 
     All J share one bubble_series; green is passed on to it.
     """
@@ -68,7 +70,7 @@ def iterative_bases(ops, J_list, green=None):
     for j, xi in enumerate(bubbles):
         acc = acc + xi
         if j in J_list:
-            out[j] = _lift_cells(ops.assembler, acc)
+            out[j] = acc
     return out
 
 

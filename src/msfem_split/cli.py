@@ -8,6 +8,7 @@ config and seed always produce byte-identical output files.
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -158,12 +159,13 @@ def _exp_basis_bound(cfg, seed):
                   for sc in cfg.get("sc_list", [cfg.get("sc", 0.9)])]
     for label, value, split in sweeps:
         ops = fem.assemble_local_operators(mesh, [0], split)
-        ref = basis_mod.standard_bases(ops)[0, :, 0]
+        lift = partial(basis_mod.lift_cells, ops.assembler)
+        ref = lift(basis_mod.standard_bases(ops))[0, :, 0]
         bases = basis_mod.iterative_bases(ops, J_list)
         prev = None
         for J in J_list:
             err = basis_mod.basis_energy_error(ops.assembler, split, 0, ref,
-                                               bases[J][0, :, 0])
+                                               lift(bases[J])[0, :, 0])
             bound = basis_mod.basis_error_bound(ops.assembler, split, 0, 0,
                                                 J)[0]
             rows.append((value, J, split.eta_global, err, bound))
@@ -191,10 +193,11 @@ def _exp_basis_slope(cfg, seed):
             if split.eta_global >= 1.0:
                 continue
             ops = fem.assemble_local_operators(mesh, [0], split)
-            ref = basis_mod.standard_bases(ops)[0, :, 0]
+            lift = partial(basis_mod.lift_cells, ops.assembler)
+            ref = lift(basis_mod.standard_bases(ops))[0, :, 0]
             err = basis_mod.basis_energy_error(
                 ops.assembler, split, 0, ref,
-                basis_mod.iterative_bases(ops, [J])[J][0, :, 0])
+                lift(basis_mod.iterative_bases(ops, [J])[J])[0, :, 0])
             rows.append((J, sc, split.eta_global, err))
             etas.append(split.eta_global)
             errs.append(err)

@@ -298,12 +298,9 @@ def fine_stiffness_band(mesh, k):
 
 def fine_load(mesh, f):
     """Global load vector for a cellwise-constant source."""
-    f = np.asarray(f, float)
-    conn = mesh.fine_element_nodes
-    contrib = f * (mesh.hx * mesh.hy / 4.0)
-    out = np.zeros(mesh.n_fine_nodes)
-    np.add.at(out, conn.ravel(), np.repeat(contrib, 4))
-    return out
+    contrib = np.asarray(f, float) * (mesh.hx * mesh.hy / 4.0)
+    return np.bincount(mesh.fine_element_nodes.ravel(),
+                       np.repeat(contrib, 4), minlength=mesh.n_fine_nodes)
 
 
 def fine_reference_solve(mesh, k, f=None):

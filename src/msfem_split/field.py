@@ -96,13 +96,6 @@ class KLEModel:
     generation_shape: tuple
 
 
-def covariance_kernel(p1, p2, sigma2, lx, ly):
-    """Separable squared-exponential covariance of the log-field."""
-    dx2 = (p1[:, None, 0] - p2[None, :, 0]) ** 2
-    dy2 = (p1[:, None, 1] - p2[None, :, 1]) ** 2
-    return sigma2 * np.exp(-dx2 / (2.0 * lx) - dy2 / (2.0 * ly))
-
-
 def _generation_axis(nf):
     """Largest divisor of the fine-cell count up to MAX_GENERATION_CELLS.
 

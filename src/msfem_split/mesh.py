@@ -79,10 +79,6 @@ class MeshHierarchy:
         origin = (cy * self.r) * self.nxf + cx * self.r
         return np.add.outer(origin, self._local_cell_offsets)
 
-    def local_interior_nodes(self, cell):
-        """Global fine-node ids of the (r-1)^2 interior local nodes."""
-        return self.cell_fine_nodes(cell)[..., self.local_interior_mask]
-
     def cell_vertices(self, cell):
         """Global coarse-vertex ids in the order (0,0),(1,0),(1,1),(0,1)."""
         cx, cy = self.cell_coords(cell)
@@ -92,29 +88,11 @@ class MeshHierarchy:
 
     # ---- geometry ----------------------------------------------------------
 
-    def fine_node_coords(self):
-        x = np.linspace(0.0, 1.0, self.nxf + 1)
-        y = np.linspace(0.0, 1.0, self.nyf + 1)
-        xx, yy = np.meshgrid(x, y, indexing="xy")
-        return np.column_stack([xx.ravel(), yy.ravel()])
-
-    def fine_cell_centers(self):
-        x = (np.arange(self.nxf) + 0.5) * self.hx
-        y = (np.arange(self.nyf) + 0.5) * self.hy
-        xx, yy = np.meshgrid(x, y, indexing="xy")
-        return np.column_stack([xx.ravel(), yy.ravel()])
-
     def boundary_node_mask(self):
         mask = np.zeros((self.nyf + 1, self.nxf + 1), dtype=bool)
         mask[0, :] = mask[-1, :] = True
         mask[:, 0] = mask[:, -1] = True
         return mask.ravel()
-
-    def coarse_vertex_fine_node(self, vertex):
-        """Fine-node id coinciding with a global coarse vertex."""
-        vx = vertex % (self.nx_coarse + 1)
-        vy = vertex // (self.nx_coarse + 1)
-        return (vy * self.r) * (self.nxf + 1) + vx * self.r
 
     def interior_coarse_vertices(self):
         vy, vx = np.mgrid[1:self.ny_coarse, 1:self.nx_coarse]

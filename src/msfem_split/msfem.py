@@ -5,30 +5,111 @@ factorizations and bases are (cells, ...) arrays instead of per-(cell,
 vertex) objects, built for every cell of the mesh at once.  The local
 operators are stencil bands, so a stack of all cells stays small: at r=30
 the M0 bands of 16 cells take 3.2 MiB, where dense blocks took 86 MiB.
-The coarse system is solved in band storage as well, which keeps its
-results independent of the BLAS thread count.
+
+A basis is the vertex hats plus an interior correction, phi = H + E c (see
+basis), so the local coarse matrix and load follow from the local operators
+v = v0 + v1 and M = M0 + M1 already assembled for the bases:
+
+    phi^T A_K phi = H^T A_K H + c^T v + v^T c + c^T M c,
+    phi^T W f = H^T W f + c^T W_I f,
+
+with A_K the local stiffness, W the local load map and W_I its interior
+rows.  This only reorders the sum a(phi_i, phi_j) of the MsFEM coarse
+matrix (Hou & Wu, J. Comput. Phys. 134, 1997); for the standard basis it
+is the static-condensation Schur complement.  H^T A_K H, H^T W and W_I are
+fixed linear maps of a cell's coefficient and source values, built once
+per mesh by coarse_maps.  The local matrices are summed by np.bincount
+straight into the band storage of the coarse system, which is solved in
+band storage as well; that keeps its results independent of the BLAS
+thread count.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import basis as basis_mod
 from . import fem
 
 
+class CoarseMaps:
+    """Fixed maps and index arrays of the coarse stage of one mesh.
+
+    hat_stiffness (16, r^2) takes a cell's coefficient values to the
+    row-major H^T A_K H; hat_load (4, r^2) and the sparse interior_load
+    (nK, r^2) take its source values to H^T W f and W_I f.  fine, nodes
+    and vertices hold the fine cells, fine nodes and coarse vertices of
+    every cell.  The free vertices run row-major over rows of
+    nx_coarse - 1, so the coarse matrix has half-bandwidth nx_coarse;
+    band_index holds the flat position in (nx_coarse + 1, n_free) lower
+    band storage of each entry that band_keep selects from a
+    (cells, 4, 4) stack, and load_index that of each load entry that
+    load_keep selects.
+    """
+
+    def __init__(self, mesh):
+        asm = self.assembler = fem.local_assembler(mesh)
+        cells = np.arange(mesh.n_coarse_cells)
+        self.fine = mesh.cell_fine_cells(cells)
+        self.nodes = mesh.cell_fine_nodes(cells)
+        self.vertices = mesh.cell_vertices(cells)
+
+        conn, n_el = mesh.local_element_nodes, mesh.r ** 2
+        he = asm.hats[conn]  # (elements, element node, vertex)
+        self.hat_stiffness = np.einsum(
+            "eai,ab,ebj->ije", he, asm.ke, he).reshape(16, n_el)
+        load = sp.csr_matrix(
+            (np.full(conn.size, mesh.hx * mesh.hy / 4.0),
+             (conn.ravel(), np.repeat(np.arange(n_el), 4))),
+            shape=(asm.n_loc, n_el))
+        self.hat_load = (load.T @ asm.hats).T
+        self.interior_load = load[asm.interior_idx]
+
+        self.free = mesh.interior_coarse_vertices()
+        n = self.n_free = len(self.free)
+        self.band_rows = mesh.nx_coarse + 1
+        pos = np.full(mesh.n_coarse_vertices, -1)
+        pos[self.free] = np.arange(n)
+        p = pos[self.vertices]
+        row, col = p[:, :, None], p[:, None, :]
+        self.band_keep = (col >= 0) & (row >= col)
+        self.band_index = ((row - col) * n + col)[self.band_keep]
+        self.load_keep = p >= 0
+        self.load_index = p[self.load_keep]
+
+    def bands(self, local_A):
+        """Lower band storage of the free-vertex part of sum_K local_A."""
+        shape = (self.band_rows, self.n_free)
+        return np.bincount(self.band_index, local_A[self.band_keep],
+                           minlength=shape[0] * shape[1]).reshape(shape)
+
+    def load(self, local_F):
+        """Free-vertex part of sum_K local_F."""
+        return np.bincount(self.load_index, local_F[self.load_keep],
+                           minlength=self.n_free)
+
+
+@lru_cache(maxsize=4)
+def coarse_maps(mesh):
+    """The CoarseMaps of a mesh, built on its first use."""
+    return CoarseMaps(mesh)
+
+
 @dataclass
 class CoarseSystem:
-    """SPD coarse stiffness over interior coarse vertices plus its bases.
+    """SPD coarse system over the interior coarse vertices, and its bases.
 
-    bases is the (n_cells, n_loc, 4) stack the system was assembled from.
+    bands is the coarse matrix in (nx_coarse + 1, n_free) lower band
+    storage, F the load on the free vertices and corrections the
+    (n_cells, nK, 4) interior corrections of the bases.
     """
 
     mesh: object
-    A: np.ndarray
+    bands: np.ndarray
     F: np.ndarray
-    free_vertices: np.ndarray
-    bases: np.ndarray
+    corrections: np.ndarray
 
 
 def _all_cells(mesh, splitting):
@@ -37,75 +118,62 @@ def _all_cells(mesh, splitting):
         mesh, np.arange(mesh.n_coarse_cells), splitting)
 
 
-def build_basis_registry(mesh, splitting, kind="standard", J=0):
-    """(n_cells, n_loc, 4) bases of every cell: standard, or iterative at J."""
-    if kind == "standard":
-        return basis_mod.standard_bases(_all_cells(mesh, splitting))
-    if kind == "iterative":
-        return build_iterative_registries(mesh, splitting, [J])[J]
-    raise ValueError(f"unknown basis kind {kind!r}")
+def local_coarse_systems(ops, k, corrections, f=None):
+    """{key: (local A (cells, 4, 4), local F (cells, 4))} of bases H + E c.
 
-
-def build_iterative_registries(mesh, splitting, J_list, green=None):
-    """{J: (n_cells, n_loc, 4)} iterative bases sharing one M0 factorization.
-
-    Given green, an (n_cells, nK, nK) stand-in for M0^-1, the collocated
-    bases instead.
+    ops is the LocalOperators stack of every cell of the mesh, k and f the
+    fine-cell coefficient and source (f = 1 by default), and corrections
+    maps each key to a (cells, nK, 4) correction c.
     """
-    return basis_mod.iterative_bases(_all_cells(mesh, splitting), J_list,
-                                     green)
+    maps = coarse_maps(ops.assembler.mesh)
+    shape = ops.v0.shape
+    k = np.asarray(k, float)[maps.fine]
+    f = np.ones_like(k) if f is None else np.asarray(f, float)[maps.fine]
+    # summed by einsum, not by a BLAS GEMM, which OpenBLAS splits over its
+    # threads on large meshes, so that the sums would depend on their count
+    hat_A = np.einsum("ce,qe->cq", k, maps.hat_stiffness).reshape(-1, 4, 4)
+    hat_F = np.einsum("ce,qe->cq", f, maps.hat_load)
+    interior_F = (maps.interior_load @ f.T).T
+    v = ops.v0 + ops.v1
+    m = fem.cell_matmul(ops.M0 + ops.M1)
+    out = {}
+    for key, c in corrections.items():
+        if c.shape != shape:
+            raise ValueError(
+                f"corrections must have shape {shape}, not {c.shape}")
+        ct = np.swapaxes(c, 1, 2)
+        cv = ct @ v
+        out[key] = (hat_A + cv + np.swapaxes(cv, 1, 2) + ct @ m(c),
+                    hat_F + np.einsum("cni,cn->ci", c, interior_F))
+    return out
 
 
-def assemble_coarse_system(mesh, bases, k, f=None):
-    """Galerkin coarse system A_ij = sum_K (k grad phi_i, grad phi_j)_K."""
-    shape = (mesh.n_coarse_cells, (mesh.r + 1) ** 2, 4)
-    bases = np.asarray(bases, float)
-    if bases.shape != shape:
-        raise ValueError(f"bases must have shape {shape}, not {bases.shape}")
-    k = np.asarray(k, float)
-    f = np.ones(mesh.n_fine_cells) if f is None else np.asarray(f, float)
-    cells = np.arange(mesh.n_coarse_cells)
-    fine = mesh.cell_fine_cells(cells)
-    # element-wise quadratic form: (cells, elements, element node, vertex)
-    be = bases[:, mesh.local_element_nodes]
-    ke_be = fem.element_stiffness(mesh.hx, mesh.hy) @ be
-    n = len(cells)
-    local_A = np.matmul((k[fine][:, :, None, None] * be).reshape(n, -1, 4)
-                        .transpose(0, 2, 1), ke_be.reshape(n, -1, 4))
-    local_F = (f[fine][:, None, :] @ be.sum(axis=2))[:, 0] \
-        * (mesh.hx * mesh.hy / 4)
-    verts = mesh.cell_vertices(cells)
-    nv = mesh.n_coarse_vertices
-    A = np.zeros((nv, nv))
-    F = np.zeros(nv)
-    np.add.at(A, (verts[:, :, None], verts[:, None, :]), local_A)
-    np.add.at(F, verts, local_F)
-    return CoarseSystem(mesh=mesh, A=A, F=F,
-                        free_vertices=mesh.interior_coarse_vertices(),
-                        bases=bases)
+def assemble_coarse_systems(ops, k, corrections, f=None):
+    """{key: CoarseSystem} of local_coarse_systems, summed over the cells."""
+    maps = coarse_maps(ops.assembler.mesh)
+    return {key: CoarseSystem(mesh=ops.assembler.mesh, bands=maps.bands(A),
+                              F=maps.load(F), corrections=corrections[key])
+            for key, (A, F) in local_coarse_systems(
+                ops, k, corrections, f).items()}
 
 
 def solve_msfem(system):
     """Solve the coarse system and downscale onto the global fine grid.
 
-    The free vertices run row-major over rows of nx_coarse - 1, so the
-    coarse matrix has half-bandwidth nx_coarse and is factored in band
-    storage by fem.band_cholesky.
+    The coarse matrix is factored in band storage by fem.band_cholesky.
+    Downscaling sums the hats and, on the interior nodes, the corrections,
+    each weighted by the coefficients of the cell's vertices.
     """
-    mesh = system.mesh
-    free = system.free_vertices
-    coeffs = np.zeros(mesh.n_coarse_vertices)
-    if free.size:
-        A = system.A[np.ix_(free, free)]
-        n = len(free)
-        bands = np.zeros((mesh.nx_coarse + 1, n))
-        for d in range(min(mesh.nx_coarse, n - 1) + 1):
-            bands[d, :n - d] = np.diagonal(A, -d)
-        coeffs[free] = fem.band_cholesky(bands)(system.F[free])
-    cells = np.arange(mesh.n_coarse_cells)
-    u = np.zeros(mesh.n_fine_nodes)
-    u[mesh.cell_fine_nodes(cells)] = (
-        system.bases @ coeffs[mesh.cell_vertices(cells)][:, :, None])[..., 0]
+    maps = coarse_maps(system.mesh)
+    coeffs = np.zeros(system.mesh.n_coarse_vertices)
+    if maps.n_free:
+        coeffs[maps.free] = fem.band_cholesky(system.bands)(system.F)
+    local = coeffs[maps.vertices]
+    values = local @ maps.assembler.hats.T
+    values[:, maps.assembler.interior_idx] += (
+        system.corrections @ local[:, :, None])[..., 0]
+    u = np.zeros(system.mesh.n_fine_nodes)
+    u[maps.nodes] = values
     return u
 
 
@@ -117,14 +185,14 @@ def msfem_solutions(mesh, splitting, J_list, f=None, green=None):
     inverse.  All bases come from one assembly of the local operators.
     """
     ops = _all_cells(mesh, splitting)
-    bases = {("h", 0): basis_mod.standard_bases(ops)}
-    for J, b in basis_mod.iterative_bases(ops, J_list).items():
-        bases[("J", J)] = b
+    corrections = {("h", 0): basis_mod.standard_bases(ops)}
+    for J, c in basis_mod.iterative_bases(ops, J_list).items():
+        corrections[("J", J)] = c
     if green is not None:
-        for J, b in basis_mod.iterative_bases(ops, J_list, green).items():
-            bases[("col", J)] = b
-    u = {key: solve_msfem(assemble_coarse_system(mesh, b, splitting.k, f))
-         for key, b in bases.items()}
+        for J, c in basis_mod.iterative_bases(ops, J_list, green).items():
+            corrections[("col", J)] = c
+    u = {key: solve_msfem(system) for key, system in
+         assemble_coarse_systems(ops, splitting.k, corrections, f).items()}
     u_col = None if green is None else {J: u[("col", J)] for J in J_list}
     return u[("h", 0)], {J: u[("J", J)] for J in J_list}, u_col
 

@@ -9,8 +9,16 @@ operators, the batched and banded factorizations and the lifting.
 
 fine_stiffness assembles the global Q1 stiffness as a scipy CSR matrix
 over all fine nodes, independently of the library's band assemblers.
+local_coarse_system forms the coarse Galerkin matrices element by element
+from lifted bases, where the library assembles them from the local
+operators, and assemble_coarse_system scatter-adds them into a dense
+matrix over all coarse vertices.  build_basis_registry and
+build_iterative_registries give those lifted bases for every cell.
 run_cli runs the command line in a child process under a chosen BLAS
 thread count, which a run inside the test process cannot change.
+
+The mesh geometry helpers and covariance_kernel are oracles for the mesh
+addressing and the separable KLE.
 """
 
 import os
@@ -24,7 +32,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import msfem_split
-from msfem_split import fem
+from msfem_split import basis, fem
 
 
 def run_cli(config, out, threads):
@@ -116,3 +124,114 @@ def xi_direct(ops, vertex):
     M0, M1 = _dense(ops)
     pi_l = _solve(M0, ops.v0[:, vertex])
     return _solve(M0 + M1, M1 @ pi_l - ops.v1[:, vertex])
+
+
+# ---- coarse Galerkin stage from lifted bases --------------------------------
+
+
+def _all_cells(mesh, splitting):
+    return fem.assemble_local_operators(
+        mesh, np.arange(mesh.n_coarse_cells), splitting)
+
+
+def build_basis_registry(mesh, splitting, kind="standard", J=0):
+    """(n_cells, n_loc, 4) lifted bases of every cell: standard, or
+    iterative at J."""
+    if kind == "standard":
+        ops = _all_cells(mesh, splitting)
+        return basis.lift_cells(ops.assembler, basis.standard_bases(ops))
+    if kind == "iterative":
+        return build_iterative_registries(mesh, splitting, [J])[J]
+    raise ValueError(f"unknown basis kind {kind!r}")
+
+
+def build_iterative_registries(mesh, splitting, J_list, green=None):
+    """{J: (n_cells, n_loc, 4)} lifted iterative bases, collocated given
+    green."""
+    ops = _all_cells(mesh, splitting)
+    return {J: basis.lift_cells(ops.assembler, c)
+            for J, c in basis.iterative_bases(ops, J_list, green).items()}
+
+
+def local_coarse_system(mesh, bases, k, f=None):
+    """(local A (cells, 4, 4), local F (cells, 4)) of lifted bases.
+
+    A_ij = sum over the cell's fine elements of (k grad phi_i, grad phi_j),
+    F_i = (f, phi_i) by the nodal quadrature of the fine load.
+    """
+    k = np.asarray(k, float)
+    f = np.ones(mesh.n_fine_cells) if f is None else np.asarray(f, float)
+    cells = np.arange(mesh.n_coarse_cells)
+    fine = mesh.cell_fine_cells(cells)
+    # element-wise quadratic form: (cells, elements, element node, vertex)
+    be = bases[:, mesh.local_element_nodes]
+    ke_be = fem.element_stiffness(mesh.hx, mesh.hy) @ be
+    n = len(cells)
+    local_A = np.matmul((k[fine][:, :, None, None] * be).reshape(n, -1, 4)
+                        .transpose(0, 2, 1), ke_be.reshape(n, -1, 4))
+    local_F = (f[fine][:, None, :] @ be.sum(axis=2))[:, 0] \
+        * (mesh.hx * mesh.hy / 4)
+    return local_A, local_F
+
+
+def scatter_coarse_system(mesh, local_A, local_F):
+    """Dense (A, F) over all coarse vertices, scatter-added cell by cell."""
+    verts = mesh.cell_vertices(np.arange(mesh.n_coarse_cells))
+    nv = mesh.n_coarse_vertices
+    A = np.zeros((nv, nv))
+    F = np.zeros(nv)
+    np.add.at(A, (verts[:, :, None], verts[:, None, :]), local_A)
+    np.add.at(F, verts, local_F)
+    return A, F
+
+
+def assemble_coarse_system(mesh, bases, k, f=None):
+    """Dense Galerkin (A, F) of lifted bases over all coarse vertices."""
+    return scatter_coarse_system(mesh, *local_coarse_system(mesh, bases, k, f))
+
+
+def lower_bands(A, w):
+    """(w, n) lower band storage of a dense (n, n) matrix, zero-padded."""
+    n = len(A)
+    bands = np.zeros((w, n))
+    for d in range(min(w, n)):
+        bands[d, :n - d] = np.diagonal(A, -d)
+    return bands
+
+
+# ---- mesh geometry and the log-field covariance -----------------------------
+
+
+def local_interior_nodes(mesh, cell):
+    """Global fine-node ids of the (r-1)^2 interior local nodes."""
+    return mesh.cell_fine_nodes(cell)[..., mesh.local_interior_mask]
+
+
+def coarse_vertex_fine_node(mesh, vertex):
+    """Fine-node id coinciding with a global coarse vertex."""
+    vx = vertex % (mesh.nx_coarse + 1)
+    vy = vertex // (mesh.nx_coarse + 1)
+    return (vy * mesh.r) * (mesh.nxf + 1) + vx * mesh.r
+
+
+def fine_node_coords(mesh):
+    """(n_fine_nodes, 2) coordinates, row-major with x fastest."""
+    x = np.linspace(0.0, 1.0, mesh.nxf + 1)
+    y = np.linspace(0.0, 1.0, mesh.nyf + 1)
+    xx, yy = np.meshgrid(x, y, indexing="xy")
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+def fine_cell_centers(mesh):
+    """(n_fine_cells, 2) cell centers, row-major with x fastest."""
+    x = (np.arange(mesh.nxf) + 0.5) * mesh.hx
+    y = (np.arange(mesh.nyf) + 0.5) * mesh.hy
+    xx, yy = np.meshgrid(x, y, indexing="xy")
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+def covariance_kernel(p1, p2, sigma2, lx, ly):
+    """Separable squared-exponential covariance of the log-field."""
+    dx2 = (p1[:, None, 0] - p2[None, :, 0]) ** 2
+    dy2 = (p1[:, None, 1] - p2[None, :, 1]) ** 2
+    return sigma2 * np.exp(-dx2 / (2.0 * lx) - dy2 / (2.0 * ly))

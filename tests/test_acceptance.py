@@ -6,6 +6,8 @@ deterministic experiments and STO_SEED drives the sampling streams of the
 stochastic ones; both are documented in the repository docs.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -122,12 +124,13 @@ def test_criterion_04_basis_bound_dominance():
         split = split_kle(model, theta, m)
         ok &= bool(split.eta_global < 1.0)
         ops = fem.assemble_local_operators(mesh, [0], split)
-        ref = basis_mod.standard_bases(ops)[0]
+        lift = partial(basis_mod.lift_cells, ops.assembler)
+        ref = lift(basis_mod.standard_bases(ops))[0]
         bases = basis_mod.iterative_bases(ops, range(11))
         for vertex in range(4):
             errs = [basis_mod.basis_energy_error(
                 ops.assembler, split, 0, ref[:, vertex],
-                bases[J][0, :, vertex]) for J in range(11)]
+                lift(bases[J])[0, :, vertex]) for J in range(11)]
             for J, err in enumerate(errs):
                 bound = basis_mod.basis_error_bound(ops.assembler, split, 0,
                                                     vertex, J)[0]
@@ -147,10 +150,11 @@ def test_criterion_05_convergence_rate_slopes():
             split = split_lognormal(mesh, Y, sc)
             assert split.eta_global < 1.0
             ops = fem.assemble_local_operators(mesh, [0], split)
-            ref = basis_mod.standard_bases(ops)[0, :, 0]
+            lift = partial(basis_mod.lift_cells, ops.assembler)
+            ref = lift(basis_mod.standard_bases(ops))[0, :, 0]
             err = basis_mod.basis_energy_error(
                 ops.assembler, split, 0, ref,
-                basis_mod.iterative_bases(ops, [J])[J][0, :, 0])
+                lift(basis_mod.iterative_bases(ops, [J])[J])[0, :, 0])
             etas.append(split.eta_global)
             errs.append(err)
         slope = float(np.polyfit(np.log(etas), np.log(errs), 1)[0])

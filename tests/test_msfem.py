@@ -11,10 +11,13 @@ from msfem_split import fem
 from msfem_split import msfem
 from msfem_split import stochastic as st
 from msfem_split.field import make_splitting, split_kle
-from msfem_split.msfem import (assemble_coarse_system, solution_error_bound,
-                               solve_msfem)
-from reference import (bubble_sequence, fine_stiffness,
-                       iterative_basis_sequence, standard_basis)
+from msfem_split.msfem import (CoarseSystem, assemble_coarse_systems,
+                               solution_error_bound, solve_msfem)
+from reference import (assemble_coarse_system, build_basis_registry,
+                       build_iterative_registries, bubble_sequence,
+                       fine_stiffness, iterative_basis_sequence,
+                       local_coarse_system, lower_bands,
+                       scatter_coarse_system, standard_basis)
 
 
 def _random_splitting(mesh, rng, amp=0.8):
@@ -23,32 +26,66 @@ def _random_splitting(mesh, rng, amp=0.8):
     return make_splitting(mesh, k0, k1)
 
 
+def _all_cells(mesh, split):
+    return fem.assemble_local_operators(
+        mesh, np.arange(mesh.n_coarse_cells), split)
+
+
+def _system(mesh, split, J=None, f=None):
+    """The library's coarse system of the standard basis, or iterative at J."""
+    ops = _all_cells(mesh, split)
+    c = basis_mod.standard_bases(ops) if J is None else \
+        basis_mod.iterative_bases(ops, [J])[J]
+    return assemble_coarse_systems(ops, split.k, {"c": c}, f)["c"]
+
+
+def _downscale(mesh, bases, coeffs):
+    """Fine-grid values of lifted bases weighted by vertex coefficients."""
+    cells = np.arange(mesh.n_coarse_cells)
+    u = np.zeros(mesh.n_fine_nodes)
+    u[mesh.cell_fine_nodes(cells)] = (
+        bases @ coeffs[mesh.cell_vertices(cells)][:, :, None])[..., 0]
+    return u
+
+
+def _dense_solution(mesh, bases, k, f=None):
+    """MsFEM solution of lifted bases by the oracle's dense system."""
+    A, F = assemble_coarse_system(mesh, bases, k, f)
+    free = mesh.interior_coarse_vertices()
+    coeffs = np.zeros(mesh.n_coarse_vertices)
+    if free.size:
+        coeffs[free] = np.linalg.solve(A[np.ix_(free, free)], F[free])
+    return _downscale(mesh, bases, coeffs)
+
+
 def test_constant_k_reduces_to_coarse_q1():
     mesh = build_mesh(4, 4, 3)
     k = np.full(mesh.n_fine_cells, 2.0)
     split = make_splitting(mesh, k, np.zeros_like(k))
-    bases = msfem.build_basis_registry(mesh, split, "standard")
-    system = assemble_coarse_system(mesh, bases, k)
+    system = _system(mesh, split)
     coarse = build_mesh(2, 2, 2)  # same 4x4 lattice viewed as fine cells
     A_q1 = fine_stiffness(coarse, np.full(16, 2.0)).toarray()
-    assert np.abs(system.A - A_q1).max() <= 1e-12
+    free = mesh.interior_coarse_vertices()
+    assert np.abs(fem.band_to_dense(system.bands)
+                  - A_q1[np.ix_(free, free)]).max() <= 1e-12
 
 
 def test_coarse_system_symmetric():
     mesh = build_mesh(3, 3, 4)
     rng = np.random.default_rng(12)
     split = _random_splitting(mesh, rng)
-    bases = msfem.build_basis_registry(mesh, split, "iterative", J=1)
-    system = assemble_coarse_system(mesh, bases, split.k)
-    assert np.abs(system.A - system.A.T).max() <= 1e-12
+    ops = _all_cells(mesh, split)
+    (local_A, _), = msfem.local_coarse_systems(
+        ops, split.k, basis_mod.iterative_bases(ops, [1])).values()
+    assert np.abs(local_A - local_A.transpose(0, 2, 1)).max() <= \
+        1e-12 * np.abs(local_A).max()
 
 
 def test_single_cell_mesh_solution_is_zero():
     mesh = build_mesh(1, 1, 4)
     split = make_splitting(mesh, np.ones(16), np.zeros(16))
-    bases = msfem.build_basis_registry(mesh, split, "standard")
-    system = assemble_coarse_system(mesh, bases, split.k)
-    assert system.free_vertices.size == 0
+    system = _system(mesh, split)
+    assert system.bands.shape == (2, 0) and system.F.size == 0
     assert np.allclose(solve_msfem(system), 0.0)
 
 
@@ -56,9 +93,7 @@ def test_zero_source_zero_solution():
     mesh = build_mesh(3, 3, 3)
     rng = np.random.default_rng(14)
     split = _random_splitting(mesh, rng)
-    bases = msfem.build_basis_registry(mesh, split, "standard")
-    system = assemble_coarse_system(mesh, bases, split.k,
-                                    f=np.zeros(mesh.n_fine_cells))
+    system = _system(mesh, split, f=np.zeros(mesh.n_fine_cells))
     assert np.allclose(solve_msfem(system), 0.0)
 
 
@@ -66,8 +101,7 @@ def test_constant_k_solution_is_bilinear_prolongation():
     mesh = build_mesh(4, 4, 4)
     k = np.ones(mesh.n_fine_cells)
     split = make_splitting(mesh, k, np.zeros_like(k))
-    bases = msfem.build_basis_registry(mesh, split, "standard")
-    u = solve_msfem(assemble_coarse_system(mesh, bases, k))
+    u = solve_msfem(_system(mesh, split))
     # coarse Q1 solve with consistent coarse load of f = 1
     uc = fine_reference_solve(build_mesh(2, 2, 2), np.ones(16))
     grid = u.reshape(mesh.nyf + 1, mesh.nxf + 1)
@@ -81,20 +115,18 @@ def test_missing_basis_entry_rejected():
     mesh = build_mesh(2, 2, 3)
     rng = np.random.default_rng(15)
     split = _random_splitting(mesh, rng)
-    bases = msfem.build_basis_registry(mesh, split, "standard")
-    for malformed in (bases[1:], bases[:, :, :3], bases[:, 1:]):
+    ops = _all_cells(mesh, split)
+    c = basis_mod.standard_bases(ops)
+    for malformed in (c[1:], c[:, :, :3], c[:, 1:]):
         with pytest.raises(ValueError):
-            assemble_coarse_system(mesh, malformed, split.k)
-    with pytest.raises(ValueError):
-        msfem.build_basis_registry(mesh, split, "spectral")
+            assemble_coarse_systems(ops, split.k, {0: malformed})
 
 
 def test_solution_boundary_zero():
     mesh = build_mesh(3, 3, 5)
     rng = np.random.default_rng(16)
     split = _random_splitting(mesh, rng)
-    bases = msfem.build_basis_registry(mesh, split, "iterative", J=0)
-    u = solve_msfem(assemble_coarse_system(mesh, bases, split.k))
+    u = solve_msfem(_system(mesh, split, J=0))
     assert np.allclose(u[mesh.boundary_node_mask()], 0.0)
 
 
@@ -102,15 +134,15 @@ def test_galerkin_optimality_spot_check():
     mesh = build_mesh(3, 3, 4)
     rng = np.random.default_rng(18)
     split = _random_splitting(mesh, rng)
-    bases = msfem.build_basis_registry(mesh, split, "standard")
-    system = assemble_coarse_system(mesh, bases, split.k)
+    bases = build_basis_registry(mesh, split, "standard")
+    system = _system(mesh, split)
     u_ref = fine_reference_solve(mesh, split.k)
     u_h = solve_msfem(system)
     best = fem.energy_norm(mesh, split.k, u_ref - u_h)
-    free = system.free_vertices
+    free = mesh.interior_coarse_vertices()
     coeffs = np.zeros(mesh.n_coarse_vertices)
-    coeffs[free] = np.linalg.solve(system.A[np.ix_(free, free)],
-                                   system.F[free])
+    coeffs[free] = np.linalg.solve(fem.band_to_dense(system.bands),
+                                   system.F)
     for _ in range(5):
         pert = coeffs.copy()
         pert[free] += 0.05 * rng.standard_normal(free.size)
@@ -121,6 +153,74 @@ def test_galerkin_optimality_spot_check():
                         for v in range(4))
             u[mesh.cell_fine_nodes(cell)] = local
         assert fem.energy_norm(mesh, split.k, u_ref - u) >= best
+
+
+def _kle_case(nx, ny, r):
+    """KLE splitting, non-constant source and interpolated Green's inverse."""
+    mesh = build_mesh(nx, ny, r)
+    model = build_kle_model(mesh, 1.0, 0.3, 0.2, 4)
+    theta = sample_theta(r, 0, model.n)
+    split = split_kle(model, theta, 2)
+    store = precompute_green_inverses(mesh, model, build_sparse_grid(2, 1), 2)
+    green = st._interpolated_green(store, theta[:2] * 0.9)
+    f = np.random.default_rng(r).uniform(0.5, 2.0, mesh.n_fine_cells)
+    return mesh, split, green, f
+
+
+@pytest.mark.parametrize("nx,ny,r", [(3, 2, 2), (2, 3, 3), (3, 2, 4),
+                                     (2, 3, 7)])
+def test_local_coarse_systems_match_element_oracle(nx, ny, r):
+    # Phi^T A_K Phi = H^T A_K H + c^T v + v^T c + c^T M c against the
+    # element-by-element quadratic form of the lifted bases; r = 7 runs
+    # the banded regime (nK = 36 > BATCHED_MAX_N)
+    mesh, split, green, f = _kle_case(nx, ny, r)
+    ops = _all_cells(mesh, split)
+    corrections = {("h", 0): basis_mod.standard_bases(ops)}
+    for J, c in basis_mod.iterative_bases(ops, range(5)).items():
+        corrections[("J", J)] = c
+    for J, c in basis_mod.iterative_bases(ops, [0, 2], green).items():
+        corrections[("col", J)] = c
+    local = msfem.local_coarse_systems(ops, split.k, corrections, f)
+    assert local.keys() == corrections.keys()
+    for key, c in corrections.items():
+        ref_A, ref_F = local_coarse_system(
+            mesh, basis_mod.lift_cells(ops.assembler, c), split.k, f)
+        A, F = local[key]
+        assert np.abs(A - ref_A).max() <= 1e-13 * np.abs(ref_A).max(), key
+        assert np.abs(F - ref_F).max() <= 1e-13 * np.abs(ref_F).max(), key
+
+
+@pytest.mark.parametrize("nx,ny,r", [(3, 2, 3), (2, 4, 7)])
+def test_downscaling_from_corrections_matches_lifted_bases(nx, ny, r):
+    mesh = build_mesh(nx, ny, r)
+    rng = np.random.default_rng(nx + 10 * r)
+    ops = _all_cells(mesh, _random_splitting(mesh, rng))
+    c = basis_mod.iterative_bases(ops, [1])[1]
+    free = mesh.interior_coarse_vertices()
+    coeffs = np.zeros(mesh.n_coarse_vertices)
+    coeffs[free] = rng.uniform(-1.0, 1.0, free.size)
+    # an identity band: the coarse solve returns the load unchanged
+    bands = np.zeros((nx + 1, free.size))
+    bands[0] = 1.0
+    u = solve_msfem(CoarseSystem(mesh=mesh, bands=bands, F=coeffs[free],
+                                 corrections=c))
+    ref = _downscale(mesh, basis_mod.lift_cells(ops.assembler, c), coeffs)
+    assert np.abs(u - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("nx,ny", [(5, 3), (3, 6), (2, 2), (1, 3), (4, 1)])
+def test_band_scatter_matches_dense_scatter(nx, ny):
+    # summed cell by cell in the same order, so the bits agree
+    mesh = build_mesh(nx, ny, 2)
+    rng = np.random.default_rng(nx * 10 + ny)
+    local_A = rng.standard_normal((mesh.n_coarse_cells, 4, 4))
+    local_F = rng.standard_normal((mesh.n_coarse_cells, 4))
+    A, F = scatter_coarse_system(mesh, local_A, local_F)
+    free = mesh.interior_coarse_vertices()
+    maps = msfem.coarse_maps(mesh)
+    assert np.array_equal(maps.bands(local_A),
+                          lower_bands(A[np.ix_(free, free)], nx + 1))
+    assert np.array_equal(maps.load(local_F), F[free])
 
 
 def test_solution_error_bound_properties():
@@ -153,9 +253,9 @@ def test_batched_bases_match_scalar_and_invariants(nx, ny, r, J, m, sigma2,
     assume(split.eta_global < 1.0)
     store = precompute_green_inverses(mesh, model, build_sparse_grid(m, 1), m)
     green = st._interpolated_green(store, theta[:m])
-    std = msfem.build_basis_registry(mesh, split, "standard")
-    its = msfem.build_iterative_registries(mesh, split, range(J + 1))
-    col = msfem.build_iterative_registries(mesh, split, [J], green=green)[J]
+    std = build_basis_registry(mesh, split, "standard")
+    its = build_iterative_registries(mesh, split, range(J + 1))
+    col = build_iterative_registries(mesh, split, [J], green=green)[J]
 
     asm = fem.LocalAssembler(mesh)
     boundary = ~mesh.local_interior_mask
@@ -185,16 +285,16 @@ def test_batched_bases_match_scalar_and_invariants(nx, ny, r, J, m, sigma2,
         assert np.array_equal(bases[:, boundary],
                               np.broadcast_to(asm.hats[boundary],
                                               bases[:, boundary].shape))
-        system = assemble_coarse_system(mesh, bases, split.k)
-        free = system.free_vertices
-        A = system.A[np.ix_(free, free)]
+        A = assemble_coarse_system(mesh, bases, split.k)[0]
+        free = mesh.interior_coarse_vertices()
+        A = A[np.ix_(free, free)]
         assert np.abs(A - A.T).max(initial=0.0) <= \
             1e-12 * np.abs(A).max(initial=0.0)
         assert np.all(np.linalg.eigvalsh(A) > 0.0)
 
     u_h, u_J, u_col = msfem.msfem_solutions(mesh, split, [J], green=green)
     for u, bases in ((u_h, std), (u_J[J], its[J]), (u_col[J], col)):
-        alone = solve_msfem(assemble_coarse_system(mesh, bases, split.k))
+        alone = _dense_solution(mesh, bases, split.k)
         assert np.abs(u - alone).max() <= 1e-12
     e = fem.energy_norm(mesh, split.k, u_h - u_col[J])
     e_spl = fem.energy_norm(mesh, split.k, u_h - u_J[J])
@@ -248,15 +348,7 @@ def test_coarse_band_solve_matches_dense_solve(nx, ny):
     # free vertices run row-major over rows of nx - 1: half-bandwidth nx
     mesh = build_mesh(nx, ny, 2)
     split = _random_splitting(mesh, np.random.default_rng(nx * 10 + ny))
-    system = assemble_coarse_system(
-        mesh, msfem.build_basis_registry(mesh, split, "standard"), split.k)
-    free = system.free_vertices
-    coeffs = np.zeros(mesh.n_coarse_vertices)
-    coeffs[free] = np.linalg.solve(system.A[np.ix_(free, free)],
-                                   system.F[free])
-    cells = np.arange(mesh.n_coarse_cells)
-    ref = np.zeros(mesh.n_fine_nodes)
-    ref[mesh.cell_fine_nodes(cells)] = (
-        system.bases @ coeffs[mesh.cell_vertices(cells)][:, :, None])[..., 0]
-    u = solve_msfem(system)
+    ref = _dense_solution(mesh, build_basis_registry(mesh, split, "standard"),
+                          split.k)
+    u = solve_msfem(_system(mesh, split))
     assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -6,11 +6,11 @@ from msfem_split import (build_kle_model, build_mesh, build_sparse_grid,
                          smolyak_node_count)
 from msfem_split import basis as basis_mod
 from msfem_split import fem
-from msfem_split import msfem
 from msfem_split import stochastic as st
 from msfem_split.field import split_kle
 from msfem_split.stochastic import (StochasticConfig, collocation_run,
                                     monte_carlo_run)
+from reference import build_iterative_registries
 
 
 def test_sample_theta_range_and_reproducibility():
@@ -326,9 +326,9 @@ def test_interpolated_registry_with_exact_green_equals_iterative():
             fem.assemble_local_operators(mesh, c, split, asm).M0))
         for c in range(mesh.n_coarse_cells)])
     J_list = (0, 1, 2)
-    iterative = msfem.build_iterative_registries(mesh, split, J_list)
-    collocated = msfem.build_iterative_registries(mesh, split, J_list,
-                                                  green=exact_green)
+    iterative = build_iterative_registries(mesh, split, J_list)
+    collocated = build_iterative_registries(mesh, split, J_list,
+                                            green=exact_green)
     for J in J_list:
         col = collocated[J]
         assert col.shape == iterative[J].shape

@@ -2,8 +2,8 @@
 
 from .mesh import MeshHierarchy, build_mesh
 from .field import (KLEModel, Splitting, build_kle_model, energy_ratio, eta,
-                    make_splitting, realize_log_field, shift_splitting,
-                    split_kle, split_lognormal)
+                    make_splitting, realize_log_field, split_kle,
+                    split_lognormal)
 from .fem import (LocalAssembler, LocalOperators, assemble_local_operators,
                   band_to_dense, energy_norm, fine_reference_solve)
 from .basis import (basis_error_bound, bubble_series, iterative_bases,

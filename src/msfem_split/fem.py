@@ -79,6 +79,30 @@ def _compressed_scatter(targets, cols, vals, n_cols):
                                shape=(len(rows), n_cols))
 
 
+def _fill(scatter, flat, out):
+    """out[rows] = map @ flat.T, for a zeroed (entries, ...) out."""
+    rows, matrix = scatter
+    out[rows] = matrix @ flat.T
+
+
+def _stencil_band_scatter(conn, ke, pos, target):
+    """Compressed map from element coefficients to a stiffness lower band.
+
+    conn (elements, 4) holds each element's nodes and pos each node's
+    index among the kept nodes, -1 for the others; target(d, j) is the flat
+    position of the band entry A[j+d, j].  Each column of the map is one
+    element, each nonzero row one band entry, which sums its elements in
+    ascending order.
+    """
+    a = pos[np.repeat(conn, 4, axis=1)].ravel()
+    b = pos[np.tile(conn, (1, 4))].ravel()
+    lower = (b >= 0) & (a >= b)
+    return _compressed_scatter(
+        target(a[lower] - b[lower], b[lower]),
+        np.repeat(np.arange(len(conn)), 16)[lower],
+        np.tile(ke.ravel(), len(conn))[lower], len(conn))
+
+
 class LocalAssembler:
     """Per-coarse-cell Q1 assembly helper.
 
@@ -107,21 +131,19 @@ class LocalAssembler:
         self.hats = np.column_stack(
             [(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t])
 
-        # element stencil entries: row node a, column node b, element e
-        a = np.repeat(self.conn, 4, axis=1).ravel()
-        b = np.tile(self.conn, (1, 4)).ravel()
-        e = np.repeat(np.arange(r * r), 16)
-        vals = np.tile(self.ke.ravel(), r * r)
         # interior rows only, straight from the stencil: -> the lower band
         # of M, and -> v = (A @ hats)[interior]; each keeps only its nonzero
         # rows
         pos = np.full(n_loc, -1)
         pos[self.interior_idx] = np.arange(nk)
+        self._band_scatter = _stencil_band_scatter(
+            self.conn, self.ke, pos, lambda d, j: d * nk + j)
+        # element stencil entries: row node a, column node b, element e
+        a = np.repeat(self.conn, 4, axis=1).ravel()
+        b = np.tile(self.conn, (1, 4)).ravel()
+        e = np.repeat(np.arange(r * r), 16)
+        vals = np.tile(self.ke.ravel(), r * r)
         row = pos[a] >= 0
-        lower = row & (pos[b] >= 0) & (pos[a] >= pos[b])
-        self._band_scatter = _compressed_scatter(
-            (pos[a[lower]] - pos[b[lower]]) * nk + pos[b[lower]], e[lower],
-            vals[lower], r * r)
         self._vertex_scatter = _compressed_scatter(
             ((pos[a[row]] * 4)[:, None] + np.arange(4)).ravel(),
             np.repeat(e[row], 4),
@@ -146,14 +168,8 @@ class LocalAssembler:
         kappa = np.asarray(kappa, float)
         w, nk = self.mesh.r + 1, self.n_interior
         out = np.zeros((w * nk + 1, len(kappa)))
-        self._fill(self._band_scatter, kappa, out)
+        _fill(self._band_scatter, kappa, out)
         return out[_band_index(w, nk)]
-
-    @staticmethod
-    def _fill(scatter, flat, out):
-        """out[rows] = map @ flat.T, for a zeroed (entries, cells) out."""
-        rows, matrix = scatter
-        out[rows] = matrix @ flat.T
 
     def _stack(self, scatter, kappa, shape):
         kappa = np.asarray(kappa, float)
@@ -161,7 +177,7 @@ class LocalAssembler:
         # filled row by row in C order: batched matmul runs several times
         # slower on a transposed stack
         out = np.zeros((len(flat), shape[0] * shape[1]))
-        self._fill(scatter, flat, out.T)
+        _fill(scatter, flat, out.T)
         return out.reshape(kappa.shape[:-1] + shape)
 
     def quadratic_form(self, kappa_local, values):
@@ -280,20 +296,44 @@ def spd_inverse(a):
 # ---- global fine-grid machinery -------------------------------------------
 
 
-def fine_stiffness_band(mesh, k):
-    """Stiffness on the free fine nodes in lower band storage.
+class FineBand:
+    """Fixed maps of the stiffness on the free fine nodes of one mesh.
 
-    x runs fastest, so the half-bandwidth is the row length mesh.nxf.
+    free holds the free fine nodes, row-major with x fastest, so the
+    stiffness has half-bandwidth nxf and shape = (nxf + 1, n_free) lower
+    band storage.  scatter takes the n_fine_cells coefficients straight
+    into LAPACK's band layout: a C-ordered (n_free, nxf + 1) buffer whose
+    transpose is that band storage, with entry (d, j) at j*(nxf + 1) + d.
     """
-    free = ~mesh.boundary_node_mask()
-    n = int(free.sum())
-    pos = np.where(free, np.cumsum(free) - 1, -1)[mesh.fine_element_nodes]
-    row, col = pos[:, :, None], pos[:, None, :]
-    keep = (col >= 0) & (row >= col)
-    ke = element_stiffness(mesh.hx, mesh.hy)
-    vals = np.asarray(k, float)[:, None, None] * ke
-    return np.bincount(((row - col) * n + col)[keep], vals[keep],
-                       minlength=(mesh.nxf + 1) * n).reshape(-1, n)
+
+    def __init__(self, mesh):
+        self.free = np.flatnonzero(~mesh.boundary_node_mask())
+        w, n = self.shape = (mesh.nxf + 1, len(self.free))
+        pos = np.full(mesh.n_fine_nodes, -1)
+        pos[self.free] = np.arange(n)
+        self.scatter = _stencil_band_scatter(
+            mesh.fine_element_nodes, element_stiffness(mesh.hx, mesh.hy),
+            pos, lambda d, j: j * w + d)
+
+
+@lru_cache(maxsize=4)
+def fine_band(mesh):
+    """The FineBand of a mesh, built on its first use."""
+    return FineBand(mesh)
+
+
+def fine_stiffness_band(mesh, k):
+    """Stiffness on the free fine nodes in (nxf + 1, n) lower band storage.
+
+    x runs fastest, so the half-bandwidth is the row length mesh.nxf.  The
+    band is a Fortran-ordered view of a fresh C-ordered (n, nxf + 1)
+    buffer, the layout LAPACK's banded routines take without a copy.
+    """
+    maps = fine_band(mesh)
+    w, n = maps.shape
+    out = np.zeros(n * w)
+    _fill(maps.scatter, np.asarray(k, float), out)
+    return out.reshape(n, w).T
 
 
 def fine_load(mesh, f):
@@ -309,10 +349,13 @@ def fine_reference_solve(mesh, k, f=None):
     if np.any(k <= 0.0):
         raise ValueError("coefficient must be strictly positive")
     f = np.ones(mesh.n_fine_cells) if f is None else f
-    free = ~mesh.boundary_node_mask()
+    free = fine_band(mesh).free
+    # the band is this call's own, so it is factored in place
+    c = _spd(sla.cholesky_banded, fine_stiffness_band(mesh, k), lower=True,
+             overwrite_ab=True, check_finite=False)
     u = np.zeros(mesh.n_fine_nodes)
-    u[free] = band_cholesky(fine_stiffness_band(mesh, k))(
-        fine_load(mesh, f)[free])
+    u[free] = sla.cho_solve_banded((c, True), fine_load(mesh, f)[free],
+                                   check_finite=False)
     return u
 
 

@@ -59,25 +59,6 @@ def eta(splitting, region=None):
     return per_cell if np.ndim(region) else float(per_cell)
 
 
-def shift_splitting(splitting, margin=0.01):
-    """Repair a splitting with eta >= 1 by a constant shift of k0 and k1.
-
-    The shift s exceeds sup max((k1-k0)/2, -k0) by the given relative
-    margin, which guarantees the shifted contrast ratio drops below one.
-    Splittings already satisfying eta < 1 are returned unchanged.
-    """
-    if margin <= 0.0:
-        raise ValueError("margin must be positive")
-    if splitting.eta_global < 1.0:
-        return splitting
-    bound = np.maximum((splitting.k1 - splitting.k0) / 2.0,
-                       -splitting.k0).max()
-    s = (1.0 + margin) * bound
-    if s <= 0.0:
-        s = margin * splitting.k0.max()
-    return make_splitting(splitting.mesh, splitting.k0 + s, splitting.k1 - s)
-
-
 # ---- Karhunen-Loeve expansion ---------------------------------------------
 
 

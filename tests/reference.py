@@ -9,6 +9,9 @@ operators, the batched and banded factorizations and the lifting.
 
 fine_stiffness assembles the global Q1 stiffness as a scipy CSR matrix
 over all fine nodes, independently of the library's band assemblers.
+fine_stiffness_band sums the free-node band by one bincount over the
+element stencils, in the element order of the library's cached sparse map,
+so the two agree bit for bit.
 local_coarse_system forms the coarse Galerkin matrices element by element
 from lifted bases, where the library assembles them from the local
 operators, and assemble_coarse_system scatter-adds them into a dense
@@ -18,7 +21,8 @@ run_cli runs the command line in a child process under a chosen BLAS
 thread count, which a run inside the test process cannot change.
 
 The mesh geometry helpers and covariance_kernel are oracles for the mesh
-addressing and the separable KLE.
+addressing and the separable KLE.  shift_splitting, a repair of splittings
+with eta >= 1 that no experiment runs, is kept here with its tests.
 """
 
 import os
@@ -32,7 +36,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import msfem_split
-from msfem_split import basis, fem
+from msfem_split import basis, fem, field
 
 
 def run_cli(config, out, threads):
@@ -67,6 +71,20 @@ def fine_stiffness(mesh, k):
     cols = np.tile(conn, (1, 4)).ravel()
     return sp.csr_matrix((vals, (rows, cols)),
                          shape=(mesh.n_fine_nodes, mesh.n_fine_nodes))
+
+
+def fine_stiffness_band(mesh, k):
+    """(nxf + 1, n_free) lower band of the free-node stiffness, summed by
+    one bincount over the element stencils in ascending element order."""
+    free = ~mesh.boundary_node_mask()
+    n = int(free.sum())
+    pos = np.where(free, np.cumsum(free) - 1, -1)[mesh.fine_element_nodes]
+    row, col = pos[:, :, None], pos[:, None, :]
+    keep = (col >= 0) & (row >= col)
+    ke = fem.element_stiffness(mesh.hx, mesh.hy)
+    vals = np.asarray(k, float)[:, None, None] * ke
+    return np.bincount(((row - col) * n + col)[keep], vals[keep],
+                       minlength=(mesh.nxf + 1) * n).reshape(-1, n)
 
 
 def _dense(ops):
@@ -228,6 +246,26 @@ def fine_cell_centers(mesh):
     y = (np.arange(mesh.nyf) + 0.5) * mesh.hy
     xx, yy = np.meshgrid(x, y, indexing="xy")
     return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+def shift_splitting(splitting, margin=0.01):
+    """Repair a splitting with eta >= 1 by a constant shift of k0 and k1.
+
+    The shift s exceeds sup max((k1-k0)/2, -k0) by the given relative
+    margin, which guarantees the shifted contrast ratio drops below one.
+    Splittings already satisfying eta < 1 are returned unchanged.
+    """
+    if margin <= 0.0:
+        raise ValueError("margin must be positive")
+    if splitting.eta_global < 1.0:
+        return splitting
+    bound = np.maximum((splitting.k1 - splitting.k0) / 2.0,
+                       -splitting.k0).max()
+    s = (1.0 + margin) * bound
+    if s <= 0.0:
+        s = margin * splitting.k0.max()
+    return field.make_splitting(splitting.mesh, splitting.k0 + s,
+                                splitting.k1 - s)
 
 
 def covariance_kernel(p1, p2, sigma2, lx, ly):

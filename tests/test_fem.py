@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -8,6 +10,7 @@ from hypothesis import strategies as hst
 from msfem_split import build_mesh, fine_reference_solve
 from msfem_split import fem
 from msfem_split.field import make_splitting
+import reference
 from reference import fine_node_coords, fine_stiffness
 
 
@@ -220,6 +223,62 @@ def test_fine_stiffness_band_holds_free_stiffness(nx, ny, r):
         assert np.allclose(band[d, :n - d], np.diagonal(A, -d),
                            rtol=1e-14, atol=0.0)
         assert not np.any(band[d, n - d:])
+
+
+@pytest.mark.parametrize("nx,ny,r", [(3, 2, 2), (2, 3, 3), (4, 1, 5),
+                                     (1, 2, 7)])
+def test_fine_band_map_matches_bincount_oracle(nx, ny, r):
+    mesh = build_mesh(nx, ny, r)
+    rng = np.random.default_rng(nx * 100 + ny * 10 + r)
+    k = np.exp(rng.uniform(-2, 2, mesh.n_fine_cells))
+    f = rng.uniform(-1, 1, mesh.n_fine_cells)
+    oracle = reference.fine_stiffness_band(mesh, k)
+    assert np.array_equal(fem.fine_stiffness_band(mesh, k), oracle)
+    free = ~mesh.boundary_node_mask()
+    ref = np.zeros(mesh.n_fine_nodes)
+    ref[free] = fem.band_cholesky(oracle)(fem.fine_load(mesh, f)[free])
+    assert np.array_equal(fine_reference_solve(mesh, k, f), ref)
+
+
+def test_fine_stiffness_band_is_fortran_view():
+    mesh = build_mesh(3, 2, 4)
+    band = fem.fine_stiffness_band(mesh, np.ones(mesh.n_fine_cells))
+    n = (mesh.nxf - 1) * (mesh.nyf - 1)
+    assert band.shape == (mesh.nxf + 1, n)
+    assert band.flags.f_contiguous
+
+
+def test_in_place_factor_writes_only_its_own_band():
+    # the factor overwrites the band of its call, never the cached map or
+    # the caller's k, so repeated calls agree
+    mesh = build_mesh(2, 3, 4)
+    rng = np.random.default_rng(13)
+    k = np.exp(rng.uniform(-1, 1, mesh.n_fine_cells))
+    f = rng.uniform(-1, 1, mesh.n_fine_cells)
+    k_in, f_in = k.copy(), f.copy()
+    assert np.array_equal(fem.fine_stiffness_band(mesh, k),
+                          fem.fine_stiffness_band(mesh, k))
+    u = fine_reference_solve(mesh, k, f)
+    assert np.array_equal(fine_reference_solve(mesh, k, f), u)
+    assert np.array_equal(fem.fine_stiffness_band(mesh, k),
+                          reference.fine_stiffness_band(mesh, k))
+    assert np.array_equal(k, k_in) and np.array_equal(f, f_in)
+
+
+def test_fine_reference_solve_allocates_one_band():
+    # no transposed copy of the band: the traced peak of one solve stays
+    # within a quarter band of the band itself
+    mesh = build_mesh(4, 4, 30)
+    k = np.exp(np.random.default_rng(3).uniform(-1, 1, mesh.n_fine_cells))
+    fine_reference_solve(mesh, k)  # builds the per-mesh map
+    band_bytes = fem.fine_stiffness_band(mesh, k).nbytes
+    tracemalloc.start()
+    try:
+        fine_reference_solve(mesh, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * band_bytes
 
 
 @pytest.mark.parametrize("r,n_cells", [(8, 6), (30, 2)])

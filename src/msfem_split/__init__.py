@@ -6,7 +6,7 @@ from .field import (KLEModel, Splitting, build_kle_model, energy_ratio, eta,
                     split_lognormal)
 from .fem import (LocalAssembler, LocalOperators, assemble_local_operators,
                   band_to_dense, energy_norm, fine_reference_solve)
-from .basis import (basis_error_bound, bubble_series, iterative_bases,
+from .basis import (basis_errors, bubble_series, iterative_bases,
                     standard_bases)
 from .msfem import (CoarseSystem, assemble_coarse_systems,
                     solution_error_bound, solve_msfem)

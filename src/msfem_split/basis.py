@@ -7,8 +7,8 @@ series of interior bubble corrections.  The bases are built on (cells, ...)
 stacks of LocalOperators for all four vertices at once, and travel as
 interior corrections: phi = l + E c, with l the vertex hats, c a
 (cells, nK, 4) correction and E the injection of the interior nodes.
-lift_cells forms the full local values where they are needed; the
-basis-level error and bound take the local values of one cell.
+basis_errors forms the basis-level errors and bounds from the corrections
+and the local operators as well.
 """
 
 from functools import partial
@@ -16,14 +16,6 @@ from functools import partial
 import numpy as np
 
 from . import fem
-from . import field as field_mod
-
-
-def lift_cells(asm, interior):
-    """(cells, n_loc, 4) local values l + E c of (cells, nK, 4) corrections."""
-    out = np.repeat(asm.hats[None], len(interior), axis=0)
-    out[:, asm.interior_idx] += interior
-    return out
 
 
 def standard_bases(ops):
@@ -74,31 +66,29 @@ def iterative_bases(ops, J_list, green=None):
     return out
 
 
-def basis_error_bound(asm, splitting, cell, vertex, J):
-    """Computable energy-error bounds for |||phi - phi_J||| on one cell.
+def basis_errors(ops, splitting, J_list):
+    """{J: (error, bound)} of the iterative bases of a stack of cells.
 
-    Returns (contraction bound, rate bound): the first is
-    2 ||k1/sqrt(k k0)||_inf eta^(J+1) ||sqrt(k0) grad l||, the second the
-    explicit-rate variant C_l (2 b1 / sqrt(a0)) eta^(J+2) with all
-    constants taken from the actual cellwise field values.
+    error is the energy error |||phi - phi_J|||_K and bound its computable
+    bound 2 ||k1/sqrt(k k0)||_inf eta_K^(J+1) ||sqrt(k0) grad l||_K, each
+    (cells, 4) over the cells of ops.cell and the four vertices.  The hats
+    cancel in phi - phi_J = E d, d = c_h - c_J, so the error squared is
+    d^T M d with M = M0 + M1.
     """
-    cells = splitting.mesh.cell_fine_cells(cell)
-    k0 = splitting.k0[cells]
-    k1 = splitting.k1[cells]
-    k = splitting.k[cells]
-    eta_k = field_mod.eta(splitting, cell)
-    hat = asm.hats[:, vertex]
-
-    sup = np.max(np.abs(k1) / np.sqrt(k * k0))
-    grad_l = np.sqrt(asm.quadratic_form(k0, hat))
-    b_contraction = 2.0 * sup * eta_k ** (J + 1) * grad_l
-
-    c_l = np.sqrt(asm.quadratic_form(np.ones_like(k0), hat))
-    b_rate = c_l * 2.0 * k0.max() / np.sqrt(k.min()) * eta_k ** (J + 2)
-    return float(b_contraction), float(b_rate)
-
-
-def basis_energy_error(asm, splitting, cell, reference, values):
-    """Energy norm |||reference - values|||_K of two local value vectors."""
-    k = splitting.k[splitting.mesh.cell_fine_cells(cell)]
-    return np.sqrt(max(asm.quadratic_form(k, reference - values), 0.0))
+    asm = ops.assembler
+    fine = asm.mesh.cell_fine_cells(ops.cell)
+    k0, k1, k = splitting.k0[fine], splitting.k1[fine], splitting.k[fine]
+    sup = np.max(np.abs(k1) / np.sqrt(k * k0), axis=1)[:, None]
+    eta = splitting.eta_per_cell[ops.cell][:, None]
+    # ||sqrt(k0) grad l||^2 from the diagonal rows of H^T A_K H, summed by
+    # einsum, not by BLAS, so that it does not depend on the thread count
+    grad_l = np.sqrt(np.einsum("ce,qe->cq", k0,
+                               asm.hat_stiffness[[0, 5, 10, 15]]))
+    c_h = standard_bases(ops)
+    m = fem.cell_matmul(ops.M0 + ops.M1)
+    out = {}
+    for J, c in iterative_bases(ops, J_list).items():
+        d = c_h - c
+        error = np.sqrt(np.maximum(np.einsum("cni,cni->ci", d, m(d)), 0.0))
+        out[J] = (error, 2.0 * sup * eta ** (J + 1) * grad_l)
+    return out

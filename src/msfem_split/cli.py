@@ -8,7 +8,6 @@ config and seed always produce byte-identical output files.
 import argparse
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -56,14 +55,15 @@ def parse_config(path):
                     cfg[key] = int(value)
                 elif key in _FLOAT_KEYS:
                     cfg[key] = float(value)
-                elif key in _LIST_INT_KEYS:
-                    cfg[key] = [int(t) for t in value.split(",") if t.strip()]
-                elif key in _LIST_FLOAT_KEYS:
-                    cfg[key] = [float(t) for t in value.split(",") if t.strip()]
+                elif key in _LIST_INT_KEYS | _LIST_FLOAT_KEYS:
+                    kind = int if key in _LIST_INT_KEYS else float
+                    cfg[key] = [kind(t) for t in value.split(",") if t.strip()]
                 else:
                     cfg[key] = value
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            if cfg[key] == []:
+                raise ConfigError(f"{path}:{lineno}: empty list for {key!r}")
     if "experiment" not in cfg:
         raise ConfigError(f"{path}: missing required key 'experiment'")
     if cfg["experiment"] not in EXPERIMENTS:
@@ -133,11 +133,23 @@ def _frozen_theta(seed, n):
     return st.sample_theta(seed, 0, n)
 
 
+def _no_bound(label, eta):
+    """The failed check of a splitting whose eta >= 1 admits no bound."""
+    return f"{label} no bound: eta {eta:.3g} >= 1", False
+
+
 def _bound_check(label, err, bound, eta):
     """error <= bound; without eta < 1 there is no bound, which fails."""
     if eta < 1.0 and np.isfinite(bound):
         return f"{label} error<=bound", bool(err <= bound)
-    return f"{label} no bound: eta {eta:.3g} >= 1", False
+    return _no_bound(label, eta)
+
+
+def _cell0_vertex0_errors(mesh, split, J_list):
+    """{J: (error, bound)} of basis_errors for vertex 0 of coarse cell 0."""
+    ops = fem.assemble_local_operators(mesh, [0], split)
+    return {J: (float(err[0, 0]), float(bound[0, 0])) for J, (err, bound)
+            in basis_mod.basis_errors(ops, split, J_list).items()}
 
 
 def _exp_basis_bound(cfg, seed):
@@ -158,16 +170,10 @@ def _exp_basis_bound(cfg, seed):
         sweeps = [("sc", sc, field_mod.split_lognormal(mesh, Y, sc))
                   for sc in cfg.get("sc_list", [cfg.get("sc", 0.9)])]
     for label, value, split in sweeps:
-        ops = fem.assemble_local_operators(mesh, [0], split)
-        lift = partial(basis_mod.lift_cells, ops.assembler)
-        ref = lift(basis_mod.standard_bases(ops))[0, :, 0]
-        bases = basis_mod.iterative_bases(ops, J_list)
+        errors = _cell0_vertex0_errors(mesh, split, J_list)
         prev = None
         for J in J_list:
-            err = basis_mod.basis_energy_error(ops.assembler, split, 0, ref,
-                                               lift(bases[J])[0, :, 0])
-            bound = basis_mod.basis_error_bound(ops.assembler, split, 0, 0,
-                                                J)[0]
+            err, bound = errors[J]
             rows.append((value, J, split.eta_global, err, bound))
             checks.append(_bound_check(f"{label}={value} J={J}", err, bound,
                                        split.eta_global))
@@ -183,24 +189,29 @@ def _exp_basis_slope(cfg, seed):
     mesh = mesh_mod.build_mesh(1, 1, cfg["r"])
     rng = np.random.default_rng([seed, 1])
     Y = rng.standard_normal(mesh.n_fine_cells)
+    checks = []
+    points = []
+    for sc in cfg["sc_list"]:
+        split = field_mod.split_lognormal(mesh, Y, sc)
+        if split.eta_global >= 1.0:
+            checks.append(_no_bound(f"sc={sc}", split.eta_global))
+            continue
+        points.append((sc, split.eta_global, _cell0_vertex0_errors(
+            mesh, split, cfg["J_list"])))
     rows = []
     slope_rows = []
-    checks = []
     for J in cfg["J_list"]:
         etas, errs = [], []
-        for sc in cfg["sc_list"]:
-            split = field_mod.split_lognormal(mesh, Y, sc)
-            if split.eta_global >= 1.0:
-                continue
-            ops = fem.assemble_local_operators(mesh, [0], split)
-            lift = partial(basis_mod.lift_cells, ops.assembler)
-            ref = lift(basis_mod.standard_bases(ops))[0, :, 0]
-            err = basis_mod.basis_energy_error(
-                ops.assembler, split, 0, ref,
-                lift(basis_mod.iterative_bases(ops, [J])[J])[0, :, 0])
-            rows.append((J, sc, split.eta_global, err))
-            etas.append(split.eta_global)
-            errs.append(err)
+        for sc, eta, errors in points:
+            err = errors[J][0]
+            rows.append((J, sc, eta, err))
+            if eta > 0.0 and err > 0.0:
+                etas.append(eta)
+                errs.append(err)
+        if len(etas) < 2:
+            checks.append((f"J={J} no slope: {len(etas)} points with "
+                           f"0 < eta < 1 and error > 0", False))
+            continue
         slope = float(np.polyfit(np.log(etas), np.log(errs), 1)[0])
         slope_rows.append((J, slope))
         checks.append((f"J={J} slope {slope:.2f} in [{J + 1.5}, {J + 2.5}]",
@@ -390,8 +401,6 @@ def main(argv=None):
     run_p.add_argument("config")
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="worker hint; results are thread-count invariant")
     val_p = sub.add_parser("validate", help="validate a config file")
     val_p.add_argument("config")
     args = parser.parse_args(argv)

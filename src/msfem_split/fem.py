@@ -111,7 +111,8 @@ class LocalAssembler:
     per mesh.  The interior stiffness is a 9-point stencil on the (r-1)^2
     interior grid, row-major over rows of r - 1 nodes, so it is assembled
     straight into lower band storage (..., r+1, nK) with
-    bands[d, j] = M[j+d, j].
+    bands[d, j] = M[j+d, j].  hat_stiffness (16, r^2) takes a cell's
+    coefficient values to the row-major hat energies H^T A_K H.
     """
 
     def __init__(self, mesh):
@@ -130,6 +131,9 @@ class LocalAssembler:
         t = np.repeat(np.arange(r + 1) / r, r + 1)
         self.hats = np.column_stack(
             [(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t])
+        he = self.hats[self.conn]  # (elements, element node, vertex)
+        self.hat_stiffness = np.einsum(
+            "eai,ab,ebj->ije", he, self.ke, he).reshape(16, r * r)
 
         # interior rows only, straight from the stencil: -> the lower band
         # of M, and -> v = (A @ hats)[interior]; each keeps only its nonzero
@@ -180,11 +184,6 @@ class LocalAssembler:
         _fill(scatter, flat, out.T)
         return out.reshape(kappa.shape[:-1] + shape)
 
-    def quadratic_form(self, kappa_local, values):
-        """Exact energy (k grad v, grad v) over the coarse cell."""
-        ve = values[self.conn]
-        return float(np.einsum("e,ei,ij,ej->", kappa_local, ve, self.ke, ve))
-
 
 @lru_cache(maxsize=4)
 def local_assembler(mesh):
@@ -210,9 +209,9 @@ class LocalOperators:
     v1: np.ndarray
 
 
-def assemble_local_operators(mesh, cell, splitting, assembler=None):
+def assemble_local_operators(mesh, cell, splitting):
     """Assemble M0, M1, v0 and v1 on a coarse cell or a sequence of cells."""
-    asm = local_assembler(mesh) if assembler is None else assembler
+    asm = local_assembler(mesh)
     fine = mesh.cell_fine_cells(cell)
     k0 = splitting.k0[fine]
     k1 = splitting.k1[fine]

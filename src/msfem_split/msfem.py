@@ -18,10 +18,10 @@ rows.  This only reorders the sum a(phi_i, phi_j) of the MsFEM coarse
 matrix (Hou & Wu, J. Comput. Phys. 134, 1997); for the standard basis it
 is the static-condensation Schur complement.  H^T A_K H, H^T W and W_I are
 fixed linear maps of a cell's coefficient and source values, built once
-per mesh by coarse_maps.  The local matrices are summed by np.bincount
-straight into the band storage of the coarse system, which is solved in
-band storage as well; that keeps its results independent of the BLAS
-thread count.
+per mesh: the first by fem.LocalAssembler, the others by coarse_maps.  The
+local matrices are summed by np.bincount straight into the band storage of
+the coarse system, which is solved in band storage as well; that keeps its
+results independent of the BLAS thread count.
 """
 
 from dataclasses import dataclass
@@ -37,16 +37,14 @@ from . import fem
 class CoarseMaps:
     """Fixed maps and index arrays of the coarse stage of one mesh.
 
-    hat_stiffness (16, r^2) takes a cell's coefficient values to the
-    row-major H^T A_K H; hat_load (4, r^2) and the sparse interior_load
-    (nK, r^2) take its source values to H^T W f and W_I f.  fine, nodes
-    and vertices hold the fine cells, fine nodes and coarse vertices of
-    every cell.  The free vertices run row-major over rows of
-    nx_coarse - 1, so the coarse matrix has half-bandwidth nx_coarse;
-    band_index holds the flat position in (nx_coarse + 1, n_free) lower
-    band storage of each entry that band_keep selects from a
-    (cells, 4, 4) stack, and load_index that of each load entry that
-    load_keep selects.
+    hat_load (4, r^2) and the sparse interior_load (nK, r^2) take a cell's
+    source values to H^T W f and W_I f.  fine, nodes and vertices hold the
+    fine cells, fine nodes and coarse vertices of every cell.  The free
+    vertices run row-major over rows of nx_coarse - 1, so the coarse matrix
+    has half-bandwidth nx_coarse; band_index holds the flat position in
+    (nx_coarse + 1, n_free) lower band storage of each entry that band_keep
+    selects from a (cells, 4, 4) stack, and load_index that of each load
+    entry that load_keep selects.
     """
 
     def __init__(self, mesh):
@@ -57,9 +55,6 @@ class CoarseMaps:
         self.vertices = mesh.cell_vertices(cells)
 
         conn, n_el = mesh.local_element_nodes, mesh.r ** 2
-        he = asm.hats[conn]  # (elements, element node, vertex)
-        self.hat_stiffness = np.einsum(
-            "eai,ab,ebj->ije", he, asm.ke, he).reshape(16, n_el)
         load = sp.csr_matrix(
             (np.full(conn.size, mesh.hx * mesh.hy / 4.0),
              (conn.ravel(), np.repeat(np.arange(n_el), 4))),
@@ -131,7 +126,8 @@ def local_coarse_systems(ops, k, corrections, f=None):
     f = np.ones_like(k) if f is None else np.asarray(f, float)[maps.fine]
     # summed by einsum, not by a BLAS GEMM, which OpenBLAS splits over its
     # threads on large meshes, so that the sums would depend on their count
-    hat_A = np.einsum("ce,qe->cq", k, maps.hat_stiffness).reshape(-1, 4, 4)
+    hat_A = np.einsum("ce,qe->cq", k,
+                      ops.assembler.hat_stiffness).reshape(-1, 4, 4)
     hat_F = np.einsum("ce,qe->cq", f, maps.hat_load)
     interior_F = (maps.interior_load @ f.T).T
     v = ops.v0 + ops.v1

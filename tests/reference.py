@@ -7,6 +7,11 @@ bases of all four vertices of a stack of cells through
 basis.bubble_series, so comparing the two checks the stacking, the band
 operators, the batched and banded factorizations and the lifting.
 
+lift_cells forms the full local values l + E c of stacked corrections,
+quadratic_form the exact energy of local values over one cell, and
+basis_error_bound the computable basis-level bound of one cell and vertex
+from them; basis.basis_errors forms both from the local operators instead.
+
 fine_stiffness assembles the global Q1 stiffness as a scipy CSR matrix
 over all fine nodes, independently of the library's band assemblers.
 fine_stiffness_band sums the free-node band by one bincount over the
@@ -48,7 +53,7 @@ def run_cli(config, out, threads):
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, "-m", "msfem_split.cli", "run", str(config),
-           "--out", str(out), "--threads", str(threads)]
+           "--out", str(out)]
     return subprocess.run(cmd, env=env, capture_output=True,
                           timeout=600).returncode
 
@@ -85,6 +90,30 @@ def fine_stiffness_band(mesh, k):
     vals = np.asarray(k, float)[:, None, None] * ke
     return np.bincount(((row - col) * n + col)[keep], vals[keep],
                        minlength=(mesh.nxf + 1) * n).reshape(-1, n)
+
+
+def lift_cells(asm, interior):
+    """(cells, n_loc, 4) local values l + E c of (cells, nK, 4) corrections."""
+    out = np.repeat(asm.hats[None], len(interior), axis=0)
+    out[:, asm.interior_idx] += interior
+    return out
+
+
+def quadratic_form(asm, kappa_local, values):
+    """Exact energy (k grad v, grad v) of local values over one coarse cell,
+    summed element by element."""
+    ve = values[asm.conn]
+    return float(np.einsum("e,ei,ij,ej->", kappa_local, ve, asm.ke, ve))
+
+
+def basis_error_bound(asm, splitting, cell, vertex, J):
+    """2 ||k1/sqrt(k k0)||_inf eta_K^(J+1) ||sqrt(k0) grad l||_K of one cell
+    and vertex, from the cell's field values and quadratic_form."""
+    fine = splitting.mesh.cell_fine_cells(cell)
+    k0, k1, k = splitting.k0[fine], splitting.k1[fine], splitting.k[fine]
+    sup = np.max(np.abs(k1) / np.sqrt(k * k0))
+    grad_l = np.sqrt(quadratic_form(asm, k0, asm.hats[:, vertex]))
+    return float(2.0 * sup * field.eta(splitting, cell) ** (J + 1) * grad_l)
 
 
 def _dense(ops):
@@ -157,7 +186,7 @@ def build_basis_registry(mesh, splitting, kind="standard", J=0):
     iterative at J."""
     if kind == "standard":
         ops = _all_cells(mesh, splitting)
-        return basis.lift_cells(ops.assembler, basis.standard_bases(ops))
+        return lift_cells(ops.assembler, basis.standard_bases(ops))
     if kind == "iterative":
         return build_iterative_registries(mesh, splitting, [J])[J]
     raise ValueError(f"unknown basis kind {kind!r}")
@@ -167,7 +196,7 @@ def build_iterative_registries(mesh, splitting, J_list, green=None):
     """{J: (n_cells, n_loc, 4)} lifted iterative bases, collocated given
     green."""
     ops = _all_cells(mesh, splitting)
-    return {J: basis.lift_cells(ops.assembler, c)
+    return {J: lift_cells(ops.assembler, c)
             for J, c in basis.iterative_bases(ops, J_list, green).items()}
 
 

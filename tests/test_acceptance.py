@@ -6,8 +6,6 @@ deterministic experiments and STO_SEED drives the sampling streams of the
 stochastic ones; both are documented in the repository docs.
 """
 
-from functools import partial
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -21,7 +19,7 @@ from msfem_split import fem
 from msfem_split import msfem
 from msfem_split import stochastic as st
 from msfem_split.field import make_splitting, split_kle, split_lognormal
-from reference import fine_stiffness, run_cli, same_outputs
+from reference import fine_stiffness, quadratic_form, run_cli, same_outputs
 
 DET_SEED = 7
 STO_SEED = 12345
@@ -65,7 +63,7 @@ def test_criterion_02_oracle_equivalence():
     for trial in range(20):
         split = _random_splitting(mesh, rng)
         vertex = trial % 4
-        ops = fem.assemble_local_operators(mesh, [0], split, asm)
+        ops = fem.assemble_local_operators(mesh, [0], split)
         A0 = fine_stiffness(mesh, split.k0)
         A1 = fine_stiffness(mesh, split.k1)
         A0ff = A0[free][:, free].tocsc()
@@ -94,7 +92,7 @@ def test_criterion_03_contraction_chain():
     for trial in range(10):
         split = _random_splitting(mesh, rng, amp=0.95)
         assert split.eta_global < 1.0
-        ops = fem.assemble_local_operators(mesh, [0], split, asm)
+        ops = fem.assemble_local_operators(mesh, [0], split)
         vertex = trial % 4
         k0 = split.k0[mesh.cell_fine_cells(0)]
         hat = asm.hats[:, vertex]
@@ -102,9 +100,9 @@ def test_criterion_03_contraction_chain():
         def k0_norm(interior):
             full = np.zeros((mesh.r + 1) ** 2)
             full[asm.interior_idx] = interior
-            return np.sqrt(asm.quadratic_form(k0, full))
+            return np.sqrt(quadratic_form(asm, k0, full))
 
-        grad_l = np.sqrt(asm.quadratic_form(k0, hat))
+        grad_l = np.sqrt(quadratic_form(asm, k0, hat))
         norms = [k0_norm(xi[0, :, vertex])
                  for xi in basis_mod.bubble_series(ops, 8)[1]]
         eta = split.eta_global
@@ -124,17 +122,11 @@ def test_criterion_04_basis_bound_dominance():
         split = split_kle(model, theta, m)
         ok &= bool(split.eta_global < 1.0)
         ops = fem.assemble_local_operators(mesh, [0], split)
-        lift = partial(basis_mod.lift_cells, ops.assembler)
-        ref = lift(basis_mod.standard_bases(ops))[0]
-        bases = basis_mod.iterative_bases(ops, range(11))
+        errors = basis_mod.basis_errors(ops, split, range(11))
         for vertex in range(4):
-            errs = [basis_mod.basis_energy_error(
-                ops.assembler, split, 0, ref[:, vertex],
-                lift(bases[J])[0, :, vertex]) for J in range(11)]
+            errs = [errors[J][0][0, vertex] for J in range(11)]
             for J, err in enumerate(errs):
-                bound = basis_mod.basis_error_bound(ops.assembler, split, 0,
-                                                    vertex, J)[0]
-                ok &= bool(err <= bound)
+                ok &= bool(err <= errors[J][1][0, vertex])
             ok &= all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
     _report(4, "basis error below bound, monotone decay", ok)
 
@@ -150,11 +142,7 @@ def test_criterion_05_convergence_rate_slopes():
             split = split_lognormal(mesh, Y, sc)
             assert split.eta_global < 1.0
             ops = fem.assemble_local_operators(mesh, [0], split)
-            lift = partial(basis_mod.lift_cells, ops.assembler)
-            ref = lift(basis_mod.standard_bases(ops))[0, :, 0]
-            err = basis_mod.basis_energy_error(
-                ops.assembler, split, 0, ref,
-                lift(basis_mod.iterative_bases(ops, [J])[J])[0, :, 0])
+            err = basis_mod.basis_errors(ops, split, [J])[J][0][0, 0]
             etas.append(split.eta_global)
             errs.append(err)
         slope = float(np.polyfit(np.log(etas), np.log(errs), 1)[0])

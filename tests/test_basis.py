@@ -4,11 +4,11 @@ import scipy.sparse.linalg as spla
 
 from msfem_split import build_mesh
 from msfem_split import fem
-from msfem_split.basis import (basis_energy_error, basis_error_bound,
-                               bubble_series, iterative_bases, lift_cells,
+from msfem_split.basis import (basis_errors, bubble_series, iterative_bases,
                                standard_bases)
 from msfem_split.field import make_splitting
-from reference import fine_stiffness, xi_direct
+from reference import (basis_error_bound, fine_stiffness, lift_cells,
+                       quadratic_form, xi_direct)
 
 
 def _random_splitting(mesh, rng, amp=0.8):
@@ -172,11 +172,11 @@ def test_bubble_sequence_contraction_chain():
         def k0_energy(interior):
             full = np.zeros((mesh.r + 1) ** 2)
             full[idx] = interior
-            return np.sqrt(ops.assembler.quadratic_form(
-                split.k0[mesh.cell_fine_cells(0)], full))
+            return np.sqrt(quadratic_form(
+                ops.assembler, split.k0[mesh.cell_fine_cells(0)], full))
 
-        grad_l = np.sqrt(ops.assembler.quadratic_form(
-            split.k0[mesh.cell_fine_cells(0)], hat))
+        grad_l = np.sqrt(quadratic_form(
+            ops.assembler, split.k0[mesh.cell_fine_cells(0)], hat))
         xis = bubble_series(ops, 8)[1]
         norms = [k0_energy(xi[0, :, vertex]) for xi in xis]
         for j in range(1, len(norms)):
@@ -229,33 +229,51 @@ def test_iterative_basis_monotone_convergence():
     split = _random_splitting(mesh, rng, amp=0.9)
     assert split.eta_global < 1.0
     ops = fem.assemble_local_operators(mesh, [0], split)
-    asm = ops.assembler
-    ref = lift_cells(asm, standard_bases(ops))[0]
-    bases = iterative_bases(ops, range(11))
+    errors = basis_errors(ops, split, range(11))
     for vertex in range(4):
-        errs = [basis_energy_error(asm, split, 0, ref[:, vertex],
-                                   lift_cells(asm, bases[J])[0, :, vertex])
-                for J in range(11)]
+        errs = [errors[J][0][0, vertex] for J in range(11)]
         assert all(b <= a + 1e-14 for a, b in zip(errs, errs[1:]))
         assert errs[-1] <= errs[0] * split.eta_global ** 10 + 1e-14
 
 
 def test_basis_error_bound_trivial_and_dominant():
     mesh = build_mesh(1, 1, 8)
-    asm = fem.LocalAssembler(mesh)
     zero = make_splitting(mesh, np.ones(64), np.zeros(64))
-    assert basis_error_bound(asm, zero, 0, 0, 3)[0] == 0.0
+    zero_ops = fem.assemble_local_operators(mesh, [0], zero)
+    assert np.all(basis_errors(zero_ops, zero, [3])[3][1] == 0.0)
 
     rng = np.random.default_rng(93)
     split = _random_splitting(mesh, rng, amp=0.9)
-    ops = fem.assemble_local_operators(mesh, [0], split, asm)
-    ref = lift_cells(asm, standard_bases(ops))[0]
-    bases = iterative_bases(ops, range(6))
-    for vertex in range(4):
-        for J in range(6):
-            err = basis_energy_error(asm, split, 0, ref[:, vertex],
-                                     lift_cells(asm, bases[J])[0, :, vertex])
-            assert err <= basis_error_bound(asm, split, 0, vertex, J)[0]
+    ops = fem.assemble_local_operators(mesh, [0], split)
+    for err, bound in basis_errors(ops, split, range(6)).values():
+        assert np.all(err <= bound)
+
+
+@pytest.mark.parametrize("nx,ny,r", [(3, 2, 4), (2, 3, 7)])
+def test_basis_errors_match_lifted_oracle(nx, ny, r):
+    # nK = 9 and 36 fall on both sides of BATCHED_MAX_N
+    mesh = build_mesh(nx, ny, r)
+    split = _random_splitting(mesh, np.random.default_rng(nx + 10 * r),
+                              amp=0.9)
+    cells = np.arange(mesh.n_coarse_cells)
+    ops = fem.assemble_local_operators(mesh, cells, split)
+    asm = ops.assembler
+    ref = lift_cells(asm, standard_bases(ops))
+    lifted = {J: lift_cells(asm, c)
+              for J, c in iterative_bases(ops, range(6)).items()}
+    errors = basis_errors(ops, split, range(6))
+    assert sorted(errors) == list(range(6))
+    for J, (err, bound) in errors.items():
+        assert err.shape == bound.shape == (len(cells), 4)
+        for cell in cells:
+            k = split.k[mesh.cell_fine_cells(cell)]
+            for v in range(4):
+                hat_energy = quadratic_form(asm, k, asm.hats[:, v])
+                diff = ref[cell, :, v] - lifted[J][cell, :, v]
+                assert abs(err[cell, v] ** 2 - quadratic_form(asm, k, diff)) \
+                    <= 1e-15 * hat_energy
+                oracle = basis_error_bound(asm, split, cell, v, J)
+                assert abs(bound[cell, v] - oracle) <= 1e-13 * oracle
 
 
 def test_negative_J_rejected():

@@ -1,13 +1,18 @@
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from msfem_split import (build_kle_model, build_mesh, build_sparse_grid,
                          precompute_green_inverses)
-from msfem_split.cli import ConfigError, main, parse_config, run_experiment
+from msfem_split.cli import (EXPERIMENTS, ConfigError, main, parse_config,
+                             run_experiment)
 from msfem_split.stochastic import StochasticConfig, collocation_run
 from reference import run_cli, same_outputs
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write(tmp_path, text, name="exp.cfg"):
@@ -206,3 +211,67 @@ seed = 12345
             list(counts)
     # at L=1 one sample's interpolant is indefinite in some cells
     assert any(int(row[3]) for row in rows)
+
+
+@pytest.mark.parametrize("config,key", [
+    ("solution_bound.cfg", "m_list"), ("mc_stats.cfg", "m_list"),
+    ("basis_slope.cfg", "sc_list"), ("basis_slope.cfg", "J_list"),
+    ("colloc_table.cfg", "L_list"), ("mesh_sweep.cfg", "r_list"),
+    ("mesh_sweep.cfg", "nx_list"),
+    pytest.param(BASIS_CFG, "sc_list", id="lognormal-basis-bound-sc_list")])
+def test_empty_list_rejected(tmp_path, config, key):
+    if config.endswith(".cfg"):
+        config = (CONFIGS / config).read_text(encoding="utf-8")
+    lines = config.splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1)
+                  if line.startswith(f"{key} ="))
+    lines[lineno - 1] = f"{key} ="
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}:{lineno}: empty list for '{key}'")):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
+                         ids=lambda p: p.name)
+def test_shipped_config_valid(path):
+    assert parse_config(path)["experiment"] in EXPERIMENTS
+
+
+SLOPE_CFG = """experiment = basis-slope
+field = lognormal
+r = 6
+sc_list = {}
+J_list = 0,2
+seed = 1
+"""
+
+
+def test_basis_slope_without_bound_fails(tmp_path):
+    # both strength factors leave eta >= 1
+    cfg = parse_config(_write(tmp_path, SLOPE_CFG.format("0.5,0.6")))
+    out = tmp_path / "out"
+    assert run_experiment(cfg, str(out)) is False
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    assert "FAIL  sc=0.5 no bound: eta" in summary
+    assert "FAIL  sc=0.6 no bound: eta" in summary
+    for J in (0, 2):
+        assert f"FAIL  J={J} no slope: 0 points" in summary
+    assert (out / "basis_slope.csv").read_text() == "J,sc,eta,error\n"
+
+
+def test_basis_slope_needs_two_points_with_error(tmp_path):
+    # sc = 1 makes k1 = 0, so eta = 0 and every basis is exact
+    cfg = parse_config(_write(tmp_path, SLOPE_CFG.format("0.9,1.0")))
+    out = tmp_path / "out"
+    assert run_experiment(cfg, str(out)) is False
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    for J in (0, 2):
+        assert f"FAIL  J={J} no slope: 1 points" in summary
+    rows = (out / "basis_slope.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:] for row in rows if row.startswith("0,")][1] \
+        == ["1", "0", "0"]

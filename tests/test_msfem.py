@@ -16,7 +16,7 @@ from msfem_split.msfem import (CoarseSystem, assemble_coarse_systems,
 from reference import (assemble_coarse_system, build_basis_registry,
                        build_iterative_registries, bubble_sequence,
                        fine_stiffness, iterative_basis_sequence,
-                       local_coarse_system, lower_bands,
+                       lift_cells, local_coarse_system, lower_bands,
                        scatter_coarse_system, standard_basis)
 
 
@@ -184,7 +184,7 @@ def test_local_coarse_systems_match_element_oracle(nx, ny, r):
     assert local.keys() == corrections.keys()
     for key, c in corrections.items():
         ref_A, ref_F = local_coarse_system(
-            mesh, basis_mod.lift_cells(ops.assembler, c), split.k, f)
+            mesh, lift_cells(ops.assembler, c), split.k, f)
         A, F = local[key]
         assert np.abs(A - ref_A).max() <= 1e-13 * np.abs(ref_A).max(), key
         assert np.abs(F - ref_F).max() <= 1e-13 * np.abs(ref_F).max(), key
@@ -204,7 +204,7 @@ def test_downscaling_from_corrections_matches_lifted_bases(nx, ny, r):
     bands[0] = 1.0
     u = solve_msfem(CoarseSystem(mesh=mesh, bands=bands, F=coeffs[free],
                                  corrections=c))
-    ref = _downscale(mesh, basis_mod.lift_cells(ops.assembler, c), coeffs)
+    ref = _downscale(mesh, lift_cells(ops.assembler, c), coeffs)
     assert np.abs(u - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -257,14 +257,13 @@ def test_batched_bases_match_scalar_and_invariants(nx, ny, r, J, m, sigma2,
     its = build_iterative_registries(mesh, split, range(J + 1))
     col = build_iterative_registries(mesh, split, [J], green=green)[J]
 
-    asm = fem.LocalAssembler(mesh)
     boundary = ~mesh.local_interior_mask
     stack = fem.assemble_local_operators(
-        mesh, np.arange(mesh.n_coarse_cells), split, asm)
+        mesh, np.arange(mesh.n_coarse_cells), split)
     series = [(G, basis_mod.bubble_series(stack, J, G))
               for G in (None, green)]
     for cell in range(mesh.n_coarse_cells):
-        ops = fem.assemble_local_operators(mesh, cell, split, asm)
+        ops = fem.assemble_local_operators(mesh, cell, split)
         for v in range(4):
             ref = standard_basis(ops, v)
             assert np.abs(std[cell, :, v] - ref).max() <= 1e-12
@@ -283,7 +282,7 @@ def test_batched_bases_match_scalar_and_invariants(nx, ny, r, J, m, sigma2,
     for bases in [std, col] + list(its.values()):
         assert np.abs(bases.sum(axis=2) - 1.0).max() <= 1e-12
         assert np.array_equal(bases[:, boundary],
-                              np.broadcast_to(asm.hats[boundary],
+                              np.broadcast_to(stack.assembler.hats[boundary],
                                               bases[:, boundary].shape))
         A = assemble_coarse_system(mesh, bases, split.k)[0]
         free = mesh.interior_coarse_vertices()

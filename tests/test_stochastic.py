@@ -119,13 +119,12 @@ def test_green_store_shape_and_inverses():
     assert store.matrices.shape == (grid.n_nodes, mesh.n_coarse_cells,
                                     n_k * (n_k + 1) // 2)
     full = _unpacked(store)
-    asm = fem.LocalAssembler(mesh)
     for i in (0, grid.n_nodes - 1):
         theta = np.zeros(model.n)
         theta[:store.m] = grid.nodes[i]
         split = split_kle(model, theta, store.m)
         for cell in (0, 7):
-            ops = fem.assemble_local_operators(mesh, cell, split, asm)
+            ops = fem.assemble_local_operators(mesh, cell, split)
             prod = fem.band_to_dense(ops.M0) @ full[i, cell]
             assert np.abs(prod - np.eye(mesh.n_interior)).max() <= 1e-8
 
@@ -320,10 +319,9 @@ def test_interpolated_registry_with_exact_green_equals_iterative():
             1e-12 * np.abs(full[i]).max()
     theta = sample_theta(31, 0, model.n)
     split = split_kle(model, theta, store.m)
-    asm = fem.LocalAssembler(mesh)
     exact_green = np.array([
         np.linalg.inv(fem.band_to_dense(
-            fem.assemble_local_operators(mesh, c, split, asm).M0))
+            fem.assemble_local_operators(mesh, c, split).M0))
         for c in range(mesh.n_coarse_cells)])
     J_list = (0, 1, 2)
     iterative = build_iterative_registries(mesh, split, J_list)

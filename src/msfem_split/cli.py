@@ -24,8 +24,7 @@ EXPERIMENTS = ("basis-bound", "basis-slope", "solution-bound", "mesh-sweep",
 
 _INT_KEYS = {"nx", "ny", "r", "n", "m", "q", "L", "N", "seed", "fine", "J"}
 _FLOAT_KEYS = {"sigma2", "lx", "ly", "sc", "margin"}
-_LIST_INT_KEYS = {"m_list", "J_list", "L_list", "nx_list", "r_list",
-                  "sample_list"}
+_LIST_INT_KEYS = {"m_list", "J_list", "L_list", "nx_list", "r_list"}
 _LIST_FLOAT_KEYS = {"sc_list"}
 _STR_KEYS = {"experiment", "field", "out"}
 _KNOWN = _INT_KEYS | _FLOAT_KEYS | _LIST_INT_KEYS | _LIST_FLOAT_KEYS | _STR_KEYS
@@ -102,6 +101,15 @@ def _validate_required(cfg, path):
         raise ConfigError(
             f"{path}: experiment {cfg['experiment']!r} missing keys "
             f"{sorted(missing)}")
+    if cfg["experiment"] == "mesh-sweep":
+        if not ({"r_list", "nx_list"} & set(cfg)):
+            raise ConfigError(f"{path}: mesh-sweep needs r_list and/or "
+                              "nx_list")
+        fine = cfg.get("fine", 120)
+        for nx in cfg.get("nx_list", []):
+            if nx < 1 or fine % nx:
+                raise ConfigError(
+                    f"{path}: fine={fine} not divisible by nx={nx}")
 
 
 def _fmt(value):
@@ -257,12 +265,7 @@ def _exp_mesh_sweep(cfg, seed):
         meshes += [(nx, r) for r in cfg["r_list"]]
     if "nx_list" in cfg:
         fine = cfg.get("fine", 120)
-        for nx in cfg["nx_list"]:
-            if fine % nx:
-                raise ConfigError(f"fine={fine} not divisible by nx={nx}")
-            meshes.append((nx, fine // nx))
-    if not meshes:
-        raise ConfigError("mesh-sweep needs r_list and/or nx_list")
+        meshes += [(nx, fine // nx) for nx in cfg["nx_list"]]
     by_J = {J: [] for J in cfg["J_list"]}
     for nx, r in meshes:
         mesh = mesh_mod.build_mesh(nx, nx, r)
@@ -320,7 +323,7 @@ def _colloc_setup(cfg, seed, L):
 
 
 def _exp_colloc_table(cfg, seed):
-    n_samples = len(cfg.get("sample_list", [0, 1, 2, 3, 4]))
+    n_samples = cfg.get("N", 5)
     rows = []
     checks = []
     means = []
@@ -418,7 +421,7 @@ def main(argv=None):
         or cfg.get("out", "results")
     try:
         ok = run_experiment(cfg, outdir, seed=args.seed)
-    except (ConfigError, MemoryError, RuntimeError, ValueError) as exc:
+    except (MemoryError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {outdir}; checks {'passed' if ok else 'FAILED'}")

@@ -45,12 +45,14 @@ def band_cholesky(bands):
 
 # Local blocks up to this order are expanded to dense for a whole stack of
 # cells: cell_cholesky inverts them by spd_inverse and cell_matmul applies
-# them by batched matmul.  Larger ones stay in band storage, factored cell by
-# cell and applied one nonzero diagonal at a time.  1 BLAS thread, 2-core
-# Xeon: standard + J<=4 bases of 144 cells take 2.3/6.7/20/54 ms batched
-# against 24/29/30/36 ms banded at n=9/16/25/36.  Applying M1 to 4 columns
-# takes 0.019 ms by dense matmul and 0.42 ms by diagonals over 256 cells at
-# n=9, and 16 ms against 1.5 ms over 16 cells at n=841.
+# them by batched matmul.  Larger ones stay in band storage, factored as one
+# block-diagonal band and applied one nonzero diagonal at a time.  1 BLAS
+# thread, 2-core Xeon: standard + J<=4 bases of 144 cells take
+# 1.0-1.5/5.1-6.0/12-19/46-58 ms batched against 3.3/5.2/8.5/13 ms banded
+# at n=9/16/25/36, so the band is already the faster at n=16 and 25.
+# Applying M1 to 4 columns takes 0.019 ms by dense matmul and 0.42 ms by
+# diagonals over 256 cells at n=9, and 16 ms against 1.5 ms over 16 cells
+# at n=841.
 BATCHED_MAX_N = 25
 
 
@@ -228,11 +230,27 @@ def cell_cholesky(bands):
 
     Returns solve(rhs) for right-hand sides of shape (cells, n, k).  Blocks
     up to BATCHED_MAX_N are expanded and inverted for the whole stack by
-    spd_inverse; larger ones get a banded Cholesky of each cell's band.
+    spd_inverse.  Larger ones are factored as one block-diagonal band of
+    order cells*n by a single pbtrf: a C-ordered (cells*n, w) copy of the
+    stack is, transposed, that matrix's (w, cells*n) lower band storage,
+    once the entries past each cell's end are zero.
     """
-    if bands.shape[-1] > BATCHED_MAX_N:
-        solves = [band_cholesky(b) for b in bands]
-        return lambda rhs: np.stack([s(b) for s, b in zip(solves, rhs)])
+    cells, w, n = bands.shape
+    if n > BATCHED_MAX_N:
+        ab = np.swapaxes(bands, 1, 2).copy()  # factored in place
+        ab[:, np.add.outer(np.arange(n), np.arange(w)) >= n] = 0.0
+        c, info = sla.lapack.dpbtrf(ab.reshape(cells * n, w).T, lower=1,
+                                    overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"matrix is not SPD: pivot {(info - 1) % n} is "
+                f"{c[0, info - 1]:.3g} in cell {(info - 1) // n}")
+
+        def solve(rhs):
+            x, info = sla.lapack.dpbtrs(c, rhs.reshape(cells * n, -1),
+                                        lower=1)
+            return x.reshape(rhs.shape)
+        return solve
     inverse = np.ascontiguousarray(np.moveaxis(
         spd_inverse(np.moveaxis(band_to_dense(bands), 0, -1)), -1, 0))
     return lambda rhs: inverse @ rhs

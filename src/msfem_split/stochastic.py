@@ -11,6 +11,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 from . import field as field_mod
@@ -29,6 +30,9 @@ def sample_theta(master_seed, index, n):
 
 # largest sparse grid a SparseGrid builds
 MAX_GRID_NODES = 10 ** 6
+# interpolation_weights values at most this many subgrid points at a time
+# (8 MiB of float64): 52 points at m=16, L=3
+MAX_VALUES = 2 ** 20
 
 
 def _cc_points(level):
@@ -65,6 +69,12 @@ class SparseGrid:
     Clenshaw-Curtis grid of 2^L + 1 points per axis: point p of level
     l >= 1 has index p * 2^(L - l), level 0 has index 2^L // 2.  Nodes are
     numbered in order of first appearance over the subgrids.
+
+    The subgrids sharing a level tuple form one pattern, kept as its
+    (subgrids, k) array of active dimensions.  The combination map is a
+    sparse (n_nodes, subgrid points) matrix with one column per subgrid
+    point, in subgrid order, holding the subgrid's Smolyak coefficient in
+    the row of the point's node.
     """
 
     def __init__(self, m, L):
@@ -75,8 +85,8 @@ class SparseGrid:
                 f"sparse grid would hold more than {MAX_GRID_NODES} nodes")
         self.m = m
         self.L = L
-        subgrids = []  # (dims, levels, coeff)
-        rows = []
+        patterns = {}  # levels -> [dims of each subgrid]
+        levels_of, coeffs, rows = [], [], []
         for dims, levels in _active_level_sets(m, L):
             t = sum(levels)
             coeff = (-1) ** (L - t) * comb(m - 1, L - t)
@@ -87,18 +97,31 @@ class SparseGrid:
             if dims:
                 local = np.indices(shape).reshape(len(dims), -1).T
                 idx[:, list(dims)] = local << (L - np.array(levels))
-            subgrids.append((dims, levels, coeff))
+            patterns.setdefault(levels, []).append(dims)
+            levels_of.append(levels)
+            coeffs.append(coeff)
             rows.append(idx)
+        sizes = [len(r) for r in rows]
         uniq, first, inverse = np.unique(np.concatenate(rows), axis=0,
                                          return_index=True,
                                          return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        ids = np.split(rank[inverse.ravel()],
-                       np.cumsum([len(r) for r in rows])[:-1])
-        self._subgrids = [sg + (i,) for sg, i in zip(subgrids, ids)]
         self.nodes = _cc_points(L)[uniq[order]]
+        self._patterns = [(levels, np.array(dims, dtype=int).reshape(
+            len(dims), len(levels))) for levels, dims in patterns.items()]
+        # values come pattern by pattern: the rank of each subgrid point, in
+        # subgrid order, under a stable sort by pattern is its column there
+        pattern = {levels: i for i, levels in enumerate(patterns)}
+        self._columns = np.argsort(np.argsort(
+            np.repeat([pattern[lv] for lv in levels_of], sizes),
+            kind="stable"))
+        n_points = len(self._columns)
+        self._map = sp.csr_matrix(
+            (np.repeat(np.array(coeffs, float), sizes),
+             (rank[inverse.ravel()], np.arange(n_points))),
+            shape=(len(self.nodes), n_points))
 
     @property
     def n_nodes(self):
@@ -107,22 +130,35 @@ class SparseGrid:
     def interpolation_weights(self, theta):
         """Combination weights (..., n_nodes) at points theta (..., m).
 
-        I_m f(theta) = sum_i w_i f(node_i).
+        I_m f(theta) = sum_i w_i f(node_i).  Each pattern's tensor products
+        are formed for all its subgrids at once, in the order
+        ((t1*t2)*t3), and each node sums its subgrid points in subgrid
+        order.
         """
         theta = np.asarray(theta, float)
         if theta.ndim == 0 or theta.shape[-1] != self.m:
             raise ValueError(f"theta must have trailing length {self.m}")
         x = theta.reshape(-1, self.m)
+        w = np.empty((len(x), self.n_nodes))
+        step = max(1, MAX_VALUES // len(self._columns))
+        for start in range(0, len(x), step):
+            w[start:start + step] = self._weights(x[start:start + step])
+        return w.reshape(theta.shape[:-1] + (self.n_nodes,))
+
+    def _weights(self, x):
+        """(points, n_nodes) weights at points x (points, m)."""
         tables = {lev: _lagrange_table(lev, x)
                   for lev in range(1, self.L + 1)}
-        w = np.zeros((len(x), self.n_nodes))
-        for dims, levels, coeff, ids in self._subgrids:
-            vals = np.ones((len(x), 1))
-            for d, lev in zip(dims, levels):
-                vals = (vals[:, :, None] * tables[lev][:, None, d]).reshape(
-                    len(x), -1)
-            w[:, ids] += coeff * vals
-        return w.reshape(theta.shape[:-1] + (self.n_nodes,))
+        blocks = []
+        for levels, dims in self._patterns:
+            vals = np.ones((len(x), len(dims), 1))
+            for j, lev in enumerate(levels):
+                t = tables[lev][:, dims[:, j]]  # (points, subgrids, 2^lev+1)
+                vals = (vals[..., None] * t[:, :, None, :]).reshape(
+                    len(x), len(dims), -1)
+            blocks.append(vals.reshape(len(x), -1))
+        values = np.concatenate(blocks, axis=1)[:, self._columns]
+        return (self._map @ values.T).T
 
 
 def _active_level_sets(m, L):

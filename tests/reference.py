@@ -26,14 +26,21 @@ run_cli runs the command line in a child process under a chosen BLAS
 thread count, which a run inside the test process cannot change.
 
 The mesh geometry helpers and covariance_kernel are oracles for the mesh
-addressing and the separable KLE.  shift_splitting, a repair of splittings
-with eta >= 1 that no experiment runs, is kept here with its tests.
+addressing and the separable KLE.  smolyak_weights sums the Smolyak
+combination formula one subgrid at a time, numbering each subgrid point
+by a lookup of its coordinates among the grid's nodes, where
+SparseGrid.interpolation_weights forms the tensor products per level
+pattern and sums them through its sparse combination map; each node sums
+the same products in the same order, so the two agree bit for bit.
+shift_splitting, a repair of splittings with eta >= 1 that no experiment
+runs, is kept here with its tests.
 """
 
 import os
 import subprocess
 import sys
 from functools import partial
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +49,7 @@ import scipy.sparse as sp
 
 import msfem_split
 from msfem_split import basis, fem, field
+from msfem_split import stochastic as st
 
 
 def run_cli(config, out, threads):
@@ -302,3 +310,31 @@ def covariance_kernel(p1, p2, sigma2, lx, ly):
     dx2 = (p1[:, None, 0] - p2[None, :, 0]) ** 2
     dy2 = (p1[:, None, 1] - p2[None, :, 1]) ** 2
     return sigma2 * np.exp(-dx2 / (2.0 * lx) - dy2 / (2.0 * ly))
+
+
+def smolyak_weights(grid, theta):
+    """Weights (..., n_nodes) of a SparseGrid, summed subgrid by subgrid."""
+    m, L = grid.m, grid.L
+    theta = np.asarray(theta, float)
+    x = theta.reshape(-1, m)
+    tables = {lev: st._lagrange_table(lev, x) for lev in range(1, L + 1)}
+    node_id = {tuple(node): i for i, node in enumerate(grid.nodes)}
+    finest = st._cc_points(L)
+    w = np.zeros((len(x), grid.n_nodes))
+    for dims, levels in st._active_level_sets(m, L):
+        t = sum(levels)
+        coeff = (-1) ** (L - t) * comb(m - 1, L - t)
+        if coeff == 0:
+            continue
+        shape = [2 ** lev + 1 for lev in levels]
+        idx = np.full((int(np.prod(shape)), m), 2 ** L // 2)
+        if dims:
+            local = np.indices(shape).reshape(len(dims), -1).T
+            idx[:, list(dims)] = local << (L - np.array(levels))
+        ids = [node_id[tuple(point)] for point in finest[idx]]
+        vals = np.ones((len(x), 1))
+        for d, lev in zip(dims, levels):
+            vals = (vals[:, :, None] * tables[lev][:, None, d]).reshape(
+                len(x), -1)
+        w[:, ids] += coeff * vals
+    return w.reshape(theta.shape[:-1] + (grid.n_nodes,))

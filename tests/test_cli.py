@@ -275,3 +275,62 @@ def test_basis_slope_needs_two_points_with_error(tmp_path):
     rows = (out / "basis_slope.csv").read_text().splitlines()[1:]
     assert [row.split(",")[1:] for row in rows if row.startswith("0,")][1] \
         == ["1", "0", "0"]
+
+
+def _mesh_sweep_cfg(edit):
+    lines = (CONFIGS / "mesh_sweep.cfg").read_text(encoding="utf-8")
+    return "\n".join(edit(lines.splitlines())) + "\n"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: [line for line in lines
+                    if not line.startswith(("r_list", "nx_list"))],
+     "mesh-sweep needs r_list and/or nx_list"),
+    (lambda lines: [line.replace("4,12,20", "4,7,20") for line in lines],
+     "fine=120 not divisible by nx=7"),
+    (lambda lines: [line.replace("120", "100") for line in lines
+                    if not line.startswith("r_list")],
+     "fine=100 not divisible by nx=12")],
+    ids=["no-lists", "nx-7", "fine-100"])
+def test_mesh_sweep_rejected_before_run(tmp_path, edit, message):
+    path = _write(tmp_path, _mesh_sweep_cfg(edit))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+COLLOC_TABLE_CFG = """experiment = colloc-table
+nx = 2
+ny = 2
+r = 2
+sigma2 = 1.0
+lx = 0.3
+ly = 0.3
+n = 4
+m = 2
+J = 1
+L_list = 1
+"""
+
+
+def test_colloc_table_sample_count_from_N(tmp_path):
+    for extra, count in (("", 5), ("N = 3\n", 3)):
+        cfg = parse_config(_write(tmp_path, COLLOC_TABLE_CFG + extra))
+        out = tmp_path / f"out{count}"
+        run_experiment(cfg, str(out))
+        rows = (out / "colloc_table.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == \
+            [str(s) for s in range(count)]
+
+
+def test_colloc_table_sample_list_rejected(tmp_path):
+    path = _write(tmp_path, COLLOC_TABLE_CFG + "sample_list = 0,1\n")
+    with pytest.raises(ConfigError, match="unknown key 'sample_list'"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert not out.exists()

@@ -305,7 +305,8 @@ def test_cell_cholesky_rejects_non_spd(r):
                            np.zeros(mesh.n_fine_cells))
     bands = fem.assemble_local_operators(mesh, np.arange(2), split).M0
     bands[1] *= -1.0
-    with pytest.raises(np.linalg.LinAlgError, match="matrix is not SPD"):
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="matrix is not SPD: pivot 0 .* in cell 1"):
         fem.cell_cholesky(bands)
 
 
@@ -359,6 +360,27 @@ def test_cell_cholesky_matches_solve(r):
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(bands, before)
         assert np.array_equal(rhs, rhs_before)
+
+
+@pytest.mark.parametrize("r,limit", [(2, 0), (3, 0), (7, 25)])
+def test_banded_cell_cholesky_reads_only_the_band(monkeypatch, r, limit):
+    # the banded branch, forced on n = 1 and 4, where the band has more
+    # rows than a block has columns and, at n = 1, the transposed stack is
+    # already contiguous; entries past a cell's end must not couple cells
+    monkeypatch.setattr(fem, "BATCHED_MAX_N", limit)
+    M0, M1 = _local_bands(r, 3, r)
+    w, n = M0.shape[1:]
+    rhs = np.random.default_rng(r).standard_normal((3, n, 4))
+    past_end = np.add.outer(np.arange(w), np.arange(n)) >= n
+    for bands in (M0, M0 + M1):
+        before = bands.copy()
+        x = fem.cell_cholesky(bands)(rhs)
+        ref = np.linalg.solve(fem.band_to_dense(bands), rhs)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(bands, before)
+        junk = bands.copy()
+        junk[:, past_end] = 1e3
+        assert np.array_equal(fem.cell_cholesky(junk)(rhs), x)
 
 
 @pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 8, 30])

@@ -10,7 +10,7 @@ from msfem_split import stochastic as st
 from msfem_split.field import split_kle
 from msfem_split.stochastic import (StochasticConfig, collocation_run,
                                     monte_carlo_run)
-from reference import build_iterative_registries
+from reference import build_iterative_registries, smolyak_weights
 
 
 def test_sample_theta_range_and_reproducibility():
@@ -57,6 +57,22 @@ def test_interpolation_exact_at_nodes():
     # one batched call on all nodes gives the identity
     W = grid.interpolation_weights(grid.nodes)
     assert np.abs(W - np.eye(grid.n_nodes)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m,L", [(16, 3), (8, 2), (3, 3), (2, 2), (5, 1)])
+def test_interpolation_weights_match_subgrid_loop(m, L):
+    grid = build_sparse_grid(m, L)
+    rng = np.random.default_rng(m * 10 + L)
+    for points in (rng.uniform(-1, 1, m), rng.uniform(-1, 1, (4, m)),
+                   rng.uniform(-1, 1, (2, 3, m))):
+        w = grid.interpolation_weights(points)
+        assert w.shape == points.shape[:-1] + (grid.n_nodes,)
+        assert np.array_equal(w, smolyak_weights(grid, points))
+    # the nodes, in several blocks of points at m=16, L=3, where every 8th
+    # of the 6049 keeps the oracle's subgrid loop short
+    nodes = grid.nodes[::8 if grid.n_nodes > 1000 else 1]
+    assert np.array_equal(grid.interpolation_weights(nodes),
+                          smolyak_weights(grid, nodes))
 
 
 def test_interpolation_reproduces_low_degree_polynomials():

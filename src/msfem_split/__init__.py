@@ -1,7 +1,7 @@
 """Splitting-based multiscale finite elements with iterative basis functions."""
 
 from .mesh import MeshHierarchy, build_mesh
-from .field import (KLEModel, Splitting, build_kle_model, energy_ratio, eta,
+from .field import (KLEModel, Splitting, build_kle_model, energy_ratio,
                     make_splitting, realize_log_field, split_kle,
                     split_lognormal)
 from .fem import (LocalAssembler, LocalOperators, assemble_local_operators,

@@ -237,18 +237,16 @@ def _exp_solution_bound(cfg, seed):
     checks = []
     for m in cfg["m_list"]:
         split = field_mod.split_kle(model, theta, m)
-        u_h, errs = msfem.solution_errors(mesh, split, cfg["J_list"])
-        u_ref = fem.fine_reference_solve(mesh, split.k)
-        u_energy = fem.energy_norm(mesh, split.k, u_ref)
-        norm_uh = fem.energy_norm(mesh, split.k, u_h)
+        eta = split.eta_global
+        rec = msfem.sample_errors(mesh, split, cfg["J_list"], reference=True)
         ct = msfem.c_tilde(split)
         prev = None
         for J in cfg["J_list"]:
-            err = errs[J][1]
+            err = rec.err[J]
             bound = msfem.solution_error_bound(
-                J, split.eta_global, ct, u_energy)[0]
-            rows.append((m, J, split.eta_global, err, err / norm_uh, bound))
-            checks.append((f"m={m} J={J} error<=bound", err <= bound))
+                J, eta, ct, rec.u_energy)[0] if eta < 1.0 else np.inf
+            rows.append((m, J, eta, err, err / rec.norm_uh, bound))
+            checks.append(_bound_check(f"m={m} J={J}", err, bound, eta))
             if prev is not None:
                 checks.append((f"m={m} J={J} monotone", err <= prev + 1e-15))
             prev = err
@@ -273,13 +271,11 @@ def _exp_mesh_sweep(cfg, seed):
                                          cfg["ly"], cfg["n"])
         theta = _frozen_theta(seed, cfg["n"])
         split = field_mod.split_kle(model, theta, cfg["m"])
-        u_h, errs = msfem.solution_errors(mesh, split, cfg["J_list"])
-        u_ref = fem.fine_reference_solve(mesh, split.k)
+        rec = msfem.sample_errors(mesh, split, cfg["J_list"], reference=True)
         for J in cfg["J_list"]:
-            u_J, err_h = errs[J]
-            err_ref = fem.energy_norm(mesh, split.k, u_ref - u_J)
-            rows.append((nx, r, J, err_ref, err_h))
-            by_J[J].append(err_h)
+            err_ref = fem.energy_norm(mesh, split.k, rec.u - rec.u_J[J])
+            rows.append((nx, r, J, err_ref, rec.err[J]))
+            by_J[J].append(rec.err[J])
     for J, vals in by_J.items():
         lo, hi = min(vals), max(vals)
         checks.append((f"J={J} err_h_Jh spread {hi / lo:.2f} < 2",

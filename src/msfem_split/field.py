@@ -47,18 +47,6 @@ def make_splitting(mesh, k0, k1):
                      eta_per_cell=eta_cell)
 
 
-def eta(splitting, region=None):
-    """Contrast ratio max |k1|/k0 over the whole domain or coarse cells.
-
-    A float for the domain or one cell, an array for a sequence of cells.
-    """
-    if region is None:
-        return splitting.eta_global
-    splitting.mesh._check_cell(region)
-    per_cell = splitting.eta_per_cell[region]
-    return per_cell if np.ndim(region) else float(per_cell)
-
-
 # ---- Karhunen-Loeve expansion ---------------------------------------------
 
 

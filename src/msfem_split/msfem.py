@@ -1,4 +1,4 @@
-"""Coarse-scale Galerkin assembly, downscaling and solution-level bounds.
+"""Coarse-scale Galerkin assembly, downscaling, solution errors and bounds.
 
 The solution pipeline works on stacks over coarse cells: local operators,
 factorizations and bases are (cells, ...) arrays instead of per-(cell,
@@ -25,7 +25,7 @@ results independent of the BLAS thread count.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,12 +107,6 @@ class CoarseSystem:
     corrections: np.ndarray
 
 
-def _all_cells(mesh, splitting):
-    """Stacked LocalOperators of every coarse cell."""
-    return fem.assemble_local_operators(
-        mesh, np.arange(mesh.n_coarse_cells), splitting)
-
-
 def local_coarse_systems(ops, k, corrections, f=None):
     """{key: (local A (cells, 4, 4), local F (cells, 4))} of bases H + E c.
 
@@ -173,31 +167,57 @@ def solve_msfem(system):
     return u
 
 
-def msfem_solutions(mesh, splitting, J_list, f=None, green=None):
-    """Standard, iterative and, given green, collocated MsFEM solutions.
+@dataclass
+class SampleErrors:
+    """Solutions of one splitting and their energy-norm errors.
 
-    Returns (u_h, {J: u_J}, {J: collocated u_J} or None).  green is an
-    (n_cells, nK, nK) stand-in for M0^-1, such as an interpolated Green's
-    inverse.  All bases come from one assembly of the local operators.
+    u_h is the standard MsFEM solution and norm_uh = |||u_h|||; u_J and err
+    map each J to the iterative solution and |||u_h - u_J|||.  Given a
+    green, u_col maps J to the collocated solution and col to
+    (|||u_h - u_col|||, |||u_J - u_col|||); given reference, u is the fine
+    solution and u_energy = |||u|||.  Fields not asked for are None.
     """
-    ops = _all_cells(mesh, splitting)
-    corrections = {("h", 0): basis_mod.standard_bases(ops)}
-    for J, c in basis_mod.iterative_bases(ops, J_list).items():
-        corrections[("J", J)] = c
-    if green is not None:
-        for J, c in basis_mod.iterative_bases(ops, J_list, green).items():
-            corrections[("col", J)] = c
+
+    u_h: np.ndarray
+    norm_uh: float
+    u_J: dict
+    err: dict
+    u_col: dict = None
+    col: dict = None
+    u: np.ndarray = None
+    u_energy: float = None
+
+
+def sample_errors(mesh, splitting, J_list, f=None, green=None,
+                  reference=False):
+    """SampleErrors of the standard, iterative and collocated MsFEM.
+
+    green is an (n_cells, nK, nK) stand-in for M0^-1, such as an
+    interpolated Green's inverse; reference adds the fine solve.  All
+    bases come from one assembly of the local operators.
+    """
+    ops = fem.assemble_local_operators(
+        mesh, np.arange(mesh.n_coarse_cells), splitting)
+    greens = {"J": None} if green is None else {"J": None, "col": green}
+    corrections = {(kind, J): c for kind, G in greens.items() for J, c in
+                   basis_mod.iterative_bases(ops, J_list, G).items()}
+    corrections["h"] = basis_mod.standard_bases(ops)
     u = {key: solve_msfem(system) for key, system in
          assemble_coarse_systems(ops, splitting.k, corrections, f).items()}
-    u_col = None if green is None else {J: u[("col", J)] for J in J_list}
-    return u[("h", 0)], {J: u[("J", J)] for J in J_list}, u_col
-
-
-def solution_errors(mesh, splitting, J_list, f=None):
-    """u_h and {J: (u_J, |||u_h - u_J|||)} for the standard/iterative MsFEM."""
-    u_h, u_J, _ = msfem_solutions(mesh, splitting, J_list, f)
-    return u_h, {J: (u, fem.energy_norm(mesh, splitting.k, u_h - u))
-                 for J, u in u_J.items()}
+    norm = partial(fem.energy_norm, mesh, splitting.k)
+    u_h, u_J = u["h"], {J: u["J", J] for J in J_list}
+    out = SampleErrors(u_h, norm(u_h), u_J,
+                       {J: norm(u_h - v) for J, v in u_J.items()})
+    if green is not None:
+        out.u_col = {J: u["col", J] for J in J_list}
+        out.col = {J: (norm(u_h - v), norm(u_J[J] - v))
+                   for J, v in out.u_col.items()}
+    if reference:
+        # the local stacks go first, so the two stages do not peak together
+        del ops, corrections
+        out.u = fem.fine_reference_solve(mesh, splitting.k, f)
+        out.u_energy = norm(out.u)
+    return out
 
 
 def c_tilde(splitting):

@@ -330,9 +330,8 @@ def monte_carlo_run(config, N):
     mesh = config.mesh
     model = config.model
     J_list = tuple(config.J_list)
-    f = config.f if config.f is not None else np.ones(mesh.n_fine_cells)
 
-    err_sum, err_sq, relerr_sum = np.zeros((3, len(J_list)))
+    err_sum, err_sq = np.zeros((2, len(J_list)))
     sum_uh, sq_uh, sum_uJ, sq_uJ = np.zeros((4, mesh.n_fine_nodes))
     eta_max = 0.0
     ct_max = 0.0
@@ -342,21 +341,19 @@ def monte_carlo_run(config, N):
         try:
             theta = sample_theta(config.seed, s, model.n)
             split = field_mod.split_kle(model, theta, config.m)
-            u_h, errs = msfem.solution_errors(mesh, split, J_list, f)
-            norm_uh = fem.energy_norm(mesh, split.k, u_h)
-            u_ref = fem.fine_reference_solve(mesh, split.k, f)
-            u_energy_sum += fem.energy_norm(mesh, split.k, u_ref)
+            rec = msfem.sample_errors(mesh, split, J_list, config.f,
+                                      reference=True)
+            u_energy_sum += rec.u_energy
             eta_max = max(eta_max, split.eta_global)
             ct_max = max(ct_max, msfem.c_tilde(split))
-            e = np.array([errs[J][1] for J in J_list])
+            e = np.array([rec.err[J] for J in J_list])
             err_sum += e
             err_sq += e * e
-            relerr_sum += e / norm_uh if norm_uh else 0.0
-            u_J = errs[max(J_list)][0]
+            u_J = rec.u_J[max(J_list)]
             sum_uJ += u_J
             sq_uJ += u_J ** 2
-            sum_uh += u_h
-            sq_uh += u_h ** 2
+            sum_uh += rec.u_h
+            sq_uh += rec.u_h ** 2
         except Exception as exc:
             raise RuntimeError(f"sample {s} failed: {exc}") from exc
 
@@ -372,8 +369,7 @@ def monte_carlo_run(config, N):
         mean_uh=sum_uh / N, var_uh=_finalize_var(sum_uh, sq_uh, N),
         mean_uJh=sum_uJ / N, var_uJh=_finalize_var(sum_uJ, sq_uJ, N),
         eta_max=eta_max, c_tilde_max=ct_max,
-        u_energy_mean=u_energy_mean, bounds=bounds,
-        extra={"mean_rel_error": dict(zip(J_list, relerr_sum / N))})
+        u_energy_mean=u_energy_mean, bounds=bounds)
 
 
 def collocation_run(config, N, store, J=None):
@@ -388,7 +384,6 @@ def collocation_run(config, N, store, J=None):
     model = config.model
     if J is None:
         J = max(config.J_list)
-    f = config.f if config.f is not None else np.ones(mesh.n_fine_cells)
 
     thetas = np.array([sample_theta(config.seed, s, model.n)
                        for s in range(N)])
@@ -413,14 +408,12 @@ def collocation_run(config, N, store, J=None):
                 not_spd[s] = np.sum(np.linalg.eigvalsh(G)[:, 0] <= 0.0)
             if not_spd[s] == len(G):
                 raise ValueError("interpolated Green's inverse SPD in no cell")
-            u_h, u_J, u_t = msfem.msfem_solutions(mesh, split, [J], f, green=G)
-            u_J, u_t = u_J[J], u_t[J]
-            norm_uh = fem.energy_norm(mesh, split.k, u_h)
-            e_tot[s] = fem.energy_norm(mesh, split.k, u_h - u_t) / norm_uh
-            e_spl[s] = fem.energy_norm(mesh, split.k, u_h - u_J) / norm_uh
-            e_col[s] = fem.energy_norm(mesh, split.k, u_J - u_t) / norm_uh
-            sum_uh += u_h
-            sq_uh += u_h ** 2
+            rec = msfem.sample_errors(mesh, split, [J], config.f, green=G)
+            u_t = rec.u_col[J]
+            e_tot[s], e_col[s] = np.divide(rec.col[J], rec.norm_uh)
+            e_spl[s] = rec.err[J] / rec.norm_uh
+            sum_uh += rec.u_h
+            sq_uh += rec.u_h ** 2
             sum_ut += u_t
             sq_ut += u_t ** 2
         except Exception as exc:

@@ -8,9 +8,10 @@ basis.bubble_series, so comparing the two checks the stacking, the band
 operators, the batched and banded factorizations and the lifting.
 
 lift_cells forms the full local values l + E c of stacked corrections,
-quadratic_form the exact energy of local values over one cell, and
-basis_error_bound the computable basis-level bound of one cell and vertex
-from them; basis.basis_errors forms both from the local operators instead.
+quadratic_form the exact energy of local values over one cell, eta the
+contrast ratio of the domain or of coarse cells, and basis_error_bound the
+computable basis-level bound of one cell and vertex from them;
+basis.basis_errors forms both from the local operators instead.
 
 fine_stiffness assembles the global Q1 stiffness as a scipy CSR matrix
 over all fine nodes, independently of the library's band assemblers.
@@ -114,6 +115,18 @@ def quadratic_form(asm, kappa_local, values):
     return float(np.einsum("e,ei,ij,ej->", kappa_local, ve, asm.ke, ve))
 
 
+def eta(splitting, region=None):
+    """Contrast ratio max |k1|/k0 over the whole domain or coarse cells.
+
+    A float for the domain or one cell, an array for a sequence of cells.
+    """
+    if region is None:
+        return splitting.eta_global
+    splitting.mesh._check_cell(region)
+    per_cell = splitting.eta_per_cell[region]
+    return per_cell if np.ndim(region) else float(per_cell)
+
+
 def basis_error_bound(asm, splitting, cell, vertex, J):
     """2 ||k1/sqrt(k k0)||_inf eta_K^(J+1) ||sqrt(k0) grad l||_K of one cell
     and vertex, from the cell's field values and quadratic_form."""
@@ -121,7 +134,7 @@ def basis_error_bound(asm, splitting, cell, vertex, J):
     k0, k1, k = splitting.k0[fine], splitting.k1[fine], splitting.k[fine]
     sup = np.max(np.abs(k1) / np.sqrt(k * k0))
     grad_l = np.sqrt(quadratic_form(asm, k0, asm.hats[:, vertex]))
-    return float(2.0 * sup * field.eta(splitting, cell) ** (J + 1) * grad_l)
+    return float(2.0 * sup * eta(splitting, cell) ** (J + 1) * grad_l)
 
 
 def _dense(ops):

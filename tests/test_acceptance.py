@@ -11,8 +11,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from msfem_split import (build_kle_model, build_mesh, build_sparse_grid,
-                         cost_ratios, fine_reference_solve,
-                         precompute_green_inverses, sample_theta,
+                         cost_ratios, precompute_green_inverses, sample_theta,
                          smolyak_node_count)
 from msfem_split import basis as basis_mod
 from msfem_split import fem
@@ -159,16 +158,14 @@ def test_criterion_06_solution_bound():
     for m in (16, 18):
         split = split_kle(model, theta, m)
         ok &= bool(split.eta_global < 1.0)
-        u_h, errs = msfem.solution_errors(mesh, split, J_list)
-        u_ref = fine_reference_solve(mesh, split.k)
-        u_energy = fem.energy_norm(mesh, split.k, u_ref)
-        norm_uh = fem.energy_norm(mesh, split.k, u_h)
+        rec = msfem.sample_errors(mesh, split, J_list, reference=True)
+        norm_uh = rec.norm_uh
         ct = msfem.c_tilde(split)
         vals = []
         for J in J_list:
-            err = errs[J][1]
+            err = rec.err[J]
             bound = msfem.solution_error_bound(J, split.eta_global, ct,
-                                               u_energy)[0]
+                                               rec.u_energy)[0]
             ok &= bool(err <= bound)
             vals.append(err)
         ok &= all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
@@ -185,7 +182,7 @@ def test_criterion_07_mesh_insensitivity():
         model = build_kle_model(mesh, 2.25, 0.7, 0.04, 20)
         split = split_kle(model, theta, 16)
         assert split.eta_global < 1.0
-        return msfem.solution_errors(mesh, split, [J])[1][J][1]
+        return msfem.sample_errors(mesh, split, [J]).err[J]
 
     ok = True
     refine = [err_for(12, r) for r in (10, 20, 30)]

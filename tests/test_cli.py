@@ -37,8 +37,11 @@ J_list = 0,1,2
 seed = 4
 """
 
-# 225 free coarse vertices: a dense LAPACK Cholesky of this coarse system
-# changes its last bits with the BLAS thread count
+# 16 x 16 coarse cells with r=2 give 225 free coarse vertices: enough that a
+# dense LAPACK Cholesky of the coarse system, in place of the band solve,
+# changes its last bits between 1 and 2 BLAS threads.  A GEMM over the 256
+# cells or a dot over the 1024 fine cells is too small for OpenBLAS to
+# split, so those kernels need a larger mesh to be caught
 SOLUTION_CFG = """experiment = solution-bound
 nx = 16
 ny = 16
@@ -169,6 +172,30 @@ N = 2
     summary = (out / "summary.txt").read_text(encoding="utf-8")
     assert "FAIL  m=1 J=0 mean no bound: eta" in summary
     assert "result: FAIL" in summary
+
+
+def test_solution_bound_without_bound_fails(tmp_path):
+    # m=1 of a high-variance field leaves eta = 2.27 >= 1: no bound at m=1,
+    # while m=18 still reports its check
+    cfg = parse_config(_write(tmp_path, """experiment = solution-bound
+nx = 2
+ny = 2
+r = 3
+sigma2 = 9.0
+lx = 0.3
+ly = 0.3
+n = 20
+m_list = 1,18
+J_list = 0,1
+"""))
+    out = tmp_path / "out"
+    assert run_experiment(cfg, str(out)) is False
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    assert "FAIL  m=1 J=0 no bound: eta 2.27 >= 1" in summary
+    assert "m=18 J=0 error<=bound" in summary
+    assert "result: FAIL" in summary
+    rows = (out / "solution_bound.csv").read_text().splitlines()
+    assert rows[1].startswith("1,0,") and rows[1].endswith(",inf")
 
 
 def test_basis_bound_without_bound_fails(tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from msfem_split import build_mesh, build_kle_model, energy_ratio, eta
+from msfem_split import build_mesh, build_kle_model, energy_ratio
 from msfem_split.field import (make_splitting, realize_log_field, split_kle,
                                split_lognormal)
 from msfem_split.stochastic import sample_theta
-from reference import covariance_kernel, fine_cell_centers, shift_splitting
+from reference import (covariance_kernel, eta, fine_cell_centers,
+                       shift_splitting)
 
 
 def test_make_splitting_reconstruction():

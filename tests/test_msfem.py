@@ -240,6 +240,41 @@ def test_c_tilde():
     assert np.isclose(msfem.c_tilde(split), 1.0)
 
 
+@pytest.mark.parametrize("mode", ["plain", "green", "reference"])
+def test_sample_errors_norms_and_reference(mode):
+    mesh = build_mesh(3, 2, 4)
+    rng = np.random.default_rng(5)
+    split = _random_splitting(mesh, rng)
+    f = rng.uniform(0.5, 1.5, mesh.n_fine_cells)
+    ops = _all_cells(mesh, split)
+    green = np.linalg.inv(fem.band_to_dense(ops.M0)) if mode == "green" \
+        else None
+    J_list = [0, 2]
+    rec = msfem.sample_errors(mesh, split, J_list, f, green=green,
+                              reference=mode == "reference")
+
+    def norm(v):
+        return fem.energy_norm(mesh, split.k, v)
+
+    assert np.array_equal(rec.norm_uh, norm(rec.u_h))
+    assert list(rec.u_J) == list(rec.err) == J_list
+    for J in J_list:
+        assert np.array_equal(rec.err[J], norm(rec.u_h - rec.u_J[J]))
+    if mode == "green":
+        for J in J_list:
+            u_col = rec.u_col[J]
+            assert np.array_equal(rec.col[J], (norm(rec.u_h - u_col),
+                                               norm(rec.u_J[J] - u_col)))
+    else:
+        assert rec.u_col is None and rec.col is None
+    if mode == "reference":
+        u = fine_reference_solve(mesh, split.k, f)
+        assert np.array_equal(rec.u, u)
+        assert np.array_equal(rec.u_energy, norm(u))
+    else:
+        assert rec.u is None and rec.u_energy is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(nx=hst.integers(1, 3), ny=hst.integers(1, 3), r=hst.integers(2, 6),
        J=hst.integers(0, 4), m=hst.integers(1, 3),
@@ -291,13 +326,12 @@ def test_batched_bases_match_scalar_and_invariants(nx, ny, r, J, m, sigma2,
             1e-12 * np.abs(A).max(initial=0.0)
         assert np.all(np.linalg.eigvalsh(A) > 0.0)
 
-    u_h, u_J, u_col = msfem.msfem_solutions(mesh, split, [J], green=green)
-    for u, bases in ((u_h, std), (u_J[J], its[J]), (u_col[J], col)):
+    rec = msfem.sample_errors(mesh, split, [J], green=green)
+    for u, bases in ((rec.u_h, std), (rec.u_J[J], its[J]),
+                     (rec.u_col[J], col)):
         alone = _dense_solution(mesh, bases, split.k)
         assert np.abs(u - alone).max() <= 1e-12
-    e = fem.energy_norm(mesh, split.k, u_h - u_col[J])
-    e_spl = fem.energy_norm(mesh, split.k, u_h - u_J[J])
-    e_col = fem.energy_norm(mesh, split.k, u_J[J] - u_col[J])
+    (e, e_col), e_spl = rec.col[J], rec.err[J]
     assert e <= e_spl + e_col + 1e-12
 
 
@@ -326,8 +360,8 @@ def test_banded_and_batched_cholesky_agree(monkeypatch, nx, ny, r):
     results, series = [], []
     for limit in (10 ** 6, 0):  # all batched, then all banded
         monkeypatch.setattr(fem, "BATCHED_MAX_N", limit)
-        results.append(msfem.msfem_solutions(mesh, split, [0, 3],
-                                             green=green))
+        rec = msfem.sample_errors(mesh, split, [0, 3], green=green)
+        results.append((rec.u_h, rec.u_J, rec.u_col))
         series.append([basis_mod.bubble_series(ops, 3, G)
                        for G in (None, green)])
     batched, banded = results

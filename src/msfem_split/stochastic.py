@@ -7,6 +7,8 @@ sample exactly through the k1 operators.
 """
 
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
@@ -210,6 +212,13 @@ def cost_ratios(n, m, q, L):
 
 # largest GreenStore a precompute_green_inverses call builds, in bytes
 MAX_STORE_BYTES = 2 * 1024 ** 3
+# cells per block of the store build, whole nodes each.  A worker holds the
+# GIL between numpy calls, so each call must run long enough for the other
+# workers to overlap it.  colloc-L3's store (256 cells, nK=9; 2-core Xeon,
+# 1 BLAS thread) builds in 4.4-6.0 s node by node on one thread; on two, in
+# 6.0-6.5 s with 1-node blocks, 3.7-4.3 s with 2, 2.6-2.9 s with 4 (1024
+# cells) and 2.8-3.3 s with 8
+STORE_BLOCK_CELLS = 1024
 
 
 @dataclass
@@ -228,7 +237,18 @@ class GreenStore:
 
 
 def precompute_green_inverses(mesh, model, grid, m):
-    """Assemble, invert and pack M0(node) for every cell and grid node."""
+    """Assemble, invert and pack M0(node) for every cell and grid node.
+
+    The nodes are inverted in blocks of STORE_BLOCK_CELLS cells on a pool
+    of threads, one per CPU the process may run on, and each block writes
+    its own rows of the store.  Each cell's column of a block takes the
+    same arithmetic as in a one-node stack, so the store holds the same
+    bits under any worker count.  Above fem.BATCHED_MAX_N a block is one
+    node, whose inverses are solved by fem.cell_cholesky against identity
+    columns.  A node whose M0 is not SPD raises LinAlgError naming the node
+    and its cell, and one whose inverse is not symmetric to 1e-10 relative
+    raises ValueError naming the node; of several such nodes, the lowest.
+    """
     if grid.m != m:
         raise ValueError("grid dimension must equal m")
     if m > model.n:
@@ -246,22 +266,72 @@ def precompute_green_inverses(mesh, model, grid, m):
     row, col = np.tril_indices(n_k)
     lower, upper = row * n_k + col, col * n_k + row
     out = np.empty((grid.n_nodes, n_cells, len(lower)))
-    for i, node in enumerate(grid.nodes):
-        theta = np.zeros(model.n)
-        theta[:m] = node
-        k0 = np.exp(field_mod.log_field_partial(model, theta, m))
+
+    def invert(start, stop):
+        """Write the inverses of nodes start .. stop-1 into the store."""
+        kappa = np.concatenate([
+            np.exp(field_mod.log_field_partial(model, node, m))[cell_ids]
+            for node in grid.nodes[start:stop]])
+        G = _flat_inverses(asm, kappa)
+        lo = G[lower].reshape(len(lower), stop - start, n_cells)
+        skew = np.abs(lo - G[upper].reshape(lo.shape)).max(axis=(0, 2))
+        symmetric = skew <= 1e-10 * np.abs(lo).max(axis=(0, 2))
+        if not symmetric.all():
+            raise ValueError(f"Green's inverse at grid node "
+                             f"{start + np.argmin(symmetric)} not symmetric")
+        out[start:stop] = lo.transpose(1, 2, 0)
+
+    def invert_block(start, stop):
         try:
-            G = fem.spd_inverse(asm.interior_matrices_cells_last(
-                k0[cell_ids])).reshape(n_k * n_k, n_cells)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"M0 at grid node {i}: {exc}") \
-                from exc
-        lo = G[lower]
-        if not np.abs(lo - G[upper]).max() <= 1e-10 * np.abs(lo).max():
-            raise ValueError(
-                f"Green's inverse at grid node {i} not symmetric")
-        out[i] = lo.T
+            invert(start, stop)
+        except (np.linalg.LinAlgError, ValueError):
+            # the stack reports the first pivot to fail in any of its
+            # nodes, at column node * n_cells + cell; redone node by node,
+            # the lowest failing node is named with its own cell, as a loop
+            # over the nodes names it
+            for i in range(start, stop):
+                try:
+                    invert(i, i + 1)
+                except np.linalg.LinAlgError as exc:
+                    raise np.linalg.LinAlgError(
+                        f"M0 at grid node {i}: {exc}") from exc
+
+    step = 1 if n_k > fem.BATCHED_MAX_N else \
+        max(1, STORE_BLOCK_CELLS // n_cells)
+    bounds = [(s, min(s + step, grid.n_nodes))
+              for s in range(0, grid.n_nodes, step)]
+    pool = ThreadPoolExecutor(_usable_cpus(len(bounds)))
+    try:
+        # in node order, so the first failure raised is the lowest node's
+        for block in [pool.submit(invert_block, *b) for b in bounds]:
+            block.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return GreenStore(mesh=mesh, model=model, grid=grid, m=m, matrices=out)
+
+
+def _flat_inverses(asm, kappa):
+    """(nK*nK, cells) row-major M0^-1 of each cell of (cells, r^2) values.
+
+    Up to fem.BATCHED_MAX_N by Gauss-Jordan on the cells-last stack, above
+    it by the banded factorization of the whole stack.
+    """
+    n_k = asm.n_interior
+    if n_k <= fem.BATCHED_MAX_N:
+        return fem.spd_inverse(asm.interior_matrices_cells_last(
+            kappa)).reshape(n_k * n_k, len(kappa))
+    solve = fem.cell_cholesky(asm.interior_bands(kappa))
+    eye = np.broadcast_to(np.eye(n_k), (len(kappa), n_k, n_k))
+    return solve(eye).reshape(len(kappa), n_k * n_k).T
+
+
+def _usable_cpus(cap):
+    """CPUs this process may run on, at most cap."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, cap))
 
 
 def _interpolated_green(store, theta0):

@@ -24,7 +24,10 @@ operators, and assemble_coarse_system scatter-adds them into a dense
 matrix over all coarse vertices.  build_basis_registry and
 build_iterative_registries give those lifted bases for every cell.
 run_cli runs the command line in a child process under a chosen BLAS
-thread count, which a run inside the test process cannot change.
+thread count, which a run inside the test process cannot change, and
+child_store_hash builds a GreenStore there, also on a single CPU.
+green_store_loop builds the store's matrices one node at a time, the
+oracle of precompute_green_inverses' threaded node blocks.
 
 The mesh geometry helpers and covariance_kernel are oracles for the mesh
 addressing and the separable KLE.  smolyak_weights sums the Smolyak
@@ -53,18 +56,51 @@ from msfem_split import basis, fem, field
 from msfem_split import stochastic as st
 
 
+def _child_env(threads):
+    """Environment of a child that imports this checkout's msfem_split under
+    `threads` BLAS threads."""
+    src = str(Path(msfem_split.__file__).resolve().parents[1])
+    return dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                OMP_NUM_THREADS=str(threads),
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(config, out, threads):
     """Exit code of `msfem_split.cli run` in a child with `threads` BLAS
     threads; the child is given at most 600 s."""
-    src = str(Path(msfem_split.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               OMP_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, "-m", "msfem_split.cli", "run", str(config),
            "--out", str(out)]
-    return subprocess.run(cmd, env=env, capture_output=True,
+    return subprocess.run(cmd, env=_child_env(threads), capture_output=True,
                           timeout=600).returncode
+
+
+# builds a GreenStore of 33 nodes of 256 cells at nK=4, in blocks of 4 nodes,
+# and prints its workers and the SHA-256 of its matrices
+_STORE_CHILD = """
+import hashlib, os, sys
+import msfem_split as ms
+from msfem_split import stochastic as st
+if sys.argv[1] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+mesh = ms.build_mesh(16, 16, 3)
+model = ms.build_kle_model(mesh, 1.0, 0.1, 0.1, 16)
+store = ms.precompute_green_inverses(mesh, model, ms.build_sparse_grid(16, 1),
+                                     16)
+print(st._usable_cpus(10 ** 6),
+      hashlib.sha256(store.matrices.tobytes()).hexdigest())
+"""
+
+
+def child_store_hash(threads, one_cpu=False):
+    """(workers, store hash) of a GreenStore built in a child process under
+    `threads` BLAS threads, on one CPU or on every CPU this one may use."""
+    cmd = [sys.executable, "-c", _STORE_CHILD,
+           "one-cpu" if one_cpu else "all-cpus"]
+    res = subprocess.run(cmd, env=_child_env(threads), capture_output=True,
+                         text=True, timeout=600, check=True)
+    workers, digest = res.stdout.split()
+    return int(workers), digest
 
 
 def same_outputs(out1, out2):
@@ -351,3 +387,30 @@ def smolyak_weights(grid, theta):
                 len(x), -1)
         w[:, ids] += coeff * vals
     return w.reshape(theta.shape[:-1] + (grid.n_nodes,))
+
+
+def green_store_loop(mesh, model, grid, m):
+    """GreenStore.matrices of a loop over the nodes, one stack per node.
+
+    Up to fem.BATCHED_MAX_N each node's cells-last M0 stack is inverted by
+    fem.spd_inverse; above it each cell's band is factored by scipy's
+    banded Cholesky and solved against the identity.
+    """
+    asm = fem.local_assembler(mesh)
+    cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
+    n_k = mesh.n_interior
+    row, col = np.tril_indices(n_k)
+    out = np.empty((grid.n_nodes, len(cells), len(row)))
+    for i, node in enumerate(grid.nodes):
+        theta = np.zeros(model.n)
+        theta[:m] = node
+        k0 = np.exp(field.log_field_partial(model, theta, m))[cells]
+        if n_k <= fem.BATCHED_MAX_N:
+            G = np.moveaxis(fem.spd_inverse(
+                asm.interior_matrices_cells_last(k0)), -1, 0)
+        else:
+            G = np.array([sla.cho_solve_banded(
+                (sla.cholesky_banded(band, lower=True), True), np.eye(n_k))
+                for band in asm.interior_bands(k0)])
+        out[i] = G[:, row, col]
+    return out

@@ -1,3 +1,7 @@
+import os
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,8 @@ from msfem_split import stochastic as st
 from msfem_split.field import split_kle
 from msfem_split.stochastic import (StochasticConfig, collocation_run,
                                     monte_carlo_run)
-from reference import build_iterative_registries, smolyak_weights
+from reference import (build_iterative_registries, child_store_hash,
+                       green_store_loop, smolyak_weights)
 
 
 def test_sample_theta_range_and_reproducibility():
@@ -208,27 +213,148 @@ def test_green_store_above_batched_regime():
         assert np.abs(full[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _inject_indefinite(monkeypatch, mesh, model, grid, faults):
+    """Make M0 indefinite in chosen (node, cell)s: faults maps each to the
+    pivot that fails, 0 or -1 (the last).
+
+    A cell is found by its coefficient rows, wherever it sits in a stack;
+    both the cells-last matrices and the bands of the banded regime are
+    patched.
+    """
+    cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
+    targets = []
+    for (node, cell), pivot in faults.items():
+        theta = np.zeros(model.n)
+        theta[:grid.m] = grid.nodes[node]
+        targets.append((split_kle(model, theta, grid.m).k0[cells[cell]],
+                        pivot))
+
+    def columns(kappa):
+        for row, pivot in targets:
+            for c in np.flatnonzero((kappa == row).all(axis=1)):
+                yield c, pivot
+
+    exact_dense = fem.LocalAssembler.interior_matrices_cells_last
+    exact_bands = fem.LocalAssembler.interior_bands
+
+    def dense(self, kappa):
+        M = exact_dense(self, kappa)
+        for c, pivot in columns(kappa):
+            if pivot == 0:
+                M[..., c] *= -1.0
+            else:
+                M[-1, -1, c] = -1.0  # the last pivot alone sees it
+        return M
+
+    def bands(self, kappa):
+        B = exact_bands(self, kappa)
+        for c, pivot in columns(kappa):
+            if pivot == 0:
+                B[c] *= -1.0
+            else:
+                B[c, 0, -1] = -1.0
+        return B
+
+    monkeypatch.setattr(fem.LocalAssembler, "interior_matrices_cells_last",
+                        dense)
+    monkeypatch.setattr(fem.LocalAssembler, "interior_bands", bands)
+
+
 @pytest.mark.parametrize("r", [3, 7])
 def test_green_store_refuses_indefinite_m0(monkeypatch, r):
-    # nK = 9 and 36, on either side of BATCHED_MAX_N
+    # nK = 4 and 36, on either side of BATCHED_MAX_N
     mesh = build_mesh(2, 2, r)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
     grid = build_sparse_grid(2, 1)
+    _inject_indefinite(monkeypatch, mesh, model, grid, {(2, 1): 0})
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="grid node 2: matrix is not SPD") as info:
+        precompute_green_inverses(mesh, model, grid, 2)
+    assert str(info.value).endswith(" in cell 1")
+
+
+@pytest.mark.parametrize("r", [3, 7])
+@pytest.mark.parametrize("faults", [
+    # the same 2-node block: node 3 stops the block's stack at pivot 0,
+    # before node 2's last pivot is reached
+    {(2, 1): -1, (3, 0): 0},
+    # two blocks: the later block may finish first
+    {(4, 2): 0, (2, 1): -1},
+], ids=["one-block", "two-blocks"])
+def test_green_store_names_lowest_failing_node(monkeypatch, r, faults):
+    mesh = build_mesh(2, 2, r)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
+    grid = build_sparse_grid(2, 1)
+    # blocks of nodes 0-1, 2-3 and 4 below BATCHED_MAX_N, single nodes above
+    monkeypatch.setattr(st, "STORE_BLOCK_CELLS", 2 * mesh.n_coarse_cells)
+    _inject_indefinite(monkeypatch, mesh, model, grid, faults)
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        precompute_green_inverses(mesh, model, grid, 2)
+    message = str(info.value)
+    last = mesh.n_interior - 1
+    assert f"grid node 2: matrix is not SPD: pivot {last} " in message
+    assert message.endswith(" in cell 1")
+
+
+def test_green_store_failure_cancels_pending_blocks(monkeypatch):
+    mesh = build_mesh(2, 2, 3)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
+    grid = build_sparse_grid(3, 2)  # 25 nodes, one per block
+    monkeypatch.setattr(st, "STORE_BLOCK_CELLS", 1)
     exact = fem.LocalAssembler.interior_matrices_cells_last
     calls = []
 
-    def indefinite_at_node_2(self, kappa):
-        M = exact(self, kappa)
-        if len(calls) == 2:
-            M[..., 1] *= -1.0
+    def slow(self, kappa):
         calls.append(None)
-        return M
+        time.sleep(0.05)  # so later blocks still queue when node 0 fails
+        return exact(self, kappa)
 
     monkeypatch.setattr(fem.LocalAssembler, "interior_matrices_cells_last",
-                        indefinite_at_node_2)
-    with pytest.raises(np.linalg.LinAlgError,
-                       match="grid node 2: matrix is not SPD"):
-        precompute_green_inverses(mesh, model, grid, 2)
+                        slow)
+    _inject_indefinite(monkeypatch, mesh, model, grid, {(0, 0): 0})
+    with pytest.raises(np.linalg.LinAlgError, match="grid node 0: "):
+        precompute_green_inverses(mesh, model, grid, 3)
+    # node 0 twice (its block and the redo), and the few blocks already
+    # running on the other workers
+    assert len(calls) < grid.n_nodes // 2
+
+
+@pytest.mark.parametrize("nx,r", [(8, 3), (2, 7)])
+def test_green_store_matches_node_loop(nx, r):
+    # at r=3 blocks of 16 of the 25 nodes; at r=7 (nK=36) one node a block
+    mesh = build_mesh(nx, nx, r)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
+    grid = build_sparse_grid(3, 2)
+    step = st.STORE_BLOCK_CELLS // mesh.n_coarse_cells
+    assert mesh.n_interior > fem.BATCHED_MAX_N or grid.n_nodes % step
+    store = precompute_green_inverses(mesh, model, grid, 3)
+    assert np.array_equal(store.matrices,
+                          green_store_loop(mesh, model, grid, 3))
+
+
+def test_green_store_many_workers_stress(monkeypatch):
+    # 8 workers on 1-node blocks, switching threads every microsecond: a
+    # block written to the wrong rows or lost shows against the loop
+    mesh = build_mesh(4, 4, 3)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
+    grid = build_sparse_grid(3, 2)
+    monkeypatch.setattr(st, "STORE_BLOCK_CELLS", 1)
+    monkeypatch.setattr(st, "_usable_cpus", lambda cap: min(8, cap))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        store = precompute_green_inverses(mesh, model, grid, 3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(store.matrices,
+                          green_store_loop(mesh, model, grid, 3))
+
+
+def test_green_store_independent_of_threads_and_cpus():
+    workers, digest = child_store_hash(1)
+    assert workers == len(os.sched_getaffinity(0))
+    assert child_store_hash(2) == (workers, digest)
+    assert child_store_hash(1, one_cpu=True) == (1, digest)
 
 
 def test_interpolated_basis_exact_at_grid_node():

@@ -49,11 +49,11 @@ def band_cholesky(bands):
 # block-diagonal band and applied one nonzero diagonal at a time.  1 BLAS
 # thread, 2-core Xeon: standard + J<=4 bases of 144 cells take
 # 1.0-1.5/5.1-6.0/12-19/46-58 ms batched against 3.3/5.2/8.5/13 ms banded
-# at n=9/16/25/36, so the band is already the faster at n=16 and 25.
+# at n=9/16/25/36, so the band is the faster from n=16 (r=5) on.
 # Applying M1 to 4 columns takes 0.019 ms by dense matmul and 0.42 ms by
 # diagonals over 256 cells at n=9, and 16 ms against 1.5 ms over 16 cells
 # at n=841.
-BATCHED_MAX_N = 25
+BATCHED_MAX_N = 9
 
 
 @lru_cache(maxsize=4)

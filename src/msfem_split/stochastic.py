@@ -219,6 +219,21 @@ MAX_STORE_BYTES = 2 * 1024 ** 3
 # 6.0-6.5 s with 1-node blocks, 3.7-4.3 s with 2, 2.6-2.9 s with 4 (1024
 # cells) and 2.8-3.3 s with 8
 STORE_BLOCK_CELLS = 1024
+# store nodes per block of the interpolation contraction.  OpenBLAS 0.3.31
+# (Haswell kernels) cuts a long inner dimension into panels, and how it cuts
+# depends on its thread count; a block at or below the panel size is summed
+# in one panel, so blocks summed in node order give the same bits under any
+# BLAS thread count.  That is a property of the BLAS build, not a guarantee,
+# and a test checks it.  On colloc-L3 (2-core Xeon, 1 BLAS thread) the
+# interpolant of 5 points takes 46-58 ms on two workers, against 71-90 ms by
+# one GEMM on one core
+CONTRACT_BLOCK_NODES = 256
+# columns of the dgemm micro-kernel's tile (8 in OpenBLAS's Haswell kernels).
+# A column range that starts at a multiple of it is tiled as in the whole
+# product, so each column takes the same arithmetic however the columns are
+# shared out; a range starting elsewhere changes the last bits of some
+# columns
+CONTRACT_TILE_COLUMNS = 8
 
 
 @dataclass
@@ -337,12 +352,38 @@ def _usable_cpus(cap):
 def _interpolated_green(store, theta0):
     """I_m M0^-1 of every cell at points (..., m): (..., n_cells, nK, nK).
 
-    The interpolant is unpacked from the lower triangle, so it is
-    symmetric by construction.
+    The weights contract the store in blocks of CONTRACT_BLOCK_NODES nodes,
+    summed in node order, on a pool of threads, one per CPU the process may
+    run on; each worker sums one contiguous range of whole tiles of
+    CONTRACT_TILE_COLUMNS columns.  Each entry takes the same arithmetic
+    under any worker count.  The interpolant is unpacked from the lower
+    triangle, so it is symmetric by construction.
     """
     theta0 = np.asarray(theta0, float)
-    weights = store.grid.interpolation_weights(theta0)
-    packed = weights @ store.matrices.reshape(store.grid.n_nodes, -1)
+    n_nodes = store.grid.n_nodes
+    weights = store.grid.interpolation_weights(theta0).reshape(-1, n_nodes)
+    flat = store.matrices.reshape(n_nodes, -1)
+    n_cols = flat.shape[1]
+    packed = np.empty((len(weights), n_cols))
+
+    def contract(start, stop):
+        """Write columns start .. stop-1 of the weighted sum into packed."""
+        acc = packed[:, start:stop]
+        part = np.empty(acc.shape)
+        for lo in range(0, n_nodes, CONTRACT_BLOCK_NODES):
+            block = slice(lo, lo + CONTRACT_BLOCK_NODES)
+            np.matmul(weights[:, block], flat[block, start:stop],
+                      out=part if lo else acc)
+            if lo:
+                acc += part
+
+    tiles = -(-n_cols // CONTRACT_TILE_COLUMNS)
+    workers = _usable_cpus(tiles)
+    cuts = [min(n_cols, tiles * i // workers * CONTRACT_TILE_COLUMNS)
+            for i in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        for done in [pool.submit(contract, *b) for b in zip(cuts, cuts[1:])]:
+            done.result()
     packed = packed.reshape(theta0.shape[:-1] + store.matrices.shape[1:])
     row, col = np.indices((store.mesh.n_interior,) * 2)
     hi, lo = np.maximum(row, col), np.minimum(row, col)

@@ -25,9 +25,13 @@ matrix over all coarse vertices.  build_basis_registry and
 build_iterative_registries give those lifted bases for every cell.
 run_cli runs the command line in a child process under a chosen BLAS
 thread count, which a run inside the test process cannot change, and
-child_store_hash builds a GreenStore there, also on a single CPU.
+child_output runs one of a few scripts there, also on a single CPU: a
+GreenStore build, its interpolation and an energy norm, each printing
+the hash of its result.
 green_store_loop builds the store's matrices one node at a time, the
-oracle of precompute_green_inverses' threaded node blocks.
+oracle of precompute_green_inverses' threaded node blocks, and
+interpolated_green_gemm contracts the store by one GEMM, the oracle of
+the node-blocked contraction.
 
 The mesh geometry helpers and covariance_kernel are oracles for the mesh
 addressing and the separable KLE.  smolyak_weights sums the Smolyak
@@ -75,32 +79,59 @@ def run_cli(config, out, threads):
                           timeout=600).returncode
 
 
-# builds a GreenStore of 33 nodes of 256 cells at nK=4, in blocks of 4 nodes,
-# and prints its workers and the SHA-256 of its matrices
-_STORE_CHILD = """
+# every child script starts here: on one CPU when asked, and with digest()
+_CHILD_PRELUDE = """
 import hashlib, os, sys
+import numpy as np
 import msfem_split as ms
-from msfem_split import stochastic as st
+from msfem_split import fem, stochastic as st
 if sys.argv[1] == "one-cpu":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+"""
+
+_CHILDREN = {
+    # a GreenStore of 33 nodes of 256 cells at nK=4, in blocks of 4 nodes:
+    # its build's workers and the SHA-256 of its matrices
+    "store": """
 mesh = ms.build_mesh(16, 16, 3)
 model = ms.build_kle_model(mesh, 1.0, 0.1, 0.1, 16)
 store = ms.precompute_green_inverses(mesh, model, ms.build_sparse_grid(16, 1),
                                      16)
-print(st._usable_cpus(10 ** 6),
-      hashlib.sha256(store.matrices.tobytes()).hexdigest())
-"""
+print(st._usable_cpus(10 ** 6), digest(store.matrices))
+""",
+    # the interpolant of a 16-cell, 849-node store (not a multiple of
+    # CONTRACT_BLOCK_NODES) at 5 points: the contraction's workers and the
+    # SHA-256 of the interpolant
+    "green": """
+mesh = ms.build_mesh(4, 4, 4)
+model = ms.build_kle_model(mesh, 1.0, 0.1, 0.1, 8)
+store = ms.precompute_green_inverses(mesh, model, ms.build_sparse_grid(8, 3),
+                                     8)
+points = np.array([ms.sample_theta(12345, s, 8) for s in range(5)])
+print(st._usable_cpus(10 ** 6), digest(st._interpolated_green(store, points)))
+""",
+    # fem.energy_norm over 16 384 fine cells, above the size at which
+    # OpenBLAS splits a dot over its threads: the norm's bits in hex
+    "energy": """
+mesh = ms.build_mesh(32, 32, 4)
+rng = np.random.default_rng(0)
+k = rng.uniform(0.5, 2.0, mesh.n_fine_cells)
+v = rng.standard_normal(mesh.n_fine_nodes)
+print(fem.energy_norm(mesh, k, v).hex())
+""",
+}
 
 
-def child_store_hash(threads, one_cpu=False):
-    """(workers, store hash) of a GreenStore built in a child process under
+def child_output(name, threads, one_cpu=False):
+    """Words printed by child script `name` run in a child process under
     `threads` BLAS threads, on one CPU or on every CPU this one may use."""
-    cmd = [sys.executable, "-c", _STORE_CHILD,
+    cmd = [sys.executable, "-c", _CHILD_PRELUDE + _CHILDREN[name],
            "one-cpu" if one_cpu else "all-cpus"]
     res = subprocess.run(cmd, env=_child_env(threads), capture_output=True,
                          text=True, timeout=600, check=True)
-    workers, digest = res.stdout.split()
-    return int(workers), digest
+    return tuple(res.stdout.split())
 
 
 def same_outputs(out1, out2):
@@ -414,3 +445,14 @@ def green_store_loop(mesh, model, grid, m):
                 for band in asm.interior_bands(k0)])
         out[i] = G[:, row, col]
     return out
+
+
+def interpolated_green_gemm(store, theta0):
+    """I_m M0^-1 at points (..., m) from one GEMM over all store nodes."""
+    theta0 = np.asarray(theta0, float)
+    weights = store.grid.interpolation_weights(theta0)
+    packed = weights @ store.matrices.reshape(store.grid.n_nodes, -1)
+    packed = packed.reshape(theta0.shape[:-1] + store.matrices.shape[1:])
+    row, col = np.indices((store.mesh.n_interior,) * 2)
+    hi, lo = np.maximum(row, col), np.minimum(row, col)
+    return packed[..., hi * (hi + 1) // 2 + lo]

@@ -192,6 +192,13 @@ def test_energy_norm_region_consistency():
     assert np.isclose(total, parts)
 
 
+def test_energy_norm_independent_of_threads():
+    # 16 384 fine cells: a BLAS dot in place of the einsum would be split
+    # over the BLAS threads and change the norm's last bits
+    assert reference.child_output("energy", 1) == \
+        reference.child_output("energy", 2)
+
+
 @pytest.mark.parametrize("nx,ny,r", [(3, 2, 3), (2, 4, 5), (1, 3, 7),
                                      (4, 1, 2), (5, 2, 4)])
 def test_reference_solve_matches_sparse_solve(nx, ny, r):
@@ -299,7 +306,7 @@ def test_cell_cholesky_banded_matches_dense(r, n_cells):
 
 @pytest.mark.parametrize("r", [3, 6, 7, 8])
 def test_cell_cholesky_rejects_non_spd(r):
-    # r=3 and r=6 (n=25) take the batched branch, r=7 and r=8 the banded one
+    # r=3 takes the batched branch, r=6 (n=25), r=7 and r=8 the banded one
     mesh = build_mesh(2, 1, r)
     split = make_splitting(mesh, np.ones(mesh.n_fine_cells),
                            np.zeros(mesh.n_fine_cells))

@@ -14,8 +14,9 @@ from msfem_split import stochastic as st
 from msfem_split.field import split_kle
 from msfem_split.stochastic import (StochasticConfig, collocation_run,
                                     monte_carlo_run)
-from reference import (build_iterative_registries, child_store_hash,
-                       green_store_loop, smolyak_weights)
+from reference import (build_iterative_registries, child_output,
+                       green_store_loop, interpolated_green_gemm,
+                       smolyak_weights)
 
 
 def test_sample_theta_range_and_reproducibility():
@@ -351,10 +352,44 @@ def test_green_store_many_workers_stress(monkeypatch):
 
 
 def test_green_store_independent_of_threads_and_cpus():
-    workers, digest = child_store_hash(1)
-    assert workers == len(os.sched_getaffinity(0))
-    assert child_store_hash(2) == (workers, digest)
-    assert child_store_hash(1, one_cpu=True) == (1, digest)
+    workers, digest = child_output("store", 1)
+    assert int(workers) == len(os.sched_getaffinity(0))
+    assert child_output("store", 2) == (workers, digest)
+    assert child_output("store", 1, one_cpu=True) == ("1", digest)
+
+
+def test_interpolated_green_matches_one_gemm(monkeypatch):
+    # 15 cells of 10 packed entries: 150 columns in 19 tiles, shared
+    # unevenly by 2, 4 and 7 workers (cut at whole cells, 7 workers' ranges
+    # would start inside tiles); 389 nodes are one whole block of
+    # CONTRACT_BLOCK_NODES and part of another
+    mesh = build_mesh(3, 5, 3)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 6)
+    grid = build_sparse_grid(6, 3)
+    assert st.CONTRACT_BLOCK_NODES < grid.n_nodes
+    assert grid.n_nodes % st.CONTRACT_BLOCK_NODES
+    store = precompute_green_inverses(mesh, model, grid, 6)
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 6))
+    ref = interpolated_green_gemm(store, points)
+    first = None
+    for workers in (1, 2, 4, 7):
+        monkeypatch.setattr(st, "_usable_cpus",
+                            lambda cap, n=workers: min(n, cap))
+        G = st._interpolated_green(store, points)
+        assert G.shape == ref.shape
+        assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(G, G.swapaxes(-1, -2))
+        if first is None:
+            first = G
+        # every worker count sums each entry in the same order
+        assert np.array_equal(G, first)
+
+
+def test_interpolated_green_independent_of_threads_and_cpus():
+    workers, digest = child_output("green", 1)
+    assert int(workers) == len(os.sched_getaffinity(0))
+    assert child_output("green", 2) == (workers, digest)
+    assert child_output("green", 1, one_cpu=True) == ("1", digest)
 
 
 def test_interpolated_basis_exact_at_grid_node():

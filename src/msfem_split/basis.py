@@ -22,9 +22,10 @@ def standard_bases(ops):
     """Corrections -M^-1 v of the k-harmonic extensions, (cells, nK, 4).
 
     One factorization or inverse of the band sum M = M0 + M1 per cell,
-    applied to all four vertex columns.
+    applied to all four vertex columns; cell_cholesky sums the bands into
+    its own factor buffer.
     """
-    return -fem.cell_cholesky(ops.M0 + ops.M1)(ops.v0 + ops.v1)
+    return -fem.cell_cholesky(ops.M0, ops.M1)(ops.v0 + ops.v1)
 
 
 def bubble_series(ops, J, green=None):

@@ -5,12 +5,13 @@ integral is exact: the element matrix is the coefficient value times the
 reference rectangle stiffness.
 """
 
+import ctypes
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import cython_lapack
 
 
 def element_stiffness(hx, hy):
@@ -29,18 +30,93 @@ def element_stiffness(hx, hy):
     return (hy / hx) * sx / 6.0 + (hx / hy) * sy / 6.0
 
 
-def _spd(cholesky, *args, **kwargs):
-    """cholesky(*args, **kwargs), its failure reported as a non-SPD matrix."""
-    try:
-        return cholesky(*args, **kwargs)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"matrix is not SPD: {exc}") from exc
+# ---- banded Cholesky through LAPACK ----------------------------------------
+#
+# dpbtrf and dpbtrs are called through the C function pointers that
+# scipy.linalg.cython_lapack exports, the routines scipy's f2py wrappers
+# (cholesky_banded, cho_solve_banded, lapack.dpbtrf) call as well, so the
+# bits are theirs.  A ctypes call releases the GIL while the routine runs,
+# which those wrappers do not: a band factored on a worker thread overlaps
+# Python work on the calling one.
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack(name, *argtypes):
+    """The ctypes function of cython_lapack's routine `name`."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None, *argtypes)(
+        _capsule_pointer(capsule, _capsule_name(capsule)))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_DPBTRF = _lapack("dpbtrf", ctypes.c_char_p, _INT, _INT, ctypes.c_void_p,
+                  _INT, _INT)
+_DPBTRS = _lapack("dpbtrs", ctypes.c_char_p, _INT, _INT, _INT,
+                  ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT)
+
+
+def _ints(*values):
+    """References to LAPACK integer arguments."""
+    return [ctypes.byref(ctypes.c_int(v)) for v in values]
+
+
+def _check_buffer(a, name, ndim):
+    """Refuse an array that LAPACK may not read or write in place."""
+    if a.dtype != np.float64 or a.ndim not in ndim or \
+            not a.flags.f_contiguous or not a.flags.writeable:
+        raise ValueError(f"{name} must be a writeable Fortran-ordered "
+                         f"float64 array of {' or '.join(map(str, ndim))} "
+                         f"dimensions")
+
+
+def _band_factor(ab, block=None):
+    """Factor SPD lower band storage ab (w, n) in place into its Cholesky L.
+
+    ab is a writeable Fortran-ordered float64 array, ab[d, j] = A[j+d, j].
+    A pivot that is not positive raises LinAlgError with its index and
+    value; given block, as the index within the block of that order and
+    the block's number, a cell of a block-diagonal band.
+    """
+    _check_buffer(ab, "ab", (2,))
+    w, n = ab.shape
+    info = ctypes.c_int()
+    _DPBTRF(b"L", *_ints(n, w - 1), ab.ctypes.data, *_ints(w),
+            ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"dpbtrf: argument {-info.value} is illegal")
+    if info.value > 0:
+        j = info.value - 1
+        where = f"pivot {j} is {ab[0, j]:.3g}" if block is None else \
+            f"pivot {j % block} is {ab[0, j]:.3g} in cell {j // block}"
+        raise np.linalg.LinAlgError(f"matrix is not SPD: {where}")
+    return ab
+
+
+def _band_solve(c, b):
+    """Solve L L^T x = b in place for c = _band_factor's L; b is (n,) or
+    (n, k), writeable, Fortran-ordered float64.  Returns b."""
+    _check_buffer(c, "c", (2,))
+    _check_buffer(b, "b", (1, 2))
+    w, n = c.shape
+    if len(b) != n:
+        raise ValueError(f"b has {len(b)} rows, the factor order {n}")
+    info = ctypes.c_int()
+    _DPBTRS(b"L", *_ints(n, w - 1, b.size // max(n, 1)), c.ctypes.data,
+            *_ints(w), b.ctypes.data, *_ints(max(n, 1)), ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"dpbtrs: argument {-info.value} is illegal")
+    return b
 
 
 def band_cholesky(bands):
     """solve(rhs) for SPD A in lower band storage: bands[d, j] = A[j+d, j]."""
-    c = _spd(sla.cholesky_banded, bands, lower=True, check_finite=False)
-    return lambda rhs: sla.cho_solve_banded((c, True), rhs, check_finite=False)
+    c = _band_factor(np.array(bands, dtype=float, order="F"))
+    return lambda rhs: _band_solve(c, np.array(rhs, dtype=float, order="F"))
 
 
 # Local blocks up to this order are expanded to dense for a whole stack of
@@ -225,34 +301,32 @@ def assemble_local_operators(mesh, cell, splitting):
                           v0=asm.vertex_vectors(k0), v1=asm.vertex_vectors(k1))
 
 
-def cell_cholesky(bands):
-    """One factorization per matrix of a (cells, w, n) SPD band stack.
+def cell_cholesky(*stacks):
+    """One factorization per matrix of the sum of (cells, w, n) SPD band
+    stacks, such as cell_cholesky(M0, M1) for M = M0 + M1.
 
     Returns solve(rhs) for right-hand sides of shape (cells, n, k).  Blocks
     up to BATCHED_MAX_N are expanded and inverted for the whole stack by
     spd_inverse.  Larger ones are factored as one block-diagonal band of
     order cells*n by a single pbtrf: a C-ordered (cells*n, w) copy of the
     stack is, transposed, that matrix's (w, cells*n) lower band storage,
-    once the entries past each cell's end are zero.
+    once the entries past each cell's end are zero.  The stacks are summed
+    into that copy, so no separate sum is held beside it.
     """
-    cells, w, n = bands.shape
+    cells, w, n = stacks[0].shape
     if n > BATCHED_MAX_N:
-        ab = np.swapaxes(bands, 1, 2).copy()  # factored in place
+        ab = np.swapaxes(stacks[0], 1, 2).copy()  # factored in place
+        for bands in stacks[1:]:
+            ab += np.swapaxes(bands, 1, 2)
         ab[:, np.add.outer(np.arange(n), np.arange(w)) >= n] = 0.0
-        c, info = sla.lapack.dpbtrf(ab.reshape(cells * n, w).T, lower=1,
-                                    overwrite_ab=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"matrix is not SPD: pivot {(info - 1) % n} is "
-                f"{c[0, info - 1]:.3g} in cell {(info - 1) // n}")
+        c = _band_factor(ab.reshape(cells * n, w).T, block=n)
 
         def solve(rhs):
-            x, info = sla.lapack.dpbtrs(c, rhs.reshape(cells * n, -1),
-                                        lower=1)
-            return x.reshape(rhs.shape)
+            x = np.array(rhs.reshape(cells * n, -1), dtype=float, order="F")
+            return _band_solve(c, x).reshape(rhs.shape)
         return solve
-    inverse = np.ascontiguousarray(np.moveaxis(
-        spd_inverse(np.moveaxis(band_to_dense(bands), 0, -1)), -1, 0))
+    inverse = np.ascontiguousarray(np.moveaxis(spd_inverse(np.moveaxis(
+        band_to_dense(sum(stacks[1:], stacks[0])), 0, -1)), -1, 0))
     return lambda rhs: inverse @ rhs
 
 
@@ -360,20 +434,33 @@ def fine_load(mesh, f):
                        np.repeat(contrib, 4), minlength=mesh.n_fine_nodes)
 
 
-def fine_reference_solve(mesh, k, f=None):
-    """Galerkin solution of -div(k grad u) = f with zero Dirichlet data."""
+def fine_reference_solver(mesh, k, f=None):
+    """solve() of the Galerkin problem -div(k grad u) = f, u = 0 on the
+    boundary, on the fine grid.
+
+    The band, the load and the solution vector are assembled here; solve()
+    only factors the band in place and solves into the load, without the
+    GIL, and returns the solution.  It allocates nothing large, so it can
+    run on a worker thread beside other work.  Call it once.
+    """
     k = np.asarray(k, float)
     if np.any(k <= 0.0):
         raise ValueError("coefficient must be strictly positive")
     f = np.ones(mesh.n_fine_cells) if f is None else f
     free = fine_band(mesh).free
-    # the band is this call's own, so it is factored in place
-    c = _spd(sla.cholesky_banded, fine_stiffness_band(mesh, k), lower=True,
-             overwrite_ab=True, check_finite=False)
+    band = fine_stiffness_band(mesh, k)
+    load = fine_load(mesh, f)[free]
     u = np.zeros(mesh.n_fine_nodes)
-    u[free] = sla.cho_solve_banded((c, True), fine_load(mesh, f)[free],
-                                   check_finite=False)
-    return u
+
+    def solve():
+        u[free] = _band_solve(_band_factor(band), load)
+        return u
+    return solve
+
+
+def fine_reference_solve(mesh, k, f=None):
+    """Galerkin solution of -div(k grad u) = f with zero Dirichlet data."""
+    return fine_reference_solver(mesh, k, f)()
 
 
 def energy_norm(mesh, k, v):

@@ -24,6 +24,7 @@ the coarse system, which is solved in band storage as well; that keeps its
 results independent of the BLAS thread count.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -195,7 +196,28 @@ def sample_errors(mesh, splitting, J_list, f=None, green=None,
     green is an (n_cells, nK, nK) stand-in for M0^-1, such as an
     interpolated Green's inverse; reference adds the fine solve.  All
     bases come from one assembly of the local operators.
+
+    The fine solve does not depend on the MsFEM stage, so its band is
+    assembled first and factored and solved on a worker thread, without
+    the GIL, while the MsFEM stage runs on the calling thread.  The two
+    stages' memory peaks now add: the fine band and load are held while
+    the local stacks are built, which is why cell_cholesky sums M0 + M1
+    into its own factor buffer.  A failure of either stage reaches the
+    caller, and the worker has ended when this returns.
     """
+    if not reference:
+        return _msfem_errors(mesh, splitting, J_list, f, green)
+    solve = fem.fine_reference_solver(mesh, splitting.k, f)
+    with ThreadPoolExecutor(1) as pool:
+        fine = pool.submit(solve)
+        out = _msfem_errors(mesh, splitting, J_list, f, green)
+        out.u = fine.result()
+    out.u_energy = fem.energy_norm(mesh, splitting.k, out.u)
+    return out
+
+
+def _msfem_errors(mesh, splitting, J_list, f, green):
+    """SampleErrors of sample_errors without the fine reference."""
     ops = fem.assemble_local_operators(
         mesh, np.arange(mesh.n_coarse_cells), splitting)
     greens = {"J": None} if green is None else {"J": None, "col": green}
@@ -212,11 +234,6 @@ def sample_errors(mesh, splitting, J_list, f=None, green=None,
         out.u_col = {J: u["col", J] for J in J_list}
         out.col = {J: (norm(u_h - v), norm(u_J[J] - v))
                    for J, v in out.u_col.items()}
-    if reference:
-        # the local stacks go first, so the two stages do not peak together
-        del ops, corrections
-        out.u = fem.fine_reference_solve(mesh, splitting.k, f)
-        out.u_energy = norm(out.u)
     return out
 
 

@@ -17,7 +17,11 @@ fine_stiffness assembles the global Q1 stiffness as a scipy CSR matrix
 over all fine nodes, independently of the library's band assemblers.
 fine_stiffness_band sums the free-node band by one bincount over the
 element stencils, in the element order of the library's cached sparse map,
-so the two agree bit for bit.
+so the two agree bit for bit.  band_solve solves a band system by scipy's
+cholesky_banded and cho_solve_banded, the f2py wrappers of the dpbtrf and
+dpbtrs that the library calls through ctypes, and fine_solve forms the fine
+reference solution from it and that band, so both agree with the library
+bit for bit as well.
 local_coarse_system forms the coarse Galerkin matrices element by element
 from lifted bases, where the library assembles them from the local
 operators, and assemble_coarse_system scatter-adds them into a dense
@@ -26,8 +30,8 @@ build_iterative_registries give those lifted bases for every cell.
 run_cli runs the command line in a child process under a chosen BLAS
 thread count, which a run inside the test process cannot change, and
 child_output runs one of a few scripts there, also on a single CPU: a
-GreenStore build, its interpolation and an energy norm, each printing
-the hash of its result.
+GreenStore build, its interpolation, an energy norm and a sample with its
+fine reference solve, each printing the hash of its result.
 green_store_loop builds the store's matrices one node at a time, the
 oracle of precompute_green_inverses' threaded node blocks, and
 interpolated_green_gemm contracts the store by one GEMM, the oracle of
@@ -121,6 +125,17 @@ k = rng.uniform(0.5, 2.0, mesh.n_fine_cells)
 v = rng.standard_normal(mesh.n_fine_nodes)
 print(fem.energy_norm(mesh, k, v).hex())
 """,
+    # one sample_errors with the fine reference on a 4x4, r=30 mesh, whose
+    # 14 161 x 121 fine band is large enough for OpenBLAS to factor on
+    # several threads, while the MsFEM stage runs beside it: the SHA-256 of
+    # u and of u_h
+    "reference": """
+mesh = ms.build_mesh(4, 4, 30)
+model = ms.build_kle_model(mesh, 2.25, 0.7, 0.04, 20)
+split = ms.split_kle(model, ms.sample_theta(7, 0, 20), 16)
+rec = ms.msfem.sample_errors(mesh, split, [1, 2], reference=True)
+print(digest(rec.u), digest(rec.u_h))
+""",
 }
 
 
@@ -166,6 +181,21 @@ def fine_stiffness_band(mesh, k):
     vals = np.asarray(k, float)[:, None, None] * ke
     return np.bincount(((row - col) * n + col)[keep], vals[keep],
                        minlength=(mesh.nxf + 1) * n).reshape(-1, n)
+
+
+def band_solve(bands, rhs):
+    """Solution of the SPD system in lower band storage bands, by scipy."""
+    return sla.cho_solve_banded((sla.cholesky_banded(bands, lower=True),
+                                 True), rhs)
+
+
+def fine_solve(mesh, k, f):
+    """Fine Galerkin solution from band_solve of fine_stiffness_band."""
+    free = ~mesh.boundary_node_mask()
+    u = np.zeros(mesh.n_fine_nodes)
+    u[free] = band_solve(fine_stiffness_band(mesh, k),
+                         fem.fine_load(mesh, f)[free])
+    return u
 
 
 def lift_cells(asm, interior):
@@ -440,9 +470,8 @@ def green_store_loop(mesh, model, grid, m):
             G = np.moveaxis(fem.spd_inverse(
                 asm.interior_matrices_cells_last(k0)), -1, 0)
         else:
-            G = np.array([sla.cho_solve_banded(
-                (sla.cholesky_banded(band, lower=True), True), np.eye(n_k))
-                for band in asm.interior_bands(k0)])
+            G = np.array([band_solve(band, np.eye(n_k))
+                          for band in asm.interior_bands(k0)])
         out[i] = G[:, row, col]
     return out
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -241,10 +242,8 @@ def test_fine_band_map_matches_bincount_oracle(nx, ny, r):
     f = rng.uniform(-1, 1, mesh.n_fine_cells)
     oracle = reference.fine_stiffness_band(mesh, k)
     assert np.array_equal(fem.fine_stiffness_band(mesh, k), oracle)
-    free = ~mesh.boundary_node_mask()
-    ref = np.zeros(mesh.n_fine_nodes)
-    ref[free] = fem.band_cholesky(oracle)(fem.fine_load(mesh, f)[free])
-    assert np.array_equal(fine_reference_solve(mesh, k, f), ref)
+    assert np.array_equal(fine_reference_solve(mesh, k, f),
+                          reference.fine_solve(mesh, k, f))
 
 
 def test_fine_stiffness_band_is_fortran_view():
@@ -302,6 +301,64 @@ def test_cell_cholesky_banded_matches_dense(r, n_cells):
             ref = sla.cho_solve(sla.cho_factor(fem.band_to_dense(bands[c])),
                                 rhs[c])
             assert np.abs(x[c] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("r", [8, 30])
+def test_band_solves_match_scipy_bit_for_bit(r):
+    # the ctypes binding calls the dpbtrf and dpbtrs that scipy's banded
+    # wrappers call: band_cholesky on one cell's band, and the banded
+    # cell_cholesky on the block-diagonal band of a stack, built here
+    # entry by entry
+    mesh = build_mesh(3, 1, r)
+    assert mesh.n_interior > fem.BATCHED_MAX_N  # the banded branch
+    rng = np.random.default_rng(r)
+    ops = fem.assemble_local_operators(mesh, np.arange(3),
+                                       _random_splitting(mesh, rng))
+    cells, w, n = ops.M0.shape
+    rhs = rng.standard_normal((cells, n, 4))
+    for stacks in ((ops.M0,), (ops.M0, ops.M1)):
+        bands = sum(stacks[1:], stacks[0])
+        for c in range(cells):
+            solve = fem.band_cholesky(bands[c])
+            for b in (rhs[c], rhs[c, :, 0]):
+                assert np.array_equal(solve(b),
+                                      reference.band_solve(bands[c], b))
+        block = np.zeros((w, cells * n))
+        for c in range(cells):
+            for d in range(w):
+                block[d, c * n:(c + 1) * n - d] = bands[c, d, :n - d]
+        ref = reference.band_solve(block, rhs.reshape(cells * n, 4))
+        assert np.array_equal(fem.cell_cholesky(*stacks)(rhs),
+                              ref.reshape(rhs.shape))
+
+
+def test_band_binding_refuses_buffers_it_cannot_use_in_place():
+    # LAPACK reads and writes the pointer as a Fortran-ordered float64
+    # array, so anything else is refused before the call
+    band = np.asfortranarray([[2.0, 2.0, 2.0], [1.0, 1.0, 0.0]])
+    for bad in (np.ascontiguousarray(band), band.astype(np.float32), band[None]):
+        with pytest.raises(ValueError, match="Fortran-ordered float64"):
+            fem._band_factor(bad)
+    c = fem._band_factor(band.copy(order="F"))
+    with pytest.raises(ValueError, match="Fortran-ordered float64"):
+        fem._band_solve(c, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="rows"):
+        fem._band_solve(c, np.ones(4))
+
+
+def test_band_factors_on_threads_match_serial():
+    # the binding releases the GIL, so bands factored on several threads at
+    # once run concurrently; each result is still the serial one
+    mesh = build_mesh(2, 2, 12)
+    rng = np.random.default_rng(4)
+    ks = [np.exp(rng.uniform(-1, 1, mesh.n_fine_cells)) for _ in range(6)]
+    serial = [fine_reference_solve(mesh, k) for k in ks]
+    with ThreadPoolExecutor(3) as pool:
+        for _ in range(5):
+            futures = [pool.submit(fem.fine_reference_solver(mesh, k))
+                       for k in ks]
+            for u, future in zip(serial, futures):
+                assert np.array_equal(future.result(timeout=60), u)
 
 
 @pytest.mark.parametrize("r", [3, 6, 7, 8])

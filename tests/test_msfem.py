@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +17,7 @@ from msfem_split.msfem import (CoarseSystem, assemble_coarse_systems,
                                solution_error_bound, solve_msfem)
 from reference import (assemble_coarse_system, build_basis_registry,
                        build_iterative_registries, bubble_sequence,
-                       fine_stiffness, iterative_basis_sequence,
+                       child_output, fine_stiffness, iterative_basis_sequence,
                        lift_cells, local_coarse_system, lower_bands,
                        scatter_coarse_system, standard_basis)
 
@@ -273,6 +275,23 @@ def test_sample_errors_norms_and_reference(mode):
         assert np.array_equal(rec.u_energy, norm(u))
     else:
         assert rec.u is None and rec.u_energy is None
+
+
+def test_overlapped_sample_independent_of_threads_and_cpus():
+    # the fine band's pbtrf on the worker thread may split over OpenBLAS
+    # threads while the MsFEM stage runs beside it; u and u_h keep their
+    # bits under 1 and 2 BLAS threads and on one CPU, and equal those of
+    # the two stages run one after the other
+    digests = child_output("reference", 1)
+    assert child_output("reference", 2) == digests
+    assert child_output("reference", 1, one_cpu=True) == digests
+    mesh = build_mesh(4, 4, 30)
+    model = build_kle_model(mesh, 2.25, 0.7, 0.04, 20)
+    split = split_kle(model, sample_theta(7, 0, 20), 16)
+    serial = (fine_reference_solve(mesh, split.k),
+              msfem.sample_errors(mesh, split, [1, 2]).u_h)
+    assert digests == tuple(hashlib.sha256(u.tobytes()).hexdigest()
+                            for u in serial)
 
 
 @settings(max_examples=40, deadline=None)

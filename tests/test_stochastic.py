@@ -1,5 +1,6 @@
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -445,6 +446,43 @@ def test_monte_carlo_reproducible_and_bounded():
     if a.eta_max < 1.0:
         for J in (0, 2):
             assert a.mean_error[J] <= a.bounds[J]
+
+
+@pytest.mark.parametrize("stage", ["fine", "msfem"])
+def test_overlapped_sample_failure_reaches_caller(monkeypatch, stage):
+    # the fine solve runs on a worker thread beside the MsFEM stage: a
+    # failure of either reaches the caller, and the worker, here still
+    # busy when the MsFEM stage fails, has ended when the call returns
+    mesh, model, _, _ = _small_setup()
+    config = StochasticConfig(mesh=mesh, model=model, m=3, J_list=(0, 1),
+                              seed=123)
+    solver = fem.fine_reference_solver
+
+    def fine_failure():
+        raise np.linalg.LinAlgError("fine stage failed")
+
+    def slow_solver(*args):
+        solve = solver(*args)
+
+        def slow_solve():
+            time.sleep(0.2)
+            return solve()
+        return slow_solve
+
+    def msfem_failure(ops):
+        raise np.linalg.LinAlgError("msfem stage failed")
+
+    if stage == "fine":
+        monkeypatch.setattr(fem, "fine_reference_solver",
+                            lambda *args: fine_failure)
+    else:
+        monkeypatch.setattr(fem, "fine_reference_solver", slow_solver)
+        monkeypatch.setattr(basis_mod, "standard_bases", msfem_failure)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError,
+                       match=f"sample 0 failed: {stage} stage failed"):
+        monte_carlo_run(config, 2)
+    assert threading.active_count() == threads
 
 
 def test_collocation_run_triangle_inequality():

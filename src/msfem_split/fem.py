@@ -120,7 +120,7 @@ def band_cholesky(bands):
 
 
 # Local blocks up to this order are expanded to dense for a whole stack of
-# cells: cell_cholesky inverts them by spd_inverse and cell_matmul applies
+# cells: cell_inverses inverts them by spd_inverse and cell_matmul applies
 # them by batched matmul.  Larger ones stay in band storage, factored as one
 # block-diagonal band and applied one nonzero diagonal at a time.  1 BLAS
 # thread, 2-core Xeon: standard + J<=4 bases of 144 cells take
@@ -199,8 +199,7 @@ class LocalAssembler:
         n_loc = self.n_loc = (r + 1) ** 2
         self.ke = element_stiffness(mesh.hx, mesh.hy)
         self.conn = mesh.local_element_nodes
-        self.interior = mesh.local_interior_mask
-        self.interior_idx = np.flatnonzero(self.interior)
+        self.interior_idx = np.flatnonzero(mesh.local_interior_mask)
         nk = self.n_interior = mesh.n_interior
 
         # bilinear coarse-vertex hats on the local nodes, vertex order
@@ -239,19 +238,6 @@ class LocalAssembler:
     def vertex_vectors(self, kappa):
         """(..., nK, 4) interior rows of the stiffness times the hats."""
         return self._stack(self._vertex_scatter, kappa, (self.n_interior, 4))
-
-    def interior_matrices_cells_last(self, kappa):
-        """(nK, nK, cells) dense interior stiffness for (cells, r^2) values.
-
-        The band product with the cell axis last, as the sparse product
-        yields it, expanded by one gather; its last row is the zero that
-        every entry outside the band reads.
-        """
-        kappa = np.asarray(kappa, float)
-        w, nk = self.mesh.r + 1, self.n_interior
-        out = np.zeros((w * nk + 1, len(kappa)))
-        _fill(self._band_scatter, kappa, out)
-        return out[_band_index(w, nk)]
 
     def _stack(self, scatter, kappa, shape):
         kappa = np.asarray(kappa, float)
@@ -306,28 +292,56 @@ def cell_cholesky(*stacks):
     stacks, such as cell_cholesky(M0, M1) for M = M0 + M1.
 
     Returns solve(rhs) for right-hand sides of shape (cells, n, k).  Blocks
-    up to BATCHED_MAX_N are expanded and inverted for the whole stack by
-    spd_inverse.  Larger ones are factored as one block-diagonal band of
-    order cells*n by a single pbtrf: a C-ordered (cells*n, w) copy of the
-    stack is, transposed, that matrix's (w, cells*n) lower band storage,
-    once the entries past each cell's end are zero.  The stacks are summed
-    into that copy, so no separate sum is held beside it.
+    up to BATCHED_MAX_N are inverted for the whole stack by cell_inverses
+    and applied as inverses; larger ones are factored by _block_factor.
     """
     cells, w, n = stacks[0].shape
-    if n > BATCHED_MAX_N:
-        ab = np.swapaxes(stacks[0], 1, 2).copy()  # factored in place
-        for bands in stacks[1:]:
-            ab += np.swapaxes(bands, 1, 2)
-        ab[:, np.add.outer(np.arange(n), np.arange(w)) >= n] = 0.0
-        c = _band_factor(ab.reshape(cells * n, w).T, block=n)
+    if n <= BATCHED_MAX_N:
+        return partial(np.matmul, np.ascontiguousarray(np.moveaxis(
+            cell_inverses(sum(stacks[1:], stacks[0])), -1, 0)))
+    c = _block_factor(*stacks)
 
-        def solve(rhs):
-            x = np.array(rhs.reshape(cells * n, -1), dtype=float, order="F")
-            return _band_solve(c, x).reshape(rhs.shape)
-        return solve
-    inverse = np.ascontiguousarray(np.moveaxis(spd_inverse(np.moveaxis(
-        band_to_dense(sum(stacks[1:], stacks[0])), 0, -1)), -1, 0))
-    return lambda rhs: inverse @ rhs
+    def solve(rhs):
+        x = np.array(rhs.reshape(cells * n, -1), dtype=float, order="F")
+        return _band_solve(c, x).reshape(rhs.shape)
+    return solve
+
+
+def cell_inverses(bands):
+    """(n, n, cells) inverses of a (cells, w, n) SPD band stack.
+
+    The one place that picks the local-block regime for an inverse.  Up to
+    BATCHED_MAX_N one gather expands the stack with the cells last and
+    spd_inverse inverts it; above, _block_factor's factor is solved
+    against identity columns built in place in its Fortran-ordered
+    right-hand side.  The bands are never written.
+    """
+    cells, w, n = bands.shape
+    if n > BATCHED_MAX_N:
+        eye = np.zeros((cells * n, n), order="F")
+        eye[np.arange(cells * n), np.tile(np.arange(n), cells)] = 1.0
+        inverses = _band_solve(_block_factor(bands), eye)
+        return np.moveaxis(inverses.reshape(cells, n, n), 0, -1)
+    flat = np.zeros((w * n + 1, cells))
+    flat[:-1] = bands.reshape(cells, w * n).T
+    return spd_inverse(flat[_band_index(w, n)])
+
+
+def _block_factor(*stacks):
+    """Cholesky factor of the sum of (cells, w, n) band stacks as one
+    block-diagonal band of order cells*n, by a single pbtrf.
+
+    A C-ordered (cells*n, w) copy of the stack is, transposed, that
+    matrix's (w, cells*n) lower band storage, once the entries past each
+    cell's end are zero.  The stacks are summed into that copy, so no
+    separate sum is held beside it.
+    """
+    cells, w, n = stacks[0].shape
+    ab = np.swapaxes(stacks[0], 1, 2).copy()  # factored in place
+    for bands in stacks[1:]:
+        ab += np.swapaxes(bands, 1, 2)
+    ab[:, np.add.outer(np.arange(n), np.arange(w)) >= n] = 0.0
+    return _band_factor(ab.reshape(cells * n, w).T, block=n)
 
 
 def cell_matmul(bands):

@@ -205,6 +205,9 @@ def sample_errors(mesh, splitting, J_list, f=None, green=None,
     into its own factor buffer.  A failure of either stage reaches the
     caller, and the worker has ended when this returns.
     """
+    if f is not None and np.shape(f) != (mesh.n_fine_cells,):
+        raise ValueError(f"f has shape {np.shape(f)}, expected "
+                         f"({mesh.n_fine_cells},): one value per fine cell")
     if not reference:
         return _msfem_errors(mesh, splitting, J_list, f, green)
     solve = fem.fine_reference_solver(mesh, splitting.k, f)

@@ -10,7 +10,7 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import scipy.sparse as sp
@@ -177,21 +177,9 @@ def _active_level_sets(m, L):
 
 def smolyak_node_count(m, L):
     """Exact number of distinct nested CC Smolyak nodes."""
-
-    def new_points(level):
-        if level == 0:
-            return 1
-        if level == 1:
-            return 2
-        return 2 ** (level - 1)
-
-    total = 0
-    for dims, levels in _active_level_sets(m, L):
-        prod = 1
-        for lev in levels:
-            prod *= new_points(lev)
-        total += prod
-    return total
+    # an active axis at level l adds 2 points at l = 1 and 2^(l-1) above
+    return sum(prod(2 ** max(1, lev - 1) for lev in levels)
+               for _, levels in _active_level_sets(m, L))
 
 
 def build_sparse_grid(m, L):
@@ -212,13 +200,14 @@ def cost_ratios(n, m, q, L):
 
 # largest GreenStore a precompute_green_inverses call builds, in bytes
 MAX_STORE_BYTES = 2 * 1024 ** 3
-# cells per block of the store build, whole nodes each.  A worker holds the
-# GIL between numpy calls, so each call must run long enough for the other
-# workers to overlap it.  colloc-L3's store (256 cells, nK=9; 2-core Xeon,
-# 1 BLAS thread) builds in 4.4-6.0 s node by node on one thread; on two, in
-# 6.0-6.5 s with 1-node blocks, 3.7-4.3 s with 2, 2.6-2.9 s with 4 (1024
-# cells) and 2.8-3.3 s with 8
-STORE_BLOCK_CELLS = 1024
+# matrix entries, nodes * cells * nK^2, per block of the store build: as
+# many whole nodes as fit, at least one.  A worker holds the GIL between
+# numpy calls, so each call must run long enough for the other workers to
+# overlap it.  colloc-L3's store (256 cells, nK=9; 2-core Xeon, 1 BLAS
+# thread) builds in 4.4-6.0 s node by node on one thread; on two, in
+# 6.0-6.5 s with 1-node blocks, 3.7-4.3 s with 2, 2.6-2.9 s with 4 (this
+# budget) and 2.8-3.3 s with 8
+STORE_BLOCK_ENTRIES = 1024 * 81
 # store nodes per block of the interpolation contraction.  OpenBLAS 0.3.31
 # (Haswell kernels) cuts a long inner dimension into panels, and how it cuts
 # depends on its thread count; a block at or below the panel size is summed
@@ -254,13 +243,12 @@ class GreenStore:
 def precompute_green_inverses(mesh, model, grid, m):
     """Assemble, invert and pack M0(node) for every cell and grid node.
 
-    The nodes are inverted in blocks of STORE_BLOCK_CELLS cells on a pool
-    of threads, one per CPU the process may run on, and each block writes
-    its own rows of the store.  Each cell's column of a block takes the
-    same arithmetic as in a one-node stack, so the store holds the same
-    bits under any worker count.  Above fem.BATCHED_MAX_N a block is one
-    node, whose inverses are solved by fem.cell_cholesky against identity
-    columns.  A node whose M0 is not SPD raises LinAlgError naming the node
+    The nodes are inverted by fem.cell_inverses in blocks of as many whole
+    nodes as fit in STORE_BLOCK_ENTRIES matrix entries, at least one, on a
+    pool of threads, one per CPU the process may run on, and each block
+    writes its own rows of the store.  Each cell's inverse takes the same arithmetic as in a
+    one-node stack, so the store holds the same bits under any worker
+    count.  A node whose M0 is not SPD raises LinAlgError naming the node
     and its cell, and one whose inverse is not symmetric to 1e-10 relative
     raises ValueError naming the node; of several such nodes, the lowest.
     """
@@ -275,21 +263,20 @@ def precompute_green_inverses(mesh, model, grid, m):
         raise MemoryError(
             f"GreenStore needs {need} bytes > limit {MAX_STORE_BYTES}; "
             "reduce r or the interpolation level")
-    asm = fem.local_assembler(mesh)
+    interior_bands = fem.local_assembler(mesh).interior_bands
     cell_ids = mesh.cell_fine_cells(np.arange(n_cells))
-    # flat positions of the lower triangle and of its mirror image
     row, col = np.tril_indices(n_k)
-    lower, upper = row * n_k + col, col * n_k + row
-    out = np.empty((grid.n_nodes, n_cells, len(lower)))
+    out = np.empty((grid.n_nodes, n_cells, len(row)))
 
     def invert(start, stop):
         """Write the inverses of nodes start .. stop-1 into the store."""
         kappa = np.concatenate([
             np.exp(field_mod.log_field_partial(model, node, m))[cell_ids]
             for node in grid.nodes[start:stop]])
-        G = _flat_inverses(asm, kappa)
-        lo = G[lower].reshape(len(lower), stop - start, n_cells)
-        skew = np.abs(lo - G[upper].reshape(lo.shape)).max(axis=(0, 2))
+        G = fem.cell_inverses(interior_bands(kappa))
+        # the lower triangle and its mirror image, (entries, nodes, cells)
+        lo = G[row, col].reshape(len(row), stop - start, n_cells)
+        skew = np.abs(lo - G[col, row].reshape(lo.shape)).max(axis=(0, 2))
         symmetric = skew <= 1e-10 * np.abs(lo).max(axis=(0, 2))
         if not symmetric.all():
             raise ValueError(f"Green's inverse at grid node "
@@ -311,8 +298,7 @@ def precompute_green_inverses(mesh, model, grid, m):
                     raise np.linalg.LinAlgError(
                         f"M0 at grid node {i}: {exc}") from exc
 
-    step = 1 if n_k > fem.BATCHED_MAX_N else \
-        max(1, STORE_BLOCK_CELLS // n_cells)
+    step = max(1, STORE_BLOCK_ENTRIES // (n_cells * n_k ** 2))
     bounds = [(s, min(s + step, grid.n_nodes))
               for s in range(0, grid.n_nodes, step)]
     pool = ThreadPoolExecutor(_usable_cpus(len(bounds)))
@@ -323,21 +309,6 @@ def precompute_green_inverses(mesh, model, grid, m):
     finally:
         pool.shutdown(cancel_futures=True)
     return GreenStore(mesh=mesh, model=model, grid=grid, m=m, matrices=out)
-
-
-def _flat_inverses(asm, kappa):
-    """(nK*nK, cells) row-major M0^-1 of each cell of (cells, r^2) values.
-
-    Up to fem.BATCHED_MAX_N by Gauss-Jordan on the cells-last stack, above
-    it by the banded factorization of the whole stack.
-    """
-    n_k = asm.n_interior
-    if n_k <= fem.BATCHED_MAX_N:
-        return fem.spd_inverse(asm.interior_matrices_cells_last(
-            kappa)).reshape(n_k * n_k, len(kappa))
-    solve = fem.cell_cholesky(asm.interior_bands(kappa))
-    eye = np.broadcast_to(np.eye(n_k), (len(kappa), n_k, n_k))
-    return solve(eye).reshape(len(kappa), n_k * n_k).T
 
 
 def _usable_cpus(cap):
@@ -487,12 +458,17 @@ def collocation_run(config, N, store, J=None):
     """Parameter-reduction collocation against Monte Carlo references.
 
     Per sample reports the relative total error e, splitting error e_spl
-    and collocation error e_col, all normalized by |||u_h|||.
+    and collocation error e_col, all normalized by |||u_h|||.  The store
+    must be built for the config's mesh, model and m.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     mesh = config.mesh
     model = config.model
+    if store.m != config.m or store.mesh is not mesh or \
+            store.model is not model:
+        raise ValueError("store was not built for this config's m, mesh "
+                         "and model")
     if J is None:
         J = max(config.J_list)
 

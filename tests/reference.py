@@ -453,9 +453,10 @@ def smolyak_weights(grid, theta):
 def green_store_loop(mesh, model, grid, m):
     """GreenStore.matrices of a loop over the nodes, one stack per node.
 
-    Up to fem.BATCHED_MAX_N each node's cells-last M0 stack is inverted by
-    fem.spd_inverse; above it each cell's band is factored by scipy's
-    banded Cholesky and solved against the identity.
+    Up to fem.BATCHED_MAX_N each node's M0 stack is expanded by
+    fem.band_to_dense, put cells last and inverted by fem.spd_inverse;
+    above it each cell's band is factored by scipy's banded Cholesky and
+    solved against the identity.
     """
     asm = fem.local_assembler(mesh)
     cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
@@ -467,8 +468,8 @@ def green_store_loop(mesh, model, grid, m):
         theta[:m] = node
         k0 = np.exp(field.log_field_partial(model, theta, m))[cells]
         if n_k <= fem.BATCHED_MAX_N:
-            G = np.moveaxis(fem.spd_inverse(
-                asm.interior_matrices_cells_last(k0)), -1, 0)
+            G = np.moveaxis(fem.spd_inverse(np.moveaxis(
+                fem.band_to_dense(asm.interior_bands(k0)), 0, -1)), -1, 0)
         else:
             G = np.array([band_solve(band, np.eye(n_k))
                           for band in asm.interior_bands(k0)])

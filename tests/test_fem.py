@@ -382,6 +382,31 @@ def _local_bands(r, n_cells, seed):
     return ops.M0, ops.M1
 
 
+@pytest.mark.parametrize("r", [4, 7])
+def test_cell_inverses_match_inv(r):
+    # nK = 9, the largest batched order, and 36, banded
+    M0, M1 = _local_bands(r, 3, r)
+    for bands in (M0, M0 + M1):
+        before = bands.copy()
+        inv = fem.cell_inverses(bands)
+        assert np.array_equal(bands, before)  # the bands are never written
+        assert inv.shape == ((r - 1) ** 2, (r - 1) ** 2, 3)
+        ref = np.linalg.inv(fem.band_to_dense(bands))
+        err = np.abs(np.moveaxis(inv, -1, 0) - ref).max()
+        assert err <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("r", [4, 7])
+def test_cell_inverses_reject_non_spd(r):
+    M0, _ = _local_bands(r, 3, r)
+    M0[2] *= -1.0
+    before = M0.copy()
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="matrix is not SPD: pivot 0 .* in cell 2"):
+        fem.cell_inverses(M0)
+    assert np.array_equal(M0, before)
+
+
 def test_band_to_dense_matches_loop():
     rng = np.random.default_rng(0)
     for w, n in ((1, 4), (3, 7), (5, 3), (7, 9)):

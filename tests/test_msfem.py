@@ -277,6 +277,19 @@ def test_sample_errors_norms_and_reference(mode):
         assert rec.u is None and rec.u_energy is None
 
 
+@pytest.mark.parametrize("reference", [False, True])
+def test_sample_errors_refuses_wrong_length_f(reference):
+    # refused before either stage, so neither the coarse load (which reads
+    # only the first entries) nor the fine load sees it
+    mesh = build_mesh(4, 4, 4)
+    split = _random_splitting(mesh, np.random.default_rng(2))
+    for f in (np.ones(mesh.n_fine_cells + 7), np.ones(mesh.n_fine_cells - 1),
+              np.ones((mesh.n_fine_cells, 1))):
+        with pytest.raises(ValueError,
+                           match=rf"expected \({mesh.n_fine_cells},\)"):
+            msfem.sample_errors(mesh, split, [1], f, reference=reference)
+
+
 def test_overlapped_sample_independent_of_threads_and_cpus():
     # the fine band's pbtrf on the worker thread may split over OpenBLAS
     # threads while the MsFEM stage runs beside it; u and u_h keep their

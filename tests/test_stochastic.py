@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 import threading
@@ -183,16 +184,15 @@ def test_green_store_matches_independent_inverses(monkeypatch):
     assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(G, G.swapaxes(-1, -2))
 
-    # a node whose inverse is not symmetric is refused at build
-    exact = fem.LocalAssembler.interior_matrices_cells_last
+    # a node whose inverse is not symmetric is refused at build: the
+    # batched regime's Gauss-Jordan inverts a skewed M0
+    exact = fem.spd_inverse
 
-    def skewed(self, kappa):
-        M = exact(self, kappa)
+    def skewed(M):
         skew = np.triu(np.ones(M.shape[:2]), 1)
-        return M + 1e-6 * np.abs(M).max() * (skew - skew.T)[..., None]
+        return exact(M + 1e-6 * np.abs(M).max() * (skew - skew.T)[..., None])
 
-    monkeypatch.setattr(fem.LocalAssembler, "interior_matrices_cells_last",
-                        skewed)
+    monkeypatch.setattr(fem, "spd_inverse", skewed)
     with pytest.raises(ValueError, match="grid node 0 not symmetric"):
         precompute_green_inverses(mesh, model, grid, store.m)
 
@@ -220,8 +220,7 @@ def _inject_indefinite(monkeypatch, mesh, model, grid, faults):
     pivot that fails, 0 or -1 (the last).
 
     A cell is found by its coefficient rows, wherever it sits in a stack;
-    both the cells-last matrices and the bands of the banded regime are
-    patched.
+    its M0 bands are patched, which both regimes of fem.cell_inverses read.
     """
     cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
     targets = []
@@ -236,29 +235,17 @@ def _inject_indefinite(monkeypatch, mesh, model, grid, faults):
             for c in np.flatnonzero((kappa == row).all(axis=1)):
                 yield c, pivot
 
-    exact_dense = fem.LocalAssembler.interior_matrices_cells_last
-    exact_bands = fem.LocalAssembler.interior_bands
-
-    def dense(self, kappa):
-        M = exact_dense(self, kappa)
-        for c, pivot in columns(kappa):
-            if pivot == 0:
-                M[..., c] *= -1.0
-            else:
-                M[-1, -1, c] = -1.0  # the last pivot alone sees it
-        return M
+    exact = fem.LocalAssembler.interior_bands
 
     def bands(self, kappa):
-        B = exact_bands(self, kappa)
+        B = exact(self, kappa)
         for c, pivot in columns(kappa):
             if pivot == 0:
                 B[c] *= -1.0
             else:
-                B[c, 0, -1] = -1.0
+                B[c, 0, -1] = -1.0  # the last pivot alone sees it
         return B
 
-    monkeypatch.setattr(fem.LocalAssembler, "interior_matrices_cells_last",
-                        dense)
     monkeypatch.setattr(fem.LocalAssembler, "interior_bands", bands)
 
 
@@ -287,8 +274,9 @@ def test_green_store_names_lowest_failing_node(monkeypatch, r, faults):
     mesh = build_mesh(2, 2, r)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
     grid = build_sparse_grid(2, 1)
-    # blocks of nodes 0-1, 2-3 and 4 below BATCHED_MAX_N, single nodes above
-    monkeypatch.setattr(st, "STORE_BLOCK_CELLS", 2 * mesh.n_coarse_cells)
+    # blocks of nodes 0-1, 2-3 and 4 on either side of BATCHED_MAX_N
+    monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES",
+                        2 * mesh.n_coarse_cells * mesh.n_interior ** 2)
     _inject_indefinite(monkeypatch, mesh, model, grid, faults)
     with pytest.raises(np.linalg.LinAlgError) as info:
         precompute_green_inverses(mesh, model, grid, 2)
@@ -302,17 +290,16 @@ def test_green_store_failure_cancels_pending_blocks(monkeypatch):
     mesh = build_mesh(2, 2, 3)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
     grid = build_sparse_grid(3, 2)  # 25 nodes, one per block
-    monkeypatch.setattr(st, "STORE_BLOCK_CELLS", 1)
-    exact = fem.LocalAssembler.interior_matrices_cells_last
+    monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES", 1)
+    exact = fem.cell_inverses
     calls = []
 
-    def slow(self, kappa):
+    def slow(bands):
         calls.append(None)
         time.sleep(0.05)  # so later blocks still queue when node 0 fails
-        return exact(self, kappa)
+        return exact(bands)
 
-    monkeypatch.setattr(fem.LocalAssembler, "interior_matrices_cells_last",
-                        slow)
+    monkeypatch.setattr(fem, "cell_inverses", slow)
     _inject_indefinite(monkeypatch, mesh, model, grid, {(0, 0): 0})
     with pytest.raises(np.linalg.LinAlgError, match="grid node 0: "):
         precompute_green_inverses(mesh, model, grid, 3)
@@ -321,14 +308,20 @@ def test_green_store_failure_cancels_pending_blocks(monkeypatch):
     assert len(calls) < grid.n_nodes // 2
 
 
-@pytest.mark.parametrize("nx,r", [(8, 3), (2, 7)])
-def test_green_store_matches_node_loop(nx, r):
-    # at r=3 blocks of 16 of the 25 nodes; at r=7 (nK=36) one node a block
+@pytest.mark.parametrize("nx,r,step", [
+    pytest.param(8, 3, 16, id="8-3"), pytest.param(2, 7, 1, id="2-7"),
+    pytest.param(2, 7, None, id="2-7-default-blocks")])
+def test_green_store_matches_node_loop(monkeypatch, nx, r, step):
+    # at r=3 blocks of 16 of the 25 nodes; at r=7 (nK=36) one node a block,
+    # and the default budget's blocks of several nodes, the last partial
     mesh = build_mesh(nx, nx, r)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
     grid = build_sparse_grid(3, 2)
-    step = st.STORE_BLOCK_CELLS // mesh.n_coarse_cells
-    assert mesh.n_interior > fem.BATCHED_MAX_N or grid.n_nodes % step
+    entries = mesh.n_coarse_cells * mesh.n_interior ** 2
+    if step is None:
+        step = st.STORE_BLOCK_ENTRIES // entries
+        assert 1 < step < grid.n_nodes and grid.n_nodes % step
+    monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES", step * entries)
     store = precompute_green_inverses(mesh, model, grid, 3)
     assert np.array_equal(store.matrices,
                           green_store_loop(mesh, model, grid, 3))
@@ -340,7 +333,7 @@ def test_green_store_many_workers_stress(monkeypatch):
     mesh = build_mesh(4, 4, 3)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
     grid = build_sparse_grid(3, 2)
-    monkeypatch.setattr(st, "STORE_BLOCK_CELLS", 1)
+    monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES", 1)
     monkeypatch.setattr(st, "_usable_cpus", lambda cap: min(8, cap))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -523,6 +516,22 @@ def test_collocation_checks_interpolated_green():
     store.matrices[:] = -exact
     with pytest.raises(RuntimeError, match="sample 0 failed: .*SPD in no"):
         collocation_run(config, 3, store)
+
+
+def test_collocation_refuses_store_of_another_config():
+    # a store at m=2 beside a k1 split at m=3 would pair the interpolant of
+    # one M0 with the remainder of another
+    mesh, model, grid, store = _small_setup(m=2)
+    config = StochasticConfig(mesh=mesh, model=model, m=2,
+                              J_list=(1,), seed=5)
+    collocation_run(config, 1, store)
+    other_mesh = build_mesh(4, 4, 3)
+    other_model = build_kle_model(other_mesh, 1.0, 0.2, 0.2, 5)
+    for bad in ({"m": 3}, {"mesh": other_mesh}, {"model": other_model},
+                {"mesh": other_mesh, "model": other_model}):
+        wrong = dataclasses.replace(config, **bad)
+        with pytest.raises(ValueError, match="store was not built"):
+            collocation_run(wrong, 1, store)
 
 
 def test_interpolated_registry_with_exact_green_equals_iterative():

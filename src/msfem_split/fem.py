@@ -8,6 +8,7 @@ reference rectangle stiffness.
 import ctypes
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from math import isqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,22 +133,83 @@ def band_cholesky(bands):
 BATCHED_MAX_N = 9
 
 
-@lru_cache(maxsize=4)
-def _band_index(w, n):
-    """(n, n) flat positions in (w, n) lower band storage; w*n is a zero."""
+def is_banded(n):
+    """True when local blocks of order n take the banded regime.
+
+    Their stacks are then factored as one block-diagonal band by the
+    GIL-free LAPACK binding and applied one diagonal at a time; otherwise
+    they are expanded to dense and treated by batched numpy, which holds
+    the GIL.  The one test of the local-block regime.
+    """
+    return n > BATCHED_MAX_N
+
+
+@lru_cache(maxsize=8)
+def stencil_offsets(n):
+    """Offsets of the nonzero diagonals of a local interior stiffness.
+
+    The n interior nodes of a cell run row-major over rows of s = sqrt(n)
+    nodes, so the 9-point stencil couples each node only with those at
+    offsets 1 (next in its row) and s - 1, s and s + 1 (the row above).
+    Local stacks store just these diagonals, in this order, 0 first: row i
+    of a (..., w, n) stack holds bands[i, j] = M[j + d_i, j].  Up to s = 3
+    (r = 4) the offsets are 0 .. s + 1, so the stack is the (r+1)-row
+    lower band storage; from r = 5 on it has 5 rows instead of r + 1.
+    """
+    s = isqrt(n)
+    if n < 1 or s * s != n:
+        raise ValueError(f"{n} interior nodes do not form a square grid")
+    return tuple(sorted({0, 1, s - 1, s, s + 1}))
+
+
+def _stencil_rows(bands):
+    """stencil_offsets of a (..., w, n) local stack, checked against w."""
+    w, n = bands.shape[-2:]
+    offsets = stencil_offsets(n)
+    if len(offsets) != w:
+        raise ValueError(f"a local stack on {n} nodes has {len(offsets)} "
+                         f"stencil rows, not {w}")
+    return offsets
+
+
+def _stored_rows(offsets, size):
+    """Row of each diagonal 0 .. size-1 in a stack of the diagonals at
+    offsets, len(offsets) for those it does not store."""
+    rows = np.full(max(size, offsets[-1] + 1), len(offsets))
+    rows[list(offsets)] = np.arange(len(offsets))
+    return rows
+
+
+@lru_cache(maxsize=8)
+def _band_index(offsets, n):
+    """(n, n) flat positions in (len(offsets), n) band storage whose rows
+    hold the diagonals at offsets; position len(offsets) * n is a zero."""
+    w = len(offsets)
     row, col = np.indices((n, n))
-    d = np.abs(row - col)
-    index = np.where(d < w, d * n + np.minimum(row, col), w * n)
+    stored = _stored_rows(offsets, n)[np.abs(row - col)]
+    index = np.where(stored < w, stored * n + np.minimum(row, col), w * n)
     index.flags.writeable = False  # shared by every caller
     return index
 
 
-def band_to_dense(bands):
-    """(..., n, n) symmetric matrices of lower band storage (..., w, n)."""
+def _expand(bands, offsets):
+    """(..., n, n) symmetric matrices of (..., w, n) rows at offsets."""
     w, n = bands.shape[-2:]
     flat = np.zeros(bands.shape[:-2] + (w * n + 1,))
     flat[..., :-1] = bands.reshape(bands.shape[:-2] + (w * n,))
-    return np.take(flat, _band_index(w, n), axis=-1)
+    return np.take(flat, _band_index(offsets, n), axis=-1)
+
+
+def band_to_dense(bands):
+    """(..., n, n) symmetric matrices of lower band storage (..., w, n),
+    such as the coarse system's; local stacks take stencil_to_dense."""
+    return _expand(bands, tuple(range(bands.shape[-2])))
+
+
+def stencil_to_dense(bands):
+    """(..., n, n) matrices of local stencil stacks (..., w, n), such as
+    LocalOperators.M0; see stencil_offsets for their rows."""
+    return _expand(bands, _stencil_rows(bands))
 
 
 def _compressed_scatter(targets, cols, vals, n_cols):
@@ -188,9 +250,12 @@ class LocalAssembler:
     the r^2 local coefficient values to the local operators are built once
     per mesh.  The interior stiffness is a 9-point stencil on the (r-1)^2
     interior grid, row-major over rows of r - 1 nodes, so it is assembled
-    straight into lower band storage (..., r+1, nK) with
-    bands[d, j] = M[j+d, j].  hat_stiffness (16, r^2) takes a cell's
-    coefficient values to the row-major hat energies H^T A_K H.
+    straight into stencil band storage (..., w, nK): row i holds the
+    diagonal at offset d_i = stencil_offsets(nK)[i], bands[i, j] =
+    M[j+d_i, j].  That is 5 rows from r = 5 on, against the r + 1 rows of
+    lower band storage, which it equals up to r = 4.  hat_stiffness
+    (16, r^2) takes a cell's coefficient values to the row-major hat
+    energies H^T A_K H.
     """
 
     def __init__(self, mesh):
@@ -212,13 +277,16 @@ class LocalAssembler:
         self.hat_stiffness = np.einsum(
             "eai,ab,ebj->ije", he, self.ke, he).reshape(16, r * r)
 
-        # interior rows only, straight from the stencil: -> the lower band
-        # of M, and -> v = (A @ hats)[interior]; each keeps only its nonzero
-        # rows
+        # interior rows only, straight from the stencil: -> the stored
+        # diagonals of M, and -> v = (A @ hats)[interior]; each keeps only
+        # its nonzero rows
         pos = np.full(n_loc, -1)
         pos[self.interior_idx] = np.arange(nk)
+        offsets = stencil_offsets(nk)
+        self._band_shape = (len(offsets), nk)
+        stored = _stored_rows(offsets, r + 1)
         self._band_scatter = _stencil_band_scatter(
-            self.conn, self.ke, pos, lambda d, j: d * nk + j)
+            self.conn, self.ke, pos, lambda d, j: stored[d] * nk + j)
         # element stencil entries: row node a, column node b, element e
         a = np.repeat(self.conn, 4, axis=1).ravel()
         b = np.tile(self.conn, (1, 4)).ravel()
@@ -231,9 +299,9 @@ class LocalAssembler:
             (vals[row, None] * self.hats[b[row]]).ravel(), r * r)
 
     def interior_bands(self, kappa):
-        """(..., r+1, nK) interior stiffness bands for (..., r^2) values."""
-        return self._stack(self._band_scatter, kappa,
-                           (self.mesh.r + 1, self.n_interior))
+        """(..., w, nK) interior stiffness stencil bands for (..., r^2)
+        values; w = len(stencil_offsets(nK))."""
+        return self._stack(self._band_scatter, kappa, self._band_shape)
 
     def vertex_vectors(self, kappa):
         """(..., nK, 4) interior rows of the stiffness times the hats."""
@@ -259,10 +327,11 @@ def local_assembler(mesh):
 class LocalOperators:
     """Interior-node stiffness bands and vertex vectors of coarse cells.
 
-    For one cell M0 and M1 are (r+1, n_interior) lower band storage
-    (band_to_dense gives the matrices) and v0, v1 are (n_interior, 4) with
-    one column per coarse vertex; for an array of cells each carries a
-    leading cell axis.
+    For one cell M0 and M1 are (w, n_interior) stencil band storage, the
+    diagonals at offsets stencil_offsets(n_interior) (stencil_to_dense
+    gives the matrices): w = 5 from r = 5 on, so at r = 30 the M0 of 16
+    cells takes 0.51 MiB.  v0, v1 are (n_interior, 4) with one column per
+    coarse vertex; for an array of cells each carries a leading cell axis.
     """
 
     cell: object
@@ -288,15 +357,15 @@ def assemble_local_operators(mesh, cell, splitting):
 
 
 def cell_cholesky(*stacks):
-    """One factorization per matrix of the sum of (cells, w, n) SPD band
-    stacks, such as cell_cholesky(M0, M1) for M = M0 + M1.
+    """One factorization per matrix of the sum of (cells, w, n) SPD local
+    stencil stacks, such as cell_cholesky(M0, M1) for M = M0 + M1.
 
     Returns solve(rhs) for right-hand sides of shape (cells, n, k).  Blocks
     up to BATCHED_MAX_N are inverted for the whole stack by cell_inverses
     and applied as inverses; larger ones are factored by _block_factor.
     """
     cells, w, n = stacks[0].shape
-    if n <= BATCHED_MAX_N:
+    if not is_banded(n):
         return partial(np.matmul, np.ascontiguousarray(np.moveaxis(
             cell_inverses(sum(stacks[1:], stacks[0])), -1, 0)))
     c = _block_factor(*stacks)
@@ -308,58 +377,65 @@ def cell_cholesky(*stacks):
 
 
 def cell_inverses(bands):
-    """(n, n, cells) inverses of a (cells, w, n) SPD band stack.
+    """(n, n, cells) inverses of a (cells, w, n) SPD local stencil stack.
 
-    The one place that picks the local-block regime for an inverse.  Up to
-    BATCHED_MAX_N one gather expands the stack with the cells last and
-    spd_inverse inverts it; above, _block_factor's factor is solved
-    against identity columns built in place in its Fortran-ordered
-    right-hand side.  The bands are never written.
+    The one place that picks the local-block regime (is_banded) for an
+    inverse.  Up to BATCHED_MAX_N one gather expands the stack with the
+    cells last and spd_inverse inverts it; above, _block_factor's factor
+    is solved against identity columns built in place in its
+    Fortran-ordered right-hand side.  The bands are never written.
     """
     cells, w, n = bands.shape
-    if n > BATCHED_MAX_N:
+    if is_banded(n):
         eye = np.zeros((cells * n, n), order="F")
         eye[np.arange(cells * n), np.tile(np.arange(n), cells)] = 1.0
         inverses = _band_solve(_block_factor(bands), eye)
         return np.moveaxis(inverses.reshape(cells, n, n), 0, -1)
     flat = np.zeros((w * n + 1, cells))
     flat[:-1] = bands.reshape(cells, w * n).T
-    return spd_inverse(flat[_band_index(w, n)])
+    return spd_inverse(flat[_band_index(_stencil_rows(bands), n)])
 
 
 def _block_factor(*stacks):
-    """Cholesky factor of the sum of (cells, w, n) band stacks as one
-    block-diagonal band of order cells*n, by a single pbtrf.
+    """Cholesky factor of the sum of (cells, w, n) local stencil stacks as
+    one block-diagonal band of order cells*n, by a single pbtrf.
 
-    A C-ordered (cells*n, w) copy of the stack is, transposed, that
-    matrix's (w, cells*n) lower band storage, once the entries past each
-    cell's end are zero.  The stacks are summed into that copy, so no
-    separate sum is held beside it.
+    A zeroed C-ordered (cells*n, d_max + 1) buffer is, transposed, that
+    matrix's lower band storage.  Each stack's rows are scattered into
+    the buffer's columns at their offsets, the later stacks added to the
+    first, so no separate sum is held beside it; entries past each cell's
+    end stay zero.
     """
     cells, w, n = stacks[0].shape
-    ab = np.swapaxes(stacks[0], 1, 2).copy()  # factored in place
+    offsets = _stencil_rows(stacks[0])
+    width = offsets[-1] + 1
+    ab = np.zeros((cells, n, width))  # factored in place
+    ab[..., list(offsets)] = np.swapaxes(stacks[0], 1, 2)
     for bands in stacks[1:]:
-        ab += np.swapaxes(bands, 1, 2)
-    ab[:, np.add.outer(np.arange(n), np.arange(w)) >= n] = 0.0
-    return _band_factor(ab.reshape(cells * n, w).T, block=n)
+        ab[..., list(offsets)] += np.swapaxes(bands, 1, 2)
+    ab[:, np.add.outer(np.arange(n), np.arange(width)) >= n] = 0.0
+    return _band_factor(ab.reshape(cells * n, width).T, block=n)
 
 
 def cell_matmul(bands):
-    """matmul(x) = A @ x for x (cells, n, k), A a (cells, w, n) band stack.
+    """matmul(x) = A @ x for x (cells, n, k), A a (cells, w, n) local
+    stencil stack.
 
     Blocks up to BATCHED_MAX_N are expanded once and applied by batched
-    matmul; larger ones one nonzero diagonal at a time, which for a local
-    stencil are the offsets 0, 1, r-2, r-1 and r.
+    matmul; larger ones one stored diagonal at a time, at the offsets 0, 1,
+    r-2, r-1 and r, skipping any that is zero in every cell.
     """
     w, n = bands.shape[-2:]
-    if n <= BATCHED_MAX_N:
-        return partial(np.matmul, band_to_dense(bands))
-    used = 1 + np.flatnonzero(bands.reshape(-1, w, n)[:, 1:n].any(axis=(0, 2)))
+    if not is_banded(n):
+        return partial(np.matmul, stencil_to_dense(bands))
+    offsets = _stencil_rows(bands)
+    used = [(i, offsets[i]) for i in range(1, w) if offsets[i] < n and
+            bands[..., i, :].any()]
 
     def matmul(x):
         y = bands[..., 0, :, None] * x
-        for d in used:
-            off = bands[..., d, :n - d, None]
+        for i, d in used:
+            off = bands[..., i, :n - d, None]
             y[..., d:, :] += off * x[..., :n - d, :]
             y[..., :n - d, :] += off * x[..., d:, :]
         return y

@@ -3,8 +3,9 @@
 The solution pipeline works on stacks over coarse cells: local operators,
 factorizations and bases are (cells, ...) arrays instead of per-(cell,
 vertex) objects, built for every cell of the mesh at once.  The local
-operators are stencil bands, so a stack of all cells stays small: at r=30
-the M0 bands of 16 cells take 3.2 MiB, where dense blocks took 86 MiB.
+operators are stencil bands that store only the five nonzero diagonals
+of the local stencil, so a stack of all cells stays small: at r=30 the M0
+bands of 16 cells take 0.51 MiB, where dense blocks took 86 MiB.
 
 A basis is the vertex hats plus an interior correction, phi = H + E c (see
 basis), so the local coarse matrix and load follow from the local operators
@@ -197,36 +198,64 @@ def sample_errors(mesh, splitting, J_list, f=None, green=None,
     interpolated Green's inverse; reference adds the fine solve.  All
     bases come from one assembly of the local operators.
 
-    The fine solve does not depend on the MsFEM stage, so its band is
-    assembled first and factored and solved on a worker thread, without
-    the GIL, while the MsFEM stage runs on the calling thread.  The two
-    stages' memory peaks now add: the fine band and load are held while
-    the local stacks are built, which is why cell_cholesky sums M0 + M1
-    into its own factor buffer.  A failure of either stage reaches the
-    caller, and the worker has ended when this returns.
+    The fine solve does not depend on the MsFEM stage, so with reference
+    its band is factored and solved on a worker thread, without the GIL,
+    while the MsFEM stage runs on the calling thread.  In the banded
+    regime (fem.is_banded) the standard basis's factor and solves release
+    the GIL too: the local operators are assembled first and the standard
+    basis is queued on the worker before the fine solve, since the coarse
+    systems need it well before the energy norms need u; the fine band is
+    assembled while it runs, and the bubble series runs beside both.  In
+    the batched regime the standard basis holds the GIL and stays on the
+    calling thread; the fine band is assembled and queued first.  Each
+    order measured the lower peak RSS in its own regime.  The stages'
+    memory peaks add: the fine band is held while the local stacks are
+    built, and in the banded regime the standard basis's factor beside the
+    M0 factor, which the stencil bands' five rows pay for.  A failure of
+    any stage reaches the caller, and the worker has ended when this
+    returns.
     """
     if f is not None and np.shape(f) != (mesh.n_fine_cells,):
         raise ValueError(f"f has shape {np.shape(f)}, expected "
                          f"({mesh.n_fine_cells},): one value per fine cell")
     if not reference:
         return _msfem_errors(mesh, splitting, J_list, f, green)
-    solve = fem.fine_reference_solver(mesh, splitting.k, f)
-    with ThreadPoolExecutor(1) as pool:
-        fine = pool.submit(solve)
-        out = _msfem_errors(mesh, splitting, J_list, f, green)
-        out.u = fine.result()
+    if fem.is_banded(mesh.n_interior):
+        with ThreadPoolExecutor(1) as pool:
+            ops = fem.assemble_local_operators(
+                mesh, np.arange(mesh.n_coarse_cells), splitting)
+            standard = pool.submit(basis_mod.standard_bases, ops)
+            fine = pool.submit(
+                fem.fine_reference_solver(mesh, splitting.k, f))
+            out = _msfem_errors(mesh, splitting, J_list, f, green, ops,
+                                standard.result)
+            out.u = fine.result()
+    else:
+        solve = fem.fine_reference_solver(mesh, splitting.k, f)
+        with ThreadPoolExecutor(1) as pool:
+            fine = pool.submit(solve)
+            out = _msfem_errors(mesh, splitting, J_list, f, green)
+            out.u = fine.result()
     out.u_energy = fem.energy_norm(mesh, splitting.k, out.u)
     return out
 
 
-def _msfem_errors(mesh, splitting, J_list, f, green):
-    """SampleErrors of sample_errors without the fine reference."""
-    ops = fem.assemble_local_operators(
-        mesh, np.arange(mesh.n_coarse_cells), splitting)
+def _msfem_errors(mesh, splitting, J_list, f, green, ops=None,
+                  standard=None):
+    """SampleErrors of sample_errors without the fine reference.
+
+    Given ops, the local operators of every cell, and standard(), which
+    returns the standard bases' corrections, it uses those; otherwise it
+    assembles and computes them itself.
+    """
+    if ops is None:
+        ops = fem.assemble_local_operators(
+            mesh, np.arange(mesh.n_coarse_cells), splitting)
+        standard = partial(basis_mod.standard_bases, ops)
     greens = {"J": None} if green is None else {"J": None, "col": green}
     corrections = {(kind, J): c for kind, G in greens.items() for J, c in
                    basis_mod.iterative_bases(ops, J_list, G).items()}
-    corrections["h"] = basis_mod.standard_bases(ops)
+    corrections["h"] = standard()
     u = {key: solve_msfem(system) for key, system in
          assemble_coarse_systems(ops, splitting.k, corrections, f).items()}
     norm = partial(fem.energy_norm, mesh, splitting.k)

@@ -460,6 +460,12 @@ def collocation_run(config, N, store, J=None):
     Per sample reports the relative total error e, splitting error e_spl
     and collocation error e_col, all normalized by |||u_h|||.  The store
     must be built for the config's mesh, model and m.
+
+    The N interpolated inverses come from one contraction of the store,
+    whose bits do not depend on the worker or BLAS thread count but can
+    depend in their last bits on how many points share it: a sample's
+    results can differ in the last bits between calls with different N
+    (1 against 5 seen).
     """
     if N < 1:
         raise ValueError("N must be >= 1")

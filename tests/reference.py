@@ -1,8 +1,9 @@
 """Test oracles: scalar per-(cell, vertex) bases and a sparse stiffness.
 
 Each basis function takes the LocalOperators of one cell (M0, M1 as
-(r+1, nK) bands) and one vertex, expands the bands to dense and factors M0
-or M0 + M1 with scipy's dense Cholesky.  The library instead builds the
+stencil bands, the stored diagonals of the local stiffness) and one
+vertex, expands the bands to dense and factors M0 or M0 + M1 with scipy's
+dense Cholesky.  The library instead builds the
 bases of all four vertices of a stack of cells through
 basis.bubble_series, so comparing the two checks the stacking, the band
 operators, the batched and banded factorizations and the lifting.
@@ -30,8 +31,9 @@ build_iterative_registries give those lifted bases for every cell.
 run_cli runs the command line in a child process under a chosen BLAS
 thread count, which a run inside the test process cannot change, and
 child_output runs one of a few scripts there, also on a single CPU: a
-GreenStore build, its interpolation, an energy norm and a sample with its
-fine reference solve, each printing the hash of its result.
+GreenStore build, its interpolation, an energy norm, a sample with its
+fine reference solve and small banded Monte Carlo and collocation runs,
+each printing the hash of its result.
 green_store_loop builds the store's matrices one node at a time, the
 oracle of precompute_green_inverses' threaded node blocks, and
 interpolated_green_gemm contracts the store by one GEMM, the oracle of
@@ -127,14 +129,40 @@ print(fem.energy_norm(mesh, k, v).hex())
 """,
     # one sample_errors with the fine reference on a 4x4, r=30 mesh, whose
     # 14 161 x 121 fine band is large enough for OpenBLAS to factor on
-    # several threads, while the MsFEM stage runs beside it: the SHA-256 of
-    # u and of u_h
+    # several threads, while the standard basis and then the fine solve run
+    # on a worker beside the bubble series: the SHA-256 of u, of u_h and of
+    # the u_J
     "reference": """
 mesh = ms.build_mesh(4, 4, 30)
 model = ms.build_kle_model(mesh, 2.25, 0.7, 0.04, 20)
 split = ms.split_kle(model, ms.sample_theta(7, 0, 20), 16)
 rec = ms.msfem.sample_errors(mesh, split, [1, 2], reference=True)
-print(digest(rec.u), digest(rec.u_h))
+print(digest(rec.u), digest(rec.u_h), digest([rec.u_J[1], rec.u_J[2]]))
+""",
+    # a banded (r=6, nK=25) Monte Carlo run of 2 samples on a 2x2 mesh:
+    # the SHA-256 of its means
+    "mc": """
+mesh = ms.build_mesh(2, 2, 6)
+model = ms.build_kle_model(mesh, 1.0, 0.3, 0.2, 6)
+config = st.StochasticConfig(mesh=mesh, model=model, m=2, J_list=(0, 2),
+                             seed=11)
+stats = ms.monte_carlo_run(config, 2)
+print(digest(np.concatenate([stats.mean_uh, stats.mean_uJh,
+                             list(stats.mean_error.values()),
+                             [stats.u_energy_mean]])))
+""",
+    # a banded collocation run of 2 samples against a 5-node store on the
+    # same mesh: the SHA-256 of its means and per-sample errors
+    "colloc": """
+mesh = ms.build_mesh(2, 2, 6)
+model = ms.build_kle_model(mesh, 1.0, 0.3, 0.2, 6)
+store = ms.precompute_green_inverses(mesh, model, ms.build_sparse_grid(2, 1),
+                                     2)
+config = st.StochasticConfig(mesh=mesh, model=model, m=2, J_list=(1,),
+                             seed=11)
+stats = ms.collocation_run(config, 2, store)
+print(digest(np.concatenate([stats.mean_uh, stats.mean_uJh,
+                             stats.extra["e"], stats.extra["e_spl"]])))
 """,
 }
 
@@ -236,7 +264,7 @@ def basis_error_bound(asm, splitting, cell, vertex, J):
 
 def _dense(ops):
     """(M0, M1) of one cell as dense matrices."""
-    return fem.band_to_dense(ops.M0), fem.band_to_dense(ops.M1)
+    return fem.stencil_to_dense(ops.M0), fem.stencil_to_dense(ops.M1)
 
 
 def _lift(ops, vertex, interior):
@@ -355,6 +383,17 @@ def assemble_coarse_system(mesh, bases, k, f=None):
     return scatter_coarse_system(mesh, *local_coarse_system(mesh, bases, k, f))
 
 
+def stencil_offsets(n):
+    """Diagonals a local stencil stack on n interior nodes stores, in order.
+
+    The nodes run row-major over rows of s = sqrt(n), so a node meets its
+    9-point stencil neighbours 1, s - 1, s and s + 1 entries further on.
+    """
+    s = int(round(np.sqrt(n)))
+    assert s * s == n
+    return sorted({0, 1, s - 1, s, s + 1})
+
+
 def lower_bands(A, w):
     """(w, n) lower band storage of a dense (n, n) matrix, zero-padded."""
     n = len(A)
@@ -454,9 +493,9 @@ def green_store_loop(mesh, model, grid, m):
     """GreenStore.matrices of a loop over the nodes, one stack per node.
 
     Up to fem.BATCHED_MAX_N each node's M0 stack is expanded by
-    fem.band_to_dense, put cells last and inverted by fem.spd_inverse;
-    above it each cell's band is factored by scipy's banded Cholesky and
-    solved against the identity.
+    fem.stencil_to_dense, put cells last and inverted by fem.spd_inverse;
+    above it each cell's (r+1)-row lower band is factored by scipy's
+    banded Cholesky and solved against the identity.
     """
     asm = fem.local_assembler(mesh)
     cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
@@ -469,10 +508,11 @@ def green_store_loop(mesh, model, grid, m):
         k0 = np.exp(field.log_field_partial(model, theta, m))[cells]
         if n_k <= fem.BATCHED_MAX_N:
             G = np.moveaxis(fem.spd_inverse(np.moveaxis(
-                fem.band_to_dense(asm.interior_bands(k0)), 0, -1)), -1, 0)
+                fem.stencil_to_dense(asm.interior_bands(k0)), 0, -1)), -1, 0)
         else:
-            G = np.array([band_solve(band, np.eye(n_k))
-                          for band in asm.interior_bands(k0)])
+            G = np.array([
+                band_solve(lower_bands(a, mesh.r + 1), np.eye(n_k))
+                for a in fem.stencil_to_dense(asm.interior_bands(k0))])
         out[i] = G[:, row, col]
     return out
 

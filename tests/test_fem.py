@@ -32,8 +32,8 @@ def test_m0_single_interior_node():
     mesh = build_mesh(1, 1, 2)
     split = make_splitting(mesh, np.ones(4), np.zeros(4))
     ops = fem.assemble_local_operators(mesh, 0, split)
-    assert np.allclose(fem.band_to_dense(ops.M0), [[8.0 / 3.0]])
-    assert np.allclose(fem.band_to_dense(ops.M1), 0.0)
+    assert np.allclose(fem.stencil_to_dense(ops.M0), [[8.0 / 3.0]])
+    assert np.allclose(fem.stencil_to_dense(ops.M1), 0.0)
     assert np.allclose(ops.v1, 0.0)
 
 
@@ -75,7 +75,7 @@ def test_m0_is_spd():
     for cell in range(mesh.n_coarse_cells):
         ops = fem.assemble_local_operators(mesh, cell,
                                            _random_splitting(mesh, rng))
-        w = np.linalg.eigvalsh(fem.band_to_dense(ops.M0))
+        w = np.linalg.eigvalsh(fem.stencil_to_dense(ops.M0))
         assert w.min() > 0.0
 
 
@@ -298,26 +298,27 @@ def test_cell_cholesky_banded_matches_dense(r, n_cells):
     for bands in (ops.M0, ops.M0 + ops.M1):
         x = fem.cell_cholesky(bands)(rhs)
         for c in range(n_cells):
-            ref = sla.cho_solve(sla.cho_factor(fem.band_to_dense(bands[c])),
-                                rhs[c])
+            ref = sla.cho_solve(
+                sla.cho_factor(fem.stencil_to_dense(bands[c])), rhs[c])
             assert np.abs(x[c] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("r", [8, 30])
 def test_band_solves_match_scipy_bit_for_bit(r):
     # the ctypes binding calls the dpbtrf and dpbtrs that scipy's banded
-    # wrappers call: band_cholesky on one cell's band, and the banded
-    # cell_cholesky on the block-diagonal band of a stack, built here
-    # entry by entry
+    # wrappers call: band_cholesky on one cell's lower band storage, and the
+    # banded cell_cholesky on the block-diagonal band of a stencil stack,
+    # built here entry by entry from each cell's (r+1)-row lower band
     mesh = build_mesh(3, 1, r)
     assert mesh.n_interior > fem.BATCHED_MAX_N  # the banded branch
     rng = np.random.default_rng(r)
     ops = fem.assemble_local_operators(mesh, np.arange(3),
                                        _random_splitting(mesh, rng))
-    cells, w, n = ops.M0.shape
+    cells, n, w = len(ops.M0), mesh.n_interior, r + 1
     rhs = rng.standard_normal((cells, n, 4))
     for stacks in ((ops.M0,), (ops.M0, ops.M1)):
-        bands = sum(stacks[1:], stacks[0])
+        bands = np.array([reference.lower_bands(a, w) for a in
+                          fem.stencil_to_dense(sum(stacks[1:], stacks[0]))])
         for c in range(cells):
             solve = fem.band_cholesky(bands[c])
             for b in (rhs[c], rhs[c, :, 0]):
@@ -391,7 +392,7 @@ def test_cell_inverses_match_inv(r):
         inv = fem.cell_inverses(bands)
         assert np.array_equal(bands, before)  # the bands are never written
         assert inv.shape == ((r - 1) ** 2, (r - 1) ** 2, 3)
-        ref = np.linalg.inv(fem.band_to_dense(bands))
+        ref = np.linalg.inv(fem.stencil_to_dense(bands))
         err = np.abs(np.moveaxis(inv, -1, 0) - ref).max()
         assert err <= 1e-12 * np.abs(ref).max()
 
@@ -431,7 +432,7 @@ def test_cell_matmul_matches_dense(r):
     for bands in (M0, M1, M0 + M1):
         before, x_before = bands.copy(), x.copy()
         y = fem.cell_matmul(bands)(x)
-        ref = fem.band_to_dense(bands) @ x
+        ref = fem.stencil_to_dense(bands) @ x
         assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.array_equal(bands, before)
         assert np.array_equal(x, x_before)
@@ -445,26 +446,29 @@ def test_cell_cholesky_matches_solve(r):
     for bands in (M0, M0 + M1):
         before, rhs_before = bands.copy(), rhs.copy()
         x = fem.cell_cholesky(bands)(rhs)
-        ref = np.linalg.solve(fem.band_to_dense(bands), rhs)
+        ref = np.linalg.solve(fem.stencil_to_dense(bands), rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(bands, before)
         assert np.array_equal(rhs, rhs_before)
 
 
-@pytest.mark.parametrize("r,limit", [(2, 0), (3, 0), (7, 25)])
+@pytest.mark.parametrize("r,limit", [(2, 0), (3, 0), (7, 25), (30, 9)])
 def test_banded_cell_cholesky_reads_only_the_band(monkeypatch, r, limit):
     # the banded branch, forced on n = 1 and 4, where the band has more
     # rows than a block has columns and, at n = 1, the transposed stack is
-    # already contiguous; entries past a cell's end must not couple cells
+    # already contiguous; at r = 7 and 30 the stencil stack keeps 5 of the
+    # r + 1 diagonals.  Entries past a cell's end must not couple cells
     monkeypatch.setattr(fem, "BATCHED_MAX_N", limit)
     M0, M1 = _local_bands(r, 3, r)
     w, n = M0.shape[1:]
+    assert w == min(r + 1, 5)
     rhs = np.random.default_rng(r).standard_normal((3, n, 4))
-    past_end = np.add.outer(np.arange(w), np.arange(n)) >= n
+    offsets = reference.stencil_offsets(n)
+    past_end = np.add.outer(offsets, np.arange(n)) >= n
     for bands in (M0, M0 + M1):
         before = bands.copy()
         x = fem.cell_cholesky(bands)(rhs)
-        ref = np.linalg.solve(fem.band_to_dense(bands), rhs)
+        ref = np.linalg.solve(fem.stencil_to_dense(bands), rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(bands, before)
         junk = bands.copy()
@@ -475,12 +479,15 @@ def test_banded_cell_cholesky_reads_only_the_band(monkeypatch, r, limit):
 @pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 8, 30])
 def test_local_bands_match_global_stiffness(r):
     # each cell's M0 is the interior-node block of the global sparse
-    # stiffness assembled with k zero outside that cell
+    # stiffness assembled with k zero outside that cell; the stack keeps
+    # the r + 1 rows of lower band storage up to r = 4, 5 stencil
+    # diagonals from r = 5 on
     mesh = build_mesh(2, 2, r)
     split = _random_splitting(mesh, np.random.default_rng(r))
     ops = fem.assemble_local_operators(
         mesh, np.arange(mesh.n_coarse_cells), split)
-    assert ops.M0.shape == (mesh.n_coarse_cells, r + 1, mesh.n_interior)
+    assert ops.M0.shape == (mesh.n_coarse_cells, min(r + 1, 5),
+                            mesh.n_interior)
     for cell in range(mesh.n_coarse_cells):
         nodes = mesh.cell_fine_nodes(cell)[mesh.local_interior_mask]
         for k, bands in ((split.k0, ops.M0), (split.k1, ops.M1)):
@@ -488,8 +495,50 @@ def test_local_bands_match_global_stiffness(r):
             fine = mesh.cell_fine_cells(cell)
             alone[fine] = k[fine]
             ref = fine_stiffness(mesh, alone)[nodes][:, nodes].toarray()
-            err = np.abs(fem.band_to_dense(bands[cell]) - ref).max()
+            err = np.abs(fem.stencil_to_dense(bands[cell]) - ref).max()
             assert err <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 7, 30])
+def test_interior_bands_are_rows_of_lower_band_storage(r):
+    # the stencil stack differs from the (r+1)-row lower band storage only
+    # by its sparse map's target: up to r = 4 it is that storage byte for
+    # byte, and from r = 5 on it holds that storage's rows at the stencil
+    # offsets, the rows it drops being zero
+    mesh = build_mesh(2, 2, r)
+    asm = fem.LocalAssembler(mesh)
+    nk = mesh.n_interior
+    pos = np.full(asm.n_loc, -1)
+    pos[asm.interior_idx] = np.arange(nk)
+    lower_map = fem._stencil_band_scatter(asm.conn, asm.ke, pos,
+                                          lambda d, j: d * nk + j)
+    kappa = np.exp(np.random.default_rng(r).uniform(
+        -1, 1, (mesh.n_coarse_cells, r * r)))
+    lower = np.zeros((len(kappa), (r + 1) * nk))
+    fem._fill(lower_map, kappa, lower.T)
+    lower = lower.reshape(len(kappa), r + 1, nk)
+    bands = asm.interior_bands(kappa)
+    offsets = reference.stencil_offsets(nk)
+    assert fem.stencil_offsets(nk) == tuple(offsets)
+    if r <= 4:
+        assert bands.shape == lower.shape
+        assert bands.tobytes() == lower.tobytes()
+    assert bands.tobytes() == lower[:, offsets].tobytes()
+    assert not np.delete(lower, offsets, axis=1).any()
+    assert np.array_equal(fem.stencil_to_dense(bands),
+                          fem.band_to_dense(lower))
+
+
+def test_stencil_stacks_of_the_wrong_width_are_refused():
+    # a (w, n) stack is read at the stencil offsets of n, which it must hold
+    with pytest.raises(ValueError, match="square grid"):
+        fem.stencil_offsets(12)
+    M0, _ = _local_bands(7, 2, 0)
+    for bad in (np.zeros((2, 8, 36)), M0[:, :4]):
+        for use in (fem.stencil_to_dense, fem.cell_matmul, fem.cell_cholesky,
+                    fem.cell_inverses):
+            with pytest.raises(ValueError, match="stencil rows"):
+                use(bad)
 
 
 def _spd_stack(rng, n, cells, shift):

@@ -19,7 +19,8 @@ from reference import (assemble_coarse_system, build_basis_registry,
                        build_iterative_registries, bubble_sequence,
                        child_output, fine_stiffness, iterative_basis_sequence,
                        lift_cells, local_coarse_system, lower_bands,
-                       scatter_coarse_system, standard_basis)
+                       scatter_coarse_system, standard_basis,
+                       stencil_offsets)
 
 
 def _random_splitting(mesh, rng, amp=0.8):
@@ -249,7 +250,7 @@ def test_sample_errors_norms_and_reference(mode):
     split = _random_splitting(mesh, rng)
     f = rng.uniform(0.5, 1.5, mesh.n_fine_cells)
     ops = _all_cells(mesh, split)
-    green = np.linalg.inv(fem.band_to_dense(ops.M0)) if mode == "green" \
+    green = np.linalg.inv(fem.stencil_to_dense(ops.M0)) if mode == "green" \
         else None
     J_list = [0, 2]
     rec = msfem.sample_errors(mesh, split, J_list, f, green=green,
@@ -292,17 +293,20 @@ def test_sample_errors_refuses_wrong_length_f(reference):
 
 def test_overlapped_sample_independent_of_threads_and_cpus():
     # the fine band's pbtrf on the worker thread may split over OpenBLAS
-    # threads while the MsFEM stage runs beside it; u and u_h keep their
-    # bits under 1 and 2 BLAS threads and on one CPU, and equal those of
-    # the two stages run one after the other
+    # threads while the MsFEM stage runs beside it, and at r=30 the
+    # standard basis comes from the worker and the iterative ones from the
+    # calling thread; u, u_h and the u_J keep their bits under 1 and 2 BLAS
+    # threads and on one CPU, and equal those of the stages run one after
+    # the other
     digests = child_output("reference", 1)
     assert child_output("reference", 2) == digests
     assert child_output("reference", 1, one_cpu=True) == digests
     mesh = build_mesh(4, 4, 30)
     model = build_kle_model(mesh, 2.25, 0.7, 0.04, 20)
     split = split_kle(model, sample_theta(7, 0, 20), 16)
-    serial = (fine_reference_solve(mesh, split.k),
-              msfem.sample_errors(mesh, split, [1, 2]).u_h)
+    rec = msfem.sample_errors(mesh, split, [1, 2])
+    serial = (fine_reference_solve(mesh, split.k), rec.u_h,
+              np.array([rec.u_J[1], rec.u_J[2]]))
     assert digests == tuple(hashlib.sha256(u.tobytes()).hexdigest()
                             for u in serial)
 
@@ -369,16 +373,22 @@ def test_batched_bases_match_scalar_and_invariants(nx, ny, r, J, m, sigma2,
 
 @pytest.mark.parametrize("r", range(2, 9))
 def test_grid_bandwidth_holds_local_stencil(r):
-    # interior nodes run row-major over rows of r - 1, so neighbours lie at
-    # most r apart: the band has r + 1 rows
+    # interior nodes run row-major over rows of r - 1, so neighbours lie
+    # 1, r - 2, r - 1 and r apart: the stack keeps those diagonals and the
+    # main one, all r + 1 rows of lower band storage up to r = 4 and 5 of
+    # them from r = 5 on
     mesh = build_mesh(2, 2, r)
     ops = fem.assemble_local_operators(
         mesh, np.arange(mesh.n_coarse_cells),
         _random_splitting(mesh, np.random.default_rng(r)))
-    assert ops.M0.shape == ops.M1.shape == (mesh.n_coarse_cells, r + 1,
-                                            mesh.n_interior)
-    if r > 2:  # the up-right neighbour sits exactly r away
-        assert np.all(ops.M0[:, r].any(axis=1))
+    offsets = stencil_offsets(mesh.n_interior)
+    assert offsets == sorted({0, 1, r - 2, r - 1, r})
+    assert ops.M0.shape == ops.M1.shape == (mesh.n_coarse_cells,
+                                            min(r + 1, 5), mesh.n_interior)
+    assert len(offsets) == min(r + 1, 5)
+    if r > 2:  # every stored diagonal holds a neighbour in every cell; the
+        # up-right one, in the last row, sits exactly r away
+        assert np.all(ops.M0.any(axis=2))
 
 
 @pytest.mark.parametrize("nx,ny,r", [(2, 3, 2), (3, 2, 5), (2, 2, 7)])
@@ -388,7 +398,7 @@ def test_banded_and_batched_cholesky_agree(monkeypatch, nx, ny, r):
     split = _random_splitting(mesh, rng)
     ops = fem.assemble_local_operators(
         mesh, np.arange(mesh.n_coarse_cells), split)
-    green = np.linalg.inv(fem.band_to_dense(ops.M0))
+    green = np.linalg.inv(fem.stencil_to_dense(ops.M0))
     results, series = [], []
     for limit in (10 ** 6, 0):  # all batched, then all banded
         monkeypatch.setattr(fem, "BATCHED_MAX_N", limit)

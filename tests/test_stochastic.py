@@ -149,7 +149,7 @@ def test_green_store_shape_and_inverses():
         split = split_kle(model, theta, store.m)
         for cell in (0, 7):
             ops = fem.assemble_local_operators(mesh, cell, split)
-            prod = fem.band_to_dense(ops.M0) @ full[i, cell]
+            prod = fem.stencil_to_dense(ops.M0) @ full[i, cell]
             assert np.abs(prod - np.eye(mesh.n_interior)).max() <= 1e-8
 
 
@@ -174,7 +174,7 @@ def test_green_store_matches_independent_inverses(monkeypatch):
         theta[:store.m] = node
         k0 = split_kle(model, theta, store.m).k0
         full.append(np.linalg.inv(
-            fem.band_to_dense(asm.interior_bands(k0[cells]))))
+            fem.stencil_to_dense(asm.interior_bands(k0[cells]))))
     full = np.array(full)
     points = np.random.default_rng(3).uniform(-1.0, 1.0, (4, store.m))
     G = st._interpolated_green(store, points)
@@ -211,7 +211,7 @@ def test_green_store_above_batched_regime():
         theta = np.zeros(model.n)
         theta[:2] = node
         k0 = split_kle(model, theta, 2).k0
-        ref = np.linalg.inv(fem.band_to_dense(asm.interior_bands(k0[cells])))
+        ref = np.linalg.inv(fem.stencil_to_dense(asm.interior_bands(k0[cells])))
         assert np.abs(full[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -386,6 +386,17 @@ def test_interpolated_green_independent_of_threads_and_cpus():
     assert child_output("green", 1, one_cpu=True) == ("1", digest)
 
 
+@pytest.mark.parametrize("driver", ["mc", "colloc"])
+def test_banded_drivers_independent_of_threads_and_cpus(driver):
+    # r=6 (nK=25) is banded: in Monte Carlo the standard basis and the fine
+    # solve run on the worker, in collocation the store is inverted by the
+    # banded cell_inverses; the runs keep their bits under 1 and 2 BLAS
+    # threads and on one CPU
+    digest = child_output(driver, 1)
+    assert child_output(driver, 2) == digest
+    assert child_output(driver, 1, one_cpu=True) == digest
+
+
 def test_interpolated_basis_exact_at_grid_node():
     mesh, model, grid, store = _small_setup(L=2)
     theta = np.zeros(model.n)
@@ -478,6 +489,48 @@ def test_overlapped_sample_failure_reaches_caller(monkeypatch, stage):
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("stage", ["standard", "fine assembly", "fine"])
+def test_overlapped_banded_sample_failure_reaches_caller(monkeypatch, stage):
+    # at r=5 (nK=16, banded) the standard basis runs on the worker, queued
+    # before the fine solve: its failure reaches the caller, and so does a
+    # fine stage failing while the standard basis is still on the worker,
+    # in the band assembly on the calling thread or in the solve queued
+    # behind it; the worker has ended when the call returns
+    mesh = build_mesh(2, 2, 5)
+    assert fem.is_banded(mesh.n_interior)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
+    config = StochasticConfig(mesh=mesh, model=model, m=3, J_list=(0, 1),
+                              seed=123)
+    standard, solver = basis_mod.standard_bases, fem.fine_reference_solver
+    ran_on = []
+
+    def slow_standard(ops):
+        ran_on.append(threading.current_thread())
+        if stage == "standard":
+            raise np.linalg.LinAlgError("standard stage failed")
+        time.sleep(0.2)
+        return standard(ops)
+
+    def failing_solver(*args):
+        if stage == "fine assembly":
+            raise ValueError("fine assembly stage failed")
+        solver(*args)
+
+        def fine_failure():
+            raise np.linalg.LinAlgError("fine stage failed")
+        return fine_failure
+
+    monkeypatch.setattr(basis_mod, "standard_bases", slow_standard)
+    if stage != "standard":
+        monkeypatch.setattr(fem, "fine_reference_solver", failing_solver)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError,
+                       match=f"sample 0 failed: {stage} stage failed"):
+        monte_carlo_run(config, 2)
+    assert threading.active_count() == threads
+    assert len(ran_on) == 1 and ran_on[0] is not threading.current_thread()
+
+
 def test_collocation_run_triangle_inequality():
     mesh, model, grid, store = _small_setup(L=1)
     config = StochasticConfig(mesh=mesh, model=model, m=3,
@@ -544,7 +597,7 @@ def test_interpolated_registry_with_exact_green_equals_iterative():
     theta = sample_theta(31, 0, model.n)
     split = split_kle(model, theta, store.m)
     exact_green = np.array([
-        np.linalg.inv(fem.band_to_dense(
+        np.linalg.inv(fem.stencil_to_dense(
             fem.assemble_local_operators(mesh, c, split).M0))
         for c in range(mesh.n_coarse_cells)])
     J_list = (0, 1, 2)

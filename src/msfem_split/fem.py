@@ -15,10 +15,12 @@ import scipy.sparse as sp
 from scipy.linalg import cython_lapack
 
 
+@lru_cache(maxsize=8)
 def element_stiffness(hx, hy):
     """Exact Q1 stiffness for a hx x hy rectangle with unit coefficient.
 
-    Node order (0,0),(1,0),(1,1),(0,1).
+    Node order (0,0),(1,0),(1,1),(0,1).  Built once per rectangle and
+    shared by every caller, so the array is read-only.
     """
     sx = np.array([[2, -2, -1, 1],
                    [-2, 2, 1, -1],
@@ -28,7 +30,9 @@ def element_stiffness(hx, hy):
                    [1, 2, -2, -1],
                    [-1, -2, 2, 1],
                    [-2, -1, 1, 2]], dtype=float)
-    return (hy / hx) * sx / 6.0 + (hx / hy) * sy / 6.0
+    ke = (hy / hx) * sx / 6.0 + (hx / hy) * sy / 6.0
+    ke.flags.writeable = False
+    return ke
 
 
 # ---- banded Cholesky through LAPACK ----------------------------------------
@@ -360,16 +364,36 @@ def cell_cholesky(*stacks):
     """One factorization per matrix of the sum of (cells, w, n) SPD local
     stencil stacks, such as cell_cholesky(M0, M1) for M = M0 + M1.
 
-    Returns solve(rhs) for right-hand sides of shape (cells, n, k).  Blocks
-    up to BATCHED_MAX_N are inverted for the whole stack by cell_inverses
-    and applied as inverses; larger ones are factored by _block_factor.
+    Returns solve(rhs) for right-hand sides of shape (cells, n, k); see
+    cell_solvers.
     """
-    cells, w, n = stacks[0].shape
-    if not is_banded(n):
-        return partial(np.matmul, np.ascontiguousarray(np.moveaxis(
-            cell_inverses(sum(stacks[1:], stacks[0])), -1, 0)))
-    c = _block_factor(*stacks)
+    return cell_solvers(stacks)[0]
 
+
+def cell_solvers(*sums):
+    """[solve(rhs)] of each sum of (cells, w, n) SPD local stencil stacks,
+    such as cell_solvers((M0,), (M0, M1)) for M0 and M = M0 + M1.
+
+    The solves take right-hand sides of shape (cells, n, k).  Blocks up to
+    BATCHED_MAX_N are inverted for every sum by one cell_inverses call on
+    the sums stacked one after the other, and applied as inverses; that is
+    bit for bit one call per sum, since Gauss-Jordan works per cell, but
+    sweeps the stack n times instead of n times per sum.  A failing pivot
+    then names its cell in that stack: cell i of sum s is cell
+    s * cells + i.  Larger blocks are factored by _block_factor, one
+    factor per sum, which sums the stacks into its own factor buffer.
+    """
+    cells, w, n = sums[0][0].shape
+    if is_banded(n):
+        return [_block_solver(_block_factor(*stacks), cells, n)
+                for stacks in sums]
+    inverses = cell_inverses(np.concatenate([sum(s[1:], s[0]) for s in sums]))
+    inverses = np.ascontiguousarray(np.moveaxis(inverses, -1, 0))
+    return [partial(np.matmul, a) for a in np.split(inverses, len(sums))]
+
+
+def _block_solver(c, cells, n):
+    """solve(rhs) of _block_factor's factor c for (cells, n, k) rhs."""
     def solve(rhs):
         x = np.array(rhs.reshape(cells * n, -1), dtype=float, order="F")
         return _band_solve(c, x).reshape(rhs.shape)
@@ -485,10 +509,13 @@ class FineBand:
     band storage.  scatter takes the n_fine_cells coefficients straight
     into LAPACK's band layout: a C-ordered (n_free, nxf + 1) buffer whose
     transpose is that band storage, with entry (d, j) at j*(nxf + 1) + d.
+    unit_load is the load of f = 1 on the free nodes, the default source.
     """
 
     def __init__(self, mesh):
         self.free = np.flatnonzero(~mesh.boundary_node_mask())
+        self.unit_load = fine_load(mesh, np.ones(mesh.n_fine_cells))[self.free]
+        self.unit_load.flags.writeable = False
         w, n = self.shape = (mesh.nxf + 1, len(self.free))
         pos = np.full(mesh.n_fine_nodes, -1)
         pos[self.free] = np.arange(n)
@@ -536,10 +563,11 @@ def fine_reference_solver(mesh, k, f=None):
     k = np.asarray(k, float)
     if np.any(k <= 0.0):
         raise ValueError("coefficient must be strictly positive")
-    f = np.ones(mesh.n_fine_cells) if f is None else f
-    free = fine_band(mesh).free
+    maps = fine_band(mesh)
+    free = maps.free
     band = fine_stiffness_band(mesh, k)
-    load = fine_load(mesh, f)[free]
+    # solved into in place, so the cached unit load is copied
+    load = maps.unit_load.copy() if f is None else fine_load(mesh, f)[free]
     u = np.zeros(mesh.n_fine_nodes)
 
     def solve():

@@ -11,18 +11,25 @@ A basis is the vertex hats plus an interior correction, phi = H + E c (see
 basis), so the local coarse matrix and load follow from the local operators
 v = v0 + v1 and M = M0 + M1 already assembled for the bases:
 
-    phi^T A_K phi = H^T A_K H + c^T v + v^T c + c^T M c,
+    phi^T A_K phi = H^T A_K H + c^T v + v^T c + c^T M c
+                  = H^T A_K H + v^T c + c^T r,
     phi^T W f = H^T W f + c^T W_I f,
 
-with A_K the local stiffness, W the local load map and W_I its interior
-rows.  This only reorders the sum a(phi_i, phi_j) of the MsFEM coarse
-matrix (Hou & Wu, J. Comput. Phys. 134, 1997); for the standard basis it
-is the static-condensation Schur complement.  H^T A_K H, H^T W and W_I are
-fixed linear maps of a cell's coefficient and source values, built once
-per mesh: the first by fem.LocalAssembler, the others by coarse_maps.  The
-local matrices are summed by np.bincount straight into the band storage of
-the coarse system, which is solved in band storage as well; that keeps its
-results independent of the BLAS thread count.
+with A_K the local stiffness, W the local load map, W_I its interior rows
+and r = M c + v the Galerkin residual of the correction.  The bases hand
+over r from work they have done: r = 0 for the standard basis
+c = -M^-1 v, whose matrix is then the static-condensation Schur complement
+H^T A_K H - v^T M^-1 v, and r = M1 xi_J for the iterative basis of order
+J, the product its bubble series forms anyway (basis.iterative_bases).
+Only a collocated basis, whose interpolated Green's inverse is not M0^-1,
+pays for one product of M.  This only reorders the sum a(phi_i, phi_j) of
+the MsFEM coarse matrix (Hou & Wu, J. Comput. Phys. 134, 1997).
+H^T A_K H, H^T W and W_I are fixed linear maps of a cell's coefficient and
+source values, built once per mesh: the first by fem.LocalAssembler, the
+others by coarse_maps, which also keeps the loads of the default source
+f = 1.  The local matrices are summed by np.bincount straight into the
+band storage of the coarse system, which is solved in band storage as
+well; that keeps its results independent of the BLAS thread count.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -46,7 +53,7 @@ class CoarseMaps:
     has half-bandwidth nx_coarse; band_index holds the flat position in
     (nx_coarse + 1, n_free) lower band storage of each entry that band_keep
     selects from a (cells, 4, 4) stack, and load_index that of each load
-    entry that load_keep selects.
+    entry that load_keep selects.  unit_loads holds the loads of f = 1.
     """
 
     def __init__(self, mesh):
@@ -63,6 +70,7 @@ class CoarseMaps:
             shape=(asm.n_loc, n_el))
         self.hat_load = (load.T @ asm.hats).T
         self.interior_load = load[asm.interior_idx]
+        self.unit_loads = self.loads(np.ones(self.fine.shape))
 
         self.free = mesh.interior_coarse_vertices()
         n = self.n_free = len(self.free)
@@ -75,6 +83,14 @@ class CoarseMaps:
         self.band_index = ((row - col) * n + col)[self.band_keep]
         self.load_keep = p >= 0
         self.load_index = p[self.load_keep]
+
+    def loads(self, f):
+        """(H^T W f (cells, 4), W_I f (cells, nK)) of (cells, r^2) sources."""
+        # summed by einsum, not by a BLAS GEMM, which OpenBLAS splits over
+        # its threads on large meshes, so that the sums would depend on
+        # their count
+        return (np.einsum("ce,qe->cq", f, self.hat_load),
+                (self.interior_load @ f.T).T)
 
     def bands(self, local_A):
         """Lower band storage of the free-vertex part of sum_K local_A."""
@@ -109,44 +125,43 @@ class CoarseSystem:
     corrections: np.ndarray
 
 
-def local_coarse_systems(ops, k, corrections, f=None):
+def local_coarse_systems(ops, k, bases, f=None):
     """{key: (local A (cells, 4, 4), local F (cells, 4))} of bases H + E c.
 
     ops is the LocalOperators stack of every cell of the mesh, k and f the
-    fine-cell coefficient and source (f = 1 by default), and corrections
-    maps each key to a (cells, nK, 4) correction c.
+    fine-cell coefficient and source (f = 1 by default), and bases maps
+    each key to a (cells, nK, 4) correction c and its Galerkin residual
+    r = M c + v, or None where r = 0 (c = -M^-1 v, the standard basis).
     """
     maps = coarse_maps(ops.assembler.mesh)
     shape = ops.v0.shape
     k = np.asarray(k, float)[maps.fine]
-    f = np.ones_like(k) if f is None else np.asarray(f, float)[maps.fine]
-    # summed by einsum, not by a BLAS GEMM, which OpenBLAS splits over its
-    # threads on large meshes, so that the sums would depend on their count
+    hat_F, interior_F = maps.unit_loads if f is None else \
+        maps.loads(np.asarray(f, float)[maps.fine])
+    # summed by einsum, not by a BLAS GEMM, as in CoarseMaps.loads
     hat_A = np.einsum("ce,qe->cq", k,
                       ops.assembler.hat_stiffness).reshape(-1, 4, 4)
-    hat_F = np.einsum("ce,qe->cq", f, maps.hat_load)
-    interior_F = (maps.interior_load @ f.T).T
-    v = ops.v0 + ops.v1
-    m = fem.cell_matmul(ops.M0 + ops.M1)
+    vt = np.swapaxes(ops.v0 + ops.v1, 1, 2)
     out = {}
-    for key, c in corrections.items():
-        if c.shape != shape:
-            raise ValueError(
-                f"corrections must have shape {shape}, not {c.shape}")
-        ct = np.swapaxes(c, 1, 2)
-        cv = ct @ v
-        out[key] = (hat_A + cv + np.swapaxes(cv, 1, 2) + ct @ m(c),
-                    hat_F + np.einsum("cni,cn->ci", c, interior_F))
+    for key, (c, r) in bases.items():
+        bad = [a.shape for a in (c, r) if a is not None and a.shape != shape]
+        if bad:
+            raise ValueError(f"corrections and residuals must have shape "
+                             f"{shape}, not {bad[0]}")
+        A = hat_A + vt @ c
+        if r is not None:
+            A += np.swapaxes(c, 1, 2) @ r
+        out[key] = (A, hat_F + np.einsum("cni,cn->ci", c, interior_F))
     return out
 
 
-def assemble_coarse_systems(ops, k, corrections, f=None):
+def assemble_coarse_systems(ops, k, bases, f=None):
     """{key: CoarseSystem} of local_coarse_systems, summed over the cells."""
     maps = coarse_maps(ops.assembler.mesh)
     return {key: CoarseSystem(mesh=ops.assembler.mesh, bands=maps.bands(A),
-                              F=maps.load(F), corrections=corrections[key])
+                              F=maps.load(F), corrections=bases[key][0])
             for key, (A, F) in local_coarse_systems(
-                ops, k, corrections, f).items()}
+                ops, k, bases, f).items()}
 
 
 def solve_msfem(system):
@@ -191,7 +206,7 @@ class SampleErrors:
 
 
 def sample_errors(mesh, splitting, J_list, f=None, green=None,
-                  reference=False):
+                  reference=False, pool=None):
     """SampleErrors of the standard, iterative and collocated MsFEM.
 
     green is an (n_cells, nK, nK) stand-in for M0^-1, such as an
@@ -200,42 +215,50 @@ def sample_errors(mesh, splitting, J_list, f=None, green=None,
 
     The fine solve does not depend on the MsFEM stage, so with reference
     its band is factored and solved on a worker thread, without the GIL,
-    while the MsFEM stage runs on the calling thread.  In the banded
-    regime (fem.is_banded) the standard basis's factor and solves release
-    the GIL too: the local operators are assembled first and the standard
+    while the MsFEM stage runs on the calling thread.  The worker is
+    pool's, a one-worker ThreadPoolExecutor that the caller shuts down,
+    such as one opened per driver call; without pool one is opened for
+    this call and has ended when it returns.  In the banded regime
+    (fem.is_banded) the standard basis's factor and solves release the
+    GIL too: the local operators are assembled first and the standard
     basis is queued on the worker before the fine solve, since the coarse
     systems need it well before the energy norms need u; the fine band is
     assembled while it runs, and the bubble series runs beside both.  In
     the batched regime the standard basis holds the GIL and stays on the
-    calling thread; the fine band is assembled and queued first.  Each
+    calling thread; the fine band is assembled and queued first, so on a
+    fresh pool it is assembled before the worker's thread starts.  Each
     order measured the lower peak RSS in its own regime.  The stages'
     memory peaks add: the fine band is held while the local stacks are
     built, and in the banded regime the standard basis's factor beside the
     M0 factor, which the stencil bands' five rows pay for.  A failure of
-    any stage reaches the caller, and the worker has ended when this
-    returns.
+    any stage reaches the caller.
     """
     if f is not None and np.shape(f) != (mesh.n_fine_cells,):
         raise ValueError(f"f has shape {np.shape(f)}, expected "
                          f"({mesh.n_fine_cells},): one value per fine cell")
     if not reference:
         return _msfem_errors(mesh, splitting, J_list, f, green)
+    if pool is None:
+        with ThreadPoolExecutor(1) as pool:
+            return sample_errors(mesh, splitting, J_list, f, green,
+                                 reference, pool)
     if fem.is_banded(mesh.n_interior):
-        with ThreadPoolExecutor(1) as pool:
-            ops = fem.assemble_local_operators(
-                mesh, np.arange(mesh.n_coarse_cells), splitting)
-            standard = pool.submit(basis_mod.standard_bases, ops)
-            fine = pool.submit(
-                fem.fine_reference_solver(mesh, splitting.k, f))
-            out = _msfem_errors(mesh, splitting, J_list, f, green, ops,
-                                standard.result)
-            out.u = fine.result()
+        ops = fem.assemble_local_operators(
+            mesh, np.arange(mesh.n_coarse_cells), splitting)
+        standard = pool.submit(basis_mod.standard_bases, ops)
+        fine = pool.submit(fem.fine_reference_solver(mesh, splitting.k, f))
+        out = _msfem_errors(mesh, splitting, J_list, f, green, ops,
+                            standard.result)
     else:
+        # solve holds the fine band until the sample ends: freed by the
+        # worker mid-stage, the band (2 MiB at 16x16, r=4, mmapped) raised
+        # glibc's mmap threshold while the first sample still allocated,
+        # whose temporaries then grew the heap: peak RSS rose 0.4-1.8 MiB
+        # in 4 of 5 runs of 300 driver calls
         solve = fem.fine_reference_solver(mesh, splitting.k, f)
-        with ThreadPoolExecutor(1) as pool:
-            fine = pool.submit(solve)
-            out = _msfem_errors(mesh, splitting, J_list, f, green)
-            out.u = fine.result()
+        fine = pool.submit(solve)
+        out = _msfem_errors(mesh, splitting, J_list, f, green)
+    out.u = fine.result()
     out.u_energy = fem.energy_norm(mesh, splitting.k, out.u)
     return out
 
@@ -246,18 +269,13 @@ def _msfem_errors(mesh, splitting, J_list, f, green, ops=None,
 
     Given ops, the local operators of every cell, and standard(), which
     returns the standard bases' corrections, it uses those; otherwise it
-    assembles and computes them itself.
+    assembles them.
     """
     if ops is None:
         ops = fem.assemble_local_operators(
             mesh, np.arange(mesh.n_coarse_cells), splitting)
-        standard = partial(basis_mod.standard_bases, ops)
-    greens = {"J": None} if green is None else {"J": None, "col": green}
-    corrections = {(kind, J): c for kind, G in greens.items() for J, c in
-                   basis_mod.iterative_bases(ops, J_list, G).items()}
-    corrections["h"] = standard()
-    u = {key: solve_msfem(system) for key, system in
-         assemble_coarse_systems(ops, splitting.k, corrections, f).items()}
+    u = {key: solve_msfem(system) for key, system in assemble_coarse_systems(
+        ops, splitting.k, _bases(ops, J_list, green, standard), f).items()}
     norm = partial(fem.energy_norm, mesh, splitting.k)
     u_h, u_J = u["h"], {J: u["J", J] for J in J_list}
     out = SampleErrors(u_h, norm(u_h), u_J,
@@ -267,6 +285,26 @@ def _msfem_errors(mesh, splitting, J_list, f, green, ops=None,
         out.col = {J: (norm(u_h - v), norm(u_J[J] - v))
                    for J, v in out.u_col.items()}
     return out
+
+
+def _bases(ops, J_list, green, standard=None):
+    """{key: (c, r)} of local_coarse_systems for every basis of a sample.
+
+    The keys are ("J", J), ("col", J) given green, and "h" for the
+    standard basis, whose corrections standard() returns if given.
+    Otherwise M0 and M = M0 + M1 get one fem.cell_solvers call, a single
+    inverse sweep in the batched regime.  The factors or inverses are
+    dropped on return, before the coarse systems are assembled.
+    """
+    solve = None
+    if standard is None:
+        solve, solve_m = fem.cell_solvers((ops.M0,), (ops.M0, ops.M1))
+        standard = partial(basis_mod.standard_bases, ops, solve_m)
+    greens = {"J": None} if green is None else {"J": None, "col": green}
+    bases = {(kind, J): cr for kind, G in greens.items() for J, cr in
+             basis_mod.iterative_bases(ops, J_list, G, solve).items()}
+    bases["h"] = (standard(), None)
+    return bases
 
 
 def c_tilde(splitting):

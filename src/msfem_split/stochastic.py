@@ -405,7 +405,8 @@ def monte_carlo_run(config, N):
 
     Per sample: realize k, split at m, solve standard and iterative MsFEM
     plus the fine reference, and accumulate means/variances and the
-    empirical solution-level bound.
+    empirical solution-level bound.  The fine solves run on one worker
+    thread for the whole call (see msfem.sample_errors).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -419,25 +420,28 @@ def monte_carlo_run(config, N):
     ct_max = 0.0
     u_energy_sum = 0.0
 
-    for s in range(N):
-        try:
-            theta = sample_theta(config.seed, s, model.n)
-            split = field_mod.split_kle(model, theta, config.m)
-            rec = msfem.sample_errors(mesh, split, J_list, config.f,
-                                      reference=True)
-            u_energy_sum += rec.u_energy
-            eta_max = max(eta_max, split.eta_global)
-            ct_max = max(ct_max, msfem.c_tilde(split))
-            e = np.array([rec.err[J] for J in J_list])
-            err_sum += e
-            err_sq += e * e
-            u_J = rec.u_J[max(J_list)]
-            sum_uJ += u_J
-            sq_uJ += u_J ** 2
-            sum_uh += rec.u_h
-            sq_uh += rec.u_h ** 2
-        except Exception as exc:
-            raise RuntimeError(f"sample {s} failed: {exc}") from exc
+    # one worker for the fine solves of every sample; its thread starts at
+    # the first sample's first submit and has ended when the loop is left
+    with ThreadPoolExecutor(1) as pool:
+        for s in range(N):
+            try:
+                theta = sample_theta(config.seed, s, model.n)
+                split = field_mod.split_kle(model, theta, config.m)
+                rec = msfem.sample_errors(mesh, split, J_list, config.f,
+                                          reference=True, pool=pool)
+                u_energy_sum += rec.u_energy
+                eta_max = max(eta_max, split.eta_global)
+                ct_max = max(ct_max, msfem.c_tilde(split))
+                e = np.array([rec.err[J] for J in J_list])
+                err_sum += e
+                err_sq += e * e
+                u_J = rec.u_J[max(J_list)]
+                sum_uJ += u_J
+                sq_uJ += u_J ** 2
+                sum_uh += rec.u_h
+                sq_uh += rec.u_h ** 2
+            except Exception as exc:
+                raise RuntimeError(f"sample {s} failed: {exc}") from exc
 
     u_energy_mean = u_energy_sum / N
     # no bound without eta_max < 1; callers must not read inf as a pass

@@ -32,8 +32,8 @@ run_cli runs the command line in a child process under a chosen BLAS
 thread count, which a run inside the test process cannot change, and
 child_output runs one of a few scripts there, also on a single CPU: a
 GreenStore build, its interpolation, an energy norm, a sample with its
-fine reference solve and small banded Monte Carlo and collocation runs,
-each printing the hash of its result.
+fine reference solve, a batched and a small banded Monte Carlo run and a
+banded collocation run, each printing the hash of its result.
 green_store_loop builds the store's matrices one node at a time, the
 oracle of precompute_green_inverses' threaded node blocks, and
 interpolated_green_gemm contracts the store by one GEMM, the oracle of
@@ -138,6 +138,18 @@ model = ms.build_kle_model(mesh, 2.25, 0.7, 0.04, 20)
 split = ms.split_kle(model, ms.sample_theta(7, 0, 20), 16)
 rec = ms.msfem.sample_errors(mesh, split, [1, 2], reference=True)
 print(digest(rec.u), digest(rec.u_h), digest([rec.u_J[1], rec.u_J[2]]))
+""",
+    # a batched (r=4, nK=9) Monte Carlo run of 2 samples on a 16x16 mesh,
+    # the mc-r4 benchmark workload's call: the SHA-256 of its means
+    "mc-batched": """
+mesh = ms.build_mesh(16, 16, 4)
+model = ms.build_kle_model(mesh, 1.0, 0.1, 0.1, 20)
+config = st.StochasticConfig(mesh=mesh, model=model, m=14,
+                             J_list=(0, 1, 2, 3, 4), seed=12345)
+stats = ms.monte_carlo_run(config, 2)
+print(digest(np.concatenate([stats.mean_uh, stats.mean_uJh,
+                             list(stats.mean_error.values()),
+                             [stats.u_energy_mean]])))
 """,
     # a banded (r=6, nK=25) Monte Carlo run of 2 samples on a 2x2 mesh:
     # the SHA-256 of its means
@@ -343,7 +355,7 @@ def build_iterative_registries(mesh, splitting, J_list, green=None):
     green."""
     ops = _all_cells(mesh, splitting)
     return {J: lift_cells(ops.assembler, c)
-            for J, c in basis.iterative_bases(ops, J_list, green).items()}
+            for J, (c, _) in basis.iterative_bases(ops, J_list, green).items()}
 
 
 def local_coarse_system(mesh, bases, k, f=None):

@@ -47,7 +47,7 @@ def test_criterion_01_degenerate_splitting_identity():
         bases = basis_mod.iterative_bases(ops, (0, 1, 5))
         for vertex in range(4):
             for J in (0, 1, 5):
-                phi_J = bases[J][0, :, vertex]
+                phi_J = bases[J][0][0, :, vertex]
                 ok &= bool(np.abs(phi[:, vertex] - phi_J).max() <= 1e-12)
     _report(1, "degenerate splitting identity", ok)
 
@@ -73,7 +73,7 @@ def test_criterion_02_oracle_equivalence():
             out[free] = spla.spsolve(A0ff, rhs[free])
             return out
 
-        pi_l, xis = basis_mod.bubble_series(ops, 4)
+        pi_l, xis, _ = basis_mod.bubble_series(ops, 4)
         pi_o = solve0(A0 @ hat)
         ok &= bool(np.abs(pi_l[0, :, vertex] - pi_o[idx]).max() <= 1e-10)
         xi_o = solve0(A1 @ (pi_o - hat))

@@ -52,8 +52,33 @@ def test_degenerate_splitting_identity():
         phi = standard_bases(ops)[0, :, trial % 4]
         bases = iterative_bases(ops, (0, 1, 5))
         for J in (0, 1, 5):
-            phi_J = bases[J][0, :, trial % 4]
+            phi_J = bases[J][0][0, :, trial % 4]
             assert np.abs(phi - phi_J).max() <= 1e-12
+
+
+@pytest.mark.parametrize("r", [3, 4, 7])
+def test_series_products_and_residuals(r):
+    # bubble_series returns M1 xi_j as cell_matmul(M1) forms it, bit for
+    # bit, and iterative_bases' residual M1 xi_J is M c_J + v, exactly for
+    # M0^-1 up to round-off; r = 7 runs the banded regime
+    mesh = build_mesh(3, 2, r)
+    ops = fem.assemble_local_operators(
+        mesh, np.arange(mesh.n_coarse_cells),
+        _random_splitting(mesh, np.random.default_rng(r)))
+    m1 = fem.cell_matmul(ops.M1)
+    green = np.linalg.inv(fem.stencil_to_dense(ops.M0)) * 1.01
+    for G in (None, green):
+        _, xis, products = bubble_series(ops, 4, G)
+        assert len(products) == len(xis) == 5
+        for xi, product in zip(xis, products):
+            assert np.array_equal(product, m1(xi))
+    m = fem.stencil_to_dense(ops.M0 + ops.M1)
+    v = ops.v0 + ops.v1
+    scale = np.abs(v).max()
+    for G in (None, green):
+        for J, (c, res) in iterative_bases(ops, range(5), G).items():
+            assert np.abs(res - (m @ c + v)).max() <= 1e-12 * scale, J
+    assert np.abs(m @ standard_bases(ops) + v).max() <= 1e-12 * scale
 
 
 def test_bubble_oracle_equivalence():
@@ -65,7 +90,7 @@ def test_bubble_oracle_equivalence():
         ops = fem.assemble_local_operators(mesh, [0], split)
         pi_o, xis_o = _oracle_solves(mesh, split, vertex, 3)
         idx = fem.LocalAssembler(mesh).interior_idx
-        pi_l, xis = bubble_series(ops, 3)
+        pi_l, xis, _ = bubble_series(ops, 3)
         assert np.abs(pi_l[0, :, vertex] - pi_o[idx]).max() <= 1e-10
         for xi, xi_o in zip(xis, xis_o):
             assert np.abs(xi[0, :, vertex] - xi_o[idx]).max() <= 1e-10
@@ -121,7 +146,7 @@ def test_boundary_values_are_exact_hats():
     ops = fem.assemble_local_operators(mesh, [0], split)
     boundary = ~mesh.local_interior_mask
     std = lift_cells(ops.assembler, standard_bases(ops))[0]
-    it2 = lift_cells(ops.assembler, iterative_bases(ops, [2])[2])[0]
+    it2 = lift_cells(ops.assembler, iterative_bases(ops, [2])[2][0])[0]
     for vertex in range(4):
         hat = ops.assembler.hats[:, vertex]
         for fn in (std[:, vertex], it2[:, vertex]):
@@ -153,7 +178,7 @@ def test_bubbles_vanish_without_k1():
         assert np.allclose(xi[0, :, 2], 0.0, atol=1e-14)
     scalar_ops = fem.assemble_local_operators(mesh, 0, split)
     assert np.allclose(xi_direct(scalar_ops, 2), 0.0, atol=1e-14)
-    phi_J = iterative_bases(ops, [3])[3][0, :, 2]
+    phi_J = iterative_bases(ops, [3])[3][0][0, :, 2]
     phi = standard_bases(ops)[0, :, 2]
     assert np.abs(phi_J - phi).max() <= 1e-12
 
@@ -260,7 +285,7 @@ def test_basis_errors_match_lifted_oracle(nx, ny, r):
     asm = ops.assembler
     ref = lift_cells(asm, standard_bases(ops))
     lifted = {J: lift_cells(asm, c)
-              for J, c in iterative_bases(ops, range(6)).items()}
+              for J, (c, _) in iterative_bases(ops, range(6)).items()}
     errors = basis_errors(ops, split, range(6))
     assert sorted(errors) == list(range(6))
     for J, (err, bound) in errors.items():

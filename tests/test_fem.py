@@ -26,6 +26,23 @@ def test_element_stiffness_unit_square():
     assert np.allclose(np.diag(ke), 2.0 / 3.0)
     assert np.allclose(ke, ke.T)
     assert np.allclose(ke.sum(axis=1), 0.0)
+    # built once and shared, so read-only
+    assert fem.element_stiffness(1.0, 1.0) is ke
+    assert not ke.flags.writeable
+
+
+def test_default_source_load_is_the_unit_load():
+    # f = None reads the mesh's cached unit load, bit for bit f = 1, and
+    # the solve, which writes into its load, leaves the cache as it was
+    mesh = build_mesh(3, 2, 4)
+    k = np.exp(np.random.default_rng(3).uniform(-1, 1, mesh.n_fine_cells))
+    ones = np.ones(mesh.n_fine_cells)
+    ref = fem.fine_reference_solver(mesh, k, ones)()
+    for _ in range(2):
+        assert np.array_equal(fem.fine_reference_solver(mesh, k)(), ref)
+    free = fem.fine_band(mesh).free
+    assert np.array_equal(fem.fine_band(mesh).unit_load,
+                          fem.fine_load(mesh, ones)[free])
 
 
 def test_m0_single_interior_node():
@@ -406,6 +423,37 @@ def test_cell_inverses_reject_non_spd(r):
                        match="matrix is not SPD: pivot 0 .* in cell 2"):
         fem.cell_inverses(M0)
     assert np.array_equal(M0, before)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 7])
+def test_cell_solvers_match_separate_calls_bit_for_bit(r):
+    # batched (r <= 4): one cell_inverses call on the stacked sums M0 and
+    # M0 + M1 is the two separate calls bit for bit, and each solve applies
+    # its part as the separate inverse would; banded: one factor per sum,
+    # each cell_cholesky's
+    M0, M1 = _local_bands(r, 3, r)
+    rhs = np.random.default_rng(r).standard_normal((3, (r - 1) ** 2, 4))
+    solves = fem.cell_solvers((M0,), (M0, M1))
+    for solve, stacks in zip(solves, [(M0,), (M0, M1)], strict=True):
+        if fem.is_banded(M0.shape[-1]):
+            ref = fem.cell_cholesky(*stacks)(rhs)
+        else:
+            inv = fem.cell_inverses(sum(stacks[1:], stacks[0]))
+            ref = np.ascontiguousarray(np.moveaxis(inv, -1, 0)) @ rhs
+        assert np.array_equal(solve(rhs), ref)
+    if not fem.is_banded(M0.shape[-1]):
+        both = fem.cell_inverses(np.concatenate([M0, M0 + M1]))
+        assert np.array_equal(both[..., :3], fem.cell_inverses(M0))
+        assert np.array_equal(both[..., 3:], fem.cell_inverses(M0 + M1))
+
+
+def test_stacked_cell_solvers_name_the_failing_cell():
+    # a non-SPD cell 1 of the second sum is cell 3 + 1 of the stacked sums
+    M0, M1 = _local_bands(4, 3, 4)
+    M1[1] = -2.0 * M0[1]
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="matrix is not SPD: pivot 0 .* in cell 4"):
+        fem.cell_solvers((M0,), (M0, M1))
 
 
 def test_band_to_dense_matches_loop():

@@ -37,7 +37,7 @@ def _all_cells(mesh, split):
 def _system(mesh, split, J=None, f=None):
     """The library's coarse system of the standard basis, or iterative at J."""
     ops = _all_cells(mesh, split)
-    c = basis_mod.standard_bases(ops) if J is None else \
+    c = (basis_mod.standard_bases(ops), None) if J is None else \
         basis_mod.iterative_bases(ops, [J])[J]
     return assemble_coarse_systems(ops, split.k, {"c": c}, f)["c"]
 
@@ -121,8 +121,9 @@ def test_missing_basis_entry_rejected():
     ops = _all_cells(mesh, split)
     c = basis_mod.standard_bases(ops)
     for malformed in (c[1:], c[:, :, :3], c[:, 1:]):
-        with pytest.raises(ValueError):
-            assemble_coarse_systems(ops, split.k, {0: malformed})
+        for basis in ((malformed, None), (malformed, c), (c, malformed)):
+            with pytest.raises(ValueError):
+                assemble_coarse_systems(ops, split.k, {0: basis})
 
 
 def test_solution_boundary_zero():
@@ -173,19 +174,19 @@ def _kle_case(nx, ny, r):
 @pytest.mark.parametrize("nx,ny,r", [(3, 2, 2), (2, 3, 3), (3, 2, 4),
                                      (2, 3, 7)])
 def test_local_coarse_systems_match_element_oracle(nx, ny, r):
-    # Phi^T A_K Phi = H^T A_K H + c^T v + v^T c + c^T M c against the
+    # Phi^T A_K Phi = H^T A_K H + v^T c + c^T r against the
     # element-by-element quadratic form of the lifted bases; r = 7 runs
     # the banded regime (nK = 36 > BATCHED_MAX_N)
     mesh, split, green, f = _kle_case(nx, ny, r)
     ops = _all_cells(mesh, split)
-    corrections = {("h", 0): basis_mod.standard_bases(ops)}
-    for J, c in basis_mod.iterative_bases(ops, range(5)).items():
-        corrections[("J", J)] = c
-    for J, c in basis_mod.iterative_bases(ops, [0, 2], green).items():
-        corrections[("col", J)] = c
-    local = msfem.local_coarse_systems(ops, split.k, corrections, f)
-    assert local.keys() == corrections.keys()
-    for key, c in corrections.items():
+    bases = {("h", 0): (basis_mod.standard_bases(ops), None)}
+    for J, cr in basis_mod.iterative_bases(ops, range(5)).items():
+        bases[("J", J)] = cr
+    for J, cr in basis_mod.iterative_bases(ops, [0, 2], green).items():
+        bases[("col", J)] = cr
+    local = msfem.local_coarse_systems(ops, split.k, bases, f)
+    assert local.keys() == bases.keys()
+    for key, (c, _) in bases.items():
         ref_A, ref_F = local_coarse_system(
             mesh, lift_cells(ops.assembler, c), split.k, f)
         A, F = local[key]
@@ -193,12 +194,50 @@ def test_local_coarse_systems_match_element_oracle(nx, ny, r):
         assert np.abs(F - ref_F).max() <= 1e-13 * np.abs(ref_F).max(), key
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 7])
+def test_coarse_matrices_from_residuals_match_explicit_form(r):
+    # H^T A_K H + v^T c + c^T r, with r = 0 for the standard basis, the
+    # series' M1 xi_J for the iterative ones and an explicit M c + v for
+    # the collocated ones, against H^T A_K H + c^T v + v^T c + c^T M c
+    # with M expanded to dense; r >= 5 runs the banded regime
+    mesh, split, green, f = _kle_case(3, 2, r)
+    ops = _all_cells(mesh, split)
+    assert fem.is_banded(ops.assembler.n_interior) == (r >= 5)
+    bases = {"h": (basis_mod.standard_bases(ops), None)}
+    for kind, G in (("J", None), ("col", green)):
+        for J, cr in basis_mod.iterative_bases(ops, range(5), G).items():
+            bases[kind, J] = cr
+    local = msfem.local_coarse_systems(ops, split.k, bases, f)
+    m = fem.stencil_to_dense(ops.M0 + ops.M1)
+    v = ops.v0 + ops.v1
+    hat_A = np.einsum("ce,qe->cq", split.k[mesh.cell_fine_cells(ops.cell)],
+                      ops.assembler.hat_stiffness).reshape(-1, 4, 4)
+    for key, (c, _) in bases.items():
+        ct = np.swapaxes(c, 1, 2)
+        ref = hat_A + ct @ v + np.swapaxes(ct @ v, 1, 2) + ct @ m @ c
+        A = local[key][0]
+        assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max(), key
+
+
+def test_default_source_loads_are_the_unit_loads():
+    # f = None reads the mesh's cached loads, bit for bit those of f = 1
+    mesh, split, _, _ = _kle_case(3, 2, 4)
+    ops = _all_cells(mesh, split)
+    bases = basis_mod.iterative_bases(ops, [0, 2])
+    ones = np.ones(mesh.n_fine_cells)
+    ref = msfem.local_coarse_systems(ops, split.k, bases, ones)
+    for key, (A, F) in msfem.local_coarse_systems(
+            ops, split.k, bases).items():
+        assert np.array_equal(A, ref[key][0])
+        assert np.array_equal(F, ref[key][1])
+
+
 @pytest.mark.parametrize("nx,ny,r", [(3, 2, 3), (2, 4, 7)])
 def test_downscaling_from_corrections_matches_lifted_bases(nx, ny, r):
     mesh = build_mesh(nx, ny, r)
     rng = np.random.default_rng(nx + 10 * r)
     ops = _all_cells(mesh, _random_splitting(mesh, rng))
-    c = basis_mod.iterative_bases(ops, [1])[1]
+    c = basis_mod.iterative_bases(ops, [1])[1][0]
     free = mesh.interior_coarse_vertices()
     coeffs = np.zeros(mesh.n_coarse_vertices)
     coeffs[free] = rng.uniform(-1.0, 1.0, free.size)
@@ -343,7 +382,7 @@ def test_batched_bases_match_scalar_and_invariants(nx, ny, r, J, m, sigma2,
                 assert np.abs(its[j][cell, :, v] - seq[j]).max() <= 1e-12
             ref = iterative_basis_sequence(ops, v, J, green[cell])[J]
             assert np.abs(col[cell, :, v] - ref).max() <= 1e-12
-            for G, (pi_l, xis) in series:
+            for G, (pi_l, xis, _) in series:
                 pi_ref, xis_ref = bubble_sequence(
                     ops, v, J, None if G is None else G[cell])
                 assert np.abs(pi_l[cell, :, v] - pi_ref).max() <= 1e-12
@@ -412,7 +451,7 @@ def test_banded_and_batched_cholesky_agree(monkeypatch, nx, ny, r):
     for a, b in zip(batched[1:], banded[1:]):
         for J in (0, 3):
             assert np.abs(a[J] - b[J]).max() <= 1e-12 * scale
-    for (pi_a, xis_a), (pi_b, xis_b) in zip(*series):
+    for (pi_a, xis_a, _), (pi_b, xis_b, _) in zip(*series):
         scale = np.abs(pi_a).max()
         for a, b in zip([pi_a] + xis_a, [pi_b] + xis_b):
             assert np.abs(a - b).max() <= 1e-12 * scale

@@ -12,6 +12,7 @@ from msfem_split import (build_kle_model, build_mesh, build_sparse_grid,
                          smolyak_node_count)
 from msfem_split import basis as basis_mod
 from msfem_split import fem
+from msfem_split import msfem
 from msfem_split import stochastic as st
 from msfem_split.field import split_kle
 from msfem_split.stochastic import (StochasticConfig, collocation_run,
@@ -397,6 +398,45 @@ def test_banded_drivers_independent_of_threads_and_cpus(driver):
     assert child_output(driver, 1, one_cpu=True) == digest
 
 
+def test_batched_monte_carlo_independent_of_threads():
+    # a whole 16x16, r=4 driver call keeps the bits of its means under 1
+    # and 2 BLAS threads; the banded 2x2, r=6 call is checked likewise by
+    # test_banded_drivers_independent_of_threads_and_cpus
+    assert child_output("mc-batched", 1) == child_output("mc-batched", 2)
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_monte_carlo_fine_solves_share_one_worker(monkeypatch, r):
+    # one worker per driver call, in both regimes: every sample's fine
+    # solve runs on the same thread, which has ended when the call
+    # returns, and the means are those of samples run one pool each
+    mesh = build_mesh(2, 2, r)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
+    config = StochasticConfig(mesh=mesh, model=model, m=3, J_list=(0, 1),
+                              seed=123)
+    recs = [msfem.sample_errors(
+        mesh, split_kle(model, sample_theta(123, s, model.n), 3), (0, 1),
+        reference=True) for s in range(3)]
+    solver, ran_on = fem.fine_reference_solver, []
+
+    def recorded_solver(*args):
+        solve = solver(*args)
+
+        def recorded_solve():
+            ran_on.append(threading.current_thread())
+            return solve()
+        return recorded_solve
+
+    monkeypatch.setattr(fem, "fine_reference_solver", recorded_solver)
+    threads = threading.active_count()
+    stats = monte_carlo_run(config, 3)
+    assert threading.active_count() == threads
+    assert len(ran_on) == 3 and len(set(ran_on)) == 1
+    assert ran_on[0] is not threading.main_thread()
+    assert np.array_equal(stats.mean_uh, sum(rec.u_h for rec in recs) / 3)
+    assert stats.u_energy_mean == sum(rec.u_energy for rec in recs) / 3
+
+
 def test_interpolated_basis_exact_at_grid_node():
     mesh, model, grid, store = _small_setup(L=2)
     theta = np.zeros(model.n)
@@ -406,8 +446,8 @@ def test_interpolated_basis_exact_at_grid_node():
     green = st._interpolated_green(store, theta[:store.m])
     for cell in (0, 10):
         ops = fem.assemble_local_operators(mesh, [cell], split)
-        exact = basis_mod.iterative_bases(ops, [2])[2]
-        col = basis_mod.iterative_bases(ops, [2], green[[cell]])[2]
+        exact = basis_mod.iterative_bases(ops, [2])[2][0]
+        col = basis_mod.iterative_bases(ops, [2], green[[cell]])[2][0]
         assert np.abs(exact - col).max() <= 1e-10
 
 
@@ -421,7 +461,7 @@ def test_interpolated_basis_m_equals_n():
     assert split.eta_global <= 1e-14
     ops = fem.assemble_local_operators(mesh, [1], split)
     green = st._interpolated_green(store, theta[:store.m])
-    col = basis_mod.iterative_bases(ops, [0], green[[1]])[0][0, :, 3]
+    col = basis_mod.iterative_bases(ops, [0], green[[1]])[0][0][0, :, 3]
     std = basis_mod.standard_bases(ops)[0, :, 3]
     assert np.abs(col - std).max() <= 1e-10
 
@@ -473,7 +513,7 @@ def test_overlapped_sample_failure_reaches_caller(monkeypatch, stage):
             return solve()
         return slow_solve
 
-    def msfem_failure(ops):
+    def msfem_failure(ops, solve):
         raise np.linalg.LinAlgError("msfem stage failed")
 
     if stage == "fine":

@@ -25,36 +25,35 @@ def standard_bases(ops, solve=None):
 
     One factorization or inverse of the band sum M = M0 + M1 per cell,
     applied to all four vertex columns: solve, a solve of M such as one of
-    fem.cell_solvers, or by default fem.cell_cholesky(ops.M0, ops.M1),
+    fem.cell_solvers, or by default fem.cell_solvers((ops.M0, ops.M1)),
     which sums the bands into its own factor buffer.  M c + v = 0, so the
     Galerkin residual of these bases is zero.
     """
     if solve is None:
-        solve = fem.cell_cholesky(ops.M0, ops.M1)
+        solve = fem.cell_solvers((ops.M0, ops.M1))[0]
     return -solve(ops.v0 + ops.v1)
 
 
-def bubble_series(ops, J, green=None, solve=None):
+def bubble_series(ops, J, solve=None):
     """Projection Pi l = M0^-1 v0, bubbles xi_0 .. xi_J of every cell and
     their products M1 xi_0 .. M1 xi_J.
 
     xi_0 = M0^-1 (M1 Pi l - v1) and xi_j = -M0^-1 M1 xi_{j-1}, from one
     factorization or inverse of M0 per cell (solve, such as one of
-    fem.cell_solvers, or by default fem.cell_cholesky(ops.M0)) and one
+    fem.cell_solvers, or by default fem.cell_solvers((ops.M0,))) and one
     fem.cell_matmul of the M1 bands.  Each product M1 xi_j is the input of
     the next term, and the series forms M1 xi_J as well: by the recursion
     it is the Galerkin residual M c_J + v of the truncated basis (see
-    iterative_bases).  Given green, a (cells, nK, nK) stack applied in
-    place of M0^-1 (an interpolated Green's inverse), the same series
-    yields the collocated bubbles.  Returns (pi_l, [xi_0, .., xi_J],
-    [M1 xi_0, .., M1 xi_J]), each (cells, nK, 4) on the interior nodes.
+    iterative_bases).  A solve that applies a (cells, nK, nK) stand-in for
+    M0^-1, such as partial(np.matmul, green) of an interpolated Green's
+    inverse, yields the collocated bubbles.  Returns (pi_l, [xi_0, ..,
+    xi_J], [M1 xi_0, .., M1 xi_J]), each (cells, nK, 4) on the interior
+    nodes.
     """
     if J < 0:
         raise ValueError("J must be >= 0")
-    if green is not None:
-        solve = partial(np.matmul, green)
-    elif solve is None:
-        solve = fem.cell_cholesky(ops.M0)
+    if solve is None:
+        solve = fem.cell_solvers((ops.M0,))[0]
     m1 = fem.cell_matmul(ops.M1)
     pi_l = solve(ops.v0)
     bubbles = [solve(m1(pi_l) - ops.v1)]
@@ -69,7 +68,9 @@ def iterative_bases(ops, J_list, green=None, solve=None):
     """{J: (c, r)} of phi_J, each (cells, nK, 4): the correction
     c = -Pi l + sum_{j<=J} xi_j and its Galerkin residual r = M c + v.
 
-    All J share one bubble_series; green and solve are passed on to it.
+    All J share one bubble_series of solve, a solve of M0 (see
+    bubble_series), or given green, a (cells, nK, nK) stand-in for M0^-1
+    such as an interpolated Green's inverse, of partial(np.matmul, green).
     With M0^-1 the recursion M0 xi_j = -M1 xi_{j-1} telescopes to
     M c_J + v = M1 xi_J, the series' own product.  An interpolated green
     is not M0^-1, so given green r is formed by one fem.cell_matmul of
@@ -77,9 +78,10 @@ def iterative_bases(ops, J_list, green=None, solve=None):
     """
     if min(J_list) < 0:
         raise ValueError("J must be >= 0")
-    pi_l, bubbles, products = bubble_series(ops, max(J_list), green, solve)
     if green is not None:
+        solve = partial(np.matmul, green)
         m, v = fem.cell_matmul(ops.M0 + ops.M1), ops.v0 + ops.v1
+    pi_l, bubbles, products = bubble_series(ops, max(J_list), solve)
     # the partial sums overwrite the series' own arrays, which no caller
     # sees, so they take no memory beside the products
     acc = np.negative(pi_l, out=pi_l)
@@ -98,7 +100,8 @@ def basis_errors(ops, splitting, J_list):
     bound 2 ||k1/sqrt(k k0)||_inf eta_K^(J+1) ||sqrt(k0) grad l||_K, each
     (cells, 4) over the cells of ops.cell and the four vertices.  The hats
     cancel in phi - phi_J = E d, d = c_h - c_J, so the error squared is
-    d^T M d with M = M0 + M1.
+    d^T M d with M = M0 + M1.  M0 and M get one fem.cell_solvers call, a
+    single inverse sweep in the batched regime.
     """
     asm = ops.assembler
     fine = asm.mesh.cell_fine_cells(ops.cell)
@@ -109,10 +112,11 @@ def basis_errors(ops, splitting, J_list):
     # einsum, not by BLAS, so that it does not depend on the thread count
     grad_l = np.sqrt(np.einsum("ce,qe->cq", k0,
                                asm.hat_stiffness[[0, 5, 10, 15]]))
-    c_h = standard_bases(ops)
+    solve_m0, solve_m = fem.cell_solvers((ops.M0,), (ops.M0, ops.M1))
+    c_h = standard_bases(ops, solve_m)
     m = fem.cell_matmul(ops.M0 + ops.M1)
     out = {}
-    for J, (c, _) in iterative_bases(ops, J_list).items():
+    for J, (c, _) in iterative_bases(ops, J_list, solve=solve_m0).items():
         d = c_h - c
         error = np.sqrt(np.maximum(np.einsum("cni,cni->ci", d, m(d)), 0.0))
         out[J] = (error, 2.0 * sup * eta ** (J + 1) * grad_l)

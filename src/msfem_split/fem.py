@@ -8,7 +8,7 @@ reference rectangle stiffness.
 import ctypes
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,10 +118,25 @@ def _band_solve(c, b):
     return b
 
 
+def _band_solver(c):
+    """solve(rhs) of _band_factor's factor c, for rhs whose leading axes
+    hold its n rows: (n,), (n, k) or, for cells, (cells, n / cells, k)."""
+    n = c.shape[1]
+
+    def solve(rhs):
+        rhs = np.asarray(rhs)
+        rows = prod(rhs.shape[:-1]) if rhs.ndim > 1 else rhs.size
+        if rows != n:
+            raise ValueError(f"rhs of shape {rhs.shape} has {rows} rows, "
+                             f"the factor order {n}")
+        x = np.array(rhs.reshape(n, -1), dtype=float, order="F")
+        return _band_solve(c, x).reshape(rhs.shape)
+    return solve
+
+
 def band_cholesky(bands):
     """solve(rhs) for SPD A in lower band storage: bands[d, j] = A[j+d, j]."""
-    c = _band_factor(np.array(bands, dtype=float, order="F"))
-    return lambda rhs: _band_solve(c, np.array(rhs, dtype=float, order="F"))
+    return _band_solver(_band_factor(np.array(bands, dtype=float, order="F")))
 
 
 # Local blocks up to this order are expanded to dense for a whole stack of
@@ -360,16 +375,6 @@ def assemble_local_operators(mesh, cell, splitting):
                           v0=asm.vertex_vectors(k0), v1=asm.vertex_vectors(k1))
 
 
-def cell_cholesky(*stacks):
-    """One factorization per matrix of the sum of (cells, w, n) SPD local
-    stencil stacks, such as cell_cholesky(M0, M1) for M = M0 + M1.
-
-    Returns solve(rhs) for right-hand sides of shape (cells, n, k); see
-    cell_solvers.
-    """
-    return cell_solvers(stacks)[0]
-
-
 def cell_solvers(*sums):
     """[solve(rhs)] of each sum of (cells, w, n) SPD local stencil stacks,
     such as cell_solvers((M0,), (M0, M1)) for M0 and M = M0 + M1.
@@ -383,21 +388,11 @@ def cell_solvers(*sums):
     s * cells + i.  Larger blocks are factored by _block_factor, one
     factor per sum, which sums the stacks into its own factor buffer.
     """
-    cells, w, n = sums[0][0].shape
-    if is_banded(n):
-        return [_block_solver(_block_factor(*stacks), cells, n)
-                for stacks in sums]
+    if is_banded(sums[0][0].shape[-1]):
+        return [_band_solver(_block_factor(*stacks)) for stacks in sums]
     inverses = cell_inverses(np.concatenate([sum(s[1:], s[0]) for s in sums]))
     inverses = np.ascontiguousarray(np.moveaxis(inverses, -1, 0))
     return [partial(np.matmul, a) for a in np.split(inverses, len(sums))]
-
-
-def _block_solver(c, cells, n):
-    """solve(rhs) of _block_factor's factor c for (cells, n, k) rhs."""
-    def solve(rhs):
-        x = np.array(rhs.reshape(cells * n, -1), dtype=float, order="F")
-        return _band_solve(c, x).reshape(rhs.shape)
-    return solve
 
 
 def cell_inverses(bands):
@@ -425,20 +420,20 @@ def _block_factor(*stacks):
     one block-diagonal band of order cells*n, by a single pbtrf.
 
     A zeroed C-ordered (cells*n, d_max + 1) buffer is, transposed, that
-    matrix's lower band storage.  Each stack's rows are scattered into
-    the buffer's columns at their offsets, the later stacks added to the
-    first, so no separate sum is held beside it; entries past each cell's
-    end stay zero.
+    matrix's lower band storage.  Each stored diagonal at offset d is
+    written once into the first n - d entries of the buffer's column d,
+    the later stacks added to the first, so no separate sum is held beside
+    it; the entries past each cell's end are never written and stay zero.
     """
     cells, w, n = stacks[0].shape
     offsets = _stencil_rows(stacks[0])
-    width = offsets[-1] + 1
-    ab = np.zeros((cells, n, width))  # factored in place
-    ab[..., list(offsets)] = np.swapaxes(stacks[0], 1, 2)
-    for bands in stacks[1:]:
-        ab[..., list(offsets)] += np.swapaxes(bands, 1, 2)
-    ab[:, np.add.outer(np.arange(n), np.arange(width)) >= n] = 0.0
-    return _band_factor(ab.reshape(cells * n, width).T, block=n)
+    ab = np.zeros((cells, n, offsets[-1] + 1))  # factored in place
+    for i, d in enumerate(offsets):
+        if d < n:
+            ab[:, :n - d, d] = stacks[0][:, i, :n - d]
+            for bands in stacks[1:]:
+                ab[:, :n - d, d] += bands[:, i, :n - d]
+    return _band_factor(ab.reshape(cells * n, -1).T, block=n)
 
 
 def cell_matmul(bands):

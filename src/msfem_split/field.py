@@ -55,7 +55,6 @@ class KLEModel:
     """Truncated KLE of the log-coefficient on a mesh's fine cells."""
 
     mesh: object
-    mean_field: np.ndarray
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray  # (n, n_fine_cells)
     n: int
@@ -102,7 +101,7 @@ def _axis_eigenpairs(g, length):
     return w, u * (np.sign(u[first, np.arange(g)]) * np.sqrt(g))
 
 
-def build_kle_model(mesh, sigma2, lx, ly, n, mean_field=None):
+def build_kle_model(mesh, sigma2, lx, ly, n):
     """Nystrom eigenpairs of the covariance operator on a generation grid.
 
     The kernel is separable and the grid a tensor grid, so the eigenpairs
@@ -134,26 +133,16 @@ def build_kle_model(mesh, sigma2, lx, ly, n, mean_field=None):
     b_fine = np.repeat(np.repeat(b_gen, py, axis=1), px, axis=2)
     b_fine = b_fine.reshape(n, mesh.n_fine_cells)
 
-    if mean_field is None:
-        mean_field = np.zeros(mesh.n_fine_cells)
-    else:
-        mean_field = np.asarray(mean_field, float)
-        if mean_field.shape != (mesh.n_fine_cells,):
-            raise ValueError("mean field length must equal the fine-cell count")
-
-    return KLEModel(mesh=mesh, mean_field=mean_field,
-                    eigenvalues=products[modes], eigenfunctions=b_fine, n=n,
-                    sigma2=sigma2, lx=lx, ly=ly, generation_shape=(gx, gy))
+    return KLEModel(mesh=mesh, eigenvalues=products[modes],
+                    eigenfunctions=b_fine, n=n, sigma2=sigma2, lx=lx, ly=ly,
+                    generation_shape=(gx, gy))
 
 
 def log_field_partial(model, theta, m):
-    """Log-coefficient using only the first m KLE terms."""
+    """Log-coefficient using only the first m KLE terms, zero for m = 0."""
     theta = np.asarray(theta, float)
-    Y = model.mean_field.copy()
-    if m > 0:
-        Y += (np.sqrt(model.eigenvalues[:m]) * theta[:m]) @ \
-            model.eigenfunctions[:m]
-    return Y
+    return (np.sqrt(model.eigenvalues[:m]) * theta[:m]) @ \
+        model.eigenfunctions[:m]
 
 
 def realize_log_field(model, theta):

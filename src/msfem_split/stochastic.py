@@ -364,7 +364,7 @@ def _interpolated_green(store, theta0):
 # ---- sampling drivers ------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class StochasticConfig:
     """Shared configuration of the Monte Carlo and collocation drivers."""
 
@@ -374,6 +374,11 @@ class StochasticConfig:
     J_list: tuple
     seed: int
     f: np.ndarray = None
+
+    def __post_init__(self):
+        if len(self.J_list) == 0 or min(self.J_list) < 0:
+            raise ValueError(f"J_list must hold at least one J >= 0, not "
+                             f"{self.J_list!r}")
 
 
 @dataclass
@@ -479,8 +484,9 @@ def collocation_run(config, N, store, J=None):
             store.model is not model:
         raise ValueError("store was not built for this config's m, mesh "
                          "and model")
-    if J is None:
-        J = max(config.J_list)
+    J = max(config.J_list) if J is None else J
+    if J < 0:
+        raise ValueError(f"J must be >= 0, not {J}")
 
     thetas = np.array([sample_theta(config.seed, s, model.n)
                        for s in range(N)])

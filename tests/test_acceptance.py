@@ -275,13 +275,22 @@ def test_criterion_10_exact_counts():
 
 def test_criterion_11_determinism(tmp_path):
     # reruns in child processes with 1 and 2 BLAS threads; the
-    # solution-bound run solves a 225-vertex coarse system
+    # solution-bound run solves a 225-vertex coarse system, the mc-stats
+    # run overlaps each sample's fine solve on its worker, and the
+    # colloc-decomp run builds its 849-node store and contracts it in
+    # 256-node blocks on thread pools
     configs = (
         "experiment = basis-bound\nfield = lognormal\nr = 10\n"
         "sc_list = 0.85,0.95\nJ_list = 0,1,2\nseed = 12345\n",
         "experiment = solution-bound\nnx = 16\nny = 16\nr = 2\n"
         "sigma2 = 1.0\nlx = 0.1\nly = 0.1\nn = 8\nm_list = 6\n"
-        "J_list = 0,1\nseed = 3\n")
+        "J_list = 0,1\nseed = 3\n",
+        "experiment = mc-stats\nnx = 16\nny = 16\nr = 4\nsigma2 = 1.0\n"
+        "lx = 0.1\nly = 0.1\nn = 20\nm_list = 14\nJ_list = 0,1,2,3,4\n"
+        "N = 4\nseed = 12345\n",
+        "experiment = colloc-decomp\nnx = 8\nny = 8\nr = 4\nsigma2 = 1.0\n"
+        "lx = 0.1\nly = 0.1\nn = 20\nm = 8\nJ = 1\nL_list = 3\nN = 2\n"
+        "seed = 12345\n")
     ok = True
     for i, text in enumerate(configs):
         cfg = tmp_path / f"exp{i}.cfg"

@@ -313,7 +313,7 @@ def test_cell_cholesky_banded_matches_dense(r, n_cells):
                                        _random_splitting(mesh, rng))
     rhs = rng.standard_normal((n_cells, mesh.n_interior, 4))
     for bands in (ops.M0, ops.M0 + ops.M1):
-        x = fem.cell_cholesky(bands)(rhs)
+        x = fem.cell_solvers((bands,))[0](rhs)
         for c in range(n_cells):
             ref = sla.cho_solve(
                 sla.cho_factor(fem.stencil_to_dense(bands[c])), rhs[c])
@@ -324,7 +324,7 @@ def test_cell_cholesky_banded_matches_dense(r, n_cells):
 def test_band_solves_match_scipy_bit_for_bit(r):
     # the ctypes binding calls the dpbtrf and dpbtrs that scipy's banded
     # wrappers call: band_cholesky on one cell's lower band storage, and the
-    # banded cell_cholesky on the block-diagonal band of a stencil stack,
+    # banded cell_solvers on the block-diagonal band of a stencil stack,
     # built here entry by entry from each cell's (r+1)-row lower band
     mesh = build_mesh(3, 1, r)
     assert mesh.n_interior > fem.BATCHED_MAX_N  # the banded branch
@@ -346,7 +346,7 @@ def test_band_solves_match_scipy_bit_for_bit(r):
             for d in range(w):
                 block[d, c * n:(c + 1) * n - d] = bands[c, d, :n - d]
         ref = reference.band_solve(block, rhs.reshape(cells * n, 4))
-        assert np.array_equal(fem.cell_cholesky(*stacks)(rhs),
+        assert np.array_equal(fem.cell_solvers(stacks)[0](rhs),
                               ref.reshape(rhs.shape))
 
 
@@ -362,6 +362,10 @@ def test_band_binding_refuses_buffers_it_cannot_use_in_place():
         fem._band_solve(c, np.ones((3, 2)))
     with pytest.raises(ValueError, match="rows"):
         fem._band_solve(c, np.ones(4))
+    # a solve reads the leading axes of its right-hand side as the rows
+    for bad in (np.ones(6), np.ones((6, 1)), np.ones((2, 2, 1))):
+        with pytest.raises(ValueError, match="rows"):
+            fem.band_cholesky(band)(bad)
 
 
 def test_band_factors_on_threads_match_serial():
@@ -389,7 +393,7 @@ def test_cell_cholesky_rejects_non_spd(r):
     bands[1] *= -1.0
     with pytest.raises(np.linalg.LinAlgError,
                        match="matrix is not SPD: pivot 0 .* in cell 1"):
-        fem.cell_cholesky(bands)
+        fem.cell_solvers((bands,))
 
 
 def _local_bands(r, n_cells, seed):
@@ -430,13 +434,13 @@ def test_cell_solvers_match_separate_calls_bit_for_bit(r):
     # batched (r <= 4): one cell_inverses call on the stacked sums M0 and
     # M0 + M1 is the two separate calls bit for bit, and each solve applies
     # its part as the separate inverse would; banded: one factor per sum,
-    # each cell_cholesky's
+    # each the one-sum call's
     M0, M1 = _local_bands(r, 3, r)
     rhs = np.random.default_rng(r).standard_normal((3, (r - 1) ** 2, 4))
     solves = fem.cell_solvers((M0,), (M0, M1))
     for solve, stacks in zip(solves, [(M0,), (M0, M1)], strict=True):
         if fem.is_banded(M0.shape[-1]):
-            ref = fem.cell_cholesky(*stacks)(rhs)
+            ref = fem.cell_solvers(stacks)[0](rhs)
         else:
             inv = fem.cell_inverses(sum(stacks[1:], stacks[0]))
             ref = np.ascontiguousarray(np.moveaxis(inv, -1, 0)) @ rhs
@@ -493,7 +497,7 @@ def test_cell_cholesky_matches_solve(r):
     rhs = np.random.default_rng(r).standard_normal((3, (r - 1) ** 2, 4))
     for bands in (M0, M0 + M1):
         before, rhs_before = bands.copy(), rhs.copy()
-        x = fem.cell_cholesky(bands)(rhs)
+        x = fem.cell_solvers((bands,))[0](rhs)
         ref = np.linalg.solve(fem.stencil_to_dense(bands), rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(bands, before)
@@ -515,13 +519,13 @@ def test_banded_cell_cholesky_reads_only_the_band(monkeypatch, r, limit):
     past_end = np.add.outer(offsets, np.arange(n)) >= n
     for bands in (M0, M0 + M1):
         before = bands.copy()
-        x = fem.cell_cholesky(bands)(rhs)
+        x = fem.cell_solvers((bands,))[0](rhs)
         ref = np.linalg.solve(fem.stencil_to_dense(bands), rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(bands, before)
         junk = bands.copy()
         junk[:, past_end] = 1e3
-        assert np.array_equal(fem.cell_cholesky(junk)(rhs), x)
+        assert np.array_equal(fem.cell_solvers((junk,))[0](rhs), x)
 
 
 @pytest.mark.parametrize("r", [2, 3, 5, 6, 7, 8, 30])
@@ -583,8 +587,8 @@ def test_stencil_stacks_of_the_wrong_width_are_refused():
         fem.stencil_offsets(12)
     M0, _ = _local_bands(7, 2, 0)
     for bad in (np.zeros((2, 8, 36)), M0[:, :4]):
-        for use in (fem.stencil_to_dense, fem.cell_matmul, fem.cell_cholesky,
-                    fem.cell_inverses):
+        for use in (fem.stencil_to_dense, fem.cell_matmul, fem.cell_inverses,
+                    lambda bands: fem.cell_solvers((bands,))):
             with pytest.raises(ValueError, match="stencil rows"):
                 use(bad)
 

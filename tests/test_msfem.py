@@ -1,4 +1,6 @@
 import hashlib
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -330,6 +332,53 @@ def test_sample_errors_refuses_wrong_length_f(reference):
             msfem.sample_errors(mesh, split, [1], f, reference=reference)
 
 
+def _counted_factors(monkeypatch, mesh):
+    """Counter of the factorizations and inverses made from here on.
+
+    Band factors count as "local" (a block-diagonal stack of cells),
+    "fine" (the fine reference band, nxf + 1 rows) or "coarse"; each
+    spd_inverse sweep counts once as "inverse".
+    """
+    counts = Counter()
+    band_factor, spd_inverse = fem._band_factor, fem.spd_inverse
+
+    def counted_band_factor(ab, block=None):
+        counts["local" if block is not None else
+               "fine" if len(ab) == mesh.nxf + 1 else "coarse"] += 1
+        return band_factor(ab, block)
+
+    def counted_spd_inverse(a):
+        counts["inverse"] += 1
+        return spd_inverse(a)
+
+    monkeypatch.setattr(fem, "_band_factor", counted_band_factor)
+    monkeypatch.setattr(fem, "spd_inverse", counted_spd_inverse)
+    return counts
+
+
+@pytest.mark.parametrize("r", [4, 5])
+@pytest.mark.parametrize("mode", ["reference", "green"])
+def test_sample_factorization_counts(monkeypatch, r, mode):
+    # one sample's factorizations, whatever J: one spd_inverse sweep for
+    # M0 and M together in the batched regime (r = 4), one block factor
+    # each in the banded one (r = 5); one fine factor given reference; one
+    # coarse factor per basis key; no local factor for the collocated
+    # basis, whose green stands in for M0^-1
+    mesh = build_mesh(3, 2, r)
+    split = _random_splitting(mesh, np.random.default_rng(r))
+    green = np.linalg.inv(fem.stencil_to_dense(_all_cells(mesh, split).M0)) \
+        if mode == "green" else None
+    J_list = [0, 1, 4]
+    counts = _counted_factors(monkeypatch, mesh)
+    msfem.sample_errors(mesh, split, J_list, green=green,
+                        reference=mode == "reference")
+    keys = 1 + len(J_list) * (2 if mode == "green" else 1)
+    local = {"local": 2} if fem.is_banded(mesh.n_interior) else \
+        {"inverse": 1}
+    fine = {"fine": 1} if mode == "reference" else {}
+    assert counts == Counter(coarse=keys, **local, **fine)
+
+
 def test_overlapped_sample_independent_of_threads_and_cpus():
     # the fine band's pbtrf on the worker thread may split over OpenBLAS
     # threads while the MsFEM stage runs beside it, and at r=30 the
@@ -370,8 +419,9 @@ def test_batched_bases_match_scalar_and_invariants(nx, ny, r, J, m, sigma2,
     boundary = ~mesh.local_interior_mask
     stack = fem.assemble_local_operators(
         mesh, np.arange(mesh.n_coarse_cells), split)
-    series = [(G, basis_mod.bubble_series(stack, J, G))
-              for G in (None, green)]
+    series = [(G, basis_mod.bubble_series(
+        stack, J, None if G is None else partial(np.matmul, G)))
+        for G in (None, green)]
     for cell in range(mesh.n_coarse_cells):
         ops = fem.assemble_local_operators(mesh, cell, split)
         for v in range(4):
@@ -443,8 +493,8 @@ def test_banded_and_batched_cholesky_agree(monkeypatch, nx, ny, r):
         monkeypatch.setattr(fem, "BATCHED_MAX_N", limit)
         rec = msfem.sample_errors(mesh, split, [0, 3], green=green)
         results.append((rec.u_h, rec.u_J, rec.u_col))
-        series.append([basis_mod.bubble_series(ops, 3, G)
-                       for G in (None, green)])
+        series.append([basis_mod.bubble_series(ops, 3, solve)
+                       for solve in (None, partial(np.matmul, green))])
     batched, banded = results
     scale = np.abs(batched[0]).max()
     assert np.abs(batched[0] - banded[0]).max() <= 1e-12 * scale

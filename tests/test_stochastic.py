@@ -571,6 +571,29 @@ def test_overlapped_banded_sample_failure_reaches_caller(monkeypatch, stage):
     assert len(ran_on) == 1 and ran_on[0] is not threading.current_thread()
 
 
+@pytest.mark.parametrize("J_list", [(), [], (1, -1), (-2,)])
+def test_drivers_refuse_empty_or_negative_J_list(monkeypatch, J_list):
+    # refused, naming the field, when either driver's config is made, so
+    # no sample is drawn; the config is frozen, so it stays as checked
+    mesh, model, _, store = _small_setup(L=1)
+    drawn = []
+    monkeypatch.setattr(st, "sample_theta", lambda *args: drawn.append(args))
+    for driver in (lambda config: monte_carlo_run(config, 2),
+                   lambda config: collocation_run(config, 2, store)):
+        with pytest.raises(ValueError, match="J_list must hold at least "
+                                             "one J >= 0"):
+            driver(StochasticConfig(mesh=mesh, model=model, m=3,
+                                    J_list=J_list, seed=5))
+    config = StochasticConfig(mesh=mesh, model=model, m=3, J_list=(1,),
+                              seed=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.J_list = J_list
+    # collocation_run's own J as well
+    with pytest.raises(ValueError, match="J must be >= 0, not -1"):
+        collocation_run(config, 2, store, J=-1)
+    assert not drawn
+
+
 def test_collocation_run_triangle_inequality():
     mesh, model, grid, store = _small_setup(L=1)
     config = StochasticConfig(mesh=mesh, model=model, m=3,

@@ -7,9 +7,8 @@ from .field import (KLEModel, Splitting, build_kle_model, energy_ratio,
 from .fem import (LocalAssembler, LocalOperators, assemble_local_operators,
                   band_to_dense, energy_norm, fine_reference_solve,
                   stencil_to_dense)
-from .basis import (basis_errors, bubble_series, iterative_bases,
-                    standard_bases)
-from .msfem import (CoarseSystem, assemble_coarse_systems,
+from .basis import bubble_series, iterative_bases, standard_bases
+from .msfem import (CoarseSystem, assemble_coarse_systems, basis_errors,
                     solution_error_bound, solve_msfem)
 from .stochastic import (GreenStore, SampleStatistics, SparseGrid,
                          StochasticConfig, build_sparse_grid,

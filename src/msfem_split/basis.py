@@ -8,9 +8,9 @@ stacks of LocalOperators for all four vertices at once, and travel as
 interior corrections: phi = l + E c, with l the vertex hats, c a
 (cells, nK, 4) correction and E the injection of the interior nodes.
 The iterative bases come with their Galerkin residuals r = M c + v, which
-the coarse assembly (msfem) takes in place of a product of M.
-basis_errors forms the basis-level errors and bounds from the corrections
-and the local operators as well.
+the coarse assembly (msfem) takes in place of a product of M.  This module
+only constructs bases: msfem builds a sample's set of them, keyed by kind
+and J, and measures them at the basis and at the solution level.
 """
 
 from functools import partial
@@ -92,32 +92,3 @@ def iterative_bases(ops, J_list, green=None, solve=None):
             out[j] = (acc, products[j] if green is None else m(acc) + v)
     return out
 
-
-def basis_errors(ops, splitting, J_list):
-    """{J: (error, bound)} of the iterative bases of a stack of cells.
-
-    error is the energy error |||phi - phi_J|||_K and bound its computable
-    bound 2 ||k1/sqrt(k k0)||_inf eta_K^(J+1) ||sqrt(k0) grad l||_K, each
-    (cells, 4) over the cells of ops.cell and the four vertices.  The hats
-    cancel in phi - phi_J = E d, d = c_h - c_J, so the error squared is
-    d^T M d with M = M0 + M1.  M0 and M get one fem.cell_solvers call, a
-    single inverse sweep in the batched regime.
-    """
-    asm = ops.assembler
-    fine = asm.mesh.cell_fine_cells(ops.cell)
-    k0, k1, k = splitting.k0[fine], splitting.k1[fine], splitting.k[fine]
-    sup = np.max(np.abs(k1) / np.sqrt(k * k0), axis=1)[:, None]
-    eta = splitting.eta_per_cell[ops.cell][:, None]
-    # ||sqrt(k0) grad l||^2 from the diagonal rows of H^T A_K H, summed by
-    # einsum, not by BLAS, so that it does not depend on the thread count
-    grad_l = np.sqrt(np.einsum("ce,qe->cq", k0,
-                               asm.hat_stiffness[[0, 5, 10, 15]]))
-    solve_m0, solve_m = fem.cell_solvers((ops.M0,), (ops.M0, ops.M1))
-    c_h = standard_bases(ops, solve_m)
-    m = fem.cell_matmul(ops.M0 + ops.M1)
-    out = {}
-    for J, (c, _) in iterative_bases(ops, J_list, solve=solve_m0).items():
-        d = c_h - c
-        error = np.sqrt(np.maximum(np.einsum("cni,cni->ci", d, m(d)), 0.0))
-        out[J] = (error, 2.0 * sup * eta ** (J + 1) * grad_l)
-    return out

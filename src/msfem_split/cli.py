@@ -12,7 +12,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import basis as basis_mod
 from . import fem
 from . import field as field_mod
 from . import mesh as mesh_mod
@@ -157,7 +156,7 @@ def _cell0_vertex0_errors(mesh, split, J_list):
     """{J: (error, bound)} of basis_errors for vertex 0 of coarse cell 0."""
     ops = fem.assemble_local_operators(mesh, [0], split)
     return {J: (float(err[0, 0]), float(bound[0, 0])) for J, (err, bound)
-            in basis_mod.basis_errors(ops, split, J_list).items()}
+            in msfem.basis_errors(ops, split, J_list).items()}
 
 
 def _exp_basis_bound(cfg, seed):

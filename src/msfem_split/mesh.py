@@ -86,6 +86,13 @@ class MeshHierarchy:
         return np.stack([cy * w + cx, cy * w + cx + 1,
                          (cy + 1) * w + cx + 1, (cy + 1) * w + cx], axis=-1)
 
+    def check_fine_grid(self, other, name):
+        """Raise ValueError unless other, the mesh of the field called name,
+        has this fine grid (nxf, nyf)."""
+        if (other.nxf, other.nyf) != (self.nxf, self.nyf):
+            raise ValueError(f"{name} is on a {other.nxf}x{other.nyf} fine "
+                             f"grid, not the mesh's {self.nxf}x{self.nyf}")
+
     # ---- geometry ----------------------------------------------------------
 
     def boundary_node_mask(self):

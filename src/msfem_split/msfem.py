@@ -1,4 +1,4 @@
-"""Coarse-scale Galerkin assembly, downscaling, solution errors and bounds.
+"""Coarse-scale Galerkin assembly, downscaling, basis and solution errors.
 
 The solution pipeline works on stacks over coarse cells: local operators,
 factorizations and bases are (cells, ...) arrays instead of per-(cell,
@@ -30,6 +30,10 @@ others by coarse_maps, which also keeps the loads of the default source
 f = 1.  The local matrices are summed by np.bincount straight into the
 band storage of the coarse system, which is solved in band storage as
 well; that keeps its results independent of the BLAS thread count.
+
+A sample's bases are built in one place, _bases, keyed "h", ("J", J) and
+("col", J); sample_errors measures them at the solution level and
+basis_errors at the basis level.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -213,43 +217,28 @@ def sample_errors(mesh, splitting, J_list, f=None, green=None,
     interpolated Green's inverse; reference adds the fine solve.  All
     bases come from one assembly of the local operators.
 
-    The fine solve does not depend on the MsFEM stage, so with reference
-    its band is factored and solved on a worker thread, without the GIL,
-    while the MsFEM stage runs on the calling thread.  The worker is
-    pool's, a one-worker ThreadPoolExecutor that the caller shuts down,
-    such as one opened per driver call; without pool one is opened for
-    this call and has ended when it returns.  In the banded regime
-    (fem.is_banded) the standard basis's factor and solves release the
-    GIL too: the local operators are assembled first and the standard
-    basis is queued on the worker before the fine solve, since the coarse
-    systems need it well before the energy norms need u; the fine band is
-    assembled while it runs, and the bubble series runs beside both.  In
-    the batched regime the standard basis holds the GIL and stays on the
-    calling thread; the fine band is assembled and queued first, so on a
-    fresh pool it is assembled before the worker's thread starts.  Each
-    order measured the lower peak RSS in its own regime.  The stages'
-    memory peaks add: the fine band is held while the local stacks are
-    built, and in the banded regime the standard basis's factor beside the
-    M0 factor, which the stencil bands' five rows pay for.  A failure of
-    any stage reaches the caller.
+    The fine solve is factored and solved on a worker thread, without the
+    GIL, beside the MsFEM stage.  The worker is pool's, a one-worker
+    ThreadPoolExecutor that the caller shuts down, such as one opened per
+    driver call; without pool one is opened for this call.  Banded
+    (fem.is_banded), the standard basis's factor and solves release the
+    GIL too, so it is queued on the worker ahead of the fine solve, as the
+    coarse systems need it before the norms need u; the fine band is
+    assembled while it runs.  Batched, the standard basis holds the GIL
+    and stays here, and the fine band is assembled and queued first.  Each
+    order measured the lower peak RSS in its own regime.  A failure of any
+    stage reaches the caller.
     """
+    mesh.check_fine_grid(splitting.mesh, "splitting")
     if f is not None and np.shape(f) != (mesh.n_fine_cells,):
         raise ValueError(f"f has shape {np.shape(f)}, expected "
                          f"({mesh.n_fine_cells},): one value per fine cell")
-    if not reference:
-        return _msfem_errors(mesh, splitting, J_list, f, green)
-    if pool is None:
+    if reference and pool is None:
         with ThreadPoolExecutor(1) as pool:
             return sample_errors(mesh, splitting, J_list, f, green,
                                  reference, pool)
-    if fem.is_banded(mesh.n_interior):
-        ops = fem.assemble_local_operators(
-            mesh, np.arange(mesh.n_coarse_cells), splitting)
-        standard = pool.submit(basis_mod.standard_bases, ops)
-        fine = pool.submit(fem.fine_reference_solver(mesh, splitting.k, f))
-        out = _msfem_errors(mesh, splitting, J_list, f, green, ops,
-                            standard.result)
-    else:
+    banded, standard = fem.is_banded(mesh.n_interior), None
+    if reference and not banded:
         # solve holds the fine band until the sample ends: freed by the
         # worker mid-stage, the band (2 MiB at 16x16, r=4, mmapped) raised
         # glibc's mmap threshold while the first sample still allocated,
@@ -257,23 +246,11 @@ def sample_errors(mesh, splitting, J_list, f=None, green=None,
         # in 4 of 5 runs of 300 driver calls
         solve = fem.fine_reference_solver(mesh, splitting.k, f)
         fine = pool.submit(solve)
-        out = _msfem_errors(mesh, splitting, J_list, f, green)
-    out.u = fine.result()
-    out.u_energy = fem.energy_norm(mesh, splitting.k, out.u)
-    return out
-
-
-def _msfem_errors(mesh, splitting, J_list, f, green, ops=None,
-                  standard=None):
-    """SampleErrors of sample_errors without the fine reference.
-
-    Given ops, the local operators of every cell, and standard(), which
-    returns the standard bases' corrections, it uses those; otherwise it
-    assembles them.
-    """
-    if ops is None:
-        ops = fem.assemble_local_operators(
-            mesh, np.arange(mesh.n_coarse_cells), splitting)
+    ops = fem.assemble_local_operators(
+        mesh, np.arange(mesh.n_coarse_cells), splitting)
+    if reference and banded:
+        standard = pool.submit(basis_mod.standard_bases, ops).result
+        fine = pool.submit(fem.fine_reference_solver(mesh, splitting.k, f))
     u = {key: solve_msfem(system) for key, system in assemble_coarse_systems(
         ops, splitting.k, _bases(ops, J_list, green, standard), f).items()}
     norm = partial(fem.energy_norm, mesh, splitting.k)
@@ -284,6 +261,9 @@ def _msfem_errors(mesh, splitting, J_list, f, green, ops=None,
         out.u_col = {J: u["col", J] for J in J_list}
         out.col = {J: (norm(u_h - v), norm(u_J[J] - v))
                    for J, v in out.u_col.items()}
+    if reference:
+        out.u = fine.result()
+        out.u_energy = norm(out.u)
     return out
 
 
@@ -305,6 +285,35 @@ def _bases(ops, J_list, green, standard=None):
              basis_mod.iterative_bases(ops, J_list, G, solve).items()}
     bases["h"] = (standard(), None)
     return bases
+
+
+def basis_errors(ops, splitting, J_list):
+    """{J: (error, bound)} of the iterative bases of a stack of cells.
+
+    error is the energy error |||phi - phi_J|||_K and bound its computable
+    bound 2 ||k1/sqrt(k k0)||_inf eta_K^(J+1) ||sqrt(k0) grad l||_K, each
+    (cells, 4) over the cells of ops.cell and the four vertices.  The bases
+    are a sample's own (_bases).  The hats cancel in phi - phi_J = E d,
+    d = c_h - c_J, so the error squared is d^T M d with M = M0 + M1.
+    """
+    asm = ops.assembler
+    fine = asm.mesh.cell_fine_cells(ops.cell)
+    k0, k1, k = splitting.k0[fine], splitting.k1[fine], splitting.k[fine]
+    sup = np.max(np.abs(k1) / np.sqrt(k * k0), axis=1)[:, None]
+    eta = splitting.eta_per_cell[ops.cell][:, None]
+    # ||sqrt(k0) grad l||^2 from the diagonal rows of H^T A_K H, summed by
+    # einsum, not by BLAS, so that it does not depend on the thread count
+    grad_l = np.sqrt(np.einsum("ce,qe->cq", k0,
+                               asm.hat_stiffness[[0, 5, 10, 15]]))
+    bases = _bases(ops, J_list, None)
+    c_h = bases.pop("h")[0]
+    m = fem.cell_matmul(ops.M0 + ops.M1)
+    out = {}
+    for (_, J), (c, _) in bases.items():
+        d = c_h - c
+        error = np.sqrt(np.maximum(np.einsum("cni,cni->ci", d, m(d)), 0.0))
+        out[J] = (error, 2.0 * sup * eta ** (J + 1) * grad_l)
+    return out
 
 
 def c_tilde(splitting):

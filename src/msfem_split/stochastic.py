@@ -251,7 +251,9 @@ def precompute_green_inverses(mesh, model, grid, m):
     count.  A node whose M0 is not SPD raises LinAlgError naming the node
     and its cell, and one whose inverse is not symmetric to 1e-10 relative
     raises ValueError naming the node; of several such nodes, the lowest.
+    A model on another fine grid than mesh is refused before any block.
     """
+    mesh.check_fine_grid(model.mesh, "model")
     if grid.m != m:
         raise ValueError("grid dimension must equal m")
     if m > model.n:
@@ -366,16 +368,20 @@ def _interpolated_green(store, theta0):
 
 @dataclass(frozen=True)
 class StochasticConfig:
-    """Shared configuration of the Monte Carlo and collocation drivers."""
+    """Shared configuration of the Monte Carlo and collocation drivers.
+
+    Refuses a model on another fine grid than mesh, and an empty J_list or
+    one holding a negative J.
+    """
 
     mesh: object
     model: object
     m: int
     J_list: tuple
     seed: int
-    f: np.ndarray = None
 
     def __post_init__(self):
+        self.mesh.check_fine_grid(self.model.mesh, "model")
         if len(self.J_list) == 0 or min(self.J_list) < 0:
             raise ValueError(f"J_list must hold at least one J >= 0, not "
                              f"{self.J_list!r}")
@@ -432,7 +438,7 @@ def monte_carlo_run(config, N):
             try:
                 theta = sample_theta(config.seed, s, model.n)
                 split = field_mod.split_kle(model, theta, config.m)
-                rec = msfem.sample_errors(mesh, split, J_list, config.f,
+                rec = msfem.sample_errors(mesh, split, J_list,
                                           reference=True, pool=pool)
                 u_energy_sum += rec.u_energy
                 eta_max = max(eta_max, split.eta_global)
@@ -511,7 +517,7 @@ def collocation_run(config, N, store, J=None):
                 not_spd[s] = np.sum(np.linalg.eigvalsh(G)[:, 0] <= 0.0)
             if not_spd[s] == len(G):
                 raise ValueError("interpolated Green's inverse SPD in no cell")
-            rec = msfem.sample_errors(mesh, split, [J], config.f, green=G)
+            rec = msfem.sample_errors(mesh, split, [J], green=G)
             u_t = rec.u_col[J]
             e_tot[s], e_col[s] = np.divide(rec.col[J], rec.norm_uh)
             e_spl[s] = rec.err[J] / rec.norm_uh

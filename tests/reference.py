@@ -12,7 +12,7 @@ lift_cells forms the full local values l + E c of stacked corrections,
 quadratic_form the exact energy of local values over one cell, eta the
 contrast ratio of the domain or of coarse cells, and basis_error_bound the
 computable basis-level bound of one cell and vertex from them;
-basis.basis_errors forms both from the local operators instead.
+msfem.basis_errors forms both from a sample's own bases instead.
 
 fine_stiffness assembles the global Q1 stiffness as a scipy CSR matrix
 over all fine nodes, independently of the library's band assemblers.
@@ -34,6 +34,14 @@ child_output runs one of a few scripts there, also on a single CPU: a
 GreenStore build, its interpolation, an energy norm, a sample with its
 fine reference solve, a batched and a small banded Monte Carlo run and a
 banded collocation run, each printing the hash of its result.
+same_outputs compares two output directories byte for byte, and
+
+    PYTHONPATH=src python tests/reference.py outputs DIR
+
+runs every configs/*.cfg through run_cli under 1 and then 2 BLAS threads
+into DIR/t<threads>/<config>, prints the SHA-256 of each output file and
+exits 1 if a run fails or the two thread counts' outputs differ: the
+byte check of a change that must keep every output bit.
 green_store_loop builds the store's matrices one node at a time, the
 oracle of precompute_green_inverses' threaded node blocks, and
 interpolated_green_gemm contracts the store by one GEMM, the oracle of
@@ -50,6 +58,7 @@ shift_splitting, a repair of splittings with eta >= 1 that no experiment
 runs, is kept here with its tests.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -538,3 +547,30 @@ def interpolated_green_gemm(store, theta0):
     row, col = np.indices((store.mesh.n_interior,) * 2)
     hi, lo = np.maximum(row, col), np.minimum(row, col)
     return packed[..., hi * (hi + 1) // 2 + lo]
+
+
+def config_outputs(root):
+    """Run every configs/*.cfg under 1 and 2 BLAS threads into
+    root/t<threads>/<config>, printing "sha256  t<threads>/<config>/<file>"
+    for each output file; 0 if every run passes and the two thread counts
+    give the same bytes, else 1."""
+    root = Path(root)
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs")
+                     .glob("*.cfg"))
+    ok = bool(configs)
+    for threads in (1, 2):
+        for config in configs:
+            out = root / f"t{threads}" / config.stem
+            ok &= run_cli(config, out, threads) == 0
+            for path in sorted(out.glob("*")):
+                print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+                      f"{path.relative_to(root).as_posix()}")
+    return 0 if ok and all(
+        same_outputs(root / "t1" / c.stem, root / "t2" / c.stem)
+        for c in configs) else 1
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3 or sys.argv[1] != "outputs":
+        sys.exit("usage: PYTHONPATH=src python tests/reference.py outputs DIR")
+    sys.exit(config_outputs(sys.argv[2]))

@@ -121,7 +121,7 @@ def test_criterion_04_basis_bound_dominance():
         split = split_kle(model, theta, m)
         ok &= bool(split.eta_global < 1.0)
         ops = fem.assemble_local_operators(mesh, [0], split)
-        errors = basis_mod.basis_errors(ops, split, range(11))
+        errors = msfem.basis_errors(ops, split, range(11))
         for vertex in range(4):
             errs = [errors[J][0][0, vertex] for J in range(11)]
             for J, err in enumerate(errs):
@@ -141,7 +141,7 @@ def test_criterion_05_convergence_rate_slopes():
             split = split_lognormal(mesh, Y, sc)
             assert split.eta_global < 1.0
             ops = fem.assemble_local_operators(mesh, [0], split)
-            err = basis_mod.basis_errors(ops, split, [J])[J][0][0, 0]
+            err = msfem.basis_errors(ops, split, [J])[J][0][0, 0]
             etas.append(split.eta_global)
             errs.append(err)
         slope = float(np.polyfit(np.log(etas), np.log(errs), 1)[0])

@@ -6,9 +6,9 @@ import scipy.sparse.linalg as spla
 
 from msfem_split import build_mesh
 from msfem_split import fem
-from msfem_split.basis import (basis_errors, bubble_series, iterative_bases,
-                               standard_bases)
+from msfem_split.basis import bubble_series, iterative_bases, standard_bases
 from msfem_split.field import make_splitting
+from msfem_split.msfem import basis_errors
 from reference import (basis_error_bound, fine_stiffness, lift_cells,
                        quadratic_form, xi_direct)
 

@@ -1,4 +1,5 @@
 import hashlib
+import threading
 from collections import Counter
 from functools import partial
 
@@ -357,26 +358,70 @@ def _counted_factors(monkeypatch, mesh):
 
 
 @pytest.mark.parametrize("r", [4, 5])
-@pytest.mark.parametrize("mode", ["reference", "green"])
+@pytest.mark.parametrize("mode", ["reference", "green", "basis"])
 def test_sample_factorization_counts(monkeypatch, r, mode):
     # one sample's factorizations, whatever J: one spd_inverse sweep for
     # M0 and M together in the batched regime (r = 4), one block factor
     # each in the banded one (r = 5); one fine factor given reference; one
     # coarse factor per basis key; no local factor for the collocated
-    # basis, whose green stands in for M0^-1
+    # basis, whose green stands in for M0^-1.  basis_errors builds the
+    # same bases and factors nothing else
     mesh = build_mesh(3, 2, r)
     split = _random_splitting(mesh, np.random.default_rng(r))
-    green = np.linalg.inv(fem.stencil_to_dense(_all_cells(mesh, split).M0)) \
+    ops = _all_cells(mesh, split)
+    green = np.linalg.inv(fem.stencil_to_dense(ops.M0)) \
         if mode == "green" else None
     J_list = [0, 1, 4]
     counts = _counted_factors(monkeypatch, mesh)
-    msfem.sample_errors(mesh, split, J_list, green=green,
-                        reference=mode == "reference")
-    keys = 1 + len(J_list) * (2 if mode == "green" else 1)
+    if mode == "basis":
+        msfem.basis_errors(ops, split, J_list)
+    else:
+        msfem.sample_errors(mesh, split, J_list, green=green,
+                            reference=mode == "reference")
+    keys = {"reference": 1 + len(J_list), "green": 1 + 2 * len(J_list),
+            "basis": 0}[mode]
     local = {"local": 2} if fem.is_banded(mesh.n_interior) else \
         {"inverse": 1}
     fine = {"fine": 1} if mode == "reference" else {}
     assert counts == Counter(coarse=keys, **local, **fine)
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_sample_schedule(monkeypatch, r):
+    # the overlap of each regime.  Batched (r = 4): the fine band is
+    # assembled and its solve queued before the local operators, and the
+    # standard basis stays on the calling thread.  Banded (r = 5): the
+    # standard basis is queued on the worker after the local operators and
+    # ahead of the fine solve, whose band is assembled while it runs
+    mesh = build_mesh(3, 2, r)
+    split = _random_splitting(mesh, np.random.default_rng(r))
+    calls = []
+
+    def recorded(name, call):
+        def run(*args):
+            calls.append((name, threading.get_ident()))
+            return call(*args)
+        return run
+
+    solver = fem.fine_reference_solver
+    monkeypatch.setattr(fem, "fine_reference_solver", recorded(
+        "fine band", lambda *args: recorded("fine solve", solver(*args))))
+    for module, name in ((fem, "assemble_local_operators"),
+                         (basis_mod, "standard_bases")):
+        monkeypatch.setattr(module, name,
+                            recorded(name, getattr(module, name)))
+    msfem.sample_errors(mesh, split, [0, 2], reference=True)
+    here = threading.get_ident()
+    mine = [name for name, thread in calls if thread == here]
+    worker = [name for name, thread in calls if thread != here]
+    assert len({thread for _, thread in calls}) == 2
+    if fem.is_banded(mesh.n_interior):
+        assert mine == ["assemble_local_operators", "fine band"]
+        assert worker == ["standard_bases", "fine solve"]
+    else:
+        assert mine == ["fine band", "assemble_local_operators",
+                        "standard_bases"]
+        assert worker == ["fine solve"]
 
 
 def test_overlapped_sample_independent_of_threads_and_cpus():

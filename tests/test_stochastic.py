@@ -594,6 +594,31 @@ def test_drivers_refuse_empty_or_negative_J_list(monkeypatch, J_list):
     assert not drawn
 
 
+@pytest.mark.parametrize("nx, ny", [(8, 2), (8, 8)])
+def test_field_from_another_fine_grid_is_refused(monkeypatch, nx, ny):
+    # a model on a 32x8 fine grid has as many fine cells as the 16x16 mesh
+    # and one on 32x32 has more; both are refused, naming both grids,
+    # before a driver can sample, a store block is inverted or a sample's
+    # stages run
+    mesh = build_mesh(4, 4, 4)
+    other = build_mesh(nx, ny, 4)
+    model = build_kle_model(other, 1.0, 0.2, 0.2, 5)
+    split = split_kle(model, sample_theta(5, 0, 5), 3)
+    started = []
+    for name in ("cell_inverses", "assemble_local_operators",
+                 "fine_reference_solver"):
+        monkeypatch.setattr(fem, name, lambda *args: started.append(args))
+    grids = f"{4 * nx}x{4 * ny} fine grid, not the mesh's 16x16"
+    with pytest.raises(ValueError, match=f"model is on a {grids}"):
+        StochasticConfig(mesh=mesh, model=model, m=3, J_list=(1,), seed=5)
+    with pytest.raises(ValueError, match=f"model is on a {grids}"):
+        precompute_green_inverses(mesh, model, build_sparse_grid(3, 1), 3)
+    for reference in (False, True):
+        with pytest.raises(ValueError, match=f"splitting is on a {grids}"):
+            msfem.sample_errors(mesh, split, [1], reference=reference)
+    assert not started
+
+
 def test_collocation_run_triangle_inequality():
     mesh, model, grid, store = _small_setup(L=1)
     config = StochasticConfig(mesh=mesh, model=model, m=3,

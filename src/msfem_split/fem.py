@@ -363,6 +363,7 @@ class LocalOperators:
 
 def assemble_local_operators(mesh, cell, splitting):
     """Assemble M0, M1, v0 and v1 on a coarse cell or a sequence of cells."""
+    mesh.check_fine_grid(splitting.mesh, "splitting")
     asm = local_assembler(mesh)
     fine = mesh.cell_fine_cells(cell)
     k0 = splitting.k0[fine]

@@ -18,18 +18,17 @@ MAX_GENERATION_CELLS = 64
 
 @dataclass
 class Splitting:
-    """Cellwise splitting k = k0 + k1 with its contrast ratios."""
+    """Cellwise splitting k = k0 + k1 with its contrast max |k1|/k0."""
 
     mesh: object
     k0: np.ndarray
     k1: np.ndarray
     k: np.ndarray
     eta_global: float
-    eta_per_cell: np.ndarray
 
 
 def make_splitting(mesh, k0, k1):
-    """Validate a cellwise splitting and compute its contrast ratios."""
+    """Validate a cellwise splitting and compute its contrast."""
     k0 = np.asarray(k0, float)
     k1 = np.asarray(k1, float)
     if k0.shape != (mesh.n_fine_cells,) or k1.shape != (mesh.n_fine_cells,):
@@ -39,12 +38,8 @@ def make_splitting(mesh, k0, k1):
     k = k0 + k1
     if np.any(k <= 0.0):
         raise ValueError("k = k0 + k1 must be strictly positive")
-    ratio = np.abs(k1) / k0
-    blocks = ratio.reshape(mesh.ny_coarse, mesh.r, mesh.nx_coarse, mesh.r)
-    eta_cell = blocks.max(axis=(1, 3)).ravel()
     return Splitting(mesh=mesh, k0=k0, k1=k1, k=k,
-                     eta_global=float(ratio.max()),
-                     eta_per_cell=eta_cell)
+                     eta_global=float((np.abs(k1) / k0).max()))
 
 
 # ---- Karhunen-Loeve expansion ---------------------------------------------

@@ -297,10 +297,11 @@ def basis_errors(ops, splitting, J_list):
     d = c_h - c_J, so the error squared is d^T M d with M = M0 + M1.
     """
     asm = ops.assembler
+    asm.mesh.check_fine_grid(splitting.mesh, "splitting")
     fine = asm.mesh.cell_fine_cells(ops.cell)
     k0, k1, k = splitting.k0[fine], splitting.k1[fine], splitting.k[fine]
     sup = np.max(np.abs(k1) / np.sqrt(k * k0), axis=1)[:, None]
-    eta = splitting.eta_per_cell[ops.cell][:, None]
+    eta = np.max(np.abs(k1) / k0, axis=1)[:, None]
     # ||sqrt(k0) grad l||^2 from the diagonal rows of H^T A_K H, summed by
     # einsum, not by BLAS, so that it does not depend on the thread count
     grad_l = np.sqrt(np.einsum("ce,qe->cq", k0,

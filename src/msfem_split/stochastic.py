@@ -9,7 +9,7 @@ sample exactly through the k1 operators.
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb, prod
 
 import numpy as np
@@ -329,12 +329,16 @@ def _interpolated_green(store, theta0):
     summed in node order, on a pool of threads, one per CPU the process may
     run on; each worker sums one contiguous range of whole tiles of
     CONTRACT_TILE_COLUMNS columns.  Each entry takes the same arithmetic
-    under any worker count.  The interpolant is unpacked from the lower
+    under any worker count, and a point's entries the same under any
+    number of points.  The interpolant is unpacked from the lower
     triangle, so it is symmetric by construction.
     """
     theta0 = np.asarray(theta0, float)
     n_nodes = store.grid.n_nodes
     weights = store.grid.interpolation_weights(theta0).reshape(-1, n_nodes)
+    # a one-row product takes a BLAS path of other bits: pad with a zero row
+    n_points = len(weights)
+    weights = np.pad(weights, ((0, int(n_points < 2)), (0, 0)))
     flat = store.matrices.reshape(n_nodes, -1)
     n_cols = flat.shape[1]
     packed = np.empty((len(weights), n_cols))
@@ -357,7 +361,8 @@ def _interpolated_green(store, theta0):
     with ThreadPoolExecutor(workers) as pool:
         for done in [pool.submit(contract, *b) for b in zip(cuts, cuts[1:])]:
             done.result()
-    packed = packed.reshape(theta0.shape[:-1] + store.matrices.shape[1:])
+    packed = packed[:n_points].reshape(
+        theta0.shape[:-1] + store.matrices.shape[1:])
     row, col = np.indices((store.mesh.n_interior,) * 2)
     hi, lo = np.maximum(row, col), np.minimum(row, col)
     return packed[..., hi * (hi + 1) // 2 + lo]
@@ -389,154 +394,151 @@ class StochasticConfig:
 
 @dataclass
 class SampleStatistics:
-    """Accumulated per-run statistics of the sampling drivers."""
+    """Both drivers' statistics: mean_error and var_error map each J to its
+    errors' mean and variance, mean_uJh is the second field's mean."""
 
     N: int
-    J_list: tuple
     mean_error: dict
     var_error: dict
     mean_uh: np.ndarray
     var_uh: np.ndarray
     mean_uJh: np.ndarray
-    var_uJh: np.ndarray
     eta_max: float
-    c_tilde_max: float
+
+
+@dataclass
+class MonteCarloStatistics(SampleStatistics):
+    """Adds the mean |||u||| and each J's solution-level bound."""
+
     u_energy_mean: float
     bounds: dict
-    extra: dict = dc_field(default_factory=dict)
 
 
-def _finalize_var(sum_, sumsq, N):
-    var = sumsq / N - (sum_ / N) ** 2
-    return np.clip(var, 0.0, None)
+@dataclass
+class CollocationStatistics(SampleStatistics):
+    """Adds the per-sample errors and their means (see collocation_run)."""
+
+    extra: dict
+
+
+def _draw_thetas(config, N):
+    """(N, n) draws of samples 0 .. N-1; refuses N < 1."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return np.array([sample_theta(config.seed, s, config.model.n)
+                     for s in range(N)])
+
+
+def _variance(sum_, sumsq, N):
+    return np.clip(sumsq / N - (sum_ / N) ** 2, 0.0, None)
+
+
+def _sample_loop(config, thetas, J_list, step):
+    """Run step(s, split) on each sample's splitting at config.m, in order.
+
+    step returns the sample's errors (one per J), u_h, the driver's second
+    field and its own record.  Returns the SampleStatistics fields, summed
+    from zero by += in sample order, and the records.  A failure is raised
+    as RuntimeError naming the sample; no later sample runs.
+    """
+    # each float 0.0 becomes an array at its first +=, as 0.0 + x is x
+    err_sum = err_sq = uh_sum = uh_sq = second_sum = 0.0
+    eta_max, records = 0.0, []
+    for s, theta in enumerate(thetas):
+        try:
+            split = field_mod.split_kle(config.model, theta, config.m)
+            errors, u_h, second, record = step(s, split)
+        except Exception as exc:
+            raise RuntimeError(f"sample {s} failed: {exc}") from exc
+        eta_max = max(eta_max, split.eta_global)
+        err_sum += errors
+        err_sq += errors * errors
+        uh_sum += u_h
+        uh_sq += u_h * u_h
+        second_sum += second
+        records.append(record)
+    N = len(thetas)
+    return dict(N=N, mean_error=dict(zip(J_list, err_sum / N)),
+                var_error=dict(zip(J_list, _variance(err_sum, err_sq, N))),
+                mean_uh=uh_sum / N, var_uh=_variance(uh_sum, uh_sq, N),
+                mean_uJh=second_sum / N, eta_max=eta_max), records
 
 
 def monte_carlo_run(config, N):
     """Plain Monte Carlo over the full parameter space.
 
     Per sample: realize k, split at m, solve standard and iterative MsFEM
-    plus the fine reference, and accumulate means/variances and the
-    empirical solution-level bound.  The fine solves run on one worker
-    thread for the whole call (see msfem.sample_errors).
+    plus the fine reference.  The errors are |||u_h - u_J|||, the second
+    field is u_J at the largest J, and the bounds are the empirical
+    solution-level bounds.  The fine solves run on one worker thread for
+    the whole call (see msfem.sample_errors).
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    mesh = config.mesh
-    model = config.model
     J_list = tuple(config.J_list)
+    thetas = _draw_thetas(config, N)
 
-    err_sum, err_sq = np.zeros((2, len(J_list)))
-    sum_uh, sq_uh, sum_uJ, sq_uJ = np.zeros((4, mesh.n_fine_nodes))
-    eta_max = 0.0
-    ct_max = 0.0
-    u_energy_sum = 0.0
+    def step(s, split):
+        rec = msfem.sample_errors(config.mesh, split, J_list,
+                                  reference=True, pool=pool)
+        return (np.array([rec.err[J] for J in J_list]), rec.u_h,
+                rec.u_J[max(J_list)], (msfem.c_tilde(split), rec.u_energy))
 
     # one worker for the fine solves of every sample; its thread starts at
     # the first sample's first submit and has ended when the loop is left
     with ThreadPoolExecutor(1) as pool:
-        for s in range(N):
-            try:
-                theta = sample_theta(config.seed, s, model.n)
-                split = field_mod.split_kle(model, theta, config.m)
-                rec = msfem.sample_errors(mesh, split, J_list,
-                                          reference=True, pool=pool)
-                u_energy_sum += rec.u_energy
-                eta_max = max(eta_max, split.eta_global)
-                ct_max = max(ct_max, msfem.c_tilde(split))
-                e = np.array([rec.err[J] for J in J_list])
-                err_sum += e
-                err_sq += e * e
-                u_J = rec.u_J[max(J_list)]
-                sum_uJ += u_J
-                sq_uJ += u_J ** 2
-                sum_uh += rec.u_h
-                sq_uh += rec.u_h ** 2
-            except Exception as exc:
-                raise RuntimeError(f"sample {s} failed: {exc}") from exc
-
-    u_energy_mean = u_energy_sum / N
+        stats, records = _sample_loop(config, thetas, J_list, step)
+    c_tilde_max = max(c for c, _ in records)
+    # the last running sum adds in sample order; np.sum would add pairwise
+    u_energy_mean = np.cumsum([u for _, u in records])[-1] / N
     # no bound without eta_max < 1; callers must not read inf as a pass
-    bounds = {J: msfem.solution_error_bound(J, eta_max, ct_max,
+    bounds = {J: msfem.solution_error_bound(J, stats["eta_max"], c_tilde_max,
                                             u_energy_mean)[0]
-              if eta_max < 1.0 else np.inf for J in J_list}
-    return SampleStatistics(
-        N=N, J_list=J_list,
-        mean_error=dict(zip(J_list, err_sum / N)),
-        var_error=dict(zip(J_list, _finalize_var(err_sum, err_sq, N))),
-        mean_uh=sum_uh / N, var_uh=_finalize_var(sum_uh, sq_uh, N),
-        mean_uJh=sum_uJ / N, var_uJh=_finalize_var(sum_uJ, sq_uJ, N),
-        eta_max=eta_max, c_tilde_max=ct_max,
-        u_energy_mean=u_energy_mean, bounds=bounds)
+              if stats["eta_max"] < 1.0 else np.inf for J in J_list}
+    return MonteCarloStatistics(**stats, u_energy_mean=u_energy_mean,
+                                bounds=bounds)
 
 
 def collocation_run(config, N, store, J=None):
     """Parameter-reduction collocation against Monte Carlo references.
 
     Per sample reports the relative total error e, splitting error e_spl
-    and collocation error e_col, all normalized by |||u_h|||.  The store
-    must be built for the config's mesh, model and m.
+    and collocation error e_col, all normalized by |||u_h|||, and the count
+    of cells whose interpolant is not SPD, in extra beside the error means.
+    The errors of the SampleStatistics are e and the second field is u_col.
+    The store must be built for the config's mesh, model and m.
 
     The N interpolated inverses come from one contraction of the store,
-    whose bits do not depend on the worker or BLAS thread count but can
-    depend in their last bits on how many points share it: a sample's
-    results can differ in the last bits between calls with different N
-    (1 against 5 seen).
+    whose bits do not depend on N or on the worker or BLAS thread count.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    mesh = config.mesh
-    model = config.model
-    if store.m != config.m or store.mesh is not mesh or \
-            store.model is not model:
+    if store.m != config.m or store.mesh is not config.mesh or \
+            store.model is not config.model:
         raise ValueError("store was not built for this config's m, mesh "
                          "and model")
     J = max(config.J_list) if J is None else J
     if J < 0:
         raise ValueError(f"J must be >= 0, not {J}")
-
-    thetas = np.array([sample_theta(config.seed, s, model.n)
-                       for s in range(N)])
+    thetas = _draw_thetas(config, N)
     greens = _interpolated_green(store, thetas[:, :store.m])
 
-    e_tot, e_spl, e_col = np.empty((3, N))
-    not_spd = np.zeros(N, dtype=int)
-    sum_uh, sq_uh, sum_ut, sq_ut = np.zeros((4, mesh.n_fine_nodes))
-    eta_max = 0.0
-
-    for s in range(N):
+    def step(s, split):
+        # with negative Smolyak weights an interpolant of SPD inverses can
+        # be indefinite; count such cells, fail if none is SPD
+        G, not_spd = greens[s], 0
         try:
-            theta = thetas[s]
-            split = field_mod.split_kle(model, theta, config.m)
-            eta_max = max(eta_max, split.eta_global)
-            # with negative Smolyak weights an interpolant of SPD inverses
-            # can be indefinite; count such cells, fail if none is SPD
-            G = greens[s]
-            try:
-                np.linalg.cholesky(G)
-            except np.linalg.LinAlgError:
-                not_spd[s] = np.sum(np.linalg.eigvalsh(G)[:, 0] <= 0.0)
-            if not_spd[s] == len(G):
-                raise ValueError("interpolated Green's inverse SPD in no cell")
-            rec = msfem.sample_errors(mesh, split, [J], green=G)
-            u_t = rec.u_col[J]
-            e_tot[s], e_col[s] = np.divide(rec.col[J], rec.norm_uh)
-            e_spl[s] = rec.err[J] / rec.norm_uh
-            sum_uh += rec.u_h
-            sq_uh += rec.u_h ** 2
-            sum_ut += u_t
-            sq_ut += u_t ** 2
-        except Exception as exc:
-            raise RuntimeError(f"sample {s} failed: {exc}") from exc
+            np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            not_spd = np.sum(np.linalg.eigvalsh(G)[:, 0] <= 0.0)
+        if not_spd == len(G):
+            raise ValueError("interpolated Green's inverse SPD in no cell")
+        rec = msfem.sample_errors(config.mesh, split, [J], green=G)
+        e, e_col = np.divide(rec.col[J], rec.norm_uh)
+        return (np.array([e]), rec.u_h, rec.u_col[J],
+                (e, rec.err[J] / rec.norm_uh, e_col, not_spd))
 
-    return SampleStatistics(
-        N=N, J_list=(J,),
-        mean_error={J: float(e_tot.mean())},
-        var_error={J: float(e_tot.var())},
-        mean_uh=sum_uh / N, var_uh=_finalize_var(sum_uh, sq_uh, N),
-        mean_uJh=sum_ut / N, var_uJh=_finalize_var(sum_ut, sq_ut, N),
-        eta_max=eta_max, c_tilde_max=0.0, u_energy_mean=0.0, bounds={},
-        extra={"e": e_tot, "e_spl": e_spl, "e_col": e_col,
-               "green_not_spd": not_spd,
-               "mean_e": float(e_tot.mean()),
-               "mean_e_spl": float(e_spl.mean()),
-               "mean_e_col": float(e_col.mean())})
+    stats, records = _sample_loop(config, thetas, (J,), step)
+    e, e_spl, e_col, not_spd = map(np.array, zip(*records))
+    return CollocationStatistics(
+        **stats, extra={"e": e, "e_spl": e_spl, "e_col": e_col,
+                        "green_not_spd": not_spd,
+                        "mean_e": float(e.mean()),
+                        "mean_e_spl": float(e_spl.mean()),
+                        "mean_e_col": float(e_col.mean())})

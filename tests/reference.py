@@ -268,8 +268,11 @@ def eta(splitting, region=None):
     """
     if region is None:
         return splitting.eta_global
-    splitting.mesh._check_cell(region)
-    per_cell = splitting.eta_per_cell[region]
+    mesh = splitting.mesh
+    mesh._check_cell(region)
+    ratio = np.abs(splitting.k1) / splitting.k0
+    per_cell = ratio.reshape(mesh.ny_coarse, mesh.r, mesh.nx_coarse,
+                             mesh.r).max(axis=(1, 3)).ravel()[region]
     return per_cell if np.ndim(region) else float(per_cell)
 
 

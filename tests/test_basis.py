@@ -303,6 +303,39 @@ def test_basis_errors_match_lifted_oracle(nx, ny, r):
                 assert abs(bound[cell, v] - oracle) <= 1e-13 * oracle
 
 
+def test_splitting_on_another_fine_grid_is_refused():
+    # a 32x8 field has as many fine cells as the 16x16 mesh's
+    mesh = build_mesh(4, 4, 4)
+    cells = np.arange(mesh.n_coarse_cells)
+    rng = np.random.default_rng(3)
+    ops = fem.assemble_local_operators(mesh, cells,
+                                       _random_splitting(mesh, rng))
+    other = _random_splitting(build_mesh(8, 2, 4), rng)
+    grids = "splitting is on a 32x8 fine grid, not the mesh's 16x16"
+    with pytest.raises(ValueError, match=grids):
+        fem.assemble_local_operators(mesh, cells, other)
+    with pytest.raises(ValueError, match=grids):
+        basis_errors(ops, other, [1])
+
+
+def test_basis_errors_of_splitting_on_another_coarse_mesh():
+    # an 8x8, r=2 splitting has the 4x4, r=4 mesh's 16x16 fine grid: its
+    # errors and bounds there are those of the same fields split on the
+    # mesh itself, whose eta_K are the mesh's cells'
+    mesh = build_mesh(4, 4, 4)
+    other = _random_splitting(build_mesh(8, 8, 2),
+                              np.random.default_rng(4), amp=0.9)
+    own = make_splitting(mesh, other.k0, other.k1)
+    cells = np.arange(mesh.n_coarse_cells)
+    errors = basis_errors(fem.assemble_local_operators(mesh, cells, other),
+                          other, range(3))
+    expected = basis_errors(fem.assemble_local_operators(mesh, cells, own),
+                            own, range(3))
+    for J in range(3):
+        assert np.array_equal(errors[J][0], expected[J][0])
+        assert np.array_equal(errors[J][1], expected[J][1])
+
+
 def test_negative_J_rejected():
     mesh = build_mesh(1, 1, 3)
     split = make_splitting(mesh, np.ones(9), np.zeros(9))

@@ -55,7 +55,7 @@ def test_eta_over_cell_arrays():
     assert isinstance(eta(split, np.int64(1)), float)
     assert np.array_equal(eta(split, [0]), [0.2])
     assert np.array_equal(eta(split, [0, 1]), [0.2, 0.8])
-    assert np.array_equal(eta(split, np.arange(2)), split.eta_per_cell)
+    assert np.array_equal(eta(split, np.arange(2)), [0.2, 0.8])
     with pytest.raises(ValueError):
         eta(split, [0, 2])
 

@@ -380,6 +380,23 @@ def test_interpolated_green_matches_one_gemm(monkeypatch):
         assert np.array_equal(G, first)
 
 
+def test_interpolated_green_independent_of_point_count():
+    # a point's interpolant has the same bits however many points share the
+    # contraction, one (padded with a zero row, or given without a leading
+    # axis) included
+    mesh = build_mesh(3, 5, 3)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 6)
+    store = precompute_green_inverses(mesh, model, build_sparse_grid(6, 3), 6)
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, (8, 6))
+    every = st._interpolated_green(store, points)
+    for N in range(1, 8):
+        G = st._interpolated_green(store, points[:N])
+        assert np.array_equal(G, every[:N])
+    for s in (0, 7):
+        assert np.array_equal(st._interpolated_green(store, points[s]),
+                              every[s])
+
+
 def test_interpolated_green_independent_of_threads_and_cpus():
     workers, digest = child_output("green", 1)
     assert int(workers) == len(os.sched_getaffinity(0))
@@ -569,6 +586,63 @@ def test_overlapped_banded_sample_failure_reaches_caller(monkeypatch, stage):
         monte_carlo_run(config, 2)
     assert threading.active_count() == threads
     assert len(ran_on) == 1 and ran_on[0] is not threading.current_thread()
+
+
+@pytest.mark.parametrize("driver", ["mc", "colloc"])
+def test_failing_sample_is_named_and_ends_the_run(monkeypatch, driver):
+    # the third of four samples fails: the driver names it and runs no later
+    # sample, and its worker threads have ended when the call returns
+    mesh, model, _, store = _small_setup(L=1)
+    config = StochasticConfig(mesh=mesh, model=model, m=3, J_list=(0, 1),
+                              seed=5)
+    sample_errors, ran = msfem.sample_errors, []
+
+    def third_fails(*args, **kwargs):
+        ran.append(args)
+        if len(ran) == 3:
+            raise np.linalg.LinAlgError("injected failure")
+        return sample_errors(*args, **kwargs)
+
+    monkeypatch.setattr(msfem, "sample_errors", third_fails)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError,
+                       match="sample 2 failed: injected failure"):
+        if driver == "mc":
+            monte_carlo_run(config, 4)
+        else:
+            collocation_run(config, 4, store)
+    assert len(ran) == 3
+    assert threading.active_count() == threads
+
+
+def _numbers(value):
+    """Every number a statistics field holds, dict values included."""
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _numbers(v)
+    else:
+        yield np.asarray(value, dtype=float)
+
+
+def test_driver_statistics_hold_only_finite_numbers():
+    # every field of both drivers' results is a finite number or array of
+    # them, so no placeholder (None reads as NaN) is left; and each result
+    # has what the benchmark's checks read
+    mesh, model, _, store = _small_setup(L=1)
+    config = StochasticConfig(mesh=mesh, model=model, m=3, J_list=(0, 1),
+                              seed=5)
+    mc = monte_carlo_run(config, 2)
+    col = collocation_run(config, 2, store)
+    for stats in (mc, col):
+        assert dataclasses.is_dataclass(stats)
+        for f in dataclasses.fields(stats):
+            assert all(np.isfinite(a).all()
+                       for a in _numbers(getattr(stats, f.name))), f.name
+    assert mc.eta_max < 1.0
+    assert set(mc.bounds) == set(mc.mean_error) == {0, 1}
+    assert not hasattr(col, "bounds") and not hasattr(mc, "extra")
+    for key in ("e", "e_spl", "e_col", "green_not_spd"):
+        assert col.extra[key].shape == (2,)
 
 
 @pytest.mark.parametrize("J_list", [(), [], (1, -1), (-2,)])

@@ -8,8 +8,7 @@ from .fem import (LocalAssembler, LocalOperators, assemble_local_operators,
                   band_to_dense, energy_norm, fine_reference_solve,
                   stencil_to_dense)
 from .basis import bubble_series, iterative_bases, standard_bases
-from .msfem import (CoarseSystem, assemble_coarse_systems, basis_errors,
-                    solution_error_bound, solve_msfem)
+from .msfem import basis_errors, coarse_solutions, solution_error_bound
 from .stochastic import (GreenStore, SampleStatistics, SparseGrid,
                          StochasticConfig, build_sparse_grid,
                          collocation_run, cost_ratios,

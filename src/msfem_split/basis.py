@@ -64,6 +64,13 @@ def bubble_series(ops, J, solve=None):
     return pi_l, bubbles, products
 
 
+def check_J_list(J_list):
+    """Refuse an empty J_list or one holding a negative J."""
+    if len(J_list) == 0 or min(J_list) < 0:
+        raise ValueError(f"J_list must hold at least one J >= 0, not "
+                         f"{J_list!r}")
+
+
 def iterative_bases(ops, J_list, green=None, solve=None):
     """{J: (c, r)} of phi_J, each (cells, nK, 4): the correction
     c = -Pi l + sum_{j<=J} xi_j and its Galerkin residual r = M c + v.
@@ -76,8 +83,7 @@ def iterative_bases(ops, J_list, green=None, solve=None):
     is not M0^-1, so given green r is formed by one fem.cell_matmul of
     M = M0 + M1 per J.
     """
-    if min(J_list) < 0:
-        raise ValueError("J must be >= 0")
+    check_J_list(J_list)
     if green is not None:
         solve = partial(np.matmul, green)
         m, v = fem.cell_matmul(ops.M0 + ops.M1), ops.v0 + ops.v1

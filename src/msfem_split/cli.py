@@ -22,7 +22,7 @@ EXPERIMENTS = ("basis-bound", "basis-slope", "solution-bound", "mesh-sweep",
                "mc-stats", "colloc-table", "colloc-decomp", "cost-ratios")
 
 _INT_KEYS = {"nx", "ny", "r", "n", "m", "q", "L", "N", "seed", "fine", "J"}
-_FLOAT_KEYS = {"sigma2", "lx", "ly", "sc", "margin"}
+_FLOAT_KEYS = {"sigma2", "lx", "ly", "sc"}
 _LIST_INT_KEYS = {"m_list", "J_list", "L_list", "nx_list", "r_list"}
 _LIST_FLOAT_KEYS = {"sc_list"}
 _STR_KEYS = {"experiment", "field", "out"}
@@ -306,15 +306,18 @@ def _exp_mc_stats(cfg, seed):
     return [("mc_stats.csv", header, rows)], checks
 
 
-def _colloc_setup(cfg, seed, L):
+def _colloc_runs(cfg, seed, N):
+    """(L, collocation_run statistics) for each L of L_list, from one mesh,
+    model and StochasticConfig; only the grid and its store depend on L."""
     mesh = mesh_mod.build_mesh(cfg["nx"], cfg["ny"], cfg["r"])
     model = field_mod.build_kle_model(mesh, cfg["sigma2"], cfg["lx"],
                                      cfg["ly"], cfg["n"])
-    grid = st.build_sparse_grid(cfg["m"], L)
-    store = st.precompute_green_inverses(mesh, model, grid, cfg["m"])
     config = st.StochasticConfig(mesh=mesh, model=model, m=cfg["m"],
                                  J_list=(cfg["J"],), seed=seed)
-    return config, store
+    for L in cfg["L_list"]:
+        grid = st.build_sparse_grid(cfg["m"], L)
+        store = st.precompute_green_inverses(mesh, model, grid, cfg["m"])
+        yield L, st.collocation_run(config, N, store, J=cfg["J"])
 
 
 def _exp_colloc_table(cfg, seed):
@@ -322,16 +325,14 @@ def _exp_colloc_table(cfg, seed):
     rows = []
     checks = []
     means = []
-    for L in cfg["L_list"]:
-        config, store = _colloc_setup(cfg, seed, L)
-        stats = st.collocation_run(config, n_samples, store, J=cfg["J"])
+    for L, stats in _colloc_runs(cfg, seed, n_samples):
         e = stats.extra["e"]
         not_spd = stats.extra["green_not_spd"]
         for s in range(n_samples):
             rows.append((s, L, 100.0 * e[s], not_spd[s]))
             checks.append((f"sample={s} L={L} rel error <= 1%",
                            e[s] <= 0.01))
-        means.append(e.mean())
+        means.append(stats.extra["mean_e"])
     for a, b, L in zip(means, means[1:], cfg["L_list"][1:]):
         checks.append((f"mean error nonincreasing at L={L}", b <= a))
     header = ["sample", "L", "rel_error_pct", "green_not_spd"]
@@ -341,9 +342,7 @@ def _exp_colloc_table(cfg, seed):
 def _exp_colloc_decomp(cfg, seed):
     rows = []
     checks = []
-    for L in cfg["L_list"]:
-        config, store = _colloc_setup(cfg, seed, L)
-        stats = st.collocation_run(config, cfg["N"], store, J=cfg["J"])
+    for L, stats in _colloc_runs(cfg, seed, cfg["N"]):
         x = stats.extra
         rows.append((L, x["mean_e"], x["mean_e_spl"], x["mean_e_col"]))
         tri = np.all(x["e"] <= x["e_spl"] + x["e_col"] + 1e-12)

@@ -27,9 +27,10 @@ the MsFEM coarse matrix (Hou & Wu, J. Comput. Phys. 134, 1997).
 H^T A_K H, H^T W and W_I are fixed linear maps of a cell's coefficient and
 source values, built once per mesh: the first by fem.LocalAssembler, the
 others by coarse_maps, which also keeps the loads of the default source
-f = 1.  The local matrices are summed by np.bincount straight into the
-band storage of the coarse system, which is solved in band storage as
-well; that keeps its results independent of the BLAS thread count.
+f = 1.  coarse_solutions sums the local matrices by np.bincount straight
+into the band storage of each coarse system, solves it in band storage
+as well, which keeps its results independent of the BLAS thread count,
+and downscales the coefficients through the same bases.
 
 A sample's bases are built in one place, _bases, keyed "h", ("J", J) and
 ("col", J); sample_errors measures them at the solution level and
@@ -114,21 +115,6 @@ def coarse_maps(mesh):
     return CoarseMaps(mesh)
 
 
-@dataclass
-class CoarseSystem:
-    """SPD coarse system over the interior coarse vertices, and its bases.
-
-    bands is the coarse matrix in (nx_coarse + 1, n_free) lower band
-    storage, F the load on the free vertices and corrections the
-    (n_cells, nK, 4) interior corrections of the bases.
-    """
-
-    mesh: object
-    bands: np.ndarray
-    F: np.ndarray
-    corrections: np.ndarray
-
-
 def local_coarse_systems(ops, k, bases, f=None):
     """{key: (local A (cells, 4, 4), local F (cells, 4))} of bases H + E c.
 
@@ -159,31 +145,31 @@ def local_coarse_systems(ops, k, bases, f=None):
     return out
 
 
-def assemble_coarse_systems(ops, k, bases, f=None):
-    """{key: CoarseSystem} of local_coarse_systems, summed over the cells."""
-    maps = coarse_maps(ops.assembler.mesh)
-    return {key: CoarseSystem(mesh=ops.assembler.mesh, bands=maps.bands(A),
-                              F=maps.load(F), corrections=bases[key][0])
-            for key, (A, F) in local_coarse_systems(
-                ops, k, bases, f).items()}
+def coarse_solutions(ops, k, bases, f=None):
+    """{key: fine-grid MsFEM solution} of the bases of local_coarse_systems.
 
-
-def solve_msfem(system):
-    """Solve the coarse system and downscale onto the global fine grid.
-
-    The coarse matrix is factored in band storage by fem.band_cholesky.
-    Downscaling sums the hats and, on the interior nodes, the corrections,
-    each weighted by the coefficients of the cell's vertices.
+    Every key's local matrices and loads are summed over the cells into its
+    coarse system first; each is then factored in band storage by
+    fem.band_cholesky and solved, and its coefficients are downscaled.
     """
-    maps = coarse_maps(system.mesh)
-    coeffs = np.zeros(system.mesh.n_coarse_vertices)
-    if maps.n_free:
-        coeffs[maps.free] = fem.band_cholesky(system.bands)(system.F)
+    maps = coarse_maps(ops.assembler.mesh)
+    systems = {key: (maps.bands(A), maps.load(F)) for key, (A, F)
+               in local_coarse_systems(ops, k, bases, f).items()}
+    out = {}
+    for key, (bands, F) in systems.items():
+        coeffs = np.zeros(ops.assembler.mesh.n_coarse_vertices)
+        if maps.n_free:
+            coeffs[maps.free] = fem.band_cholesky(bands)(F)
+        out[key] = _downscale(maps, bases[key][0], coeffs)
+    return out
+
+
+def _downscale(maps, c, coeffs):
+    """Fine-grid values of the bases H + E c weighted by vertex coeffs."""
     local = coeffs[maps.vertices]
     values = local @ maps.assembler.hats.T
-    values[:, maps.assembler.interior_idx] += (
-        system.corrections @ local[:, :, None])[..., 0]
-    u = np.zeros(system.mesh.n_fine_nodes)
+    values[:, maps.assembler.interior_idx] += (c @ local[:, :, None])[..., 0]
+    u = np.zeros(maps.assembler.mesh.n_fine_nodes)
     u[maps.nodes] = values
     return u
 
@@ -233,6 +219,7 @@ def sample_errors(mesh, splitting, J_list, f=None, green=None,
     if f is not None and np.shape(f) != (mesh.n_fine_cells,):
         raise ValueError(f"f has shape {np.shape(f)}, expected "
                          f"({mesh.n_fine_cells},): one value per fine cell")
+    basis_mod.check_J_list(J_list)
     if reference and pool is None:
         with ThreadPoolExecutor(1) as pool:
             return sample_errors(mesh, splitting, J_list, f, green,
@@ -251,8 +238,8 @@ def sample_errors(mesh, splitting, J_list, f=None, green=None,
     if reference and banded:
         standard = pool.submit(basis_mod.standard_bases, ops).result
         fine = pool.submit(fem.fine_reference_solver(mesh, splitting.k, f))
-    u = {key: solve_msfem(system) for key, system in assemble_coarse_systems(
-        ops, splitting.k, _bases(ops, J_list, green, standard), f).items()}
+    u = coarse_solutions(ops, splitting.k,
+                         _bases(ops, J_list, green, standard), f)
     norm = partial(fem.energy_norm, mesh, splitting.k)
     u_h, u_J = u["h"], {J: u["J", J] for J in J_list}
     out = SampleErrors(u_h, norm(u_h), u_J,

@@ -15,6 +15,7 @@ from math import comb, prod
 import numpy as np
 import scipy.sparse as sp
 
+from . import basis as basis_mod
 from . import fem
 from . import field as field_mod
 from . import msfem
@@ -387,9 +388,7 @@ class StochasticConfig:
 
     def __post_init__(self):
         self.mesh.check_fine_grid(self.model.mesh, "model")
-        if len(self.J_list) == 0 or min(self.J_list) < 0:
-            raise ValueError(f"J_list must hold at least one J >= 0, not "
-                             f"{self.J_list!r}")
+        basis_mod.check_J_list(self.J_list)
 
 
 @dataclass

@@ -62,10 +62,12 @@ def test_validate_ok(tmp_path, capsys):
 
 
 def test_unknown_key_rejected(tmp_path):
-    path = _write(tmp_path, COST_CFG + "bogus = 1\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config(path)
-    assert main(["validate", path]) == 2
+    # no experiment reads margin, so a config may not set it
+    for key, value in (("bogus", "1"), ("margin", "0.5")):
+        path = _write(tmp_path, COST_CFG + f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(path)
+        assert main(["validate", path]) == 2
 
 
 def test_unknown_experiment_rejected(tmp_path):

@@ -16,8 +16,7 @@ from msfem_split import fem
 from msfem_split import msfem
 from msfem_split import stochastic as st
 from msfem_split.field import make_splitting, split_kle
-from msfem_split.msfem import (CoarseSystem, assemble_coarse_systems,
-                               solution_error_bound, solve_msfem)
+from msfem_split.msfem import coarse_solutions, solution_error_bound
 from reference import (assemble_coarse_system, build_basis_registry,
                        build_iterative_registries, bubble_sequence,
                        child_output, fine_stiffness, iterative_basis_sequence,
@@ -37,12 +36,28 @@ def _all_cells(mesh, split):
         mesh, np.arange(mesh.n_coarse_cells), split)
 
 
-def _system(mesh, split, J=None, f=None):
-    """The library's coarse system of the standard basis, or iterative at J."""
+def _one_basis(mesh, split, J=None):
+    """Local operators and {"c": (c, r)} of the standard basis, or of the
+    iterative one at J."""
     ops = _all_cells(mesh, split)
     c = (basis_mod.standard_bases(ops), None) if J is None else \
         basis_mod.iterative_bases(ops, [J])[J]
-    return assemble_coarse_systems(ops, split.k, {"c": c}, f)["c"]
+    return ops, {"c": c}
+
+
+def _system(mesh, split):
+    """(bands, F) of the standard basis's coarse system, summed by the
+    mesh's coarse_maps from local_coarse_systems."""
+    ops, bases = _one_basis(mesh, split)
+    (A, F), = msfem.local_coarse_systems(ops, split.k, bases).values()
+    maps = msfem.coarse_maps(mesh)
+    return maps.bands(A), maps.load(F)
+
+
+def _solution(mesh, split, J=None, f=None):
+    """coarse_solutions of the standard basis, or of the iterative at J."""
+    ops, bases = _one_basis(mesh, split, J)
+    return coarse_solutions(ops, split.k, bases, f)["c"]
 
 
 def _downscale(mesh, bases, coeffs):
@@ -68,11 +83,11 @@ def test_constant_k_reduces_to_coarse_q1():
     mesh = build_mesh(4, 4, 3)
     k = np.full(mesh.n_fine_cells, 2.0)
     split = make_splitting(mesh, k, np.zeros_like(k))
-    system = _system(mesh, split)
+    bands, _ = _system(mesh, split)
     coarse = build_mesh(2, 2, 2)  # same 4x4 lattice viewed as fine cells
     A_q1 = fine_stiffness(coarse, np.full(16, 2.0)).toarray()
     free = mesh.interior_coarse_vertices()
-    assert np.abs(fem.band_to_dense(system.bands)
+    assert np.abs(fem.band_to_dense(bands)
                   - A_q1[np.ix_(free, free)]).max() <= 1e-12
 
 
@@ -90,24 +105,24 @@ def test_coarse_system_symmetric():
 def test_single_cell_mesh_solution_is_zero():
     mesh = build_mesh(1, 1, 4)
     split = make_splitting(mesh, np.ones(16), np.zeros(16))
-    system = _system(mesh, split)
-    assert system.bands.shape == (2, 0) and system.F.size == 0
-    assert np.allclose(solve_msfem(system), 0.0)
+    bands, F = _system(mesh, split)
+    assert bands.shape == (2, 0) and F.size == 0
+    assert np.allclose(_solution(mesh, split), 0.0)
 
 
 def test_zero_source_zero_solution():
     mesh = build_mesh(3, 3, 3)
     rng = np.random.default_rng(14)
     split = _random_splitting(mesh, rng)
-    system = _system(mesh, split, f=np.zeros(mesh.n_fine_cells))
-    assert np.allclose(solve_msfem(system), 0.0)
+    u = _solution(mesh, split, f=np.zeros(mesh.n_fine_cells))
+    assert np.allclose(u, 0.0)
 
 
 def test_constant_k_solution_is_bilinear_prolongation():
     mesh = build_mesh(4, 4, 4)
     k = np.ones(mesh.n_fine_cells)
     split = make_splitting(mesh, k, np.zeros_like(k))
-    u = solve_msfem(_system(mesh, split))
+    u = _solution(mesh, split)
     # coarse Q1 solve with consistent coarse load of f = 1
     uc = fine_reference_solve(build_mesh(2, 2, 2), np.ones(16))
     grid = u.reshape(mesh.nyf + 1, mesh.nxf + 1)
@@ -126,14 +141,14 @@ def test_missing_basis_entry_rejected():
     for malformed in (c[1:], c[:, :, :3], c[:, 1:]):
         for basis in ((malformed, None), (malformed, c), (c, malformed)):
             with pytest.raises(ValueError):
-                assemble_coarse_systems(ops, split.k, {0: basis})
+                coarse_solutions(ops, split.k, {0: basis})
 
 
 def test_solution_boundary_zero():
     mesh = build_mesh(3, 3, 5)
     rng = np.random.default_rng(16)
     split = _random_splitting(mesh, rng)
-    u = solve_msfem(_system(mesh, split, J=0))
+    u = _solution(mesh, split, J=0)
     assert np.allclose(u[mesh.boundary_node_mask()], 0.0)
 
 
@@ -142,14 +157,13 @@ def test_galerkin_optimality_spot_check():
     rng = np.random.default_rng(18)
     split = _random_splitting(mesh, rng)
     bases = build_basis_registry(mesh, split, "standard")
-    system = _system(mesh, split)
+    bands, F = _system(mesh, split)
     u_ref = fine_reference_solve(mesh, split.k)
-    u_h = solve_msfem(system)
+    u_h = _solution(mesh, split)
     best = fem.energy_norm(mesh, split.k, u_ref - u_h)
     free = mesh.interior_coarse_vertices()
     coeffs = np.zeros(mesh.n_coarse_vertices)
-    coeffs[free] = np.linalg.solve(fem.band_to_dense(system.bands),
-                                   system.F)
+    coeffs[free] = np.linalg.solve(fem.band_to_dense(bands), F)
     for _ in range(5):
         pert = coeffs.copy()
         pert[free] += 0.05 * rng.standard_normal(free.size)
@@ -244,11 +258,7 @@ def test_downscaling_from_corrections_matches_lifted_bases(nx, ny, r):
     free = mesh.interior_coarse_vertices()
     coeffs = np.zeros(mesh.n_coarse_vertices)
     coeffs[free] = rng.uniform(-1.0, 1.0, free.size)
-    # an identity band: the coarse solve returns the load unchanged
-    bands = np.zeros((nx + 1, free.size))
-    bands[0] = 1.0
-    u = solve_msfem(CoarseSystem(mesh=mesh, bands=bands, F=coeffs[free],
-                                 corrections=c))
+    u = msfem._downscale(msfem.coarse_maps(mesh), c, coeffs)
     ref = _downscale(mesh, lift_cells(ops.assembler, c), coeffs)
     assert np.abs(u - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -331,6 +341,26 @@ def test_sample_errors_refuses_wrong_length_f(reference):
         with pytest.raises(ValueError,
                            match=rf"expected \({mesh.n_fine_cells},\)"):
             msfem.sample_errors(mesh, split, [1], f, reference=reference)
+
+
+@pytest.mark.parametrize("J_list", [[], (), (1, -1), [-2]])
+def test_entry_points_refuse_empty_or_negative_J_list(monkeypatch, J_list):
+    # refused with StochasticConfig's message; sample_errors refuses
+    # before either stage runs, so no fine band or local operator is built
+    mesh = build_mesh(3, 2, 4)
+    split = _random_splitting(mesh, np.random.default_rng(3))
+    ops = _all_cells(mesh, split)
+    match = r"J_list must hold at least one J >= 0, not "
+    with pytest.raises(ValueError, match=match):
+        msfem.basis_errors(ops, split, J_list)
+    called = []
+    for module, name in ((fem, "fine_reference_solver"),
+                         (fem, "assemble_local_operators")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name: called.append(name))
+    with pytest.raises(ValueError, match=match):
+        msfem.sample_errors(mesh, split, J_list, reference=True)
+    assert not called
 
 
 def _counted_factors(monkeypatch, mesh):
@@ -552,12 +582,15 @@ def test_banded_and_batched_cholesky_agree(monkeypatch, nx, ny, r):
             assert np.abs(a - b).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("nx,ny", [(16, 16), (5, 3), (3, 6)])
-def test_coarse_band_solve_matches_dense_solve(nx, ny):
-    # free vertices run row-major over rows of nx - 1: half-bandwidth nx
-    mesh = build_mesh(nx, ny, 2)
+@pytest.mark.parametrize("nx,ny,r", [(16, 16, 2), (5, 3, 2), (3, 6, 2),
+                                     (3, 2, 7)],
+                         ids=["16-16", "5-3", "3-6", "3-2-7"])
+def test_coarse_band_solve_matches_dense_solve(nx, ny, r):
+    # free vertices run row-major over rows of nx - 1: half-bandwidth nx;
+    # r = 7 runs the banded regime (nK = 36 > BATCHED_MAX_N) end to end
+    mesh = build_mesh(nx, ny, r)
     split = _random_splitting(mesh, np.random.default_rng(nx * 10 + ny))
     ref = _dense_solution(mesh, build_basis_registry(mesh, split, "standard"),
                           split.k)
-    u = solve_msfem(_system(mesh, split))
+    u = _solution(mesh, split)
     assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()

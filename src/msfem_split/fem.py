@@ -317,23 +317,34 @@ class LocalAssembler:
             np.repeat(e[row], 4),
             (vals[row, None] * self.hats[b[row]]).ravel(), r * r)
 
-    def interior_bands(self, kappa):
+    def interior_bands(self, kappa, out=None):
         """(..., w, nK) interior stiffness stencil bands for (..., r^2)
-        values; w = len(stencil_offsets(nK))."""
-        return self._stack(self._band_scatter, kappa, self._band_shape)
+        values; w = len(stencil_offsets(nK)).
+
+        Given out, a C-ordered float64 buffer of that shape, they are
+        written there.  Only the stencil's entries are written, so the
+        others must be zero already: out is np.zeros or was filled by an
+        earlier call.
+        """
+        return self._stack(self._band_scatter, kappa, self._band_shape, out)
 
     def vertex_vectors(self, kappa):
         """(..., nK, 4) interior rows of the stiffness times the hats."""
         return self._stack(self._vertex_scatter, kappa, (self.n_interior, 4))
 
-    def _stack(self, scatter, kappa, shape):
+    def _stack(self, scatter, kappa, shape, out=None):
         kappa = np.asarray(kappa, float)
         flat = kappa.reshape(-1, kappa.shape[-1])
         # filled row by row in C order: batched matmul runs several times
         # slower on a transposed stack
-        out = np.zeros((len(flat), shape[0] * shape[1]))
-        _fill(scatter, flat, out.T)
-        return out.reshape(kappa.shape[:-1] + shape)
+        if out is None:
+            out = np.zeros(kappa.shape[:-1] + shape)
+        elif out.shape != kappa.shape[:-1] + shape or \
+                out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-ordered float64 array of "
+                             f"shape {kappa.shape[:-1] + shape}")
+        _fill(scatter, flat, out.reshape(len(flat), -1).T)
+        return out
 
 
 @lru_cache(maxsize=4)
@@ -396,24 +407,41 @@ def cell_solvers(*sums):
     return [partial(np.matmul, a) for a in np.split(inverses, len(sums))]
 
 
-def cell_inverses(bands):
+def cell_inverses(bands, out=None):
     """(n, n, cells) inverses of a (cells, w, n) SPD local stencil stack.
 
     The one place that picks the local-block regime (is_banded) for an
     inverse.  Up to BATCHED_MAX_N one gather expands the stack with the
-    cells last and spd_inverse inverts it; above, _block_factor's factor
-    is solved against identity columns built in place in its
-    Fortran-ordered right-hand side.  The bands are never written.
+    cells last, into out if given (a C-ordered float64 (n, n, cells)
+    buffer), and spd_inverse inverts it in place; above, _block_factor's
+    factor is solved against identity columns built in place in its
+    Fortran-ordered right-hand side, and copied to out if given.  The
+    bands are never written.
     """
     cells, w, n = bands.shape
     if is_banded(n):
         eye = np.zeros((cells * n, n), order="F")
         eye[np.arange(cells * n), np.tile(np.arange(n), cells)] = 1.0
         inverses = _band_solve(_block_factor(bands), eye)
-        return np.moveaxis(inverses.reshape(cells, n, n), 0, -1)
+        inverses = np.moveaxis(inverses.reshape(cells, n, n), 0, -1)
+        if out is None:
+            return inverses
+        out[...] = inverses
+        return out
+    return spd_inverse(_cells_last(bands, out))
+
+
+def _cells_last(bands, out=None):
+    """The dense (n, n, cells) matrices of a (cells, w, n) stencil stack,
+    gathered into out if given; the gather's source is freed on return."""
+    cells, w, n = bands.shape
     flat = np.zeros((w * n + 1, cells))
     flat[:-1] = bands.reshape(cells, w * n).T
-    return spd_inverse(flat[_band_index(_stencil_rows(bands), n)])
+    if out is None:
+        out = np.empty((n, n, cells))
+    # mode="clip" gathers straight into out; the indices are all in range
+    return np.take(flat, _band_index(_stencil_rows(bands), n), axis=0,
+                   out=out, mode="clip")
 
 
 def _block_factor(*stacks):
@@ -463,19 +491,32 @@ def cell_matmul(bands):
 
 
 def spd_inverse(a):
-    """Inverses of a cells-last (n, n, cells) SPD stack, in the same layout.
+    """Invert a cells-last (n, n, cells) SPD stack in place; returns a.
 
-    Gauss-Jordan without pivoting, vectorized over the cell axis and updated
-    in place on a private copy.  On a symmetric matrix its pivots are those
-    of the LDL^T factorization, so they are all positive exactly when the
-    matrix is SPD; a pivot <= 0 raises.  Each of the n steps sweeps the
-    whole stack, so large blocks are memory-bound: over 16 cells (1 BLAS
-    thread, 2-core Xeon) it takes 34 s at n=841 where np.linalg.inv takes
-    1.2 s, so the library calls it up to BATCHED_MAX_N only.
+    a is a writeable C-ordered float64 array (anything else raises
+    ValueError before any work), such as cell_inverses' fresh gather.
+    Gauss-Jordan without pivoting, vectorized over the cell axis.  On a
+    symmetric matrix its pivots are those of the LDL^T factorization, so
+    they are all positive exactly when the matrix is SPD; a pivot <= 0
+    raises, naming the first step that fails and, among its cells, the
+    lowest pivot.  Step k updates only rows and columns <= k + p, p the
+    stack's bandwidth read from its nonzero pattern: Gauss-Jordan fill
+    stays inside the band, so every update it skips would subtract a
+    product with an exact +0.0, and for a stack without -0.0 entries
+    (none arises) the bits are those of the full sweep.
+    Each step still sweeps the stack, so large blocks are memory-bound
+    (34 s at n=841 over 16 cells, full sweep, where np.linalg.inv takes
+    1.2 s), and the library calls it up to BATCHED_MAX_N only.
     """
-    a = np.array(a, dtype=float, order="C")  # a copy even when contiguous
-    n = a.shape[0]
-    update = np.empty_like(a)
+    if a.dtype != np.float64 or a.ndim != 3 or a.shape[0] != a.shape[1] \
+            or not a.flags.c_contiguous or not a.flags.writeable:
+        raise ValueError("a must be a writeable C-ordered float64 "
+                         "(n, n, cells) array")
+    n, _, cells = a.shape
+    i, j = np.nonzero(a.any(axis=-1))
+    p = int(np.abs(i - j).max(initial=0))
+    # one update buffer, its leading (e, e, cells) entries used per step
+    update = np.empty(a.size)
     for k in range(n):
         pivot = a[k, k].copy()
         cell = np.argmin(pivot)  # a NaN pivot is the minimum as well
@@ -483,14 +524,18 @@ def spd_inverse(a):
             raise np.linalg.LinAlgError(
                 f"matrix is not SPD: pivot {k} is {pivot[cell]:.3g} "
                 f"in cell {cell}")
+        e = min(n, k + p + 1)
         a[k, k] = 1.0
-        a[k] /= pivot
-        col = a[:, k].copy()
+        a[k, :e] /= pivot
+        col = a[:e, k].copy()
         col[k] = 0.0
         a[:k, k] = 0.0
-        a[k + 1:, k] = 0.0
-        np.multiply(col[:, None], a[k], out=update)
-        a -= update
+        a[k + 1:e, k] = 0.0
+        # copied, then scaled: faster than the broadcast product
+        u = update[:e * e * cells].reshape(e, e, cells)
+        u[:] = a[k, :e]
+        u *= col[:, None]
+        a[:e, :e] -= u
     return a
 
 

@@ -282,7 +282,10 @@ def basis_errors(ops, splitting, J_list):
     (cells, 4) over the cells of ops.cell and the four vertices.  The bases
     are a sample's own (_bases).  The hats cancel in phi - phi_J = E d,
     d = c_h - c_J, so the error squared is d^T M d with M = M0 + M1.
+    An empty J_list or one holding a negative J is refused before any
+    factor work.
     """
+    basis_mod.check_J_list(J_list)
     asm = ops.assembler
     asm.mesh.check_fine_grid(splitting.mesh, "splitting")
     fine = asm.mesh.cell_fine_cells(ops.cell)

@@ -8,6 +8,7 @@ sample exactly through the k1 operators.
 
 import itertools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, prod
@@ -90,13 +91,15 @@ class SparseGrid:
         self.L = L
         patterns = {}  # levels -> [dims of each subgrid]
         levels_of, coeffs, rows = [], [], []
+        # indices up to 2^L in the narrowest unsigned type, uint8 to L=7
+        index_type = np.min_scalar_type(2 ** L)
         for dims, levels in _active_level_sets(m, L):
             t = sum(levels)
             coeff = (-1) ** (L - t) * comb(m - 1, L - t)
             if coeff == 0:
                 continue
             shape = [2 ** lev + 1 for lev in levels]
-            idx = np.full((int(np.prod(shape)), m), 2 ** L // 2)
+            idx = np.full((int(np.prod(shape)), m), 2 ** L // 2, index_type)
             if dims:
                 local = np.indices(shape).reshape(len(dims), -1).T
                 idx[:, list(dims)] = local << (L - np.array(levels))
@@ -105,13 +108,17 @@ class SparseGrid:
             coeffs.append(coeff)
             rows.append(idx)
         sizes = [len(r) for r in rows]
-        uniq, first, inverse = np.unique(np.concatenate(rows), axis=0,
-                                         return_index=True,
-                                         return_inverse=True)
+        # each row as one opaque item: a sort of bytes, not of m columns.
+        # Nodes are numbered by first appearance, so the sort's order of
+        # the unique rows does not matter
+        rows = np.concatenate(rows)
+        _, first, inverse = np.unique(
+            rows.view(np.dtype((np.void, rows.itemsize * m))).ravel(),
+            return_index=True, return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        self.nodes = _cc_points(L)[uniq[order]]
+        self.nodes = _cc_points(L)[rows[first[order]]]
         self._patterns = [(levels, np.array(dims, dtype=int).reshape(
             len(dims), len(levels))) for levels, dims in patterns.items()]
         # values come pattern by pattern: the rank of each subgrid point, in
@@ -204,11 +211,18 @@ MAX_STORE_BYTES = 2 * 1024 ** 3
 # matrix entries, nodes * cells * nK^2, per block of the store build: as
 # many whole nodes as fit, at least one.  A worker holds the GIL between
 # numpy calls, so each call must run long enough for the other workers to
-# overlap it.  colloc-L3's store (256 cells, nK=9; 2-core Xeon, 1 BLAS
-# thread) builds in 4.4-6.0 s node by node on one thread; on two, in
-# 6.0-6.5 s with 1-node blocks, 3.7-4.3 s with 2, 2.6-2.9 s with 4 (this
-# budget) and 2.8-3.3 s with 8
-STORE_BLOCK_ENTRIES = 1024 * 81
+# overlap it.  In the batched regime each worker fills and inverts the same
+# bands and stack for all its blocks: with them allocated afresh per block,
+# glibc trimmed each worker's heap after a block and the next one faulted
+# its pages back, 0.5M minor faults and about 25% of the build, unless a
+# larger array had been freed earlier in the process.  The buffers keep
+# the faults away only while spd_inverse's update buffer, the largest
+# array a block still allocates, outweighs the rest: check ru_minflt in
+# tests/reference.py store-digest after any change to the block loop.
+# colloc-L3's store (256 cells, nK=9; 2-core Xeon, 1 BLAS thread, two
+# workers) builds in 2.5-3.1 s with 4-node blocks, 2.0-2.3 s with 8 (this
+# budget) and 2.0-2.4 s with 12 or 16
+STORE_BLOCK_ENTRIES = 2048 * 81
 # store nodes per block of the interpolation contraction.  OpenBLAS 0.3.31
 # (Haswell kernels) cuts a long inner dimension into panels, and how it cuts
 # depends on its thread count; a block at or below the panel size is summed
@@ -270,17 +284,38 @@ def precompute_green_inverses(mesh, model, grid, m):
     cell_ids = mesh.cell_fine_cells(np.arange(n_cells))
     row, col = np.tril_indices(n_k)
     out = np.empty((grid.n_nodes, n_cells, len(row)))
+    step = max(1, STORE_BLOCK_ENTRIES // (n_cells * n_k ** 2))
+    # in the batched regime each worker fills and inverts the same bands
+    # and stack for all its blocks (see STORE_BLOCK_ENTRIES)
+    buffers = None if fem.is_banded(n_k) else threading.local()
+    w = len(fem.stencil_offsets(n_k))
+
+    def block_buffers(cells):
+        """This worker's (cells, w, nK) bands and (nK, nK, cells) stack;
+        None, None in the banded regime."""
+        if buffers is None:
+            return None, None
+        if not hasattr(buffers, "bands"):
+            buffers.bands = np.zeros(step * n_cells * w * n_k)
+            buffers.stack = np.empty(step * n_cells * n_k ** 2)
+        return (buffers.bands[:cells * w * n_k].reshape(cells, w, n_k),
+                buffers.stack[:cells * n_k ** 2].reshape(n_k, n_k, cells))
 
     def invert(start, stop):
         """Write the inverses of nodes start .. stop-1 into the store."""
         kappa = np.concatenate([
             np.exp(field_mod.log_field_partial(model, node, m))[cell_ids]
             for node in grid.nodes[start:stop]])
-        G = fem.cell_inverses(interior_bands(kappa))
-        # the lower triangle and its mirror image, (entries, nodes, cells)
+        bands, stack = block_buffers(len(kappa))
+        G = fem.cell_inverses(interior_bands(kappa, out=bands), out=stack)
+        # the lower triangle, (entries, nodes, cells), and in one more
+        # buffer |lo - its mirror image|; no other temporary of that size
         lo = G[row, col].reshape(len(row), stop - start, n_cells)
-        skew = np.abs(lo - G[col, row].reshape(lo.shape)).max(axis=(0, 2))
-        symmetric = skew <= 1e-10 * np.abs(lo).max(axis=(0, 2))
+        skew = G[col, row].reshape(lo.shape)
+        np.subtract(lo, skew, out=skew)
+        np.abs(skew, out=skew)
+        scale = np.maximum(lo.max(axis=(0, 2)), -lo.min(axis=(0, 2)))
+        symmetric = skew.max(axis=(0, 2)) <= 1e-10 * scale
         if not symmetric.all():
             raise ValueError(f"Green's inverse at grid node "
                              f"{start + np.argmin(symmetric)} not symmetric")
@@ -301,7 +336,6 @@ def precompute_green_inverses(mesh, model, grid, m):
                     raise np.linalg.LinAlgError(
                         f"M0 at grid node {i}: {exc}") from exc
 
-    step = max(1, STORE_BLOCK_ENTRIES // (n_cells * n_k ** 2))
     bounds = [(s, min(s + step, grid.n_nodes))
               for s in range(0, grid.n_nodes, step)]
     pool = ThreadPoolExecutor(_usable_cpus(len(bounds)))

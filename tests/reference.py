@@ -41,7 +41,14 @@ same_outputs compares two output directories byte for byte, and
 runs every configs/*.cfg through run_cli under 1 and then 2 BLAS threads
 into DIR/t<threads>/<config>, prints the SHA-256 of each output file and
 exits 1 if a run fails or the two thread counts' outputs differ: the
-byte check of a change that must keep every output bit.
+byte check of a change that must keep every output bit, and
+
+    PYTHONPATH=src python tests/reference.py store-digest
+
+builds the colloc-L3 benchmark workload's GreenStore and prints its
+SHA-256, the build's seconds and its minor page faults: the store's bit
+anchor.  gauss_jordan is the full-sweep Gauss-Jordan on a copy, the
+oracle of fem.spd_inverse's in-place, band-windowed sweep.
 green_store_loop builds the store's matrices one node at a time, the
 oracle of precompute_green_inverses' threaded node blocks, and
 interpolated_green_gemm contracts the store by one GEMM, the oracle of
@@ -60,8 +67,10 @@ runs, is kept here with its tests.
 
 import hashlib
 import os
+import resource
 import subprocess
 import sys
+import time
 from functools import partial
 from math import comb
 from pathlib import Path
@@ -513,11 +522,39 @@ def smolyak_weights(grid, theta):
     return w.reshape(theta.shape[:-1] + (grid.n_nodes,))
 
 
+def gauss_jordan(a):
+    """Inverses of a cells-last (n, n, cells) SPD stack by a full sweep.
+
+    The Gauss-Jordan of fem.spd_inverse with every step updating the whole
+    stack, on a copy: the oracle of its in-place, band-windowed sweep,
+    which must equal it bit for bit, and of its pivot failures.
+    """
+    a = np.array(a, dtype=float, order="C")
+    n = a.shape[0]
+    update = np.empty_like(a)
+    for k in range(n):
+        pivot = a[k, k].copy()
+        cell = np.argmin(pivot)
+        if not pivot[cell] > 0.0:
+            raise np.linalg.LinAlgError(
+                f"matrix is not SPD: pivot {k} is {pivot[cell]:.3g} "
+                f"in cell {cell}")
+        a[k, k] = 1.0
+        a[k] /= pivot
+        col = a[:, k].copy()
+        col[k] = 0.0
+        a[:k, k] = 0.0
+        a[k + 1:, k] = 0.0
+        np.multiply(col[:, None], a[k], out=update)
+        a -= update
+    return a
+
+
 def green_store_loop(mesh, model, grid, m):
     """GreenStore.matrices of a loop over the nodes, one stack per node.
 
     Up to fem.BATCHED_MAX_N each node's M0 stack is expanded by
-    fem.stencil_to_dense, put cells last and inverted by fem.spd_inverse;
+    fem.stencil_to_dense, put cells last and inverted by gauss_jordan;
     above it each cell's (r+1)-row lower band is factored by scipy's
     banded Cholesky and solved against the identity.
     """
@@ -531,7 +568,7 @@ def green_store_loop(mesh, model, grid, m):
         theta[:m] = node
         k0 = np.exp(field.log_field_partial(model, theta, m))[cells]
         if n_k <= fem.BATCHED_MAX_N:
-            G = np.moveaxis(fem.spd_inverse(np.moveaxis(
+            G = np.moveaxis(gauss_jordan(np.moveaxis(
                 fem.stencil_to_dense(asm.interior_bands(k0)), 0, -1)), -1, 0)
         else:
             G = np.array([
@@ -573,7 +610,30 @@ def config_outputs(root):
         for c in configs) else 1
 
 
+def store_digest():
+    """Build colloc-L3's GreenStore (16x16 mesh, r=4, sigma2=1, l=0.1,
+    n=20, m=16, L=3) and print the SHA-256 of its matrices, the build's
+    seconds and the minor page faults it took (ru_minflt); 0."""
+    mesh = msfem_split.build_mesh(16, 16, 4)
+    model = msfem_split.build_kle_model(mesh, 1.0, 0.1, 0.1, 20)
+    grid = msfem_split.build_sparse_grid(16, 3)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    store = msfem_split.precompute_green_inverses(mesh, model, grid, 16)
+    seconds = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    print(f"sha256 {hashlib.sha256(store.matrices.tobytes()).hexdigest()}")
+    print(f"build_s {seconds:.3f}")
+    print(f"ru_minflt {faults}")
+    return 0
+
+
+USAGE = """usage: PYTHONPATH=src python tests/reference.py outputs DIR
+       PYTHONPATH=src python tests/reference.py store-digest"""
+
 if __name__ == "__main__":
-    if len(sys.argv) != 3 or sys.argv[1] != "outputs":
-        sys.exit("usage: PYTHONPATH=src python tests/reference.py outputs DIR")
-    sys.exit(config_outputs(sys.argv[2]))
+    if sys.argv[1:2] == ["outputs"] and len(sys.argv) == 3:
+        sys.exit(config_outputs(sys.argv[2]))
+    if sys.argv[1:] == ["store-digest"]:
+        sys.exit(store_digest())
+    sys.exit(USAGE)

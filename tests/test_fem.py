@@ -419,6 +419,26 @@ def test_cell_inverses_match_inv(r):
 
 
 @pytest.mark.parametrize("r", [4, 7])
+def test_cell_inverses_and_bands_fill_given_buffers(r):
+    # the batched regime gathers into out and inverts it in place, the
+    # banded one copies its inverses there; a buffer reused for a second
+    # stack holds that stack's bits, as fresh arrays would
+    M0, M1 = _local_bands(r, 3, r)
+    n = M0.shape[-1]
+    bands, out = np.zeros(M0.shape), np.empty((n, n, 3))
+    asm = fem.local_assembler(build_mesh(3, 1, r))
+    kappa = np.exp(np.random.default_rng(r).uniform(-1, 1, (2, 3, r * r)))
+    for k in kappa:
+        assert asm.interior_bands(k, out=bands) is bands
+        assert _same_bits(bands, asm.interior_bands(k))
+        assert fem.cell_inverses(bands, out=out) is out
+        assert _same_bits(out, fem.cell_inverses(bands))
+    with pytest.raises(ValueError, match="C-ordered float64"):
+        asm.interior_bands(kappa[0], out=np.zeros((3, *M0.shape[1:]),
+                                                 order="F"))
+
+
+@pytest.mark.parametrize("r", [4, 7])
 def test_cell_inverses_reject_non_spd(r):
     M0, _ = _local_bands(r, 3, r)
     M0[2] *= -1.0
@@ -599,36 +619,119 @@ def _spd_stack(rng, n, cells, shift):
     return np.moveaxis(x @ x.transpose(0, 2, 1) + shift * np.eye(n), 0, -1)
 
 
+def _banded_spd_stack(rng, n, p, cells):
+    """C-ordered cells-last (n, n, cells) stack of SPD matrices of
+    bandwidth p: random entries within the band, some of them zero, a
+    dominant diagonal and +0.0 outside; the entries at distance p are
+    nonzero in the last cell."""
+    i, j = np.indices((n, n))
+    x = rng.standard_normal((cells, n, n))
+    x *= (np.abs(i - j) <= p) & (rng.random((cells, n, n)) < 0.8)
+    x[-1] += np.abs(i - j) == p
+    x = np.tril(x) + np.tril(x, -1).transpose(0, 2, 1)
+    x += np.eye(n) * (np.abs(x).sum(axis=2, keepdims=True) + 0.5)
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=hst.integers(1, 25), cells=hst.integers(1, 8),
        shift=hst.floats(0.1, 10.0), seed=hst.integers(0, 2 ** 31))
 def test_spd_inverse_matches_inv(n, cells, shift, seed):
-    a = _spd_stack(np.random.default_rng(seed), n, cells, shift)
+    a = np.ascontiguousarray(
+        _spd_stack(np.random.default_rng(seed), n, cells, shift))
     before = a.copy()
     inv = fem.spd_inverse(a)
-    assert np.array_equal(a, before)  # the input is never written
-    assert inv.shape == (n, n, cells)
-    ref = np.linalg.inv(np.moveaxis(a, -1, 0))
+    assert inv is a  # inverted in place
+    assert _same_bits(inv, reference.gauss_jordan(before))
+    ref = np.linalg.inv(np.moveaxis(before, -1, 0))
     err = np.abs(np.moveaxis(inv, -1, 0) - ref).max()
     assert err <= 1e-12 * np.abs(ref).max()
 
 
-def test_spd_inverse_leaves_one_cell_stack_alone():
-    # a one-cell cells-last view of a cells-first stack is C-contiguous
+@pytest.mark.parametrize("cells", [1, 2, 37, 2048])
+def test_spd_inverse_matches_full_sweep_on_banded_stacks(cells):
+    # the band-windowed sweep skips only updates by an exact +0.0, so it
+    # is the full sweep bit for bit, zeros' sign bits included, at every
+    # order up to BATCHED_MAX_N and every bandwidth
+    rng = np.random.default_rng(cells)
+    for n in range(1, fem.BATCHED_MAX_N + 1):
+        for p in range(n):
+            a = _banded_spd_stack(rng, n, p, cells)
+            ref = reference.gauss_jordan(a)
+            assert _same_bits(fem.spd_inverse(a), ref), (n, p)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_spd_inverse_matches_full_sweep_on_stencil_stacks(r):
+    # cell_inverses' gather, bandwidth r, inverted in place: the full
+    # sweep's bits on the dense stack
+    M0, M1 = _local_bands(r, 5, r)
+    for bands in (M0, M0 + M1):
+        dense = np.moveaxis(fem.stencil_to_dense(bands), 0, -1)
+        assert _same_bits(fem.cell_inverses(bands),
+                          reference.gauss_jordan(dense))
+
+
+def _failure(invert, a):
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        invert(a)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n,p", [(1, 0), (4, 1), (9, 4), (9, 8)])
+@pytest.mark.parametrize("bad", ["nan", "negative"])
+def test_spd_inverse_failures_match_full_sweep(n, p, bad):
+    # a NaN entry within the band, or a diagonal entry too small for the
+    # matrix to be SPD, in two cells: the same step fails with the same
+    # lowest pivot and cell as in the full sweep
+    rng = np.random.default_rng(n * 10 + p)
+    for _ in range(10):
+        a = _banded_spd_stack(rng, n, p, 7)
+        for c in rng.choice(7, 2, replace=False):
+            i = rng.integers(n)
+            j = min(n - 1, i + rng.integers(p + 1))
+            if bad == "nan":
+                a[i, j, c] = a[j, i, c] = np.nan
+            else:
+                a[j, j, c] = -a[j, j, c] * rng.random()
+        message = _failure(reference.gauss_jordan, a)
+        assert message.startswith("matrix is not SPD: pivot ")
+        assert _failure(fem.spd_inverse, a) == message
+
+
+def test_spd_inverse_writes_one_cell_view_in_place():
+    # a one-cell cells-last view of a cells-first stack is C-contiguous,
+    # so it is accepted and the stack behind it holds the inverse
     mats = np.moveaxis(_spd_stack(np.random.default_rng(0), 9, 1, 1.0), -1, 0)
     view = np.moveaxis(mats, 0, -1)
     assert view.flags.c_contiguous
-    before = mats.copy()
+    ref = reference.gauss_jordan(view)
     fem.spd_inverse(view)
-    assert np.array_equal(mats, before)
+    assert _same_bits(mats[0], ref[..., 0])
 
 
 def test_spd_inverse_rejects_indefinite():
-    a = _spd_stack(np.random.default_rng(1), 4, 3, 1.0)
+    a = np.ascontiguousarray(_spd_stack(np.random.default_rng(1), 4, 3, 1.0))
     a[..., 2] = [[2.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0],
                  [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
-    before = a.copy()
     with pytest.raises(np.linalg.LinAlgError,
                        match="matrix is not SPD: pivot 1 .* in cell 2"):
         fem.spd_inverse(a)
-    assert np.array_equal(a, before)
+
+
+def test_spd_inverse_refuses_other_buffers():
+    # it writes the caller's stack, so only one it may write as it is:
+    # C-ordered, writeable, float64 and (n, n, cells); refused untouched
+    a = np.ascontiguousarray(_spd_stack(np.random.default_rng(2), 4, 3, 1.0))
+    read_only = a.copy()
+    read_only.flags.writeable = False
+    for bad in (np.asfortranarray(a), a[:, :, ::2], read_only,
+                a.astype(np.float32), a[..., 0], a[:3]):
+        before = bad.copy()
+        with pytest.raises(ValueError, match="writeable C-ordered float64"):
+            fem.spd_inverse(bad)
+        assert _same_bits(bad, before)

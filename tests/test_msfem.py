@@ -363,6 +363,21 @@ def test_entry_points_refuse_empty_or_negative_J_list(monkeypatch, J_list):
     assert not called
 
 
+@pytest.mark.parametrize("r", [4, 5])
+@pytest.mark.parametrize("J_list", [[], (1, -1)])
+def test_basis_errors_refuses_J_list_before_factoring(monkeypatch, r,
+                                                      J_list):
+    # no inverse sweep (batched, r = 4) and no block factor (banded, r = 5)
+    # is spent on a J_list that is refused
+    mesh = build_mesh(3, 2, r)
+    split = _random_splitting(mesh, np.random.default_rng(r))
+    ops = _all_cells(mesh, split)
+    counts = _counted_factors(monkeypatch, mesh)
+    with pytest.raises(ValueError, match="J_list must hold at least one"):
+        msfem.basis_errors(ops, split, J_list)
+    assert not counts
+
+
 def _counted_factors(monkeypatch, mesh):
     """Counter of the factorizations and inverses made from here on.
 

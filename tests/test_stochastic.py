@@ -238,8 +238,8 @@ def _inject_indefinite(monkeypatch, mesh, model, grid, faults):
 
     exact = fem.LocalAssembler.interior_bands
 
-    def bands(self, kappa):
-        B = exact(self, kappa)
+    def bands(self, kappa, out=None):
+        B = exact(self, kappa, out)
         for c, pivot in columns(kappa):
             if pivot == 0:
                 B[c] *= -1.0
@@ -295,10 +295,10 @@ def test_green_store_failure_cancels_pending_blocks(monkeypatch):
     exact = fem.cell_inverses
     calls = []
 
-    def slow(bands):
+    def slow(bands, out=None):
         calls.append(None)
         time.sleep(0.05)  # so later blocks still queue when node 0 fails
-        return exact(bands)
+        return exact(bands, out)
 
     monkeypatch.setattr(fem, "cell_inverses", slow)
     _inject_indefinite(monkeypatch, mesh, model, grid, {(0, 0): 0})
@@ -311,10 +311,11 @@ def test_green_store_failure_cancels_pending_blocks(monkeypatch):
 
 @pytest.mark.parametrize("nx,r,step", [
     pytest.param(8, 3, 16, id="8-3"), pytest.param(2, 7, 1, id="2-7"),
-    pytest.param(2, 7, None, id="2-7-default-blocks")])
+    pytest.param(4, 7, None, id="4-7-default-blocks")])
 def test_green_store_matches_node_loop(monkeypatch, nx, r, step):
     # at r=3 blocks of 16 of the 25 nodes; at r=7 (nK=36) one node a block,
-    # and the default budget's blocks of several nodes, the last partial
+    # and on 4x4 cells the default budget's blocks of several nodes, the
+    # last partial
     mesh = build_mesh(nx, nx, r)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
     grid = build_sparse_grid(3, 2)
@@ -326,6 +327,28 @@ def test_green_store_matches_node_loop(monkeypatch, nx, r, step):
     store = precompute_green_inverses(mesh, model, grid, 3)
     assert np.array_equal(store.matrices,
                           green_store_loop(mesh, model, grid, 3))
+
+
+def test_green_store_one_worker_reuses_its_buffers(monkeypatch):
+    # one worker fills and inverts the same buffers for blocks of 2, 2 and
+    # 1 nodes: each block's prefix of them, gathered afresh
+    mesh = build_mesh(4, 4, 4)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
+    grid = build_sparse_grid(2, 1)
+    monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES",
+                        2 * mesh.n_coarse_cells * mesh.n_interior ** 2)
+    monkeypatch.setattr(st, "_usable_cpus", lambda cap: 1)
+    exact, stacks = fem.cell_inverses, []
+
+    def recorded(bands, out=None):
+        stacks.append(out.__array_interface__["data"][0])
+        return exact(bands, out)
+
+    monkeypatch.setattr(fem, "cell_inverses", recorded)
+    store = precompute_green_inverses(mesh, model, grid, 2)
+    assert len(stacks) == 3 and len(set(stacks)) == 1
+    assert np.array_equal(store.matrices,
+                          green_store_loop(mesh, model, grid, 2))
 
 
 def test_green_store_many_workers_stress(monkeypatch):

@@ -1,4 +1,4 @@
-"""Splitting-based multiscale finite elements with iterative basis functions."""
+"""Splitting-based multiscale FEM with iterative basis functions."""
 
 from .mesh import MeshHierarchy, build_mesh
 from .field import (KLEModel, Splitting, build_kle_model, energy_ratio,

@@ -26,7 +26,8 @@ _FLOAT_KEYS = {"sigma2", "lx", "ly", "sc"}
 _LIST_INT_KEYS = {"m_list", "J_list", "L_list", "nx_list", "r_list"}
 _LIST_FLOAT_KEYS = {"sc_list"}
 _STR_KEYS = {"experiment", "field", "out"}
-_KNOWN = _INT_KEYS | _FLOAT_KEYS | _LIST_INT_KEYS | _LIST_FLOAT_KEYS | _STR_KEYS
+_KNOWN = (_INT_KEYS | _FLOAT_KEYS | _LIST_INT_KEYS | _LIST_FLOAT_KEYS
+          | _STR_KEYS)
 
 
 class ConfigError(Exception):

@@ -321,10 +321,10 @@ class LocalAssembler:
         """(..., w, nK) interior stiffness stencil bands for (..., r^2)
         values; w = len(stencil_offsets(nK)).
 
-        Given out, a C-ordered float64 buffer of that shape, they are
-        written there.  Only the stencil's entries are written, so the
-        others must be zero already: out is np.zeros or was filled by an
-        earlier call.
+        Given out, a float64 array of that shape with a (..., w*nK) view
+        (C-ordered, or the cells-first view of _cells_last's storage), they
+        are written there, only the stencil's entries: the others must be
+        zero already, as in np.zeros or after an earlier call.
         """
         return self._stack(self._band_scatter, kappa, self._band_shape, out)
 
@@ -340,10 +340,13 @@ class LocalAssembler:
         if out is None:
             out = np.zeros(kappa.shape[:-1] + shape)
         elif out.shape != kappa.shape[:-1] + shape or \
-                out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-ordered float64 array of "
+                out.dtype != np.float64 or not out.flags.writeable:
+            raise ValueError(f"out must be a writeable float64 array of "
                              f"shape {kappa.shape[:-1] + shape}")
-        _fill(scatter, flat, out.reshape(len(flat), -1).T)
+        rows = out.reshape(len(flat), -1)  # a copy would leave out unfilled
+        if not np.may_share_memory(rows, out):
+            raise ValueError(f"out has no {rows.shape} view to fill")
+        _fill(scatter, flat, rows.T)
         return out
 
 
@@ -411,14 +414,18 @@ def cell_inverses(bands, out=None):
     """(n, n, cells) inverses of a (cells, w, n) SPD local stencil stack.
 
     The one place that picks the local-block regime (is_banded) for an
-    inverse.  Up to BATCHED_MAX_N one gather expands the stack with the
-    cells last, into out if given (a C-ordered float64 (n, n, cells)
-    buffer), and spd_inverse inverts it in place; above, _block_factor's
-    factor is solved against identity columns built in place in its
-    Fortran-ordered right-hand side, and copied to out if given.  The
-    bands are never written.
+    inverse.  Up to BATCHED_MAX_N _cells_last gathers the stack, or its
+    cells-last storage given as bands with out, into out if given (a
+    C-ordered float64 (n, n, cells) buffer), and spd_inverse inverts it in
+    place; above, _block_factor's factor is solved against identity
+    columns built in place in its Fortran-ordered right-hand side, and
+    copied to out if given.  The bands are never written.
     """
-    cells, w, n = bands.shape
+    if bands.ndim == 2:
+        if out is None or is_banded(len(out)):
+            raise ValueError("cells-last storage takes a batched-regime out")
+        return spd_inverse(_cells_last(bands, out))
+    cells, _, n = bands.shape
     if is_banded(n):
         eye = np.zeros((cells * n, n), order="F")
         eye[np.arange(cells * n), np.tile(np.arange(n), cells)] = 1.0
@@ -428,20 +435,22 @@ def cell_inverses(bands, out=None):
             return inverses
         out[...] = inverses
         return out
-    return spd_inverse(_cells_last(bands, out))
+    storage = np.zeros((len(_stencil_rows(bands)) * n + 1, cells))
+    storage[:-1] = bands.reshape(cells, -1).T
+    return spd_inverse(_cells_last(
+        storage, np.empty((n, n, cells)) if out is None else out))
 
 
-def _cells_last(bands, out=None):
-    """The dense (n, n, cells) matrices of a (cells, w, n) stencil stack,
-    gathered into out if given; the gather's source is freed on return."""
-    cells, w, n = bands.shape
-    flat = np.zeros((w * n + 1, cells))
-    flat[:-1] = bands.reshape(cells, w * n).T
-    if out is None:
-        out = np.empty((n, n, cells))
+def _cells_last(storage, out):
+    """Gather into out (n, n, cells) the matrices in cells-last storage
+    (w*n + 1, cells): bands[c, i, j] at row i*n + j, column c; last row 0."""
+    n = len(out)
+    offsets = stencil_offsets(n)
+    if len(storage) != len(offsets) * n + 1:
+        raise ValueError(f"storage has {len(storage)} rows at order {n}")
     # mode="clip" gathers straight into out; the indices are all in range
-    return np.take(flat, _band_index(_stencil_rows(bands), n), axis=0,
-                   out=out, mode="clip")
+    return np.take(storage, _band_index(offsets, n), axis=0, out=out,
+                   mode="clip")
 
 
 def _block_factor(*stacks):
@@ -494,7 +503,7 @@ def spd_inverse(a):
     """Invert a cells-last (n, n, cells) SPD stack in place; returns a.
 
     a is a writeable C-ordered float64 array (anything else raises
-    ValueError before any work), such as cell_inverses' fresh gather.
+    ValueError before any work), such as cell_inverses' gather.
     Gauss-Jordan without pivoting, vectorized over the cell axis.  On a
     symmetric matrix its pivots are those of the LDL^T factorization, so
     they are all positive exactly when the matrix is SPD; a pivot <= 0

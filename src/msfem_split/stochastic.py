@@ -172,7 +172,7 @@ class SparseGrid:
 
 
 def _active_level_sets(m, L):
-    """Multi-indices |levels| <= L given as (active dims, their levels >= 1)."""
+    """Multi-indices |levels| <= L as (active dims, their levels >= 1)."""
     yield (), ()
     for total in range(1, L + 1):
         for k in range(1, total + 1):
@@ -211,17 +211,16 @@ MAX_STORE_BYTES = 2 * 1024 ** 3
 # matrix entries, nodes * cells * nK^2, per block of the store build: as
 # many whole nodes as fit, at least one.  A worker holds the GIL between
 # numpy calls, so each call must run long enough for the other workers to
-# overlap it.  In the batched regime each worker fills and inverts the same
-# bands and stack for all its blocks: with them allocated afresh per block,
-# glibc trimmed each worker's heap after a block and the next one faulted
-# its pages back, 0.5M minor faults and about 25% of the build, unless a
-# larger array had been freed earlier in the process.  The buffers keep
-# the faults away only while spd_inverse's update buffer, the largest
-# array a block still allocates, outweighs the rest: check ru_minflt in
-# tests/reference.py store-digest after any change to the block loop.
-# colloc-L3's store (256 cells, nK=9; 2-core Xeon, 1 BLAS thread, two
-# workers) builds in 2.5-3.1 s with 4-node blocks, 2.0-2.3 s with 8 (this
-# budget) and 2.0-2.4 s with 12 or 16
+# overlap it.  In the batched regime a worker fills one cells-last band
+# storage and inverts one stack for all its blocks: allocated per block,
+# they let glibc trim its heap after each block and the next fault the
+# pages back (0.5M minor faults, 25% of the build).  Reuse keeps that away
+# only while spd_inverse's update buffer, the largest array a block
+# allocates, outweighs the rest: check ru_minflt in tests/reference.py
+# store-digest after any change to the block loop.  colloc-L3's store
+# (256 cells, nK=9; 2-core Xeon, 1 BLAS thread, two workers) builds in
+# 1.8-2.3 s with 8-node blocks (this budget), 2.1-2.8 s with 4 and
+# 1.8-2.5 s with 12 or 16
 STORE_BLOCK_ENTRIES = 2048 * 81
 # store nodes per block of the interpolation contraction.  OpenBLAS 0.3.31
 # (Haswell kernels) cuts a long inner dimension into panels, and how it cuts
@@ -261,12 +260,12 @@ def precompute_green_inverses(mesh, model, grid, m):
     The nodes are inverted by fem.cell_inverses in blocks of as many whole
     nodes as fit in STORE_BLOCK_ENTRIES matrix entries, at least one, on a
     pool of threads, one per CPU the process may run on, and each block
-    writes its own rows of the store.  Each cell's inverse takes the same arithmetic as in a
-    one-node stack, so the store holds the same bits under any worker
-    count.  A node whose M0 is not SPD raises LinAlgError naming the node
-    and its cell, and one whose inverse is not symmetric to 1e-10 relative
-    raises ValueError naming the node; of several such nodes, the lowest.
-    A model on another fine grid than mesh is refused before any block.
+    writes its own rows of the store.  Each cell's inverse takes the same
+    arithmetic as in a one-node stack, so the store holds the same bits
+    under any worker count.  A node whose M0 is not SPD raises LinAlgError
+    naming the node and its cell, and one whose inverse is not symmetric
+    to 1e-10 relative raises ValueError naming the node; of several such
+    nodes, the lowest.  A model on another fine grid is refused first.
     """
     mesh.check_fine_grid(model.mesh, "model")
     if grid.m != m:
@@ -285,29 +284,28 @@ def precompute_green_inverses(mesh, model, grid, m):
     row, col = np.tril_indices(n_k)
     out = np.empty((grid.n_nodes, n_cells, len(row)))
     step = max(1, STORE_BLOCK_ENTRIES // (n_cells * n_k ** 2))
-    # in the batched regime each worker fills and inverts the same bands
-    # and stack for all its blocks (see STORE_BLOCK_ENTRIES)
+    # per worker, in the batched regime (see STORE_BLOCK_ENTRIES)
     buffers = None if fem.is_banded(n_k) else threading.local()
     w = len(fem.stencil_offsets(n_k))
-
-    def block_buffers(cells):
-        """This worker's (cells, w, nK) bands and (nK, nK, cells) stack;
-        None, None in the banded regime."""
-        if buffers is None:
-            return None, None
-        if not hasattr(buffers, "bands"):
-            buffers.bands = np.zeros(step * n_cells * w * n_k)
-            buffers.stack = np.empty(step * n_cells * n_k ** 2)
-        return (buffers.bands[:cells * w * n_k].reshape(cells, w, n_k),
-                buffers.stack[:cells * n_k ** 2].reshape(n_k, n_k, cells))
 
     def invert(start, stop):
         """Write the inverses of nodes start .. stop-1 into the store."""
         kappa = np.concatenate([
             np.exp(field_mod.log_field_partial(model, node, m))[cell_ids]
             for node in grid.nodes[start:stop]])
-        bands, stack = block_buffers(len(kappa))
-        G = fem.cell_inverses(interior_bands(kappa, out=bands), out=stack)
+        if buffers is None:
+            G = fem.cell_inverses(interior_bands(kappa))
+        else:
+            if not hasattr(buffers, "storage"):
+                buffers.storage = np.zeros((w * n_k + 1, step * n_cells))
+                buffers.stack = np.empty(step * n_cells * n_k ** 2)
+            # the block's columns, so each row means the same in every
+            # block; filled through their cells-first view, each band row
+            # of the sparse product lands in one contiguous storage row
+            storage = buffers.storage[:, :len(kappa)]
+            interior_bands(kappa, out=storage[:-1].T.reshape(-1, w, n_k))
+            stack = buffers.stack[:len(kappa) * n_k ** 2]
+            G = fem.cell_inverses(storage, out=stack.reshape(n_k, n_k, -1))
         # the lower triangle, (entries, nodes, cells), and in one more
         # buffer |lo - its mirror image|; no other temporary of that size
         lo = G[row, col].reshape(len(row), stop - start, n_cells)
@@ -410,8 +408,8 @@ def _interpolated_green(store, theta0):
 class StochasticConfig:
     """Shared configuration of the Monte Carlo and collocation drivers.
 
-    Refuses a model on another fine grid than mesh, and an empty J_list or
-    one holding a negative J.
+    Refuses a model on another fine grid than mesh, an m outside [0,
+    model.n], and an empty J_list or one holding a negative J.
     """
 
     mesh: object
@@ -422,6 +420,8 @@ class StochasticConfig:
 
     def __post_init__(self):
         self.mesh.check_fine_grid(self.model.mesh, "model")
+        if not 0 <= self.m <= self.model.n:
+            raise ValueError(f"m={self.m} outside [0, {self.model.n}]")
         basis_mod.check_J_list(self.J_list)
 
 

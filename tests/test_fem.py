@@ -354,7 +354,8 @@ def test_band_binding_refuses_buffers_it_cannot_use_in_place():
     # LAPACK reads and writes the pointer as a Fortran-ordered float64
     # array, so anything else is refused before the call
     band = np.asfortranarray([[2.0, 2.0, 2.0], [1.0, 1.0, 0.0]])
-    for bad in (np.ascontiguousarray(band), band.astype(np.float32), band[None]):
+    for bad in (np.ascontiguousarray(band), band.astype(np.float32),
+                band[None]):
         with pytest.raises(ValueError, match="Fortran-ordered float64"):
             fem._band_factor(bad)
     c = fem._band_factor(band.copy(order="F"))
@@ -433,9 +434,57 @@ def test_cell_inverses_and_bands_fill_given_buffers(r):
         assert _same_bits(bands, asm.interior_bands(k))
         assert fem.cell_inverses(bands, out=out) is out
         assert _same_bits(out, fem.cell_inverses(bands))
-    with pytest.raises(ValueError, match="C-ordered float64"):
-        asm.interior_bands(kappa[0], out=np.zeros((3, *M0.shape[1:]),
-                                                 order="F"))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_cells_last_fill_and_gather_match_dense(r):
+    # interior_bands fills zero-padded cells-last storage through its
+    # cells-first view and cell_inverses' gather expands it: the dense
+    # stack bit for bit, for a full-width buffer and then for a narrower
+    # column slice of it, whose rows the wider fill wrote before
+    asm = fem.local_assembler(build_mesh(5, 1, r))
+    n = asm.n_interior
+    w = len(fem.stencil_offsets(n))
+    kappa = np.exp(np.random.default_rng(r).uniform(-1, 1, (2, 5, r * r)))
+    buffer = np.zeros((w * n + 1, 5))
+    for cells, k in zip((5, 3), kappa):
+        storage, k = buffer[:, :cells], k[:cells]
+        view = storage[:-1].T.reshape(cells, w, n)
+        assert np.shares_memory(view, buffer)
+        assert asm.interior_bands(k, out=view) is view
+        dense = np.moveaxis(fem.stencil_to_dense(asm.interior_bands(k)),
+                            0, -1)
+        assert _same_bits(fem._cells_last(storage, np.empty((n, n, cells))),
+                          dense)
+        assert _same_bits(fem.cell_inverses(storage, np.empty(dense.shape)),
+                          fem.cell_inverses(asm.interior_bands(k)))
+    # the storage carries no order, so it is gathered only into an out of
+    # the batched regime
+    for out in (None, np.empty((16, 16, 3))):
+        with pytest.raises(ValueError, match="batched-regime out"):
+            fem.cell_inverses(storage, out)
+
+
+def test_interior_bands_refuse_an_out_filled_only_through_a_copy():
+    # the product is written through out's (cells, w * nK) reshape, so an
+    # out with no such view (Fortran-ordered, or its last two axes
+    # swapped) is refused and left unwritten, as is one of another shape
+    # or dtype or a read-only one
+    asm = fem.local_assembler(build_mesh(3, 1, 4))
+    n = asm.n_interior
+    shape = (3, len(fem.stencil_offsets(n)), n)
+    kappa = np.exp(np.random.default_rng(6).uniform(-1, 1, (3, 16)))
+    for out in (np.zeros(shape, order="F"),
+                np.zeros((3, n, shape[1])).transpose(0, 2, 1)):
+        with pytest.raises(ValueError, match=r"no \(3, \d+\) view"):
+            asm.interior_bands(kappa, out=out)
+        assert not out.any()
+    read_only = np.zeros(shape)
+    read_only.flags.writeable = False
+    for out in (np.zeros((4, *shape[1:])), np.zeros(shape, np.float32),
+                read_only):
+        with pytest.raises(ValueError, match="writeable float64"):
+            asm.interior_bands(kappa, out=out)
 
 
 @pytest.mark.parametrize("r", [4, 7])
@@ -606,7 +655,8 @@ def test_stencil_stacks_of_the_wrong_width_are_refused():
     with pytest.raises(ValueError, match="square grid"):
         fem.stencil_offsets(12)
     M0, _ = _local_bands(7, 2, 0)
-    for bad in (np.zeros((2, 8, 36)), M0[:, :4]):
+    M0_r4, _ = _local_bands(4, 2, 0)
+    for bad in (np.zeros((2, 8, 36)), M0[:, :4], M0_r4[:, :4]):
         for use in (fem.stencil_to_dense, fem.cell_matmul, fem.cell_inverses,
                     lambda bands: fem.cell_solvers((bands,))):
             with pytest.raises(ValueError, match="stencil rows"):

@@ -212,7 +212,8 @@ def test_green_store_above_batched_regime():
         theta = np.zeros(model.n)
         theta[:2] = node
         k0 = split_kle(model, theta, 2).k0
-        ref = np.linalg.inv(fem.stencil_to_dense(asm.interior_bands(k0[cells])))
+        ref = np.linalg.inv(
+            fem.stencil_to_dense(asm.interior_bands(k0[cells])))
         assert np.abs(full[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -331,21 +332,31 @@ def test_green_store_matches_node_loop(monkeypatch, nx, r, step):
 
 def test_green_store_one_worker_reuses_its_buffers(monkeypatch):
     # one worker fills and inverts the same buffers for blocks of 2, 2 and
-    # 1 nodes: each block's prefix of them, gathered afresh
+    # 1 nodes: the product lands in each block's column slice of one band
+    # buffer, whose rows no block writes stay zero, and is gathered afresh
+    # into the stack's prefix
     mesh = build_mesh(4, 4, 4)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
     grid = build_sparse_grid(2, 1)
     monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES",
                         2 * mesh.n_coarse_cells * mesh.n_interior ** 2)
     monkeypatch.setattr(st, "_usable_cpus", lambda cap: 1)
+    exact_bands, fills = fem.LocalAssembler.interior_bands, []
     exact, stacks = fem.cell_inverses, []
+
+    def filled(self, kappa, out=None):
+        fills.append(out.__array_interface__["data"][0])
+        return exact_bands(self, kappa, out)
 
     def recorded(bands, out=None):
         stacks.append(out.__array_interface__["data"][0])
         return exact(bands, out)
 
+    monkeypatch.setattr(fem.LocalAssembler, "interior_bands", filled)
     monkeypatch.setattr(fem, "cell_inverses", recorded)
     store = precompute_green_inverses(mesh, model, grid, 2)
+    monkeypatch.undo()
+    assert len(fills) == 3 and len(set(fills)) == 1
     assert len(stacks) == 3 and len(set(stacks)) == 1
     assert np.array_equal(store.matrices,
                           green_store_loop(mesh, model, grid, 2))
@@ -688,6 +699,21 @@ def test_drivers_refuse_empty_or_negative_J_list(monkeypatch, J_list):
     # collocation_run's own J as well
     with pytest.raises(ValueError, match="J must be >= 0, not -1"):
         collocation_run(config, 2, store, J=-1)
+    assert not drawn
+
+
+@pytest.mark.parametrize("m", [6, -1])
+def test_drivers_refuse_m_outside_the_kle_terms(monkeypatch, m):
+    # m outside [0, n] is refused, naming m and the range, when either
+    # driver's config is made, not reported as the failure of sample 0
+    mesh, model, _, store = _small_setup(L=1, n=5)
+    drawn = []
+    monkeypatch.setattr(st, "sample_theta", lambda *args: drawn.append(args))
+    for driver in (lambda config: monte_carlo_run(config, 2),
+                   lambda config: collocation_run(config, 2, store)):
+        with pytest.raises(ValueError, match=rf"^m={m} outside \[0, 5\]$"):
+            driver(StochasticConfig(mesh=mesh, model=model, m=m,
+                                    J_list=(0, 1), seed=5))
     assert not drawn
 
 

@@ -140,7 +140,7 @@ def band_cholesky(bands):
 
 
 # Local blocks up to this order are expanded to dense for a whole stack of
-# cells: cell_inverses inverts them by spd_inverse and cell_matmul applies
+# cells: packed_inverses inverts them by spd_inverse and cell_matmul applies
 # them by batched matmul.  Larger ones stay in band storage, factored as one
 # block-diagonal band and applied one nonzero diagonal at a time.  1 BLAS
 # thread, 2-core Xeon: standard + J<=4 bases of 144 cells take
@@ -390,67 +390,107 @@ def assemble_local_operators(mesh, cell, splitting):
                           v0=asm.vertex_vectors(k0), v1=asm.vertex_vectors(k1))
 
 
+@lru_cache(maxsize=8)
+def packed_index(n):
+    """(n, n) positions of a symmetric matrix's entries in its row-major
+    packed lower triangle: entry (i, j) with j <= i sits at i(i+1)/2 + j.
+
+    The layout of packed_inverses' columns and of the GreenStore; a gather
+    through it expands packed triangles to whole matrices.
+    """
+    row, col = np.indices((n, n))
+    hi, lo = np.maximum(row, col), np.minimum(row, col)
+    index = hi * (hi + 1) // 2 + lo
+    index.flags.writeable = False  # shared by every caller
+    return index
+
+
+def _packed_order(entries):
+    """Order n of a packed lower triangle of n(n+1)/2 entries."""
+    n = (isqrt(8 * entries + 1) - 1) // 2
+    if n * (n + 1) // 2 != entries:
+        raise ValueError(f"{entries} entries are not a packed triangle")
+    return n
+
+
 def cell_solvers(*sums):
     """[solve(rhs)] of each sum of (cells, w, n) SPD local stencil stacks,
     such as cell_solvers((M0,), (M0, M1)) for M0 and M = M0 + M1.
 
     The solves take right-hand sides of shape (cells, n, k).  Blocks up to
-    BATCHED_MAX_N are inverted for every sum by one cell_inverses call on
-    the sums stacked one after the other, and applied as inverses; that is
-    bit for bit one call per sum, since Gauss-Jordan works per cell, but
-    sweeps the stack n times instead of n times per sum.  A failing pivot
-    then names its cell in that stack: cell i of sum s is cell
-    s * cells + i.  Larger blocks are factored by _block_factor, one
-    factor per sum, which sums the stacks into its own factor buffer.
+    BATCHED_MAX_N are inverted for every sum by one packed_inverses call on
+    the sums stacked one after the other, expanded to whole cells-first
+    matrices through packed_index and applied as inverses; that is bit for
+    bit one call per sum, since the sweep works per cell, but sweeps the
+    stack n times instead of n times per sum.  A failing pivot then names
+    its cell in that stack: cell i of sum s is cell s * cells + i.  Larger
+    blocks are factored by _block_factor, one factor per sum, which sums
+    the stacks into its own factor buffer.
     """
-    if is_banded(sums[0][0].shape[-1]):
+    n = sums[0][0].shape[-1]
+    if is_banded(n):
         return [_band_solver(_block_factor(*stacks)) for stacks in sums]
-    inverses = cell_inverses(np.concatenate([sum(s[1:], s[0]) for s in sums]))
-    inverses = np.ascontiguousarray(np.moveaxis(inverses, -1, 0))
+    packed = packed_inverses(
+        np.concatenate([sum(s[1:], s[0]) for s in sums]))
+    inverses = np.take(packed.T, packed_index(n), axis=1)
     return [partial(np.matmul, a) for a in np.split(inverses, len(sums))]
 
 
-def cell_inverses(bands, out=None):
-    """(n, n, cells) inverses of a (cells, w, n) SPD local stencil stack.
+def cell_inverses(bands):
+    """(n, n, cells) inverses of a (cells, w, n) SPD local stencil stack:
+    packed_inverses expanded to whole matrices, with the cells last."""
+    return np.take(packed_inverses(bands), packed_index(bands.shape[-1]),
+                   axis=0)
 
-    The one place that picks the local-block regime (is_banded) for an
-    inverse.  Up to BATCHED_MAX_N _cells_last gathers the stack, or its
-    cells-last storage given as bands with out, into out if given (a
-    C-ordered float64 (n, n, cells) buffer), and spd_inverse inverts it in
-    place; above, _block_factor's factor is solved against identity
-    columns built in place in its Fortran-ordered right-hand side, and
-    copied to out if given.  The bands are never written.
+
+def packed_inverses(bands, out=None):
+    """(n(n+1)/2, cells) inverses of a (cells, w, n) SPD local stencil
+    stack: column c holds cell c's packed lower triangle (packed_index).
+
+    The one inverse of local blocks, and the one place that picks their
+    regime (is_banded).  A caller that holds the stack's cells-last storage
+    (w*n + 1, cells) (see _cells_last) passes it as bands, with out.  Up to
+    BATCHED_MAX_N _cells_last gathers the storage into out if given (a
+    C-ordered float64 (n(n+1)/2, cells) buffer) and spd_inverse inverts it
+    in place; above, _block_factor's factor is solved against identity
+    columns built in place in its Fortran-ordered right-hand side, and the
+    triangles are copied out.  The bands are never written.
     """
     if bands.ndim == 2:
-        if out is None or is_banded(len(out)):
-            raise ValueError("cells-last storage takes a batched-regime out")
-        return spd_inverse(_cells_last(bands, out))
-    cells, _, n = bands.shape
+        if out is None:
+            raise ValueError("cells-last storage takes an out")
+        n, cells = _packed_order(len(out)), bands.shape[1]
+        if len(bands) != len(stencil_offsets(n)) * n + 1:
+            raise ValueError(f"storage has {len(bands)} rows at order {n}")
+        storage, bands = bands, bands[:-1].T.reshape(cells, -1, n)
+    else:
+        cells, _, n = bands.shape
+        storage = None
     if is_banded(n):
         eye = np.zeros((cells * n, n), order="F")
         eye[np.arange(cells * n), np.tile(np.arange(n), cells)] = 1.0
-        inverses = _band_solve(_block_factor(bands), eye)
-        inverses = np.moveaxis(inverses.reshape(cells, n, n), 0, -1)
+        inverses = _band_solve(_block_factor(bands), eye).reshape(cells, n, n)
         if out is None:
-            return inverses
-        out[...] = inverses
+            out = np.empty((n * (n + 1) // 2, cells))
+        for i in range(n):  # row by row: no stack-sized temporary
+            out[i * (i + 1) // 2:][:i + 1] = inverses[:, i, :i + 1].T
         return out
-    storage = np.zeros((len(_stencil_rows(bands)) * n + 1, cells))
-    storage[:-1] = bands.reshape(cells, -1).T
+    if storage is None:
+        storage = np.zeros((len(_stencil_rows(bands)) * n + 1, cells))
+        storage[:-1] = bands.reshape(cells, -1).T
     return spd_inverse(_cells_last(
-        storage, np.empty((n, n, cells)) if out is None else out))
+        storage, np.empty((n * (n + 1) // 2, cells)) if out is None else out))
 
 
 def _cells_last(storage, out):
-    """Gather into out (n, n, cells) the matrices in cells-last storage
-    (w*n + 1, cells): bands[c, i, j] at row i*n + j, column c; last row 0."""
-    n = len(out)
-    offsets = stencil_offsets(n)
-    if len(storage) != len(offsets) * n + 1:
-        raise ValueError(f"storage has {len(storage)} rows at order {n}")
+    """Gather into out (n(n+1)/2, cells) the packed lower triangles of the
+    matrices in cells-last storage (w*n + 1, cells): bands[c, i, j] at row
+    i*n + j, column c; last row 0."""
+    n = _packed_order(len(out))
+    row, col = np.tril_indices(n)
+    index = _band_index(stencil_offsets(n), n)[row, col]
     # mode="clip" gathers straight into out; the indices are all in range
-    return np.take(storage, _band_index(offsets, n), axis=0, out=out,
-                   mode="clip")
+    return np.take(storage, index, axis=0, out=out, mode="clip")
 
 
 def _block_factor(*stacks):
@@ -500,52 +540,110 @@ def cell_matmul(bands):
 
 
 def spd_inverse(a):
-    """Invert a cells-last (n, n, cells) SPD stack in place; returns a.
+    """Invert a stack of SPD matrices in place, column c of a holding
+    matrix c's packed lower triangle (packed_index); returns a.
 
-    a is a writeable C-ordered float64 array (anything else raises
-    ValueError before any work), such as cell_inverses' gather.
-    Gauss-Jordan without pivoting, vectorized over the cell axis.  On a
-    symmetric matrix its pivots are those of the LDL^T factorization, so
-    they are all positive exactly when the matrix is SPD; a pivot <= 0
-    raises, naming the first step that fails and, among its cells, the
-    lowest pivot.  Step k updates only rows and columns <= k + p, p the
-    stack's bandwidth read from its nonzero pattern: Gauss-Jordan fill
-    stays inside the band, so every update it skips would subtract a
-    product with an exact +0.0, and for a stack without -0.0 entries
-    (none arises) the bits are those of the full sweep.
-    Each step still sweeps the stack, so large blocks are memory-bound
-    (34 s at n=841 over 16 cells, full sweep, where np.linalg.inv takes
-    1.2 s), and the library calls it up to BATCHED_MAX_N only.
+    a is a writeable C-ordered float64 (n(n+1)/2, cells) array (anything
+    else raises ValueError before any work), such as _cells_last's gather.
+    Goodnight's symmetric sweep, vectorized over the cell axis: sweeping
+    pivot k keeps the matrix symmetric, so the lower triangle is all it
+    updates, and after the last pivot it holds -A^-1, which one exact
+    negation turns into A^-1.  The pivots are those of the LDL^T
+    factorization, so they are all positive exactly when the matrix is
+    SPD; a pivot <= 0 raises, naming the first step that fails and, among
+    its cells, the lowest pivot.  Step k reads column k into a row v, sets
+    u = v / pivot and updates each lower row r as one contiguous
+    (r + 1, cells) slice, a[r, :r+1] -= v[r] * u[:r+1], for r <= k + p
+    only, p the stack's bandwidth read from its nonzero pattern: the rows
+    past k + p are still those of A, so every update it skips would
+    subtract a product with an exact +0.0, and for a stack without -0.0
+    entries (none arises) the bits are those of the full sweep.  Its only
+    temporaries are three (n, cells) rows.  Each step still touches up to
+    the whole triangle, so the library calls it up to BATCHED_MAX_N only.
     """
-    if a.dtype != np.float64 or a.ndim != 3 or a.shape[0] != a.shape[1] \
-            or not a.flags.c_contiguous or not a.flags.writeable:
+    if a.dtype != np.float64 or a.ndim != 2 or not a.flags.c_contiguous \
+            or not a.flags.writeable:
         raise ValueError("a must be a writeable C-ordered float64 "
-                         "(n, n, cells) array")
-    n, _, cells = a.shape
-    i, j = np.nonzero(a.any(axis=-1))
-    p = int(np.abs(i - j).max(initial=0))
-    # one update buffer, its leading (e, e, cells) entries used per step
-    update = np.empty(a.size)
-    for k in range(n):
-        pivot = a[k, k].copy()
+                         "(n(n+1)/2, cells) array")
+    n, cells = _packed_order(len(a)), a.shape[1]
+    row, col = np.tril_indices(n)
+    p = int((row - col)[a.any(axis=-1)].max(initial=0))
+    v, u, t = np.empty((3, n, cells))
+    # per row r: its slice of a, and the leading r + 1 rows of u and t
+    rows = [(a[r * (r + 1) // 2:][:r + 1], u[:r + 1], t[:r + 1])
+            for r in range(n)]
+    for k, below in enumerate(_sweep_columns(n, p)):
+        e = k + 1 + len(below)
+        v[:k + 1] = rows[k][0]
+        np.take(a, below, axis=0, out=v[k + 1:e], mode="clip")
+        pivot = v[k]
         cell = np.argmin(pivot)  # a NaN pivot is the minimum as well
         if not pivot[cell] > 0.0:
             raise np.linalg.LinAlgError(
                 f"matrix is not SPD: pivot {k} is {pivot[cell]:.3g} "
                 f"in cell {cell}")
-        e = min(n, k + p + 1)
-        a[k, k] = 1.0
-        a[k, :e] /= pivot
-        col = a[:e, k].copy()
-        col[k] = 0.0
-        a[:k, k] = 0.0
-        a[k + 1:e, k] = 0.0
-        # copied, then scaled: faster than the broadcast product
-        u = update[:e * e * cells].reshape(e, e, cells)
-        u[:] = a[k, :e]
-        u *= col[:, None]
-        a[:e, :e] -= u
-    return a
+        np.divide(v[:e], pivot, out=u[:e])
+        for r, (a_r, u_r, t_r) in enumerate(rows[:e]):
+            if r != k:
+                a_r -= np.multiply(u_r, v[r], out=t_r)
+        a_k = rows[k][0]
+        a_k[:k] = u[:k]
+        np.divide(-1.0, pivot, out=a_k[k])
+        a[below] = u[k + 1:e]
+    return np.negative(a, out=a)
+
+
+@lru_cache(maxsize=16)
+def _sweep_columns(n, p):
+    """Packed positions of column k below the diagonal in rows up to
+    k + p, for each step k of spd_inverse at order n and bandwidth p."""
+    below = []
+    for k in range(n):
+        r = np.arange(k + 1, min(n, k + p + 1))
+        below.append(r * (r + 1) // 2 + k)
+        below[-1].flags.writeable = False  # shared by every caller
+    return below
+
+
+@lru_cache(maxsize=8)
+def _probe(n):
+    """The residual probe z_i = 1 + i/n, distinct entries in [1, 2), and
+    the sparse (n, n(n+1)/2) map that takes packed triangles G to G z."""
+    z = 1.0 + np.arange(n) / n
+    row, col = np.tril_indices(n)
+    upper = row > col
+    entries = np.arange(len(row))
+    return z, sp.csr_matrix(
+        (np.concatenate([z[col], z[row[upper]]]),
+         (np.concatenate([row, col[upper]]),
+          np.concatenate([entries, entries[upper]]))),
+        shape=(n, len(row)))
+
+
+def inverse_residuals(storage, packed):
+    """(cells,) max|M0 (G z) - z| / max|z| of each cell, for the stencil
+    stack M0 in cells-last storage (w*n + 1, cells) (see _cells_last), G
+    its inverses as packed_inverses gives them and the fixed probe z of
+    distinct entries 1 + i/n.
+
+    Scaled by max|z|, it does not depend on the magnitude of M0, and
+    exact inverses give 0.  G z is a sparse product over the packed
+    entries and M0 (G z) sums the stored diagonals one at a time, so no
+    BLAS call is made and each cell's value has the same bits in any
+    stack and under any BLAS thread count.
+    """
+    n = _packed_order(len(packed))
+    z, to_gz = _probe(n)
+    y = to_gz @ packed
+    residual = storage[:n] * y
+    product = np.empty_like(y)
+    for i, d in enumerate(stencil_offsets(n)[1:], 1):
+        if d < n:
+            band, part = storage[i * n:i * n + n - d], product[:n - d]
+            residual[d:] += np.multiply(band, y[:n - d], out=part)
+            residual[:n - d] += np.multiply(band, y[d:], out=part)
+    residual -= z[:, None]
+    return np.abs(residual, out=residual).max(axis=0) / z[-1]
 
 
 # ---- global fine-grid machinery -------------------------------------------

@@ -208,20 +208,25 @@ def cost_ratios(n, m, q, L):
 
 # largest GreenStore a precompute_green_inverses call builds, in bytes
 MAX_STORE_BYTES = 2 * 1024 ** 3
+# largest scaled residual fem.inverse_residuals of a store inverse
+MAX_GREEN_RESIDUAL = 1e-10
 # matrix entries, nodes * cells * nK^2, per block of the store build: as
 # many whole nodes as fit, at least one.  A worker holds the GIL between
 # numpy calls, so each call must run long enough for the other workers to
-# overlap it.  In the batched regime a worker fills one cells-last band
-# storage and inverts one stack for all its blocks: allocated per block,
-# they let glibc trim its heap after each block and the next fault the
-# pages back (0.5M minor faults, 25% of the build).  Reuse keeps that away
-# only while spd_inverse's update buffer, the largest array a block
-# allocates, outweighs the rest: check ru_minflt in tests/reference.py
-# store-digest after any change to the block loop.  colloc-L3's store
-# (256 cells, nK=9; 2-core Xeon, 1 BLAS thread, two workers) builds in
-# 1.8-2.3 s with 8-node blocks (this budget), 2.1-2.8 s with 4 and
-# 1.8-2.5 s with 12 or 16
-STORE_BLOCK_ENTRIES = 2048 * 81
+# overlap it; the symmetric sweep makes about twice the calls of the
+# Gauss-Jordan before it, so its blocks are 4 times as wide.  Each worker
+# fills and inverts one workspace for all its blocks: arrays allocated
+# per block let glibc trim its heap after each block and the next fault
+# the pages back (0.5M minor faults, 25% of the build).  The workspace is
+# one allocation above 4 MiB, which numpy marks for transparent huge
+# pages; the block's temporaries, the sweep's three rows the largest, stay
+# small beside it.  Check ru_minflt in tests/reference.py store-digest
+# after any change to the block loop.  colloc-L3's store (256 cells,
+# nK=9; 2-core Xeon, 1 BLAS thread, two workers, medians of 8) builds in
+# 0.96 s with 32-node blocks (this budget; 3.7k faults), 1.25 s with 16
+# (3.2k), 1.58 s with 8 (2.0k) and 1.00 s with 64 (5.7k), where
+# Gauss-Jordan on 8-node blocks took 1.44 s (3.9k)
+STORE_BLOCK_ENTRIES = 8192 * 81
 # store nodes per block of the interpolation contraction.  OpenBLAS 0.3.31
 # (Haswell kernels) cuts a long inner dimension into panels, and how it cuts
 # depends on its thread count; a block at or below the panel size is summed
@@ -244,7 +249,8 @@ class GreenStore:
     """Per (sparse-grid node, coarse cell) interior inverses of M0.
 
     M0^-1 is symmetric, so each inverse keeps only its row-major lower
-    triangle: entry (i, j) with j <= i sits at i(i+1)/2 + j.
+    triangle: entry (i, j) with j <= i sits at i(i+1)/2 + j
+    (fem.packed_index).
     """
 
     mesh: object
@@ -252,20 +258,24 @@ class GreenStore:
     grid: SparseGrid
     m: int
     matrices: np.ndarray  # (n_nodes, n_cells, n_K(n_K+1)/2)
+    # the largest scaled residual of the build's check, <= MAX_GREEN_RESIDUAL
+    residual: float
 
 
 def precompute_green_inverses(mesh, model, grid, m):
-    """Assemble, invert and pack M0(node) for every cell and grid node.
+    """Assemble and invert M0(node) for every cell and grid node.
 
-    The nodes are inverted by fem.cell_inverses in blocks of as many whole
-    nodes as fit in STORE_BLOCK_ENTRIES matrix entries, at least one, on a
-    pool of threads, one per CPU the process may run on, and each block
-    writes its own rows of the store.  Each cell's inverse takes the same
-    arithmetic as in a one-node stack, so the store holds the same bits
-    under any worker count.  A node whose M0 is not SPD raises LinAlgError
-    naming the node and its cell, and one whose inverse is not symmetric
-    to 1e-10 relative raises ValueError naming the node; of several such
-    nodes, the lowest.  A model on another fine grid is refused first.
+    The nodes are inverted by fem.packed_inverses in blocks of as many
+    whole nodes as fit in STORE_BLOCK_ENTRIES matrix entries, at least one,
+    on a pool of threads, one per CPU the process may run on, and each
+    block writes its own rows of the store.  Each cell's inverse takes the
+    same arithmetic as in a one-node stack, so the store holds the same
+    bits under any worker count.  A node whose M0 is not SPD raises
+    LinAlgError naming the node and its cell, and one whose inverse fails
+    the residual check (fem.inverse_residuals above MAX_GREEN_RESIDUAL in
+    a cell) raises ValueError naming the node; of several such nodes, the
+    lowest.  The store keeps the largest residual as its residual.  A
+    model on another fine grid is refused first.
     """
     mesh.check_fine_grid(model.mesh, "model")
     if grid.m != m:
@@ -281,48 +291,48 @@ def precompute_green_inverses(mesh, model, grid, m):
             "reduce r or the interpolation level")
     interior_bands = fem.local_assembler(mesh).interior_bands
     cell_ids = mesh.cell_fine_cells(np.arange(n_cells))
-    row, col = np.tril_indices(n_k)
-    out = np.empty((grid.n_nodes, n_cells, len(row)))
+    entries = n_k * (n_k + 1) // 2
+    out = np.empty((grid.n_nodes, n_cells, entries))
     step = max(1, STORE_BLOCK_ENTRIES // (n_cells * n_k ** 2))
-    # per worker, in the batched regime (see STORE_BLOCK_ENTRIES)
-    buffers = None if fem.is_banded(n_k) else threading.local()
+    buffers = threading.local()  # per worker (see STORE_BLOCK_ENTRIES)
     w = len(fem.stencil_offsets(n_k))
 
     def invert(start, stop):
-        """Write the inverses of nodes start .. stop-1 into the store."""
-        kappa = np.concatenate([
-            np.exp(field_mod.log_field_partial(model, node, m))[cell_ids]
-            for node in grid.nodes[start:stop]])
-        if buffers is None:
-            G = fem.cell_inverses(interior_bands(kappa))
-        else:
-            if not hasattr(buffers, "storage"):
-                buffers.storage = np.zeros((w * n_k + 1, step * n_cells))
-                buffers.stack = np.empty(step * n_cells * n_k ** 2)
-            # the block's columns, so each row means the same in every
-            # block; filled through their cells-first view, each band row
-            # of the sparse product lands in one contiguous storage row
-            storage = buffers.storage[:, :len(kappa)]
-            interior_bands(kappa, out=storage[:-1].T.reshape(-1, w, n_k))
-            stack = buffers.stack[:len(kappa) * n_k ** 2]
-            G = fem.cell_inverses(storage, out=stack.reshape(n_k, n_k, -1))
-        # the lower triangle, (entries, nodes, cells), and in one more
-        # buffer |lo - its mirror image|; no other temporary of that size
-        lo = G[row, col].reshape(len(row), stop - start, n_cells)
-        skew = G[col, row].reshape(lo.shape)
-        np.subtract(lo, skew, out=skew)
-        np.abs(skew, out=skew)
-        scale = np.maximum(lo.max(axis=(0, 2)), -lo.min(axis=(0, 2)))
-        symmetric = skew.max(axis=(0, 2)) <= 1e-10 * scale
-        if not symmetric.all():
-            raise ValueError(f"Green's inverse at grid node "
-                             f"{start + np.argmin(symmetric)} not symmetric")
-        out[start:stop] = lo.transpose(1, 2, 0)
+        """Write the inverses of nodes start .. stop-1 into the store;
+        returns their largest scaled residual."""
+        cells = (stop - start) * n_cells
+        if not hasattr(buffers, "storage"):
+            # one allocation (see STORE_BLOCK_ENTRIES)
+            size = step * n_cells
+            work = np.zeros((w * n_k + 1 + entries) * size)
+            buffers.storage = work[:(w * n_k + 1) * size].reshape(-1, size)
+            buffers.packed = work[(w * n_k + 1) * size:]
+        # the block's columns, so each row means the same in every block;
+        # each node's filled through their cells-first view, so each band
+        # row of the sparse product lands in one contiguous storage row
+        storage = buffers.storage[:, :cells]
+        for i, node in enumerate(grid.nodes[start:stop]):
+            kappa = np.exp(field_mod.log_field_partial(model, node, m))
+            interior_bands(kappa[cell_ids], out=storage[
+                :-1, i * n_cells:(i + 1) * n_cells].T.reshape(-1, w, n_k))
+        G = fem.packed_inverses(storage, out=buffers.packed[
+            :cells * entries].reshape(entries, -1))
+        residual = fem.inverse_residuals(storage, G).reshape(
+            stop - start, n_cells).max(axis=1)
+        fails = ~(residual <= MAX_GREEN_RESIDUAL)  # NaN fails as well
+        if fails.any():
+            i = np.argmax(fails)
+            raise ValueError(f"Green's inverse at grid node {start + i} "
+                             f"fails its residual check: {residual[i]:.3g} "
+                             f"> {MAX_GREEN_RESIDUAL:g}")
+        out[start:stop] = G.reshape(entries, stop - start, n_cells).transpose(
+            1, 2, 0)
+        return residual.max()
 
     def invert_block(start, stop):
         try:
-            invert(start, stop)
-        except (np.linalg.LinAlgError, ValueError):
+            return invert(start, stop)
+        except np.linalg.LinAlgError:
             # the stack reports the first pivot to fail in any of its
             # nodes, at column node * n_cells + cell; redone node by node,
             # the lowest failing node is named with its own cell, as a loop
@@ -333,17 +343,19 @@ def precompute_green_inverses(mesh, model, grid, m):
                 except np.linalg.LinAlgError as exc:
                     raise np.linalg.LinAlgError(
                         f"M0 at grid node {i}: {exc}") from exc
+            raise  # not reached: the failing node fails alone as well
 
     bounds = [(s, min(s + step, grid.n_nodes))
               for s in range(0, grid.n_nodes, step)]
     pool = ThreadPoolExecutor(_usable_cpus(len(bounds)))
     try:
         # in node order, so the first failure raised is the lowest node's
-        for block in [pool.submit(invert_block, *b) for b in bounds]:
-            block.result()
+        residual = max(block.result() for block in
+                       [pool.submit(invert_block, *b) for b in bounds])
     finally:
         pool.shutdown(cancel_futures=True)
-    return GreenStore(mesh=mesh, model=model, grid=grid, m=m, matrices=out)
+    return GreenStore(mesh=mesh, model=model, grid=grid, m=m, matrices=out,
+                      residual=residual)
 
 
 def _usable_cpus(cap):
@@ -396,9 +408,7 @@ def _interpolated_green(store, theta0):
             done.result()
     packed = packed[:n_points].reshape(
         theta0.shape[:-1] + store.matrices.shape[1:])
-    row, col = np.indices((store.mesh.n_interior,) * 2)
-    hi, lo = np.maximum(row, col), np.minimum(row, col)
-    return packed[..., hi * (hi + 1) // 2 + lo]
+    return packed[..., fem.packed_index(store.mesh.n_interior)]
 
 
 # ---- sampling drivers ------------------------------------------------------

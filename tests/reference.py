@@ -46,9 +46,11 @@ byte check of a change that must keep every output bit, and
     PYTHONPATH=src python tests/reference.py store-digest
 
 builds the colloc-L3 benchmark workload's GreenStore and prints its
-SHA-256, the build's seconds and its minor page faults: the store's bit
-anchor.  gauss_jordan is the full-sweep Gauss-Jordan on a copy, the
-oracle of fem.spd_inverse's in-place, band-windowed sweep.
+SHA-256, the build's seconds, its minor page faults and how close its
+residual check came to failing: the store's bit anchor.  full_sweep is
+the symmetric sweep over the whole packed triangle on a copy, the oracle
+of fem.spd_inverse's in-place, band-windowed sweep, and packed packs a
+cells-last stack for it.
 green_store_loop builds the store's matrices one node at a time, the
 oracle of precompute_green_inverses' threaded node blocks, and
 interpolated_green_gemm contracts the store by one GEMM, the oracle of
@@ -72,7 +74,7 @@ import subprocess
 import sys
 import time
 from functools import partial
-from math import comb
+from math import comb, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -116,14 +118,22 @@ def digest(a):
 """
 
 _CHILDREN = {
-    # a GreenStore of 33 nodes of 256 cells at nK=4, in blocks of 4 nodes:
-    # its build's workers and the SHA-256 of its matrices
+    # a GreenStore of 33 nodes of 256 cells at nK=4, in 9 blocks of 4
+    # nodes: the size of the pool its build ran on and the SHA-256 of its
+    # matrices
     "store": """
+from concurrent.futures import ThreadPoolExecutor
+pools = []
+def pool(workers):
+    pools.append(workers)
+    return ThreadPoolExecutor(workers)
+st.ThreadPoolExecutor = pool
+st.STORE_BLOCK_ENTRIES = 4 * 256 * 4 ** 2
 mesh = ms.build_mesh(16, 16, 3)
 model = ms.build_kle_model(mesh, 1.0, 0.1, 0.1, 16)
 store = ms.precompute_green_inverses(mesh, model, ms.build_sparse_grid(16, 1),
                                      16)
-print(st._usable_cpus(10 ** 6), digest(store.matrices))
+print(*pools, digest(store.matrices))
 """,
     # the interpolant of a 16-cell, 849-node store (not a multiple of
     # CONTRACT_BLOCK_NODES) at 5 points: the contraction's workers and the
@@ -522,41 +532,47 @@ def smolyak_weights(grid, theta):
     return w.reshape(theta.shape[:-1] + (grid.n_nodes,))
 
 
-def gauss_jordan(a):
-    """Inverses of a cells-last (n, n, cells) SPD stack by a full sweep.
+def full_sweep(a):
+    """Inverses of a packed (n(n+1)/2, cells) SPD stack by a full sweep.
 
-    The Gauss-Jordan of fem.spd_inverse with every step updating the whole
-    stack, on a copy: the oracle of its in-place, band-windowed sweep,
+    The symmetric sweep of fem.spd_inverse with every step updating the
+    whole packed triangle, on a copy, each column k gathered through the
+    triangle's index map: the oracle of its in-place, band-windowed sweep,
     which must equal it bit for bit, and of its pivot failures.
     """
     a = np.array(a, dtype=float, order="C")
-    n = a.shape[0]
-    update = np.empty_like(a)
+    n = (isqrt(8 * len(a) + 1) - 1) // 2
+    row, col = np.tril_indices(n)
+    index = np.zeros((n, n), dtype=int)
+    index[row, col] = index[col, row] = np.arange(len(row))
     for k in range(n):
-        pivot = a[k, k].copy()
+        v = a[index[k]]
+        pivot = v[k]
         cell = np.argmin(pivot)
         if not pivot[cell] > 0.0:
             raise np.linalg.LinAlgError(
                 f"matrix is not SPD: pivot {k} is {pivot[cell]:.3g} "
                 f"in cell {cell}")
-        a[k, k] = 1.0
-        a[k] /= pivot
-        col = a[:, k].copy()
-        col[k] = 0.0
-        a[:k, k] = 0.0
-        a[k + 1:, k] = 0.0
-        np.multiply(col[:, None], a[k], out=update)
-        a -= update
-    return a
+        u = v / pivot
+        a -= v[row] * u[col]
+        a[index[k]] = u
+        a[index[k, k]] = -1.0 / pivot
+    return -a
+
+
+def packed(a):
+    """(n(n+1)/2, cells) packed lower triangles of a cells-last (n, n,
+    cells) stack, C-ordered."""
+    return np.ascontiguousarray(a[np.tril_indices(len(a))])
 
 
 def green_store_loop(mesh, model, grid, m):
     """GreenStore.matrices of a loop over the nodes, one stack per node.
 
     Up to fem.BATCHED_MAX_N each node's M0 stack is expanded by
-    fem.stencil_to_dense, put cells last and inverted by gauss_jordan;
-    above it each cell's (r+1)-row lower band is factored by scipy's
-    banded Cholesky and solved against the identity.
+    fem.stencil_to_dense, put cells last, packed and inverted by
+    full_sweep; above it each cell's (r+1)-row lower band is factored by
+    scipy's banded Cholesky and solved against the identity.
     """
     asm = fem.local_assembler(mesh)
     cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
@@ -567,14 +583,13 @@ def green_store_loop(mesh, model, grid, m):
         theta = np.zeros(model.n)
         theta[:m] = node
         k0 = np.exp(field.log_field_partial(model, theta, m))[cells]
+        dense = fem.stencil_to_dense(asm.interior_bands(k0))
         if n_k <= fem.BATCHED_MAX_N:
-            G = np.moveaxis(gauss_jordan(np.moveaxis(
-                fem.stencil_to_dense(asm.interior_bands(k0)), 0, -1)), -1, 0)
+            out[i] = full_sweep(packed(np.moveaxis(dense, 0, -1))).T
         else:
-            G = np.array([
+            out[i] = np.array([
                 band_solve(lower_bands(a, mesh.r + 1), np.eye(n_k))
-                for a in fem.stencil_to_dense(asm.interior_bands(k0))])
-        out[i] = G[:, row, col]
+                for a in dense])[:, row, col]
     return out
 
 
@@ -613,7 +628,8 @@ def config_outputs(root):
 def store_digest():
     """Build colloc-L3's GreenStore (16x16 mesh, r=4, sigma2=1, l=0.1,
     n=20, m=16, L=3) and print the SHA-256 of its matrices, the build's
-    seconds and the minor page faults it took (ru_minflt); 0."""
+    seconds, the minor page faults it took (ru_minflt) and its largest
+    scaled residual against the check's bound; 0."""
     mesh = msfem_split.build_mesh(16, 16, 4)
     model = msfem_split.build_kle_model(mesh, 1.0, 0.1, 0.1, 20)
     grid = msfem_split.build_sparse_grid(16, 3)
@@ -622,9 +638,11 @@ def store_digest():
     store = msfem_split.precompute_green_inverses(mesh, model, grid, 16)
     seconds = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    print(f"sha256 {hashlib.sha256(store.matrices.tobytes()).hexdigest()}")
+    print(f"sha256 {hashlib.sha256(store.matrices).hexdigest()}")
     print(f"build_s {seconds:.3f}")
     print(f"ru_minflt {faults}")
+    print(f"residual {store.residual:.3g} / {st.MAX_GREEN_RESIDUAL:g} = "
+          f"{store.residual / st.MAX_GREEN_RESIDUAL:.3g}")
     return 0
 
 

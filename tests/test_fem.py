@@ -1,5 +1,6 @@
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -422,29 +423,35 @@ def test_cell_inverses_match_inv(r):
 @pytest.mark.parametrize("r", [4, 7])
 def test_cell_inverses_and_bands_fill_given_buffers(r):
     # the batched regime gathers into out and inverts it in place, the
-    # banded one copies its inverses there; a buffer reused for a second
-    # stack holds that stack's bits, as fresh arrays would
+    # banded one copies its packed inverses there; a buffer reused for a
+    # second stack holds that stack's bits, as fresh arrays would, and
+    # cell_inverses expands the same bits to whole matrices
     M0, M1 = _local_bands(r, 3, r)
     n = M0.shape[-1]
-    bands, out = np.zeros(M0.shape), np.empty((n, n, 3))
+    bands, out = np.zeros(M0.shape), np.empty((n * (n + 1) // 2, 3))
     asm = fem.local_assembler(build_mesh(3, 1, r))
     kappa = np.exp(np.random.default_rng(r).uniform(-1, 1, (2, 3, r * r)))
     for k in kappa:
         assert asm.interior_bands(k, out=bands) is bands
         assert _same_bits(bands, asm.interior_bands(k))
-        assert fem.cell_inverses(bands, out=out) is out
-        assert _same_bits(out, fem.cell_inverses(bands))
+        assert fem.packed_inverses(bands, out=out) is out
+        assert _same_bits(out, fem.packed_inverses(bands))
+        full = fem.cell_inverses(bands)
+        assert _same_bits(reference.packed(full), out)
+        assert _same_bits(full, full.transpose(1, 0, 2))
 
 
-@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3, 4, 6])
 def test_cells_last_fill_and_gather_match_dense(r):
     # interior_bands fills zero-padded cells-last storage through its
-    # cells-first view and cell_inverses' gather expands it: the dense
-    # stack bit for bit, for a full-width buffer and then for a narrower
-    # column slice of it, whose rows the wider fill wrote before
+    # cells-first view and packed_inverses' gather packs it: the dense
+    # stack's lower triangles bit for bit, for a full-width buffer and then
+    # for a narrower column slice of it, whose rows the wider fill wrote
+    # before; the banded regime (r=6) reads the same storage
     asm = fem.local_assembler(build_mesh(5, 1, r))
     n = asm.n_interior
     w = len(fem.stencil_offsets(n))
+    entries = n * (n + 1) // 2
     kappa = np.exp(np.random.default_rng(r).uniform(-1, 1, (2, 5, r * r)))
     buffer = np.zeros((w * n + 1, 5))
     for cells, k in zip((5, 3), kappa):
@@ -454,15 +461,21 @@ def test_cells_last_fill_and_gather_match_dense(r):
         assert asm.interior_bands(k, out=view) is view
         dense = np.moveaxis(fem.stencil_to_dense(asm.interior_bands(k)),
                             0, -1)
-        assert _same_bits(fem._cells_last(storage, np.empty((n, n, cells))),
-                          dense)
-        assert _same_bits(fem.cell_inverses(storage, np.empty(dense.shape)),
-                          fem.cell_inverses(asm.interior_bands(k)))
-    # the storage carries no order, so it is gathered only into an out of
-    # the batched regime
-    for out in (None, np.empty((16, 16, 3))):
-        with pytest.raises(ValueError, match="batched-regime out"):
-            fem.cell_inverses(storage, out)
+        if not fem.is_banded(n):
+            assert _same_bits(
+                fem._cells_last(storage, np.empty((entries, cells))),
+                reference.packed(dense))
+        assert _same_bits(
+            fem.packed_inverses(storage, np.empty((entries, cells))),
+            fem.packed_inverses(asm.interior_bands(k)))
+    # the storage carries no order: it is inverted only into an out, whose
+    # rows must be a packed triangle of the storage's order
+    with pytest.raises(ValueError, match="takes an out"):
+        fem.packed_inverses(storage)
+    with pytest.raises(ValueError, match="not a packed triangle"):
+        fem.packed_inverses(storage, np.empty((entries + 1, 3)))
+    with pytest.raises(ValueError, match=f"{len(storage)} rows at order"):
+        fem.packed_inverses(storage, np.empty((2 * n * (4 * n + 1), 3)))
 
 
 def test_interior_bands_refuse_an_out_filled_only_through_a_copy():
@@ -687,18 +700,24 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _unpacked(a):
+    """(cells, n, n) whole matrices of a packed (n(n+1)/2, cells) stack."""
+    n = (isqrt(8 * len(a) + 1) - 1) // 2
+    return a.T[:, fem.packed_index(n)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=hst.integers(1, 25), cells=hst.integers(1, 8),
        shift=hst.floats(0.1, 10.0), seed=hst.integers(0, 2 ** 31))
 def test_spd_inverse_matches_inv(n, cells, shift, seed):
-    a = np.ascontiguousarray(
+    a = reference.packed(
         _spd_stack(np.random.default_rng(seed), n, cells, shift))
     before = a.copy()
     inv = fem.spd_inverse(a)
     assert inv is a  # inverted in place
-    assert _same_bits(inv, reference.gauss_jordan(before))
-    ref = np.linalg.inv(np.moveaxis(before, -1, 0))
-    err = np.abs(np.moveaxis(inv, -1, 0) - ref).max()
+    assert _same_bits(inv, reference.full_sweep(before))
+    ref = np.linalg.inv(_unpacked(before))
+    err = np.abs(_unpacked(inv) - ref).max()
     assert err <= 1e-12 * np.abs(ref).max()
 
 
@@ -710,20 +729,20 @@ def test_spd_inverse_matches_full_sweep_on_banded_stacks(cells):
     rng = np.random.default_rng(cells)
     for n in range(1, fem.BATCHED_MAX_N + 1):
         for p in range(n):
-            a = _banded_spd_stack(rng, n, p, cells)
-            ref = reference.gauss_jordan(a)
+            a = reference.packed(_banded_spd_stack(rng, n, p, cells))
+            ref = reference.full_sweep(a)
             assert _same_bits(fem.spd_inverse(a), ref), (n, p)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_spd_inverse_matches_full_sweep_on_stencil_stacks(r):
-    # cell_inverses' gather, bandwidth r, inverted in place: the full
-    # sweep's bits on the dense stack
+    # packed_inverses' gather, bandwidth r, inverted in place: the full
+    # sweep's bits on the packed dense stack
     M0, M1 = _local_bands(r, 5, r)
     for bands in (M0, M0 + M1):
         dense = np.moveaxis(fem.stencil_to_dense(bands), 0, -1)
-        assert _same_bits(fem.cell_inverses(bands),
-                          reference.gauss_jordan(dense))
+        assert _same_bits(fem.packed_inverses(bands),
+                          reference.full_sweep(reference.packed(dense)))
 
 
 def _failure(invert, a):
@@ -748,20 +767,23 @@ def test_spd_inverse_failures_match_full_sweep(n, p, bad):
                 a[i, j, c] = a[j, i, c] = np.nan
             else:
                 a[j, j, c] = -a[j, j, c] * rng.random()
-        message = _failure(reference.gauss_jordan, a)
+        a = reference.packed(a)
+        message = _failure(reference.full_sweep, a)
         assert message.startswith("matrix is not SPD: pivot ")
         assert _failure(fem.spd_inverse, a) == message
 
 
 def test_spd_inverse_writes_one_cell_view_in_place():
-    # a one-cell cells-last view of a cells-first stack is C-contiguous,
-    # so it is accepted and the stack behind it holds the inverse
-    mats = np.moveaxis(_spd_stack(np.random.default_rng(0), 9, 1, 1.0), -1, 0)
-    view = np.moveaxis(mats, 0, -1)
+    # a one-cell cells-last view of a cells-first packed stack is
+    # C-contiguous, so it is accepted and the stack behind it holds the
+    # inverse
+    mats = reference.packed(
+        _spd_stack(np.random.default_rng(0), 9, 1, 1.0)).T.copy()
+    view = mats.T
     assert view.flags.c_contiguous
-    ref = reference.gauss_jordan(view)
+    ref = reference.full_sweep(view)
     fem.spd_inverse(view)
-    assert _same_bits(mats[0], ref[..., 0])
+    assert _same_bits(mats[0], ref[:, 0])
 
 
 def test_spd_inverse_rejects_indefinite():
@@ -770,18 +792,52 @@ def test_spd_inverse_rejects_indefinite():
                  [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
     with pytest.raises(np.linalg.LinAlgError,
                        match="matrix is not SPD: pivot 1 .* in cell 2"):
-        fem.spd_inverse(a)
+        fem.spd_inverse(reference.packed(a))
 
 
 def test_spd_inverse_refuses_other_buffers():
     # it writes the caller's stack, so only one it may write as it is:
-    # C-ordered, writeable, float64 and (n, n, cells); refused untouched
-    a = np.ascontiguousarray(_spd_stack(np.random.default_rng(2), 4, 3, 1.0))
+    # C-ordered, writeable, float64 and (n(n+1)/2, cells), with rows that
+    # make a packed triangle; refused untouched
+    a = reference.packed(_spd_stack(np.random.default_rng(2), 4, 3, 1.0))
     read_only = a.copy()
     read_only.flags.writeable = False
-    for bad in (np.asfortranarray(a), a[:, :, ::2], read_only,
-                a.astype(np.float32), a[..., 0], a[:3]):
+    for bad, match in ((np.asfortranarray(a), "writeable C-ordered float64"),
+                       (a[:, ::2], "writeable C-ordered float64"),
+                       (read_only, "writeable C-ordered float64"),
+                       (a.astype(np.float32), "writeable C-ordered float64"),
+                       (a[..., 0], "writeable C-ordered float64"),
+                       (a[:4], "not a packed triangle")):
         before = bad.copy()
-        with pytest.raises(ValueError, match="writeable C-ordered float64"):
+        with pytest.raises(ValueError, match=match):
             fem.spd_inverse(bad)
         assert _same_bits(bad, before)
+
+
+@pytest.mark.parametrize("r", [2, 4, 6])
+def test_inverse_residuals_match_dense(r):
+    # max|M0 (G z) - z| / max|z| per cell, from the cells-last storage and
+    # the packed inverses: round-off for the inverses, and for inverses
+    # with one perturbed entry in a cell that cell's dense product, the
+    # other cells' bits unchanged; the same bits in a stack of any width
+    mesh = build_mesh(6, 1, r)
+    asm = fem.local_assembler(mesh)
+    n = asm.n_interior
+    kappa = np.exp(np.random.default_rng(r).uniform(-1, 1, (6, r * r)))
+    bands = asm.interior_bands(kappa)
+    storage = np.zeros((len(fem.stencil_offsets(n)) * n + 1, 6))
+    storage[:-1] = bands.reshape(6, -1).T
+    G = fem.packed_inverses(bands)
+    res = fem.inverse_residuals(storage, G)
+    assert res.max() <= 1e-13
+    assert _same_bits(
+        fem.inverse_residuals(storage[:, 2:4].copy(), G[:, 2:4].copy()),
+        res[2:4])
+    z = 1.0 + np.arange(n) / n
+    assert len(set(z)) == n
+    G[n * (n + 1) // 2 - 1, 3] *= 1 + 1e-6
+    bad = fem.inverse_residuals(storage, G)
+    gz = _unpacked(G[:, 3:4])[0] @ z
+    ref = np.abs(fem.stencil_to_dense(bands[3]) @ gz - z).max() / z.max()
+    assert ref > 1e-8 and abs(bad[3] - ref) <= 1e-6 * ref
+    assert _same_bits(np.delete(bad, 3), np.delete(res, 3))

@@ -165,7 +165,7 @@ def test_green_store_guards():
         precompute_green_inverses(mesh, model, build_sparse_grid(3, 3), 3)
 
 
-def test_green_store_matches_independent_inverses(monkeypatch):
+def test_green_store_matches_independent_inverses():
     mesh, model, grid, store = _small_setup(L=2)
     asm = fem.LocalAssembler(mesh)
     cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
@@ -184,22 +184,12 @@ def test_green_store_matches_independent_inverses(monkeypatch):
     assert G.shape == ref.shape
     assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(G, G.swapaxes(-1, -2))
-
-    # a node whose inverse is not symmetric is refused at build: the
-    # batched regime's Gauss-Jordan inverts a skewed M0
-    exact = fem.spd_inverse
-
-    def skewed(M):
-        skew = np.triu(np.ones(M.shape[:2]), 1)
-        return exact(M + 1e-6 * np.abs(M).max() * (skew - skew.T)[..., None])
-
-    monkeypatch.setattr(fem, "spd_inverse", skewed)
-    with pytest.raises(ValueError, match="grid node 0 not symmetric"):
-        precompute_green_inverses(mesh, model, grid, store.m)
+    # the build's residual check came nowhere near its bound
+    assert 0.0 < store.residual <= 1e-5 * st.MAX_GREEN_RESIDUAL
 
 
 def test_green_store_above_batched_regime():
-    # nK = 36 > BATCHED_MAX_N: Gauss-Jordan beyond the batched regime's sizes
+    # nK = 36 > BATCHED_MAX_N: the banded inverse beyond the batched sizes
     mesh = build_mesh(2, 2, 7)
     assert mesh.n_interior > fem.BATCHED_MAX_N
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
@@ -217,12 +207,64 @@ def test_green_store_above_batched_regime():
         assert np.abs(full[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _perturb_inverses(monkeypatch, mesh, model, grid, nodes):
+    """Perturb by 1e-6 relative the first packed entry, the (0, 0) entry,
+    of cell 1's inverse at the given grid nodes.
+
+    The cell is found by its M0 bands in the storage that the store hands
+    fem.packed_inverses, wherever it sits in a block.
+    """
+    asm = fem.LocalAssembler(mesh)
+    cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
+    targets = []
+    for node in nodes:
+        theta = np.zeros(model.n)
+        theta[:grid.m] = grid.nodes[node]
+        k0 = split_kle(model, theta, grid.m).k0
+        targets.append(asm.interior_bands(k0[cells])[1])
+    exact = fem.packed_inverses
+
+    def perturbed(storage, out=None):
+        G = exact(storage, out)
+        bands = storage[:-1].T.reshape((G.shape[1],) + targets[0].shape)
+        for c, cell in enumerate(bands):
+            if any(np.array_equal(cell, t) for t in targets):
+                G[0, c] *= 1.0 + 1e-6
+        return G
+
+    monkeypatch.setattr(fem, "packed_inverses", perturbed)
+
+
+@pytest.mark.parametrize("r", [3, 7])
+@pytest.mark.parametrize("nodes,named", [
+    # node 3, the second node of the second 2-node block
+    ((3,), 3),
+    # nodes 4 and 2 in two blocks: the later block may finish first
+    ((4, 2), 2)], ids=["one-node", "two-blocks"])
+def test_green_store_refuses_inverse_failing_residual(monkeypatch, r, nodes,
+                                                       named):
+    # nK = 4 and 36, on either side of BATCHED_MAX_N: one packed entry off
+    # by 1e-6 relative is far above the residual check's bound, and the
+    # lowest failing node is named
+    mesh = build_mesh(2, 2, r)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
+    grid = build_sparse_grid(2, 1)
+    monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES",
+                        2 * mesh.n_coarse_cells * mesh.n_interior ** 2)
+    store = precompute_green_inverses(mesh, model, grid, 2)
+    assert 0.0 < store.residual <= 1e-3 * st.MAX_GREEN_RESIDUAL
+    _perturb_inverses(monkeypatch, mesh, model, grid, nodes)
+    with pytest.raises(ValueError, match=rf"^Green's inverse at grid node "
+                       rf"{named} fails its residual check: \S+ > 1e-10$"):
+        precompute_green_inverses(mesh, model, grid, 2)
+
+
 def _inject_indefinite(monkeypatch, mesh, model, grid, faults):
     """Make M0 indefinite in chosen (node, cell)s: faults maps each to the
     pivot that fails, 0 or -1 (the last).
 
     A cell is found by its coefficient rows, wherever it sits in a stack;
-    its M0 bands are patched, which both regimes of fem.cell_inverses read.
+    its M0 bands are patched, which both regimes of fem.packed_inverses read.
     """
     cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
     targets = []
@@ -293,7 +335,7 @@ def test_green_store_failure_cancels_pending_blocks(monkeypatch):
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
     grid = build_sparse_grid(3, 2)  # 25 nodes, one per block
     monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES", 1)
-    exact = fem.cell_inverses
+    exact = fem.packed_inverses
     calls = []
 
     def slow(bands, out=None):
@@ -301,7 +343,7 @@ def test_green_store_failure_cancels_pending_blocks(monkeypatch):
         time.sleep(0.05)  # so later blocks still queue when node 0 fails
         return exact(bands, out)
 
-    monkeypatch.setattr(fem, "cell_inverses", slow)
+    monkeypatch.setattr(fem, "packed_inverses", slow)
     _inject_indefinite(monkeypatch, mesh, model, grid, {(0, 0): 0})
     with pytest.raises(np.linalg.LinAlgError, match="grid node 0: "):
         precompute_green_inverses(mesh, model, grid, 3)
@@ -310,16 +352,16 @@ def test_green_store_failure_cancels_pending_blocks(monkeypatch):
     assert len(calls) < grid.n_nodes // 2
 
 
-@pytest.mark.parametrize("nx,r,step", [
-    pytest.param(8, 3, 16, id="8-3"), pytest.param(2, 7, 1, id="2-7"),
-    pytest.param(4, 7, None, id="4-7-default-blocks")])
-def test_green_store_matches_node_loop(monkeypatch, nx, r, step):
+@pytest.mark.parametrize("nx,r,step,L", [
+    pytest.param(8, 3, 16, 2, id="8-3"), pytest.param(2, 7, 1, 2, id="2-7"),
+    pytest.param(4, 7, None, 3, id="4-7-default-blocks")])
+def test_green_store_matches_node_loop(monkeypatch, nx, r, step, L):
     # at r=3 blocks of 16 of the 25 nodes; at r=7 (nK=36) one node a block,
-    # and on 4x4 cells the default budget's blocks of several nodes, the
-    # last partial
+    # and on 4x4 cells the default budget's blocks of 32 of the 69 nodes,
+    # the last partial
     mesh = build_mesh(nx, nx, r)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
-    grid = build_sparse_grid(3, 2)
+    grid = build_sparse_grid(3, L)
     entries = mesh.n_coarse_cells * mesh.n_interior ** 2
     if step is None:
         step = st.STORE_BLOCK_ENTRIES // entries
@@ -332,9 +374,9 @@ def test_green_store_matches_node_loop(monkeypatch, nx, r, step):
 
 def test_green_store_one_worker_reuses_its_buffers(monkeypatch):
     # one worker fills and inverts the same buffers for blocks of 2, 2 and
-    # 1 nodes: the product lands in each block's column slice of one band
-    # buffer, whose rows no block writes stay zero, and is gathered afresh
-    # into the stack's prefix
+    # 1 nodes: each node's product lands in its columns of the block's
+    # column slice of one band buffer, whose rows no block writes stay
+    # zero, and is gathered afresh into the packed stack's prefix
     mesh = build_mesh(4, 4, 4)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
     grid = build_sparse_grid(2, 1)
@@ -342,7 +384,7 @@ def test_green_store_one_worker_reuses_its_buffers(monkeypatch):
                         2 * mesh.n_coarse_cells * mesh.n_interior ** 2)
     monkeypatch.setattr(st, "_usable_cpus", lambda cap: 1)
     exact_bands, fills = fem.LocalAssembler.interior_bands, []
-    exact, stacks = fem.cell_inverses, []
+    exact, stacks = fem.packed_inverses, []
 
     def filled(self, kappa, out=None):
         fills.append(out.__array_interface__["data"][0])
@@ -353,10 +395,12 @@ def test_green_store_one_worker_reuses_its_buffers(monkeypatch):
         return exact(bands, out)
 
     monkeypatch.setattr(fem.LocalAssembler, "interior_bands", filled)
-    monkeypatch.setattr(fem, "cell_inverses", recorded)
+    monkeypatch.setattr(fem, "packed_inverses", recorded)
     store = precompute_green_inverses(mesh, model, grid, 2)
     monkeypatch.undo()
-    assert len(fills) == 3 and len(set(fills)) == 1
+    # nodes 0, 2 and 4 fill the buffer's first columns, 1 and 3 the next
+    assert len(fills) == 5 and fills[0::2] == [fills[0]] * 3
+    assert fills[1::2] == [fills[0] + 8 * mesh.n_coarse_cells] * 2
     assert len(stacks) == 3 and len(set(stacks)) == 1
     assert np.array_equal(store.matrices,
                           green_store_loop(mesh, model, grid, 2))
@@ -381,8 +425,9 @@ def test_green_store_many_workers_stress(monkeypatch):
 
 
 def test_green_store_independent_of_threads_and_cpus():
+    # 9 blocks: a pool of one worker per CPU, or of 9
     workers, digest = child_output("store", 1)
-    assert int(workers) == len(os.sched_getaffinity(0))
+    assert int(workers) == min(9, len(os.sched_getaffinity(0)))
     assert child_output("store", 2) == (workers, digest)
     assert child_output("store", 1, one_cpu=True) == ("1", digest)
 
@@ -442,7 +487,7 @@ def test_interpolated_green_independent_of_threads_and_cpus():
 def test_banded_drivers_independent_of_threads_and_cpus(driver):
     # r=6 (nK=25) is banded: in Monte Carlo the standard basis and the fine
     # solve run on the worker, in collocation the store is inverted by the
-    # banded cell_inverses; the runs keep their bits under 1 and 2 BLAS
+    # banded packed_inverses; the runs keep their bits under 1 and 2 BLAS
     # threads and on one CPU
     digest = child_output(driver, 1)
     assert child_output(driver, 2) == digest
@@ -728,7 +773,7 @@ def test_field_from_another_fine_grid_is_refused(monkeypatch, nx, ny):
     model = build_kle_model(other, 1.0, 0.2, 0.2, 5)
     split = split_kle(model, sample_theta(5, 0, 5), 3)
     started = []
-    for name in ("cell_inverses", "assemble_local_operators",
+    for name in ("packed_inverses", "assemble_local_operators",
                  "fine_reference_solver"):
         monkeypatch.setattr(fem, name, lambda *args: started.append(args))
     grids = f"{4 * nx}x{4 * ny} fine grid, not the mesh's 16x16"

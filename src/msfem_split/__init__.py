@@ -5,8 +5,7 @@ from .field import (KLEModel, Splitting, build_kle_model, energy_ratio,
                     make_splitting, realize_log_field, split_kle,
                     split_lognormal)
 from .fem import (LocalAssembler, LocalOperators, assemble_local_operators,
-                  band_to_dense, energy_norm, fine_reference_solve,
-                  stencil_to_dense)
+                  energy_norm, stencil_to_dense)
 from .basis import bubble_series, iterative_bases, standard_bases
 from .msfem import basis_errors, coarse_solutions, solution_error_bound
 from .stochastic import (GreenStore, SampleStatistics, SparseGrid,

@@ -69,6 +69,8 @@ def parse_config(path):
         raise ConfigError(
             f"{path}: unknown experiment {cfg['experiment']!r}; "
             f"choose one of {', '.join(EXPERIMENTS)}")
+    if cfg.get("field", "kle") not in ("kle", "lognormal"):
+        raise ConfigError(f"{path}: unknown field {cfg['field']!r}")
     _validate_required(cfg, path)
     return cfg
 

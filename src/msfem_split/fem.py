@@ -200,9 +200,10 @@ def _stored_rows(offsets, size):
 
 
 @lru_cache(maxsize=8)
-def _band_index(offsets, n):
-    """(n, n) flat positions in (len(offsets), n) band storage whose rows
-    hold the diagonals at offsets; position len(offsets) * n is a zero."""
+def _band_index(n):
+    """(n, n) flat positions in (w, n) local stencil storage, whose rows
+    hold the diagonals at stencil_offsets(n); position w * n is a zero."""
+    offsets = stencil_offsets(n)
     w = len(offsets)
     row, col = np.indices((n, n))
     stored = _stored_rows(offsets, n)[np.abs(row - col)]
@@ -211,24 +212,14 @@ def _band_index(offsets, n):
     return index
 
 
-def _expand(bands, offsets):
-    """(..., n, n) symmetric matrices of (..., w, n) rows at offsets."""
-    w, n = bands.shape[-2:]
-    flat = np.zeros(bands.shape[:-2] + (w * n + 1,))
-    flat[..., :-1] = bands.reshape(bands.shape[:-2] + (w * n,))
-    return np.take(flat, _band_index(offsets, n), axis=-1)
-
-
-def band_to_dense(bands):
-    """(..., n, n) symmetric matrices of lower band storage (..., w, n),
-    such as the coarse system's; local stacks take stencil_to_dense."""
-    return _expand(bands, tuple(range(bands.shape[-2])))
-
-
 def stencil_to_dense(bands):
     """(..., n, n) matrices of local stencil stacks (..., w, n), such as
     LocalOperators.M0; see stencil_offsets for their rows."""
-    return _expand(bands, _stencil_rows(bands))
+    n = bands.shape[-1]
+    w = len(_stencil_rows(bands))  # the rows checked against n
+    flat = np.zeros(bands.shape[:-2] + (w * n + 1,))
+    flat[..., :-1] = bands.reshape(bands.shape[:-2] + (w * n,))
+    return np.take(flat, _band_index(n), axis=-1)
 
 
 def _compressed_scatter(targets, cols, vals, n_cols):
@@ -436,13 +427,6 @@ def cell_solvers(*sums):
     return [partial(np.matmul, a) for a in np.split(inverses, len(sums))]
 
 
-def cell_inverses(bands):
-    """(n, n, cells) inverses of a (cells, w, n) SPD local stencil stack:
-    packed_inverses expanded to whole matrices, with the cells last."""
-    return np.take(packed_inverses(bands), packed_index(bands.shape[-1]),
-                   axis=0)
-
-
 def packed_inverses(bands, out=None):
     """(n(n+1)/2, cells) inverses of a (cells, w, n) SPD local stencil
     stack: column c holds cell c's packed lower triangle (packed_index).
@@ -488,7 +472,7 @@ def _cells_last(storage, out):
     i*n + j, column c; last row 0."""
     n = _packed_order(len(out))
     row, col = np.tril_indices(n)
-    index = _band_index(stencil_offsets(n), n)[row, col]
+    index = _band_index(n)[row, col]
     # mode="clip" gathers straight into out; the indices are all in range
     return np.take(storage, index, axis=0, out=out, mode="clip")
 
@@ -657,12 +641,12 @@ class FineBand:
     band storage.  scatter takes the n_fine_cells coefficients straight
     into LAPACK's band layout: a C-ordered (n_free, nxf + 1) buffer whose
     transpose is that band storage, with entry (d, j) at j*(nxf + 1) + d.
-    unit_load is the load of f = 1 on the free nodes, the default source.
+    unit_load is the load of the source f = 1 on the free nodes.
     """
 
     def __init__(self, mesh):
         self.free = np.flatnonzero(~mesh.boundary_node_mask())
-        self.unit_load = fine_load(mesh, np.ones(mesh.n_fine_cells))[self.free]
+        self.unit_load = fine_load(mesh)[self.free]
         self.unit_load.flags.writeable = False
         w, n = self.shape = (mesh.nxf + 1, len(self.free))
         pos = np.full(mesh.n_fine_nodes, -1)
@@ -692,15 +676,15 @@ def fine_stiffness_band(mesh, k):
     return out.reshape(n, w).T
 
 
-def fine_load(mesh, f):
-    """Global load vector for a cellwise-constant source."""
-    contrib = np.asarray(f, float) * (mesh.hx * mesh.hy / 4.0)
+def fine_load(mesh):
+    """Global load vector of the source f = 1."""
+    contrib = np.full(mesh.n_fine_cells, mesh.hx * mesh.hy / 4.0)
     return np.bincount(mesh.fine_element_nodes.ravel(),
                        np.repeat(contrib, 4), minlength=mesh.n_fine_nodes)
 
 
-def fine_reference_solver(mesh, k, f=None):
-    """solve() of the Galerkin problem -div(k grad u) = f, u = 0 on the
+def fine_reference_solver(mesh, k):
+    """solve() of the Galerkin problem -div(k grad u) = 1, u = 0 on the
     boundary, on the fine grid.
 
     The band, the load and the solution vector are assembled here; solve()
@@ -712,21 +696,14 @@ def fine_reference_solver(mesh, k, f=None):
     if np.any(k <= 0.0):
         raise ValueError("coefficient must be strictly positive")
     maps = fine_band(mesh)
-    free = maps.free
     band = fine_stiffness_band(mesh, k)
-    # solved into in place, so the cached unit load is copied
-    load = maps.unit_load.copy() if f is None else fine_load(mesh, f)[free]
+    load = maps.unit_load.copy()  # solved into in place
     u = np.zeros(mesh.n_fine_nodes)
 
     def solve():
-        u[free] = _band_solve(_band_factor(band), load)
+        u[maps.free] = _band_solve(_band_factor(band), load)
         return u
     return solve
-
-
-def fine_reference_solve(mesh, k, f=None):
-    """Galerkin solution of -div(k grad u) = f with zero Dirichlet data."""
-    return fine_reference_solver(mesh, k, f)()
 
 
 def energy_norm(mesh, k, v):

@@ -24,13 +24,13 @@ J, the product its bubble series forms anyway (basis.iterative_bases).
 Only a collocated basis, whose interpolated Green's inverse is not M0^-1,
 pays for one product of M.  This only reorders the sum a(phi_i, phi_j) of
 the MsFEM coarse matrix (Hou & Wu, J. Comput. Phys. 134, 1997).
-H^T A_K H, H^T W and W_I are fixed linear maps of a cell's coefficient and
-source values, built once per mesh: the first by fem.LocalAssembler, the
-others by coarse_maps, which also keeps the loads of the default source
-f = 1.  coarse_solutions sums the local matrices by np.bincount straight
-into the band storage of each coarse system, solves it in band storage
-as well, which keeps its results independent of the BLAS thread count,
-and downscales the coefficients through the same bases.
+The source is f = 1 throughout.  H^T A_K H is a fixed linear map of a
+cell's coefficient values, built once per mesh by fem.LocalAssembler, and
+coarse_maps keeps each cell's loads H^T W f and W_I f.  coarse_solutions
+sums the local matrices by np.bincount straight into the band storage of
+each coarse system, solves it in band storage as well, which keeps its
+results independent of the BLAS thread count, and downscales the
+coefficients through the same bases.
 
 A sample's bases are built in one place, _bases, keyed "h", ("J", J) and
 ("col", J); sample_errors measures them at the solution level and
@@ -51,14 +51,14 @@ from . import fem
 class CoarseMaps:
     """Fixed maps and index arrays of the coarse stage of one mesh.
 
-    hat_load (4, r^2) and the sparse interior_load (nK, r^2) take a cell's
-    source values to H^T W f and W_I f.  fine, nodes and vertices hold the
+    unit_loads holds every cell's loads H^T W f (cells, 4) and W_I f
+    (cells, nK) of the source f = 1.  fine, nodes and vertices hold the
     fine cells, fine nodes and coarse vertices of every cell.  The free
     vertices run row-major over rows of nx_coarse - 1, so the coarse matrix
     has half-bandwidth nx_coarse; band_index holds the flat position in
     (nx_coarse + 1, n_free) lower band storage of each entry that band_keep
     selects from a (cells, 4, 4) stack, and load_index that of each load
-    entry that load_keep selects.  unit_loads holds the loads of f = 1.
+    entry that load_keep selects.
     """
 
     def __init__(self, mesh):
@@ -73,9 +73,12 @@ class CoarseMaps:
             (np.full(conn.size, mesh.hx * mesh.hy / 4.0),
              (conn.ravel(), np.repeat(np.arange(n_el), 4))),
             shape=(asm.n_loc, n_el))
-        self.hat_load = (load.T @ asm.hats).T
-        self.interior_load = load[asm.interior_idx]
-        self.unit_loads = self.loads(np.ones(self.fine.shape))
+        # summed by einsum, not by a BLAS GEMM, which OpenBLAS splits over
+        # its threads on large meshes, so that the sums depend on their count
+        ones = np.ones(self.fine.shape)
+        self.unit_loads = (
+            np.einsum("ce,qe->cq", ones, (load.T @ asm.hats).T),
+            (load[asm.interior_idx] @ ones.T).T)
 
         self.free = mesh.interior_coarse_vertices()
         n = self.n_free = len(self.free)
@@ -88,14 +91,6 @@ class CoarseMaps:
         self.band_index = ((row - col) * n + col)[self.band_keep]
         self.load_keep = p >= 0
         self.load_index = p[self.load_keep]
-
-    def loads(self, f):
-        """(H^T W f (cells, 4), W_I f (cells, nK)) of (cells, r^2) sources."""
-        # summed by einsum, not by a BLAS GEMM, which OpenBLAS splits over
-        # its threads on large meshes, so that the sums would depend on
-        # their count
-        return (np.einsum("ce,qe->cq", f, self.hat_load),
-                (self.interior_load @ f.T).T)
 
     def bands(self, local_A):
         """Lower band storage of the free-vertex part of sum_K local_A."""
@@ -115,20 +110,19 @@ def coarse_maps(mesh):
     return CoarseMaps(mesh)
 
 
-def local_coarse_systems(ops, k, bases, f=None):
+def local_coarse_systems(ops, k, bases):
     """{key: (local A (cells, 4, 4), local F (cells, 4))} of bases H + E c.
 
-    ops is the LocalOperators stack of every cell of the mesh, k and f the
-    fine-cell coefficient and source (f = 1 by default), and bases maps
-    each key to a (cells, nK, 4) correction c and its Galerkin residual
-    r = M c + v, or None where r = 0 (c = -M^-1 v, the standard basis).
+    ops is the LocalOperators stack of every cell of the mesh, k the
+    fine-cell coefficient, and bases maps each key to a (cells, nK, 4)
+    correction c and its Galerkin residual r = M c + v, or None where
+    r = 0 (c = -M^-1 v, the standard basis).
     """
     maps = coarse_maps(ops.assembler.mesh)
     shape = ops.v0.shape
     k = np.asarray(k, float)[maps.fine]
-    hat_F, interior_F = maps.unit_loads if f is None else \
-        maps.loads(np.asarray(f, float)[maps.fine])
-    # summed by einsum, not by a BLAS GEMM, as in CoarseMaps.loads
+    hat_F, interior_F = maps.unit_loads
+    # summed by einsum, not by a BLAS GEMM, as CoarseMaps' loads
     hat_A = np.einsum("ce,qe->cq", k,
                       ops.assembler.hat_stiffness).reshape(-1, 4, 4)
     vt = np.swapaxes(ops.v0 + ops.v1, 1, 2)
@@ -145,7 +139,7 @@ def local_coarse_systems(ops, k, bases, f=None):
     return out
 
 
-def coarse_solutions(ops, k, bases, f=None):
+def coarse_solutions(ops, k, bases):
     """{key: fine-grid MsFEM solution} of the bases of local_coarse_systems.
 
     Every key's local matrices and loads are summed over the cells into its
@@ -154,7 +148,7 @@ def coarse_solutions(ops, k, bases, f=None):
     """
     maps = coarse_maps(ops.assembler.mesh)
     systems = {key: (maps.bands(A), maps.load(F)) for key, (A, F)
-               in local_coarse_systems(ops, k, bases, f).items()}
+               in local_coarse_systems(ops, k, bases).items()}
     out = {}
     for key, (bands, F) in systems.items():
         coeffs = np.zeros(ops.assembler.mesh.n_coarse_vertices)
@@ -195,8 +189,8 @@ class SampleErrors:
     u_energy: float = None
 
 
-def sample_errors(mesh, splitting, J_list, f=None, green=None,
-                  reference=False, pool=None):
+def sample_errors(mesh, splitting, J_list, green=None, reference=False,
+                  pool=None):
     """SampleErrors of the standard, iterative and collocated MsFEM.
 
     green is an (n_cells, nK, nK) stand-in for M0^-1, such as an
@@ -216,13 +210,10 @@ def sample_errors(mesh, splitting, J_list, f=None, green=None,
     stage reaches the caller.
     """
     mesh.check_fine_grid(splitting.mesh, "splitting")
-    if f is not None and np.shape(f) != (mesh.n_fine_cells,):
-        raise ValueError(f"f has shape {np.shape(f)}, expected "
-                         f"({mesh.n_fine_cells},): one value per fine cell")
     basis_mod.check_J_list(J_list)
     if reference and pool is None:
         with ThreadPoolExecutor(1) as pool:
-            return sample_errors(mesh, splitting, J_list, f, green,
+            return sample_errors(mesh, splitting, J_list, green,
                                  reference, pool)
     banded, standard = fem.is_banded(mesh.n_interior), None
     if reference and not banded:
@@ -231,15 +222,15 @@ def sample_errors(mesh, splitting, J_list, f=None, green=None,
         # glibc's mmap threshold while the first sample still allocated,
         # whose temporaries then grew the heap: peak RSS rose 0.4-1.8 MiB
         # in 4 of 5 runs of 300 driver calls
-        solve = fem.fine_reference_solver(mesh, splitting.k, f)
+        solve = fem.fine_reference_solver(mesh, splitting.k)
         fine = pool.submit(solve)
     ops = fem.assemble_local_operators(
         mesh, np.arange(mesh.n_coarse_cells), splitting)
     if reference and banded:
         standard = pool.submit(basis_mod.standard_bases, ops).result
-        fine = pool.submit(fem.fine_reference_solver(mesh, splitting.k, f))
+        fine = pool.submit(fem.fine_reference_solver(mesh, splitting.k))
     u = coarse_solutions(ops, splitting.k,
-                         _bases(ops, J_list, green, standard), f)
+                         _bases(ops, J_list, green, standard))
     norm = partial(fem.energy_norm, mesh, splitting.k)
     u_h, u_J = u["h"], {J: u["J", J] for J in J_list}
     out = SampleErrors(u_h, norm(u_h), u_J,

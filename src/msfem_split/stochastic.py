@@ -185,6 +185,8 @@ def _active_level_sets(m, L):
 
 def smolyak_node_count(m, L):
     """Exact number of distinct nested CC Smolyak nodes."""
+    if m < 0 or L < 0:
+        raise ValueError(f"need m >= 0 and L >= 0, not m={m}, L={L}")
     # an active axis at level l adds 2 points at l = 1 and 2^(l-1) above
     return sum(prod(2 ** max(1, lev - 1) for lev in levels)
                for _, levels in _active_level_sets(m, L))
@@ -196,8 +198,8 @@ def build_sparse_grid(m, L):
 
 def cost_ratios(n, m, q, L):
     """Collocation-point ratios of reduced vs full parameter dimension."""
-    if m > n:
-        raise ValueError("need m <= n")
+    if m > n or q < 0:
+        raise ValueError(f"need m <= n and q >= 0, not n={n}, m={m}, q={q}")
     alpha_ftc = float(q + 1) ** (m - n)
     alpha_sgc = smolyak_node_count(m, L) / smolyak_node_count(n, L)
     return alpha_ftc, alpha_sgc
@@ -256,7 +258,6 @@ class GreenStore:
     mesh: object
     model: object
     grid: SparseGrid
-    m: int
     matrices: np.ndarray  # (n_nodes, n_cells, n_K(n_K+1)/2)
     # the largest scaled residual of the build's check, <= MAX_GREEN_RESIDUAL
     residual: float
@@ -354,7 +355,7 @@ def precompute_green_inverses(mesh, model, grid, m):
                        [pool.submit(invert_block, *b) for b in bounds])
     finally:
         pool.shutdown(cancel_futures=True)
-    return GreenStore(mesh=mesh, model=model, grid=grid, m=m, matrices=out,
+    return GreenStore(mesh=mesh, model=model, grid=grid, matrices=out,
                       residual=residual)
 
 
@@ -552,7 +553,7 @@ def collocation_run(config, N, store, J=None):
     The N interpolated inverses come from one contraction of the store,
     whose bits do not depend on N or on the worker or BLAS thread count.
     """
-    if store.m != config.m or store.mesh is not config.mesh or \
+    if store.grid.m != config.m or store.mesh is not config.mesh or \
             store.model is not config.model:
         raise ValueError("store was not built for this config's m, mesh "
                          "and model")
@@ -560,7 +561,7 @@ def collocation_run(config, N, store, J=None):
     if J < 0:
         raise ValueError(f"J must be >= 0, not {J}")
     thetas = _draw_thetas(config, N)
-    greens = _interpolated_green(store, thetas[:, :store.m])
+    greens = _interpolated_green(store, thetas[:, :store.grid.m])
 
     def step(s, split):
         # with negative Smolyak weights an interpolant of SPD inverses can

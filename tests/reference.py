@@ -21,8 +21,10 @@ element stencils, in the element order of the library's cached sparse map,
 so the two agree bit for bit.  band_solve solves a band system by scipy's
 cholesky_banded and cho_solve_banded, the f2py wrappers of the dpbtrf and
 dpbtrs that the library calls through ctypes, and fine_solve forms the fine
-reference solution from it and that band, so both agree with the library
-bit for bit as well.
+reference solution of the source f = 1 from it and that band, so both
+agree with the library bit for bit as well.  band_to_dense expands lower
+band storage, such as the coarse system's, to dense matrices, and
+cell_inverses expands fem.packed_inverses to whole cells-last matrices.
 local_coarse_system forms the coarse Galerkin matrices element by element
 from lifted bases, where the library assembles them from the local
 operators, and assemble_coarse_system scatter-adds them into a dense
@@ -257,13 +259,33 @@ def band_solve(bands, rhs):
                                  True), rhs)
 
 
-def fine_solve(mesh, k, f):
-    """Fine Galerkin solution from band_solve of fine_stiffness_band."""
+def fine_solve(mesh, k):
+    """Fine Galerkin solution of f = 1 from band_solve of
+    fine_stiffness_band."""
     free = ~mesh.boundary_node_mask()
     u = np.zeros(mesh.n_fine_nodes)
     u[free] = band_solve(fine_stiffness_band(mesh, k),
-                         fem.fine_load(mesh, f)[free])
+                         fem.fine_load(mesh)[free])
     return u
+
+
+def band_to_dense(bands):
+    """(..., n, n) symmetric matrices of lower band storage (..., w, n),
+    bands[..., d, j] = A[j+d, j]; the entries past each diagonal's end are
+    not read."""
+    w, n = bands.shape[-2:]
+    dense = np.zeros(bands.shape[:-2] + (n, n))
+    for d in range(min(w, n)):
+        j = np.arange(n - d)
+        dense[..., j + d, j] = dense[..., j, j + d] = bands[..., d, :n - d]
+    return dense
+
+
+def cell_inverses(bands):
+    """(n, n, cells) inverses of a (cells, w, n) SPD local stencil stack:
+    fem.packed_inverses expanded to whole matrices, with the cells last."""
+    return np.take(fem.packed_inverses(bands),
+                   fem.packed_index(bands.shape[-1]), axis=0)
 
 
 def lift_cells(asm, interior):
@@ -389,14 +411,14 @@ def build_iterative_registries(mesh, splitting, J_list, green=None):
             for J, (c, _) in basis.iterative_bases(ops, J_list, green).items()}
 
 
-def local_coarse_system(mesh, bases, k, f=None):
+def local_coarse_system(mesh, bases, k):
     """(local A (cells, 4, 4), local F (cells, 4)) of lifted bases.
 
     A_ij = sum over the cell's fine elements of (k grad phi_i, grad phi_j),
-    F_i = (f, phi_i) by the nodal quadrature of the fine load.
+    F_i = (1, phi_i) by the nodal quadrature of the fine load.
     """
     k = np.asarray(k, float)
-    f = np.ones(mesh.n_fine_cells) if f is None else np.asarray(f, float)
+    f = np.ones(mesh.n_fine_cells)
     cells = np.arange(mesh.n_coarse_cells)
     fine = mesh.cell_fine_cells(cells)
     # element-wise quadratic form: (cells, elements, element node, vertex)
@@ -421,9 +443,9 @@ def scatter_coarse_system(mesh, local_A, local_F):
     return A, F
 
 
-def assemble_coarse_system(mesh, bases, k, f=None):
+def assemble_coarse_system(mesh, bases, k):
     """Dense Galerkin (A, F) of lifted bases over all coarse vertices."""
-    return scatter_coarse_system(mesh, *local_coarse_system(mesh, bases, k, f))
+    return scatter_coarse_system(mesh, *local_coarse_system(mesh, bases, k))
 
 
 def stencil_offsets(n):

@@ -105,6 +105,27 @@ def test_cost_ratios_run(tmp_path):
     assert "result: PASS" in (out / "summary.txt").read_text()
 
 
+def test_cost_ratios_negative_inputs_fail_with_an_error(tmp_path, capsys):
+    # refused by the library: an error line and exit 1, no traceback
+    for i, text in enumerate((
+            COST_CFG.replace("q = 2", "q = -1"),
+            COST_CFG.replace("m = 10", "m = -1").replace("L = 2", "L = -1"))):
+        out = tmp_path / f"res{i}"
+        assert main(["run", _write(tmp_path, text), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: need ")
+        assert not (out / "cost_ratios.csv").exists()
+
+
+def test_unknown_field_rejected(tmp_path):
+    # any field but kle ran the lognormal splitting under its name
+    path = _write(tmp_path, BASIS_CFG.replace("lognormal", "gaussian"))
+    with pytest.raises(ConfigError, match="unknown field 'gaussian'"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_basis_bound_run_and_determinism(tmp_path):
     # each config run twice, in child processes with 1 and 2 BLAS threads
     for cfg, name in ((SOLUTION_CFG, "sol.cfg"), (BASIS_CFG, "exp.cfg")):

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from msfem_split import build_mesh, fine_reference_solve
+from msfem_split import build_mesh
 from msfem_split import fem
 from msfem_split.field import make_splitting
 import reference
@@ -33,17 +33,18 @@ def test_element_stiffness_unit_square():
 
 
 def test_default_source_load_is_the_unit_load():
-    # f = None reads the mesh's cached unit load, bit for bit f = 1, and
-    # the solve, which writes into its load, leaves the cache as it was
+    # the solve reads the mesh's cached unit load, bit for bit the load of
+    # f = 1, and, as it writes into its load, leaves the cache as it was
     mesh = build_mesh(3, 2, 4)
     k = np.exp(np.random.default_rng(3).uniform(-1, 1, mesh.n_fine_cells))
-    ones = np.ones(mesh.n_fine_cells)
-    ref = fem.fine_reference_solver(mesh, k, ones)()
+    free = fem.fine_band(mesh).free
+    load = fem.fine_load(mesh)[free]
+    ref = np.zeros(mesh.n_fine_nodes)
+    ref[free] = fem._band_solve(
+        fem._band_factor(fem.fine_stiffness_band(mesh, k)), load.copy())
     for _ in range(2):
         assert np.array_equal(fem.fine_reference_solver(mesh, k)(), ref)
-    free = fem.fine_band(mesh).free
-    assert np.array_equal(fem.fine_band(mesh).unit_load,
-                          fem.fine_load(mesh, ones)[free])
+    assert np.array_equal(fem.fine_band(mesh).unit_load, load)
 
 
 def test_m0_single_interior_node():
@@ -127,18 +128,11 @@ def test_band_cholesky_rejects_indefinite():
         fem.band_cholesky(np.array([[1.0, -1.0]]))
 
 
-def test_reference_solve_zero_source():
-    mesh = build_mesh(4, 4, 2)
-    u = fine_reference_solve(mesh, np.ones(mesh.n_fine_cells),
-                             np.zeros(mesh.n_fine_cells))
-    assert np.allclose(u, 0.0)
-
-
 def test_reference_solve_poisson_max():
     # analytic double-sine series for -lap u = 1 on the unit square gives
     # max u = 0.0736713...
     mesh = build_mesh(8, 8, 8)
-    u = fine_reference_solve(mesh, np.ones(mesh.n_fine_cells))
+    u = fem.fine_reference_solver(mesh, np.ones(mesh.n_fine_cells))()
     assert abs(u.max() - 0.07367) < 1e-3
 
 
@@ -146,10 +140,9 @@ def test_reference_solve_energy_identity():
     mesh = build_mesh(4, 4, 4)
     rng = np.random.default_rng(5)
     k = np.exp(rng.uniform(-1, 1, mesh.n_fine_cells))
-    f = rng.uniform(0.5, 1.5, mesh.n_fine_cells)
-    u = fine_reference_solve(mesh, k, f)
+    u = fem.fine_reference_solver(mesh, k)()
     energy_sq = fem.energy_norm(mesh, k, u) ** 2
-    work = fem.fine_load(mesh, f) @ u
+    work = fem.fine_load(mesh) @ u
     assert abs(energy_sq - work) <= 1e-8 * abs(work)
 
 
@@ -158,7 +151,7 @@ def test_reference_solve_rejects_bad_k():
     k = np.ones(mesh.n_fine_cells)
     k[3] = 0.0
     with pytest.raises(ValueError):
-        fine_reference_solve(mesh, k)
+        fem.fine_reference_solver(mesh, k)()
 
 
 def test_reference_solve_refinement_sanity():
@@ -168,11 +161,11 @@ def test_reference_solve_refinement_sanity():
     def err(r):
         mesh = build_mesh(8, 8, r)
         k = np.repeat(np.repeat(k_coarse.reshape(8, 8), r, 0), r, 1).ravel()
-        u = fine_reference_solve(mesh, k)
+        u = fem.fine_reference_solver(mesh, k)()
         fine = build_mesh(8, 8, 2 * r)
         kf = np.repeat(np.repeat(k_coarse.reshape(8, 8), 2 * r, 0),
                        2 * r, 1).ravel()
-        uf = fine_reference_solve(fine, kf)
+        uf = fem.fine_reference_solver(fine, kf)()
         # compare on the shared coarse-node lattice
         ug = u.reshape(8 * r + 1, 8 * r + 1)[::r, ::r]
         ugf = uf.reshape(16 * r + 1, 16 * r + 1)[::2 * r, ::2 * r]
@@ -224,12 +217,11 @@ def test_reference_solve_matches_sparse_solve(nx, ny, r):
     mesh = build_mesh(nx, ny, r)
     rng = np.random.default_rng(nx * 100 + ny * 10 + r)
     k = np.exp(rng.uniform(-2, 2, mesh.n_fine_cells))
-    f = rng.uniform(-1, 1, mesh.n_fine_cells)
     free = ~mesh.boundary_node_mask()
     A = fine_stiffness(mesh, k)[free][:, free].tocsc()
     ref = np.zeros(mesh.n_fine_nodes)
-    ref[free] = spla.spsolve(A, fem.fine_load(mesh, f)[free])
-    u = fine_reference_solve(mesh, k, f)
+    ref[free] = spla.spsolve(A, fem.fine_load(mesh)[free])
+    u = fem.fine_reference_solver(mesh, k)()
     assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.all(u[~free] == 0.0)
 
@@ -257,11 +249,10 @@ def test_fine_band_map_matches_bincount_oracle(nx, ny, r):
     mesh = build_mesh(nx, ny, r)
     rng = np.random.default_rng(nx * 100 + ny * 10 + r)
     k = np.exp(rng.uniform(-2, 2, mesh.n_fine_cells))
-    f = rng.uniform(-1, 1, mesh.n_fine_cells)
     oracle = reference.fine_stiffness_band(mesh, k)
     assert np.array_equal(fem.fine_stiffness_band(mesh, k), oracle)
-    assert np.array_equal(fine_reference_solve(mesh, k, f),
-                          reference.fine_solve(mesh, k, f))
+    assert np.array_equal(fem.fine_reference_solver(mesh, k)(),
+                          reference.fine_solve(mesh, k))
 
 
 def test_fine_stiffness_band_is_fortran_view():
@@ -278,15 +269,14 @@ def test_in_place_factor_writes_only_its_own_band():
     mesh = build_mesh(2, 3, 4)
     rng = np.random.default_rng(13)
     k = np.exp(rng.uniform(-1, 1, mesh.n_fine_cells))
-    f = rng.uniform(-1, 1, mesh.n_fine_cells)
-    k_in, f_in = k.copy(), f.copy()
+    k_in = k.copy()
     assert np.array_equal(fem.fine_stiffness_band(mesh, k),
                           fem.fine_stiffness_band(mesh, k))
-    u = fine_reference_solve(mesh, k, f)
-    assert np.array_equal(fine_reference_solve(mesh, k, f), u)
+    u = fem.fine_reference_solver(mesh, k)()
+    assert np.array_equal(fem.fine_reference_solver(mesh, k)(), u)
     assert np.array_equal(fem.fine_stiffness_band(mesh, k),
                           reference.fine_stiffness_band(mesh, k))
-    assert np.array_equal(k, k_in) and np.array_equal(f, f_in)
+    assert np.array_equal(k, k_in)
 
 
 def test_fine_reference_solve_allocates_one_band():
@@ -294,11 +284,11 @@ def test_fine_reference_solve_allocates_one_band():
     # within a quarter band of the band itself
     mesh = build_mesh(4, 4, 30)
     k = np.exp(np.random.default_rng(3).uniform(-1, 1, mesh.n_fine_cells))
-    fine_reference_solve(mesh, k)  # builds the per-mesh map
+    fem.fine_reference_solver(mesh, k)()  # builds the per-mesh map
     band_bytes = fem.fine_stiffness_band(mesh, k).nbytes
     tracemalloc.start()
     try:
-        fine_reference_solve(mesh, k)
+        fem.fine_reference_solver(mesh, k)()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,7 +366,7 @@ def test_band_factors_on_threads_match_serial():
     mesh = build_mesh(2, 2, 12)
     rng = np.random.default_rng(4)
     ks = [np.exp(rng.uniform(-1, 1, mesh.n_fine_cells)) for _ in range(6)]
-    serial = [fine_reference_solve(mesh, k) for k in ks]
+    serial = [fem.fine_reference_solver(mesh, k)() for k in ks]
     with ThreadPoolExecutor(3) as pool:
         for _ in range(5):
             futures = [pool.submit(fem.fine_reference_solver(mesh, k))
@@ -412,7 +402,7 @@ def test_cell_inverses_match_inv(r):
     M0, M1 = _local_bands(r, 3, r)
     for bands in (M0, M0 + M1):
         before = bands.copy()
-        inv = fem.cell_inverses(bands)
+        inv = reference.cell_inverses(bands)
         assert np.array_equal(bands, before)  # the bands are never written
         assert inv.shape == ((r - 1) ** 2, (r - 1) ** 2, 3)
         ref = np.linalg.inv(fem.stencil_to_dense(bands))
@@ -436,7 +426,7 @@ def test_cell_inverses_and_bands_fill_given_buffers(r):
         assert _same_bits(bands, asm.interior_bands(k))
         assert fem.packed_inverses(bands, out=out) is out
         assert _same_bits(out, fem.packed_inverses(bands))
-        full = fem.cell_inverses(bands)
+        full = reference.cell_inverses(bands)
         assert _same_bits(reference.packed(full), out)
         assert _same_bits(full, full.transpose(1, 0, 2))
 
@@ -507,7 +497,7 @@ def test_cell_inverses_reject_non_spd(r):
     before = M0.copy()
     with pytest.raises(np.linalg.LinAlgError,
                        match="matrix is not SPD: pivot 0 .* in cell 2"):
-        fem.cell_inverses(M0)
+        reference.cell_inverses(M0)
     assert np.array_equal(M0, before)
 
 
@@ -524,13 +514,13 @@ def test_cell_solvers_match_separate_calls_bit_for_bit(r):
         if fem.is_banded(M0.shape[-1]):
             ref = fem.cell_solvers(stacks)[0](rhs)
         else:
-            inv = fem.cell_inverses(sum(stacks[1:], stacks[0]))
+            inv = reference.cell_inverses(sum(stacks[1:], stacks[0]))
             ref = np.ascontiguousarray(np.moveaxis(inv, -1, 0)) @ rhs
         assert np.array_equal(solve(rhs), ref)
     if not fem.is_banded(M0.shape[-1]):
-        both = fem.cell_inverses(np.concatenate([M0, M0 + M1]))
-        assert np.array_equal(both[..., :3], fem.cell_inverses(M0))
-        assert np.array_equal(both[..., 3:], fem.cell_inverses(M0 + M1))
+        both = reference.cell_inverses(np.concatenate([M0, M0 + M1]))
+        assert np.array_equal(both[..., :3], reference.cell_inverses(M0))
+        assert np.array_equal(both[..., 3:], reference.cell_inverses(M0 + M1))
 
 
 def test_stacked_cell_solvers_name_the_failing_cell():
@@ -552,8 +542,8 @@ def test_band_to_dense_matches_loop():
                 for j in range(n - d):
                     ref[c, j + d, j] = ref[c, j, j + d] = bands[c, d, j]
         before = bands.copy()
-        assert np.array_equal(fem.band_to_dense(bands), ref)
-        assert np.array_equal(fem.band_to_dense(bands[1]), ref[1])
+        assert np.array_equal(reference.band_to_dense(bands), ref)
+        assert np.array_equal(reference.band_to_dense(bands[1]), ref[1])
         assert np.array_equal(bands, before)
 
 
@@ -660,7 +650,7 @@ def test_interior_bands_are_rows_of_lower_band_storage(r):
     assert bands.tobytes() == lower[:, offsets].tobytes()
     assert not np.delete(lower, offsets, axis=1).any()
     assert np.array_equal(fem.stencil_to_dense(bands),
-                          fem.band_to_dense(lower))
+                          reference.band_to_dense(lower))
 
 
 def test_stencil_stacks_of_the_wrong_width_are_refused():
@@ -670,7 +660,8 @@ def test_stencil_stacks_of_the_wrong_width_are_refused():
     M0, _ = _local_bands(7, 2, 0)
     M0_r4, _ = _local_bands(4, 2, 0)
     for bad in (np.zeros((2, 8, 36)), M0[:, :4], M0_r4[:, :4]):
-        for use in (fem.stencil_to_dense, fem.cell_matmul, fem.cell_inverses,
+        for use in (fem.stencil_to_dense, fem.cell_matmul,
+                    reference.cell_inverses,
                     lambda bands: fem.cell_solvers((bands,))):
             with pytest.raises(ValueError, match="stencil rows"):
                 use(bad)

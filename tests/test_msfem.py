@@ -9,18 +9,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from msfem_split import (build_kle_model, build_mesh, build_sparse_grid,
-                         fine_reference_solve, precompute_green_inverses,
-                         sample_theta)
+                         precompute_green_inverses, sample_theta)
 from msfem_split import basis as basis_mod
 from msfem_split import fem
 from msfem_split import msfem
 from msfem_split import stochastic as st
 from msfem_split.field import make_splitting, split_kle
 from msfem_split.msfem import coarse_solutions, solution_error_bound
-from reference import (assemble_coarse_system, build_basis_registry,
-                       build_iterative_registries, bubble_sequence,
-                       child_output, fine_stiffness, iterative_basis_sequence,
-                       lift_cells, local_coarse_system, lower_bands,
+from reference import (assemble_coarse_system, band_to_dense,
+                       build_basis_registry, build_iterative_registries,
+                       bubble_sequence, child_output, fine_stiffness,
+                       iterative_basis_sequence, lift_cells,
+                       local_coarse_system, lower_bands,
                        scatter_coarse_system, standard_basis,
                        stencil_offsets)
 
@@ -54,10 +54,10 @@ def _system(mesh, split):
     return maps.bands(A), maps.load(F)
 
 
-def _solution(mesh, split, J=None, f=None):
+def _solution(mesh, split, J=None):
     """coarse_solutions of the standard basis, or of the iterative at J."""
     ops, bases = _one_basis(mesh, split, J)
-    return coarse_solutions(ops, split.k, bases, f)["c"]
+    return coarse_solutions(ops, split.k, bases)["c"]
 
 
 def _downscale(mesh, bases, coeffs):
@@ -69,9 +69,9 @@ def _downscale(mesh, bases, coeffs):
     return u
 
 
-def _dense_solution(mesh, bases, k, f=None):
+def _dense_solution(mesh, bases, k):
     """MsFEM solution of lifted bases by the oracle's dense system."""
-    A, F = assemble_coarse_system(mesh, bases, k, f)
+    A, F = assemble_coarse_system(mesh, bases, k)
     free = mesh.interior_coarse_vertices()
     coeffs = np.zeros(mesh.n_coarse_vertices)
     if free.size:
@@ -87,7 +87,7 @@ def test_constant_k_reduces_to_coarse_q1():
     coarse = build_mesh(2, 2, 2)  # same 4x4 lattice viewed as fine cells
     A_q1 = fine_stiffness(coarse, np.full(16, 2.0)).toarray()
     free = mesh.interior_coarse_vertices()
-    assert np.abs(fem.band_to_dense(bands)
+    assert np.abs(band_to_dense(bands)
                   - A_q1[np.ix_(free, free)]).max() <= 1e-12
 
 
@@ -110,21 +110,13 @@ def test_single_cell_mesh_solution_is_zero():
     assert np.allclose(_solution(mesh, split), 0.0)
 
 
-def test_zero_source_zero_solution():
-    mesh = build_mesh(3, 3, 3)
-    rng = np.random.default_rng(14)
-    split = _random_splitting(mesh, rng)
-    u = _solution(mesh, split, f=np.zeros(mesh.n_fine_cells))
-    assert np.allclose(u, 0.0)
-
-
 def test_constant_k_solution_is_bilinear_prolongation():
     mesh = build_mesh(4, 4, 4)
     k = np.ones(mesh.n_fine_cells)
     split = make_splitting(mesh, k, np.zeros_like(k))
     u = _solution(mesh, split)
     # coarse Q1 solve with consistent coarse load of f = 1
-    uc = fine_reference_solve(build_mesh(2, 2, 2), np.ones(16))
+    uc = fem.fine_reference_solver(build_mesh(2, 2, 2), np.ones(16))()
     grid = u.reshape(mesh.nyf + 1, mesh.nxf + 1)
     cgrid = uc.reshape(5, 5)
     assert np.allclose(grid[::4, ::4], cgrid, atol=1e-12)
@@ -158,12 +150,12 @@ def test_galerkin_optimality_spot_check():
     split = _random_splitting(mesh, rng)
     bases = build_basis_registry(mesh, split, "standard")
     bands, F = _system(mesh, split)
-    u_ref = fine_reference_solve(mesh, split.k)
+    u_ref = fem.fine_reference_solver(mesh, split.k)()
     u_h = _solution(mesh, split)
     best = fem.energy_norm(mesh, split.k, u_ref - u_h)
     free = mesh.interior_coarse_vertices()
     coeffs = np.zeros(mesh.n_coarse_vertices)
-    coeffs[free] = np.linalg.solve(fem.band_to_dense(bands), F)
+    coeffs[free] = np.linalg.solve(band_to_dense(bands), F)
     for _ in range(5):
         pert = coeffs.copy()
         pert[free] += 0.05 * rng.standard_normal(free.size)
@@ -177,15 +169,14 @@ def test_galerkin_optimality_spot_check():
 
 
 def _kle_case(nx, ny, r):
-    """KLE splitting, non-constant source and interpolated Green's inverse."""
+    """KLE splitting and interpolated Green's inverse."""
     mesh = build_mesh(nx, ny, r)
     model = build_kle_model(mesh, 1.0, 0.3, 0.2, 4)
     theta = sample_theta(r, 0, model.n)
     split = split_kle(model, theta, 2)
     store = precompute_green_inverses(mesh, model, build_sparse_grid(2, 1), 2)
     green = st._interpolated_green(store, theta[:2] * 0.9)
-    f = np.random.default_rng(r).uniform(0.5, 2.0, mesh.n_fine_cells)
-    return mesh, split, green, f
+    return mesh, split, green
 
 
 @pytest.mark.parametrize("nx,ny,r", [(3, 2, 2), (2, 3, 3), (3, 2, 4),
@@ -194,18 +185,18 @@ def test_local_coarse_systems_match_element_oracle(nx, ny, r):
     # Phi^T A_K Phi = H^T A_K H + v^T c + c^T r against the
     # element-by-element quadratic form of the lifted bases; r = 7 runs
     # the banded regime (nK = 36 > BATCHED_MAX_N)
-    mesh, split, green, f = _kle_case(nx, ny, r)
+    mesh, split, green = _kle_case(nx, ny, r)
     ops = _all_cells(mesh, split)
     bases = {("h", 0): (basis_mod.standard_bases(ops), None)}
     for J, cr in basis_mod.iterative_bases(ops, range(5)).items():
         bases[("J", J)] = cr
     for J, cr in basis_mod.iterative_bases(ops, [0, 2], green).items():
         bases[("col", J)] = cr
-    local = msfem.local_coarse_systems(ops, split.k, bases, f)
+    local = msfem.local_coarse_systems(ops, split.k, bases)
     assert local.keys() == bases.keys()
     for key, (c, _) in bases.items():
         ref_A, ref_F = local_coarse_system(
-            mesh, lift_cells(ops.assembler, c), split.k, f)
+            mesh, lift_cells(ops.assembler, c), split.k)
         A, F = local[key]
         assert np.abs(A - ref_A).max() <= 1e-13 * np.abs(ref_A).max(), key
         assert np.abs(F - ref_F).max() <= 1e-13 * np.abs(ref_F).max(), key
@@ -217,14 +208,14 @@ def test_coarse_matrices_from_residuals_match_explicit_form(r):
     # series' M1 xi_J for the iterative ones and an explicit M c + v for
     # the collocated ones, against H^T A_K H + c^T v + v^T c + c^T M c
     # with M expanded to dense; r >= 5 runs the banded regime
-    mesh, split, green, f = _kle_case(3, 2, r)
+    mesh, split, green = _kle_case(3, 2, r)
     ops = _all_cells(mesh, split)
     assert fem.is_banded(ops.assembler.n_interior) == (r >= 5)
     bases = {"h": (basis_mod.standard_bases(ops), None)}
     for kind, G in (("J", None), ("col", green)):
         for J, cr in basis_mod.iterative_bases(ops, range(5), G).items():
             bases[kind, J] = cr
-    local = msfem.local_coarse_systems(ops, split.k, bases, f)
+    local = msfem.local_coarse_systems(ops, split.k, bases)
     m = fem.stencil_to_dense(ops.M0 + ops.M1)
     v = ops.v0 + ops.v1
     hat_A = np.einsum("ce,qe->cq", split.k[mesh.cell_fine_cells(ops.cell)],
@@ -234,19 +225,6 @@ def test_coarse_matrices_from_residuals_match_explicit_form(r):
         ref = hat_A + ct @ v + np.swapaxes(ct @ v, 1, 2) + ct @ m @ c
         A = local[key][0]
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max(), key
-
-
-def test_default_source_loads_are_the_unit_loads():
-    # f = None reads the mesh's cached loads, bit for bit those of f = 1
-    mesh, split, _, _ = _kle_case(3, 2, 4)
-    ops = _all_cells(mesh, split)
-    bases = basis_mod.iterative_bases(ops, [0, 2])
-    ones = np.ones(mesh.n_fine_cells)
-    ref = msfem.local_coarse_systems(ops, split.k, bases, ones)
-    for key, (A, F) in msfem.local_coarse_systems(
-            ops, split.k, bases).items():
-        assert np.array_equal(A, ref[key][0])
-        assert np.array_equal(F, ref[key][1])
 
 
 @pytest.mark.parametrize("nx,ny,r", [(3, 2, 3), (2, 4, 7)])
@@ -300,12 +278,11 @@ def test_sample_errors_norms_and_reference(mode):
     mesh = build_mesh(3, 2, 4)
     rng = np.random.default_rng(5)
     split = _random_splitting(mesh, rng)
-    f = rng.uniform(0.5, 1.5, mesh.n_fine_cells)
     ops = _all_cells(mesh, split)
     green = np.linalg.inv(fem.stencil_to_dense(ops.M0)) if mode == "green" \
         else None
     J_list = [0, 2]
-    rec = msfem.sample_errors(mesh, split, J_list, f, green=green,
+    rec = msfem.sample_errors(mesh, split, J_list, green=green,
                               reference=mode == "reference")
 
     def norm(v):
@@ -323,24 +300,11 @@ def test_sample_errors_norms_and_reference(mode):
     else:
         assert rec.u_col is None and rec.col is None
     if mode == "reference":
-        u = fine_reference_solve(mesh, split.k, f)
+        u = fem.fine_reference_solver(mesh, split.k)()
         assert np.array_equal(rec.u, u)
         assert np.array_equal(rec.u_energy, norm(u))
     else:
         assert rec.u is None and rec.u_energy is None
-
-
-@pytest.mark.parametrize("reference", [False, True])
-def test_sample_errors_refuses_wrong_length_f(reference):
-    # refused before either stage, so neither the coarse load (which reads
-    # only the first entries) nor the fine load sees it
-    mesh = build_mesh(4, 4, 4)
-    split = _random_splitting(mesh, np.random.default_rng(2))
-    for f in (np.ones(mesh.n_fine_cells + 7), np.ones(mesh.n_fine_cells - 1),
-              np.ones((mesh.n_fine_cells, 1))):
-        with pytest.raises(ValueError,
-                           match=rf"expected \({mesh.n_fine_cells},\)"):
-            msfem.sample_errors(mesh, split, [1], f, reference=reference)
 
 
 @pytest.mark.parametrize("J_list", [[], (), (1, -1), [-2]])
@@ -483,7 +447,7 @@ def test_overlapped_sample_independent_of_threads_and_cpus():
     model = build_kle_model(mesh, 2.25, 0.7, 0.04, 20)
     split = split_kle(model, sample_theta(7, 0, 20), 16)
     rec = msfem.sample_errors(mesh, split, [1, 2])
-    serial = (fine_reference_solve(mesh, split.k), rec.u_h,
+    serial = (fem.fine_reference_solver(mesh, split.k)(), rec.u_h,
               np.array([rec.u_J[1], rec.u_J[2]]))
     assert digests == tuple(hashlib.sha256(u.tobytes()).hexdigest()
                             for u in serial)

@@ -120,6 +120,18 @@ def test_cost_ratios():
         cost_ratios(5, 6, 2, 2)
 
 
+@pytest.mark.parametrize("m,q,L,match", [
+    (10, -1, 2, "q >= 0"), (-1, 2, 2, "m >= 0"), (10, 2, -1, "L >= 0"),
+    (-1, 2, -1, "m=-1, L=-1")])
+def test_cost_ratios_refuse_negative_inputs(m, q, L, match):
+    # q = -1 would divide by zero, and m < 0 or L < 0 would count one node
+    with pytest.raises(ValueError, match=match):
+        cost_ratios(20, m, q, L)
+    if q >= 0:
+        with pytest.raises(ValueError, match=match):
+            smolyak_node_count(m, L)
+
+
 def _small_setup(L=1, m=3, n=5):
     mesh = build_mesh(4, 4, 3)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, n)
@@ -146,8 +158,8 @@ def test_green_store_shape_and_inverses():
     full = _unpacked(store)
     for i in (0, grid.n_nodes - 1):
         theta = np.zeros(model.n)
-        theta[:store.m] = grid.nodes[i]
-        split = split_kle(model, theta, store.m)
+        theta[:store.grid.m] = grid.nodes[i]
+        split = split_kle(model, theta, store.grid.m)
         for cell in (0, 7):
             ops = fem.assemble_local_operators(mesh, cell, split)
             prod = fem.stencil_to_dense(ops.M0) @ full[i, cell]
@@ -172,12 +184,12 @@ def test_green_store_matches_independent_inverses():
     full = []
     for node in grid.nodes:
         theta = np.zeros(model.n)
-        theta[:store.m] = node
-        k0 = split_kle(model, theta, store.m).k0
+        theta[:store.grid.m] = node
+        k0 = split_kle(model, theta, store.grid.m).k0
         full.append(np.linalg.inv(
             fem.stencil_to_dense(asm.interior_bands(k0[cells]))))
     full = np.array(full)
-    points = np.random.default_rng(3).uniform(-1.0, 1.0, (4, store.m))
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, (4, store.grid.m))
     G = st._interpolated_green(store, points)
     ref = np.einsum("pn,n...->p...",
                     grid.interpolation_weights(points), full)
@@ -536,10 +548,10 @@ def test_monte_carlo_fine_solves_share_one_worker(monkeypatch, r):
 def test_interpolated_basis_exact_at_grid_node():
     mesh, model, grid, store = _small_setup(L=2)
     theta = np.zeros(model.n)
-    theta[:store.m] = grid.nodes[5]
-    theta[store.m:] = sample_theta(11, 0, model.n)[store.m:]
-    split = split_kle(model, theta, store.m)
-    green = st._interpolated_green(store, theta[:store.m])
+    theta[:store.grid.m] = grid.nodes[5]
+    theta[store.grid.m:] = sample_theta(11, 0, model.n)[store.grid.m:]
+    split = split_kle(model, theta, store.grid.m)
+    green = st._interpolated_green(store, theta[:store.grid.m])
     for cell in (0, 10):
         ops = fem.assemble_local_operators(mesh, [cell], split)
         exact = basis_mod.iterative_bases(ops, [2])[2][0]
@@ -556,7 +568,7 @@ def test_interpolated_basis_m_equals_n():
     split = split_kle(model, theta, 3)
     assert split.eta_global <= 1e-14
     ops = fem.assemble_local_operators(mesh, [1], split)
-    green = st._interpolated_green(store, theta[:store.m])
+    green = st._interpolated_green(store, theta[:store.grid.m])
     col = basis_mod.iterative_bases(ops, [0], green[[1]])[0][0][0, :, 3]
     std = basis_mod.standard_bases(ops)[0, :, 3]
     assert np.abs(col - std).max() <= 1e-10
@@ -851,7 +863,7 @@ def test_interpolated_registry_with_exact_green_equals_iterative():
         assert np.abs(green - full[i]).max() <= \
             1e-12 * np.abs(full[i]).max()
     theta = sample_theta(31, 0, model.n)
-    split = split_kle(model, theta, store.m)
+    split = split_kle(model, theta, store.grid.m)
     exact_green = np.array([
         np.linalg.inv(fem.stencil_to_dense(
             fem.assemble_local_operators(mesh, c, split).M0))

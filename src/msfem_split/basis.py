@@ -3,10 +3,11 @@
 The standard basis solves a local Dirichlet problem with the full
 coefficient; the iterative basis builds the same object from the k0
 Green's operator, a projection of the boundary hat and a contraction
-series of interior bubble corrections.  The bases are built on (cells, ...)
-stacks of LocalOperators for all four vertices at once, and travel as
-interior corrections: phi = l + E c, with l the vertex hats, c a
-(cells, nK, 4) correction and E the injection of the interior nodes.
+series of interior bubble corrections.  The bases are built from the
+LocalOperators of many cells (M0, M1 as fem's local stencil storage, the
+cells last) for all four vertices at once, and travel as interior
+corrections: phi = l + E c, with l the vertex hats, c a (cells, nK, 4)
+correction and E the injection of the interior nodes.
 The iterative bases come with their Galerkin residuals r = M c + v, which
 the coarse assembly (msfem) takes in place of a product of M.  This module
 only constructs bases: msfem builds a sample's set of them, keyed by kind
@@ -23,11 +24,11 @@ from . import fem
 def standard_bases(ops, solve=None):
     """Corrections -M^-1 v of the k-harmonic extensions, (cells, nK, 4).
 
-    One factorization or inverse of the band sum M = M0 + M1 per cell,
-    applied to all four vertex columns: solve, a solve of M such as one of
+    One factorization or inverse of M = M0 + M1 per cell, applied to all
+    four vertex columns: solve, a solve of M such as one of
     fem.cell_solvers, or by default fem.cell_solvers((ops.M0, ops.M1)),
-    which sums the bands into its own factor buffer.  M c + v = 0, so the
-    Galerkin residual of these bases is zero.
+    which sums the two storages into its own factor buffer.  M c + v = 0,
+    so the Galerkin residual of these bases is zero.
     """
     if solve is None:
         solve = fem.cell_solvers((ops.M0, ops.M1))[0]
@@ -41,8 +42,8 @@ def bubble_series(ops, J, solve=None):
     xi_0 = M0^-1 (M1 Pi l - v1) and xi_j = -M0^-1 M1 xi_{j-1}, from one
     factorization or inverse of M0 per cell (solve, such as one of
     fem.cell_solvers, or by default fem.cell_solvers((ops.M0,))) and one
-    fem.cell_matmul of the M1 bands.  Each product M1 xi_j is the input of
-    the next term, and the series forms M1 xi_J as well: by the recursion
+    fem.cell_matmul of M1.  Each product M1 xi_j is the input of the next
+    term, and the series forms M1 xi_J as well: by the recursion
     it is the Galerkin residual M c_J + v of the truncated basis (see
     iterative_bases).  A solve that applies a (cells, nK, nK) stand-in for
     M0^-1, such as partial(np.matmul, green) of an interpolated Green's

@@ -75,35 +75,44 @@ def parse_config(path):
     return cfg
 
 
-_REQUIRED = {
-    "basis-bound": {"r"},
-    "basis-slope": {"r", "J_list", "sc_list"},
-    "solution-bound": {"nx", "ny", "r", "sigma2", "lx", "ly", "n", "m_list",
-                       "J_list"},
-    "mesh-sweep": {"sigma2", "lx", "ly", "n", "m", "J_list"},
-    "mc-stats": {"nx", "ny", "r", "sigma2", "lx", "ly", "n", "m_list",
-                 "J_list", "N"},
-    "colloc-table": {"nx", "ny", "r", "sigma2", "lx", "ly", "n", "m", "J",
-                     "L_list"},
-    "colloc-decomp": {"nx", "ny", "r", "sigma2", "lx", "ly", "n", "m", "J",
-                      "L_list", "N"},
-    "cost-ratios": {"n", "m", "q", "L"},
+_MESH = {"nx", "ny", "r"}
+_KLE = {"sigma2", "lx", "ly", "n"}
+# keys each experiment reads: (required, optional); every run also reads
+# experiment, seed and out
+_READS = {
+    "basis-bound": ({"r"}, {"field", "J_list"}),
+    "basis-slope": ({"r", "J_list", "sc_list"}, {"field"}),
+    "solution-bound": (_MESH | _KLE | {"m_list", "J_list"}, set()),
+    "mesh-sweep": (_KLE | {"m", "J_list"}, {"r_list", "nx_list"}),
+    "mc-stats": (_MESH | _KLE | {"m_list", "J_list", "N"}, set()),
+    "colloc-table": (_MESH | _KLE | {"m", "J", "L_list"}, {"N"}),
+    "colloc-decomp": (_MESH | _KLE | {"m", "J", "L_list", "N"}, set()),
+    "cost-ratios": ({"n", "m", "q", "L"}, set()),
 }
 
 
 def _validate_required(cfg, path):
-    required = set(_REQUIRED[cfg["experiment"]])
-    if cfg["experiment"] == "basis-bound":
+    """Refuse a config missing a key its experiment needs, or setting one
+    it never reads: one a run would list in its manifest to no effect."""
+    experiment = cfg["experiment"]
+    required, optional = _READS[experiment]
+    if experiment == "basis-bound":
         if cfg.get("field", "kle") == "kle":
-            required |= {"sigma2", "lx", "ly"}
+            required, optional = required | _KLE - {"n"}, \
+                optional | {"n", "m_list" if "m_list" in cfg else "m"}
         elif not ({"sc", "sc_list"} & set(cfg)):
             raise ConfigError(f"{path}: lognormal field needs sc or sc_list")
+        else:
+            optional = optional | {"sc_list" if "sc_list" in cfg else "sc"}
+    if experiment == "basis-slope" and cfg.get("field") == "kle":
+        raise ConfigError(f"{path}: experiment 'basis-slope' runs the "
+                          f"lognormal splitting only, not field = kle")
     missing = required - set(cfg)
     if missing:
         raise ConfigError(
-            f"{path}: experiment {cfg['experiment']!r} missing keys "
+            f"{path}: experiment {experiment!r} missing keys "
             f"{sorted(missing)}")
-    if cfg["experiment"] == "mesh-sweep":
+    if experiment == "mesh-sweep":
         if not ({"r_list", "nx_list"} & set(cfg)):
             raise ConfigError(f"{path}: mesh-sweep needs r_list and/or "
                               "nx_list")
@@ -112,6 +121,12 @@ def _validate_required(cfg, path):
             if nx < 1 or fine % nx:
                 raise ConfigError(
                     f"{path}: fine={fine} not divisible by nx={nx}")
+        optional = optional | {key for key, by in (("nx", "r_list"), (
+            "fine", "nx_list")) if by in cfg}
+    unread = set(cfg) - required - optional - {"experiment", "seed", "out"}
+    if unread:
+        raise ConfigError(f"{path}: experiment {experiment!r} never reads "
+                          f"keys {sorted(unread)}")
 
 
 def _fmt(value):

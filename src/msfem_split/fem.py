@@ -170,10 +170,12 @@ def stencil_offsets(n):
     The n interior nodes of a cell run row-major over rows of s = sqrt(n)
     nodes, so the 9-point stencil couples each node only with those at
     offsets 1 (next in its row) and s - 1, s and s + 1 (the row above).
-    Local stacks store just these diagonals, in this order, 0 first: row i
-    of a (..., w, n) stack holds bands[i, j] = M[j + d_i, j].  Up to s = 3
-    (r = 4) the offsets are 0 .. s + 1, so the stack is the (r+1)-row
-    lower band storage; from r = 5 on it has 5 rows instead of r + 1.
+    Local stencil storage keeps just these diagonals, in this order, 0
+    first, with the cells last: a (w*n + 1, cells) array whose row i*n + j
+    holds M_c[j + d_i, j] in column c and whose last row is zero, for w =
+    len(stencil_offsets(n)).  Up to s = 3 (r = 4) the offsets are
+    0 .. s + 1, so its rows are the (r+1)-row lower band storage; from r =
+    5 on it has 5 diagonals instead of r + 1.
     """
     s = isqrt(n)
     if n < 1 or s * s != n:
@@ -181,14 +183,15 @@ def stencil_offsets(n):
     return tuple(sorted({0, 1, s - 1, s, s + 1}))
 
 
-def _stencil_rows(bands):
-    """stencil_offsets of a (..., w, n) local stack, checked against w."""
-    w, n = bands.shape[-2:]
-    offsets = stencil_offsets(n)
-    if len(offsets) != w:
-        raise ValueError(f"a local stack on {n} nodes has {len(offsets)} "
-                         f"stencil rows, not {w}")
-    return offsets
+def _stencil_order(storage):
+    """Order n of the blocks in local stencil storage (w*n + 1, ...), the
+    one reading of its row count; refuses a count that is no stencil's."""
+    rows = len(storage)
+    for n in {(rows - 1) // w for w in (3, 4, 5)}:  # the stencil widths
+        if n > 0 and isqrt(n) ** 2 == n and \
+                len(stencil_offsets(n)) * n + 1 == rows:
+            return n
+    raise ValueError(f"{rows} rows are no local stencil storage")
 
 
 def _stored_rows(offsets, size):
@@ -201,8 +204,8 @@ def _stored_rows(offsets, size):
 
 @lru_cache(maxsize=8)
 def _band_index(n):
-    """(n, n) flat positions in (w, n) local stencil storage, whose rows
-    hold the diagonals at stencil_offsets(n); position w * n is a zero."""
+    """(n, n) rows of local stencil storage on n nodes that hold each
+    matrix entry, the zero last row for those it does not store."""
     offsets = stencil_offsets(n)
     w = len(offsets)
     row, col = np.indices((n, n))
@@ -212,14 +215,11 @@ def _band_index(n):
     return index
 
 
-def stencil_to_dense(bands):
-    """(..., n, n) matrices of local stencil stacks (..., w, n), such as
-    LocalOperators.M0; see stencil_offsets for their rows."""
-    n = bands.shape[-1]
-    w = len(_stencil_rows(bands))  # the rows checked against n
-    flat = np.zeros(bands.shape[:-2] + (w * n + 1,))
-    flat[..., :-1] = bands.reshape(bands.shape[:-2] + (w * n,))
-    return np.take(flat, _band_index(n), axis=-1)
+def stencil_to_dense(storage):
+    """(cells, n, n) matrices of local stencil storage (w*n + 1, cells),
+    such as LocalOperators.M0, or (n, n) of one cell's (w*n + 1,); see
+    stencil_offsets for its rows."""
+    return np.take(storage.T, _band_index(_stencil_order(storage)), axis=-1)
 
 
 def _compressed_scatter(targets, cols, vals, n_cols):
@@ -230,9 +230,10 @@ def _compressed_scatter(targets, cols, vals, n_cols):
 
 
 def _fill(scatter, flat, out):
-    """out[rows] = map @ flat.T, for a zeroed (entries, ...) out."""
+    """out[rows] = map @ flat.T, for a zeroed (entries, ...) out whose
+    trailing axes hold flat's leading ones."""
     rows, matrix = scatter
-    out[rows] = matrix @ flat.T
+    out[rows] = (matrix @ flat.T).reshape((len(rows),) + out.shape[1:])
 
 
 def _stencil_band_scatter(conn, ke, pos, target):
@@ -260,12 +261,9 @@ class LocalAssembler:
     the r^2 local coefficient values to the local operators are built once
     per mesh.  The interior stiffness is a 9-point stencil on the (r-1)^2
     interior grid, row-major over rows of r - 1 nodes, so it is assembled
-    straight into stencil band storage (..., w, nK): row i holds the
-    diagonal at offset d_i = stencil_offsets(nK)[i], bands[i, j] =
-    M[j+d_i, j].  That is 5 rows from r = 5 on, against the r + 1 rows of
-    lower band storage, which it equals up to r = 4.  hat_stiffness
-    (16, r^2) takes a cell's coefficient values to the row-major hat
-    energies H^T A_K H.
+    straight into local stencil storage (see stencil_offsets) of
+    stencil_rows = w*nK + 1 rows.  hat_stiffness (16, r^2) takes a cell's
+    coefficient values to the row-major hat energies H^T A_K H.
     """
 
     def __init__(self, mesh):
@@ -293,7 +291,7 @@ class LocalAssembler:
         pos = np.full(n_loc, -1)
         pos[self.interior_idx] = np.arange(nk)
         offsets = stencil_offsets(nk)
-        self._band_shape = (len(offsets), nk)
+        self.stencil_rows = len(offsets) * nk + 1
         stored = _stored_rows(offsets, r + 1)
         self._band_scatter = _stencil_band_scatter(
             self.conn, self.ke, pos, lambda d, j: stored[d] * nk + j)
@@ -309,35 +307,31 @@ class LocalAssembler:
             (vals[row, None] * self.hats[b[row]]).ravel(), r * r)
 
     def interior_bands(self, kappa, out=None):
-        """(..., w, nK) interior stiffness stencil bands for (..., r^2)
-        values; w = len(stencil_offsets(nK)).
+        """(stencil_rows, cells) interior stiffness storage of (cells, r^2)
+        coefficient values, (stencil_rows,) of one cell's (r^2,).
 
-        Given out, a float64 array of that shape with a (..., w*nK) view
-        (C-ordered, or the cells-first view of _cells_last's storage), they
-        are written there, only the stencil's entries: the others must be
-        zero already, as in np.zeros or after an earlier call.
+        Given out, a writeable float64 array of that shape such as a column
+        slice of a wider storage, it is written there, only the stencil's
+        entries: the others must be zero already, as in np.zeros or after
+        an earlier call.
         """
-        return self._stack(self._band_scatter, kappa, self._band_shape, out)
+        kappa = np.asarray(kappa, float)
+        shape = (self.stencil_rows,) + kappa.shape[:-1]
+        if out is None:
+            out = np.zeros(shape)
+        elif out.shape != shape or out.dtype != np.float64 or \
+                not out.flags.writeable:
+            raise ValueError(f"out must be a writeable float64 array of "
+                             f"shape {shape}")
+        _fill(self._band_scatter, kappa.reshape(-1, kappa.shape[-1]), out)
+        return out
 
     def vertex_vectors(self, kappa):
         """(..., nK, 4) interior rows of the stiffness times the hats."""
-        return self._stack(self._vertex_scatter, kappa, (self.n_interior, 4))
-
-    def _stack(self, scatter, kappa, shape, out=None):
         kappa = np.asarray(kappa, float)
         flat = kappa.reshape(-1, kappa.shape[-1])
-        # filled row by row in C order: batched matmul runs several times
-        # slower on a transposed stack
-        if out is None:
-            out = np.zeros(kappa.shape[:-1] + shape)
-        elif out.shape != kappa.shape[:-1] + shape or \
-                out.dtype != np.float64 or not out.flags.writeable:
-            raise ValueError(f"out must be a writeable float64 array of "
-                             f"shape {kappa.shape[:-1] + shape}")
-        rows = out.reshape(len(flat), -1)  # a copy would leave out unfilled
-        if not np.may_share_memory(rows, out):
-            raise ValueError(f"out has no {rows.shape} view to fill")
-        _fill(scatter, flat, rows.T)
+        out = np.zeros(kappa.shape[:-1] + (self.n_interior, 4))
+        _fill(self._vertex_scatter, flat, out.reshape(len(flat), -1).T)
         return out
 
 
@@ -351,11 +345,12 @@ def local_assembler(mesh):
 class LocalOperators:
     """Interior-node stiffness bands and vertex vectors of coarse cells.
 
-    For one cell M0 and M1 are (w, n_interior) stencil band storage, the
-    diagonals at offsets stencil_offsets(n_interior) (stencil_to_dense
-    gives the matrices): w = 5 from r = 5 on, so at r = 30 the M0 of 16
-    cells takes 0.51 MiB.  v0, v1 are (n_interior, 4) with one column per
-    coarse vertex; for an array of cells each carries a leading cell axis.
+    M0 and M1 are local stencil storage (w*n_interior + 1, cells), the
+    diagonals at offsets stencil_offsets(n_interior) with the cells last
+    (stencil_to_dense gives the matrices): w = 5 from r = 5 on, so at
+    r = 30 the M0 of 16 cells takes 0.51 MiB.  v0, v1 are (cells,
+    n_interior, 4) with one column per coarse vertex.  For a single cell
+    the cell axis is dropped from all four.
     """
 
     cell: object
@@ -405,112 +400,99 @@ def _packed_order(entries):
 
 
 def cell_solvers(*sums):
-    """[solve(rhs)] of each sum of (cells, w, n) SPD local stencil stacks,
-    such as cell_solvers((M0,), (M0, M1)) for M0 and M = M0 + M1.
+    """[solve(rhs)] of each sum of SPD local stencil storages (w*n + 1,
+    cells), such as cell_solvers((M0,), (M0, M1)) for M0 and M = M0 + M1.
 
     The solves take right-hand sides of shape (cells, n, k).  Blocks up to
     BATCHED_MAX_N are inverted for every sum by one packed_inverses call on
-    the sums stacked one after the other, expanded to whole cells-first
-    matrices through packed_index and applied as inverses; that is bit for
-    bit one call per sum, since the sweep works per cell, but sweeps the
-    stack n times instead of n times per sum.  A failing pivot then names
-    its cell in that stack: cell i of sum s is cell s * cells + i.  Larger
-    blocks are factored by _block_factor, one factor per sum, which sums
-    the stacks into its own factor buffer.
+    the sums side by side, expanded to whole cells-first matrices through
+    packed_index and applied as inverses; that is bit for bit one call per
+    sum, since the sweep works per cell, but sweeps the stack n times
+    instead of n times per sum.  A failing pivot then names its cell in
+    that stack: cell i of sum s is cell s * cells + i.  Larger blocks are
+    factored by _block_factor, one factor per sum, which sums the storages
+    into its own factor buffer.
     """
-    n = sums[0][0].shape[-1]
+    n = _stencil_order(sums[0][0])
     if is_banded(n):
         return [_band_solver(_block_factor(*stacks)) for stacks in sums]
     packed = packed_inverses(
-        np.concatenate([sum(s[1:], s[0]) for s in sums]))
+        np.concatenate([sum(s[1:], s[0]) for s in sums], axis=1))
     inverses = np.take(packed.T, packed_index(n), axis=1)
     return [partial(np.matmul, a) for a in np.split(inverses, len(sums))]
 
 
-def packed_inverses(bands, out=None):
-    """(n(n+1)/2, cells) inverses of a (cells, w, n) SPD local stencil
-    stack: column c holds cell c's packed lower triangle (packed_index).
+def packed_inverses(storage, out=None):
+    """(n(n+1)/2, cells) inverses of SPD local stencil storage (w*n + 1,
+    cells): column c holds cell c's packed lower triangle (packed_index).
 
     The one inverse of local blocks, and the one place that picks their
-    regime (is_banded).  A caller that holds the stack's cells-last storage
-    (w*n + 1, cells) (see _cells_last) passes it as bands, with out.  Up to
-    BATCHED_MAX_N _cells_last gathers the storage into out if given (a
-    C-ordered float64 (n(n+1)/2, cells) buffer) and spd_inverse inverts it
-    in place; above, _block_factor's factor is solved against identity
-    columns built in place in its Fortran-ordered right-hand side, and the
-    triangles are copied out.  The bands are never written.
+    regime (is_banded).  Up to BATCHED_MAX_N the packed triangles are
+    gathered from the storage into out if given (a C-ordered float64
+    (n(n+1)/2, cells) buffer) and spd_inverse inverts them in place; above,
+    _block_factor's factor is solved against identity columns built in
+    place in its Fortran-ordered right-hand side, and the triangles are
+    copied out.  The storage is never written.
     """
-    if bands.ndim == 2:
-        if out is None:
-            raise ValueError("cells-last storage takes an out")
-        n, cells = _packed_order(len(out)), bands.shape[1]
-        if len(bands) != len(stencil_offsets(n)) * n + 1:
-            raise ValueError(f"storage has {len(bands)} rows at order {n}")
-        storage, bands = bands, bands[:-1].T.reshape(cells, -1, n)
-    else:
-        cells, _, n = bands.shape
-        storage = None
+    n, cells = _stencil_order(storage), storage.shape[1]
+    shape = (n * (n + 1) // 2, cells)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, not {out.shape}")
     if is_banded(n):
         eye = np.zeros((cells * n, n), order="F")
         eye[np.arange(cells * n), np.tile(np.arange(n), cells)] = 1.0
-        inverses = _band_solve(_block_factor(bands), eye).reshape(cells, n, n)
-        if out is None:
-            out = np.empty((n * (n + 1) // 2, cells))
+        inverses = _band_solve(_block_factor(storage), eye).reshape(
+            cells, n, n)
         for i in range(n):  # row by row: no stack-sized temporary
             out[i * (i + 1) // 2:][:i + 1] = inverses[:, i, :i + 1].T
         return out
-    if storage is None:
-        storage = np.zeros((len(_stencil_rows(bands)) * n + 1, cells))
-        storage[:-1] = bands.reshape(cells, -1).T
-    return spd_inverse(_cells_last(
-        storage, np.empty((n * (n + 1) // 2, cells)) if out is None else out))
-
-
-def _cells_last(storage, out):
-    """Gather into out (n(n+1)/2, cells) the packed lower triangles of the
-    matrices in cells-last storage (w*n + 1, cells): bands[c, i, j] at row
-    i*n + j, column c; last row 0."""
-    n = _packed_order(len(out))
-    row, col = np.tril_indices(n)
-    index = _band_index(n)[row, col]
     # mode="clip" gathers straight into out; the indices are all in range
-    return np.take(storage, index, axis=0, out=out, mode="clip")
+    return spd_inverse(np.take(storage, _band_index(n)[np.tril_indices(n)],
+                               axis=0, out=out, mode="clip"))
 
 
 def _block_factor(*stacks):
-    """Cholesky factor of the sum of (cells, w, n) local stencil stacks as
-    one block-diagonal band of order cells*n, by a single pbtrf.
+    """Cholesky factor of the sum of local stencil storages (w*n + 1,
+    cells) as one block-diagonal band of order cells*n, by a single pbtrf.
 
     A zeroed C-ordered (cells*n, d_max + 1) buffer is, transposed, that
     matrix's lower band storage.  Each stored diagonal at offset d is
-    written once into the first n - d entries of the buffer's column d,
-    the later stacks added to the first, so no separate sum is held beside
-    it; the entries past each cell's end are never written and stay zero.
+    summed over the storages, where its rows are contiguous (adding them
+    into the buffer's strided columns took half as long again), and
+    written once into the first n - d entries of the buffer's column d, so
+    no whole sum is held beside it; the entries past each cell's end are
+    never written and stay zero.
     """
-    cells, w, n = stacks[0].shape
-    offsets = _stencil_rows(stacks[0])
+    n, cells = _stencil_order(stacks[0]), stacks[0].shape[1]
+    offsets = stencil_offsets(n)
     ab = np.zeros((cells, n, offsets[-1] + 1))  # factored in place
     for i, d in enumerate(offsets):
         if d < n:
-            ab[:, :n - d, d] = stacks[0][:, i, :n - d]
-            for bands in stacks[1:]:
-                ab[:, :n - d, d] += bands[:, i, :n - d]
+            rows = slice(i * n, i * n + n - d)
+            ab[:, :n - d, d] = sum((s[rows] for s in stacks[1:]),
+                                   stacks[0][rows]).T
     return _band_factor(ab.reshape(cells * n, -1).T, block=n)
 
 
-def cell_matmul(bands):
-    """matmul(x) = A @ x for x (cells, n, k), A a (cells, w, n) local
-    stencil stack.
+def cell_matmul(storage):
+    """matmul(x) = A @ x for x (cells, n, k), A in local stencil storage
+    (w*n + 1, cells), or for x (n, k) and one cell's A (w*n + 1,).
 
     Blocks up to BATCHED_MAX_N are expanded once and applied by batched
     matmul; larger ones one stored diagonal at a time, at the offsets 0, 1,
-    r-2, r-1 and r, skipping any that is zero in every cell.
+    r-2, r-1 and r, skipping any that is zero in every cell.  Those read a
+    cells-first copy of the diagonals, taken once: strided rows of the
+    storage made the Monte Carlo at r = 30 about 6% slower.
     """
-    w, n = bands.shape[-2:]
+    n = _stencil_order(storage)
     if not is_banded(n):
-        return partial(np.matmul, stencil_to_dense(bands))
-    offsets = _stencil_rows(bands)
-    used = [(i, offsets[i]) for i in range(1, w) if offsets[i] < n and
+        return partial(np.matmul, stencil_to_dense(storage))
+    offsets = stencil_offsets(n)
+    bands = np.ascontiguousarray(storage[:-1].T).reshape(
+        storage.shape[1:] + (len(offsets), n))
+    used = [(i, d) for i, d in enumerate(offsets) if 0 < d < n and
             bands[..., i, :].any()]
 
     def matmul(x):
@@ -528,7 +510,7 @@ def spd_inverse(a):
     matrix c's packed lower triangle (packed_index); returns a.
 
     a is a writeable C-ordered float64 (n(n+1)/2, cells) array (anything
-    else raises ValueError before any work), such as _cells_last's gather.
+    else raises ValueError before any work), such as packed_inverses' gather.
     Goodnight's symmetric sweep, vectorized over the cell axis: sweeping
     pivot k keeps the matrix symmetric, so the lower triangle is all it
     updates, and after the last pivot it holds -A^-1, which one exact
@@ -605,10 +587,9 @@ def _probe(n):
 
 
 def inverse_residuals(storage, packed):
-    """(cells,) max|M0 (G z) - z| / max|z| of each cell, for the stencil
-    stack M0 in cells-last storage (w*n + 1, cells) (see _cells_last), G
-    its inverses as packed_inverses gives them and the fixed probe z of
-    distinct entries 1 + i/n.
+    """(cells,) max|M0 (G z) - z| / max|z| of each cell, for M0 in local
+    stencil storage (w*n + 1, cells), G its inverses as packed_inverses
+    gives them and the fixed probe z of distinct entries 1 + i/n.
 
     Scaled by max|z|, it does not depend on the magnitude of M0, and
     exact inverses give 0.  G z is a sparse product over the packed

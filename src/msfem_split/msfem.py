@@ -1,11 +1,12 @@
 """Coarse-scale Galerkin assembly, downscaling, basis and solution errors.
 
 The solution pipeline works on stacks over coarse cells: local operators,
-factorizations and bases are (cells, ...) arrays instead of per-(cell,
-vertex) objects, built for every cell of the mesh at once.  The local
-operators are stencil bands that store only the five nonzero diagonals
-of the local stencil, so a stack of all cells stays small: at r=30 the M0
-bands of 16 cells take 0.51 MiB, where dense blocks took 86 MiB.
+factorizations and bases are arrays over cells instead of per-(cell,
+vertex) objects, built for every cell of the mesh at once.  M0 and M1
+are local stencil storage (fem.stencil_offsets), the five nonzero
+diagonals of each cell's stencil with the cells last, so the operators
+of all cells stay small: at r=30 the M0 of 16 cells takes 0.51 MiB,
+where dense blocks took 86 MiB.
 
 A basis is the vertex hats plus an interior correction, phi = H + E c (see
 basis), so the local coarse matrix and load follow from the local operators

@@ -285,18 +285,18 @@ def precompute_green_inverses(mesh, model, grid, m):
         raise ValueError("m must not exceed the KLE truncation")
     n_k = mesh.n_interior
     n_cells = mesh.n_coarse_cells
-    need = grid.n_nodes * n_cells * (n_k * (n_k + 1) // 2) * 8
+    entries = n_k * (n_k + 1) // 2
+    need = grid.n_nodes * n_cells * entries * 8
     if need > MAX_STORE_BYTES:
         raise MemoryError(
             f"GreenStore needs {need} bytes > limit {MAX_STORE_BYTES}; "
             "reduce r or the interpolation level")
-    interior_bands = fem.local_assembler(mesh).interior_bands
+    asm = fem.local_assembler(mesh)
     cell_ids = mesh.cell_fine_cells(np.arange(n_cells))
-    entries = n_k * (n_k + 1) // 2
     out = np.empty((grid.n_nodes, n_cells, entries))
     step = max(1, STORE_BLOCK_ENTRIES // (n_cells * n_k ** 2))
     buffers = threading.local()  # per worker (see STORE_BLOCK_ENTRIES)
-    w = len(fem.stencil_offsets(n_k))
+    rows = asm.stencil_rows
 
     def invert(start, stop):
         """Write the inverses of nodes start .. stop-1 into the store;
@@ -305,17 +305,16 @@ def precompute_green_inverses(mesh, model, grid, m):
         if not hasattr(buffers, "storage"):
             # one allocation (see STORE_BLOCK_ENTRIES)
             size = step * n_cells
-            work = np.zeros((w * n_k + 1 + entries) * size)
-            buffers.storage = work[:(w * n_k + 1) * size].reshape(-1, size)
-            buffers.packed = work[(w * n_k + 1) * size:]
-        # the block's columns, so each row means the same in every block;
-        # each node's filled through their cells-first view, so each band
-        # row of the sparse product lands in one contiguous storage row
+            work = np.zeros((rows + entries) * size)
+            buffers.storage = work[:rows * size].reshape(rows, size)
+            buffers.packed = work[rows * size:]
+        # the block's columns, so each row means the same in every block,
+        # each node's its own n_cells of them
         storage = buffers.storage[:, :cells]
         for i, node in enumerate(grid.nodes[start:stop]):
             kappa = np.exp(field_mod.log_field_partial(model, node, m))
-            interior_bands(kappa[cell_ids], out=storage[
-                :-1, i * n_cells:(i + 1) * n_cells].T.reshape(-1, w, n_k))
+            asm.interior_bands(kappa[cell_ids], out=storage[
+                :, i * n_cells:(i + 1) * n_cells])
         G = fem.packed_inverses(storage, out=buffers.packed[
             :cells * entries].reshape(entries, -1))
         residual = fem.inverse_residuals(storage, G).reshape(

@@ -1,7 +1,7 @@
 """Test oracles: scalar per-(cell, vertex) bases and a sparse stiffness.
 
 Each basis function takes the LocalOperators of one cell (M0, M1 as
-stencil bands, the stored diagonals of the local stiffness) and one
+stencil storage, the stored diagonals of the local stiffness) and one
 vertex, expands the bands to dense and factors M0 or M0 + M1 with scipy's
 dense Cholesky.  The library instead builds the
 bases of all four vertices of a stack of cells through
@@ -23,7 +23,8 @@ cholesky_banded and cho_solve_banded, the f2py wrappers of the dpbtrf and
 dpbtrs that the library calls through ctypes, and fine_solve forms the fine
 reference solution of the source f = 1 from it and that band, so both
 agree with the library bit for bit as well.  band_to_dense expands lower
-band storage, such as the coarse system's, to dense matrices, and
+band storage, such as the coarse system's, to dense matrices,
+storage_bands reads local stencil storage as lower band storage, and
 cell_inverses expands fem.packed_inverses to whole cells-last matrices.
 local_coarse_system forms the coarse Galerkin matrices element by element
 from lifted bases, where the library assembles them from the local
@@ -270,22 +271,36 @@ def fine_solve(mesh, k):
 
 
 def band_to_dense(bands):
-    """(..., n, n) symmetric matrices of lower band storage (..., w, n),
-    bands[..., d, j] = A[j+d, j]; the entries past each diagonal's end are
-    not read."""
-    w, n = bands.shape[-2:]
-    dense = np.zeros(bands.shape[:-2] + (n, n))
+    """(n, n, ...) symmetric matrices of lower band storage (w, n, ...),
+    bands[d, j, ...] = A[j+d, j, ...], any cells last; the entries past
+    each diagonal's end are not read."""
+    w, n = bands.shape[:2]
+    dense = np.zeros((n, n) + bands.shape[2:])
     for d in range(min(w, n)):
         j = np.arange(n - d)
-        dense[..., j + d, j] = dense[..., j, j + d] = bands[..., d, :n - d]
+        dense[j + d, j] = dense[j, j + d] = bands[d, :n - d]
     return dense
 
 
-def cell_inverses(bands):
-    """(n, n, cells) inverses of a (cells, w, n) SPD local stencil stack:
-    fem.packed_inverses expanded to whole matrices, with the cells last."""
-    return np.take(fem.packed_inverses(bands),
-                   fem.packed_index(bands.shape[-1]), axis=0)
+def storage_bands(storage):
+    """(r+1, n, ...) lower band storage of local stencil storage
+    (w*n + 1, ...), any cells last: its rows at the stencil offsets, zero
+    between."""
+    n = next(n for n in range(1, len(storage)) if isqrt(n) ** 2 == n and
+             len(stencil_offsets(n)) * n + 1 == len(storage))
+    offsets = stencil_offsets(n)
+    bands = np.zeros((offsets[-1] + 1, n) + storage.shape[1:])
+    bands[offsets] = storage[:-1].reshape(bands[offsets].shape)
+    return bands
+
+
+def cell_inverses(storage):
+    """(n, n, cells) inverses of SPD local stencil storage (w*n + 1,
+    cells): fem.packed_inverses expanded to whole matrices, with the cells
+    last."""
+    packed = fem.packed_inverses(storage)
+    return np.take(packed, fem.packed_index(fem._packed_order(len(packed))),
+                   axis=0)
 
 
 def lift_cells(asm, interior):
@@ -591,10 +606,10 @@ def packed(a):
 def green_store_loop(mesh, model, grid, m):
     """GreenStore.matrices of a loop over the nodes, one stack per node.
 
-    Up to fem.BATCHED_MAX_N each node's M0 stack is expanded by
-    fem.stencil_to_dense, put cells last, packed and inverted by
-    full_sweep; above it each cell's (r+1)-row lower band is factored by
-    scipy's banded Cholesky and solved against the identity.
+    Each node's M0 storage is read as lower band storage by storage_bands.
+    Up to fem.BATCHED_MAX_N it is expanded by band_to_dense, packed and
+    inverted by full_sweep; above it each cell's (r+1)-row lower band is
+    factored by scipy's banded Cholesky and solved against the identity.
     """
     asm = fem.local_assembler(mesh)
     cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
@@ -605,13 +620,12 @@ def green_store_loop(mesh, model, grid, m):
         theta = np.zeros(model.n)
         theta[:m] = node
         k0 = np.exp(field.log_field_partial(model, theta, m))[cells]
-        dense = fem.stencil_to_dense(asm.interior_bands(k0))
+        bands = storage_bands(asm.interior_bands(k0))
         if n_k <= fem.BATCHED_MAX_N:
-            out[i] = full_sweep(packed(np.moveaxis(dense, 0, -1))).T
+            out[i] = full_sweep(packed(band_to_dense(bands))).T
         else:
-            out[i] = np.array([
-                band_solve(lower_bands(a, mesh.r + 1), np.eye(n_k))
-                for a in dense])[:, row, col]
+            out[i] = np.array([band_solve(bands[..., c], np.eye(n_k))
+                               for c in range(len(cells))])[:, row, col]
     return out
 
 

@@ -292,6 +292,42 @@ def test_shipped_config_valid(path):
     assert parse_config(path)["experiment"] in EXPERIMENTS
 
 
+def _shipped(name, edit=None):
+    lines = (CONFIGS / name).read_text(encoding="utf-8").splitlines()
+    return "\n".join(lines if edit is None else edit(lines)) + "\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (_shipped("mc_stats.cfg") + "field = lognormal\nsc = 0.5\n",
+     "experiment 'mc-stats' never reads keys ['field', 'sc']"),
+    (_shipped("basis_bound.cfg") + "sc = 0.5\n",
+     "experiment 'basis-bound' never reads keys ['sc']"),
+    (_shipped("basis_bound.cfg") + "m = 5\n",
+     "experiment 'basis-bound' never reads keys ['m']"),
+    (BASIS_CFG + "sigma2 = 1.0\nm_list = 3\n",
+     "experiment 'basis-bound' never reads keys ['m_list', 'sigma2']"),
+    (_shipped("basis_slope.cfg").replace("lognormal", "kle"),
+     "experiment 'basis-slope' runs the lognormal splitting only"),
+    (_shipped("mesh_sweep.cfg", lambda lines: [
+        line for line in lines if not line.startswith("r_list")]),
+     "experiment 'mesh-sweep' never reads keys ['nx']"),
+    (COST_CFG + "J_list = 1\nN = 2\n",
+     "experiment 'cost-ratios' never reads keys ['J_list', 'N']")],
+    ids=["mc-stats-field", "kle-basis-bound-sc", "m-beside-m_list",
+         "lognormal-basis-bound-kle", "basis-slope-kle", "mesh-sweep-nx",
+         "cost-ratios"])
+def test_keys_the_experiment_never_reads_rejected(tmp_path, text, message):
+    # a key no run of the experiment reads would reach its manifest as if
+    # it had taken effect
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 SLOPE_CFG = """experiment = basis-slope
 field = lognormal
 r = 6

@@ -74,10 +74,12 @@ def test_local_assembler_stacks_any_leading_axes():
     cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
     kappa = np.exp(np.random.default_rng(5).uniform(
         -1, 1, (2, mesh.n_fine_cells)))[:, cells]
-    for stack in (asm.interior_bands, asm.vertex_vectors):
+    # the storage keeps them after its rows, the vertex vectors before
+    for stack, axis in ((asm.interior_bands, 1), (asm.vertex_vectors, 0)):
         out = stack(kappa)
-        assert out.shape[:2] == kappa.shape[:2]
-        assert np.array_equal(out, [stack(kappa[0]), stack(kappa[1])])
+        assert out.shape[axis:axis + 2] == kappa.shape[:2]
+        assert np.array_equal(
+            out, np.stack([stack(kappa[0]), stack(kappa[1])], axis=axis))
 
 
 def test_nonpositive_k0_rejected():
@@ -307,7 +309,7 @@ def test_cell_cholesky_banded_matches_dense(r, n_cells):
         x = fem.cell_solvers((bands,))[0](rhs)
         for c in range(n_cells):
             ref = sla.cho_solve(
-                sla.cho_factor(fem.stencil_to_dense(bands[c])), rhs[c])
+                sla.cho_factor(fem.stencil_to_dense(bands[:, c])), rhs[c])
             assert np.abs(x[c] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -322,20 +324,20 @@ def test_band_solves_match_scipy_bit_for_bit(r):
     rng = np.random.default_rng(r)
     ops = fem.assemble_local_operators(mesh, np.arange(3),
                                        _random_splitting(mesh, rng))
-    cells, n, w = len(ops.M0), mesh.n_interior, r + 1
+    cells, n, w = ops.M0.shape[1], mesh.n_interior, r + 1
     rhs = rng.standard_normal((cells, n, 4))
     for stacks in ((ops.M0,), (ops.M0, ops.M1)):
-        bands = np.array([reference.lower_bands(a, w) for a in
-                          fem.stencil_to_dense(sum(stacks[1:], stacks[0]))])
+        bands = reference.storage_bands(sum(stacks[1:], stacks[0]))
+        assert bands.shape == (w, n, cells)
         for c in range(cells):
-            solve = fem.band_cholesky(bands[c])
+            solve = fem.band_cholesky(bands[..., c])
             for b in (rhs[c], rhs[c, :, 0]):
-                assert np.array_equal(solve(b),
-                                      reference.band_solve(bands[c], b))
+                assert np.array_equal(
+                    solve(b), reference.band_solve(bands[..., c], b))
         block = np.zeros((w, cells * n))
         for c in range(cells):
             for d in range(w):
-                block[d, c * n:(c + 1) * n - d] = bands[c, d, :n - d]
+                block[d, c * n:(c + 1) * n - d] = bands[d, :n - d, c]
         ref = reference.band_solve(block, rhs.reshape(cells * n, 4))
         assert np.array_equal(fem.cell_solvers(stacks)[0](rhs),
                               ref.reshape(rhs.shape))
@@ -382,7 +384,7 @@ def test_cell_cholesky_rejects_non_spd(r):
     split = make_splitting(mesh, np.ones(mesh.n_fine_cells),
                            np.zeros(mesh.n_fine_cells))
     bands = fem.assemble_local_operators(mesh, np.arange(2), split).M0
-    bands[1] *= -1.0
+    bands[:, 1] *= -1.0
     with pytest.raises(np.linalg.LinAlgError,
                        match="matrix is not SPD: pivot 0 .* in cell 1"):
         fem.cell_solvers((bands,))
@@ -415,9 +417,11 @@ def test_cell_inverses_and_bands_fill_given_buffers(r):
     # the batched regime gathers into out and inverts it in place, the
     # banded one copies its packed inverses there; a buffer reused for a
     # second stack holds that stack's bits, as fresh arrays would, and
-    # cell_inverses expands the same bits to whole matrices
+    # cell_inverses expands the same bits to whole matrices.  The storage
+    # is filled whatever the buffer's order; one of another shape or dtype,
+    # or a read-only one, is refused
     M0, M1 = _local_bands(r, 3, r)
-    n = M0.shape[-1]
+    n = (r - 1) ** 2
     bands, out = np.zeros(M0.shape), np.empty((n * (n + 1) // 2, 3))
     asm = fem.local_assembler(build_mesh(3, 1, r))
     kappa = np.exp(np.random.default_rng(r).uniform(-1, 1, (2, 3, r * r)))
@@ -429,71 +433,52 @@ def test_cell_inverses_and_bands_fill_given_buffers(r):
         full = reference.cell_inverses(bands)
         assert _same_bits(reference.packed(full), out)
         assert _same_bits(full, full.transpose(1, 0, 2))
+        fortran = np.zeros(M0.shape, order="F")
+        assert asm.interior_bands(k, out=fortran) is fortran
+        assert np.array_equal(fortran, bands)
+    read_only = np.zeros(M0.shape)
+    read_only.flags.writeable = False
+    for bad in (np.zeros((len(M0), 4)), np.zeros(M0.shape, np.float32),
+                np.zeros(M0.shape[::-1]), read_only):
+        with pytest.raises(ValueError, match="writeable float64"):
+            asm.interior_bands(kappa[0], out=bad)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 6])
 def test_cells_last_fill_and_gather_match_dense(r):
-    # interior_bands fills zero-padded cells-last storage through its
-    # cells-first view and packed_inverses' gather packs it: the dense
-    # stack's lower triangles bit for bit, for a full-width buffer and then
-    # for a narrower column slice of it, whose rows the wider fill wrote
-    # before; the banded regime (r=6) reads the same storage
+    # interior_bands fills a column slice of zero-padded storage and
+    # packed_inverses' gather packs it: the dense stack's lower triangles
+    # bit for bit, inverted by the full sweep, for a full-width buffer and
+    # then for a narrower column slice of it, whose rows the wider fill
+    # wrote before; the banded regime (r=6) reads the same storage
     asm = fem.local_assembler(build_mesh(5, 1, r))
     n = asm.n_interior
-    w = len(fem.stencil_offsets(n))
     entries = n * (n + 1) // 2
     kappa = np.exp(np.random.default_rng(r).uniform(-1, 1, (2, 5, r * r)))
-    buffer = np.zeros((w * n + 1, 5))
+    buffer = np.zeros((asm.stencil_rows, 5))
     for cells, k in zip((5, 3), kappa):
         storage, k = buffer[:, :cells], k[:cells]
-        view = storage[:-1].T.reshape(cells, w, n)
-        assert np.shares_memory(view, buffer)
-        assert asm.interior_bands(k, out=view) is view
+        assert asm.interior_bands(k, out=storage) is storage
+        assert np.shares_memory(storage, buffer)
         dense = np.moveaxis(fem.stencil_to_dense(asm.interior_bands(k)),
                             0, -1)
         if not fem.is_banded(n):
             assert _same_bits(
-                fem._cells_last(storage, np.empty((entries, cells))),
-                reference.packed(dense))
+                fem.packed_inverses(storage),
+                reference.full_sweep(reference.packed(dense)))
         assert _same_bits(
             fem.packed_inverses(storage, np.empty((entries, cells))),
             fem.packed_inverses(asm.interior_bands(k)))
-    # the storage carries no order: it is inverted only into an out, whose
-    # rows must be a packed triangle of the storage's order
-    with pytest.raises(ValueError, match="takes an out"):
-        fem.packed_inverses(storage)
-    with pytest.raises(ValueError, match="not a packed triangle"):
-        fem.packed_inverses(storage, np.empty((entries + 1, 3)))
-    with pytest.raises(ValueError, match=f"{len(storage)} rows at order"):
-        fem.packed_inverses(storage, np.empty((2 * n * (4 * n + 1), 3)))
-
-
-def test_interior_bands_refuse_an_out_filled_only_through_a_copy():
-    # the product is written through out's (cells, w * nK) reshape, so an
-    # out with no such view (Fortran-ordered, or its last two axes
-    # swapped) is refused and left unwritten, as is one of another shape
-    # or dtype or a read-only one
-    asm = fem.local_assembler(build_mesh(3, 1, 4))
-    n = asm.n_interior
-    shape = (3, len(fem.stencil_offsets(n)), n)
-    kappa = np.exp(np.random.default_rng(6).uniform(-1, 1, (3, 16)))
-    for out in (np.zeros(shape, order="F"),
-                np.zeros((3, n, shape[1])).transpose(0, 2, 1)):
-        with pytest.raises(ValueError, match=r"no \(3, \d+\) view"):
-            asm.interior_bands(kappa, out=out)
-        assert not out.any()
-    read_only = np.zeros(shape)
-    read_only.flags.writeable = False
-    for out in (np.zeros((4, *shape[1:])), np.zeros(shape, np.float32),
-                read_only):
-        with pytest.raises(ValueError, match="writeable float64"):
-            asm.interior_bands(kappa, out=out)
+    # an out must hold a packed triangle of the storage's order per cell
+    for shape in ((entries + 1, 3), (entries, 4)):
+        with pytest.raises(ValueError, match="out must have shape"):
+            fem.packed_inverses(storage, np.empty(shape))
 
 
 @pytest.mark.parametrize("r", [4, 7])
 def test_cell_inverses_reject_non_spd(r):
     M0, _ = _local_bands(r, 3, r)
-    M0[2] *= -1.0
+    M0[:, 2] *= -1.0
     before = M0.copy()
     with pytest.raises(np.linalg.LinAlgError,
                        match="matrix is not SPD: pivot 0 .* in cell 2"):
@@ -511,14 +496,14 @@ def test_cell_solvers_match_separate_calls_bit_for_bit(r):
     rhs = np.random.default_rng(r).standard_normal((3, (r - 1) ** 2, 4))
     solves = fem.cell_solvers((M0,), (M0, M1))
     for solve, stacks in zip(solves, [(M0,), (M0, M1)], strict=True):
-        if fem.is_banded(M0.shape[-1]):
+        if fem.is_banded((r - 1) ** 2):
             ref = fem.cell_solvers(stacks)[0](rhs)
         else:
             inv = reference.cell_inverses(sum(stacks[1:], stacks[0]))
             ref = np.ascontiguousarray(np.moveaxis(inv, -1, 0)) @ rhs
         assert np.array_equal(solve(rhs), ref)
-    if not fem.is_banded(M0.shape[-1]):
-        both = reference.cell_inverses(np.concatenate([M0, M0 + M1]))
+    if not fem.is_banded((r - 1) ** 2):
+        both = reference.cell_inverses(np.concatenate([M0, M0 + M1], axis=1))
         assert np.array_equal(both[..., :3], reference.cell_inverses(M0))
         assert np.array_equal(both[..., 3:], reference.cell_inverses(M0 + M1))
 
@@ -526,7 +511,7 @@ def test_cell_solvers_match_separate_calls_bit_for_bit(r):
 def test_stacked_cell_solvers_name_the_failing_cell():
     # a non-SPD cell 1 of the second sum is cell 3 + 1 of the stacked sums
     M0, M1 = _local_bands(4, 3, 4)
-    M1[1] = -2.0 * M0[1]
+    M1[:, 1] = -2.0 * M0[:, 1]
     with pytest.raises(np.linalg.LinAlgError,
                        match="matrix is not SPD: pivot 0 .* in cell 4"):
         fem.cell_solvers((M0,), (M0, M1))
@@ -535,15 +520,16 @@ def test_stacked_cell_solvers_name_the_failing_cell():
 def test_band_to_dense_matches_loop():
     rng = np.random.default_rng(0)
     for w, n in ((1, 4), (3, 7), (5, 3), (7, 9)):
-        bands = rng.standard_normal((2, w, n))
-        ref = np.zeros((2, n, n))
+        bands = rng.standard_normal((w, n, 2))
+        ref = np.zeros((n, n, 2))
         for c in range(2):
             for d in range(w):
                 for j in range(n - d):
-                    ref[c, j + d, j] = ref[c, j, j + d] = bands[c, d, j]
+                    ref[j + d, j, c] = ref[j, j + d, c] = bands[d, j, c]
         before = bands.copy()
         assert np.array_equal(reference.band_to_dense(bands), ref)
-        assert np.array_equal(reference.band_to_dense(bands[1]), ref[1])
+        assert np.array_equal(reference.band_to_dense(bands[..., 1]),
+                              ref[..., 1])
         assert np.array_equal(bands, before)
 
 
@@ -560,6 +546,8 @@ def test_cell_matmul_matches_dense(r):
         assert np.abs(y - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.array_equal(bands, before)
         assert np.array_equal(x, x_before)
+        # one cell's column applies to one cell's (n, 4), as in the stack
+        assert np.array_equal(fem.cell_matmul(bands[:, 1])(x[1]), y[1])
 
 
 @pytest.mark.parametrize("r", [3, 6, 7, 9])
@@ -584,8 +572,8 @@ def test_banded_cell_cholesky_reads_only_the_band(monkeypatch, r, limit):
     # r + 1 diagonals.  Entries past a cell's end must not couple cells
     monkeypatch.setattr(fem, "BATCHED_MAX_N", limit)
     M0, M1 = _local_bands(r, 3, r)
-    w, n = M0.shape[1:]
-    assert w == min(r + 1, 5)
+    n = (r - 1) ** 2
+    assert len(M0) == min(r + 1, 5) * n + 1
     rhs = np.random.default_rng(r).standard_normal((3, n, 4))
     offsets = reference.stencil_offsets(n)
     past_end = np.add.outer(offsets, np.arange(n)) >= n
@@ -596,7 +584,7 @@ def test_banded_cell_cholesky_reads_only_the_band(monkeypatch, r, limit):
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(bands, before)
         junk = bands.copy()
-        junk[:, past_end] = 1e3
+        junk[:-1][past_end.ravel()] = 1e3
         assert np.array_equal(fem.cell_solvers((junk,))[0](rhs), x)
 
 
@@ -610,8 +598,8 @@ def test_local_bands_match_global_stiffness(r):
     split = _random_splitting(mesh, np.random.default_rng(r))
     ops = fem.assemble_local_operators(
         mesh, np.arange(mesh.n_coarse_cells), split)
-    assert ops.M0.shape == (mesh.n_coarse_cells, min(r + 1, 5),
-                            mesh.n_interior)
+    assert ops.M0.shape == (min(r + 1, 5) * mesh.n_interior + 1,
+                            mesh.n_coarse_cells)
     for cell in range(mesh.n_coarse_cells):
         nodes = mesh.cell_fine_nodes(cell)[mesh.local_interior_mask]
         for k, bands in ((split.k0, ops.M0), (split.k1, ops.M1)):
@@ -619,16 +607,16 @@ def test_local_bands_match_global_stiffness(r):
             fine = mesh.cell_fine_cells(cell)
             alone[fine] = k[fine]
             ref = fine_stiffness(mesh, alone)[nodes][:, nodes].toarray()
-            err = np.abs(fem.stencil_to_dense(bands[cell]) - ref).max()
+            err = np.abs(fem.stencil_to_dense(bands[:, cell]) - ref).max()
             assert err <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 7, 30])
 def test_interior_bands_are_rows_of_lower_band_storage(r):
-    # the stencil stack differs from the (r+1)-row lower band storage only
-    # by its sparse map's target: up to r = 4 it is that storage byte for
-    # byte, and from r = 5 on it holds that storage's rows at the stencil
-    # offsets, the rows it drops being zero
+    # the stencil storage differs from the (r+1)-row lower band storage
+    # only by its sparse map's target: up to r = 4 it is that storage byte
+    # for byte, and from r = 5 on it holds that storage's rows at the
+    # stencil offsets, the rows it drops being zero
     mesh = build_mesh(2, 2, r)
     asm = fem.LocalAssembler(mesh)
     nk = mesh.n_interior
@@ -638,33 +626,39 @@ def test_interior_bands_are_rows_of_lower_band_storage(r):
                                           lambda d, j: d * nk + j)
     kappa = np.exp(np.random.default_rng(r).uniform(
         -1, 1, (mesh.n_coarse_cells, r * r)))
-    lower = np.zeros((len(kappa), (r + 1) * nk))
-    fem._fill(lower_map, kappa, lower.T)
-    lower = lower.reshape(len(kappa), r + 1, nk)
+    lower = np.zeros(((r + 1) * nk + 1, len(kappa)))
+    fem._fill(lower_map, kappa, lower)
     bands = asm.interior_bands(kappa)
     offsets = reference.stencil_offsets(nk)
     assert fem.stencil_offsets(nk) == tuple(offsets)
     if r <= 4:
         assert bands.shape == lower.shape
         assert bands.tobytes() == lower.tobytes()
-    assert bands.tobytes() == lower[:, offsets].tobytes()
-    assert not np.delete(lower, offsets, axis=1).any()
+    lower = lower[:-1].reshape(r + 1, nk, -1)
+    assert bands[:-1].tobytes() == lower[offsets].tobytes()
+    assert not np.delete(lower, offsets, axis=0).any() and not bands[-1].any()
+    assert np.array_equal(reference.storage_bands(bands), lower)
     assert np.array_equal(fem.stencil_to_dense(bands),
-                          reference.band_to_dense(lower))
+                          np.moveaxis(reference.band_to_dense(lower), -1, 0))
 
 
 def test_stencil_stacks_of_the_wrong_width_are_refused():
-    # a (w, n) stack is read at the stencil offsets of n, which it must hold
+    # storage (w*n + 1, cells) is read at the stencil offsets of its order
+    # n, so its row count must be that of some n's w diagonals
     with pytest.raises(ValueError, match="square grid"):
         fem.stencil_offsets(12)
     M0, _ = _local_bands(7, 2, 0)
     M0_r4, _ = _local_bands(4, 2, 0)
-    for bad in (np.zeros((2, 8, 36)), M0[:, :4], M0_r4[:, :4]):
+    for bad in (np.zeros((8 * 36 + 1, 2)), M0[:4 * 36 + 1], M0[1:],
+                M0_r4[:4 * 9 + 1], np.zeros((0, 2)), np.zeros((17 + 5, 2))):
         for use in (fem.stencil_to_dense, fem.cell_matmul,
-                    reference.cell_inverses,
+                    fem.packed_inverses, reference.cell_inverses,
                     lambda bands: fem.cell_solvers((bands,))):
-            with pytest.raises(ValueError, match="stencil rows"):
+            with pytest.raises(ValueError, match="no local stencil storage"):
                 use(bad)
+    for n in (1, 4, 9, 16, 36):
+        good = np.zeros((len(fem.stencil_offsets(n)) * n + 1, 2))
+        assert fem.stencil_to_dense(good).shape == (2, n, n)
 
 
 def _spd_stack(rng, n, cells, shift):
@@ -815,10 +809,8 @@ def test_inverse_residuals_match_dense(r):
     asm = fem.local_assembler(mesh)
     n = asm.n_interior
     kappa = np.exp(np.random.default_rng(r).uniform(-1, 1, (6, r * r)))
-    bands = asm.interior_bands(kappa)
-    storage = np.zeros((len(fem.stencil_offsets(n)) * n + 1, 6))
-    storage[:-1] = bands.reshape(6, -1).T
-    G = fem.packed_inverses(bands)
+    storage = asm.interior_bands(kappa)
+    G = fem.packed_inverses(storage)
     res = fem.inverse_residuals(storage, G)
     assert res.max() <= 1e-13
     assert _same_bits(
@@ -829,6 +821,6 @@ def test_inverse_residuals_match_dense(r):
     G[n * (n + 1) // 2 - 1, 3] *= 1 + 1e-6
     bad = fem.inverse_residuals(storage, G)
     gz = _unpacked(G[:, 3:4])[0] @ z
-    ref = np.abs(fem.stencil_to_dense(bands[3]) @ gz - z).max() / z.max()
+    ref = np.abs(fem.stencil_to_dense(storage[:, 3]) @ gz - z).max() / z.max()
     assert ref > 1e-8 and abs(bad[3] - ref) <= 1e-6 * ref
     assert _same_bits(np.delete(bad, 3), np.delete(res, 3))

@@ -526,12 +526,14 @@ def test_grid_bandwidth_holds_local_stencil(r):
         _random_splitting(mesh, np.random.default_rng(r)))
     offsets = stencil_offsets(mesh.n_interior)
     assert offsets == sorted({0, 1, r - 2, r - 1, r})
-    assert ops.M0.shape == ops.M1.shape == (mesh.n_coarse_cells,
-                                            min(r + 1, 5), mesh.n_interior)
+    n = mesh.n_interior
+    assert ops.M0.shape == ops.M1.shape == (min(r + 1, 5) * n + 1,
+                                            mesh.n_coarse_cells)
     assert len(offsets) == min(r + 1, 5)
     if r > 2:  # every stored diagonal holds a neighbour in every cell; the
         # up-right one, in the last row, sits exactly r away
-        assert np.all(ops.M0.any(axis=2))
+        assert np.all(ops.M0[:-1].reshape(-1, n, mesh.n_coarse_cells).any(
+            axis=1))
 
 
 @pytest.mark.parametrize("nx,ny,r", [(2, 3, 2), (3, 2, 5), (2, 2, 7)])

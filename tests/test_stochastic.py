@@ -219,6 +219,25 @@ def test_green_store_above_batched_regime():
         assert np.abs(full[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("r", [3, 7])
+def test_green_store_is_the_sample_path_inverse_bit_for_bit(r):
+    # nK = 4 and 36, on either side of BATCHED_MAX_N: at each node the
+    # store holds, bit for bit, fem.packed_inverses of the M0 that
+    # assemble_local_operators builds for the splitting whose first m
+    # parameters are the node and whose others are 0
+    mesh = build_mesh(2, 2, r)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
+    grid = build_sparse_grid(2, 2)
+    store = precompute_green_inverses(mesh, model, grid, 2)
+    for i, node in enumerate(grid.nodes):
+        theta = np.zeros(model.n)
+        theta[:2] = node
+        ops = fem.assemble_local_operators(
+            mesh, np.arange(mesh.n_coarse_cells), split_kle(model, theta, 2))
+        G = fem.packed_inverses(ops.M0).T
+        assert store.matrices[i].tobytes() == G.tobytes()
+
+
 def _perturb_inverses(monkeypatch, mesh, model, grid, nodes):
     """Perturb by 1e-6 relative the first packed entry, the (0, 0) entry,
     of cell 1's inverse at the given grid nodes.
@@ -233,13 +252,12 @@ def _perturb_inverses(monkeypatch, mesh, model, grid, nodes):
         theta = np.zeros(model.n)
         theta[:grid.m] = grid.nodes[node]
         k0 = split_kle(model, theta, grid.m).k0
-        targets.append(asm.interior_bands(k0[cells])[1])
+        targets.append(asm.interior_bands(k0[cells])[:, 1])
     exact = fem.packed_inverses
 
     def perturbed(storage, out=None):
         G = exact(storage, out)
-        bands = storage[:-1].T.reshape((G.shape[1],) + targets[0].shape)
-        for c, cell in enumerate(bands):
+        for c, cell in enumerate(storage.T):
             if any(np.array_equal(cell, t) for t in targets):
                 G[0, c] *= 1.0 + 1e-6
         return G
@@ -297,9 +315,9 @@ def _inject_indefinite(monkeypatch, mesh, model, grid, faults):
         B = exact(self, kappa, out)
         for c, pivot in columns(kappa):
             if pivot == 0:
-                B[c] *= -1.0
-            else:
-                B[c, 0, -1] = -1.0  # the last pivot alone sees it
+                B[:, c] *= -1.0
+            else:  # the last pivot alone sees it
+                B[self.n_interior - 1, c] = -1.0
         return B
 
     monkeypatch.setattr(fem.LocalAssembler, "interior_bands", bands)

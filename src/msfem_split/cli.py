@@ -71,6 +71,8 @@ def parse_config(path):
             f"choose one of {', '.join(EXPERIMENTS)}")
     if cfg.get("field", "kle") not in ("kle", "lognormal"):
         raise ConfigError(f"{path}: unknown field {cfg['field']!r}")
+    if cfg.get("seed", 0) < 0:
+        raise ConfigError(f"{path}: seed must be >= 0, not {cfg['seed']}")
     _validate_required(cfg, path)
     return cfg
 
@@ -422,6 +424,8 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
+        if args.command == "run" and args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, not {args.seed}")
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -78,7 +78,9 @@ class SparseGrid:
     (subgrids, k) array of active dimensions.  The combination map is a
     sparse (n_nodes, subgrid points) matrix with one column per subgrid
     point, in subgrid order, holding the subgrid's Smolyak coefficient in
-    the row of the point's node.
+    the row of the point's node.  A sign flip of a coordinate maps its
+    index p to 2c - p for the index c = 2^L // 2 of 0, on every level, so
+    the grid is closed under sign flips (see reflection).
     """
 
     def __init__(self, m, L):
@@ -118,7 +120,8 @@ class SparseGrid:
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        self.nodes = _cc_points(L)[rows[first[order]]]
+        self._indices = rows[first[order]]
+        self.nodes = _cc_points(L)[self._indices]
         self._patterns = [(levels, np.array(dims, dtype=int).reshape(
             len(dims), len(levels))) for levels, dims in patterns.items()]
         # values come pattern by pattern: the rank of each subgrid point, in
@@ -137,17 +140,39 @@ class SparseGrid:
     def n_nodes(self):
         return len(self.nodes)
 
+    def reflection(self, flip):
+        """(n_nodes,) permutation p taking node i to node p[i], node i with
+        the coordinates where flip (bool (m,)) holds negated.
+
+        Read from the integer index rows, not from the node values; the
+        rows are matched by one sort of them beside the flipped rows.
+        """
+        rows = self._indices
+        flipped = np.where(flip, rows.dtype.type(2 ** self.L // 2 * 2) - rows,
+                           rows)
+        both = np.concatenate([rows, flipped])
+        _, inverse = np.unique(
+            both.view(np.dtype((np.void, both.itemsize * self.m))).ravel(),
+            return_inverse=True)
+        inverse = inverse.ravel()
+        node = np.empty(self.n_nodes, dtype=int)
+        node[inverse[:self.n_nodes]] = np.arange(self.n_nodes)
+        return node[inverse[self.n_nodes:]]
+
     def interpolation_weights(self, theta):
         """Combination weights (..., n_nodes) at points theta (..., m).
 
         I_m f(theta) = sum_i w_i f(node_i).  Each pattern's tensor products
         are formed for all its subgrids at once, in the order
         ((t1*t2)*t3), and each node sums its subgrid points in subgrid
-        order.
+        order.  A point outside [-1, 1]^m, or not finite, is refused: the
+        interpolant does not extrapolate.
         """
         theta = np.asarray(theta, float)
         if theta.ndim == 0 or theta.shape[-1] != self.m:
             raise ValueError(f"theta must have trailing length {self.m}")
+        if not np.all(np.abs(theta) <= 1.0):  # NaN fails as well
+            raise ValueError("theta must be finite and within [-1, 1]^m")
         x = theta.reshape(-1, self.m)
         w = np.empty((len(x), self.n_nodes))
         step = max(1, MAX_VALUES // len(self._columns))
@@ -212,6 +237,12 @@ def cost_ratios(n, m, q, L):
 MAX_STORE_BYTES = 2 * 1024 ** 3
 # largest scaled residual fem.inverse_residuals of a store inverse
 MAX_GREEN_RESIDUAL = 1e-10
+# largest log-field mismatch sum_d sqrt(lambda_d) max|phi_d o R - s_d phi_d|
+# of the leading KLE modes phi_d under a reflection R of the unit square
+# that still serves the store (see _mirror_parities).  Each mode of the
+# shipped models measures at most 1.6e-13, round-off of the Nystrom
+# eigenvectors, so a mode that is not mirror-symmetric reads far above it
+MAX_MIRROR_MISMATCH = 1e-12
 # matrix entries, nodes * cells * nK^2, per block of the store build: as
 # many whole nodes as fit, at least one.  A worker holds the GIL between
 # numpy calls, so each call must run long enough for the other workers to
@@ -223,20 +254,24 @@ MAX_GREEN_RESIDUAL = 1e-10
 # one allocation above 4 MiB, which numpy marks for transparent huge
 # pages; the block's temporaries, the sweep's three rows the largest, stay
 # small beside it.  Check ru_minflt in tests/reference.py store-digest
-# after any change to the block loop.  colloc-L3's store (256 cells,
-# nK=9; 2-core Xeon, 1 BLAS thread, two workers, medians of 8) builds in
-# 0.96 s with 32-node blocks (this budget; 3.7k faults), 1.25 s with 16
-# (3.2k), 1.58 s with 8 (2.0k) and 1.00 s with 64 (5.7k), where
-# Gauss-Jordan on 8-node blocks took 1.44 s (3.9k)
+# after any change to the block loop.  colloc-L3's store when it kept all
+# 256 cells (nK=9; 2-core Xeon, 1 BLAS thread, two workers, medians of 8)
+# built in 0.96 s with blocks of 8192 cells (this budget; 3.7k faults),
+# 1.25 s with 4096 (3.2k), 1.58 s with 2048 (2.0k) and 1.00 s with 16384
+# (5.7k), where Gauss-Jordan on 2048-cell blocks took 1.44 s (3.9k)
 STORE_BLOCK_ENTRIES = 8192 * 81
 # store nodes per block of the interpolation contraction.  OpenBLAS 0.3.31
 # (Haswell kernels) cuts a long inner dimension into panels, and how it cuts
 # depends on its thread count; a block at or below the panel size is summed
 # in one panel, so blocks summed in node order give the same bits under any
-# BLAS thread count.  That is a property of the BLAS build, not a guarantee,
-# and a test checks it.  On colloc-L3 (2-core Xeon, 1 BLAS thread) the
-# interpolant of 5 points takes 46-58 ms on two workers, against 71-90 ms by
-# one GEMM on one core
+# BLAS thread count.  With the weights Fortran-ordered, each row's entries
+# take the same arithmetic under any number of rows; C-ordered weights took
+# other kernels for the last rows of some products, and other bits from 35
+# points on a 6-cell store.  That is a property of the BLAS build, not a
+# guarantee, and tests check it.  On colloc-L3 (2-core Xeon, 1 BLAS
+# thread) the interpolant of 5 points takes 17-18 ms on two workers from
+# the 64 representative cells; a store of all 256 cells took 33-39 ms, and
+# 71-90 ms by one GEMM on one core
 CONTRACT_BLOCK_NODES = 256
 # columns of the dgemm micro-kernel's tile (8 in OpenBLAS's Haswell kernels).
 # A column range that starts at a multiple of it is tiled as in the whole
@@ -248,23 +283,105 @@ CONTRACT_TILE_COLUMNS = 8
 
 @dataclass
 class GreenStore:
-    """Per (sparse-grid node, coarse cell) interior inverses of M0.
+    """Per (sparse-grid node, representative cell) interior inverses of M0.
 
     M0^-1 is symmetric, so each inverse keeps only its row-major lower
     triangle: entry (i, j) with j <= i sits at i(i+1)/2 + j
     (fem.packed_index).
+
+    Only one cell of each orbit under the store's reflections is kept (see
+    precompute_green_inverses).  Mesh cell c with orbits[c] = (g, i) is
+    the representative cells[i] mirrored by group element g: its inverse
+    at node n is entry (interior_perms[g, a], interior_perms[g, b]) at
+    (a, b) of the representative's at node node_perms[g, n].  Element 0
+    is the identity.
     """
 
     mesh: object
     model: object
     grid: SparseGrid
-    matrices: np.ndarray  # (n_nodes, n_cells, n_K(n_K+1)/2)
+    matrices: np.ndarray  # (n_nodes, len(cells), n_K(n_K+1)/2)
     # the largest scaled residual of the build's check, <= MAX_GREEN_RESIDUAL
     residual: float
+    cells: np.ndarray  # (representatives,) mesh cells, ascending
+    orbits: np.ndarray  # (n_cells, 2): element, position in cells
+    node_perms: np.ndarray  # (elements, n_nodes)
+    interior_perms: np.ndarray  # (elements, n_K)
+
+
+def _mirror_parities(model, m):
+    """Parities s (m,) of the leading m KLE modes under the x and then the
+    y reflection of the unit square, phi_d o R = s_d phi_d, or None for a
+    reflection under which the log-field mismatch sum_d sqrt(lambda_d)
+    max|phi_d o R - s_d phi_d| exceeds MAX_MIRROR_MISMATCH.
+
+    Within it, log k0(theta) o R = log k0(s theta) for every theta in
+    [-1, 1]^m.
+    """
+    mesh = model.mesh
+    phi = model.eigenfunctions[:m].reshape(m, mesh.nyf, mesh.nxf)
+    root = np.sqrt(model.eigenvalues[:m])
+    parities = []
+    for axis in (2, 1):  # x, y
+        mirrored = np.flip(phi, axis=axis)
+        even = np.abs(mirrored - phi).max(axis=(1, 2))
+        odd = np.abs(mirrored + phi).max(axis=(1, 2))
+        mismatch = root @ np.minimum(even, odd)
+        parities.append(np.where(even <= odd, 1, -1)
+                        if mismatch <= MAX_MIRROR_MISMATCH else None)
+    return parities
+
+
+def _mirror_group(mesh, model, grid, m):
+    """GreenStore's cells, orbits, node_perms and interior_perms.
+
+    The group holds the identity, each reflection whose parities
+    _mirror_parities finds, and their product when both are found.  A
+    cell's representative lies in the lower-left quarter of the coarse
+    grid, cx <= (nx - 1) // 2 and cy <= (ny - 1) // 2 along the
+    reflections held, middle row and column included; mirroring the
+    representative by the cell's element and the node's parameters by the
+    odd modes' signs gives the cell's coefficient at the node.
+    """
+    nx, ny, s = mesh.nx_coarse, mesh.ny_coarse, mesh.r - 1
+    px, py = _mirror_parities(model, m)
+    hx, hy = px is not None, py is not None
+    # the (x flip, y flip) of the elements e, x, y and xy of those held
+    elements = list(dict.fromkeys((x, y) for y in (False, hy)
+                                  for x in (False, hx)))
+    cx, cy = mesh.cell_coords(np.arange(mesh.n_coarse_cells))
+    fx = hx & (cx > (nx - 1) // 2)
+    fy = hy & (cy > (ny - 1) // 2)
+    cells = np.flatnonzero(~fx & ~fy)
+    rep = np.where(fy, ny - 1 - cy, cy) * nx + np.where(fx, nx - 1 - cx, cx)
+    # (fx, fy)'s place among the elements
+    orbits = np.column_stack([fx + (1 + hx) * fy,
+                              np.searchsorted(cells, rep)])
+    odd_x, odd_y = hx and px < 0, hy and py < 0
+    node_perms = np.array([grid.reflection((x & odd_x) ^ (y & odd_y))
+                           for x, y in elements])
+    # interior nodes run row-major over rows of s = r - 1 nodes
+    iy, ix = np.divmod(np.arange(s * s), s)
+    interior_perms = np.array([np.where(y, s - 1 - iy, iy) * s +
+                               np.where(x, s - 1 - ix, ix)
+                               for x, y in elements])
+    return cells, orbits, node_perms, interior_perms
 
 
 def precompute_green_inverses(mesh, model, grid, m):
-    """Assemble and invert M0(node) for every cell and grid node.
+    """Assemble and invert M0(node) for every representative cell and grid
+    node.
+
+    Each KLE mode is a product of 1D eigenvectors on a symmetric grid, so
+    under the x and y reflections of the unit square it is symmetric or
+    antisymmetric, and the Smolyak grid is closed under sign flips of its
+    coordinates.  Mirroring a cell by a reflection g thus mirrors its M0
+    at node n into the M0 of the mirror cell at the node with the odd
+    modes' parameters negated: G(g node, g cell) = P_g G(node, cell) P_g^T
+    for the permutation P_g of the interior nodes.  A reflection joins the
+    group only when every one of the m leading modes has a parity (see
+    _mirror_parities); dropped, the store is larger but still exact.  The
+    store keeps one representative cell of each orbit (see GreenStore).
 
     The nodes are inverted by fem.packed_inverses in blocks of as many
     whole nodes as fit in STORE_BLOCK_ENTRIES matrix entries, at least one,
@@ -272,19 +389,22 @@ def precompute_green_inverses(mesh, model, grid, m):
     block writes its own rows of the store.  Each cell's inverse takes the
     same arithmetic as in a one-node stack, so the store holds the same
     bits under any worker count.  A node whose M0 is not SPD raises
-    LinAlgError naming the node and its cell, and one whose inverse fails
-    the residual check (fem.inverse_residuals above MAX_GREEN_RESIDUAL in
-    a cell) raises ValueError naming the node; of several such nodes, the
-    lowest.  The store keeps the largest residual as its residual.  A
-    model on another fine grid is refused first.
+    LinAlgError naming the node and its mesh cell, and one whose inverse
+    fails the residual check (fem.inverse_residuals above
+    MAX_GREEN_RESIDUAL in a cell) raises ValueError naming the node; of
+    several such nodes, the lowest.  The store keeps the largest residual
+    as its residual.  A model on another fine grid is refused first, and
+    a store of more than MAX_STORE_BYTES before any is allocated.
     """
     mesh.check_fine_grid(model.mesh, "model")
     if grid.m != m:
         raise ValueError("grid dimension must equal m")
     if m > model.n:
         raise ValueError("m must not exceed the KLE truncation")
+    cells, orbits, node_perms, interior_perms = _mirror_group(
+        mesh, model, grid, m)
     n_k = mesh.n_interior
-    n_cells = mesh.n_coarse_cells
+    n_cells = len(cells)
     entries = n_k * (n_k + 1) // 2
     need = grid.n_nodes * n_cells * entries * 8
     if need > MAX_STORE_BYTES:
@@ -292,16 +412,22 @@ def precompute_green_inverses(mesh, model, grid, m):
             f"GreenStore needs {need} bytes > limit {MAX_STORE_BYTES}; "
             "reduce r or the interpolation level")
     asm = fem.local_assembler(mesh)
-    cell_ids = mesh.cell_fine_cells(np.arange(n_cells))
+    fine = mesh.cell_fine_cells(cells)
     out = np.empty((grid.n_nodes, n_cells, entries))
     step = max(1, STORE_BLOCK_ENTRIES // (n_cells * n_k ** 2))
     buffers = threading.local()  # per worker (see STORE_BLOCK_ENTRIES)
     rows = asm.stencil_rows
 
+    def kappa(node, ids):
+        """(cells, r^2) coefficient values at grid node `node` on the fine
+        cells ids (cells, r^2), only theirs exponentiated."""
+        return np.exp(field_mod.log_field_partial(
+            model, grid.nodes[node], m)[ids])
+
     def invert(start, stop):
         """Write the inverses of nodes start .. stop-1 into the store;
         returns their largest scaled residual."""
-        cells = (stop - start) * n_cells
+        width = (stop - start) * n_cells
         if not hasattr(buffers, "storage"):
             # one allocation (see STORE_BLOCK_ENTRIES)
             size = step * n_cells
@@ -310,13 +436,12 @@ def precompute_green_inverses(mesh, model, grid, m):
             buffers.packed = work[rows * size:]
         # the block's columns, so each row means the same in every block,
         # each node's its own n_cells of them
-        storage = buffers.storage[:, :cells]
-        for i, node in enumerate(grid.nodes[start:stop]):
-            kappa = np.exp(field_mod.log_field_partial(model, node, m))
-            asm.interior_bands(kappa[cell_ids], out=storage[
+        storage = buffers.storage[:, :width]
+        for i in range(stop - start):
+            asm.interior_bands(kappa(start + i, fine), out=storage[
                 :, i * n_cells:(i + 1) * n_cells])
         G = fem.packed_inverses(storage, out=buffers.packed[
-            :cells * entries].reshape(entries, -1))
+            :width * entries].reshape(entries, -1))
         residual = fem.inverse_residuals(storage, G).reshape(
             stop - start, n_cells).max(axis=1)
         fails = ~(residual <= MAX_GREEN_RESIDUAL)  # NaN fails as well
@@ -334,16 +459,17 @@ def precompute_green_inverses(mesh, model, grid, m):
             return invert(start, stop)
         except np.linalg.LinAlgError:
             # the stack reports the first pivot to fail in any of its
-            # nodes, at column node * n_cells + cell; redone node by node,
-            # the lowest failing node is named with its own cell, as a loop
-            # over the nodes names it
+            # nodes, at column node * n_cells + representative; redone
+            # node by node on every mesh cell, the lowest failing node is
+            # named with its mesh cell, as a loop over the nodes names it
+            all_fine = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
             for i in range(start, stop):
                 try:
-                    invert(i, i + 1)
+                    fem.packed_inverses(asm.interior_bands(kappa(i, all_fine)))
                 except np.linalg.LinAlgError as exc:
                     raise np.linalg.LinAlgError(
                         f"M0 at grid node {i}: {exc}") from exc
-            raise  # not reached: the failing node fails alone as well
+            raise  # not reached: a failing representative fails there too
 
     bounds = [(s, min(s + step, grid.n_nodes))
               for s in range(0, grid.n_nodes, step)]
@@ -355,7 +481,8 @@ def precompute_green_inverses(mesh, model, grid, m):
     finally:
         pool.shutdown(cancel_futures=True)
     return GreenStore(mesh=mesh, model=model, grid=grid, matrices=out,
-                      residual=residual)
+                      residual=residual, cells=cells, orbits=orbits,
+                      node_perms=node_perms, interior_perms=interior_perms)
 
 
 def _usable_cpus(cap):
@@ -368,22 +495,33 @@ def _usable_cpus(cap):
 
 
 def _interpolated_green(store, theta0):
-    """I_m M0^-1 of every cell at points (..., m): (..., n_cells, nK, nK).
+    """I_m M0^-1 of every mesh cell at points (..., m): (..., n_cells, nK,
+    nK).
 
     The weights contract the store in blocks of CONTRACT_BLOCK_NODES nodes,
     summed in node order, on a pool of threads, one per CPU the process may
     run on; each worker sums one contiguous range of whole tiles of
     CONTRACT_TILE_COLUMNS columns.  Each entry takes the same arithmetic
     under any worker count, and a point's entries the same under any
-    number of points.  The interpolant is unpacked from the lower
-    triangle, so it is symmetric by construction.
+    number of points.
+
+    The store holds representative cells only (see GreenStore), so each
+    point contracts one row of weights per group element g, its weights
+    permuted by node_perms[g]: row s * elements + g serves the cells of
+    element g at point s.  Every cell is then unpacked from its
+    representative's lower triangle in its element's row by one gather
+    through packed_index with the interior nodes permuted, so the
+    interpolant is symmetric by construction.
     """
     theta0 = np.asarray(theta0, float)
     n_nodes = store.grid.n_nodes
     weights = store.grid.interpolation_weights(theta0).reshape(-1, n_nodes)
-    # a one-row product takes a BLAS path of other bits: pad with a zero row
-    n_points = len(weights)
-    weights = np.pad(weights, ((0, int(n_points < 2)), (0, 0)))
+    weights = np.take(weights, store.node_perms, axis=1).reshape(-1, n_nodes)
+    # a one-row product takes a BLAS path of other bits: pad with a zero
+    # row.  Fortran-ordered for any number of rows (see CONTRACT_BLOCK_NODES)
+    n_rows = len(weights)
+    weights = np.asfortranarray(
+        np.pad(weights, ((0, int(n_rows < 2)), (0, 0))))
     flat = store.matrices.reshape(n_nodes, -1)
     n_cols = flat.shape[1]
     packed = np.empty((len(weights), n_cols))
@@ -406,9 +544,14 @@ def _interpolated_green(store, theta0):
     with ThreadPoolExecutor(workers) as pool:
         for done in [pool.submit(contract, *b) for b in zip(cuts, cuts[1:])]:
             done.result()
-    packed = packed[:n_points].reshape(
-        theta0.shape[:-1] + store.matrices.shape[1:])
-    return packed[..., fem.packed_index(store.mesh.n_interior)]
+    element, rep = store.orbits.T
+    perm = store.interior_perms[element]
+    index = fem.packed_index(store.mesh.n_interior)[
+        perm[:, :, None], perm[:, None, :]]
+    index += ((element * len(store.cells) + rep) * store.matrices.shape[2])[
+        :, None, None]
+    packed = packed[:n_rows].reshape(-1, len(store.node_perms) * n_cols)
+    return packed[:, index].reshape(theta0.shape[:-1] + index.shape)
 
 
 # ---- sampling drivers ------------------------------------------------------
@@ -419,7 +562,8 @@ class StochasticConfig:
     """Shared configuration of the Monte Carlo and collocation drivers.
 
     Refuses a model on another fine grid than mesh, an m outside [0,
-    model.n], and an empty J_list or one holding a negative J.
+    model.n], an empty J_list or one holding a negative J, and a negative
+    seed.
     """
 
     mesh: object
@@ -433,6 +577,8 @@ class StochasticConfig:
         if not 0 <= self.m <= self.model.n:
             raise ValueError(f"m={self.m} outside [0, {self.model.n}]")
         basis_mod.check_J_list(self.J_list)
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
 
 
 @dataclass

@@ -49,15 +49,17 @@ byte check of a change that must keep every output bit, and
     PYTHONPATH=src python tests/reference.py store-digest
 
 builds the colloc-L3 benchmark workload's GreenStore and prints its
-SHA-256, the build's seconds, its minor page faults and how close its
-residual check came to failing: the store's bit anchor.  full_sweep is
-the symmetric sweep over the whole packed triangle on a copy, the oracle
-of fem.spd_inverse's in-place, band-windowed sweep, and packed packs a
-cells-last stack for it.
-green_store_loop builds the store's matrices one node at a time, the
-oracle of precompute_green_inverses' threaded node blocks, and
-interpolated_green_gemm contracts the store by one GEMM, the oracle of
-the node-blocked contraction.
+SHA-256, its representative cell count and stored MiB, the build's
+seconds, its minor page faults with the transparent huge page mode they
+ran under and how close its residual check came to failing: the store's
+bit anchor.  full_sweep is the symmetric sweep over the whole packed
+triangle on a copy, the oracle of fem.spd_inverse's in-place,
+band-windowed sweep, and packed packs a cells-last stack for it.
+green_store_loop builds the inverses of every mesh cell one node at a
+time, the oracle of precompute_green_inverses' threaded node blocks on
+the representative cells, and interpolated_green_gemm contracts that full
+store by one GEMM, the oracle of the node-blocked contraction of the
+mirrored representatives.
 
 The mesh geometry helpers and covariance_kernel are oracles for the mesh
 addressing and the separable KLE.  smolyak_weights sums the Smolyak
@@ -121,9 +123,9 @@ def digest(a):
 """
 
 _CHILDREN = {
-    # a GreenStore of 33 nodes of 256 cells at nK=4, in 9 blocks of 4
-    # nodes: the size of the pool its build ran on and the SHA-256 of its
-    # matrices
+    # a GreenStore of 33 nodes of 64 representative cells at nK=4, in 9
+    # blocks of 4 nodes: the size of the pool its build ran on and the
+    # SHA-256 of its matrices
     "store": """
 from concurrent.futures import ThreadPoolExecutor
 pools = []
@@ -131,11 +133,12 @@ def pool(workers):
     pools.append(workers)
     return ThreadPoolExecutor(workers)
 st.ThreadPoolExecutor = pool
-st.STORE_BLOCK_ENTRIES = 4 * 256 * 4 ** 2
+st.STORE_BLOCK_ENTRIES = 4 * 64 * 4 ** 2
 mesh = ms.build_mesh(16, 16, 3)
 model = ms.build_kle_model(mesh, 1.0, 0.1, 0.1, 16)
 store = ms.precompute_green_inverses(mesh, model, ms.build_sparse_grid(16, 1),
                                      16)
+assert store.matrices.shape[1] == 64
 print(*pools, digest(store.matrices))
 """,
     # the interpolant of a 16-cell, 849-node store (not a multiple of
@@ -604,7 +607,9 @@ def packed(a):
 
 
 def green_store_loop(mesh, model, grid, m):
-    """GreenStore.matrices of a loop over the nodes, one stack per node.
+    """(n_nodes, n_cells, nK(nK+1)/2) packed inverses of every mesh cell,
+    as GreenStore.matrices keeps its representatives', by a loop over the
+    nodes, one stack per node.
 
     Each node's M0 storage is read as lower band storage by storage_bands.
     Up to fem.BATCHED_MAX_N it is expanded by band_to_dense, packed and
@@ -630,11 +635,14 @@ def green_store_loop(mesh, model, grid, m):
 
 
 def interpolated_green_gemm(store, theta0):
-    """I_m M0^-1 at points (..., m) from one GEMM over all store nodes."""
+    """I_m M0^-1 at points (..., m) from one GEMM over all grid nodes of
+    the inverses of every mesh cell, as green_store_loop builds them."""
     theta0 = np.asarray(theta0, float)
+    matrices = green_store_loop(store.mesh, store.model, store.grid,
+                                store.grid.m)
     weights = store.grid.interpolation_weights(theta0)
-    packed = weights @ store.matrices.reshape(store.grid.n_nodes, -1)
-    packed = packed.reshape(theta0.shape[:-1] + store.matrices.shape[1:])
+    packed = weights @ matrices.reshape(store.grid.n_nodes, -1)
+    packed = packed.reshape(theta0.shape[:-1] + matrices.shape[1:])
     row, col = np.indices((store.mesh.n_interior,) * 2)
     hi, lo = np.maximum(row, col), np.minimum(row, col)
     return packed[..., hi * (hi + 1) // 2 + lo]
@@ -661,11 +669,24 @@ def config_outputs(root):
         for c in configs) else 1
 
 
+def _huge_page_mode():
+    """The transparent huge page mode the kernel runs, the bracketed word
+    of /sys/kernel/mm/transparent_hugepage/enabled; unknown without it."""
+    try:
+        text = Path("/sys/kernel/mm/transparent_hugepage/enabled").read_text()
+    except OSError:
+        return "unknown"
+    return next((w[1:-1] for w in text.split() if w.startswith("[")),
+                "unknown")
+
+
 def store_digest():
     """Build colloc-L3's GreenStore (16x16 mesh, r=4, sigma2=1, l=0.1,
-    n=20, m=16, L=3) and print the SHA-256 of its matrices, the build's
-    seconds, the minor page faults it took (ru_minflt) and its largest
-    scaled residual against the check's bound; 0."""
+    n=20, m=16, L=3) and print the SHA-256 of its matrices, how many of
+    the mesh cells it keeps as representatives and the MiB it stores, the
+    build's seconds, the minor page faults it took (ru_minflt) under the
+    transparent huge page mode printed beside them, which they depend on,
+    and its largest scaled residual against the check's bound; 0."""
     mesh = msfem_split.build_mesh(16, 16, 4)
     model = msfem_split.build_kle_model(mesh, 1.0, 0.1, 0.1, 20)
     grid = msfem_split.build_sparse_grid(16, 3)
@@ -675,8 +696,10 @@ def store_digest():
     seconds = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     print(f"sha256 {hashlib.sha256(store.matrices).hexdigest()}")
+    print(f"cells {len(store.cells)} of {mesh.n_coarse_cells}")
+    print(f"store_mib {store.matrices.nbytes / 2 ** 20:.1f}")
     print(f"build_s {seconds:.3f}")
-    print(f"ru_minflt {faults}")
+    print(f"ru_minflt {faults} thp {_huge_page_mode()}")
     print(f"residual {store.residual:.3g} / {st.MAX_GREEN_RESIDUAL:g} = "
           f"{store.residual / st.MAX_GREEN_RESIDUAL:.3g}")
     return 0

@@ -224,9 +224,10 @@ def test_criterion_09_collocation_accuracy():
     # The accuracy clauses use the inputs of configs/colloc_table.cfg
     # (m=16).  The dominance clauses use one run at m=8 on the same mesh,
     # field, seed and J: at m=16 the splitting error (8e-6) stays below the
-    # collocation error until L=5, and the L=4 store alone (4.4 GiB) is
-    # over the GreenStore limit.  At m=8, e_spl is 6.8e-4 and e_col falls
-    # from 3.8e-3 at L=1 to 1.35e-4 at L=3.
+    # collocation error until about L=5; the L=4 store (about 1.1 GiB of
+    # its 64 representative cells) fits the GreenStore limit, but e_col,
+    # falling 4-5x per level, would still be above e_spl there.  At m=8,
+    # e_spl is 6.8e-4 and e_col falls from 3.8e-3 at L=1 to 1.35e-4 at L=3.
     mesh = build_mesh(16, 16, 4)
     model = build_kle_model(mesh, 1.0, 0.1, 0.1, 20)
     m_acc, m_dec = 16, 8

@@ -150,6 +150,23 @@ def test_seed_override_changes_results(tmp_path):
         (out2 / "basis_bound.csv").read_bytes()
 
 
+def test_negative_seed_rejected_before_run(tmp_path, capsys):
+    # a negative seed reached numpy's generator only once the run had made
+    # its output directory; in the config or by --seed it is a config error
+    path = _write(tmp_path, BASIS_CFG.replace("seed = 4", "seed = -3"))
+    with pytest.raises(ConfigError, match="seed must be >= 0, not -3"):
+        parse_config(path)
+    assert main(["validate", path]) == 2
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert main(["run", _write(tmp_path, BASIS_CFG, "ok.cfg"), "--out",
+                 str(out), "--seed", "-2"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, not -3" in err
+    assert "error: --seed must be >= 0, not -2" in err
+    assert not out.exists()
+
+
 def test_out_env_override(tmp_path):
     path = _write(tmp_path, COST_CFG)
     out = tmp_path / "from_env"

@@ -84,6 +84,40 @@ def test_interpolation_weights_match_subgrid_loop(m, L):
                           smolyak_weights(grid, nodes))
 
 
+@pytest.mark.parametrize("m,L", [(3, 0), (1, 1), (3, 2), (16, 3)])
+def test_sparse_grid_reflection(m, L):
+    # the node permutation of a sign flip, read from the integer indices:
+    # an involution taking each node to its mirror image, whose weights
+    # are those of the mirrored point
+    grid = build_sparse_grid(m, L)
+    rng = np.random.default_rng(m * 10 + L)
+    theta = rng.uniform(-1.0, 1.0, (3, m))
+    for flip in (np.zeros(m, bool), np.ones(m, bool), rng.random(m) < 0.5):
+        p = grid.reflection(flip)
+        assert np.array_equal(p[p], np.arange(grid.n_nodes))
+        mirrored = np.where(flip, -grid.nodes, grid.nodes)
+        assert np.abs(grid.nodes[p] - mirrored).max() <= 1e-15
+        W = grid.interpolation_weights(np.where(flip, -theta, theta))
+        assert np.abs(W - grid.interpolation_weights(theta)[:, p]).max() \
+            <= 1e-13 * np.abs(W).max()
+
+
+def test_interpolation_weights_refuse_points_outside_the_cube():
+    # the interpolant does not extrapolate, and NaN gave NaN weights
+    grid = build_sparse_grid(3, 2)
+    for bad in ([0.0, 1.5, 0.0], [np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0],
+                [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0 - 1e-15]]):
+        with pytest.raises(ValueError,
+                           match=r"finite and within \[-1, 1\]\^m"):
+            grid.interpolation_weights(bad)
+    # the cube's faces are accepted
+    corner = grid.interpolation_weights([1.0, -1.0, 1.0])
+    assert abs(corner.sum() - 1.0) <= 1e-14
+    mesh, model, grid, store = _small_setup()
+    with pytest.raises(ValueError, match="within"):
+        st._interpolated_green(store, np.full(3, 5.0))
+
+
 def test_interpolation_reproduces_low_degree_polynomials():
     grid = build_sparse_grid(2, 2)
     rng = np.random.default_rng(3)
@@ -140,41 +174,107 @@ def _small_setup(L=1, m=3, n=5):
     return mesh, model, grid, store
 
 
-def _unpacked(store):
-    """Full (n_nodes, n_cells, nK, nK) inverses from the packed store."""
-    n_k = store.mesh.n_interior
-    full = np.zeros(store.matrices.shape[:2] + (n_k, n_k))
+def _unpacked(matrices):
+    """Full (n_nodes, cells, nK, nK) inverses from packed store matrices."""
+    n_k = fem._packed_order(matrices.shape[-1])
+    full = np.zeros(matrices.shape[:2] + (n_k, n_k))
     row, col = np.tril_indices(n_k)
-    full[..., row, col] = store.matrices
-    full[..., col, row] = store.matrices
+    full[..., row, col] = matrices
+    full[..., col, row] = matrices
     return full
 
 
 def test_green_store_shape_and_inverses():
     mesh, model, grid, store = _small_setup()
     n_k = mesh.n_interior
-    assert store.matrices.shape == (grid.n_nodes, mesh.n_coarse_cells,
-                                    n_k * (n_k + 1) // 2)
-    full = _unpacked(store)
+    # the lower-left quarter of the 4x4 cells represents every cell
+    assert np.array_equal(store.cells, [0, 1, 4, 5])
+    assert store.matrices.shape == (grid.n_nodes, 4, n_k * (n_k + 1) // 2)
+    full = _unpacked(store.matrices)
     for i in (0, grid.n_nodes - 1):
         theta = np.zeros(model.n)
         theta[:store.grid.m] = grid.nodes[i]
         split = split_kle(model, theta, store.grid.m)
-        for cell in (0, 7):
-            ops = fem.assemble_local_operators(mesh, cell, split)
-            prod = fem.stencil_to_dense(ops.M0) @ full[i, cell]
+        for j in (0, 3):
+            ops = fem.assemble_local_operators(mesh, store.cells[j], split)
+            prod = fem.stencil_to_dense(ops.M0) @ full[i, j]
             assert np.abs(prod - np.eye(mesh.n_interior)).max() <= 1e-8
 
 
-def test_green_store_guards():
+def _asymmetric(model, mode, broken):
+    """model with one mode changed by 1e-9 of itself on fine cells that
+    break its parity: the column x = 0 under the x reflection only
+    (broken = "x"), the corner cell (0, 0) under both ("xy")."""
+    mesh = model.mesh
+    phi = model.eigenfunctions.copy().reshape(model.n, mesh.nyf, mesh.nxf)
+    where = (slice(None), 0) if broken == "x" else (0, 0)
+    phi[mode][where] *= 1.0 + 1e-9
+    return dataclasses.replace(model, eigenfunctions=phi.reshape(model.n, -1))
+
+
+@pytest.mark.parametrize("mode,broken,elements", [
+    (0, "x", 2), (0, "xy", 1), (2, "xy", 1),
+    # a mode past m does not enter the coefficient at the nodes
+    (4, "xy", 4)])
+def test_asymmetric_mode_drops_its_reflection(mode, broken, elements):
+    # a reflection under which one of the m leading modes has no parity
+    # leaves the group, and the store keeps the cells it would have
+    # mirrored: every cell when no reflection is left, each bitwise the
+    # oracle's, and the interpolant still agrees with the full store's
+    mesh = build_mesh(4, 4, 3)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
+    model = _asymmetric(model, mode, broken)
+    grid = build_sparse_grid(3, 2)
+    store = precompute_green_inverses(mesh, model, grid, 3)
+    assert len(store.node_perms) == len(store.interior_perms) == elements
+    cx, cy = mesh.cell_coords(np.arange(mesh.n_coarse_cells))
+    kept = {1: cx >= 0, 2: cy <= 1, 4: (cx <= 1) & (cy <= 1)}[elements]
+    assert np.array_equal(store.cells, np.flatnonzero(kept))
+    full = green_store_loop(mesh, model, grid, 3)
+    assert np.array_equal(store.matrices, full[:, store.cells])
+    points = np.random.default_rng(7).uniform(-1.0, 1.0, (3, 3))
+    ref = interpolated_green_gemm(store, points)
+    G = st._interpolated_green(store, points)
+    assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("r", [3, 7])
+@pytest.mark.parametrize("nx,ny", [(4, 4), (2, 2), (3, 5), (5, 7)])
+def test_interpolated_green_matches_full_store(nx, ny, r):
+    # nK = 4 and 36, on either side of BATCHED_MAX_N: the representatives,
+    # the lower-left quarter with an odd mesh's middle row and column,
+    # mirrored into every cell give the interpolant of the full store, at
+    # random points and at the nodes, where it is each cell's own inverse
+    mesh = build_mesh(nx, ny, r)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
+    grid = build_sparse_grid(3, 2)
+    store = precompute_green_inverses(mesh, model, grid, 3)
+    assert len(store.node_perms) == 4
+    assert len(store.cells) == (nx + 1) // 2 * ((ny + 1) // 2)
+    points = np.concatenate([
+        np.random.default_rng(nx * ny).uniform(-1.0, 1.0, (4, 3)),
+        grid.nodes[::5]])
+    ref = interpolated_green_gemm(store, points)
+    G = st._interpolated_green(store, points)
+    assert G.shape == ref.shape
+    assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(G, G.swapaxes(-1, -2))
+
+
+def test_green_store_guards(monkeypatch):
     mesh, model, grid, _ = _small_setup()
     with pytest.raises(ValueError):
         precompute_green_inverses(mesh, model, build_sparse_grid(2, 1), 3)
-    # 69 nodes x 16 cells x 353 661 packed entries: about 3.1e9 bytes
+    # 441 nodes x 4 representative cells x 353 661 packed entries: about
+    # 5.0e9 bytes stored (all 16 cells would take 2.0e10), refused before
+    # a coefficient is assembled
     mesh = build_mesh(4, 4, 30)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
+    grid = build_sparse_grid(3, 5)
+    assert grid.n_nodes * 4 * 353661 * 8 > st.MAX_STORE_BYTES
+    monkeypatch.setattr(fem, "local_assembler", None)
     with pytest.raises(MemoryError, match="limit"):
-        precompute_green_inverses(mesh, model, build_sparse_grid(3, 3), 3)
+        precompute_green_inverses(mesh, model, grid, 3)
 
 
 def test_green_store_matches_independent_inverses():
@@ -208,8 +308,8 @@ def test_green_store_above_batched_regime():
     grid = build_sparse_grid(2, 1)
     store = precompute_green_inverses(mesh, model, grid, 2)
     asm = fem.LocalAssembler(mesh)
-    cells = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
-    full = _unpacked(store)
+    cells = mesh.cell_fine_cells(store.cells)
+    full = _unpacked(store.matrices)
     for i, node in enumerate(grid.nodes):
         theta = np.zeros(model.n)
         theta[:2] = node
@@ -223,24 +323,27 @@ def test_green_store_above_batched_regime():
 def test_green_store_is_the_sample_path_inverse_bit_for_bit(r):
     # nK = 4 and 36, on either side of BATCHED_MAX_N: at each node the
     # store holds, bit for bit, fem.packed_inverses of the M0 that
-    # assemble_local_operators builds for the splitting whose first m
-    # parameters are the node and whose others are 0
-    mesh = build_mesh(2, 2, r)
+    # assemble_local_operators builds on the representative cells for the
+    # splitting whose first m parameters are the node and whose others
+    # are 0; on 3x3 cells those are the 4 of the lower-left quarter, the
+    # middle row and column included
+    mesh = build_mesh(3, 3, r)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
     grid = build_sparse_grid(2, 2)
     store = precompute_green_inverses(mesh, model, grid, 2)
+    assert np.array_equal(store.cells, [0, 1, 3, 4])
     for i, node in enumerate(grid.nodes):
         theta = np.zeros(model.n)
         theta[:2] = node
         ops = fem.assemble_local_operators(
-            mesh, np.arange(mesh.n_coarse_cells), split_kle(model, theta, 2))
+            mesh, store.cells, split_kle(model, theta, 2))
         G = fem.packed_inverses(ops.M0).T
         assert store.matrices[i].tobytes() == G.tobytes()
 
 
 def _perturb_inverses(monkeypatch, mesh, model, grid, nodes):
     """Perturb by 1e-6 relative the first packed entry, the (0, 0) entry,
-    of cell 1's inverse at the given grid nodes.
+    of cell 0's inverse at the given grid nodes.
 
     The cell is found by its M0 bands in the storage that the store hands
     fem.packed_inverses, wherever it sits in a block.
@@ -252,7 +355,7 @@ def _perturb_inverses(monkeypatch, mesh, model, grid, nodes):
         theta = np.zeros(model.n)
         theta[:grid.m] = grid.nodes[node]
         k0 = split_kle(model, theta, grid.m).k0
-        targets.append(asm.interior_bands(k0[cells])[:, 1])
+        targets.append(asm.interior_bands(k0[cells])[:, 0])
     exact = fem.packed_inverses
 
     def perturbed(storage, out=None):
@@ -275,13 +378,13 @@ def test_green_store_refuses_inverse_failing_residual(monkeypatch, r, nodes,
                                                        named):
     # nK = 4 and 36, on either side of BATCHED_MAX_N: one packed entry off
     # by 1e-6 relative is far above the residual check's bound, and the
-    # lowest failing node is named
+    # lowest failing node is named; cell 0 represents all 2x2 cells
     mesh = build_mesh(2, 2, r)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
     grid = build_sparse_grid(2, 1)
-    monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES",
-                        2 * mesh.n_coarse_cells * mesh.n_interior ** 2)
+    monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES", 2 * mesh.n_interior ** 2)
     store = precompute_green_inverses(mesh, model, grid, 2)
+    assert np.array_equal(store.cells, [0])
     assert 0.0 < store.residual <= 1e-3 * st.MAX_GREEN_RESIDUAL
     _perturb_inverses(monkeypatch, mesh, model, grid, nodes)
     with pytest.raises(ValueError, match=rf"^Green's inverse at grid node "
@@ -325,39 +428,42 @@ def _inject_indefinite(monkeypatch, mesh, model, grid, faults):
 
 @pytest.mark.parametrize("r", [3, 7])
 def test_green_store_refuses_indefinite_m0(monkeypatch, r):
-    # nK = 4 and 36, on either side of BATCHED_MAX_N
-    mesh = build_mesh(2, 2, r)
+    # nK = 4 and 36, on either side of BATCHED_MAX_N; on 3x3 cells the
+    # representatives are cells 0, 1, 3 and 4, and the failure is named by
+    # its mesh cell 3, not by its place 2 among them
+    mesh = build_mesh(3, 3, r)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
     grid = build_sparse_grid(2, 1)
-    _inject_indefinite(monkeypatch, mesh, model, grid, {(2, 1): 0})
+    _inject_indefinite(monkeypatch, mesh, model, grid, {(2, 3): 0})
     with pytest.raises(np.linalg.LinAlgError,
                        match="grid node 2: matrix is not SPD") as info:
         precompute_green_inverses(mesh, model, grid, 2)
-    assert str(info.value).endswith(" in cell 1")
+    assert str(info.value).endswith(" in cell 3")
 
 
 @pytest.mark.parametrize("r", [3, 7])
 @pytest.mark.parametrize("faults", [
     # the same 2-node block: node 3 stops the block's stack at pivot 0,
     # before node 2's last pivot is reached
-    {(2, 1): -1, (3, 0): 0},
+    {(2, 3): -1, (3, 0): 0},
     # two blocks: the later block may finish first
-    {(4, 2): 0, (2, 1): -1},
+    {(4, 4): 0, (2, 3): -1},
 ], ids=["one-block", "two-blocks"])
 def test_green_store_names_lowest_failing_node(monkeypatch, r, faults):
-    mesh = build_mesh(2, 2, r)
+    # faults in representative cells of the 3x3 cells (0, 1, 3 and 4)
+    mesh = build_mesh(3, 3, r)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
     grid = build_sparse_grid(2, 1)
     # blocks of nodes 0-1, 2-3 and 4 on either side of BATCHED_MAX_N
     monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES",
-                        2 * mesh.n_coarse_cells * mesh.n_interior ** 2)
+                        2 * 4 * mesh.n_interior ** 2)
     _inject_indefinite(monkeypatch, mesh, model, grid, faults)
     with pytest.raises(np.linalg.LinAlgError) as info:
         precompute_green_inverses(mesh, model, grid, 2)
     message = str(info.value)
     last = mesh.n_interior - 1
     assert f"grid node 2: matrix is not SPD: pivot {last} " in message
-    assert message.endswith(" in cell 1")
+    assert message.endswith(" in cell 3")
 
 
 def test_green_store_failure_cancels_pending_blocks(monkeypatch):
@@ -384,34 +490,38 @@ def test_green_store_failure_cancels_pending_blocks(monkeypatch):
 
 @pytest.mark.parametrize("nx,r,step,L", [
     pytest.param(8, 3, 16, 2, id="8-3"), pytest.param(2, 7, 1, 2, id="2-7"),
-    pytest.param(4, 7, None, 3, id="4-7-default-blocks")])
+    pytest.param(4, 7, None, 4, id="4-7-default-blocks")])
 def test_green_store_matches_node_loop(monkeypatch, nx, r, step, L):
     # at r=3 blocks of 16 of the 25 nodes; at r=7 (nK=36) one node a block,
-    # and on 4x4 cells the default budget's blocks of 32 of the 69 nodes,
-    # the last partial
+    # and on 4x4 cells the default budget's blocks of 128 of the 177 nodes,
+    # the last partial; the nx/2 x nx/2 cells of the lower-left quarter are
+    # stored
     mesh = build_mesh(nx, nx, r)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
     grid = build_sparse_grid(3, L)
-    entries = mesh.n_coarse_cells * mesh.n_interior ** 2
+    cells = (nx // 2) ** 2
+    entries = cells * mesh.n_interior ** 2
     if step is None:
         step = st.STORE_BLOCK_ENTRIES // entries
         assert 1 < step < grid.n_nodes and grid.n_nodes % step
     monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES", step * entries)
     store = precompute_green_inverses(mesh, model, grid, 3)
-    assert np.array_equal(store.matrices,
-                          green_store_loop(mesh, model, grid, 3))
+    assert len(store.cells) == cells
+    assert np.array_equal(store.matrices, green_store_loop(
+        mesh, model, grid, 3)[:, store.cells])
 
 
 def test_green_store_one_worker_reuses_its_buffers(monkeypatch):
     # one worker fills and inverts the same buffers for blocks of 2, 2 and
-    # 1 nodes: each node's product lands in its columns of the block's
-    # column slice of one band buffer, whose rows no block writes stay
-    # zero, and is gathered afresh into the packed stack's prefix
+    # 1 nodes of the 4 representative cells: each node's product lands in
+    # its columns of the block's column slice of one band buffer, whose
+    # rows no block writes stay zero, and is gathered afresh into the
+    # packed stack's prefix
     mesh = build_mesh(4, 4, 4)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
     grid = build_sparse_grid(2, 1)
     monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES",
-                        2 * mesh.n_coarse_cells * mesh.n_interior ** 2)
+                        2 * 4 * mesh.n_interior ** 2)
     monkeypatch.setattr(st, "_usable_cpus", lambda cap: 1)
     exact_bands, fills = fem.LocalAssembler.interior_bands, []
     exact, stacks = fem.packed_inverses, []
@@ -430,10 +540,10 @@ def test_green_store_one_worker_reuses_its_buffers(monkeypatch):
     monkeypatch.undo()
     # nodes 0, 2 and 4 fill the buffer's first columns, 1 and 3 the next
     assert len(fills) == 5 and fills[0::2] == [fills[0]] * 3
-    assert fills[1::2] == [fills[0] + 8 * mesh.n_coarse_cells] * 2
+    assert fills[1::2] == [fills[0] + 8 * 4] * 2
     assert len(stacks) == 3 and len(set(stacks)) == 1
-    assert np.array_equal(store.matrices,
-                          green_store_loop(mesh, model, grid, 2))
+    assert np.array_equal(store.matrices, green_store_loop(
+        mesh, model, grid, 2)[:, store.cells])
 
 
 def test_green_store_many_workers_stress(monkeypatch):
@@ -450,8 +560,8 @@ def test_green_store_many_workers_stress(monkeypatch):
         store = precompute_green_inverses(mesh, model, grid, 3)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(store.matrices,
-                          green_store_loop(mesh, model, grid, 3))
+    assert np.array_equal(store.matrices, green_store_loop(
+        mesh, model, grid, 3)[:, store.cells])
 
 
 def test_green_store_independent_of_threads_and_cpus():
@@ -463,9 +573,9 @@ def test_green_store_independent_of_threads_and_cpus():
 
 
 def test_interpolated_green_matches_one_gemm(monkeypatch):
-    # 15 cells of 10 packed entries: 150 columns in 19 tiles, shared
-    # unevenly by 2, 4 and 7 workers (cut at whole cells, 7 workers' ranges
-    # would start inside tiles); 389 nodes are one whole block of
+    # 6 representative cells of 10 packed entries: 60 columns in 8 tiles,
+    # shared unevenly by 2, 4 and 7 workers (cut at whole cells, 4 workers'
+    # ranges would start inside tiles); 389 nodes are one whole block of
     # CONTRACT_BLOCK_NODES and part of another
     mesh = build_mesh(3, 5, 3)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 6)
@@ -489,21 +599,33 @@ def test_interpolated_green_matches_one_gemm(monkeypatch):
         assert np.array_equal(G, first)
 
 
-def test_interpolated_green_independent_of_point_count():
+def test_interpolated_green_independent_of_point_count(monkeypatch):
     # a point's interpolant has the same bits however many points share the
-    # contraction, one (padded with a zero row, or given without a leading
-    # axis) included
+    # contraction, one (given without a leading axis, and with one group
+    # element padded with a zero row) included, and however many workers
+    # share it: point s has rows s * elements + g for any N.  Stores of 4,
+    # 2 and 1 group elements: 60, 90 and 150 columns, 90 ending 2 columns
+    # past a whole tile, where C-ordered weights changed bits with N
     mesh = build_mesh(3, 5, 3)
-    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 6)
-    store = precompute_green_inverses(mesh, model, build_sparse_grid(6, 3), 6)
     points = np.random.default_rng(5).uniform(-1.0, 1.0, (8, 6))
-    every = st._interpolated_green(store, points)
-    for N in range(1, 8):
-        G = st._interpolated_green(store, points[:N])
-        assert np.array_equal(G, every[:N])
-    for s in (0, 7):
-        assert np.array_equal(st._interpolated_green(store, points[s]),
-                              every[s])
+    for broken, elements in ((None, 4), ("x", 2), ("xy", 1)):
+        model = build_kle_model(mesh, 1.0, 0.2, 0.2, 6)
+        if broken:
+            model = _asymmetric(model, 0, broken)
+        store = precompute_green_inverses(mesh, model,
+                                          build_sparse_grid(6, 3), 6)
+        assert len(store.node_perms) == elements
+        monkeypatch.undo()
+        every = st._interpolated_green(store, points)
+        for workers in (1, 2, 7):
+            monkeypatch.setattr(st, "_usable_cpus",
+                                lambda cap, n=workers: min(n, cap))
+            for N in range(1, 9):
+                G = st._interpolated_green(store, points[:N])
+                assert np.array_equal(G, every[:N])
+            for s in (0, 7):
+                assert np.array_equal(
+                    st._interpolated_green(store, points[s]), every[s])
 
 
 def test_interpolated_green_independent_of_threads_and_cpus():
@@ -777,6 +899,16 @@ def test_drivers_refuse_empty_or_negative_J_list(monkeypatch, J_list):
     assert not drawn
 
 
+def test_config_refuses_negative_seed():
+    # numpy's generator refused it only when the first sample was drawn
+    mesh = build_mesh(2, 2, 3)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
+    with pytest.raises(ValueError, match=r"^seed=-1 must be >= 0$"):
+        StochasticConfig(mesh=mesh, model=model, m=2, J_list=(1,), seed=-1)
+    assert StochasticConfig(mesh=mesh, model=model, m=2, J_list=(1,),
+                            seed=0).seed == 0
+
+
 @pytest.mark.parametrize("m", [6, -1])
 def test_drivers_refuse_m_outside_the_kle_terms(monkeypatch, m):
     # m outside [0, n] is refused, naming m and the range, when either
@@ -847,10 +979,12 @@ def test_collocation_checks_interpolated_green():
                               J_list=(1,), seed=5)
     assert not collocation_run(config, 3, store).extra["green_not_spd"].any()
     exact = store.matrices.copy()
-    # one cell's inverse negated: counted in every sample, run completes
+    # one representative's inverse negated: the 4 cells of its orbit
+    # counted in every sample, run completes
     store.matrices[:, 3] *= -1.0
+    assert np.sum(store.orbits[:, 1] == 3) == 4
     assert np.array_equal(
-        collocation_run(config, 3, store).extra["green_not_spd"], [1, 1, 1])
+        collocation_run(config, 3, store).extra["green_not_spd"], [4, 4, 4])
     # no cell SPD: the store is wrong, and the first sample says so
     store.matrices[:] = -exact
     with pytest.raises(RuntimeError, match="sample 0 failed: .*SPD in no"):
@@ -875,7 +1009,7 @@ def test_collocation_refuses_store_of_another_config():
 
 def test_interpolated_registry_with_exact_green_equals_iterative():
     mesh, model, grid, store = _small_setup(L=2)
-    full = _unpacked(store)
+    full = _unpacked(green_store_loop(mesh, model, grid, 3))
     for i in range(grid.n_nodes):
         green = st._interpolated_green(store, grid.nodes[i])
         assert np.abs(green - full[i]).max() <= \

@@ -263,7 +263,7 @@ def _exp_solution_bound(cfg, seed):
         for J in cfg["J_list"]:
             err = rec.err[J]
             bound = msfem.solution_error_bound(
-                J, eta, ct, rec.u_energy)[0] if eta < 1.0 else np.inf
+                J, eta, ct, rec.u_energy) if eta < 1.0 else np.inf
             rows.append((m, J, eta, err, err / rec.norm_uh, bound))
             checks.append(_bound_check(f"m={m} J={J}", err, bound, eta))
             if prev is not None:
@@ -284,17 +284,24 @@ def _exp_mesh_sweep(cfg, seed):
         fine = cfg.get("fine", 120)
         meshes += [(nx, fine // nx) for nx in cfg["nx_list"]]
     by_J = {J: [] for J in cfg["J_list"]}
+    # (nx, r) -> (err_ref_Jh, err_h_Jh) of each J: a mesh listed twice,
+    # through r_list and nx_list, is solved once
+    errors = {}
     for nx, r in meshes:
-        mesh = mesh_mod.build_mesh(nx, nx, r)
-        model = field_mod.build_kle_model(mesh, cfg["sigma2"], cfg["lx"],
-                                         cfg["ly"], cfg["n"])
-        theta = _frozen_theta(seed, cfg["n"])
-        split = field_mod.split_kle(model, theta, cfg["m"])
-        rec = msfem.sample_errors(mesh, split, cfg["J_list"], reference=True)
-        for J in cfg["J_list"]:
-            err_ref = fem.energy_norm(mesh, split.k, rec.u - rec.u_J[J])
-            rows.append((nx, r, J, err_ref, rec.err[J]))
-            by_J[J].append(rec.err[J])
+        if (nx, r) not in errors:
+            mesh = mesh_mod.build_mesh(nx, nx, r)
+            model = field_mod.build_kle_model(mesh, cfg["sigma2"], cfg["lx"],
+                                             cfg["ly"], cfg["n"])
+            theta = _frozen_theta(seed, cfg["n"])
+            split = field_mod.split_kle(model, theta, cfg["m"])
+            rec = msfem.sample_errors(mesh, split, cfg["J_list"],
+                                      reference=True)
+            errors[nx, r] = [
+                (fem.energy_norm(mesh, split.k, rec.u - rec.u_J[J]),
+                 rec.err[J]) for J in cfg["J_list"]]
+        for J, (err_ref, err) in zip(cfg["J_list"], errors[nx, r]):
+            rows.append((nx, r, J, err_ref, err))
+            by_J[J].append(err)
     for J, vals in by_J.items():
         lo, hi = min(vals), max(vals)
         checks.append((f"J={J} err_h_Jh spread {hi / lo:.2f} < 2",
@@ -392,10 +399,17 @@ _RUNNERS = {
 
 
 def run_experiment(cfg, outdir, seed=None):
-    """Run one experiment; returns True iff all bound checks passed."""
+    """Run one experiment; returns True iff all bound checks passed.
+
+    A negative seed is refused by ValueError before any work, and outdir
+    is made only once the experiment has returned: a failed run leaves no
+    directory behind.
+    """
     seed = cfg.get("seed", 12345) if seed is None else seed
-    os.makedirs(outdir, exist_ok=True)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, not {seed}")
     tables, checks = _RUNNERS[cfg["experiment"]](cfg, seed)
+    os.makedirs(outdir, exist_ok=True)
     _write_manifest(outdir, cfg, seed)
     for name, header, rows in tables:
         write_csv(os.path.join(outdir, name), header, rows)

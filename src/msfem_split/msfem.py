@@ -304,16 +304,10 @@ def c_tilde(splitting):
     return float(np.sqrt(2.0) * np.sqrt((splitting.k0 / splitting.k).max()))
 
 
-def solution_error_bound(J, eta, c_tilde_value, u_energy, uh_error=0.0):
-    """Solution-level bounds driven by eta^(J+1).
-
-    Returns (bound on |||u_h - u_Jh|||, bound on |||u - u_Jh|||); the
-    second needs the standard-MsFEM error |||u - u_h||| as uh_error.
-    """
+def solution_error_bound(J, eta, c_tilde_value, u_energy):
+    """Solution-level bound on |||u_h - u_Jh||| driven by eta^(J+1)."""
     if not eta < 1.0:
         raise ValueError("bound requires eta < 1")
     t = eta ** (J + 1)
     paren = t + t / (1.0 - t)
-    b1 = np.sqrt(c_tilde_value) * np.sqrt(paren) * u_energy
-    b2 = np.sqrt(2.0) * c_tilde_value * paren * u_energy + 2.0 * uh_error
-    return float(b1), float(b2)
+    return float(np.sqrt(c_tilde_value) * np.sqrt(paren) * u_energy)

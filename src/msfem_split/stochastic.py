@@ -72,15 +72,19 @@ class SparseGrid:
     A node is identified by its integer indices on the finest
     Clenshaw-Curtis grid of 2^L + 1 points per axis: point p of level
     l >= 1 has index p * 2^(L - l), level 0 has index 2^L // 2.  Nodes are
-    numbered in order of first appearance over the subgrids.
+    numbered in the sorted order of their index rows' keys (see
+    _row_keys); to L=7 the indices are bytes, and that order is the
+    lexicographic order of the nodes' coordinates.
 
     The subgrids sharing a level tuple form one pattern, kept as its
     (subgrids, k) array of active dimensions.  The combination map is a
     sparse (n_nodes, subgrid points) matrix with one column per subgrid
-    point, in subgrid order, holding the subgrid's Smolyak coefficient in
-    the row of the point's node.  A sign flip of a coordinate maps its
-    index p to 2c - p for the index c = 2^L // 2 of 0, on every level, so
-    the grid is closed under sign flips (see reflection).
+    point, pattern by pattern and subgrid by subgrid, as
+    interpolation_weights forms their values, holding the subgrid's
+    Smolyak coefficient in the row of the point's node.  A sign flip of a
+    coordinate maps its index p to 2c - p for the index c = 2^L // 2 of
+    0, on every level, so the grid is closed under sign flips (see
+    reflection).
     """
 
     def __init__(self, m, L):
@@ -92,7 +96,7 @@ class SparseGrid:
         self.m = m
         self.L = L
         patterns = {}  # levels -> [dims of each subgrid]
-        levels_of, coeffs, rows = [], [], []
+        coeffs, rows = [], []
         # indices up to 2^L in the narrowest unsigned type, uint8 to L=7
         index_type = np.min_scalar_type(2 ** L)
         for dims, levels in _active_level_sets(m, L):
@@ -106,35 +110,19 @@ class SparseGrid:
                 local = np.indices(shape).reshape(len(dims), -1).T
                 idx[:, list(dims)] = local << (L - np.array(levels))
             patterns.setdefault(levels, []).append(dims)
-            levels_of.append(levels)
             coeffs.append(coeff)
             rows.append(idx)
         sizes = [len(r) for r in rows]
-        # each row as one opaque item: a sort of bytes, not of m columns.
-        # Nodes are numbered by first appearance, so the sort's order of
-        # the unique rows does not matter
         rows = np.concatenate(rows)
-        _, first, inverse = np.unique(
-            rows.view(np.dtype((np.void, rows.itemsize * m))).ravel(),
-            return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        self._indices = rows[first[order]]
+        self._keys, inverse = np.unique(_row_keys(rows), return_inverse=True)
+        self._indices = self._keys.view(index_type).reshape(-1, m)
         self.nodes = _cc_points(L)[self._indices]
         self._patterns = [(levels, np.array(dims, dtype=int).reshape(
             len(dims), len(levels))) for levels, dims in patterns.items()]
-        # values come pattern by pattern: the rank of each subgrid point, in
-        # subgrid order, under a stable sort by pattern is its column there
-        pattern = {levels: i for i, levels in enumerate(patterns)}
-        self._columns = np.argsort(np.argsort(
-            np.repeat([pattern[lv] for lv in levels_of], sizes),
-            kind="stable"))
-        n_points = len(self._columns)
         self._map = sp.csr_matrix(
             (np.repeat(np.array(coeffs, float), sizes),
-             (rank[inverse.ravel()], np.arange(n_points))),
-            shape=(len(self.nodes), n_points))
+             (inverse, np.arange(len(rows)))),
+            shape=(len(self.nodes), len(rows)))
 
     @property
     def n_nodes(self):
@@ -144,29 +132,22 @@ class SparseGrid:
         """(n_nodes,) permutation p taking node i to node p[i], node i with
         the coordinates where flip (bool (m,)) holds negated.
 
-        Read from the integer index rows, not from the node values; the
-        rows are matched by one sort of them beside the flipped rows.
+        Read from the integer index rows, not from the node values: one
+        binary search of the flipped rows' keys among the nodes'.
         """
         rows = self._indices
         flipped = np.where(flip, rows.dtype.type(2 ** self.L // 2 * 2) - rows,
                            rows)
-        both = np.concatenate([rows, flipped])
-        _, inverse = np.unique(
-            both.view(np.dtype((np.void, both.itemsize * self.m))).ravel(),
-            return_inverse=True)
-        inverse = inverse.ravel()
-        node = np.empty(self.n_nodes, dtype=int)
-        node[inverse[:self.n_nodes]] = np.arange(self.n_nodes)
-        return node[inverse[self.n_nodes:]]
+        return np.searchsorted(self._keys, _row_keys(flipped))
 
     def interpolation_weights(self, theta):
         """Combination weights (..., n_nodes) at points theta (..., m).
 
         I_m f(theta) = sum_i w_i f(node_i).  Each pattern's tensor products
         are formed for all its subgrids at once, in the order
-        ((t1*t2)*t3), and each node sums its subgrid points in subgrid
-        order.  A point outside [-1, 1]^m, or not finite, is refused: the
-        interpolant does not extrapolate.
+        ((t1*t2)*t3), and each node sums its subgrid points in the map's
+        column order.  A point outside [-1, 1]^m, or not finite, is
+        refused: the interpolant does not extrapolate.
         """
         theta = np.asarray(theta, float)
         if theta.ndim == 0 or theta.shape[-1] != self.m:
@@ -175,7 +156,7 @@ class SparseGrid:
             raise ValueError("theta must be finite and within [-1, 1]^m")
         x = theta.reshape(-1, self.m)
         w = np.empty((len(x), self.n_nodes))
-        step = max(1, MAX_VALUES // len(self._columns))
+        step = max(1, MAX_VALUES // self._map.shape[1])
         for start in range(0, len(x), step):
             w[start:start + step] = self._weights(x[start:start + step])
         return w.reshape(theta.shape[:-1] + (self.n_nodes,))
@@ -192,20 +173,28 @@ class SparseGrid:
                 vals = (vals[..., None] * t[:, :, None, :]).reshape(
                     len(x), len(dims), -1)
             blocks.append(vals.reshape(len(x), -1))
-        values = np.concatenate(blocks, axis=1)[:, self._columns]
-        return (self._map @ values.T).T
+        return (self._map @ np.concatenate(blocks, axis=1).T).T
+
+
+def _row_keys(rows):
+    """Each index row of rows (n, m) as one opaque void item, so that rows
+    sort and match as the bytes of their m indices, not column by
+    column."""
+    return np.ascontiguousarray(rows).view(
+        np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def _active_level_sets(m, L):
-    """Multi-indices |levels| <= L as (active dims, their levels >= 1)."""
+    """Multi-indices |levels| <= L as (active dims, their levels >= 1),
+    the subgrids of each level tuple together."""
     yield (), ()
     for total in range(1, L + 1):
         for k in range(1, total + 1):
-            for dims in itertools.combinations(range(m), k):
-                for cuts in itertools.combinations(range(1, total), k - 1):
-                    parts = [b - a for a, b in
-                             zip((0,) + cuts, cuts + (total,))]
-                    yield dims, tuple(parts)
+            for cuts in itertools.combinations(range(1, total), k - 1):
+                parts = tuple(b - a for a, b in
+                              zip((0,) + cuts, cuts + (total,)))
+                for dims in itertools.combinations(range(m), k):
+                    yield dims, parts
 
 
 def smolyak_node_count(m, L):
@@ -263,15 +252,17 @@ STORE_BLOCK_ENTRIES = 8192 * 81
 # store nodes per block of the interpolation contraction.  OpenBLAS 0.3.31
 # (Haswell kernels) cuts a long inner dimension into panels, and how it cuts
 # depends on its thread count; a block at or below the panel size is summed
-# in one panel, so blocks summed in node order give the same bits under any
-# BLAS thread count.  With the weights Fortran-ordered, each row's entries
-# take the same arithmetic under any number of rows; C-ordered weights took
-# other kernels for the last rows of some products, and other bits from 35
-# points on a 6-cell store.  That is a property of the BLAS build, not a
-# guarantee, and tests check it.  On colloc-L3 (2-core Xeon, 1 BLAS
-# thread) the interpolant of 5 points takes 17-18 ms on two workers from
-# the 64 representative cells; a store of all 256 cells took 33-39 ms, and
-# 71-90 ms by one GEMM on one core
+# in one panel, so blocks summed in node order do not depend on the panels.
+# With the weights Fortran-ordered, each row's entries take the same
+# arithmetic under any number of rows under one BLAS thread; C-ordered
+# weights took other kernels for the last rows of some products, and other
+# bits from 35 points on a 6-cell store.  Under two BLAS threads some row
+# counts still take other bits on small stores (see _interpolated_green).
+# That is a property of the BLAS build, not a guarantee, and tests check
+# it.  On colloc-L3 (2-core Xeon, 1 BLAS thread) the interpolant of 5
+# points takes 17-18 ms on two workers from the 64 representative cells; a
+# store of all 256 cells took 33-39 ms, and 71-90 ms by one GEMM on one
+# core
 CONTRACT_BLOCK_NODES = 256
 # columns of the dgemm micro-kernel's tile (8 in OpenBLAS's Haswell kernels).
 # A column range that starts at a multiple of it is tiled as in the whole
@@ -290,11 +281,13 @@ class GreenStore:
     (fem.packed_index).
 
     Only one cell of each orbit under the store's reflections is kept (see
-    precompute_green_inverses).  Mesh cell c with orbits[c] = (g, i) is
-    the representative cells[i] mirrored by group element g: its inverse
-    at node n is entry (interior_perms[g, a], interior_perms[g, b]) at
-    (a, b) of the representative's at node node_perms[g, n].  Element 0
-    is the identity.
+    precompute_green_inverses).  Mesh cell c is a representative mirrored
+    by a group element g: its inverse at node n is the representative's at
+    node node_perms[g, n] with the interior nodes mirrored by g.  Contract
+    the store once per element, by the weights permuted by its node_perms,
+    and lay the packed results side by side in element order: entry (a, b)
+    of cell c is then entry unpack[c, a, b] (see _interpolated_green).
+    Element 0 is the identity.
     """
 
     mesh: object
@@ -304,9 +297,8 @@ class GreenStore:
     # the largest scaled residual of the build's check, <= MAX_GREEN_RESIDUAL
     residual: float
     cells: np.ndarray  # (representatives,) mesh cells, ascending
-    orbits: np.ndarray  # (n_cells, 2): element, position in cells
     node_perms: np.ndarray  # (elements, n_nodes)
-    interior_perms: np.ndarray  # (elements, n_K)
+    unpack: np.ndarray  # (n_cells, n_K, n_K)
 
 
 def _mirror_parities(model, m):
@@ -333,7 +325,7 @@ def _mirror_parities(model, m):
 
 
 def _mirror_group(mesh, model, grid, m):
-    """GreenStore's cells, orbits, node_perms and interior_perms.
+    """GreenStore's cells, node_perms and unpack.
 
     The group holds the identity, each reflection whose parities
     _mirror_parities finds, and their product when both are found.  A
@@ -354,18 +346,20 @@ def _mirror_group(mesh, model, grid, m):
     fy = hy & (cy > (ny - 1) // 2)
     cells = np.flatnonzero(~fx & ~fy)
     rep = np.where(fy, ny - 1 - cy, cy) * nx + np.where(fx, nx - 1 - cx, cx)
-    # (fx, fy)'s place among the elements
-    orbits = np.column_stack([fx + (1 + hx) * fy,
-                              np.searchsorted(cells, rep)])
+    element = fx + (1 + hx) * fy  # (fx, fy)'s place among the elements
     odd_x, odd_y = hx and px < 0, hy and py < 0
     node_perms = np.array([grid.reflection((x & odd_x) ^ (y & odd_y))
                            for x, y in elements])
-    # interior nodes run row-major over rows of s = r - 1 nodes
+    # each cell's interior nodes, row-major over rows of s = r - 1 nodes,
+    # mirrored by its element
     iy, ix = np.divmod(np.arange(s * s), s)
-    interior_perms = np.array([np.where(y, s - 1 - iy, iy) * s +
-                               np.where(x, s - 1 - ix, ix)
-                               for x, y in elements])
-    return cells, orbits, node_perms, interior_perms
+    perm = (np.where(fy[:, None], s - 1 - iy, iy) * s +
+            np.where(fx[:, None], s - 1 - ix, ix))
+    offset = (element * len(cells) + np.searchsorted(cells, rep)) * (
+        s * s * (s * s + 1) // 2)
+    unpack = fem.packed_index(s * s)[perm[:, :, None], perm[:, None, :]]
+    unpack += offset[:, None, None]
+    return cells, node_perms, unpack
 
 
 def precompute_green_inverses(mesh, model, grid, m):
@@ -401,8 +395,7 @@ def precompute_green_inverses(mesh, model, grid, m):
         raise ValueError("grid dimension must equal m")
     if m > model.n:
         raise ValueError("m must not exceed the KLE truncation")
-    cells, orbits, node_perms, interior_perms = _mirror_group(
-        mesh, model, grid, m)
+    cells, node_perms, unpack = _mirror_group(mesh, model, grid, m)
     n_k = mesh.n_interior
     n_cells = len(cells)
     entries = n_k * (n_k + 1) // 2
@@ -481,8 +474,8 @@ def precompute_green_inverses(mesh, model, grid, m):
     finally:
         pool.shutdown(cancel_futures=True)
     return GreenStore(mesh=mesh, model=model, grid=grid, matrices=out,
-                      residual=residual, cells=cells, orbits=orbits,
-                      node_perms=node_perms, interior_perms=interior_perms)
+                      residual=residual, cells=cells, node_perms=node_perms,
+                      unpack=unpack)
 
 
 def _usable_cpus(cap):
@@ -502,16 +495,18 @@ def _interpolated_green(store, theta0):
     summed in node order, on a pool of threads, one per CPU the process may
     run on; each worker sums one contiguous range of whole tiles of
     CONTRACT_TILE_COLUMNS columns.  Each entry takes the same arithmetic
-    under any worker count, and a point's entries the same under any
-    number of points.
+    under any worker count.  Under one BLAS thread a point's entries take
+    the same arithmetic under any number of points too (seen for 1 to 40
+    points); under two they may not: on a 4x4, r=4 store of 180 packed
+    columns, 11 to 23 points gave point 0 other bits than one point did,
+    while colloc-L3's store of 2880 columns kept them for 1 to 40.
 
     The store holds representative cells only (see GreenStore), so each
     point contracts one row of weights per group element g, its weights
     permuted by node_perms[g]: row s * elements + g serves the cells of
-    element g at point s.  Every cell is then unpacked from its
-    representative's lower triangle in its element's row by one gather
-    through packed_index with the interior nodes permuted, so the
-    interpolant is symmetric by construction.
+    element g at point s.  Each point's rows then give every cell by one
+    gather through the store's unpack, from its representative's lower
+    triangle, so the interpolant is symmetric by construction.
     """
     theta0 = np.asarray(theta0, float)
     n_nodes = store.grid.n_nodes
@@ -544,14 +539,9 @@ def _interpolated_green(store, theta0):
     with ThreadPoolExecutor(workers) as pool:
         for done in [pool.submit(contract, *b) for b in zip(cuts, cuts[1:])]:
             done.result()
-    element, rep = store.orbits.T
-    perm = store.interior_perms[element]
-    index = fem.packed_index(store.mesh.n_interior)[
-        perm[:, :, None], perm[:, None, :]]
-    index += ((element * len(store.cells) + rep) * store.matrices.shape[2])[
-        :, None, None]
     packed = packed[:n_rows].reshape(-1, len(store.node_perms) * n_cols)
-    return packed[:, index].reshape(theta0.shape[:-1] + index.shape)
+    return packed[:, store.unpack].reshape(
+        theta0.shape[:-1] + store.unpack.shape)
 
 
 # ---- sampling drivers ------------------------------------------------------
@@ -680,7 +670,7 @@ def monte_carlo_run(config, N):
     u_energy_mean = np.cumsum([u for _, u in records])[-1] / N
     # no bound without eta_max < 1; callers must not read inf as a pass
     bounds = {J: msfem.solution_error_bound(J, stats["eta_max"], c_tilde_max,
-                                            u_energy_mean)[0]
+                                            u_energy_mean)
               if stats["eta_max"] < 1.0 else np.inf for J in J_list}
     return MonteCarloStatistics(**stats, u_energy_mean=u_energy_mean,
                                 bounds=bounds)
@@ -696,7 +686,9 @@ def collocation_run(config, N, store, J=None):
     The store must be built for the config's mesh, model and m.
 
     The N interpolated inverses come from one contraction of the store,
-    whose bits do not depend on N or on the worker or BLAS thread count.
+    whose bits do not depend on the worker count and, under one BLAS
+    thread, not on N; under more BLAS threads they may depend on N (see
+    _interpolated_green).
     """
     if store.grid.m != config.m or store.mesh is not config.mesh or \
             store.model is not config.model:

@@ -49,12 +49,14 @@ byte check of a change that must keep every output bit, and
     PYTHONPATH=src python tests/reference.py store-digest
 
 builds the colloc-L3 benchmark workload's GreenStore and prints its
-SHA-256, its representative cell count and stored MiB, the build's
-seconds, its minor page faults with the transparent huge page mode they
-ran under and how close its residual check came to failing: the store's
-bit anchor.  full_sweep is the symmetric sweep over the whole packed
-triangle on a copy, the oracle of fem.spd_inverse's in-place,
-band-windowed sweep, and packed packs a cells-last stack for it.
+SHA-256, also with its nodes sorted by their coordinates, which no node
+numbering changes, its representative cell count and stored MiB, the
+build's seconds, its minor page faults with the transparent huge page
+mode they ran under and how close its residual check came to failing:
+the store's bit anchor.  full_sweep is the symmetric sweep over the
+whole packed triangle on a copy, the oracle of fem.spd_inverse's
+in-place, band-windowed sweep, and packed packs a cells-last stack for
+it.
 green_store_loop builds the inverses of every mesh cell one node at a
 time, the oracle of precompute_green_inverses' threaded node blocks on
 the representative cells, and interpolated_green_gemm contracts that full
@@ -682,7 +684,8 @@ def _huge_page_mode():
 
 def store_digest():
     """Build colloc-L3's GreenStore (16x16 mesh, r=4, sigma2=1, l=0.1,
-    n=20, m=16, L=3) and print the SHA-256 of its matrices, how many of
+    n=20, m=16, L=3) and print the SHA-256 of its matrices, again with
+    its nodes in lexicographic order of their coordinates, how many of
     the mesh cells it keeps as representatives and the MiB it stores, the
     build's seconds, the minor page faults it took (ru_minflt) under the
     transparent huge page mode printed beside them, which they depend on,
@@ -696,6 +699,11 @@ def store_digest():
     seconds = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     print(f"sha256 {hashlib.sha256(store.matrices).hexdigest()}")
+    # the same store with its nodes in lexicographic order of their
+    # coordinates: equal across node numberings that keep each inverse
+    order = np.lexsort(grid.nodes.T[::-1])
+    print(f"sha256_by_coordinates "
+          f"{hashlib.sha256(store.matrices[order]).hexdigest()}")
     print(f"cells {len(store.cells)} of {mesh.n_coarse_cells}")
     print(f"store_mib {store.matrices.nbytes / 2 ** 20:.1f}")
     print(f"build_s {seconds:.3f}")

@@ -165,7 +165,7 @@ def test_criterion_06_solution_bound():
         for J in J_list:
             err = rec.err[J]
             bound = msfem.solution_error_bound(J, split.eta_global, ct,
-                                               rec.u_energy)[0]
+                                               rec.u_energy)
             ok &= bool(err <= bound)
             vals.append(err)
         ok &= all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))

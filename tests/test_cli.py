@@ -7,6 +7,7 @@ import pytest
 
 from msfem_split import (build_kle_model, build_mesh, build_sparse_grid,
                          precompute_green_inverses)
+from msfem_split import msfem
 from msfem_split.cli import (EXPERIMENTS, ConfigError, main, parse_config,
                              run_experiment)
 from msfem_split.stochastic import StochasticConfig, collocation_run
@@ -164,6 +165,30 @@ def test_negative_seed_rejected_before_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "seed must be >= 0, not -3" in err
     assert "error: --seed must be >= 0, not -2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [COST_CFG, BASIS_CFG.replace(
+    "basis-bound", "basis-slope").replace("0.9", "0.9,0.8")],
+    ids=["cost-ratios", "basis-slope"])
+def test_run_experiment_refuses_negative_seed(tmp_path, text):
+    # the library entry refused nothing: cost-ratios wrote seed = -1 into
+    # its manifest, basis-slope left an empty directory behind numpy's error
+    cfg = parse_config(_write(tmp_path, text))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="seed must be >= 0, not -1"):
+        run_experiment(cfg, str(out), seed=-1)
+    assert not out.exists()
+    assert run_experiment(cfg, str(out), seed=0)
+    assert "seed = 0" in (out / "manifest.txt").read_text(encoding="utf-8")
+
+
+def test_failed_run_leaves_no_directory(tmp_path):
+    # N = 0 fails inside the experiment, after its store is built
+    cfg = parse_config(_write(tmp_path, COLLOC_TABLE_CFG + "N = 0\n"))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        run_experiment(cfg, str(out))
     assert not out.exists()
 
 
@@ -378,6 +403,45 @@ def test_basis_slope_needs_two_points_with_error(tmp_path):
     rows = (out / "basis_slope.csv").read_text().splitlines()[1:]
     assert [row.split(",")[1:] for row in rows if row.startswith("0,")][1] \
         == ["1", "0", "0"]
+
+
+def test_mesh_sweep_solves_each_mesh_once(tmp_path, monkeypatch):
+    # (2, 3) is listed through both r_list and nx_list: solved once, its
+    # rows written twice, in the order listed
+    cfg = parse_config(_write(tmp_path, """experiment = mesh-sweep
+sigma2 = 2.25
+lx = 0.7
+ly = 0.04
+n = 8
+m = 6
+J_list = 0,1
+nx = 2
+r_list = 2,3
+nx_list = 2,3
+fine = 6
+"""))
+    exact = msfem.sample_errors
+    calls, inside = [], []
+
+    def counted(mesh, *args, **kwargs):
+        # sample_errors calls itself to open its pool: count the outer call
+        if not inside:
+            calls.append((mesh.nx_coarse, mesh.r))
+        inside.append(None)
+        try:
+            return exact(mesh, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(msfem, "sample_errors", counted)
+    out = tmp_path / "out"
+    run_experiment(cfg, str(out))
+    assert calls == [(2, 2), (2, 3), (3, 2)]
+    rows = (out / "mesh_sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [
+        [nx, r, J] for nx, r in (("2", "2"), ("2", "3"), ("2", "3"),
+                                 ("3", "2")) for J in ("0", "1")]
+    assert rows[2:4] == rows[4:6]
 
 
 def _mesh_sweep_cfg(edit):

@@ -257,10 +257,10 @@ def test_band_scatter_matches_dense_scatter(nx, ny):
 
 
 def test_solution_error_bound_properties():
-    bounds = [solution_error_bound(J, 0.5, 2.0, 1.0)[0] for J in range(6)]
+    bounds = [solution_error_bound(J, 0.5, 2.0, 1.0) for J in range(6)]
     assert all(b > 0 for b in bounds)
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
-    tiny = solution_error_bound(0, 1e-9, 2.0, 1.0)[0]
+    tiny = solution_error_bound(0, 1e-9, 2.0, 1.0)
     assert tiny < 1e-4
     with pytest.raises(ValueError):
         solution_error_bound(0, 1.0, 2.0, 1.0)

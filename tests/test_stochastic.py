@@ -226,7 +226,11 @@ def test_asymmetric_mode_drops_its_reflection(mode, broken, elements):
     model = _asymmetric(model, mode, broken)
     grid = build_sparse_grid(3, 2)
     store = precompute_green_inverses(mesh, model, grid, 3)
-    assert len(store.node_perms) == len(store.interior_perms) == elements
+    assert len(store.node_perms) == elements
+    # the elements the cells are unpacked from
+    entries = store.matrices.shape[2]
+    assert len(np.unique(store.unpack[:, 0, 0] //
+                         (len(store.cells) * entries))) == elements
     cx, cy = mesh.cell_coords(np.arange(mesh.n_coarse_cells))
     kept = {1: cx >= 0, 2: cy <= 1, 4: (cx <= 1) & (cy <= 1)}[elements]
     assert np.array_equal(store.cells, np.flatnonzero(kept))
@@ -426,43 +430,54 @@ def _inject_indefinite(monkeypatch, mesh, model, grid, faults):
     monkeypatch.setattr(fem.LocalAssembler, "interior_bands", bands)
 
 
+def _node(grid, theta):
+    """The number of the grid node at coordinates theta."""
+    return int(np.flatnonzero((grid.nodes == theta).all(axis=1))[0])
+
+
 @pytest.mark.parametrize("r", [3, 7])
 def test_green_store_refuses_indefinite_m0(monkeypatch, r):
     # nK = 4 and 36, on either side of BATCHED_MAX_N; on 3x3 cells the
     # representatives are cells 0, 1, 3 and 4, and the failure is named by
-    # its mesh cell 3, not by its place 2 among them
+    # its mesh cell 3, not by its place 2 among them.  The node is off the
+    # centre, where every cell has the same coefficient
     mesh = build_mesh(3, 3, r)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
     grid = build_sparse_grid(2, 1)
-    _inject_indefinite(monkeypatch, mesh, model, grid, {(2, 3): 0})
+    node = _node(grid, (1.0, 0.0))
+    _inject_indefinite(monkeypatch, mesh, model, grid, {(node, 3): 0})
     with pytest.raises(np.linalg.LinAlgError,
-                       match="grid node 2: matrix is not SPD") as info:
+                       match=f"grid node {node}: matrix is not SPD") as info:
         precompute_green_inverses(mesh, model, grid, 2)
     assert str(info.value).endswith(" in cell 3")
 
 
 @pytest.mark.parametrize("r", [3, 7])
 @pytest.mark.parametrize("faults", [
-    # the same 2-node block: node 3 stops the block's stack at pivot 0,
-    # before node 2's last pivot is reached
-    {(2, 3): -1, (3, 0): 0},
-    # two blocks: the later block may finish first
-    {(4, 4): 0, (2, 3): -1},
+    # nodes 0 and 1, one 2-node block: node 1 stops the block's stack at
+    # pivot 0, before node 0's last pivot is reached
+    {((-1.0, 0.0), 3): -1, ((0.0, -1.0), 0): 0},
+    # nodes 1 and 3, two blocks: the later block may finish first
+    {((0.0, 1.0), 4): 0, ((0.0, -1.0), 3): -1},
 ], ids=["one-block", "two-blocks"])
 def test_green_store_names_lowest_failing_node(monkeypatch, r, faults):
-    # faults in representative cells of the 3x3 cells (0, 1, 3 and 4)
+    # faults, each at a node given by its coordinates, in representative
+    # cells of the 3x3 cells (0, 1, 3 and 4)
     mesh = build_mesh(3, 3, r)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
     grid = build_sparse_grid(2, 1)
     # blocks of nodes 0-1, 2-3 and 4 on either side of BATCHED_MAX_N
     monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES",
                         2 * 4 * mesh.n_interior ** 2)
+    faults = {(_node(grid, theta), cell): pivot
+              for (theta, cell), pivot in faults.items()}
     _inject_indefinite(monkeypatch, mesh, model, grid, faults)
     with pytest.raises(np.linalg.LinAlgError) as info:
         precompute_green_inverses(mesh, model, grid, 2)
     message = str(info.value)
     last = mesh.n_interior - 1
-    assert f"grid node 2: matrix is not SPD: pivot {last} " in message
+    lowest = min(node for node, _ in faults)
+    assert f"grid node {lowest}: matrix is not SPD: pivot {last} " in message
     assert message.endswith(" in cell 3")
 
 
@@ -982,7 +997,8 @@ def test_collocation_checks_interpolated_green():
     # one representative's inverse negated: the 4 cells of its orbit
     # counted in every sample, run completes
     store.matrices[:, 3] *= -1.0
-    assert np.sum(store.orbits[:, 1] == 3) == 4
+    rep = store.unpack[:, 0, 0] // store.matrices.shape[2] % len(store.cells)
+    assert np.sum(rep == 3) == 4
     assert np.array_equal(
         collocation_run(config, 3, store).extra["green_not_spd"], [4, 4, 4])
     # no cell SPD: the store is wrong, and the first sample says so

@@ -1,8 +1,11 @@
 """Reproducible experiment runner.
 
 Parses a flat ``key = value`` config, dispatches one named experiment and
-writes CSV tables, a run manifest and a pass/fail summary.  Identical
-config and seed always produce byte-identical output files.
+writes CSV tables, a run manifest and a pass/fail summary.  Each value an
+experiment reads has one key and must be given, so the manifest lists
+every value the run used; only the seed (12345 unless set, and always on
+the manifest's second line) and the output directory have defaults.
+Identical config and seed always produce byte-identical output files.
 """
 
 import argparse
@@ -21,13 +24,14 @@ from . import stochastic as st
 EXPERIMENTS = ("basis-bound", "basis-slope", "solution-bound", "mesh-sweep",
                "mc-stats", "colloc-table", "colloc-decomp", "cost-ratios")
 
-_INT_KEYS = {"nx", "ny", "r", "n", "m", "q", "L", "N", "seed", "fine", "J"}
-_FLOAT_KEYS = {"sigma2", "lx", "ly", "sc"}
-_LIST_INT_KEYS = {"m_list", "J_list", "L_list", "nx_list", "r_list"}
-_LIST_FLOAT_KEYS = {"sc_list"}
-_STR_KEYS = {"experiment", "field", "out"}
-_KNOWN = (_INT_KEYS | _FLOAT_KEYS | _LIST_INT_KEYS | _LIST_FLOAT_KEYS
-          | _STR_KEYS)
+# the type of every config key; [kind] is a comma-separated list of kind
+_TYPES = {
+    "experiment": str, "field": str, "out": str, "seed": int,
+    "nx": int, "ny": int, "r": int, "n": int, "m": int, "q": int, "L": int,
+    "N": int, "J": int, "fine": int, "sigma2": float, "lx": float,
+    "ly": float, "m_list": [int], "J_list": [int], "L_list": [int],
+    "nx_list": [int], "r_list": [int], "sc_list": [float],
+}
 
 
 class ConfigError(Exception):
@@ -45,20 +49,17 @@ def parse_config(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (t.strip() for t in line.split("=", 1))
-            if key not in _KNOWN:
+            if key not in _TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in cfg:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            kind = _TYPES[key]
             try:
-                if key in _INT_KEYS:
-                    cfg[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    cfg[key] = float(value)
-                elif key in _LIST_INT_KEYS | _LIST_FLOAT_KEYS:
-                    kind = int if key in _LIST_INT_KEYS else float
-                    cfg[key] = [kind(t) for t in value.split(",") if t.strip()]
+                if isinstance(kind, list):
+                    cfg[key] = [kind[0](t) for t in value.split(",")
+                                if t.strip()]
                 else:
-                    cfg[key] = value
+                    cfg[key] = kind(value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
             if cfg[key] == []:
@@ -69,7 +70,7 @@ def parse_config(path):
         raise ConfigError(
             f"{path}: unknown experiment {cfg['experiment']!r}; "
             f"choose one of {', '.join(EXPERIMENTS)}")
-    if cfg.get("field", "kle") not in ("kle", "lognormal"):
+    if "field" in cfg and cfg["field"] not in ("kle", "lognormal"):
         raise ConfigError(f"{path}: unknown field {cfg['field']!r}")
     if cfg.get("seed", 0) < 0:
         raise ConfigError(f"{path}: seed must be >= 0, not {cfg['seed']}")
@@ -79,17 +80,21 @@ def parse_config(path):
 
 _MESH = {"nx", "ny", "r"}
 _KLE = {"sigma2", "lx", "ly", "n"}
-# keys each experiment reads: (required, optional); every run also reads
-# experiment, seed and out
+# keys each experiment reads: required, optional, and those required beside
+# a (key, value) of the config, a value of None meaning any; every run also
+# reads experiment, seed and out
 _READS = {
-    "basis-bound": ({"r"}, {"field", "J_list"}),
-    "basis-slope": ({"r", "J_list", "sc_list"}, {"field"}),
-    "solution-bound": (_MESH | _KLE | {"m_list", "J_list"}, set()),
-    "mesh-sweep": (_KLE | {"m", "J_list"}, {"r_list", "nx_list"}),
-    "mc-stats": (_MESH | _KLE | {"m_list", "J_list", "N"}, set()),
-    "colloc-table": (_MESH | _KLE | {"m", "J", "L_list"}, {"N"}),
-    "colloc-decomp": (_MESH | _KLE | {"m", "J", "L_list", "N"}, set()),
-    "cost-ratios": ({"n", "m", "q", "L"}, set()),
+    "basis-bound": ({"r", "field", "J_list"}, set(), {
+        ("field", "kle"): _KLE | {"m_list"},
+        ("field", "lognormal"): {"sc_list"}}),
+    "basis-slope": ({"r", "J_list", "sc_list"}, {"field"}, {}),
+    "solution-bound": (_MESH | _KLE | {"m_list", "J_list"}, set(), {}),
+    "mesh-sweep": (_KLE | {"m", "J_list"}, {"r_list", "nx_list"}, {
+        ("r_list", None): {"nx"}, ("nx_list", None): {"fine"}}),
+    "mc-stats": (_MESH | _KLE | {"m_list", "J_list", "N"}, set(), {}),
+    "colloc-table": (_MESH | _KLE | {"m", "J", "L_list", "N"}, set(), {}),
+    "colloc-decomp": (_MESH | _KLE | {"m", "J", "L_list", "N"}, set(), {}),
+    "cost-ratios": ({"n", "m", "q", "L"}, set(), {}),
 }
 
 
@@ -97,15 +102,10 @@ def _validate_required(cfg, path):
     """Refuse a config missing a key its experiment needs, or setting one
     it never reads: one a run would list in its manifest to no effect."""
     experiment = cfg["experiment"]
-    required, optional = _READS[experiment]
-    if experiment == "basis-bound":
-        if cfg.get("field", "kle") == "kle":
-            required, optional = required | _KLE - {"n"}, \
-                optional | {"n", "m_list" if "m_list" in cfg else "m"}
-        elif not ({"sc", "sc_list"} & set(cfg)):
-            raise ConfigError(f"{path}: lognormal field needs sc or sc_list")
-        else:
-            optional = optional | {"sc_list" if "sc_list" in cfg else "sc"}
+    required, optional, beside = _READS[experiment]
+    for (key, value), keys in beside.items():
+        if key in cfg and (value is None or cfg[key] == value):
+            required = required | keys
     if experiment == "basis-slope" and cfg.get("field") == "kle":
         raise ConfigError(f"{path}: experiment 'basis-slope' runs the "
                           f"lognormal splitting only, not field = kle")
@@ -118,13 +118,10 @@ def _validate_required(cfg, path):
         if not ({"r_list", "nx_list"} & set(cfg)):
             raise ConfigError(f"{path}: mesh-sweep needs r_list and/or "
                               "nx_list")
-        fine = cfg.get("fine", 120)
         for nx in cfg.get("nx_list", []):
-            if nx < 1 or fine % nx:
+            if nx < 1 or cfg["fine"] % nx:
                 raise ConfigError(
-                    f"{path}: fine={fine} not divisible by nx={nx}")
-        optional = optional | {key for key, by in (("nx", "r_list"), (
-            "fine", "nx_list")) if by in cfg}
+                    f"{path}: fine={cfg['fine']} not divisible by nx={nx}")
     unread = set(cfg) - required - optional - {"experiment", "seed", "out"}
     if unread:
         raise ConfigError(f"{path}: experiment {experiment!r} never reads "
@@ -147,7 +144,7 @@ def write_csv(path, header, rows):
 def _write_manifest(outdir, cfg, seed):
     lines = [f"msfem-split {__version__}", f"seed = {seed}"]
     for key in sorted(cfg):
-        lines.append(f"{key} = {cfg[key]}")
+        lines.append(f"{key} = {seed if key == 'seed' else cfg[key]}")
     with open(os.path.join(outdir, "manifest.txt"), "w",
               encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -181,21 +178,20 @@ def _cell0_vertex0_errors(mesh, split, J_list):
 
 def _exp_basis_bound(cfg, seed):
     mesh = mesh_mod.build_mesh(1, 1, cfg["r"])
-    J_list = cfg.get("J_list", list(range(11)))
+    J_list = cfg["J_list"]
     rows = []
     checks = []
-    if cfg.get("field", "kle") == "kle":
-        n = cfg.get("n", 20)
+    if cfg["field"] == "kle":
         model = field_mod.build_kle_model(mesh, cfg["sigma2"], cfg["lx"],
-                                          cfg["ly"], n)
-        theta = _frozen_theta(seed, n)
+                                          cfg["ly"], cfg["n"])
+        theta = _frozen_theta(seed, cfg["n"])
         sweeps = [("m", m, field_mod.split_kle(model, theta, m))
-                  for m in cfg.get("m_list", [cfg.get("m", n - 2)])]
+                  for m in cfg["m_list"]]
     else:
         rng = np.random.default_rng([seed, 1])
         Y = rng.standard_normal(mesh.n_fine_cells)
         sweeps = [("sc", sc, field_mod.split_lognormal(mesh, Y, sc))
-                  for sc in cfg.get("sc_list", [cfg.get("sc", 0.9)])]
+                  for sc in cfg["sc_list"]]
     for label, value, split in sweeps:
         errors = _cell0_vertex0_errors(mesh, split, J_list)
         prev = None
@@ -278,11 +274,9 @@ def _exp_mesh_sweep(cfg, seed):
     checks = []
     meshes = []
     if "r_list" in cfg:
-        nx = cfg.get("nx", 12)
-        meshes += [(nx, r) for r in cfg["r_list"]]
+        meshes += [(cfg["nx"], r) for r in cfg["r_list"]]
     if "nx_list" in cfg:
-        fine = cfg.get("fine", 120)
-        meshes += [(nx, fine // nx) for nx in cfg["nx_list"]]
+        meshes += [(nx, cfg["fine"] // nx) for nx in cfg["nx_list"]]
     by_J = {J: [] for J in cfg["J_list"]}
     # (nx, r) -> (err_ref_Jh, err_h_Jh) of each J: a mesh listed twice,
     # through r_list and nx_list, is solved once
@@ -333,7 +327,7 @@ def _exp_mc_stats(cfg, seed):
     return [("mc_stats.csv", header, rows)], checks
 
 
-def _colloc_runs(cfg, seed, N):
+def _colloc_runs(cfg, seed):
     """(L, collocation_run statistics) for each L of L_list, from one mesh,
     model and StochasticConfig; only the grid and its store depend on L."""
     mesh = mesh_mod.build_mesh(cfg["nx"], cfg["ny"], cfg["r"])
@@ -344,18 +338,17 @@ def _colloc_runs(cfg, seed, N):
     for L in cfg["L_list"]:
         grid = st.build_sparse_grid(cfg["m"], L)
         store = st.precompute_green_inverses(mesh, model, grid, cfg["m"])
-        yield L, st.collocation_run(config, N, store, J=cfg["J"])
+        yield L, st.collocation_run(config, cfg["N"], store, J=cfg["J"])
 
 
 def _exp_colloc_table(cfg, seed):
-    n_samples = cfg.get("N", 5)
     rows = []
     checks = []
     means = []
-    for L, stats in _colloc_runs(cfg, seed, n_samples):
+    for L, stats in _colloc_runs(cfg, seed):
         e = stats.extra["e"]
         not_spd = stats.extra["green_not_spd"]
-        for s in range(n_samples):
+        for s in range(cfg["N"]):
             rows.append((s, L, 100.0 * e[s], not_spd[s]))
             checks.append((f"sample={s} L={L} rel error <= 1%",
                            e[s] <= 0.01))
@@ -369,7 +362,7 @@ def _exp_colloc_table(cfg, seed):
 def _exp_colloc_decomp(cfg, seed):
     rows = []
     checks = []
-    for L, stats in _colloc_runs(cfg, seed, cfg["N"]):
+    for L, stats in _colloc_runs(cfg, seed):
         x = stats.extra
         rows.append((L, x["mean_e"], x["mean_e_spl"], x["mean_e_col"]))
         tri = np.all(x["e"] <= x["e_spl"] + x["e_col"] + 1e-12)
@@ -447,11 +440,10 @@ def main(argv=None):
         print(f"ok: {cfg['experiment']}")
         return 0
 
-    outdir = args.out or os.environ.get("MSFEM_SPLIT_OUT") \
-        or cfg.get("out", "results")
+    outdir = args.out or cfg.get("out", "results")
     try:
         ok = run_experiment(cfg, outdir, seed=args.seed)
-    except (MemoryError, RuntimeError, ValueError) as exc:
+    except (MemoryError, OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {outdir}; checks {'passed' if ok else 'FAILED'}")

@@ -27,11 +27,11 @@ pays for one product of M.  This only reorders the sum a(phi_i, phi_j) of
 the MsFEM coarse matrix (Hou & Wu, J. Comput. Phys. 134, 1997).
 The source is f = 1 throughout.  H^T A_K H is a fixed linear map of a
 cell's coefficient values, built once per mesh by fem.LocalAssembler, and
-coarse_maps keeps each cell's loads H^T W f and W_I f.  coarse_solutions
-sums the local matrices by np.bincount straight into the band storage of
-each coarse system, solves it in band storage as well, which keeps its
-results independent of the BLAS thread count, and downscales the
-coefficients through the same bases.
+coarse_maps keeps the loads H^T W f and W_I f, the same in every cell.
+coarse_solutions sums the local matrices by np.bincount straight into the
+band storage of each coarse system, solves it in band storage as well,
+which keeps its results independent of the BLAS thread count, and
+downscales the coefficients through the same bases.
 
 A sample's bases are built in one place, _bases, keyed "h", ("J", J) and
 ("col", J); sample_errors measures them at the solution level and
@@ -52,8 +52,8 @@ from . import fem
 class CoarseMaps:
     """Fixed maps and index arrays of the coarse stage of one mesh.
 
-    unit_loads holds every cell's loads H^T W f (cells, 4) and W_I f
-    (cells, nK) of the source f = 1.  fine, nodes and vertices hold the
+    unit_loads holds the loads H^T W f (4,) and W_I f (nK,) of the source
+    f = 1, the same in every cell.  fine, nodes and vertices hold the
     fine cells, fine nodes and coarse vertices of every cell.  The free
     vertices run row-major over rows of nx_coarse - 1, so the coarse matrix
     has half-bandwidth nx_coarse; band_index holds the flat position in
@@ -76,10 +76,10 @@ class CoarseMaps:
             shape=(asm.n_loc, n_el))
         # summed by einsum, not by a BLAS GEMM, which OpenBLAS splits over
         # its threads on large meshes, so that the sums depend on their count
-        ones = np.ones(self.fine.shape)
+        ones = np.ones((1, n_el))
         self.unit_loads = (
-            np.einsum("ce,qe->cq", ones, (load.T @ asm.hats).T),
-            (load[asm.interior_idx] @ ones.T).T)
+            np.einsum("ce,qe->cq", ones, (load.T @ asm.hats).T)[0],
+            (load[asm.interior_idx] @ ones.T)[:, 0])
 
         self.free = mesh.interior_coarse_vertices()
         n = self.n_free = len(self.free)
@@ -136,7 +136,11 @@ def local_coarse_systems(ops, k, bases):
         A = hat_A + vt @ c
         if r is not None:
             A += np.swapaxes(c, 1, 2) @ r
-        out[key] = (A, hat_F + np.einsum("cni,cn->ci", c, interior_F))
+        # order="F" puts the cells innermost, so each load sums its n terms
+        # in order whatever the layout of c: with n innermost, einsum sums
+        # in SIMD lanes, and the bits would follow the layout
+        out[key] = (A, hat_F + np.einsum("cni,n->ci", c, interior_F,
+                                         order="F"))
     return out
 
 
@@ -208,8 +212,12 @@ def sample_errors(mesh, splitting, J_list, green=None, reference=False,
     assembled while it runs.  Batched, the standard basis holds the GIL
     and stays here, and the fine band is assembled and queued first.  Each
     order measured the lower peak RSS in its own regime.  A failure of any
-    stage reaches the caller.
+    stage reaches the caller.  A coarse mesh without an interior vertex,
+    whose MsFEM solutions are all zero, is refused before any work.
     """
+    if min(mesh.nx_coarse, mesh.ny_coarse) < 2:
+        raise ValueError(f"a {mesh.nx_coarse}x{mesh.ny_coarse} coarse mesh "
+                         f"has no interior vertex")
     mesh.check_fine_grid(splitting.mesh, "splitting")
     basis_mod.check_J_list(J_list)
     if reference and pool is None:

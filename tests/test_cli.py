@@ -1,4 +1,3 @@
-import os
 import re
 from pathlib import Path
 
@@ -8,6 +7,7 @@ import pytest
 from msfem_split import (build_kle_model, build_mesh, build_sparse_grid,
                          precompute_green_inverses)
 from msfem_split import msfem
+from msfem_split import cli
 from msfem_split.cli import (EXPERIMENTS, ConfigError, main, parse_config,
                              run_experiment)
 from msfem_split.stochastic import StochasticConfig, collocation_run
@@ -63,8 +63,9 @@ def test_validate_ok(tmp_path, capsys):
 
 
 def test_unknown_key_rejected(tmp_path):
-    # no experiment reads margin, so a config may not set it
-    for key, value in (("bogus", "1"), ("margin", "0.5")):
+    # no experiment reads margin, so a config may not set it; sc was the
+    # scalar spelling of sc_list
+    for key, value in (("bogus", "1"), ("margin", "0.5"), ("sc", "0.5")):
         path = _write(tmp_path, COST_CFG + f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(path)
@@ -149,6 +150,11 @@ def test_seed_override_changes_results(tmp_path):
     assert main(["run", path, "--out", str(out2), "--seed", "5"]) == 0
     assert (out1 / "basis_bound.csv").read_bytes() != \
         (out2 / "basis_bound.csv").read_bytes()
+    # the manifest lists the seed that took effect, not the config's too
+    manifest1 = (out1 / "manifest.txt").read_text(encoding="utf-8")
+    manifest2 = (out2 / "manifest.txt").read_text(encoding="utf-8")
+    assert manifest1.splitlines().count("seed = 4") == 2
+    assert manifest2 == manifest1.replace("seed = 4", "seed = 5")
 
 
 def test_negative_seed_rejected_before_run(tmp_path, capsys):
@@ -190,21 +196,6 @@ def test_failed_run_leaves_no_directory(tmp_path):
     with pytest.raises(ValueError, match="N must be >= 1"):
         run_experiment(cfg, str(out))
     assert not out.exists()
-
-
-def test_out_env_override(tmp_path):
-    path = _write(tmp_path, COST_CFG)
-    out = tmp_path / "from_env"
-    old = os.environ.get("MSFEM_SPLIT_OUT")
-    os.environ["MSFEM_SPLIT_OUT"] = str(out)
-    try:
-        assert main(["run", path]) == 0
-    finally:
-        if old is None:
-            del os.environ["MSFEM_SPLIT_OUT"]
-        else:
-            os.environ["MSFEM_SPLIT_OUT"] = old
-    assert (out / "cost_ratios.csv").exists()
 
 
 def test_csv_17_significant_digits(tmp_path):
@@ -284,6 +275,7 @@ n = 10
 m = 6
 J = 1
 L_list = 1,2
+N = 5
 seed = 12345
 """))
     out = tmp_path / "out"
@@ -340,10 +332,10 @@ def _shipped(name, edit=None):
 
 
 @pytest.mark.parametrize("text,message", [
-    (_shipped("mc_stats.cfg") + "field = lognormal\nsc = 0.5\n",
-     "experiment 'mc-stats' never reads keys ['field', 'sc']"),
-    (_shipped("basis_bound.cfg") + "sc = 0.5\n",
-     "experiment 'basis-bound' never reads keys ['sc']"),
+    (_shipped("mc_stats.cfg") + "field = lognormal\nsc_list = 0.5\n",
+     "experiment 'mc-stats' never reads keys ['field', 'sc_list']"),
+    (_shipped("basis_bound.cfg") + "sc_list = 0.5\n",
+     "experiment 'basis-bound' never reads keys ['sc_list']"),
     (_shipped("basis_bound.cfg") + "m = 5\n",
      "experiment 'basis-bound' never reads keys ['m']"),
     (BASIS_CFG + "sigma2 = 1.0\nm_list = 3\n",
@@ -484,8 +476,11 @@ L_list = 1
 
 
 def test_colloc_table_sample_count_from_N(tmp_path):
-    for extra, count in (("", 5), ("N = 3\n", 3)):
-        cfg = parse_config(_write(tmp_path, COLLOC_TABLE_CFG + extra))
+    with pytest.raises(ConfigError, match=re.escape("missing keys ['N']")):
+        parse_config(_write(tmp_path, COLLOC_TABLE_CFG))
+    for count in (5, 3):
+        cfg = parse_config(_write(tmp_path,
+                                  COLLOC_TABLE_CFG + f"N = {count}\n"))
         out = tmp_path / f"out{count}"
         run_experiment(cfg, str(out))
         rows = (out / "colloc_table.csv").read_text().splitlines()[1:]
@@ -500,4 +495,69 @@ def test_colloc_table_sample_list_rejected(tmp_path):
     out = tmp_path / "out"
     assert main(["validate", path]) == 2
     assert main(["run", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,key", [
+    ("basis_bound.cfg", "field"), ("basis_bound.cfg", "n"),
+    ("basis_bound.cfg", "J_list"), ("basis_bound.cfg", "m_list"),
+    ("mesh_sweep.cfg", "nx"), ("mesh_sweep.cfg", "fine"),
+    ("colloc_table.cfg", "N")])
+def test_every_value_read_is_required(tmp_path, name, key):
+    # each of these had a silent default, which the manifest did not list
+    path = _write(tmp_path, _shipped(name, lambda lines: [
+        line for line in lines if not line.startswith(f"{key} =")]))
+    experiment = parse_config(CONFIGS / name)["experiment"]
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: experiment {experiment!r} missing keys ['{key}']")):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_key_types_and_reads_agree():
+    # every typed key is read by some experiment, and every key read has a
+    # type: a key left in one table and not the other fails here
+    read = {"experiment", "seed", "out"}
+    for required, optional, beside in cli._READS.values():
+        read |= required | optional | set().union(*beside.values())
+        assert {key for key, _ in beside} <= required | optional
+    assert read == set(cli._TYPES)
+    assert set(cli._READS) == set(EXPERIMENTS)
+
+
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "sub"
+    assert main(["run", _write(tmp_path, COST_CFG), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,extra,message", [
+    ("mc-stats", "m_list = 2\nN = 2\n",
+     "error: sample 0 failed: a 1x4 coarse mesh has no interior vertex"),
+    ("solution-bound", "m_list = 2\n",
+     "error: a 1x4 coarse mesh has no interior vertex")],
+    ids=["mc-stats", "solution-bound"])
+def test_empty_coarse_space_fails_with_an_error(tmp_path, capsys,
+                                                experiment, extra, message):
+    # mc-stats passed with mean_error 0, solution-bound divided by
+    # |||u_h||| = 0
+    path = _write(tmp_path, f"""experiment = {experiment}
+nx = 1
+ny = 4
+r = 4
+sigma2 = 1.0
+lx = 0.3
+ly = 0.3
+n = 4
+J_list = 0,1
+""" + extra)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message + "\n"
     assert not out.exists()

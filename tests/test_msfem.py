@@ -227,6 +227,26 @@ def test_coarse_matrices_from_residuals_match_explicit_form(r):
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max(), key
 
 
+@pytest.mark.parametrize("r", [3, 7])
+def test_local_loads_sum_in_order_in_any_layout(r):
+    # H^T W f + c^T W_I f adds its nK terms one after another, as a loop
+    # does, whether c is C-ordered (batched) or has n contiguous (banded):
+    # summed in SIMD lanes, the last bits would follow the layout
+    mesh = build_mesh(3, 2, r)
+    split = _random_splitting(mesh, np.random.default_rng(r))
+    ops = _all_cells(mesh, split)
+    hat_F, interior_F = msfem.coarse_maps(mesh).unit_loads
+    c = np.random.default_rng(r + 1).standard_normal(ops.v0.shape)
+    ref = np.zeros(c.shape[::2])
+    for n, w in enumerate(interior_F):
+        ref += c[:, n] * w
+    ref = hat_F + ref
+    n_last = np.ascontiguousarray(np.moveaxis(c, 2, 0))
+    for layout in (c, np.moveaxis(n_last, 0, 2), np.asfortranarray(c)):
+        F = msfem.local_coarse_systems(ops, split.k, {"h": (layout, None)})
+        assert np.array_equal(F["h"][1], ref)
+
+
 @pytest.mark.parametrize("nx,ny,r", [(3, 2, 3), (2, 4, 7)])
 def test_downscaling_from_corrections_matches_lifted_bases(nx, ny, r):
     mesh = build_mesh(nx, ny, r)
@@ -324,6 +344,25 @@ def test_entry_points_refuse_empty_or_negative_J_list(monkeypatch, J_list):
                             lambda *args, name=name: called.append(name))
     with pytest.raises(ValueError, match=match):
         msfem.sample_errors(mesh, split, J_list, reference=True)
+    assert not called
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 4), (3, 1)])
+def test_sample_errors_refuses_an_empty_coarse_space(monkeypatch, nx, ny):
+    # without an interior coarse vertex u_h = u_J = 0: a mean error of 0
+    # passed its bound, and a relative error divided by |||u_h||| = 0
+    mesh = build_mesh(nx, ny, 4)
+    split = _random_splitting(mesh, np.random.default_rng(nx))
+    green = np.broadcast_to(np.eye(9), (mesh.n_coarse_cells, 9, 9))
+    called = []
+    for name in ("fine_reference_solver", "assemble_local_operators"):
+        monkeypatch.setattr(fem, name,
+                            lambda *args, name=name: called.append(name))
+    for green, reference in ((None, True), (green, False)):
+        with pytest.raises(ValueError, match=f"a {nx}x{ny} coarse mesh has "
+                           "no interior vertex"):
+            msfem.sample_errors(mesh, split, [0, 1], green=green,
+                                reference=reference)
     assert not called
 
 
@@ -505,6 +544,11 @@ def test_batched_bases_match_scalar_and_invariants(nx, ny, r, J, m, sigma2,
             1e-12 * np.abs(A).max(initial=0.0)
         assert np.all(np.linalg.eigvalsh(A) > 0.0)
 
+    if min(nx, ny) < 2:
+        # no interior coarse vertex: every solution is zero, and refused
+        with pytest.raises(ValueError, match="has no interior vertex"):
+            msfem.sample_errors(mesh, split, [J], green=green)
+        return
     rec = msfem.sample_errors(mesh, split, [J], green=green)
     for u, bases in ((rec.u_h, std), (rec.u_J[J], its[J]),
                      (rec.u_col[J], col)):

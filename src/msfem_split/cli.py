@@ -54,16 +54,20 @@ def parse_config(path):
             if key in cfg:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             kind = _TYPES[key]
+            items = value.split(",")
+            if isinstance(kind, list) and not all(t.strip() for t in items):
+                what = "empty element in list" if value else "empty list"
+                raise ConfigError(f"{path}:{lineno}: {what} for {key!r}")
             try:
-                if isinstance(kind, list):
-                    cfg[key] = [kind[0](t) for t in value.split(",")
-                                if t.strip()]
-                else:
-                    cfg[key] = kind(value)
+                cfg[key] = ([kind[0](t) for t in items]
+                            if isinstance(kind, list) else kind(value))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            if cfg[key] == []:
-                raise ConfigError(f"{path}:{lineno}: empty list for {key!r}")
+            # the checks over a list compare its entries in list order
+            if isinstance(kind, list) and any(
+                    b <= a for a, b in zip(cfg[key], cfg[key][1:])):
+                raise ConfigError(
+                    f"{path}:{lineno}: {key!r} must be strictly increasing")
     if "experiment" not in cfg:
         raise ConfigError(f"{path}: missing required key 'experiment'")
     if cfg["experiment"] not in EXPERIMENTS:

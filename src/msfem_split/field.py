@@ -53,9 +53,6 @@ class KLEModel:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray  # (n, n_fine_cells)
     n: int
-    sigma2: float
-    lx: float
-    ly: float
     generation_shape: tuple
 
 
@@ -79,18 +76,31 @@ def _generation_axis(nf):
 def _axis_eigenpairs(g, length):
     """Nystrom eigenpairs of exp(-dx^2/2l) on the g cell centers of [0, 1].
 
-    Eigenvalues descend and are clipped at zero; eigenvectors are scaled to
-    unit norm in the cell-area inner product.  Each eigenvector is symmetric
-    or antisymmetric, so its largest magnitude sits at mirror-image cells
-    and round-off picks which one is larger; the sign therefore makes the
-    first entry of at least half the largest magnitude positive.
+    The kernel commutes with the mirror c -> g-1-c, so it is solved once
+    per parity, on the normalized e_c +- e_(g-1-c) of the lower half's
+    cells c and the middle cell of an odd g: each eigenvector is exactly
+    symmetric or antisymmetric.  Eigenvalues descend (even first on a tie)
+    and are clipped at zero; eigenvectors are scaled to unit norm in the
+    cell-area inner product.  A largest magnitude sits at mirror-image
+    cells, so the sign makes the first entry of at least half the largest
+    magnitude positive.
     """
     x = (np.arange(g) + 0.5) / g
     K = np.exp(-(x[:, None] - x[None, :]) ** 2 / (2.0 * length)) / g
-    if not np.array_equal(K, K.T):
-        raise RuntimeError("numerical covariance lost symmetry")
-    w, u = sla.eigh(K)
-    w, u = np.clip(w[::-1], 0.0, None), u[:, ::-1]
+    h, c = g // 2, np.arange(g // 2)
+    q = np.zeros((g, g))  # the even basis vectors, then the odd ones
+    q[c, c] = q[g - 1 - c, c] = q[c, g - h + c] = np.sqrt(0.5)
+    q[g - 1 - c, g - h + c] = -np.sqrt(0.5)
+    if g % 2:
+        q[h, h] = 1.0
+    w, u = [], []
+    for part in np.split(q, [g - h], axis=1):
+        lam, v = sla.eigh(part.T @ K @ part)
+        w.append(lam[::-1])
+        u.append(part @ v[:, ::-1])  # one nonzero term per entry: exact
+    order = np.argsort(-np.concatenate(w), kind="stable")
+    w = np.clip(np.concatenate(w)[order], 0.0, None)
+    u = np.hstack(u)[:, order]
     mag = np.abs(u)
     first = (mag >= 0.5 * mag.max(axis=0)).argmax(axis=0)
     return w, u * (np.sign(u[first, np.arange(g)]) * np.sqrt(g))
@@ -129,8 +139,7 @@ def build_kle_model(mesh, sigma2, lx, ly, n):
     b_fine = b_fine.reshape(n, mesh.n_fine_cells)
 
     return KLEModel(mesh=mesh, eigenvalues=products[modes],
-                    eigenfunctions=b_fine, n=n, sigma2=sigma2, lx=lx, ly=ly,
-                    generation_shape=(gx, gy))
+                    eigenfunctions=b_fine, n=n, generation_shape=(gx, gy))
 
 
 def log_field_partial(model, theta, m):

@@ -226,12 +226,6 @@ def cost_ratios(n, m, q, L):
 MAX_STORE_BYTES = 2 * 1024 ** 3
 # largest scaled residual fem.inverse_residuals of a store inverse
 MAX_GREEN_RESIDUAL = 1e-10
-# largest log-field mismatch sum_d sqrt(lambda_d) max|phi_d o R - s_d phi_d|
-# of the leading KLE modes phi_d under a reflection R of the unit square
-# that still serves the store (see _mirror_parities).  Each mode of the
-# shipped models measures at most 1.6e-13, round-off of the Nystrom
-# eigenvectors, so a mode that is not mirror-symmetric reads far above it
-MAX_MIRROR_MISMATCH = 1e-12
 # matrix entries, nodes * cells * nK^2, per block of the store build: as
 # many whole nodes as fit, at least one.  A worker holds the GIL between
 # numpy calls, so each call must run long enough for the other workers to
@@ -303,53 +297,47 @@ class GreenStore:
 
 def _mirror_parities(model, m):
     """Parities s (m,) of the leading m KLE modes under the x and then the
-    y reflection of the unit square, phi_d o R = s_d phi_d, or None for a
-    reflection under which the log-field mismatch sum_d sqrt(lambda_d)
-    max|phi_d o R - s_d phi_d| exceeds MAX_MIRROR_MISMATCH.
+    y reflection of the unit square, phi_d o R = s_d phi_d exactly.
 
-    Within it, log k0(theta) o R = log k0(s theta) for every theta in
-    [-1, 1]^m.
+    Then log k0(theta) o R = log k0(s theta) for every theta in [-1, 1]^m.
+    build_kle_model makes every mode symmetric or antisymmetric; a model
+    with a leading mode that is neither is refused, naming the mode.
     """
     mesh = model.mesh
     phi = model.eigenfunctions[:m].reshape(m, mesh.nyf, mesh.nxf)
-    root = np.sqrt(model.eigenvalues[:m])
     parities = []
-    for axis in (2, 1):  # x, y
+    for axis, name in ((2, "x"), (1, "y")):
         mirrored = np.flip(phi, axis=axis)
-        even = np.abs(mirrored - phi).max(axis=(1, 2))
-        odd = np.abs(mirrored + phi).max(axis=(1, 2))
-        mismatch = root @ np.minimum(even, odd)
-        parities.append(np.where(even <= odd, 1, -1)
-                        if mismatch <= MAX_MIRROR_MISMATCH else None)
+        even = (mirrored == phi).all(axis=(1, 2))
+        odd = (mirrored == -phi).all(axis=(1, 2))
+        if not (even | odd).all():
+            raise ValueError(
+                f"KLE mode {np.argmin(even | odd)} is neither symmetric nor "
+                f"antisymmetric under the {name} reflection")
+        parities.append(np.where(even, 1, -1))
     return parities
 
 
 def _mirror_group(mesh, model, grid, m):
     """GreenStore's cells, node_perms and unpack.
 
-    The group holds the identity, each reflection whose parities
-    _mirror_parities finds, and their product when both are found.  A
-    cell's representative lies in the lower-left quarter of the coarse
-    grid, cx <= (nx - 1) // 2 and cy <= (ny - 1) // 2 along the
-    reflections held, middle row and column included; mirroring the
-    representative by the cell's element and the node's parameters by the
-    odd modes' signs gives the cell's coefficient at the node.
+    The group holds the identity and the x, y and xy reflections, elements
+    0 to 3.  A cell's representative lies in the lower-left quarter of the
+    coarse grid, cx <= (nx - 1) // 2 and cy <= (ny - 1) // 2, middle row
+    and column included; mirroring the representative by the cell's
+    element and the node's parameters by the odd modes' signs gives the
+    cell's coefficient at the node.
     """
     nx, ny, s = mesh.nx_coarse, mesh.ny_coarse, mesh.r - 1
-    px, py = _mirror_parities(model, m)
-    hx, hy = px is not None, py is not None
-    # the (x flip, y flip) of the elements e, x, y and xy of those held
-    elements = list(dict.fromkeys((x, y) for y in (False, hy)
-                                  for x in (False, hx)))
+    odd_x, odd_y = (p < 0 for p in _mirror_parities(model, m))
     cx, cy = mesh.cell_coords(np.arange(mesh.n_coarse_cells))
-    fx = hx & (cx > (nx - 1) // 2)
-    fy = hy & (cy > (ny - 1) // 2)
+    fx = cx > (nx - 1) // 2
+    fy = cy > (ny - 1) // 2
     cells = np.flatnonzero(~fx & ~fy)
     rep = np.where(fy, ny - 1 - cy, cy) * nx + np.where(fx, nx - 1 - cx, cx)
-    element = fx + (1 + hx) * fy  # (fx, fy)'s place among the elements
-    odd_x, odd_y = hx and px < 0, hy and py < 0
+    element = fx + 2 * fy
     node_perms = np.array([grid.reflection((x & odd_x) ^ (y & odd_y))
-                           for x, y in elements])
+                           for y in (False, True) for x in (False, True)])
     # each cell's interior nodes, row-major over rows of s = r - 1 nodes,
     # mirrored by its element
     iy, ix = np.divmod(np.arange(s * s), s)
@@ -366,16 +354,14 @@ def precompute_green_inverses(mesh, model, grid, m):
     """Assemble and invert M0(node) for every representative cell and grid
     node.
 
-    Each KLE mode is a product of 1D eigenvectors on a symmetric grid, so
-    under the x and y reflections of the unit square it is symmetric or
-    antisymmetric, and the Smolyak grid is closed under sign flips of its
-    coordinates.  Mirroring a cell by a reflection g thus mirrors its M0
-    at node n into the M0 of the mirror cell at the node with the odd
-    modes' parameters negated: G(g node, g cell) = P_g G(node, cell) P_g^T
-    for the permutation P_g of the interior nodes.  A reflection joins the
-    group only when every one of the m leading modes has a parity (see
-    _mirror_parities); dropped, the store is larger but still exact.  The
-    store keeps one representative cell of each orbit (see GreenStore).
+    Each KLE mode is exactly symmetric or antisymmetric under the x and y
+    reflections of the unit square, and the Smolyak grid is closed under
+    sign flips of its coordinates.  Mirroring a cell by a reflection g
+    thus mirrors its M0 at node n into the M0 of the mirror cell at the
+    node with the odd modes' parameters negated: G(g node, g cell) =
+    P_g G(node, cell) P_g^T for the permutation P_g of the interior nodes.
+    The store keeps one representative cell of each orbit (see
+    GreenStore).
 
     The nodes are inverted by fem.packed_inverses in blocks of as many
     whole nodes as fit in STORE_BLOCK_ENTRIES matrix entries, at least one,
@@ -387,8 +373,9 @@ def precompute_green_inverses(mesh, model, grid, m):
     fails the residual check (fem.inverse_residuals above
     MAX_GREEN_RESIDUAL in a cell) raises ValueError naming the node; of
     several such nodes, the lowest.  The store keeps the largest residual
-    as its residual.  A model on another fine grid is refused first, and
-    a store of more than MAX_STORE_BYTES before any is allocated.
+    as its residual.  A model on another fine grid, or with a leading mode
+    without a parity (see _mirror_parities), is refused first, and a store
+    of more than MAX_STORE_BYTES before any is allocated.
     """
     mesh.check_fine_grid(model.mesh, "model")
     if grid.m != m:

@@ -44,7 +44,15 @@ same_outputs compares two output directories byte for byte, and
 runs every configs/*.cfg through run_cli under 1 and then 2 BLAS threads
 into DIR/t<threads>/<config>, prints the SHA-256 of each output file and
 exits 1 if a run fails or the two thread counts' outputs differ: the
-byte check of a change that must keep every output bit, and
+byte check of a change that must keep every output bit,
+
+    PYTHONPATH=src python tests/reference.py diff A B
+
+compares two such trees file by file, printing "identical" or the
+largest relative change of a CSV cell and its column: the check of a
+change that may move CSV cells at round-off only; it exits 1 if the file
+sets, a CSV's header or row count, a non-numeric cell or any other file
+differ, and
 
     PYTHONPATH=src python tests/reference.py store-digest
 
@@ -74,6 +82,7 @@ shift_splitting, a repair of splittings with eta >= 1 that no experiment
 runs, is kept here with its tests.
 """
 
+import csv
 import hashlib
 import os
 import resource
@@ -671,6 +680,59 @@ def config_outputs(root):
         for c in configs) else 1
 
 
+def _csv_change(path_a, path_b):
+    """(largest relative change, its column) over the cells of two CSV
+    files, or None if their headers, row counts, row lengths or
+    non-numeric cells differ.  A change from zero is infinite."""
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
+        return None
+    worst = (0.0, "")
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        if len(row_a) != len(row_b):
+            return None
+        for column, x, y in zip(rows_a[0], row_a, row_b):
+            if x == y:
+                continue
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                return None
+            change = abs(y - x) / abs(x) if x else float("inf")
+            worst = max(worst, (change, column))
+    return worst
+
+
+def diff_outputs(a, b):
+    """Compare every file of the output trees a and b by relative path,
+    printing "identical", the largest relative change of a CSV cell with
+    its column, or how the file differs; 1 if the file sets differ, or a
+    CSV's header, row count or non-numeric cells, or a file that is not a
+    CSV, else 0."""
+    a, b = Path(a), Path(b)
+    names = sorted({p.relative_to(root).as_posix() for root in (a, b)
+                    for p in root.rglob("*") if p.is_file()})
+    ok = bool(names)
+    for name in names:
+        path_a, path_b = a / name, b / name
+        if not (path_a.is_file() and path_b.is_file()):
+            result = f"only in {a if path_a.is_file() else b}"
+        elif path_a.read_bytes() == path_b.read_bytes():
+            result = "identical"
+        elif path_a.suffix != ".csv":
+            result = "differs"
+        else:
+            change = _csv_change(path_a, path_b)
+            result = ("header, rows or non-numeric cells differ"
+                      if change is None else
+                      f"largest relative change {change[0]:.2g} in column "
+                      f"{change[1]}")
+        ok &= result.startswith(("identical", "largest"))
+        print(f"{result}  {name}")
+    return 0 if ok else 1
+
+
 def _huge_page_mode():
     """The transparent huge page mode the kernel runs, the bracketed word
     of /sys/kernel/mm/transparent_hugepage/enabled; unknown without it."""
@@ -714,11 +776,14 @@ def store_digest():
 
 
 USAGE = """usage: PYTHONPATH=src python tests/reference.py outputs DIR
+       PYTHONPATH=src python tests/reference.py diff A B
        PYTHONPATH=src python tests/reference.py store-digest"""
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["outputs"] and len(sys.argv) == 3:
         sys.exit(config_outputs(sys.argv[2]))
+    if sys.argv[1:2] == ["diff"] and len(sys.argv) == 4:
+        sys.exit(diff_outputs(sys.argv[2], sys.argv[3]))
     if sys.argv[1:] == ["store-digest"]:
         sys.exit(store_digest())
     sys.exit(USAGE)

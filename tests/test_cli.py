@@ -11,7 +11,7 @@ from msfem_split import cli
 from msfem_split.cli import (EXPERIMENTS, ConfigError, main, parse_config,
                              run_experiment)
 from msfem_split.stochastic import StochasticConfig, collocation_run
-from reference import run_cli, same_outputs
+from reference import diff_outputs, run_cli, same_outputs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -143,6 +143,43 @@ def test_basis_bound_run_and_determinism(tmp_path):
         assert float(vals[3]) <= float(vals[4])
 
 
+def _tree(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+def test_diff_outputs_reports_round_off_and_refuses_other_changes(
+        tmp_path, capsys):
+    base = {"x/r.csv": "p,err,check\n1,0.5,PASS\n2,0,PASS\n",
+            "x/summary.txt": "result: PASS\n"}
+    a = _tree(tmp_path / "a", base)
+    moved = dict(base, **{"x/r.csv": "p,err,check\n1,0.5000001,PASS\n"
+                                     "2,0,PASS\n"})
+    assert diff_outputs(a, _tree(tmp_path / "b", moved)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "largest relative change 2e-07 in column err  x/r.csv",
+        "identical  x/summary.txt"]
+    for i, (name, text, line) in enumerate([
+            ("x/extra.csv", "p\n", f"only in {tmp_path / 'c0'}"),
+            ("x/r.csv", "p,error,check\n1,0.5,PASS\n2,0,PASS\n",
+             "header, rows or non-numeric cells differ"),
+            ("x/r.csv", "p,err,check\n1,0.5,PASS\n",
+             "header, rows or non-numeric cells differ"),
+            ("x/r.csv", "p,err,check\n1,0.5,FAIL\n2,0,PASS\n",
+             "header, rows or non-numeric cells differ"),
+            ("x/summary.txt", "result: FAIL\n", "differs")]):
+        changed = _tree(tmp_path / f"c{i}", dict(base, **{name: text}))
+        assert diff_outputs(a, changed) == 1
+        assert f"{line}  {name}" in capsys.readouterr().out.splitlines()
+    # a change from zero is infinite, and still numeric
+    zero = dict(base, **{"x/r.csv": "p,err,check\n1,0.5,PASS\n2,1,PASS\n"})
+    assert diff_outputs(a, _tree(tmp_path / "z", zero)) == 0
+    assert ("largest relative change inf in column err  x/r.csv"
+            in capsys.readouterr().out.splitlines())
+
+
 def test_seed_override_changes_results(tmp_path):
     path = _write(tmp_path, BASIS_CFG)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -175,7 +212,7 @@ def test_negative_seed_rejected_before_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", [COST_CFG, BASIS_CFG.replace(
-    "basis-bound", "basis-slope").replace("0.9", "0.9,0.8")],
+    "basis-bound", "basis-slope").replace("0.9", "0.8,0.9")],
     ids=["cost-ratios", "basis-slope"])
 def test_run_experiment_refuses_negative_seed(tmp_path, text):
     # the library entry refused nothing: cost-ratios wrote seed = -1 into
@@ -313,6 +350,34 @@ def test_empty_list_rejected(tmp_path, config, key):
     path = _write(tmp_path, "\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=re.escape(
             f"{path}:{lineno}: empty list for '{key}'")):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config,key,value,message", [
+    # basis-bound's monotone check and colloc-table's nonincreasing check
+    # compare in list order, so these failed valid runs
+    ("basis_bound.cfg", "J_list", "2,0,1", "must be strictly increasing"),
+    ("colloc_table.cfg", "L_list", "3,1", "must be strictly increasing"),
+    ("mesh_sweep.cfg", "r_list", "10,10,30", "must be strictly increasing"),
+    ("basis_slope.cfg", "sc_list", "0.96,0.8", "must be strictly increasing"),
+    # were read as [1, 2] and [0, 1]
+    ("basis_bound.cfg", "J_list", "1,,2", "empty element in list for"),
+    ("mc_stats.cfg", "J_list", "0,1,", "empty element in list for")])
+def test_unordered_or_gapped_list_rejected(tmp_path, config, key, value,
+                                           message):
+    lines = (CONFIGS / config).read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1)
+                  if line.startswith(f"{key} ="))
+    lines[lineno - 1] = f"{key} = {value}"
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    named = (f"'{key}' {message}" if message.startswith("must")
+             else f"{message} '{key}'")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}:{lineno}: {named}")):
         parse_config(path)
     out = tmp_path / "out"
     assert main(["validate", path]) == 2

@@ -207,6 +207,27 @@ def test_kle_sign_rule_is_deterministic(shape, lx, ly):
     assert again.eigenfunctions.tobytes() == model.eigenfunctions.tobytes()
 
 
+@pytest.mark.parametrize("shape, lx, ly", [((4, 4, 3), 0.2, 0.2),
+                                           ((3, 5, 3), 0.2, 0.05),
+                                           ((16, 16, 4), 0.1, 0.1),
+                                           ((4, 4, 15), 0.7, 0.04)])
+def test_kle_modes_have_exact_mirror_parity(shape, lx, ly):
+    # each axis is solved once per parity, so every mode, the tail modes
+    # where near-degenerate even and odd pairs would mix included, is
+    # bitwise symmetric or antisymmetric under the x and the y reflection,
+    # on even (12, 64, 60) and odd (9, 15) generation grids alike
+    mesh = build_mesh(*shape)
+    gx, gy = build_kle_model(mesh, 1.0, lx, ly, 1).generation_shape
+    n = min(gx * gy, 300)
+    model = build_kle_model(mesh, 1.0, lx, ly, n)
+    phi = model.eigenfunctions.reshape(n, mesh.nyf, mesh.nxf)
+    for axis in (2, 1):
+        mirrored = np.flip(phi, axis=axis)
+        even = (mirrored == phi).all(axis=(1, 2))
+        odd = (mirrored == -phi).all(axis=(1, 2))
+        assert (even | odd).all()
+
+
 def test_kle_invalid_arguments():
     mesh = build_mesh(1, 1, 3)
     with pytest.raises(ValueError):

@@ -204,42 +204,62 @@ def test_green_store_shape_and_inverses():
 def _asymmetric(model, mode, broken):
     """model with one mode changed by 1e-9 of itself on fine cells that
     break its parity: the column x = 0 under the x reflection only
-    (broken = "x"), the corner cell (0, 0) under both ("xy")."""
+    (broken = "x"), the row y = 0 under the y reflection only ("y"), the
+    corner cell (0, 0) under both ("xy")."""
     mesh = model.mesh
     phi = model.eigenfunctions.copy().reshape(model.n, mesh.nyf, mesh.nxf)
-    where = (slice(None), 0) if broken == "x" else (0, 0)
+    where = {"x": (slice(None), 0), "y": (0, slice(None)),
+             "xy": (0, 0)}[broken]
     phi[mode][where] *= 1.0 + 1e-9
     return dataclasses.replace(model, eigenfunctions=phi.reshape(model.n, -1))
 
 
-@pytest.mark.parametrize("mode,broken,elements", [
-    (0, "x", 2), (0, "xy", 1), (2, "xy", 1),
+@pytest.mark.parametrize("mode,broken", [
+    (0, "x"), (0, "xy"), (2, "xy"), (1, "y"),
     # a mode past m does not enter the coefficient at the nodes
-    (4, "xy", 4)])
-def test_asymmetric_mode_drops_its_reflection(mode, broken, elements):
-    # a reflection under which one of the m leading modes has no parity
-    # leaves the group, and the store keeps the cells it would have
-    # mirrored: every cell when no reflection is left, each bitwise the
-    # oracle's, and the interpolant still agrees with the full store's
+    (4, "xy")])
+def test_asymmetric_mode_is_refused_below_m(mode, broken):
+    # a leading mode without a parity under a reflection, which only a
+    # hand-edited model can have, is refused, naming the mode and the
+    # first reflection it breaks; past m the store keeps the whole group,
+    # each representative bitwise the oracle's, and the interpolant agrees
+    # with the full store's
     mesh = build_mesh(4, 4, 3)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
     model = _asymmetric(model, mode, broken)
     grid = build_sparse_grid(3, 2)
+    if mode < 3:
+        with pytest.raises(ValueError, match=(
+                f"KLE mode {mode} is neither symmetric nor antisymmetric "
+                f"under the {broken[0]} reflection")):
+            precompute_green_inverses(mesh, model, grid, 3)
+        return
     store = precompute_green_inverses(mesh, model, grid, 3)
-    assert len(store.node_perms) == elements
+    assert len(store.node_perms) == 4
     # the elements the cells are unpacked from
     entries = store.matrices.shape[2]
     assert len(np.unique(store.unpack[:, 0, 0] //
-                         (len(store.cells) * entries))) == elements
+                         (len(store.cells) * entries))) == 4
     cx, cy = mesh.cell_coords(np.arange(mesh.n_coarse_cells))
-    kept = {1: cx >= 0, 2: cy <= 1, 4: (cx <= 1) & (cy <= 1)}[elements]
-    assert np.array_equal(store.cells, np.flatnonzero(kept))
+    assert np.array_equal(store.cells, np.flatnonzero((cx <= 1) & (cy <= 1)))
     full = green_store_loop(mesh, model, grid, 3)
     assert np.array_equal(store.matrices, full[:, store.cells])
     points = np.random.default_rng(7).uniform(-1.0, 1.0, (3, 3))
     ref = interpolated_green_gemm(store, points)
     G = st._interpolated_green(store, points)
     assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_store_of_tail_modes_keeps_the_whole_group():
+    # m = 60 reaches 1D modes that a plain eigh of the 64-cell axis mixes
+    # across parities; solved per parity they keep it, so the store keeps
+    # the lower-left quarter's 64 of the 256 cells under all 4 elements
+    mesh = build_mesh(16, 16, 4)
+    model = build_kle_model(mesh, 1.0, 0.1, 0.1, 80)
+    store = precompute_green_inverses(mesh, model, build_sparse_grid(60, 1),
+                                      60)
+    assert len(store.node_perms) == 4
+    assert len(store.cells) == 64
 
 
 @pytest.mark.parametrize("r", [3, 7])
@@ -618,18 +638,18 @@ def test_interpolated_green_independent_of_point_count(monkeypatch):
     # a point's interpolant has the same bits however many points share the
     # contraction, one (given without a leading axis, and with one group
     # element padded with a zero row) included, and however many workers
-    # share it: point s has rows s * elements + g for any N.  Stores of 4,
-    # 2 and 1 group elements: 60, 90 and 150 columns, 90 ending 2 columns
-    # past a whole tile, where C-ordered weights changed bits with N
-    mesh = build_mesh(3, 5, 3)
+    # share it: point s has rows s * elements + g for any N.  Stores of 6,
+    # 9 and 15 representative cells of 10 packed entries: 60, 90 and 150
+    # columns, 90 ending 2 columns past a whole tile, where C-ordered
+    # weights changed bits with N
     points = np.random.default_rng(5).uniform(-1.0, 1.0, (8, 6))
-    for broken, elements in ((None, 4), ("x", 2), ("xy", 1)):
+    for nx, ny, columns in ((3, 5, 60), (5, 5, 90), (5, 9, 150)):
+        mesh = build_mesh(nx, ny, 3)
         model = build_kle_model(mesh, 1.0, 0.2, 0.2, 6)
-        if broken:
-            model = _asymmetric(model, 0, broken)
         store = precompute_green_inverses(mesh, model,
                                           build_sparse_grid(6, 3), 6)
-        assert len(store.node_perms) == elements
+        assert len(store.node_perms) == 4
+        assert len(store.cells) * store.matrices.shape[2] == columns
         monkeypatch.undo()
         every = st._interpolated_green(store, points)
         for workers in (1, 2, 7):

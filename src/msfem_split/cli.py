@@ -21,9 +21,6 @@ from . import mesh as mesh_mod
 from . import msfem
 from . import stochastic as st
 
-EXPERIMENTS = ("basis-bound", "basis-slope", "solution-bound", "mesh-sweep",
-               "mc-stats", "colloc-table", "colloc-decomp", "cost-ratios")
-
 # the type of every config key; [kind] is a comma-separated list of kind
 _TYPES = {
     "experiment": str, "field": str, "out": str, "seed": int,
@@ -82,51 +79,29 @@ def parse_config(path):
     return cfg
 
 
-_MESH = {"nx", "ny", "r"}
-_KLE = {"sigma2", "lx", "ly", "n"}
-# keys each experiment reads: required, optional, and those required beside
-# a (key, value) of the config, a value of None meaning any; every run also
-# reads experiment, seed and out
-_READS = {
-    "basis-bound": ({"r", "field", "J_list"}, set(), {
-        ("field", "kle"): _KLE | {"m_list"},
-        ("field", "lognormal"): {"sc_list"}}),
-    "basis-slope": ({"r", "J_list", "sc_list"}, {"field"}, {}),
-    "solution-bound": (_MESH | _KLE | {"m_list", "J_list"}, set(), {}),
-    "mesh-sweep": (_KLE | {"m", "J_list"}, {"r_list", "nx_list"}, {
-        ("r_list", None): {"nx"}, ("nx_list", None): {"fine"}}),
-    "mc-stats": (_MESH | _KLE | {"m_list", "J_list", "N"}, set(), {}),
-    "colloc-table": (_MESH | _KLE | {"m", "J", "L_list", "N"}, set(), {}),
-    "colloc-decomp": (_MESH | _KLE | {"m", "J", "L_list", "N"}, set(), {}),
-    "cost-ratios": ({"n", "m", "q", "L"}, set(), {}),
-}
-
-
 def _validate_required(cfg, path):
     """Refuse a config missing a key its experiment needs, or setting one
     it never reads: one a run would list in its manifest to no effect."""
     experiment = cfg["experiment"]
-    required, optional, beside = _READS[experiment]
+    _, required, beside = _EXPERIMENTS[experiment]
     for (key, value), keys in beside.items():
-        if key in cfg and (value is None or cfg[key] == value):
+        if cfg.get(key) == value:
             required = required | keys
-    if experiment == "basis-slope" and cfg.get("field") == "kle":
-        raise ConfigError(f"{path}: experiment 'basis-slope' runs the "
-                          f"lognormal splitting only, not field = kle")
     missing = required - set(cfg)
     if missing:
         raise ConfigError(
             f"{path}: experiment {experiment!r} missing keys "
             f"{sorted(missing)}")
     if experiment == "mesh-sweep":
-        if not ({"r_list", "nx_list"} & set(cfg)):
-            raise ConfigError(f"{path}: mesh-sweep needs r_list and/or "
-                              "nx_list")
-        for nx in cfg.get("nx_list", []):
+        for nx in cfg["nx_list"]:
             if nx < 1 or cfg["fine"] % nx:
                 raise ConfigError(
                     f"{path}: fine={cfg['fine']} not divisible by nx={nx}")
-    unread = set(cfg) - required - optional - {"experiment", "seed", "out"}
+        for nx, r in _sweep_meshes(cfg):
+            if r < 2:
+                raise ConfigError(f"{path}: mesh-sweep mesh nx={nx}, r={r}: "
+                                  "refinement factor r must be >= 2")
+    unread = set(cfg) - required - {"experiment", "seed", "out"}
     if unread:
         raise ConfigError(f"{path}: experiment {experiment!r} never reads "
                           f"keys {sorted(unread)}")
@@ -157,8 +132,9 @@ def _write_manifest(outdir, cfg, seed):
 # ---- experiment implementations -------------------------------------------
 
 
-def _frozen_theta(seed, n):
-    return st.sample_theta(seed, 0, n)
+def _kle_model(cfg, mesh):
+    return field_mod.build_kle_model(mesh, cfg["sigma2"], cfg["lx"],
+                                     cfg["ly"], cfg["n"])
 
 
 def _no_bound(label, eta):
@@ -173,6 +149,18 @@ def _bound_check(label, err, bound, eta):
     return _no_bound(label, eta)
 
 
+def _error_checks(label, J_list, errs, bounds, eta):
+    """Each J's error<=bound check, each but the first J's followed by
+    whether its error is at most the previous J's."""
+    checks = []
+    for i, (J, err, bound) in enumerate(zip(J_list, errs, bounds)):
+        checks.append(_bound_check(f"{label} J={J}", err, bound, eta))
+        if i:
+            checks.append((f"{label} J={J} monotone",
+                           err <= errs[i - 1] + 1e-15))
+    return checks
+
+
 def _cell0_vertex0_errors(mesh, split, J_list):
     """{J: (error, bound)} of basis_errors for vertex 0 of coarse cell 0."""
     ops = fem.assemble_local_operators(mesh, [0], split)
@@ -183,12 +171,10 @@ def _cell0_vertex0_errors(mesh, split, J_list):
 def _exp_basis_bound(cfg, seed):
     mesh = mesh_mod.build_mesh(1, 1, cfg["r"])
     J_list = cfg["J_list"]
-    rows = []
-    checks = []
+    rows, checks = [], []
     if cfg["field"] == "kle":
-        model = field_mod.build_kle_model(mesh, cfg["sigma2"], cfg["lx"],
-                                          cfg["ly"], cfg["n"])
-        theta = _frozen_theta(seed, cfg["n"])
+        model = _kle_model(cfg, mesh)
+        theta = st.sample_theta(seed, 0, cfg["n"])
         sweeps = [("m", m, field_mod.split_kle(model, theta, m))
                   for m in cfg["m_list"]]
     else:
@@ -198,16 +184,11 @@ def _exp_basis_bound(cfg, seed):
                   for sc in cfg["sc_list"]]
     for label, value, split in sweeps:
         errors = _cell0_vertex0_errors(mesh, split, J_list)
-        prev = None
-        for J in J_list:
-            err, bound = errors[J]
-            rows.append((value, J, split.eta_global, err, bound))
-            checks.append(_bound_check(f"{label}={value} J={J}", err, bound,
-                                       split.eta_global))
-            if prev is not None:
-                checks.append((f"{label}={value} J={J} monotone",
-                               err <= prev + 1e-15))
-            prev = err
+        errs, bounds = zip(*(errors[J] for J in J_list))
+        rows += [(value, J, split.eta_global, err, bound)
+                 for J, err, bound in zip(J_list, errs, bounds)]
+        checks += _error_checks(f"{label}={value}", J_list, errs, bounds,
+                                split.eta_global)
     header = ["param", "J", "eta", "error", "bound"]
     return [("basis_bound.csv", header, rows)], checks
 
@@ -249,48 +230,42 @@ def _exp_basis_slope(cfg, seed):
 
 def _exp_solution_bound(cfg, seed):
     mesh = mesh_mod.build_mesh(cfg["nx"], cfg["ny"], cfg["r"])
-    model = field_mod.build_kle_model(mesh, cfg["sigma2"], cfg["lx"],
-                                     cfg["ly"], cfg["n"])
-    theta = _frozen_theta(seed, cfg["n"])
-    rows = []
-    checks = []
+    model = _kle_model(cfg, mesh)
+    theta = st.sample_theta(seed, 0, cfg["n"])
+    J_list = cfg["J_list"]
+    rows, checks = [], []
     for m in cfg["m_list"]:
         split = field_mod.split_kle(model, theta, m)
         eta = split.eta_global
-        rec = msfem.sample_errors(mesh, split, cfg["J_list"], reference=True)
+        rec = msfem.sample_errors(mesh, split, J_list, reference=True)
         ct = msfem.c_tilde(split)
-        prev = None
-        for J in cfg["J_list"]:
-            err = rec.err[J]
-            bound = msfem.solution_error_bound(
-                J, eta, ct, rec.u_energy) if eta < 1.0 else np.inf
-            rows.append((m, J, eta, err, err / rec.norm_uh, bound))
-            checks.append(_bound_check(f"m={m} J={J}", err, bound, eta))
-            if prev is not None:
-                checks.append((f"m={m} J={J} monotone", err <= prev + 1e-15))
-            prev = err
+        errs = [rec.err[J] for J in J_list]
+        bounds = [msfem.solution_error_bound(J, eta, ct, rec.u_energy)
+                  if eta < 1.0 else np.inf for J in J_list]
+        rows += [(m, J, eta, err, err / rec.norm_uh, bound)
+                 for J, err, bound in zip(J_list, errs, bounds)]
+        checks += _error_checks(f"m={m}", J_list, errs, bounds, eta)
     header = ["m", "J", "eta", "error", "rel_error", "bound"]
     return [("solution_bound.csv", header, rows)], checks
 
 
+def _sweep_meshes(cfg):
+    """(nx, r) of each mesh-sweep mesh: r_list's, then nx_list's."""
+    return ([(cfg["nx"], r) for r in cfg["r_list"]]
+            + [(nx, cfg["fine"] // nx) for nx in cfg["nx_list"]])
+
+
 def _exp_mesh_sweep(cfg, seed):
     rows = []
-    checks = []
-    meshes = []
-    if "r_list" in cfg:
-        meshes += [(cfg["nx"], r) for r in cfg["r_list"]]
-    if "nx_list" in cfg:
-        meshes += [(nx, cfg["fine"] // nx) for nx in cfg["nx_list"]]
     by_J = {J: [] for J in cfg["J_list"]}
+    theta = st.sample_theta(seed, 0, cfg["n"])
     # (nx, r) -> (err_ref_Jh, err_h_Jh) of each J: a mesh listed twice,
     # through r_list and nx_list, is solved once
     errors = {}
-    for nx, r in meshes:
+    for nx, r in _sweep_meshes(cfg):
         if (nx, r) not in errors:
             mesh = mesh_mod.build_mesh(nx, nx, r)
-            model = field_mod.build_kle_model(mesh, cfg["sigma2"], cfg["lx"],
-                                             cfg["ly"], cfg["n"])
-            theta = _frozen_theta(seed, cfg["n"])
+            model = _kle_model(cfg, mesh)
             split = field_mod.split_kle(model, theta, cfg["m"])
             rec = msfem.sample_errors(mesh, split, cfg["J_list"],
                                       reference=True)
@@ -300,18 +275,15 @@ def _exp_mesh_sweep(cfg, seed):
         for J, (err_ref, err) in zip(cfg["J_list"], errors[nx, r]):
             rows.append((nx, r, J, err_ref, err))
             by_J[J].append(err)
-    for J, vals in by_J.items():
-        lo, hi = min(vals), max(vals)
-        checks.append((f"J={J} err_h_Jh spread {hi / lo:.2f} < 2",
-                       hi < 2.0 * lo))
+    checks = [(f"J={J} err_h_Jh spread {max(v) / min(v):.2f} < 2",
+               max(v) < 2.0 * min(v)) for J, v in by_J.items()]
     header = ["nx_coarse", "r", "J", "err_ref_Jh", "err_h_Jh"]
     return [("mesh_sweep.csv", header, rows)], checks
 
 
 def _exp_mc_stats(cfg, seed):
     mesh = mesh_mod.build_mesh(cfg["nx"], cfg["ny"], cfg["r"])
-    model = field_mod.build_kle_model(mesh, cfg["sigma2"], cfg["lx"],
-                                     cfg["ly"], cfg["n"])
+    model = _kle_model(cfg, mesh)
     rows = []
     checks = []
     for m in cfg["m_list"]:
@@ -335,8 +307,7 @@ def _colloc_runs(cfg, seed):
     """(L, collocation_run statistics) for each L of L_list, from one mesh,
     model and StochasticConfig; only the grid and its store depend on L."""
     mesh = mesh_mod.build_mesh(cfg["nx"], cfg["ny"], cfg["r"])
-    model = field_mod.build_kle_model(mesh, cfg["sigma2"], cfg["lx"],
-                                     cfg["ly"], cfg["n"])
+    model = _kle_model(cfg, mesh)
     config = st.StochasticConfig(mesh=mesh, model=model, m=cfg["m"],
                                  J_list=(cfg["J"],), seed=seed)
     for L in cfg["L_list"]:
@@ -383,16 +354,26 @@ def _exp_cost_ratios(cfg, seed):
     return [("cost_ratios.csv", header, rows)], []
 
 
-_RUNNERS = {
-    "basis-bound": _exp_basis_bound,
-    "basis-slope": _exp_basis_slope,
-    "solution-bound": _exp_solution_bound,
-    "mesh-sweep": _exp_mesh_sweep,
-    "mc-stats": _exp_mc_stats,
-    "colloc-table": _exp_colloc_table,
-    "colloc-decomp": _exp_colloc_decomp,
-    "cost-ratios": _exp_cost_ratios,
+_MESH = {"nx", "ny", "r"}
+_KLE = {"sigma2", "lx", "ly", "n"}
+_COLLOC = _MESH | _KLE | {"m", "J", "L_list", "N"}
+# each experiment's runner, the keys it reads, and the keys it reads beside
+# a (key, value) of the config; every run also reads experiment, seed and out
+_EXPERIMENTS = {
+    "basis-bound": (_exp_basis_bound, {"r", "field", "J_list"}, {
+        ("field", "kle"): _KLE | {"m_list"},
+        ("field", "lognormal"): {"sc_list"}}),
+    "basis-slope": (_exp_basis_slope, {"r", "J_list", "sc_list"}, {}),
+    "solution-bound": (_exp_solution_bound,
+                       _MESH | _KLE | {"m_list", "J_list"}, {}),
+    "mesh-sweep": (_exp_mesh_sweep, _KLE | {
+        "m", "J_list", "nx", "r_list", "nx_list", "fine"}, {}),
+    "mc-stats": (_exp_mc_stats, _MESH | _KLE | {"m_list", "J_list", "N"}, {}),
+    "colloc-table": (_exp_colloc_table, _COLLOC, {}),
+    "colloc-decomp": (_exp_colloc_decomp, _COLLOC, {}),
+    "cost-ratios": (_exp_cost_ratios, {"n", "m", "q", "L"}, {}),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg, outdir, seed=None):
@@ -405,7 +386,7 @@ def run_experiment(cfg, outdir, seed=None):
     seed = cfg.get("seed", 12345) if seed is None else seed
     if seed < 0:
         raise ValueError(f"seed must be >= 0, not {seed}")
-    tables, checks = _RUNNERS[cfg["experiment"]](cfg, seed)
+    tables, checks = _EXPERIMENTS[cfg["experiment"]][0](cfg, seed)
     os.makedirs(outdir, exist_ok=True)
     _write_manifest(outdir, cfg, seed)
     for name, header, rows in tables:

@@ -499,11 +499,10 @@ def _interpolated_green(store, theta0):
     n_nodes = store.grid.n_nodes
     weights = store.grid.interpolation_weights(theta0).reshape(-1, n_nodes)
     weights = np.take(weights, store.node_perms, axis=1).reshape(-1, n_nodes)
-    # a one-row product takes a BLAS path of other bits: pad with a zero
-    # row.  Fortran-ordered for any number of rows (see CONTRACT_BLOCK_NODES)
-    n_rows = len(weights)
-    weights = np.asfortranarray(
-        np.pad(weights, ((0, int(n_rows < 2)), (0, 0))))
+    # Fortran-ordered for any number of rows (see CONTRACT_BLOCK_NODES); the
+    # four elements give each product four rows or more, so none takes
+    # OpenBLAS's one-row path, whose last bits differ
+    weights = np.asfortranarray(weights)
     flat = store.matrices.reshape(n_nodes, -1)
     n_cols = flat.shape[1]
     packed = np.empty((len(weights), n_cols))
@@ -526,7 +525,7 @@ def _interpolated_green(store, theta0):
     with ThreadPoolExecutor(workers) as pool:
         for done in [pool.submit(contract, *b) for b in zip(cuts, cuts[1:])]:
             done.result()
-    packed = packed[:n_rows].reshape(-1, len(store.node_perms) * n_cols)
+    packed = packed.reshape(-1, len(store.node_perms) * n_cols)
     return packed[:, store.unpack].reshape(
         theta0.shape[:-1] + store.unpack.shape)
 

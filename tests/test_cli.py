@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from msfem_split import (build_kle_model, build_mesh, build_sparse_grid,
                          precompute_green_inverses)
@@ -14,6 +15,7 @@ from msfem_split.stochastic import StochasticConfig, collocation_run
 from reference import diff_outputs, run_cli, same_outputs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PINNED = Path(__file__).resolve().parent / "pinned"
 
 
 def _write(tmp_path, text, name="exp.cfg"):
@@ -212,8 +214,8 @@ def test_negative_seed_rejected_before_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", [COST_CFG, BASIS_CFG.replace(
-    "basis-bound", "basis-slope").replace("0.9", "0.8,0.9")],
-    ids=["cost-ratios", "basis-slope"])
+    "basis-bound", "basis-slope").replace("field = lognormal\n", "").replace(
+    "0.9", "0.8,0.9")], ids=["cost-ratios", "basis-slope"])
 def test_run_experiment_refuses_negative_seed(tmp_path, text):
     # the library entry refused nothing: cost-ratios wrote seed = -1 into
     # its manifest, basis-slope left an empty directory behind numpy's error
@@ -405,15 +407,14 @@ def _shipped(name, edit=None):
      "experiment 'basis-bound' never reads keys ['m']"),
     (BASIS_CFG + "sigma2 = 1.0\nm_list = 3\n",
      "experiment 'basis-bound' never reads keys ['m_list', 'sigma2']"),
-    (_shipped("basis_slope.cfg").replace("lognormal", "kle"),
-     "experiment 'basis-slope' runs the lognormal splitting only"),
-    (_shipped("mesh_sweep.cfg", lambda lines: [
-        line for line in lines if not line.startswith("r_list")]),
-     "experiment 'mesh-sweep' never reads keys ['nx']"),
+    (_shipped("basis_slope.cfg") + "field = kle\n",
+     "experiment 'basis-slope' never reads keys ['field']"),
+    (_shipped("mesh_sweep.cfg") + "ny = 12\n",
+     "experiment 'mesh-sweep' never reads keys ['ny']"),
     (COST_CFG + "J_list = 1\nN = 2\n",
      "experiment 'cost-ratios' never reads keys ['J_list', 'N']")],
     ids=["mc-stats-field", "kle-basis-bound-sc", "m-beside-m_list",
-         "lognormal-basis-bound-kle", "basis-slope-kle", "mesh-sweep-nx",
+         "lognormal-basis-bound-kle", "basis-slope-kle", "mesh-sweep-ny",
          "cost-ratios"])
 def test_keys_the_experiment_never_reads_rejected(tmp_path, text, message):
     # a key no run of the experiment reads would reach its manifest as if
@@ -428,7 +429,6 @@ def test_keys_the_experiment_never_reads_rejected(tmp_path, text, message):
 
 
 SLOPE_CFG = """experiment = basis-slope
-field = lognormal
 r = 6
 sc_list = {}
 J_list = 0,2
@@ -509,14 +509,19 @@ def _mesh_sweep_cfg(edit):
 @pytest.mark.parametrize("edit,message", [
     (lambda lines: [line for line in lines
                     if not line.startswith(("r_list", "nx_list"))],
-     "mesh-sweep needs r_list and/or nx_list"),
+     "experiment 'mesh-sweep' missing keys ['nx_list', 'r_list']"),
     (lambda lines: [line.replace("4,12,20", "4,7,20") for line in lines],
      "fine=120 not divisible by nx=7"),
-    (lambda lines: [line.replace("120", "100") for line in lines
-                    if not line.startswith("r_list")],
-     "fine=100 not divisible by nx=12")],
-    ids=["no-lists", "nx-7", "fine-100"])
+    (lambda lines: [line.replace("120", "100") for line in lines],
+     "fine=100 not divisible by nx=12"),
+    (lambda lines: [line.replace("4,12,20", "4,12,120") for line in lines],
+     "mesh-sweep mesh nx=120, r=1: refinement factor r must be >= 2"),
+    (lambda lines: [line.replace("10,20,30", "1,10") for line in lines],
+     "mesh-sweep mesh nx=12, r=1: refinement factor r must be >= 2")],
+    ids=["no-lists", "nx-7", "fine-100", "nx-120", "r-1"])
 def test_mesh_sweep_rejected_before_run(tmp_path, edit, message):
+    # each mesh has r >= 2: validate passed nx=120 at fine=120 and r_list
+    # entry 1, and run failed only after solving the meshes before them
     path = _write(tmp_path, _mesh_sweep_cfg(edit))
     with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
         parse_config(path)
@@ -585,11 +590,11 @@ def test_key_types_and_reads_agree():
     # every typed key is read by some experiment, and every key read has a
     # type: a key left in one table and not the other fails here
     read = {"experiment", "seed", "out"}
-    for required, optional, beside in cli._READS.values():
-        read |= required | optional | set().union(*beside.values())
-        assert {key for key, _ in beside} <= required | optional
+    for _, required, beside in cli._EXPERIMENTS.values():
+        read |= required | set().union(*beside.values())
+        assert {key for key, _ in beside} <= required
     assert read == set(cli._TYPES)
-    assert set(cli._READS) == set(EXPERIMENTS)
+    assert EXPERIMENTS == tuple(cli._EXPERIMENTS)
 
 
 def test_unwritable_out_is_one_error_line(tmp_path, capsys):
@@ -626,3 +631,17 @@ J_list = 0,1
     assert main(["run", path, "--out", str(out)]) == 1
     assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
+
+
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+    reason="tests/pinned was written under numpy 2.4.6 and scipy 1.17.1; "
+           "other BLAS builds may move last bits")
+@pytest.mark.parametrize("name", ["solution_bound", "mesh_sweep"])
+def test_solution_level_csv_bits_pinned(tmp_path, name):
+    # a banded solution-bound and a mesh-sweep keep the bits of their CSVs
+    # under tests/pinned: summing local_coarse_systems' loads without
+    # order="F" moves both in the last digits, as no tolerance test sees
+    assert run_experiment(parse_config(PINNED / f"{name}.cfg"), str(tmp_path))
+    assert (tmp_path / f"{name}.csv").read_bytes() == \
+        (PINNED / f"{name}.csv").read_bytes()

@@ -413,7 +413,7 @@ def test_cell_inverses_match_inv(r):
 
 
 @pytest.mark.parametrize("r", [4, 7])
-def test_cell_inverses_and_bands_fill_given_buffers(r):
+def test_packed_inverses_and_interior_bands_fill_given_buffers(r):
     # the batched regime gathers into out and inverts it in place, the
     # banded one copies its packed inverses there; a buffer reused for a
     # second stack holds that stack's bits, as fresh arrays would, and

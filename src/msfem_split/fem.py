@@ -368,8 +368,8 @@ def assemble_local_operators(mesh, cell, splitting):
     fine = mesh.cell_fine_cells(cell)
     k0 = splitting.k0[fine]
     k1 = splitting.k1[fine]
-    if np.any(k0 <= 0.0):
-        raise ValueError("k0 must be strictly positive on every fine cell")
+    if not np.all((k0 > 0.0) & (k0 < np.inf)):  # NaN fails as well
+        raise ValueError("k0 must be positive and finite on every fine cell")
     return LocalOperators(cell=cell, assembler=asm,
                           M0=asm.interior_bands(k0),
                           M1=asm.interior_bands(k1),
@@ -674,8 +674,8 @@ def fine_reference_solver(mesh, k):
     run on a worker thread beside other work.  Call it once.
     """
     k = np.asarray(k, float)
-    if np.any(k <= 0.0):
-        raise ValueError("coefficient must be strictly positive")
+    if not np.all((k > 0.0) & (k < np.inf)):  # NaN fails as well
+        raise ValueError("coefficient must be strictly positive and finite")
     maps = fine_band(mesh)
     band = fine_stiffness_band(mesh, k)
     load = maps.unit_load.copy()  # solved into in place

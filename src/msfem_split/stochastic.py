@@ -235,13 +235,13 @@ MAX_GREEN_RESIDUAL = 1e-10
 # per block let glibc trim its heap after each block and the next fault
 # the pages back (0.5M minor faults, 25% of the build).  The workspace is
 # one allocation above 4 MiB, which numpy marks for transparent huge
-# pages; the block's temporaries, the sweep's three rows the largest, stay
-# small beside it.  Check ru_minflt in tests/reference.py store-digest
-# after any change to the block loop.  colloc-L3's store when it kept all
-# 256 cells (nK=9; 2-core Xeon, 1 BLAS thread, two workers, medians of 8)
-# built in 0.96 s with blocks of 8192 cells (this budget; 3.7k faults),
-# 1.25 s with 4096 (3.2k), 1.58 s with 2048 (2.0k) and 1.00 s with 16384
-# (5.7k), where Gauss-Jordan on 2048-cell blocks took 1.44 s (3.9k)
+# pages; a fill group's log fields (1 MiB on colloc-L3), the largest of
+# the block's temporaries, stay small beside it.  Check ru_minflt in
+# tests/reference.py store-digest after any change to the block loop.
+# colloc-L3's 64-cell store (nK=9; 2-core Xeon, 1 BLAS thread, medians of
+# 6) took 0.29 s on two workers with 8192-cell blocks (4.0k faults), 0.35
+# s with 4096 (3.1k), 0.53 s with 2048 (1.6k), 0.35 s with 16384 (7.9k)
+# and 0.45 s on one worker; filled node by node, 0.49 and 0.56 s
 STORE_BLOCK_ENTRIES = 8192 * 81
 # store nodes per block of the interpolation contraction.  OpenBLAS 0.3.31
 # (Haswell kernels) cuts a long inner dimension into panels, and how it cuts
@@ -395,14 +395,17 @@ def precompute_green_inverses(mesh, model, grid, m):
     fine = mesh.cell_fine_cells(cells)
     out = np.empty((grid.n_nodes, n_cells, entries))
     step = max(1, STORE_BLOCK_ENTRIES // (n_cells * n_k ** 2))
+    # nodes per fill, whose log fields hold at most the block's coefficients
+    sub = max(1, step * fine.size // mesh.n_fine_cells)
     buffers = threading.local()  # per worker (see STORE_BLOCK_ENTRIES)
     rows = asm.stencil_rows
 
-    def kappa(node, ids):
-        """(cells, r^2) coefficient values at grid node `node` on the fine
-        cells ids (cells, r^2), only theirs exponentiated."""
-        return np.exp(field_mod.log_field_partial(
-            model, grid.nodes[node], m)[ids])
+    def bands(nodes, ids, out=None):
+        """interior_bands of M0 at the grid points nodes on the fine cells
+        ids (cells, r^2), node-major in the columns."""
+        kappa = field_mod.log_field_partial(model, nodes, m)[:, ids]
+        return asm.interior_bands(np.exp(kappa, out=kappa).reshape(
+            -1, kappa.shape[-1]), out=out)
 
     def invert(start, stop):
         """Write the inverses of nodes start .. stop-1 into the store;
@@ -417,9 +420,9 @@ def precompute_green_inverses(mesh, model, grid, m):
         # the block's columns, so each row means the same in every block,
         # each node's its own n_cells of them
         storage = buffers.storage[:, :width]
-        for i in range(stop - start):
-            asm.interior_bands(kappa(start + i, fine), out=storage[
-                :, i * n_cells:(i + 1) * n_cells])
+        for i in range(0, stop - start, sub):
+            nodes = grid.nodes[start + i:stop][:sub]
+            bands(nodes, fine, storage[:, i * n_cells:(i + sub) * n_cells])
         G = fem.packed_inverses(storage, out=buffers.packed[
             :width * entries].reshape(entries, -1))
         residual = fem.inverse_residuals(storage, G).reshape(
@@ -445,7 +448,7 @@ def precompute_green_inverses(mesh, model, grid, m):
             all_fine = mesh.cell_fine_cells(np.arange(mesh.n_coarse_cells))
             for i in range(start, stop):
                 try:
-                    fem.packed_inverses(asm.interior_bands(kappa(i, all_fine)))
+                    fem.packed_inverses(bands(grid.nodes[i:i + 1], all_fine))
                 except np.linalg.LinAlgError as exc:
                     raise np.linalg.LinAlgError(
                         f"M0 at grid node {i}: {exc}") from exc

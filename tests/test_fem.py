@@ -90,6 +90,16 @@ def test_nonpositive_k0_rejected():
         fem.assemble_local_operators(mesh, 0, split)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_k0_rejected(bad):
+    # a Splitting built around make_splitting; NaN failed no `<= 0` test
+    mesh = build_mesh(1, 1, 3)
+    split = make_splitting(mesh, np.ones(9), np.zeros(9))
+    split.k0[4] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        fem.assemble_local_operators(mesh, 0, split)
+
+
 def test_m0_is_spd():
     mesh = build_mesh(2, 1, 6)
     rng = np.random.default_rng(11)
@@ -154,6 +164,15 @@ def test_reference_solve_rejects_bad_k():
     k[3] = 0.0
     with pytest.raises(ValueError):
         fem.fine_reference_solver(mesh, k)()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reference_solve_rejects_non_finite_k(bad):
+    mesh = build_mesh(2, 2, 2)
+    k = np.ones(mesh.n_fine_cells)
+    k[3] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        fem.fine_reference_solver(mesh, k)
 
 
 def test_reference_solve_refinement_sanity():

@@ -26,6 +26,25 @@ def test_make_splitting_rejects_nonpositive():
         make_splitting(mesh, np.ones(4), np.full(4, -1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["k0", "k1"])
+def test_make_splitting_rejects_non_finite(which, bad):
+    # NaN compares False with every bound, so `k0 <= 0` let it pass
+    mesh = build_mesh(1, 1, 2)
+    k0, k1 = np.ones(4), np.zeros(4)
+    (k0 if which == "k0" else k1)[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        make_splitting(mesh, k0, k1)
+
+
+def test_split_lognormal_rejects_an_overflowing_k0():
+    # exp(800) is inf, so k1 = inf - inf is NaN and eta_global NaN
+    mesh = build_mesh(1, 1, 2)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="k0 must be strictly positive"):
+        split_lognormal(mesh, np.full(4, 800.0), 1.0)
+
+
 def test_eta_examples():
     mesh = build_mesh(1, 1, 2)
     same = make_splitting(mesh, np.ones(4), np.ones(4))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import sys
 import threading
@@ -6,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy
 
 from msfem_split import (build_kle_model, build_mesh, build_sparse_grid,
                          cost_ratios, precompute_green_inverses, sample_theta,
@@ -343,26 +345,49 @@ def test_green_store_above_batched_regime():
         assert np.abs(full[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("r", [3, 7])
-def test_green_store_is_the_sample_path_inverse_bit_for_bit(r):
-    # nK = 4 and 36, on either side of BATCHED_MAX_N: at each node the
-    # store holds, bit for bit, fem.packed_inverses of the M0 that
+@pytest.mark.parametrize("nx,r,n,m,cells", [
+    pytest.param(3, 3, 3, 2, [0, 1, 3, 4], id="3"),
+    pytest.param(3, 7, 3, 2, [0, 1, 3, 4], id="7"),
+    pytest.param(2, 3, 5, 4, [0], id="2x2-3"),
+    pytest.param(5, 5, 5, 4, [0, 1, 2, 5, 6, 7, 10, 11, 12], id="5x5-5")])
+def test_green_store_is_the_sample_path_inverse_bit_for_bit(nx, r, n, m,
+                                                             cells):
+    # nK = 4 and 36 on 3x3 cells, on either side of BATCHED_MAX_N: at each
+    # node the store holds, bit for bit, fem.packed_inverses of the M0 that
     # assemble_local_operators builds on the representative cells for the
     # splitting whose first m parameters are the node and whose others
-    # are 0; on 3x3 cells those are the 4 of the lower-left quarter, the
-    # middle row and column included
-    mesh = build_mesh(3, 3, r)
-    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 3)
-    grid = build_sparse_grid(2, 2)
-    store = precompute_green_inverses(mesh, model, grid, 2)
-    assert np.array_equal(store.cells, [0, 1, 3, 4])
+    # are 0; those are the cells of the lower-left quarter, the middle row
+    # and column included.  Log fields of the nodes by one GEMM move last
+    # bits on all four meshes; on the representatives' fine cells alone,
+    # on 2x2 cells at r=3 and 5x5 at r=5 with m=4
+    mesh = build_mesh(nx, nx, r)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, n)
+    grid = build_sparse_grid(m, 2)
+    store = precompute_green_inverses(mesh, model, grid, m)
+    assert np.array_equal(store.cells, cells)
     for i, node in enumerate(grid.nodes):
         theta = np.zeros(model.n)
-        theta[:2] = node
+        theta[:m] = node
         ops = fem.assemble_local_operators(
-            mesh, store.cells, split_kle(model, theta, 2))
+            mesh, store.cells, split_kle(model, theta, m))
         G = fem.packed_inverses(ops.M0).T
         assert store.matrices[i].tobytes() == G.tobytes()
+
+
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"),
+    reason="the digest was taken under numpy 2.4.6 and scipy 1.17.1; "
+           "other BLAS builds may move last bits")
+def test_green_store_bits_pinned():
+    # a small mirrored store (4 of 16 cells, 545 nodes) keeps its bits: the
+    # log fields of a fill group by one GEMM, or on the representatives'
+    # fine cells alone, move them, as no tolerance test sees
+    mesh = build_mesh(4, 4, 4)
+    model = build_kle_model(mesh, 1.0, 0.1, 0.1, 20)
+    store = precompute_green_inverses(mesh, model, build_sparse_grid(16, 2),
+                                      16)
+    assert hashlib.sha256(store.matrices).hexdigest() == (
+        "55d1eaae898a5bd74ff05329b91c9d2200867dd34e3520d7aed1847d82674bf2")
 
 
 def _perturb_inverses(monkeypatch, mesh, model, grid, nodes):
@@ -547,22 +572,24 @@ def test_green_store_matches_node_loop(monkeypatch, nx, r, step, L):
 
 
 def test_green_store_one_worker_reuses_its_buffers(monkeypatch):
-    # one worker fills and inverts the same buffers for blocks of 2, 2 and
-    # 1 nodes of the 4 representative cells: each node's product lands in
-    # its columns of the block's column slice of one band buffer, whose
-    # rows no block writes stay zero, and is gathered afresh into the
+    # one worker fills and inverts the same buffers for blocks of 8 and 5
+    # nodes of the 4 representative cells.  A block is filled 2 nodes at a
+    # time, whose log fields over the 256 fine cells hold as many values as
+    # the block's 8 * 64 coefficients: each fill lands in its nodes' 8
+    # columns of the block's column slice of one band buffer, whose rows
+    # no block writes stay zero, and the block is gathered afresh into the
     # packed stack's prefix
     mesh = build_mesh(4, 4, 4)
     model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
-    grid = build_sparse_grid(2, 1)
+    grid = build_sparse_grid(2, 2)
     monkeypatch.setattr(st, "STORE_BLOCK_ENTRIES",
-                        2 * 4 * mesh.n_interior ** 2)
+                        8 * 4 * mesh.n_interior ** 2)
     monkeypatch.setattr(st, "_usable_cpus", lambda cap: 1)
     exact_bands, fills = fem.LocalAssembler.interior_bands, []
     exact, stacks = fem.packed_inverses, []
 
     def filled(self, kappa, out=None):
-        fills.append(out.__array_interface__["data"][0])
+        fills.append((out.__array_interface__["data"][0], out.shape[1]))
         return exact_bands(self, kappa, out)
 
     def recorded(bands, out=None):
@@ -573,10 +600,12 @@ def test_green_store_one_worker_reuses_its_buffers(monkeypatch):
     monkeypatch.setattr(fem, "packed_inverses", recorded)
     store = precompute_green_inverses(mesh, model, grid, 2)
     monkeypatch.undo()
-    # nodes 0, 2 and 4 fill the buffer's first columns, 1 and 3 the next
-    assert len(fills) == 5 and fills[0::2] == [fills[0]] * 3
-    assert fills[1::2] == [fills[0] + 8 * 4] * 2
-    assert len(stacks) == 3 and len(set(stacks)) == 1
+    # nodes 0-1, 2-3, 4-5 and 6-7, then 8-9, 10-11 and 12, each fill 8
+    # columns (64 bytes) after the last, from the buffer's first
+    base = fills[0][0]
+    assert fills == [(base + 64 * i, 8) for i in range(4)] + \
+        [(base, 8), (base + 64, 8), (base + 128, 4)]
+    assert len(stacks) == 2 and len(set(stacks)) == 1
     assert np.array_equal(store.matrices, green_store_loop(
         mesh, model, grid, 2)[:, store.cells])
 

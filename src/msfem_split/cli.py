@@ -107,6 +107,16 @@ def _validate_required(cfg, path):
                           f"keys {sorted(unread)}")
 
 
+def _check_entries(cfg):
+    """Refuse a bad list entry or N by the library's checks, before work."""
+    for m in cfg.get("m_list", ()):
+        field_mod.check_kle_terms(m, cfg["n"])
+    for L in cfg.get("L_list", ()):
+        st.check_sparse_grid(cfg["m"], L)
+    if cfg.get("N", 1) < 1:
+        raise ValueError("N must be >= 1")
+
+
 def _fmt(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -165,7 +175,7 @@ def _cell0_vertex0_errors(mesh, split, J_list):
     """{J: (error, bound)} of basis_errors for vertex 0 of coarse cell 0."""
     ops = fem.assemble_local_operators(mesh, [0], split)
     return {J: (float(err[0, 0]), float(bound[0, 0])) for J, (err, bound)
-            in msfem.basis_errors(ops, split, J_list).items()}
+            in msfem.basis_errors(ops, J_list).items()}
 
 
 def _exp_basis_bound(cfg, seed):
@@ -178,8 +188,8 @@ def _exp_basis_bound(cfg, seed):
         sweeps = [("m", m, field_mod.split_kle(model, theta, m))
                   for m in cfg["m_list"]]
     else:
-        rng = np.random.default_rng([seed, 1])
-        Y = rng.standard_normal(mesh.n_fine_cells)
+        Y = np.random.default_rng([seed, 1]).standard_normal(
+            mesh.n_fine_cells)
         sweeps = [("sc", sc, field_mod.split_lognormal(mesh, Y, sc))
                   for sc in cfg["sc_list"]]
     for label, value, split in sweeps:
@@ -195,10 +205,8 @@ def _exp_basis_bound(cfg, seed):
 
 def _exp_basis_slope(cfg, seed):
     mesh = mesh_mod.build_mesh(1, 1, cfg["r"])
-    rng = np.random.default_rng([seed, 1])
-    Y = rng.standard_normal(mesh.n_fine_cells)
-    checks = []
-    points = []
+    Y = np.random.default_rng([seed, 1]).standard_normal(mesh.n_fine_cells)
+    checks, points = [], []
     for sc in cfg["sc_list"]:
         split = field_mod.split_lognormal(mesh, Y, sc)
         if split.eta_global >= 1.0:
@@ -206,8 +214,7 @@ def _exp_basis_slope(cfg, seed):
             continue
         points.append((sc, split.eta_global, _cell0_vertex0_errors(
             mesh, split, cfg["J_list"])))
-    rows = []
-    slope_rows = []
+    rows, slope_rows = [], []
     for J in cfg["J_list"]:
         etas, errs = [], []
         for sc, eta, errors in points:
@@ -284,8 +291,7 @@ def _exp_mesh_sweep(cfg, seed):
 def _exp_mc_stats(cfg, seed):
     mesh = mesh_mod.build_mesh(cfg["nx"], cfg["ny"], cfg["r"])
     model = _kle_model(cfg, mesh)
-    rows = []
-    checks = []
+    rows, checks = [], []
     for m in cfg["m_list"]:
         config = st.StochasticConfig(mesh=mesh, model=model, m=m,
                                      J_list=tuple(cfg["J_list"]), seed=seed)
@@ -317,9 +323,7 @@ def _colloc_runs(cfg, seed):
 
 
 def _exp_colloc_table(cfg, seed):
-    rows = []
-    checks = []
-    means = []
+    rows, checks, means = [], [], []
     for L, stats in _colloc_runs(cfg, seed):
         e = stats.extra["e"]
         not_spd = stats.extra["green_not_spd"]
@@ -335,8 +339,7 @@ def _exp_colloc_table(cfg, seed):
 
 
 def _exp_colloc_decomp(cfg, seed):
-    rows = []
-    checks = []
+    rows, checks = [], []
     for L, stats in _colloc_runs(cfg, seed):
         x = stats.extra
         rows.append((L, x["mean_e"], x["mean_e_spl"], x["mean_e_col"]))
@@ -379,13 +382,14 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 def run_experiment(cfg, outdir, seed=None):
     """Run one experiment; returns True iff all bound checks passed.
 
-    A negative seed is refused by ValueError before any work, and outdir
-    is made only once the experiment has returned: a failed run leaves no
-    directory behind.
+    A negative seed, and a bad list entry or N (_check_entries), are
+    refused before any work, and outdir is made only once the experiment
+    has returned: a failed run leaves no directory behind.
     """
     seed = cfg.get("seed", 12345) if seed is None else seed
     if seed < 0:
         raise ValueError(f"seed must be >= 0, not {seed}")
+    _check_entries(cfg)
     tables, checks = _EXPERIMENTS[cfg["experiment"]][0](cfg, seed)
     os.makedirs(outdir, exist_ok=True)
     _write_manifest(outdir, cfg, seed)
@@ -416,9 +420,10 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
+        _check_entries(cfg)
         if args.command == "run" and args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, not {args.seed}")
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "validate":

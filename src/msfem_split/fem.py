@@ -350,11 +350,12 @@ class LocalOperators:
     (stencil_to_dense gives the matrices): w = 5 from r = 5 on, so at
     r = 30 the M0 of 16 cells takes 0.51 MiB.  v0, v1 are (cells,
     n_interior, 4) with one column per coarse vertex.  For a single cell
-    the cell axis is dropped from all four.
+    the cell axis is dropped from all four.  splitting is their source.
     """
 
     cell: object
     assembler: LocalAssembler
+    splitting: object
     M0: np.ndarray
     M1: np.ndarray
     v0: np.ndarray
@@ -370,7 +371,7 @@ def assemble_local_operators(mesh, cell, splitting):
     k1 = splitting.k1[fine]
     if not np.all((k0 > 0.0) & (k0 < np.inf)):  # NaN fails as well
         raise ValueError("k0 must be positive and finite on every fine cell")
-    return LocalOperators(cell=cell, assembler=asm,
+    return LocalOperators(cell=cell, assembler=asm, splitting=splitting,
                           M0=asm.interior_bands(k0),
                           M1=asm.interior_bands(k1),
                           v0=asm.vertex_vectors(k0), v1=asm.vertex_vectors(k1))

@@ -157,10 +157,15 @@ def realize_log_field(model, theta):
     return np.exp(log_field_partial(model, theta, model.n))
 
 
+def check_kle_terms(m, n):
+    """Refuse an m outside [0, n], the terms of a KLE truncated at n."""
+    if not 0 <= m <= n:
+        raise ValueError(f"m={m} outside [0, {n}]")
+
+
 def split_kle(model, theta, m):
     """Splitting with k0 from the first m KLE terms and k1 = k - k0."""
-    if not 0 <= m <= model.n:
-        raise ValueError(f"m={m} outside [0, {model.n}]")
+    check_kle_terms(m, model.n)
     k = realize_log_field(model, theta)
     k0 = np.exp(log_field_partial(model, theta, m))
     return make_splitting(model.mesh, k0, k - k0)
@@ -180,8 +185,7 @@ def split_lognormal(mesh, Y, sc):
 
 def energy_ratio(model, m):
     """Fraction of sum sqrt(lambda_i) captured by the first m terms."""
-    if not 0 <= m <= model.n:
-        raise ValueError(f"m={m} outside [0, {model.n}]")
+    check_kle_terms(m, model.n)
     roots = np.sqrt(model.eigenvalues)
     total = roots.sum()
     if total == 0.0:

@@ -1,12 +1,10 @@
 """Coarse-scale Galerkin assembly, downscaling, basis and solution errors.
 
-The solution pipeline works on stacks over coarse cells: local operators,
-factorizations and bases are arrays over cells instead of per-(cell,
-vertex) objects, built for every cell of the mesh at once.  M0 and M1
-are local stencil storage (fem.stencil_offsets), the five nonzero
-diagonals of each cell's stencil with the cells last, so the operators
-of all cells stay small: at r=30 the M0 of 16 cells takes 0.51 MiB,
-where dense blocks took 86 MiB.
+The solution pipeline works on stacks over coarse cells: local operators
+(fem.LocalOperators), factorizations and bases are arrays over cells,
+built for every cell of the mesh at once.  The local operators carry the
+splitting k = k0 + k1 they were read from, so the coarse stage and the
+basis errors take them alone, never the coefficient a second time.
 
 A basis is the vertex hats plus an interior correction, phi = H + E c (see
 basis), so the local coarse matrix and load follow from the local operators
@@ -25,17 +23,11 @@ J, the product its bubble series forms anyway (basis.iterative_bases).
 Only a collocated basis, whose interpolated Green's inverse is not M0^-1,
 pays for one product of M.  This only reorders the sum a(phi_i, phi_j) of
 the MsFEM coarse matrix (Hou & Wu, J. Comput. Phys. 134, 1997).
-The source is f = 1 throughout.  H^T A_K H is a fixed linear map of a
-cell's coefficient values, built once per mesh by fem.LocalAssembler, and
-coarse_maps keeps the loads H^T W f and W_I f, the same in every cell.
-coarse_solutions sums the local matrices by np.bincount straight into the
-band storage of each coarse system, solves it in band storage as well,
-which keeps its results independent of the BLAS thread count, and
-downscales the coefficients through the same bases.
+The source is f = 1 throughout; H^T A_K H is a fixed linear map of a
+cell's coefficient values (fem.LocalAssembler.hat_stiffness).
 
-A sample's bases are built in one place, _bases, keyed "h", ("J", J) and
-("col", J); sample_errors measures them at the solution level and
-basis_errors at the basis level.
+A sample's bases are built in one place, _bases; sample_errors measures
+them at the solution level and basis_errors at the basis level.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -111,20 +103,19 @@ def coarse_maps(mesh):
     return CoarseMaps(mesh)
 
 
-def local_coarse_systems(ops, k, bases):
+def local_coarse_systems(ops, bases):
     """{key: (local A (cells, 4, 4), local F (cells, 4))} of bases H + E c.
 
-    ops is the LocalOperators stack of every cell of the mesh, k the
-    fine-cell coefficient, and bases maps each key to a (cells, nK, 4)
-    correction c and its Galerkin residual r = M c + v, or None where
-    r = 0 (c = -M^-1 v, the standard basis).
+    ops is the LocalOperators stack of every cell of the mesh, whose
+    splitting's k gives the hat energies, and bases maps each key to a
+    (cells, nK, 4) correction c and its Galerkin residual r = M c + v, or
+    None where r = 0 (c = -M^-1 v, the standard basis).
     """
     maps = coarse_maps(ops.assembler.mesh)
     shape = ops.v0.shape
-    k = np.asarray(k, float)[maps.fine]
     hat_F, interior_F = maps.unit_loads
     # summed by einsum, not by a BLAS GEMM, as CoarseMaps' loads
-    hat_A = np.einsum("ce,qe->cq", k,
+    hat_A = np.einsum("ce,qe->cq", ops.splitting.k[maps.fine],
                       ops.assembler.hat_stiffness).reshape(-1, 4, 4)
     vt = np.swapaxes(ops.v0 + ops.v1, 1, 2)
     out = {}
@@ -144,16 +135,18 @@ def local_coarse_systems(ops, k, bases):
     return out
 
 
-def coarse_solutions(ops, k, bases):
+def coarse_solutions(ops, bases):
     """{key: fine-grid MsFEM solution} of the bases of local_coarse_systems.
 
-    Every key's local matrices and loads are summed over the cells into its
-    coarse system first; each is then factored in band storage by
-    fem.band_cholesky and solved, and its coefficients are downscaled.
+    Every key's local matrices and loads are summed by np.bincount over the
+    cells into the band storage of its coarse system first; each is then
+    factored there by fem.band_cholesky and solved, which keeps the results
+    independent of the BLAS thread count, and its coefficients are
+    downscaled.
     """
     maps = coarse_maps(ops.assembler.mesh)
     systems = {key: (maps.bands(A), maps.load(F)) for key, (A, F)
-               in local_coarse_systems(ops, k, bases).items()}
+               in local_coarse_systems(ops, bases).items()}
     out = {}
     for key, (bands, F) in systems.items():
         coeffs = np.zeros(ops.assembler.mesh.n_coarse_vertices)
@@ -238,8 +231,7 @@ def sample_errors(mesh, splitting, J_list, green=None, reference=False,
     if reference and banded:
         standard = pool.submit(basis_mod.standard_bases, ops).result
         fine = pool.submit(fem.fine_reference_solver(mesh, splitting.k))
-    u = coarse_solutions(ops, splitting.k,
-                         _bases(ops, J_list, green, standard))
+    u = coarse_solutions(ops, _bases(ops, J_list, green, standard))
     norm = partial(fem.energy_norm, mesh, splitting.k)
     u_h, u_J = u["h"], {J: u["J", J] for J in J_list}
     out = SampleErrors(u_h, norm(u_h), u_J,
@@ -274,22 +266,22 @@ def _bases(ops, J_list, green, standard=None):
     return bases
 
 
-def basis_errors(ops, splitting, J_list):
+def basis_errors(ops, J_list):
     """{J: (error, bound)} of the iterative bases of a stack of cells.
 
     error is the energy error |||phi - phi_J|||_K and bound its computable
     bound 2 ||k1/sqrt(k k0)||_inf eta_K^(J+1) ||sqrt(k0) grad l||_K, each
-    (cells, 4) over the cells of ops.cell and the four vertices.  The bases
-    are a sample's own (_bases).  The hats cancel in phi - phi_J = E d,
-    d = c_h - c_J, so the error squared is d^T M d with M = M0 + M1.
+    (cells, 4) over the cells of ops.cell and the four vertices, of the
+    splitting of ops.  The bases are a sample's own (_bases).  The hats
+    cancel in phi - phi_J = E d, d = c_h - c_J, so the error squared is
+    d^T M d with M = M0 + M1.
     An empty J_list or one holding a negative J is refused before any
     factor work.
     """
     basis_mod.check_J_list(J_list)
-    asm = ops.assembler
-    asm.mesh.check_fine_grid(splitting.mesh, "splitting")
+    asm, split = ops.assembler, ops.splitting
     fine = asm.mesh.cell_fine_cells(ops.cell)
-    k0, k1, k = splitting.k0[fine], splitting.k1[fine], splitting.k[fine]
+    k0, k1, k = split.k0[fine], split.k1[fine], split.k[fine]
     sup = np.max(np.abs(k1) / np.sqrt(k * k0), axis=1)[:, None]
     eta = np.max(np.abs(k1) / k0, axis=1)[:, None]
     # ||sqrt(k0) grad l||^2 from the diagonal rows of H^T A_K H, summed by

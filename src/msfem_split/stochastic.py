@@ -11,7 +11,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,11 +88,7 @@ class SparseGrid:
     """
 
     def __init__(self, m, L):
-        if m < 1 or L < 0:
-            raise ValueError("need m >= 1 and L >= 0")
-        if smolyak_node_count(m, L) > MAX_GRID_NODES:
-            raise MemoryError(
-                f"sparse grid would hold more than {MAX_GRID_NODES} nodes")
+        check_sparse_grid(m, L)
         self.m = m
         self.L = L
         patterns = {}  # levels -> [dims of each subgrid]
@@ -201,9 +197,22 @@ def smolyak_node_count(m, L):
     """Exact number of distinct nested CC Smolyak nodes."""
     if m < 0 or L < 0:
         raise ValueError(f"need m >= 0 and L >= 0, not m={m}, L={L}")
-    # an active axis at level l adds 2 points at l = 1 and 2^(l-1) above
-    return sum(prod(2 ** max(1, lev - 1) for lev in levels)
-               for _, levels in _active_level_sets(m, L))
+    # the x^0 .. x^L coefficients of (1 + 2x + 2x^2 + 4x^3 + 8x^4 + ...)^m
+    axis = [1] + [2 ** max(1, lev - 1) for lev in range(1, L + 1)]
+    counts = [1] + [0] * L
+    for _ in range(m):
+        counts = [sum(counts[i] * axis[t - i] for i in range(t + 1))
+                  for t in range(L + 1)]
+    return sum(counts)
+
+
+def check_sparse_grid(m, L):
+    """Refuse m < 1, L < 0 and a grid of more than MAX_GRID_NODES nodes."""
+    if m < 1 or L < 0:
+        raise ValueError("need m >= 1 and L >= 0")
+    if smolyak_node_count(m, L) > MAX_GRID_NODES:
+        raise MemoryError(f"a sparse grid of m={m}, L={L} would hold more "
+                          f"than {MAX_GRID_NODES} nodes")
 
 
 def build_sparse_grid(m, L):
@@ -214,9 +223,8 @@ def cost_ratios(n, m, q, L):
     """Collocation-point ratios of reduced vs full parameter dimension."""
     if m > n or q < 0:
         raise ValueError(f"need m <= n and q >= 0, not n={n}, m={m}, q={q}")
-    alpha_ftc = float(q + 1) ** (m - n)
-    alpha_sgc = smolyak_node_count(m, L) / smolyak_node_count(n, L)
-    return alpha_ftc, alpha_sgc
+    return (float(q + 1) ** (m - n),
+            smolyak_node_count(m, L) / smolyak_node_count(n, L))
 
 
 # ---- precomputed Green's inverses ------------------------------------------
@@ -295,31 +303,14 @@ class GreenStore:
     unpack: np.ndarray  # (n_cells, n_K, n_K)
 
 
-def _mirror_parities(model, m):
-    """Parities s (m,) of the leading m KLE modes under the x and then the
-    y reflection of the unit square, phi_d o R = s_d phi_d exactly.
-
-    Then log k0(theta) o R = log k0(s theta) for every theta in [-1, 1]^m.
-    build_kle_model makes every mode symmetric or antisymmetric; a model
-    with a leading mode that is neither is refused, naming the mode.
-    """
-    mesh = model.mesh
-    phi = model.eigenfunctions[:m].reshape(m, mesh.nyf, mesh.nxf)
-    parities = []
-    for axis, name in ((2, "x"), (1, "y")):
-        mirrored = np.flip(phi, axis=axis)
-        even = (mirrored == phi).all(axis=(1, 2))
-        odd = (mirrored == -phi).all(axis=(1, 2))
-        if not (even | odd).all():
-            raise ValueError(
-                f"KLE mode {np.argmin(even | odd)} is neither symmetric nor "
-                f"antisymmetric under the {name} reflection")
-        parities.append(np.where(even, 1, -1))
-    return parities
-
-
-def _mirror_group(mesh, model, grid, m):
+def _mirror_group(mesh, model, grid):
     """GreenStore's cells, node_perms and unpack.
+
+    Under the x and the y reflection R of the unit square each leading KLE
+    mode has a parity s_d, phi_d o R = s_d phi_d exactly, so log k0(theta)
+    o R = log k0(s theta) for every theta in [-1, 1]^m.  build_kle_model
+    makes every mode symmetric or antisymmetric; a model with a leading
+    mode that is neither is refused, naming the mode.
 
     The group holds the identity and the x, y and xy reflections, elements
     0 to 3.  A cell's representative lies in the lower-left quarter of the
@@ -329,7 +320,18 @@ def _mirror_group(mesh, model, grid, m):
     cell's coefficient at the node.
     """
     nx, ny, s = mesh.nx_coarse, mesh.ny_coarse, mesh.r - 1
-    odd_x, odd_y = (p < 0 for p in _mirror_parities(model, m))
+    phi = model.eigenfunctions[:grid.m].reshape(-1, mesh.nyf, mesh.nxf)
+    odd = []  # of the x, then the y reflection
+    for axis, name in ((2, "x"), (1, "y")):
+        mirrored = np.flip(phi, axis=axis)
+        even = (mirrored == phi).all(axis=(1, 2))
+        bad = ~(even | (mirrored == -phi).all(axis=(1, 2)))
+        if bad.any():
+            raise ValueError(
+                f"KLE mode {np.argmax(bad)} is neither symmetric nor "
+                f"antisymmetric under the {name} reflection")
+        odd.append(~even)
+    odd_x, odd_y = odd
     cx, cy = mesh.cell_coords(np.arange(mesh.n_coarse_cells))
     fx = cx > (nx - 1) // 2
     fy = cy > (ny - 1) // 2
@@ -374,15 +376,14 @@ def precompute_green_inverses(mesh, model, grid, m):
     MAX_GREEN_RESIDUAL in a cell) raises ValueError naming the node; of
     several such nodes, the lowest.  The store keeps the largest residual
     as its residual.  A model on another fine grid, or with a leading mode
-    without a parity (see _mirror_parities), is refused first, and a store
+    without a parity (see _mirror_group), is refused first, and a store
     of more than MAX_STORE_BYTES before any is allocated.
     """
     mesh.check_fine_grid(model.mesh, "model")
     if grid.m != m:
         raise ValueError("grid dimension must equal m")
-    if m > model.n:
-        raise ValueError("m must not exceed the KLE truncation")
-    cells, node_perms, unpack = _mirror_group(mesh, model, grid, m)
+    field_mod.check_kle_terms(m, model.n)
+    cells, node_perms, unpack = _mirror_group(mesh, model, grid)
     n_k = mesh.n_interior
     n_cells = len(cells)
     entries = n_k * (n_k + 1) // 2
@@ -553,8 +554,7 @@ class StochasticConfig:
 
     def __post_init__(self):
         self.mesh.check_fine_grid(self.model.mesh, "model")
-        if not 0 <= self.m <= self.model.n:
-            raise ValueError(f"m={self.m} outside [0, {self.model.n}]")
+        field_mod.check_kle_terms(self.m, self.model.n)
         basis_mod.check_J_list(self.J_list)
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be >= 0")
@@ -705,10 +705,8 @@ def collocation_run(config, N, store, J=None):
                 (e, rec.err[J] / rec.norm_uh, e_col, not_spd))
 
     stats, records = _sample_loop(config, thetas, (J,), step)
-    e, e_spl, e_col, not_spd = map(np.array, zip(*records))
-    return CollocationStatistics(
-        **stats, extra={"e": e, "e_spl": e_spl, "e_col": e_col,
-                        "green_not_spd": not_spd,
-                        "mean_e": float(e.mean()),
-                        "mean_e_spl": float(e_spl.mean()),
-                        "mean_e_col": float(e_col.mean())})
+    errors = ("e", "e_spl", "e_col")
+    extra = dict(zip(errors + ("green_not_spd",),
+                     map(np.array, zip(*records))))
+    extra.update({f"mean_{key}": float(extra[key].mean()) for key in errors})
+    return CollocationStatistics(**stats, extra=extra)

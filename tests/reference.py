@@ -221,16 +221,27 @@ stats = ms.collocation_run(config, 2, store)
 print(digest(np.concatenate([stats.mean_uh, stats.mean_uJh,
                              stats.extra["e"], stats.extra["e_spl"]])))
 """,
+    # node counts whose C(m + L, L) level sets took seconds to enumerate
+    # ((16, 9) 4.3 s) or would take minutes ((16, 12)), and the
+    # SparseGrid guard that counts the latter
+    "smolyak-count": """
+print(st.smolyak_node_count(16, 9), st.smolyak_node_count(20, 7))
+try:
+    st.SparseGrid(16, 12)
+except MemoryError:
+    print("refused")
+""",
 }
 
 
-def child_output(name, threads, one_cpu=False):
+def child_output(name, threads, one_cpu=False, timeout=600):
     """Words printed by child script `name` run in a child process under
-    `threads` BLAS threads, on one CPU or on every CPU this one may use."""
+    `threads` BLAS threads, on one CPU or on every CPU this one may use,
+    within timeout seconds."""
     cmd = [sys.executable, "-c", _CHILD_PRELUDE + _CHILDREN[name],
            "one-cpu" if one_cpu else "all-cpus"]
     res = subprocess.run(cmd, env=_child_env(threads), capture_output=True,
-                         text=True, timeout=600, check=True)
+                         text=True, timeout=timeout, check=True)
     return tuple(res.stdout.split())
 
 

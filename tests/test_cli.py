@@ -7,8 +7,9 @@ import scipy
 
 from msfem_split import (build_kle_model, build_mesh, build_sparse_grid,
                          precompute_green_inverses)
-from msfem_split import msfem
 from msfem_split import cli
+from msfem_split import msfem
+from msfem_split import stochastic as st
 from msfem_split.cli import (EXPERIMENTS, ConfigError, main, parse_config,
                              run_experiment)
 from msfem_split.stochastic import StochasticConfig, collocation_run
@@ -87,6 +88,19 @@ def test_missing_and_duplicate_keys(tmp_path):
         parse_config(_write(tmp_path, COST_CFG + "n = 21\n"))
     with pytest.raises(ConfigError, match="expected"):
         parse_config(_write(tmp_path, "experiment cost-ratios\n"))
+    with pytest.raises(ConfigError,
+                       match="missing required key 'experiment'"):
+        parse_config(_write(tmp_path, "n = 20\nm = 10\n"))
+
+
+def test_unparsable_value_rejected(tmp_path, capsys):
+    # the error names the file, line and value; no traceback
+    path = _write(tmp_path, BASIS_CFG.replace("r = 8", "r = four"))
+    with pytest.raises(ConfigError,
+                       match=rf"{re.escape(path)}:3: .*'four'"):
+        parse_config(path)
+    assert main(["validate", path]) == 2
+    assert "'four'" in capsys.readouterr().err
 
 
 def test_unknown_experiment_writes_nothing(tmp_path):
@@ -229,7 +243,7 @@ def test_run_experiment_refuses_negative_seed(tmp_path, text):
 
 
 def test_failed_run_leaves_no_directory(tmp_path):
-    # N = 0 fails inside the experiment, after its store is built
+    # N = 0 is refused by run_experiment before any work
     cfg = parse_config(_write(tmp_path, COLLOC_TABLE_CFG + "N = 0\n"))
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="N must be >= 1"):
@@ -529,6 +543,37 @@ def test_mesh_sweep_rejected_before_run(tmp_path, edit, message):
     assert main(["validate", path]) == 2
     assert main(["run", path, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,old,new,message", [
+    ("mc_stats.cfg", "m_list = 14,18", "m_list = 14,30",
+     "m=30 outside [0, 20]"),
+    ("solution_bound.cfg", "m_list = 16,18", "m_list = 16,30",
+     "m=30 outside [0, 20]"),
+    ("colloc_table.cfg", "N = 5", "N = 0", "N must be >= 1"),
+    ("colloc_table.cfg", "L_list = 1,2,3", "L_list = 1,2,3,9",
+     "a sparse grid of m=16, L=9 would hold more than 1000000 nodes")],
+    ids=["mc-m", "solution-m", "colloc-N", "colloc-L"])
+def test_bad_list_entry_or_N_refused_before_any_work(
+        tmp_path, monkeypatch, capsys, name, old, new, message):
+    # validate printed ok for each, and run failed only after the work of
+    # the entries before the bad one: 50 samples at m=14, the solve at
+    # m=16, the L=1 store, or the stores of L = 1, 2 and 3
+    text = (CONFIGS / name).read_text(encoding="utf-8")
+    assert old in text
+    path = _write(tmp_path, text.replace(old, new))
+    called = []
+    for fn in ("monte_carlo_run", "precompute_green_inverses"):
+        monkeypatch.setattr(st, fn, lambda *a, fn=fn, **k: called.append(fn))
+    monkeypatch.setattr(msfem, "sample_errors",
+                        lambda *a, **k: called.append("sample_errors"))
+    out = tmp_path / "out"
+    for argv in (["validate", path], ["run", path, "--out", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises((MemoryError, ValueError), match=re.escape(message)):
+        run_experiment(parse_config(path), str(out))
+    assert not called and not out.exists()
 
 
 COLLOC_TABLE_CFG = """experiment = colloc-table

@@ -68,6 +68,16 @@ def test_assembly_additivity():
         assert np.allclose(ops.v0 + ops.v1, ops_k.v0, atol=1e-12)
 
 
+def test_local_operators_hold_their_splitting():
+    # the splitting itself, not a copy: the coarse stage and the basis
+    # errors read its coefficients instead of taking them again
+    mesh = build_mesh(2, 2, 3)
+    split = _random_splitting(mesh, np.random.default_rng(4))
+    for cell in (0, [1, 3], np.arange(mesh.n_coarse_cells)):
+        ops = fem.assemble_local_operators(mesh, cell, split)
+        assert ops.splitting is split
+
+
 def test_local_assembler_stacks_any_leading_axes():
     mesh = build_mesh(2, 2, 3)
     asm = fem.LocalAssembler(mesh)

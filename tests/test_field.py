@@ -18,6 +18,15 @@ def test_make_splitting_reconstruction():
     assert np.allclose(split.k, k0 + k1, rtol=1e-12)
 
 
+def test_make_splitting_rejects_a_field_of_the_wrong_length():
+    mesh = build_mesh(1, 1, 2)
+    for k0, k1 in ((np.ones(3), np.ones(4)), (np.ones(4), np.ones(5)),
+                   (np.ones((2, 2)), np.ones((2, 2)))):
+        with pytest.raises(ValueError, match="field length must equal "
+                           "the fine-cell count"):
+            make_splitting(mesh, k0, k1)
+
+
 def test_make_splitting_rejects_nonpositive():
     mesh = build_mesh(1, 1, 2)
     with pytest.raises(ValueError):

@@ -49,7 +49,7 @@ def _system(mesh, split):
     """(bands, F) of the standard basis's coarse system, summed by the
     mesh's coarse_maps from local_coarse_systems."""
     ops, bases = _one_basis(mesh, split)
-    (A, F), = msfem.local_coarse_systems(ops, split.k, bases).values()
+    (A, F), = msfem.local_coarse_systems(ops, bases).values()
     maps = msfem.coarse_maps(mesh)
     return maps.bands(A), maps.load(F)
 
@@ -57,7 +57,7 @@ def _system(mesh, split):
 def _solution(mesh, split, J=None):
     """coarse_solutions of the standard basis, or of the iterative at J."""
     ops, bases = _one_basis(mesh, split, J)
-    return coarse_solutions(ops, split.k, bases)["c"]
+    return coarse_solutions(ops, bases)["c"]
 
 
 def _downscale(mesh, bases, coeffs):
@@ -97,7 +97,7 @@ def test_coarse_system_symmetric():
     split = _random_splitting(mesh, rng)
     ops = _all_cells(mesh, split)
     (local_A, _), = msfem.local_coarse_systems(
-        ops, split.k, basis_mod.iterative_bases(ops, [1])).values()
+        ops, basis_mod.iterative_bases(ops, [1])).values()
     assert np.abs(local_A - local_A.transpose(0, 2, 1)).max() <= \
         1e-12 * np.abs(local_A).max()
 
@@ -133,7 +133,7 @@ def test_missing_basis_entry_rejected():
     for malformed in (c[1:], c[:, :, :3], c[:, 1:]):
         for basis in ((malformed, None), (malformed, c), (c, malformed)):
             with pytest.raises(ValueError):
-                coarse_solutions(ops, split.k, {0: basis})
+                coarse_solutions(ops, {0: basis})
 
 
 def test_solution_boundary_zero():
@@ -192,7 +192,7 @@ def test_local_coarse_systems_match_element_oracle(nx, ny, r):
         bases[("J", J)] = cr
     for J, cr in basis_mod.iterative_bases(ops, [0, 2], green).items():
         bases[("col", J)] = cr
-    local = msfem.local_coarse_systems(ops, split.k, bases)
+    local = msfem.local_coarse_systems(ops, bases)
     assert local.keys() == bases.keys()
     for key, (c, _) in bases.items():
         ref_A, ref_F = local_coarse_system(
@@ -215,7 +215,7 @@ def test_coarse_matrices_from_residuals_match_explicit_form(r):
     for kind, G in (("J", None), ("col", green)):
         for J, cr in basis_mod.iterative_bases(ops, range(5), G).items():
             bases[kind, J] = cr
-    local = msfem.local_coarse_systems(ops, split.k, bases)
+    local = msfem.local_coarse_systems(ops, bases)
     m = fem.stencil_to_dense(ops.M0 + ops.M1)
     v = ops.v0 + ops.v1
     hat_A = np.einsum("ce,qe->cq", split.k[mesh.cell_fine_cells(ops.cell)],
@@ -243,7 +243,7 @@ def test_local_loads_sum_in_order_in_any_layout(r):
     ref = hat_F + ref
     n_last = np.ascontiguousarray(np.moveaxis(c, 2, 0))
     for layout in (c, np.moveaxis(n_last, 0, 2), np.asfortranarray(c)):
-        F = msfem.local_coarse_systems(ops, split.k, {"h": (layout, None)})
+        F = msfem.local_coarse_systems(ops, {"h": (layout, None)})
         assert np.array_equal(F["h"][1], ref)
 
 
@@ -336,7 +336,7 @@ def test_entry_points_refuse_empty_or_negative_J_list(monkeypatch, J_list):
     ops = _all_cells(mesh, split)
     match = r"J_list must hold at least one J >= 0, not "
     with pytest.raises(ValueError, match=match):
-        msfem.basis_errors(ops, split, J_list)
+        msfem.basis_errors(ops, J_list)
     called = []
     for module, name in ((fem, "fine_reference_solver"),
                          (fem, "assemble_local_operators")):
@@ -377,7 +377,7 @@ def test_basis_errors_refuses_J_list_before_factoring(monkeypatch, r,
     ops = _all_cells(mesh, split)
     counts = _counted_factors(monkeypatch, mesh)
     with pytest.raises(ValueError, match="J_list must hold at least one"):
-        msfem.basis_errors(ops, split, J_list)
+        msfem.basis_errors(ops, J_list)
     assert not counts
 
 
@@ -422,7 +422,7 @@ def test_sample_factorization_counts(monkeypatch, r, mode):
     J_list = [0, 1, 4]
     counts = _counted_factors(monkeypatch, mesh)
     if mode == "basis":
-        msfem.basis_errors(ops, split, J_list)
+        msfem.basis_errors(ops, J_list)
     else:
         msfem.sample_errors(mesh, split, J_list, green=green,
                             reference=mode == "reference")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 import threading
@@ -52,6 +53,29 @@ def test_smolyak_node_counts():
         assert build_sparse_grid(m, L).n_nodes == smolyak_node_count(m, L)
 
 
+def _enumerated_node_count(m, L):
+    """Node count summed over every level set: an active axis at level l
+    adds 2 points at l = 1 and 2^(l-1) above."""
+    return sum(math.prod(2 ** max(1, lev - 1) for lev in levels)
+               for _, levels in st._active_level_sets(m, L))
+
+
+def test_smolyak_node_count_matches_enumeration():
+    for m in range(7):
+        for L in range(7):
+            assert smolyak_node_count(m, L) == _enumerated_node_count(m, L)
+    for m, L, count in ((20, 2, 841), (16, 3, 6049), (20, 4, 120401)):
+        assert smolyak_node_count(m, L) == count == \
+            _enumerated_node_count(m, L)
+
+
+def test_smolyak_node_count_is_fast_at_large_levels():
+    # enumerated, these took 5.7 s and SparseGrid(16, 12)'s guard minutes;
+    # the counts are the enumeration's
+    assert child_output("smolyak-count", 1, timeout=30) == (
+        "233511425", "46106289", "refused")
+
+
 def test_sparse_grid_guards():
     with pytest.raises(ValueError):
         st.SparseGrid(0, 1)
@@ -102,6 +126,26 @@ def test_sparse_grid_reflection(m, L):
         W = grid.interpolation_weights(np.where(flip, -theta, theta))
         assert np.abs(W - grid.interpolation_weights(theta)[:, p]).max() \
             <= 1e-13 * np.abs(W).max()
+
+
+def test_interpolation_weights_refuse_theta_of_another_length():
+    grid = build_sparse_grid(3, 2)
+    for bad in (0.0, np.zeros(2), np.zeros((4, 4)), np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="theta must have trailing "
+                           "length 3"):
+            grid.interpolation_weights(bad)
+
+
+def test_interpolation_weights_over_several_chunks(monkeypatch):
+    # MAX_VALUES made small, so 7 points take chunks of 2 and one of 1;
+    # each point keeps the bits of its own one-point call
+    grid = build_sparse_grid(3, 2)
+    monkeypatch.setattr(st, "MAX_VALUES", 2 * grid._map.shape[1])
+    theta = np.random.default_rng(5).uniform(-1.0, 1.0, (7, 3))
+    W = grid.interpolation_weights(theta)
+    assert W.shape == (7, grid.n_nodes)
+    for point, w in zip(theta, W):
+        assert np.array_equal(w, grid.interpolation_weights(point))
 
 
 def test_interpolation_weights_refuse_points_outside_the_cube():
@@ -776,6 +820,14 @@ def test_interpolated_basis_m_equals_n():
     col = basis_mod.iterative_bases(ops, [0], green[[1]])[0][0][0, :, 3]
     std = basis_mod.standard_bases(ops)[0, :, 3]
     assert np.abs(col - std).max() <= 1e-10
+
+
+def test_store_refuses_m_beyond_the_kle_terms():
+    # before the mirror group or any inverse is formed
+    mesh = build_mesh(4, 4, 3)
+    model = build_kle_model(mesh, 1.0, 0.2, 0.2, 5)
+    with pytest.raises(ValueError, match=r"^m=6 outside \[0, 5\]$"):
+        precompute_green_inverses(mesh, model, build_sparse_grid(6, 1), 6)
 
 
 def test_monte_carlo_single_sample():
